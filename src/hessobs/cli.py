@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .config import RunSetup, build_runsetup, parse_config
 from .errors import ConfigError, HessObsError, SolverError, StructureViolation
 from .monitors import (
     audit_inequalities,
+    compact_set,
     compute_norm_bundle,
     extract_contact_set,
     sweep_summary,
@@ -29,13 +31,17 @@ from .operator import certify_coefficients, evaluate_state
 from .report import ReportBundleWriter, fmt
 from .symfunc import check_structure_conditions, estimate_theta, sample_cone_points
 
-__all__ = ["main", "cmd_solve", "cmd_sweep", "cmd_check_structure", "cmd_verify_lemma"]
+__all__ = ["main", "cmd_sweep", "cmd_check_structure", "cmd_verify_lemma"]
 
 
-def _load(config_path: str, args) -> RunSetup:
-    text = pathlib.Path(config_path).read_text()
-    cfg = parse_config(text)
-    cfg = cfg.override(
+def _load(args) -> RunSetup:
+    """Parse the config, apply the override flags and build the run; every
+    out-of-range input raises ConfigError."""
+    if getattr(args, "zeta", None) is not None and not args.zeta > 0.0:
+        raise ConfigError(f"--zeta must be positive, got {args.zeta}")
+    if getattr(args, "samples", None) is not None and args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    cfg = parse_config(pathlib.Path(args.config).read_text()).override(
         eps_min=getattr(args, "eps_min", None),
         grid_m=getattr(args, "grid_m", None),
         seed=getattr(args, "seed", None),
@@ -47,7 +53,7 @@ def _load(config_path: str, args) -> RunSetup:
 
 
 def _say(args, *msg):
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(*msg)
 
 
@@ -55,7 +61,20 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:.0e}"
 
 
-def _run_and_report(rs: RunSetup, args, gate_uniformity: bool) -> int:
+def _subsolution(prob):
+    return prob.subsolution if prob.subsolution is not None else default_initializer(prob)
+
+
+def cmd_sweep(rs: RunSetup, args) -> int:
+    """`solve` and `sweep`: only `sweep` exits 4 on non-uniform norms."""
+    try:
+        return _run_and_report(rs, args)
+    except HessObsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_and_report(rs: RunSetup, args) -> int:
     out = ReportBundleWriter(args.out)
     doc = {"config": {"text": rs.config.to_text()}, "epsilons": rs.schedule.values()}
     try:
@@ -92,29 +111,12 @@ def _run_and_report(rs: RunSetup, args, gate_uniformity: bool) -> int:
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
                               rep.margin_history[it]))
         if rs.audit.enabled:
-            sub = rs.problem.subsolution
-            if sub is None:
-                sub = default_initializer(rs.problem)
             aud = audit_inequalities(
-                u, sub, rs.problem, eps,
+                u, _subsolution(rs.problem), rs.problem, eps,
                 c_audit=(None if rs.audit.c_audit == 0 else rs.audit.c_audit),
                 theta_samples=rs.audit.theta_samples, seed=rs.audit.seed,
             )
-            audits.append(
-                {
-                    "epsilon": eps,
-                    "zeta0": aud.zeta0,
-                    "theta_hat": aud.theta_hat,
-                    "case1_points": aud.case1_points,
-                    "case2_points": aud.case2_points,
-                    "worst_slack_case1": aud.worst_slack_case1,
-                    "worst_slack_case2": aud.worst_slack_case2,
-                    "worst_slack_diag": aud.worst_slack_diag,
-                    "fprime_worst": aud.fprime_worst,
-                    "tol_audit": aud.tol_audit,
-                    "violations": aud.violations,
-                }
-            )
+            audits.append(asdict(aud))
 
     sweep = sweep_summary(bundles)
     final_eps = result.epsilons[-1]
@@ -142,11 +144,8 @@ def _run_and_report(rs: RunSetup, args, gate_uniformity: bool) -> int:
 
     out.write_csv(
         "norms_vs_eps.csv",
-        ["epsilon", "c0_norm", "grad_norm", "hess_norm", "hess_entry_norm",
-         "penalty_sup", "obstacle_violation", "bound_ok"],
-        [[r["epsilon"], r["c0_norm"], r["grad_norm"], r["hess_norm"],
-          r["hess_entry_norm"], r["penalty_sup"], r["obstacle_violation"],
-          r["bound_ok"]] for r in sweep.rows],
+        list(sweep.rows[0]),
+        [list(r.values()) for r in sweep.rows],
         "per-epsilon monitors: c0/grad/hess norms (max over points), penalty sup, max (u-h)_+",
     )
     out.write_csv(
@@ -173,7 +172,7 @@ def _run_and_report(rs: RunSetup, args, gate_uniformity: bool) -> int:
         contact_rows,
         f"contact cells at the final epsilon (tau = {fmt(contact.tau)}); grid indices, coordinates, interface flag",
     )
-    binary = getattr(args, "field_format", "text") == "binary"
+    binary = args.field_format == "binary"
     for u, eps in zip(result.solutions, result.epsilons):
         out.write_field(f"u_eps_{_eps_tag(eps)}", grid, u, binary=binary)
 
@@ -183,45 +182,14 @@ def _run_and_report(rs: RunSetup, args, gate_uniformity: bool) -> int:
     _say(args, f"contact cells: {contact.cells}; sweep ratios: "
          + ", ".join(f"{k}={fmt(v)}" for k, v in sweep.ratios.items()))
 
-    if gate_uniformity and sweep.warnings:
+    if args.command == "sweep" and sweep.warnings:
         _say(args, f"uniformity warning: {', '.join(sweep.warnings)} exceed ratio 2")
         return 4
     return 0
 
 
-def cmd_solve(args) -> int:
-    try:
-        rs = _load(args.config, args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _run_and_report(rs, args, gate_uniformity=False)
-    except HessObsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cmd_sweep(args) -> int:
-    try:
-        rs = _load(args.config, args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _run_and_report(rs, args, gate_uniformity=True)
-    except HessObsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cmd_check_structure(args) -> int:
-    try:
-        rs = _load(args.config, args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    seed = args.seed if args.seed is not None else rs.audit.seed
+def cmd_check_structure(rs: RunSetup, args) -> int:
+    seed = rs.audit.seed
     doc = {"family": str(rs.problem.fspec)}
     code = 0
     try:
@@ -263,29 +231,16 @@ def cmd_check_structure(args) -> int:
     return code
 
 
-def cmd_verify_lemma(args) -> int:
-    try:
-        rs = _load(args.config, args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    seed = args.seed if args.seed is not None else rs.audit.seed
+def cmd_verify_lemma(rs: RunSetup, args) -> int:
+    seed = rs.audit.seed
     samples = args.samples if args.samples is not None else rs.audit.theta_samples
-    sub = rs.problem.subsolution
-    if sub is None:
-        sub = default_initializer(rs.problem)
-    st = evaluate_state(sub, rs.problem, rs.schedule.eps0)
+    st = evaluate_state(_subsolution(rs.problem), rs.problem, rs.schedule.eps0)
     if not st.admissible:
         print("error: subsolution not admissible, cannot form the compact set",
               file=sys.stderr)
         return 2
-    K = np.unique(np.round(st.lam, 12), axis=0)
-    if args.zeta is not None:
-        zeta = args.zeta
-    else:
-        nu = st.fgrad / np.linalg.norm(st.fgrad, axis=1, keepdims=True)
-        n = rs.problem.grid.n
-        zeta = float(min(nu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(n))))
+    K, _, zeta0 = compact_set(st)
+    zeta = args.zeta if args.zeta is not None else zeta0
     lam = sample_cone_points(rs.problem.fspec, samples, seed)
     cert = estimate_theta(rs.problem.fspec, K, zeta, lam)
     doc = {
@@ -321,9 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_out_required=False):
+    for name, help_ in (("solve", "run the penalized continuation solve"),
+                        ("sweep", "full epsilon sweep with monitors and audits")):
+        sp = sub.add_parser(name, help=help_)
         sp.add_argument("config", help="problem configuration file")
-        sp.add_argument("--out", required=with_out_required, default=None,
+        sp.add_argument("--out", required=True,
                         help="output directory for the report bundle")
         sp.add_argument("--eps-min", type=float, default=None, dest="eps_min",
                         help="override schedule floor")
@@ -335,14 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
         sp.add_argument("--field-format", choices=["text", "binary"], default="text",
                         dest="field_format", help="grid dump format (default text)")
-
-    sp = sub.add_parser("solve", help="run the penalized continuation solve")
-    common(sp, with_out_required=True)
-    sp.set_defaults(fn=cmd_solve)
-
-    sp = sub.add_parser("sweep", help="full epsilon sweep with monitors and audits")
-    common(sp, with_out_required=True)
-    sp.set_defaults(fn=cmd_sweep)
+        sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("check-structure",
                         help="certify structure and coefficient conditions")
@@ -370,7 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        rs = _load(args)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    return args.fn(rs, args)
 
 
 if __name__ == "__main__":

@@ -113,11 +113,17 @@ class ProblemConfig:
         return "\n".join(lines) + "\n"
 
     def override(self, eps_min=None, grid_m=None, seed=None, audit_enabled=None) -> "ProblemConfig":
+        """Replace the given fields; an out-of-range value raises ConfigError."""
         cfg = self
         if eps_min is not None:
-            cfg = replace(cfg, schedule=PenaltySchedule(cfg.schedule.eps0, cfg.schedule.ratio,
-                                                        float(eps_min)))
+            try:
+                schedule = PenaltySchedule(cfg.schedule.eps0, cfg.schedule.ratio, float(eps_min))
+            except ValueError as exc:
+                raise ConfigError(f"eps_min override {eps_min!r}: {exc}") from exc
+            cfg = replace(cfg, schedule=schedule)
         if grid_m is not None:
+            if int(grid_m) < 3:
+                raise ConfigError(f"grid_m override {grid_m!r}: grid needs m >= 3 points per axis")
             cfg = replace(cfg, m=(int(grid_m),) * cfg.n)
         if seed is not None:
             cfg = replace(cfg, audit=replace(cfg.audit, seed=int(seed)))

@@ -12,13 +12,13 @@ continuous solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid
-from .operator import Problem, evaluate_state, operator_L
+from .operator import Problem, StateEval, evaluate_state, operator_L
 from .symfunc import estimate_theta, sample_cone_points
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "ContactSet",
     "SweepReport",
     "compute_norm_bundle",
+    "compact_set",
     "audit_inequalities",
     "extract_contact_set",
     "contact_radius",
@@ -73,6 +74,16 @@ def compute_norm_bundle(u: np.ndarray, prob: Problem, epsilon: float) -> NormBun
 # inequality audits
 # ---------------------------------------------------------------------------
 
+def compact_set(sub_state: StateEval):
+    """The compact set K = {mu(x)} (deduplicated) of the subsolution's
+    eigenvalue tuples, their unit normals nu_mu (N, n), and the default
+    normal-gap threshold zeta0 = min(min nu_mu / 2, (1 - 1e-6) / (2 sqrt n))."""
+    mu = sub_state.lam
+    nu_mu = sub_state.fgrad / np.linalg.norm(sub_state.fgrad, axis=1, keepdims=True)
+    zeta0 = float(min(nu_mu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(mu.shape[1]))))
+    return np.unique(np.round(mu, 12), axis=0), nu_mu, zeta0
+
+
 @dataclass
 class InequalityAudit:
     epsilon: float
@@ -85,7 +96,6 @@ class InequalityAudit:
     worst_slack_diag: float  # min over case-2 points of the F^{ii} lower bound
     fprime_worst: float  # sharp diagonal-bound slack; exactly 0 for linear f
     tol_audit: float
-    c_audit: float
     violations: int
 
     @property
@@ -122,21 +132,17 @@ def audit_inequalities(
     if not (st.admissible and st_sub.admissible):
         raise NotAdmissible([], "audit requires admissible solution and subsolution")
 
-    mu = st_sub.lam  # (N, n)
-    fg_mu = st_sub.fgrad
-    nu_mu = fg_mu / np.linalg.norm(fg_mu, axis=1, keepdims=True)
     fg = st.fgrad
     nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
     sum_fi = fg.sum(axis=1)
 
-    zeta0 = float(min(nu_mu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(n))))
+    K, nu_mu, zeta0 = compact_set(st_sub)
     if zeta0 <= 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
 
-    # theta over K = {mu(x)} (deduplicated) and lambda samples that include
-    # the audited state's own eigenvalue field, which keeps the certificate
-    # coherent with the per-point audit below.
-    K = np.unique(np.round(mu, 12), axis=0)
+    # theta over K and lambda samples that include the audited state's own
+    # eigenvalue field, which keeps the certificate coherent with the
+    # per-point audit below.
     lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
     lam_all = np.vstack([lam_rand, st.lam])
     cert = estimate_theta(prob.fspec, K, zeta0, lam_all)
@@ -146,7 +152,7 @@ def audit_inequalities(
     case1 = gap >= zeta0
     case2 = ~case1
 
-    Lv = operator_L(u, prob, epsilon, u_sub - u).ravel()
+    Lv = operator_L(st, prob, u_sub - u).ravel()
     beta = st.beta
     h2 = float(grid.spacing.max()) ** 2
     hess_norm = float(np.abs(st.lam).max())
@@ -188,7 +194,6 @@ def audit_inequalities(
         worst_slack_diag=worst_diag,
         fprime_worst=fprime_worst,
         tol_audit=tol,
-        c_audit=c_aud,
         violations=violations,
     )
 
@@ -271,7 +276,7 @@ def contact_radius(contact: ContactSet, grid: ChartGrid) -> float:
 
 @dataclass
 class SweepReport:
-    rows: list  # one dict per epsilon (norm bundle fields + extras)
+    rows: list  # one dict of norm bundle fields per epsilon
     ratios: dict  # max/min across the sweep per monitored field
     warnings: list  # field names whose ratio exceeds 2
 
@@ -294,20 +299,7 @@ def sweep_summary(bundles: list[NormBundle]) -> SweepReport:
     """Tabulate monitors against epsilon and flag non-uniform fields."""
     if not bundles:
         raise ValueError("sweep_summary needs at least one norm bundle")
-    rows = []
-    for b in bundles:
-        rows.append(
-            {
-                "epsilon": b.epsilon,
-                "c0_norm": b.c0_norm,
-                "grad_norm": b.grad_norm,
-                "hess_norm": b.hess_norm,
-                "hess_entry_norm": b.hess_entry_norm,
-                "penalty_sup": b.penalty_sup,
-                "obstacle_violation": b.obstacle_violation,
-                "bound_ok": b.bound_ok,
-            }
-        )
+    rows = [asdict(b) for b in bundles]
     fields = ["c0_norm", "grad_norm", "hess_norm", "penalty_sup"]
     ratios = {f: _ratio([r[f] for r in rows]) for f in fields}
     warnings = [f for f, v in ratios.items() if v > 2.0]

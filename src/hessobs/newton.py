@@ -131,7 +131,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
             break
-        lin = linearize(u, prob, epsilon)
+        lin = linearize(res.state, prob)
         if cfg.check_ellipticity:
             lam_min = float(np.linalg.eigvalsh(lin.Fij).min())
             if lam_min <= 0.0:

@@ -255,34 +255,22 @@ def _average_tied_gradients(lam: np.ndarray, fg: np.ndarray) -> np.ndarray:
     """Average f_i over clusters of (numerically) repeated eigenvalues.
 
     For symmetric f the analytic values already agree on ties; averaging
-    removes the frame ambiguity of round-off-split eigenvalues.
+    removes the frame ambiguity of round-off-split eigenvalues.  lam is sorted
+    descending, so a cluster is a maximal run of neighbours within tol.
     """
-    N, n = lam.shape
+    n = lam.shape[1]
     tol = 1e-10 * (1.0 + np.abs(lam).max(axis=1))
+    split = (lam[:, :-1] - lam[:, 1:]) > tol[:, None]
+    cluster = np.concatenate([np.zeros((lam.shape[0], 1), dtype=int),
+                              np.cumsum(split, axis=1)], axis=1)
     out = fg.copy()
-    if n == 2:
-        tie = (lam[:, 0] - lam[:, 1]) <= tol
-        mean = 0.5 * (fg[:, 0] + fg[:, 1])
-        out[tie, 0] = mean[tie]
-        out[tie, 1] = mean[tie]
-        return out
-    if n == 3:
-        t01 = (lam[:, 0] - lam[:, 1]) <= tol
-        t12 = (lam[:, 1] - lam[:, 2]) <= tol
-        allt = t01 & t12
-        mean3 = fg.mean(axis=1)
-        for j in range(3):
-            out[allt, j] = mean3[allt]
-        only01 = t01 & ~allt
-        m01 = 0.5 * (fg[:, 0] + fg[:, 1])
-        out[only01, 0] = m01[only01]
-        out[only01, 1] = m01[only01]
-        only12 = t12 & ~allt
-        m12 = 0.5 * (fg[:, 1] + fg[:, 2])
-        out[only12, 1] = m12[only12]
-        out[only12, 2] = m12[only12]
-        return out
-    raise NotImplementedError("tie averaging implemented for n in {2, 3}")
+    for c in range(n - 1):  # a cluster of two or more starts at most at n - 2
+        member = cluster == c
+        size = member.sum(axis=1)
+        tied = size > 1
+        mean = np.where(member[tied], fg[tied], 0.0).sum(axis=1) / size[tied]
+        out[tied] = np.where(member[tied], mean[:, None], out[tied])
+    return out
 
 
 def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
@@ -364,27 +352,28 @@ class LinearizedSystem:
     state: StateEval
 
 
-def _spectral_Fij(state: StateEval) -> np.ndarray:
-    return np.einsum("...ia,...a,...ja->...ij", state.V, state.fgrad, state.V)
-
-
-def linearize(u: np.ndarray, prob: Problem, epsilon: float) -> LinearizedSystem:
-    """Exact Jacobian of the discrete residual at an admissible iterate."""
-    st = evaluate_state(u, prob, epsilon)
+def _principal_and_first_order(st: StateEval, prob: Problem):
+    """F^{ij} = dF/dU and the first-order coefficient
+    F^{ij} A^{ij}_{p_k} - psi_{p_k} at an admissible state."""
     if not st.admissible:
         bad = np.argwhere(~st.ok.reshape(prob.grid.interior_shape))
         raise NotAdmissible([tuple(int(v) + 1 for v in row) for row in bad])
+    Fij = np.einsum("...ia,...a,...ja->...ij", st.V, st.fgrad, st.V)
+    A_p = prob.coeff.a_p(prob.x_interior, st.z, st.p, prob.g_interior)  # (N, k, n, n)
+    psi_p = prob.coeff.psi_p(prob.x_interior, st.z, st.p, prob.g_interior)
+    return Fij, np.einsum("...ij,...kij->...k", Fij, A_p) - psi_p
+
+
+def linearize(state: StateEval, prob: Problem) -> LinearizedSystem:
+    """Exact Jacobian of the discrete residual at an evaluated admissible
+    iterate; `state` is the `evaluate_state` result of that iterate (its
+    epsilon enters through the penalty derivative it holds)."""
     grid = prob.grid
     n = grid.n
-    x, g = prob.x_interior, prob.g_interior
-    Fij = _spectral_Fij(st)
-    A_p = prob.coeff.a_p(x, st.z, st.p, g)  # (N, k, n, n)
-    psi_p = prob.coeff.psi_p(x, st.z, st.p, g)
-    A_z = prob.coeff.a_z(x, st.z, st.p, g)
-    psi_z = prob.coeff.psi_z(x, st.z, st.p, g)
-
-    first_order = np.einsum("...ij,...kij->...k", Fij, A_p) - psi_p
-    zero_order = np.einsum("...ij,...ij->...", Fij, A_z) - psi_z - st.dbeta
+    Fij, first_order = _principal_and_first_order(state, prob)
+    A_z = prob.coeff.a_z(prob.x_interior, state.z, state.p, prob.g_interior)
+    psi_z = prob.coeff.psi_z(prob.x_interior, state.z, state.p, prob.g_interior)
+    zero_order = np.einsum("...ij,...ij->...", Fij, A_z) - psi_z - state.dbeta
 
     if prob.metric.is_flat:
         c1_stencil = first_order
@@ -394,7 +383,7 @@ def linearize(u: np.ndarray, prob: Problem, epsilon: float) -> LinearizedSystem:
 
     J = assemble_operator(grid, Fij, c1_stencil, zero_order)
     return LinearizedSystem(Fij=Fij, first_order=first_order,
-                            zero_order=zero_order, matrix=J, state=st)
+                            zero_order=zero_order, matrix=J, state=state)
 
 
 def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
@@ -455,24 +444,18 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
     return J.tocsr()
 
 
-def operator_L(u: np.ndarray, prob: Problem, epsilon: float, v: np.ndarray) -> np.ndarray:
-    """Apply the first-order linear operator at state u to the field v:
+def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
+    """Apply the first-order linear operator at an evaluated admissible state
+    (the `evaluate_state` result of the iterate) to the field v:
 
         L v = F^{ij} (nabla^2 v)_{ij} + (F^{ij} A^{ij}_{p_k} - psi_{p_k}) d_k v
 
     (principal and first-order parts only, no zero-order term).  Returns an
     interior-shaped field.
     """
-    st = evaluate_state(u, prob, epsilon)
-    if not st.admissible:
-        bad = np.argwhere(~st.ok.reshape(prob.grid.interior_shape))
-        raise NotAdmissible([tuple(int(vv) + 1 for vv in row) for row in bad])
     grid = prob.grid
     n = grid.n
-    Fij = _spectral_Fij(st)
-    A_p = prob.coeff.a_p(prob.x_interior, st.z, st.p, prob.g_interior)
-    psi_p = prob.coeff.psi_p(prob.x_interior, st.z, st.p, prob.g_interior)
-    c1 = np.einsum("...ij,...kij->...k", Fij, A_p) - psi_p
+    Fij, c1 = _principal_and_first_order(state, prob)
     Hv = covariant_hessian(v, prob.metric, grid).reshape(-1, n, n)
     dv = gradient_centered(v, grid).reshape(-1, n)
     out = np.einsum("...ij,...ij->...", Fij, Hv) + np.einsum("...k,...k->...", c1, dv)

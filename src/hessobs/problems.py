@@ -1,6 +1,7 @@
 """Bundled benchmark problems and their closed-form references.
 
-Four problems ship with the package as config files:
+Four problems ship with the package as config files, the only copy of
+their definitions (`bundled_config_path`, `bundled_config_text`):
 
   laplacian_obstacle        trace-operator (k = 1) ceiling-obstacle problem on
                             the square whose exact solution is the classical
@@ -8,7 +9,10 @@ Four problems ship with the package as config files:
                             equation with a log term outside.  Gentle contact
                             force (tight penalization error) combined with a
                             steep obstacle wall outside the contact disc
-                            (sharp free-boundary localization).
+                            (sharp free-boundary localization).  Its schedule
+                            has the single entry eps = 1e-6: the gentle force
+                            cannot saturate the penalty above eps ~ 1e-5, so
+                            a longer sweep would not be eps-uniform.
   laplacian_obstacle_strong same construction with a strong contact force, for
                             epsilon-uniformity sweeps that must saturate the
                             penalty already at eps = 1e-2.
@@ -98,200 +102,15 @@ def radial_obstacle(par: RadialObstacleParams, pts: np.ndarray) -> np.ndarray:
     return par.h0 + par.c_in * rsq + par.d_steep * np.maximum(0.0, r - par.a) ** 2
 
 
-def _g(v: float) -> str:
-    """Shortest round-trip decimal for config embedding."""
-    return repr(float(v))
-
-
-def _radial_config_text(par: RadialObstacleParams, m: int, eps0: float,
-                        eps_min: float, tol: float, seed: int) -> str:
-    rsq = "(x1^2+x2^2)"
-    r = f"sqrt({rsq})"
-    u_star = (
-        f"{_g(par.psi0 / 4.0)}*{rsq} + {_g(par.alpha)}*log(max({r}, {_g(par.a)})) "
-        f"+ {_g(par.beta)} - {_g(par.force / 4.0)}*max(0, {_g(par.a**2)} - {rsq})"
-    )
-    h = f"{_g(par.h0)} + {_g(par.c_in)}*{rsq} + {_g(par.d_steep)}*max(0, {r} - {_g(par.a)})^2"
-    return f"""\
-# classical radial ceiling-obstacle problem for the trace operator;
-# exact solution and free boundary (r = {par.a}) are known in closed form
-function {{
-  family = sigma_k_root
-  k = 1
-  n = 2
-}}
-grid {{
-  lo = -1 -1
-  hi = 1 1
-  m = {m}
-}}
-metric {{
-  kind = flat
-}}
-coefficients {{
-  A = zero
-  psi = "{_g(par.psi0)}"
-}}
-obstacle {{
-  h = "{h}"
-}}
-boundary {{
-  phi = "{u_star}"
-}}
-subsolution {{
-  u = "{u_star}"
-}}
-schedule {{
-  eps0 = {_g(eps0)}
-  ratio = 0.1
-  eps_min = {_g(eps_min)}
-}}
-newton {{
-  tol = {_g(tol)}
-  max_iters = 60
-}}
-audit {{
-  enabled = true
-  c_audit = 0
-  theta_samples = 4000
-  seed = {seed}
-}}
-"""
-
-
-def _ma_manufactured_text(m: int) -> str:
-    ustar = "exp((x1^2+x2^2)/2)"
-    return f"""\
-# manufactured det^(1/2) problem: solution exp(r^2/2), obstacle inactive
-function {{
-  family = sigma_k_root
-  k = 2
-  n = 2
-}}
-grid {{
-  lo = -1 -1
-  hi = 1 1
-  m = {m}
-}}
-metric {{
-  kind = flat
-}}
-coefficients {{
-  A = zero
-  psi = "{ustar}*sqrt(1+x1^2+x2^2)"
-}}
-obstacle {{
-  h = "{ustar} + 1"
-}}
-boundary {{
-  phi = "{ustar}"
-}}
-subsolution {{
-  u = "{ustar}"
-}}
-schedule {{
-  eps0 = 0.01
-  ratio = 0.1
-  eps_min = 1e-06
-}}
-newton {{
-  tol = 1e-10
-  max_iters = 60
-}}
-audit {{
-  enabled = true
-  c_audit = 0
-  theta_samples = 4000
-  seed = 42
-}}
-"""
-
-
-def _ma_obstacle_text(m: int) -> str:
-    return f"""\
-# det^(1/2) ceiling-obstacle problem: the strict paraboloid subsolution
-# 0.625 r^2 (det-root 1.25 against psi = 1) is pressed by its own boundary
-# data against a ceiling a constant 0.3 above it; gentle contact force 0.25
-# keeps the free-boundary layer resolved down to eps = 1e-6
-function {{
-  family = sigma_k_root
-  k = 2
-  n = 2
-}}
-grid {{
-  lo = -2 -2
-  hi = 2 2
-  m = {m}
-}}
-metric {{
-  kind = flat
-}}
-coefficients {{
-  A = zero
-  psi = "1"
-}}
-obstacle {{
-  h = "0.625*(x1^2+x2^2) + 0.3"
-}}
-boundary {{
-  phi = "0.625*(x1^2+x2^2)"
-}}
-subsolution {{
-  u = "0.625*(x1^2+x2^2)"
-}}
-schedule {{
-  eps0 = 0.01
-  ratio = 0.1
-  eps_min = 1e-06
-}}
-newton {{
-  tol = 1e-08
-  max_iters = 80
-}}
-audit {{
-  enabled = true
-  c_audit = 0
-  theta_samples = 10000
-  seed = 42
-}}
-"""
-
-
-BUNDLED = {
-    # single-entry schedule: the gentle contact force that keeps the
-    # penalization error inside the oracle tolerance cannot saturate the
-    # penalty above eps ~ 1e-5, so a long sweep would not be eps-uniform
-    "laplacian_obstacle": lambda: _radial_config_text(
-        radial_params("weak"), m=129, eps0=1e-6, eps_min=1e-6, tol=1e-9, seed=42
-    ),
-    "laplacian_obstacle_strong": lambda: _radial_config_text(
-        radial_params("strong"), m=65, eps0=1e-2, eps_min=1e-6, tol=1e-9, seed=42
-    ),
-    "ma_manufactured": lambda: _ma_manufactured_text(m=65),
-    "ma_obstacle": lambda: _ma_obstacle_text(m=65),
-}
+BUNDLED = ("laplacian_obstacle", "laplacian_obstacle_strong", "ma_manufactured", "ma_obstacle")
 
 
 def bundled_config_text(name: str) -> str:
     if name not in BUNDLED:
         raise KeyError(f"unknown bundled problem {name!r}; have {sorted(BUNDLED)}")
-    return BUNDLED[name]()
+    return bundled_config_path(name).read_text()
 
 
 def bundled_config_path(name: str):
     """Filesystem path of a bundled config (shipped with the package)."""
     return resources.files("hessobs").joinpath("configs", f"{name}.cfg")
-
-
-def write_bundled_configs(dirpath) -> list:
-    """Regenerate the shipped config files from the canonical definitions."""
-    import pathlib
-
-    out = []
-    d = pathlib.Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    for name in sorted(BUNDLED):
-        p = d / f"{name}.cfg"
-        p.write_text(bundled_config_text(name))
-        out.append(p)
-    return out

@@ -98,6 +98,22 @@ def test_obstacle_below_boundary_exit1(tmp_path):
     assert main(["solve", str(bad), "--out", str(out), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid-m", "2"],
+    ["sweep", "--eps-min", "0"],
+    ["sweep", "--eps-min", "0.5"],
+    ["verify-lemma", "--zeta", "0"],
+    ["verify-lemma", "--samples", "0"],
+    ["check-structure", "--samples", "0"],
+], ids=" ".join)
+def test_out_of_range_flag_is_config_error(small_cfg, tmp_path, capsys, argv):
+    command, *flags = argv
+    out = ["--out", str(tmp_path / "out")]
+    assert main([command, str(small_cfg), *flags, *out, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eps_min_override_shortens_sweep(tmp_path):
     cfg = tmp_path / "strong.cfg"
     cfg.write_text(bundled_config_text("laplacian_obstacle_strong").replace("m = 65", "m = 21"))

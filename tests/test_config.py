@@ -5,7 +5,7 @@ import pytest
 
 from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import ConfigError
-from hessobs.problems import BUNDLED, bundled_config_path, bundled_config_text
+from hessobs.problems import BUNDLED, bundled_config_text
 
 MINIMAL = """
 function {
@@ -46,11 +46,6 @@ def test_round_trip_canonical_text():
         cfg = parse_config(bundled_config_text(name))
         again = parse_config(cfg.to_text())
         assert again == cfg
-
-
-def test_bundled_files_match_generators():
-    for name in BUNDLED:
-        assert bundled_config_path(name).read_text() == bundled_config_text(name)
 
 
 def test_unknown_block_rejected_with_line():

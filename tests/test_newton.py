@@ -122,6 +122,32 @@ def test_ma_quadratic_tail():
     assert r[-2] <= 10.0 * r[-3] ** 2
 
 
+def test_each_iterate_evaluated_once(monkeypatch):
+    # one state evaluation for the start and one per line-search trial; the
+    # Jacobian reuses the accepted trial's state instead of evaluating again
+    import hessobs.newton as newton
+    import hessobs.operator as operator
+
+    prob, _ = ma_manufactured(m=17)
+    u0 = prob.subsolution + prob.grid.sample(
+        lambda x: 0.05 * np.cos(np.pi * x[..., 0] / 2) * np.cos(np.pi * x[..., 1] / 2)
+    )
+    calls = {"state": 0, "residual": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operator, "evaluate_state", counting("state", operator.evaluate_state))
+    monkeypatch.setattr(newton, "residual", counting("residual", newton.residual))
+    _, rep = newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
+    assert rep.iterations >= 2
+    assert calls["residual"] >= 1 + rep.iterations  # start + every trial
+    assert calls["state"] == calls["residual"]
+
+
 # -------------------------------------------------- continuation
 
 def test_continuation_single_entry_equals_newton():

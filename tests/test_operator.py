@@ -7,7 +7,9 @@ from hessobs.errors import BadEpsilon, NotAdmissible, PsiNotPositive
 from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
 from hessobs.operator import (
     Problem,
+    _average_tied_gradients,
     coefficients_from_expressions,
+    evaluate_state,
     laplace_beltrami_solve,
     linearize,
     operator_L,
@@ -127,7 +129,7 @@ def test_residual_manufactured_order():
 def test_linearize_sigma1_is_discrete_laplacian():
     prob = make_problem(m=9, psi="1")
     u = prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
-    lin = linearize(u, prob, 1e-2)
+    lin = linearize(evaluate_state(u, prob, 1e-2), prob)
     assert np.abs(lin.Fij - np.eye(2)).max() < 1e-12
     # matrix row for an interior point away from the boundary: 5-point laplacian
     grid = prob.grid
@@ -144,7 +146,7 @@ def test_linearize_requires_admissible():
     prob = make_problem(m=9, fspec=SymmetricFunctionSpec(2, 2), psi="1")
     u = prob.grid.sample(lambda x: 0.5 * (x[..., 0] ** 2 - 3.0 * x[..., 1] ** 2))
     with pytest.raises(NotAdmissible):
-        linearize(u, prob, 1e-2)
+        linearize(evaluate_state(u, prob, 1e-2), prob)
 
 
 def test_linearize_fij_positive_definite():
@@ -153,7 +155,7 @@ def test_linearize_fij_positive_definite():
     u = prob.grid.sample(
         lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + 0.2 * np.sin(x[..., 0]) + 3.0
     )
-    lin = linearize(u, prob, 1e-2)
+    lin = linearize(evaluate_state(u, prob, 1e-2), prob)
     assert np.linalg.eigvalsh(lin.Fij).min() > 0.0
 
 
@@ -172,7 +174,7 @@ def test_jacobian_matches_directional_fd(fspec):
     bump[prob.grid.interior] = 0.002 * rng.standard_normal(prob.grid.interior_shape)
     u = base + bump  # interior-perturbed admissible state, violates h slightly
     eps = 1e-2
-    lin = linearize(u, prob, eps)
+    lin = linearize(evaluate_state(u, prob, eps), prob)
     r0 = residual(u, prob, eps).values.ravel()
     t = 1e-6
     worst = 0.0
@@ -195,7 +197,7 @@ def test_jacobian_fd_conformal_metric():
                    coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
     u = grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
     eps = 1e-2
-    lin = linearize(u, prob, eps)
+    lin = linearize(evaluate_state(u, prob, eps), prob)
     r0 = residual(u, prob, eps).values.ravel()
     rng = np.random.default_rng(3)
     t = 1e-6
@@ -214,7 +216,7 @@ def test_linearize_sigma1_curved_fij_is_metric_inverse():
     prob = Problem(grid=grid, metric=metric, fspec=SymmetricFunctionSpec(2, 1),
                    coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
     u = grid.sample(lambda x: 4.0 * (x[..., 0] ** 2 + x[..., 1] ** 2))
-    lin = linearize(u, prob, 1e-2)
+    lin = linearize(evaluate_state(u, prob, 1e-2), prob)
     ginv = metric.ginv[grid.interior].reshape(-1, 2, 2)
     assert np.abs(lin.Fij - ginv).max() < 1e-10
 
@@ -223,27 +225,48 @@ def test_linearize_sigma1_curved_fij_is_metric_inverse():
 
 def test_operator_L_constant_is_zero():
     prob = make_problem(m=11, psi="1")
-    u = prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
+    st = evaluate_state(prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2), prob, 1e-2)
     v = np.full(prob.grid.shape, 3.7)
-    assert np.abs(operator_L(u, prob, 1e-2, v)).max() < 1e-12
+    assert np.abs(operator_L(st, prob, v)).max() < 1e-12
 
 
 def test_operator_L_sigma1_is_laplacian():
     prob = make_problem(m=11, psi="1")
-    u = prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
+    st = evaluate_state(prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2), prob, 1e-2)
     v = prob.grid.sample(lambda x: x[..., 0] ** 2 - 3.0 * x[..., 1] ** 2 + x[..., 0] * x[..., 1])
-    Lv = operator_L(u, prob, 1e-2, v)
+    Lv = operator_L(st, prob, v)
     assert np.abs(Lv - (2.0 - 6.0)).max() < 1e-10
 
 
 def test_operator_L_linearity():
     prob = make_problem(m=11, fspec=SymmetricFunctionSpec(2, 2), psi="1 + 0.1*p1")
     u = prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + 2.0)
+    st = evaluate_state(u, prob, 1e-2)
     rng = np.random.default_rng(0)
     v, w = rng.normal(size=prob.grid.shape), rng.normal(size=prob.grid.shape)
-    lhs = operator_L(u, prob, 1e-2, 2.0 * v - 0.5 * w)
-    rhs = 2.0 * operator_L(u, prob, 1e-2, v) - 0.5 * operator_L(u, prob, 1e-2, w)
+    lhs = operator_L(st, prob, 2.0 * v - 0.5 * w)
+    rhs = 2.0 * operator_L(st, prob, v) - 0.5 * operator_L(st, prob, w)
     assert np.abs(lhs - rhs).max() < 1e-8
+
+
+# -------------------------------------------------- tie averaging
+
+@pytest.mark.parametrize("lam, fg, expected", [
+    # n = 2: exact tie, round-off tie, untied row (must come back unchanged)
+    ([[2.0, 2.0], [2.0 + 1e-12, 2.0], [3.0, 1.0]],
+     [[1.0, 4.0], [1.0, 4.0], [1.0, 4.0]],
+     [[2.5, 2.5], [2.5, 2.5], [1.0, 4.0]]),
+    # n = 3: 2-way tie at the top, 2-way tie at the bottom, 3-way tie, untied
+    ([[5.0, 5.0, 1.0], [5.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 2.0, 1.0]],
+     [[1.0, 2.0, 7.0], [1.0, 2.0, 7.0], [1.0, 2.0, 6.0], [0.1, 0.2, 0.7]],
+     [[1.5, 1.5, 7.0], [1.0, 4.5, 4.5], [3.0, 3.0, 3.0], [0.1, 0.2, 0.7]]),
+], ids=["n2", "n3"])
+def test_average_tied_gradients_clusters(lam, fg, expected):
+    fg = np.array(fg)
+    before = fg.copy()
+    out = _average_tied_gradients(np.array(lam), fg)
+    assert np.array_equal(out, np.array(expected))
+    assert np.array_equal(fg, before)
 
 
 # -------------------------------------------------- laplace-beltrami solve
@@ -284,7 +307,7 @@ def test_jacobian_fd_3d():
                    h=np.full(grid.shape, 50.0), phi=np.zeros(grid.shape))
     u = grid.sample(lambda x: (x**2).sum(axis=-1) + 3.0)
     eps = 1e-2
-    lin = linearize(u, prob, eps)
+    lin = linearize(evaluate_state(u, prob, eps), prob)
     r0 = residual(u, prob, eps).values.ravel()
     rng = np.random.default_rng(5)
     t = 1e-6
