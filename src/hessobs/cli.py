@@ -90,7 +90,6 @@ def _run_and_report(rs: RunSetup, args) -> int:
         return 2
 
     bundles = []
-    audits = []
     solves = []
     hist_rows = []
     for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
@@ -110,13 +109,11 @@ def _run_and_report(rs: RunSetup, args) -> int:
             step = rep.step_history[it - 1] if it >= 1 else ""
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
                               rep.margin_history[it]))
-        if rs.audit.enabled:
-            aud = audit_inequalities(
-                u, _subsolution(rs.problem), rs.problem, eps,
-                c_audit=(None if rs.audit.c_audit == 0 else rs.audit.c_audit),
-                theta_samples=rs.audit.theta_samples, seed=rs.audit.seed,
-            )
-            audits.append(asdict(aud))
+    audits = audit_inequalities(
+        result.solutions, result.epsilons, _subsolution(rs.problem), rs.problem,
+        c_audit=(None if rs.audit.c_audit == 0 else rs.audit.c_audit),
+        theta_samples=rs.audit.theta_samples, seed=rs.audit.seed,
+    ) if rs.audit.enabled else []
 
     sweep = sweep_summary(bundles)
     final_eps = result.epsilons[-1]
@@ -133,7 +130,7 @@ def _run_and_report(rs: RunSetup, args) -> int:
     doc["solves"] = solves
     doc["norms"] = sweep.rows
     doc["sweep"] = {"ratios": sweep.ratios, "warnings": sweep.warnings}
-    doc["audits"] = audits
+    doc["audits"] = [asdict(a) for a in audits]
     doc["contact"] = {
         "epsilon": final_eps,
         "tau": contact.tau,

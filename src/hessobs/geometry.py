@@ -24,6 +24,7 @@ __all__ = [
     "covariant_hessian",
     "gradient_centered",
     "hessian_centered",
+    "interior_shift",
     "eigen_wrt_metric",
     "eigen_wrt_metric_field",
     "pin_boundary",
@@ -95,12 +96,8 @@ class ChartGrid:
         return self.points()[self.interior]
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.m, dtype=bool)
-        for d in range(self.n):
-            sl = [slice(None)] * self.n
-            for edge in (0, -1):
-                sl[d] = edge
-                mask[tuple(sl)] = True
+        mask = np.ones(self.m, dtype=bool)
+        mask[self.interior] = False
         return mask
 
     def interior_index_map(self) -> np.ndarray:
@@ -165,20 +162,15 @@ def metric_from_field(grid: ChartGrid, g: np.ndarray) -> MetricField:
     return MetricField(grid=grid, g=g, ginv=ginv, christoffel=gamma, is_flat=False)
 
 
-def christoffel_from_metric(g: np.ndarray, grid: ChartGrid, ginv=None) -> np.ndarray:
-    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
+def christoffel_from_metric(g: np.ndarray, grid: ChartGrid, ginv: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with ginv the
+    inverse of the sampled metric g.
 
     Metric derivatives are centered in the interior and one-sided
     second-order on the boundary faces (np.gradient, edge_order=2).
     """
     n = grid.n
     h = grid.spacing
-    if ginv is None:
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPD("metric is not positive definite on the grid") from exc
-        ginv = np.linalg.inv(g)
     dg = np.stack(
         [np.gradient(g, h[d], axis=d, edge_order=2) for d in range(n)], axis=-3
     )  # shape m + (d, i, j): d_d g_ij
@@ -196,21 +188,20 @@ def christoffel_from_metric(g: np.ndarray, grid: ChartGrid, ginv=None) -> np.nda
 # derivatives of scalar fields (interior only)
 # ---------------------------------------------------------------------------
 
-def _shift(u: np.ndarray, d: int, s: int, n: int) -> np.ndarray:
-    """Interior block of u shifted by s cells along axis d."""
-    sl = [slice(1, -1)] * n
-    lo, hi = 1 + s, u.shape[d] - 1 + s
-    sl[d] = slice(lo, hi if hi != u.shape[d] else None)
-    return u[tuple(sl)]
+def interior_shift(u: np.ndarray, offset) -> np.ndarray:
+    """Interior block of a grid-shaped array u moved by offset[d] cells
+    (-1, 0 or +1) along each axis d."""
+    return u[tuple(slice(1 + s, u.shape[d] - 1 + s) for d, s in enumerate(offset))]
 
 
 def gradient_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     """Centered first derivatives on interior points, shape interior + (n,)."""
     n = grid.n
     h = grid.spacing
+    E = np.eye(n, dtype=int)
     out = np.empty(grid.interior_shape + (n,))
     for d in range(n):
-        out[..., d] = (_shift(u, d, 1, n) - _shift(u, d, -1, n)) / (2.0 * h[d])
+        out[..., d] = (interior_shift(u, E[d]) - interior_shift(u, -E[d])) / (2.0 * h[d])
     return out
 
 
@@ -218,29 +209,23 @@ def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     """Plain (non-covariant) second derivatives on interior points."""
     n = grid.n
     h = grid.spacing
+    E = np.eye(n, dtype=int)
     out = np.empty(grid.interior_shape + (n, n))
     center = u[grid.interior]
     for d in range(n):
-        out[..., d, d] = (_shift(u, d, 1, n) - 2.0 * center + _shift(u, d, -1, n)) / h[d] ** 2
+        out[..., d, d] = (interior_shift(u, E[d]) - 2.0 * center
+                          + interior_shift(u, -E[d])) / h[d] ** 2
     for d in range(n):
         for e in range(d + 1, n):
             cross = (
-                _shift2(u, d, 1, e, 1, n)
-                - _shift2(u, d, 1, e, -1, n)
-                - _shift2(u, d, -1, e, 1, n)
-                + _shift2(u, d, -1, e, -1, n)
+                interior_shift(u, E[d] + E[e])
+                - interior_shift(u, E[d] - E[e])
+                - interior_shift(u, E[e] - E[d])
+                + interior_shift(u, -E[d] - E[e])
             ) / (4.0 * h[d] * h[e])
             out[..., d, e] = cross
             out[..., e, d] = cross
     return out
-
-
-def _shift2(u: np.ndarray, d1: int, s1: int, d2: int, s2: int, n: int) -> np.ndarray:
-    sl = [slice(1, -1)] * n
-    for d, s in ((d1, s1), (d2, s2)):
-        lo, hi = 1 + s, u.shape[d] - 1 + s
-        sl[d] = slice(lo, hi if hi != u.shape[d] else None)
-    return u[tuple(sl)]
 
 
 def covariant_hessian(u: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:

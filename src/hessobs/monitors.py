@@ -7,7 +7,8 @@ Points split into case 1 (normal gap >= zeta0) where the supporting-plane
 excess theta enters, and case 2 (gap < zeta0) where the diagonal bound on
 F^{ii} and the plain concavity inequality apply.  Discrete audits tolerate
 an O(h^2) slack band since the underlying inequalities hold for the
-continuous solution.
+continuous solution.  The audit takes the whole sweep: the compact set K,
+zeta0 and the sampled cone cloud are built once and shared by every epsilon.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MonitorError, NotAdmissible
-from .geometry import ChartGrid
+from .geometry import ChartGrid, interior_shift
 from .operator import Problem, StateEval, evaluate_state, operator_L
 from .symfunc import estimate_theta, sample_cone_points
 
@@ -98,21 +99,18 @@ class InequalityAudit:
     tol_audit: float
     violations: int
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 def audit_inequalities(
-    u: np.ndarray,
+    solutions: list,
+    epsilons: list,
     u_sub: np.ndarray,
     prob: Problem,
-    epsilon: float,
     c_audit: float | None = None,
     theta_samples: int = 4000,
     seed: int = 0,
-) -> InequalityAudit:
-    """Audit the two-case differential inequalities on a solved state.
+) -> list[InequalityAudit]:
+    """Audit the two-case differential inequalities on each solved state of a
+    sweep (solutions[i] solved at epsilons[i]); one audit per state.
 
     Case 1 (normal gap >= zeta0):
         L(usub - u) + beta_eps(u - h) >= (theta_hat/2) (1 + sum f_i) - tol
@@ -120,82 +118,84 @@ def audit_inequalities(
         min_i f_i >= (zeta0/sqrt(n)) sum f_i - tol       (diagonal bound)
         L(usub - u) + beta_eps(u - h) >= -tol            (order-zero bound)
 
-    theta_hat is halved to keep sampling optimism out of the pass/fail line.
-    fprime_worst records the diagonal bound with its sharp per-point constant
-    min_i nu_i(lam)/sqrt(n) instead of zeta0/sqrt(n); for linear f this slack
-    is identically zero.
+    The subsolution state, K, zeta0 and the sampled cone cloud do not depend
+    on epsilon and are built once per sweep.  theta_hat is halved to keep
+    sampling optimism out of the pass/fail line.  fprime_worst records the
+    diagonal bound with its sharp per-point constant min_i nu_i(lam)/sqrt(n)
+    instead of zeta0/sqrt(n); for linear f this slack is identically zero.
     """
     grid = prob.grid
     n = grid.n
-    st = evaluate_state(u, prob, epsilon)
-    st_sub = evaluate_state(u_sub, prob, epsilon)
-    if not (st.admissible and st_sub.admissible):
+    h2 = float(grid.spacing.max()) ** 2
+    st_sub = evaluate_state(u_sub, prob, epsilons[0])
+    if not st_sub.admissible:
         raise NotAdmissible([], "audit requires admissible solution and subsolution")
-
-    fg = st.fgrad
-    nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
-    sum_fi = fg.sum(axis=1)
-
     K, nu_mu, zeta0 = compact_set(st_sub)
     if zeta0 <= 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
-
-    # theta over K and lambda samples that include the audited state's own
-    # eigenvalue field, which keeps the certificate coherent with the
-    # per-point audit below.
     lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
-    lam_all = np.vstack([lam_rand, st.lam])
-    cert = estimate_theta(prob.fspec, K, zeta0, lam_all)
-    theta_hat = cert.theta_hat
 
-    gap = np.linalg.norm(nu_mu - nu, axis=1)
-    case1 = gap >= zeta0
-    case2 = ~case1
+    audits = []
+    for u, epsilon in zip(solutions, epsilons):
+        st = evaluate_state(u, prob, epsilon)
+        if not st.admissible:
+            raise NotAdmissible([], "audit requires admissible solution and subsolution")
+        fg = st.fgrad
+        nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
+        sum_fi = fg.sum(axis=1)
 
-    Lv = operator_L(st, prob, u_sub - u).ravel()
-    beta = st.beta
-    h2 = float(grid.spacing.max()) ** 2
-    hess_norm = float(np.abs(st.lam).max())
-    c_aud = 10.0 * hess_norm if c_audit is None else float(c_audit)
-    tol = c_aud * h2
+        # theta over K and lambda samples that include the audited state's own
+        # eigenvalue field, which keeps the certificate coherent with the
+        # per-point audit below.
+        cert = estimate_theta(prob.fspec, K, zeta0, np.vstack([lam_rand, st.lam]))
+        theta_hat = cert.theta_hat
 
-    violations = 0
-    if np.any(case1):
-        if theta_hat is None:
-            raise MonitorError("case-1 points present but theta certificate vacuous")
-        s1 = Lv[case1] + beta[case1] - 0.5 * theta_hat * (1.0 + sum_fi[case1])
-        worst1 = float(s1.min())
-        violations += int(np.count_nonzero(s1 < -tol))
-    else:
-        worst1 = np.inf
+        gap = np.linalg.norm(nu_mu - nu, axis=1)
+        case1 = gap >= zeta0
+        case2 = ~case1
 
-    if np.any(case2):
-        s2 = Lv[case2] + beta[case2]
-        worst2 = float(s2.min())
-        violations += int(np.count_nonzero(s2 < -tol))
-        diag = fg[case2].min(axis=1) - (zeta0 / np.sqrt(n)) * sum_fi[case2]
-        worst_diag = float(diag.min())
-        violations += int(np.count_nonzero(diag < -tol))
-    else:
-        worst2 = np.inf
-        worst_diag = np.inf
+        Lv = operator_L(st, prob, u_sub - u).ravel()
+        beta = st.beta
+        hess_norm = float(np.abs(st.lam).max())
+        c_aud = 10.0 * hess_norm if c_audit is None else float(c_audit)
+        tol = c_aud * h2
 
-    sharp = fg.min(axis=1) - (nu.min(axis=1) / np.sqrt(n)) * sum_fi
-    fprime_worst = float(sharp.min())
+        violations = 0
+        if np.any(case1):
+            if theta_hat is None:
+                raise MonitorError("case-1 points present but theta certificate vacuous")
+            s1 = Lv[case1] + beta[case1] - 0.5 * theta_hat * (1.0 + sum_fi[case1])
+            worst1 = float(s1.min())
+            violations += int(np.count_nonzero(s1 < -tol))
+        else:
+            worst1 = np.inf
 
-    return InequalityAudit(
-        epsilon=epsilon,
-        zeta0=zeta0,
-        theta_hat=theta_hat,
-        case1_points=int(case1.sum()),
-        case2_points=int(case2.sum()),
-        worst_slack_case1=worst1,
-        worst_slack_case2=worst2,
-        worst_slack_diag=worst_diag,
-        fprime_worst=fprime_worst,
-        tol_audit=tol,
-        violations=violations,
-    )
+        if np.any(case2):
+            s2 = Lv[case2] + beta[case2]
+            worst2 = float(s2.min())
+            violations += int(np.count_nonzero(s2 < -tol))
+            diag = fg[case2].min(axis=1) - (zeta0 / np.sqrt(n)) * sum_fi[case2]
+            worst_diag = float(diag.min())
+            violations += int(np.count_nonzero(diag < -tol))
+        else:
+            worst2 = np.inf
+            worst_diag = np.inf
+
+        sharp = fg.min(axis=1) - (nu.min(axis=1) / np.sqrt(n)) * sum_fi
+        audits.append(InequalityAudit(
+            epsilon=epsilon,
+            zeta0=zeta0,
+            theta_hat=theta_hat,
+            case1_points=int(case1.sum()),
+            case2_points=int(case2.sum()),
+            worst_slack_case1=worst1,
+            worst_slack_case2=worst2,
+            worst_slack_diag=worst_diag,
+            fprime_worst=float(sharp.min()),
+            tol_audit=tol,
+            violations=violations,
+        ))
+    return audits
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +232,15 @@ def extract_contact_set(
     mask = (u[grid.interior] >= h[grid.interior] - tau)
     interface = np.zeros_like(mask)
     if mask.any():
-        n = grid.n
+        E = np.eye(grid.n, dtype=int)
         padded = np.pad(mask, 1, mode="constant", constant_values=False)
         neighbor_all = np.ones_like(mask, dtype=bool)
-        for d in range(n):
-            for s in (+1, -1):
-                sl = [slice(1, -1)] * n
-                lo, hi = 1 + s, padded.shape[d] - 1 + s
-                sl[d] = slice(lo, hi if hi != padded.shape[d] else None)
-                neighbor_all &= padded[tuple(sl)]
+        for off in (*E, *-E):
+            neighbor_all &= interior_shift(padded, off)
         interface = mask & ~neighbor_all
         if h_above_phi_on_boundary:
-            edge = np.zeros_like(mask)
-            for d in range(n):
-                sl = [slice(None)] * n
-                for e in (0, -1):
-                    sl[d] = e
-                    edge[tuple(sl)] = True
+            edge = np.ones_like(mask)
+            edge[grid.interior] = False
             if bool((mask & edge).any()):
                 raise MonitorError(
                     "contact set touches the chart boundary although h > phi there"

@@ -69,7 +69,6 @@ class NewtonConfig:
     backtrack: float = 0.5
     fraction_to_boundary: float = 0.99
     stall_step: float = 1e-10
-    check_ellipticity: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.armijo_c < 1.0):
@@ -93,7 +92,6 @@ class SolveReport:
     margin_history: list
     final_margin: float
     subsolution_dominance: float | None  # min(u - subsolution) if available
-    min_fij_eigenvalue: float | None = None  # audit mode only
 
 
 @dataclass
@@ -126,17 +124,11 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     hist = [rnorm]
     hist_l2 = [np.sqrt(rl2sq)]
     steps, margins = [], [res.margin]
-    min_fij = np.inf if cfg.check_ellipticity else None
 
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
             break
         lin = linearize(res.state, prob)
-        if cfg.check_ellipticity:
-            lam_min = float(np.linalg.eigvalsh(lin.Fij).min())
-            if lam_min <= 0.0:
-                raise NotAdmissible([], "ellipticity lost: lambda_min(F^ij) <= 0")
-            min_fij = min(min_fij, lam_min)
         rhs = -res.values.ravel()
         try:
             with np.errstate(all="raise"):
@@ -183,7 +175,6 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         margin_history=margins,
         final_margin=res.margin,
         subsolution_dominance=dom,
-        min_fij_eigenvalue=(None if min_fij is None else float(min_fij)),
     )
     if not converged:
         err = MaxItersExceeded(cfg.max_iters, rnorm)

@@ -28,6 +28,7 @@ from .geometry import (
     covariant_hessian,
     eigen_wrt_metric_field,
     gradient_centered,
+    interior_shift,
 )
 from .symfunc import SymmetricFunctionSpec, f_and_grad_masked, sigma_margins
 
@@ -66,7 +67,6 @@ class CoefficientField:
     psi_z: callable
     psi_p: callable
     tag: str = "custom"
-    certified: bool | None = None  # set by the coefficient sampling certification
 
 
 def _zeros_like_A(x, n):
@@ -398,19 +398,11 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
     N = grid.n_interior
     idx = grid.interior_index_map()
     c0 = np.broadcast_to(np.asarray(c0, dtype=float), (N,))
-
-    def nb_index(offset):
-        sl = []
-        for d, s in enumerate(offset):
-            lo, hi = 1 + s, grid.m[d] - 1 + s
-            sl.append(slice(lo, hi if hi != grid.m[d] else None))
-        return idx[tuple(sl)].ravel()
-
     rows_all, cols_all, data_all = [], [], []
     rows = np.arange(N)
 
     def push(offset, vals):
-        cols = nb_index(offset)
+        cols = interior_shift(idx, offset).ravel()
         keep = cols >= 0
         rows_all.append(rows[keep])
         cols_all.append(cols[keep])
@@ -481,7 +473,7 @@ def certify_coefficients(prob: Problem, samples: int = 200, seed: int = 0,
     and positivity of psi.
 
     Sampled over grid points, a z box around the boundary/subsolution range
-    and a p ball; a certification, not a proof.  Sets coeff.certified.
+    and a p ball; a certification, not a proof.
     """
     rng = np.random.default_rng(seed)
     grid = prob.grid
@@ -541,9 +533,7 @@ def certify_coefficients(prob: Problem, samples: int = 200, seed: int = 0,
     sec_A = (a_quad(pp) - 2.0 * a_quad(p) + a_quad(pm)) / scale2
     record("A^xx concave in p", -sec_A, lambda i: (x[i], z[i], p[i]))
 
-    passed = failed is None
-    prob.coeff.certified = passed
-    return CoefficientCertification(passed=passed, checks=checks,
+    return CoefficientCertification(passed=failed is None, checks=checks,
                                     witness=witness, failed_condition=failed)
 
 

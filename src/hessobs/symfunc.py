@@ -245,12 +245,15 @@ def cone_membership(spec: SymmetricFunctionSpec, lam, tol_cone=None) -> ConePoin
 
 
 def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
-    """Raise OutsideCone unless every sigma_j, j <= k, is strictly positive."""
-    e = elementary_symmetric(lam[None, :], spec.k)[0]
-    for j in range(1, spec.k + 1):
-        if e[j] <= 0.0:
-            raise OutsideCone(lam, e, j)
-    return e
+    """Raise OutsideCone unless every sigma_j, j <= k, is strictly positive on
+    every row of the (N, n) batch lam (a single tuple is one row); the error
+    names the first bad row and its first failing j."""
+    lam = np.atleast_2d(lam)
+    e = elementary_symmetric(lam, spec.k)
+    bad = e[:, 1:] <= 0.0
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        raise OutsideCone(lam[i], e[i], int(np.argmax(bad[i])) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +307,26 @@ def hess_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
     """Hessian D^2 f(lam); negative semidefinite on the cone (concavity)."""
     lam = np.asarray(lam, dtype=float)
     _require_inside(spec, lam)
-    lam2 = lam[None, :]
-    f, sk, sl = _f_batch(spec, lam2)
-    n, m = spec.n, spec.degree
+    return _hess_batch(spec, lam[None, :])[0]
+
+
+def _hess_batch(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
+    """D^2 f on rows of lam, shape (N, n, n); caller guarantees positivity of
+    the sigmas."""
+    f, sk, sl = _f_batch(spec, lam)
+    m = spec.degree
 
     def quotient_term(order, s_ord):
         # T_ij = d_j [ sigma_{order-1}(lam|i)/sigma_order ]
-        r1 = sigma_removed_one(lam2, order - 1)  # (1, n)
-        r2 = _sigma_removed_two(lam2, order - 2)  # (1, n, n), zero diagonal
-        s = r1 / s_ord[:, None]
-        return r2[0] / s_ord[0] - np.outer(s[0], s[0]), s[0]
+        s = sigma_removed_one(lam, order - 1) / s_ord[:, None]  # (N, n)
+        r2 = _sigma_removed_two(lam, order - 2)  # (N, n, n), zero diagonal
+        return r2 / s_ord[:, None, None] - s[:, :, None] * s[:, None, :], s
 
     Tk, s_k = quotient_term(spec.k, sk)
-    if spec.l:
-        Tl, s_l = quotient_term(spec.l, sl)
-    else:
-        Tl, s_l = np.zeros((n, n)), np.zeros(n)
+    Tl, s_l = quotient_term(spec.l, sl) if spec.l else (0.0, 0.0)
     g = (s_k - s_l) / m
-    H = f[0] * (np.outer(g, g) + (Tk - Tl) / m)
-    return 0.5 * (H + H.T)
+    H = f[:, None, None] * (g[:, :, None] * g[:, None, :] + (Tk - Tl) / m)
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
 def normal_vector(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
@@ -484,16 +488,12 @@ def check_structure_conditions(
         idx = np.unravel_index(np.argmin(grad), grad.shape)[0]
         raise StructureViolation("monotonicity f_i > 0", lam[idx], f"min f_i = {min_grad:.3e}")
 
-    worst_scaled = -np.inf
-    for p in range(lam.shape[0]):
-        H = hess_f(spec, lam[p])
-        top = float(np.linalg.eigvalsh(H)[-1])
-        scaled = top / (1.0 + np.abs(H).max())
-        if scaled > worst_scaled:
-            worst_scaled = scaled
-            worst_pt = lam[p]
+    H = _hess_batch(spec, lam)
+    scaled = np.linalg.eigvalsh(H)[:, -1] / (1.0 + np.abs(H).max(axis=(1, 2)))
+    worst = int(np.argmax(scaled))
+    worst_scaled = float(scaled[worst])
     if worst_scaled > 1e-8:
-        raise StructureViolation("concavity of f", worst_pt, f"lambda_max(D^2 f) slack {worst_scaled:.3e}")
+        raise StructureViolation("concavity of f", lam[worst], f"lambda_max(D^2 f) slack {worst_scaled:.3e}")
 
     min_f = float(f.min())
     if min_f <= 0.0:
@@ -615,10 +615,8 @@ def estimate_theta(
         raise ValueError("zeta must be positive")
     K = np.atleast_2d(np.asarray(K_samples, dtype=float))
     lams = np.atleast_2d(np.asarray(lambda_samples, dtype=float))
-    for row in K:
-        _require_inside(spec, row)
-    for row in lams:
-        _require_inside(spec, row)
+    _require_inside(spec, K)
+    _require_inside(spec, lams)
 
     f_lam, g_lam = _grad_batch(spec, lams)
     f_mu, g_mu = _grad_batch(spec, K)

@@ -231,14 +231,14 @@ def test_criterion_7_second_order_uniformity():
 def test_criterion_8_inequality_audits():
     with criterion(8, "pointwise inequality audits clean at m=65", 120.0):
         rs, res = weak_radial(65)
-        aud = audit_inequalities(res.final, rs.problem.subsolution, rs.problem,
-                                 res.epsilons[-1], seed=42)
+        [aud] = audit_inequalities([res.final], res.epsilons[-1:], rs.problem.subsolution,
+                                   rs.problem, seed=42)
         assert aud.violations == 0
         assert abs(aud.fprime_worst) <= 1e-12  # linear family: slack exactly zero
 
         rs5, res5 = ma_manufactured(65)
-        aud5 = audit_inequalities(res5.final, rs5.problem.subsolution, rs5.problem,
-                                  res5.epsilons[-1], seed=42)
+        [aud5] = audit_inequalities([res5.final], res5.epsilons[-1:], rs5.problem.subsolution,
+                                    rs5.problem, seed=42)
         assert aud5.violations == 0
         assert aud5.case1_points + aud5.case2_points == rs5.problem.grid.n_interior
 

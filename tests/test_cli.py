@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, report bundles, reproducibility."""
 
+import json
 import pathlib
 
 import pytest
@@ -56,6 +57,21 @@ def test_sweep_reproducible_byte_identical(small_cfg, tmp_path):
     assert main(["sweep", str(small_cfg), "--out", str(out1), "--quiet"]) == 0
     assert main(["sweep", str(small_cfg), "--out", str(out2), "--quiet"]) == 0
     assert bundle_bytes(out1) == bundle_bytes(out2)
+
+
+def test_sweep_draws_cone_cloud_once(small_cfg, tmp_path, monkeypatch):
+    import hessobs.monitors as monitors
+
+    calls = []
+    sample = monitors.sample_cone_points
+    monkeypatch.setattr(monitors, "sample_cone_points",
+                        lambda *a, **kw: calls.append(a) or sample(*a, **kw))
+    out = tmp_path / "out"
+    assert main(["sweep", str(small_cfg), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["epsilons"]) == 3
+    assert len(calls) == 1
+    assert [a["epsilon"] for a in report["audits"]] == report["epsilons"]
 
 
 def test_field_dump_round_trip(small_cfg, tmp_path):

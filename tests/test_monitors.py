@@ -100,7 +100,7 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
                    h=usub + 0.2, phi=usub, subsolution=usub)
     res = continuation_solve(prob, PenaltySchedule(1e-3, 0.1, 1e-3),
                              NewtonConfig(tol_residual=1e-10))
-    aud = audit_inequalities(res.final, prob.subsolution, prob, 1e-3, seed=1)
+    [aud] = audit_inequalities([res.final], [1e-3], prob.subsolution, prob, seed=1)
     assert aud.case1_points == 0  # linear f: constant normal
     assert aud.case2_points == prob.grid.n_interior
     assert aud.violations == 0
@@ -110,7 +110,7 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
 
 def test_audit_u_equals_subsolution(solved_ma):
     prob, _ = solved_ma
-    aud = audit_inequalities(prob.subsolution, prob.subsolution, prob, 1e-2, seed=1)
+    [aud] = audit_inequalities([prob.subsolution], [1e-2], prob.subsolution, prob, seed=1)
     # L(usub - u) = 0 and beta(usub - h) = 0 since usub <= h
     assert aud.case1_points == 0
     assert aud.violations == 0
@@ -119,7 +119,8 @@ def test_audit_u_equals_subsolution(solved_ma):
 
 def test_audit_solved_ma_no_violations(solved_ma):
     prob, res = solved_ma
-    aud = audit_inequalities(res.final, prob.subsolution, prob, res.epsilons[-1], seed=42)
+    [aud] = audit_inequalities([res.final], res.epsilons[-1:], prob.subsolution, prob,
+                               seed=42)
     assert aud.violations == 0
     assert aud.case1_points > 0  # nonlinear family genuinely exercises case 1
     assert aud.theta_hat is not None and aud.theta_hat > 0

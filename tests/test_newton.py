@@ -12,7 +12,13 @@ from hessobs.newton import (
     default_initializer,
     newton_solve,
 )
-from hessobs.operator import Problem, coefficients_from_expressions, residual
+from hessobs.operator import (
+    Problem,
+    coefficients_from_expressions,
+    evaluate_state,
+    linearize,
+    residual,
+)
 from hessobs.symfunc import SymmetricFunctionSpec
 
 
@@ -97,11 +103,10 @@ def test_ma_admissibility_margin_positive_every_iteration():
         lambda x: 0.05 * np.cos(np.pi * x[..., 0] / 2) * np.cos(np.pi * x[..., 1] / 2)
     )
     u0 = prob.subsolution + bump
-    u, rep = newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10,
-                                                       check_ellipticity=True))
+    u, rep = newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
     assert rep.converged
     assert all(m > 0 for m in rep.margin_history)
-    assert rep.min_fij_eigenvalue > 0
+    assert np.linalg.eigvalsh(linearize(evaluate_state(u, prob, 1e-2), prob).Fij).min() > 0
 
 
 def test_ma_quadratic_tail():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hessobs.errors import OutsideCone
 from hessobs.symfunc import (
     SymmetricFunctionSpec,
+    _hess_batch,
     check_structure_conditions,
     cone_membership,
     estimate_theta,
@@ -156,6 +157,14 @@ def test_hess_matches_fd(spec):
         Hfd = fd_hessian(spec, lam)
         denom = max(1.0, np.abs(H).max())
         assert np.abs(H - Hfd).max() / denom < 1e-6
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_hess_batch_equals_stacked_rows(spec):
+    # SPECS is the family set of acceptance criteria 1-2; the batch must be
+    # bit-identical to the one-row case, near-boundary samples included
+    lam = sample_cone_points(spec, 300, seed=5)
+    assert np.array_equal(_hess_batch(spec, lam), np.stack([hess_f(spec, row) for row in lam]))
 
 
 # -------------------------------------------------- normal_vector
@@ -318,6 +327,16 @@ def test_theta_rejects_outside_samples():
     spec = SymmetricFunctionSpec(2, 2)
     with pytest.raises(OutsideCone):
         estimate_theta(spec, np.array([[2.0, 2.0]]), 0.1, np.array([[1.0, -1.0]]))
+
+
+def test_theta_outside_error_names_first_bad_row():
+    spec = SymmetricFunctionSpec(3, 2)
+    # row 1 fails at sigma_2 only, row 2 already at sigma_1
+    lams = np.array([[1.0, 1.0, 1.0], [3.0, 1.0, -1.0], [-5.0, 1.0, 1.0]])
+    with pytest.raises(OutsideCone) as exc:
+        estimate_theta(spec, np.array([[2.0, 2.0, 2.0]]), 0.1, lams)
+    assert np.array_equal(exc.value.lam, lams[1])
+    assert exc.value.j_failed == 2
 
 
 def test_spec_validation():
