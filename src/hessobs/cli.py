@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import RunSetup, build_runsetup, parse_config
-from .errors import ConfigError, HessObsError, SolverError, StructureViolation
+from .errors import ConfigError, HessObsError, StructureViolation
 from .monitors import (
     audit_inequalities,
     compact_set,
@@ -79,7 +79,7 @@ def _run_and_report(rs: RunSetup, args) -> int:
     doc = {"config": {"text": rs.config.to_text()}, "epsilons": rs.schedule.values()}
     try:
         result = continuation_solve(rs.problem, rs.schedule, rs.newton)
-    except SolverError as exc:
+    except HessObsError as exc:
         doc["solver_failure"] = {
             "error": type(exc).__name__,
             "message": str(exc),
@@ -151,18 +151,13 @@ def _run_and_report(rs: RunSetup, args) -> int:
         hist_rows,
         "damped-Newton history per epsilon: max/l2 residual norms, accepted step, cone margin",
     )
-    idx = np.argwhere(contact.mask)
     grid = rs.problem.grid
-    pts = grid.interior_points().reshape(-1, grid.n)
-    flat = np.ravel_multi_index(idx.T, grid.interior_shape) if idx.size else np.array([], dtype=int)
-    contact_rows = []
-    for row, f in zip(idx, flat):
-        coords = pts[f]
-        contact_rows.append(
-            tuple(int(v) + 1 for v in row)
-            + tuple(float(c) for c in coords)
-            + (bool(contact.interface[tuple(row)]),)
-        )
+    contact_rows = [
+        tuple(int(v) for v in i) + tuple(float(c) for c in x) + (bool(flag),)
+        for i, x, flag in zip(np.argwhere(contact.mask) + 1,
+                              grid.interior_points()[contact.mask],
+                              contact.interface[contact.mask])
+    ]
     out.write_csv(
         "contact_cells.csv",
         [f"i{d+1}" for d in range(grid.n)] + [f"x{d+1}" for d in range(grid.n)] + ["interface"],

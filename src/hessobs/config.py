@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .expressions import parse_expression
 from .geometry import ChartGrid, flat_metric, metric_from_callable, pin_boundary
 from .newton import NewtonConfig, PenaltySchedule
-from .operator import CoefficientField, Problem, coefficients_from_expressions
+from .operator import Problem, coefficients_from_expressions
 from .symfunc import SymmetricFunctionSpec
 
 __all__ = ["ProblemConfig", "AuditConfig", "parse_config", "build_runsetup", "RunSetup"]
@@ -277,9 +277,10 @@ def parse_config(text: str) -> ProblemConfig:
                               blocks["coefficients"]["A"][1])
         a_param = a_parts[1]
         try:
-            float(a_param)
+            if not np.isfinite(float(a_param)):
+                raise ValueError
         except ValueError as exc:
-            raise ConfigError(f"kappa must be numeric, got {a_param!r}",
+            raise ConfigError(f"kappa must be a finite number, got {a_param!r}",
                               blocks["coefficients"]["A"][1]) from exc
     elif a_mode == "scalar_metric":
         if len(a_parts) != 2:
@@ -399,9 +400,7 @@ def build_runsetup(cfg: ProblemConfig) -> RunSetup:
         metric = _load_tabulated_metric(cfg.metric_file, grid)
 
     fspec = SymmetricFunctionSpec(n=cfg.n, k=cfg.k, l=cfg.l)
-    coeff: CoefficientField = coefficients_from_expressions(
-        cfg.n, cfg.psi, cfg.a_mode, cfg.a_param
-    )
+    coeff = coefficients_from_expressions(cfg.n, cfg.psi, cfg.a_mode, cfg.a_param)
     h = _sample_expr(cfg.h, grid)
     phi = _sample_expr(cfg.phi, grid)
 
@@ -417,7 +416,6 @@ def build_runsetup(cfg: ProblemConfig) -> RunSetup:
         sub = pin_boundary(grid, _sample_expr(cfg.subsolution, grid), phi)
 
     problem = Problem(grid=grid, metric=metric, fspec=fspec, coeff=coeff,
-                      h=h, phi=phi, subsolution=sub,
-                      meta={"schedule": cfg.schedule, "config": cfg})
+                      h=h, phi=phi, subsolution=sub)
     return RunSetup(config=cfg, problem=problem, schedule=cfg.schedule,
                     newton=cfg.newton, audit=cfg.audit)

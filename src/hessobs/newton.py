@@ -61,22 +61,25 @@ class PenaltySchedule:
         return out
 
 
+# line search: Armijo constant, step shrink factor, fraction-to-boundary
+# tau_ftb, and the step below which the search stalls
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+FRACTION_TO_BOUNDARY = 0.99
+STALL_STEP = 1e-10
+
+# epsilon of the initializer's probes; their outcome does not depend on it:
+# the subsolution is only checked for admissibility, and the paraboloid sits
+# below the obstacle, where the penalty vanishes
+_PROBE_EPSILON = 1e-1
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     tol_residual: float = 1e-8  # max-norm
     max_iters: int = 60
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    fraction_to_boundary: float = 0.99
-    stall_step: float = 1e-10
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack must lie in (0, 1)")
-        if not (0.0 < self.fraction_to_boundary < 1.0):
-            raise ValueError("fraction_to_boundary must lie in (0, 1)")
         if self.tol_residual <= 0.0 or self.max_iters < 1:
             raise ValueError("tol_residual > 0 and max_iters >= 1 required")
 
@@ -140,18 +143,18 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         delta = np.zeros(grid.shape)
         delta[grid.interior] = delta_int.reshape(grid.interior_shape)
 
-        margin_floor = (1.0 - cfg.fraction_to_boundary) * res.margin
+        margin_floor = (1.0 - FRACTION_TO_BOUNDARY) * res.margin
         t = 1.0
         accepted = None
-        while t >= cfg.stall_step:
+        while t >= STALL_STEP:
             cand = u + t * delta
             cres = residual(cand, prob, epsilon)
             if cres.admissible and cres.margin >= margin_floor:
                 cl2sq = float((cres.values.ravel() ** 2).sum())
-                if cl2sq <= (1.0 - 2.0 * cfg.armijo_c * t) * rl2sq:
+                if cl2sq <= (1.0 - 2.0 * ARMIJO_C * t) * rl2sq:
                     accepted = (cand, cres, cl2sq, t)
                     break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         if accepted is None:
             raise LineSearchStall(t, rnorm, res.margin)
         u, res, rl2sq, t_used = accepted
@@ -223,7 +226,7 @@ def default_initializer(prob: Problem) -> np.ndarray:
     grid = prob.grid
     if prob.subsolution is not None:
         u0 = pin_boundary(grid, prob.subsolution, prob.phi)
-        res = residual(u0, prob, _probe_epsilon(prob))
+        res = residual(u0, prob, _PROBE_EPSILON)
         if not res.admissible:
             raise NoAdmissibleStart(
                 f"supplied subsolution leaves the cone at {len(res.flagged_points(grid))} points"
@@ -234,24 +237,18 @@ def default_initializer(prob: Problem) -> np.ndarray:
     center = np.array([(lo + hi) / 2.0 for lo, hi in zip(grid.lo, grid.hi)])
     rsq = ((pts - center) ** 2).sum(axis=-1)
     target = np.minimum(prob.phi, prob.h)
-    eps_probe = _probe_epsilon(prob)
     a = 1.0
     while a <= 2.0**20:
         b = float((target - 0.5 * a * rsq).min()) - 1e-9
         q = 0.5 * a * rsq + b
-        rq = residual(pin_boundary(grid, q, q), prob, eps_probe)
+        rq = residual(pin_boundary(grid, q, q), prob, _PROBE_EPSILON)
         if rq.admissible and rq.values.min() >= 0.0:
             v = laplace_beltrami_solve(grid, prob.metric, prob.phi - q)
             u0 = pin_boundary(grid, q + v, prob.phi)
-            r0 = residual(u0, prob, eps_probe)
+            r0 = residual(u0, prob, _PROBE_EPSILON)
             if r0.admissible:
                 return u0
         a *= 2.0
     raise NoAdmissibleStart(
         "built-in paraboloid/blend initializer failed; supply a subsolution"
     )
-
-
-def _probe_epsilon(prob: Problem) -> float:
-    sched = prob.meta.get("schedule")
-    return sched.eps0 if sched is not None else 1e-1

@@ -15,7 +15,7 @@ averaging).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 PSI_FLOOR = 1e-12
+CERTIFY_TOL = 1e-8  # certify_coefficients fails a check whose worst slack is below -CERTIFY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -55,106 +56,64 @@ PSI_FLOOR = 1e-12
 
 @dataclass
 class CoefficientField:
-    """A(x, z, p) tensor and psi(x, z, p) right side with their z/p
-    derivatives.  Callbacks are batched: x (N, n), z (N,), p (N, n),
-    g (N, n, n); A-shaped outputs are (N, n, n), A_p is (N, n, n, n) with the
-    p-component index first after the batch axis."""
+    """The coefficients A(x, z, p) = s(x, z, p) g and psi(x, z, p).
 
-    a_eval: callable
-    a_z: callable
-    a_p: callable
-    psi_eval: callable
-    psi_z: callable
-    psi_p: callable
-    tag: str = "custom"
-
-
-def _zeros_like_A(x, n):
-    return np.zeros((x.shape[0], n, n))
-
-
-def coefficients_from_expressions(
-    n: int,
-    psi_text: str,
-    a_mode: str = "zero",
-    a_param=None,
-) -> CoefficientField:
-    """Build coefficients from expression strings.
-
-    a_mode:
-      - "zero":           A = 0
-      - "kappa_zg":       A = kappa * z * g              (a_param = kappa)
-      - "scalar_metric":  A = s(x, z, p) * g             (a_param = expression)
+    Every A mode is a scalar multiple of the metric g, so the field is two
+    expressions over x1..xn, z, p1..pn: the scalar s and the right side psi.
+    Their z and p derivatives are built once.  `at` evaluates a batch of
+    points x (N, n), z (N,), p (N, n) with metric blocks g (N, n, n).
     """
-    psi = parse_expression(psi_text, n)
-    psi_dz = psi.derivative("z")
-    psi_dp = [psi.derivative(f"p{i+1}") for i in range(n)]
 
-    def env(x, z, p):
-        e = {f"x{i+1}": x[:, i] for i in range(n)}
-        e["z"] = z
-        e.update({f"p{i+1}": p[:, i] for i in range(n)})
-        return e
+    s: Expression
+    psi: Expression
 
-    def psi_eval(x, z, p, g):
-        return np.broadcast_to(psi(**env(x, z, p)), z.shape).astype(float)
+    def __post_init__(self):
+        # z, and every p-variable that s or psi contains; derivatives in the
+        # other p-variables vanish identically
+        names = ["z"] + [v for v in self.s.variables | self.psi.variables if v[0] == "p"]
+        self._d = {v: (self.s.derivative(v), self.psi.derivative(v)) for v in names}
 
-    def psi_z(x, z, p, g):
-        return np.broadcast_to(psi_dz(**env(x, z, p)), z.shape).astype(float)
+    def at(self, x, z, p, g, wrt=None):
+        """(A, psi) at the batch, (A_z, psi_z) for wrt="z", or (A_p, psi_p)
+        for wrt="p".  A and A_z are (N, n, n) and psi, psi_z (N,); A_p is
+        (N, n, n, n) with the p-component index first after the batch axis,
+        psi_p is (N, n)."""
+        n = x.shape[1]
+        env = {f"x{i+1}": x[:, i] for i in range(n)}
+        env["z"] = z
+        env.update({f"p{i+1}": p[:, i] for i in range(n)})
 
-    def psi_p(x, z, p, g):
-        out = np.empty((z.shape[0], n))
-        e = env(x, z, p)
+        def times_metric(s_expr, psi_expr):
+            s, psi = (np.broadcast_to(e(**env), z.shape).astype(float)
+                      for e in (s_expr, psi_expr))
+            return s[:, None, None] * g, psi
+
+        if wrt is None:
+            return times_metric(self.s, self.psi)
+        if wrt == "z":
+            return times_metric(*self._d["z"])
+        A_p, psi_p = np.zeros((z.shape[0], n, n, n)), np.zeros((z.shape[0], n))
         for i in range(n):
-            out[:, i] = np.broadcast_to(psi_dp[i](**e), z.shape)
-        return out
+            if f"p{i+1}" in self._d:
+                A_p[:, i], psi_p[:, i] = times_metric(*self._d[f"p{i+1}"])
+        return A_p, psi_p
 
+
+def coefficients_from_expressions(n: int, psi_text: str, a_mode: str = "zero",
+                                  a_param=None) -> CoefficientField:
+    """Coefficients from expression text; a_mode names s in A = s g:
+    "zero" (s = 0), "kappa_zg" (s = kappa z, a_param = kappa) or
+    "scalar_metric" (a_param = the expression text of s)."""
     if a_mode == "zero":
-        coeff = CoefficientField(
-            a_eval=lambda x, z, p, g: _zeros_like_A(x, n),
-            a_z=lambda x, z, p, g: _zeros_like_A(x, n),
-            a_p=lambda x, z, p, g: np.zeros((x.shape[0], n, n, n)),
-            psi_eval=psi_eval,
-            psi_z=psi_z,
-            psi_p=psi_p,
-            tag="zero",
-        )
+        s_text = "0"
     elif a_mode == "kappa_zg":
-        kappa = float(a_param)
-
-        coeff = CoefficientField(
-            a_eval=lambda x, z, p, g: kappa * z[:, None, None] * g,
-            a_z=lambda x, z, p, g: kappa * g,
-            a_p=lambda x, z, p, g: np.zeros((x.shape[0], n, n, n)),
-            psi_eval=psi_eval,
-            psi_z=psi_z,
-            psi_p=psi_p,
-            tag=f"kappa_zg({kappa})",
-        )
+        s_text = f"{float(a_param)!r}*z"
     elif a_mode == "scalar_metric":
-        s = a_param if isinstance(a_param, Expression) else parse_expression(str(a_param), n)
-        s_dz = s.derivative("z")
-        s_dp = [s.derivative(f"p{i+1}") for i in range(n)]
-
-        def a_eval(x, z, p, g):
-            return np.broadcast_to(s(**env(x, z, p)), z.shape)[:, None, None] * g
-
-        def a_z(x, z, p, g):
-            return np.broadcast_to(s_dz(**env(x, z, p)), z.shape)[:, None, None] * g
-
-        def a_p(x, z, p, g):
-            out = np.empty((z.shape[0], n, n, n))
-            e = env(x, z, p)
-            for i in range(n):
-                out[:, i] = np.broadcast_to(s_dp[i](**e), z.shape)[:, None, None] * g
-            return out
-
-        coeff = CoefficientField(a_eval=a_eval, a_z=a_z, a_p=a_p,
-                                 psi_eval=psi_eval, psi_z=psi_z, psi_p=psi_p,
-                                 tag="scalar_metric")
+        s_text = str(a_param)
     else:
         raise ValueError(f"unknown A mode {a_mode!r}")
-    return coeff
+    return CoefficientField(s=parse_expression(s_text, n),
+                            psi=parse_expression(psi_text, n))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +132,6 @@ class Problem:
     h: np.ndarray  # obstacle sampled on the grid
     phi: np.ndarray  # boundary-data extension sampled on the grid
     subsolution: np.ndarray | None = None  # sampled subsolution (pinned to phi)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._x_int = self.grid.interior_points().reshape(-1, self.grid.n)
@@ -282,7 +240,7 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     Hc = covariant_hessian(u, prob.metric, grid).reshape(-1, n, n)
     x = prob.x_interior
     g = prob.g_interior
-    A = prob.coeff.a_eval(x, z, p, g)
+    A, psi = prob.coeff.at(x, z, p, g)
     U = Hc + A
     lam_g, V_g = eigen_wrt_metric_field(
         U.reshape(grid.interior_shape + (n, n)), prob.metric, grid
@@ -293,7 +251,6 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     fval, fgrad, ok = f_and_grad_masked(prob.fspec, lam)
     if np.any(ok):
         fgrad[ok] = _average_tied_gradients(lam[ok], fgrad[ok])
-    psi = prob.coeff.psi_eval(x, z, p, g)
     if psi.min() < PSI_FLOOR:
         raise PsiNotPositive(
             f"psi minimum {psi.min():.3e} below floor {PSI_FLOOR}; the method requires psi > 0"
@@ -359,8 +316,7 @@ def _principal_and_first_order(st: StateEval, prob: Problem):
         bad = np.argwhere(~st.ok.reshape(prob.grid.interior_shape))
         raise NotAdmissible([tuple(int(v) + 1 for v in row) for row in bad])
     Fij = np.einsum("...ia,...a,...ja->...ij", st.V, st.fgrad, st.V)
-    A_p = prob.coeff.a_p(prob.x_interior, st.z, st.p, prob.g_interior)  # (N, k, n, n)
-    psi_p = prob.coeff.psi_p(prob.x_interior, st.z, st.p, prob.g_interior)
+    A_p, psi_p = prob.coeff.at(prob.x_interior, st.z, st.p, prob.g_interior, wrt="p")
     return Fij, np.einsum("...ij,...kij->...k", Fij, A_p) - psi_p
 
 
@@ -371,8 +327,7 @@ def linearize(state: StateEval, prob: Problem) -> LinearizedSystem:
     grid = prob.grid
     n = grid.n
     Fij, first_order = _principal_and_first_order(state, prob)
-    A_z = prob.coeff.a_z(prob.x_interior, state.z, state.p, prob.g_interior)
-    psi_z = prob.coeff.psi_z(prob.x_interior, state.z, state.p, prob.g_interior)
+    A_z, psi_z = prob.coeff.at(prob.x_interior, state.z, state.p, prob.g_interior, wrt="z")
     zero_order = np.einsum("...ij,...ij->...", Fij, A_z) - psi_z - state.dbeta
 
     if prob.metric.is_flat:
@@ -461,13 +416,13 @@ def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
 @dataclass
 class CoefficientCertification:
     passed: bool
-    checks: dict  # name -> worst slack (>= -tol means pass)
+    checks: dict  # name -> worst slack (>= -CERTIFY_TOL means pass)
     witness: tuple | None
     failed_condition: str | None
 
 
-def certify_coefficients(prob: Problem, samples: int = 200, seed: int = 0,
-                         tol: float = 1e-8) -> CoefficientCertification:
+def certify_coefficients(prob: Problem, samples: int = 200,
+                         seed: int = 0) -> CoefficientCertification:
     """Sampling certification of the coefficient sign/concavity conditions:
     concavity of A^{xi xi} and of -psi in p, A^{xi xi}_z >= 0, -psi_z >= 0,
     and positivity of psi.
@@ -492,46 +447,35 @@ def certify_coefficients(prob: Problem, samples: int = 200, seed: int = 0,
     witness = None
     failed = None
 
-    def record(name, slack_arr, idx_fn):
+    def record(name, slack):
         nonlocal witness, failed
-        worst = float(np.min(slack_arr))
-        checks[name] = worst
-        if worst < -tol and failed is None:
-            i = int(np.argmin(slack_arr))
-            witness = idx_fn(i)
-            failed = name
+        checks[name] = worst = float(np.min(slack))
+        if worst < -CERTIFY_TOL and failed is None:
+            i = int(np.argmin(slack))
+            witness, failed = (x[i], z[i], p[i]), name
 
-    psi = prob.coeff.psi_eval(x, z, p, g)
-    record("psi > 0", psi - PSI_FLOOR, lambda i: (x[i], z[i], p[i]))
-
-    psi_z = prob.coeff.psi_z(x, z, p, g)
-    record("-psi_z >= 0", -psi_z, lambda i: (x[i], z[i], p[i]))
-
-    A_z = prob.coeff.a_z(x, z, p, g)
-    record("A^xx_z >= 0", np.linalg.eigvalsh(A_z)[:, 0], lambda i: (x[i], z[i], p[i]))
+    A, psi = prob.coeff.at(x, z, p, g)
+    record("psi > 0", psi - PSI_FLOOR)
+    A_z, psi_z = prob.coeff.at(x, z, p, g, wrt="z")
+    record("-psi_z >= 0", -psi_z)
+    record("A^xx_z >= 0", np.linalg.eigvalsh(A_z)[:, 0])
 
     # concavity in p by random-direction second differences
     t = 1e-3 * (1.0 + np.linalg.norm(p, axis=1, keepdims=True))
     dp = rng.standard_normal((samples, n))
     dp /= np.linalg.norm(dp, axis=1, keepdims=True)
-    pp, pm = p + t * dp, p - t * dp
     scale2 = t.ravel() ** 2
-
-    psi_pp = prob.coeff.psi_eval(x, z, pp, g)
-    psi_pm = prob.coeff.psi_eval(x, z, pm, g)
-    sec_psi = (psi_pp - 2.0 * psi + psi_pm) / scale2
+    (A_pp, psi_pp), (A_pm, psi_pm) = (prob.coeff.at(x, z, q, g) for q in (p + t * dp, p - t * dp))
     # -psi concave in p means the second difference of psi is >= 0
-    record("-psi concave in p", sec_psi, lambda i: (x[i], z[i], p[i]))
+    record("-psi concave in p", (psi_pp - 2.0 * psi + psi_pm) / scale2)
 
     xi = rng.standard_normal((samples, n))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
 
-    def a_quad(parg):
-        A = prob.coeff.a_eval(x, z, parg, g)
-        return np.einsum("...i,...ij,...j->...", xi, A, xi)
+    def quad(M):
+        return np.einsum("...i,...ij,...j->...", xi, M, xi)
 
-    sec_A = (a_quad(pp) - 2.0 * a_quad(p) + a_quad(pm)) / scale2
-    record("A^xx concave in p", -sec_A, lambda i: (x[i], z[i], p[i]))
+    record("A^xx concave in p", -(quad(A_pp) - 2.0 * quad(A) + quad(A_pm)) / scale2)
 
     return CoefficientCertification(passed=failed is None, checks=checks,
                                     witness=witness, failed_condition=failed)

@@ -45,6 +45,19 @@ __all__ = [
     "sigma_margins",
 ]
 
+# cone sampler: share of points pushed toward the boundary along exit rays
+BOUNDARY_FRACTION = 0.1
+# exit search: the ray is followed up to EXIT_T_CAP * (1 + |base|), then
+# the crossing is bisected EXIT_BISECTIONS times
+EXIT_T_CAP = 50.0
+EXIT_BISECTIONS = 80
+# boundary decay check: number of sampled rays and of halvings along each
+DECAY_RAYS = 8
+DECAY_HALVINGS = 40
+# theta certificate: a bracket below -THETA_ZERO_GUARD * (1 + |f(lam)| + |f(mu)|)
+# counts as a violation of the plain concavity inequality
+THETA_ZERO_GUARD = 1e-10
+
 
 @dataclass(frozen=True)
 class SymmetricFunctionSpec:
@@ -226,15 +239,12 @@ def sigma_margins(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
     return e[:, 1 : spec.k + 1]
 
 
-def cone_membership(spec: SymmetricFunctionSpec, lam, tol_cone=None) -> ConePoint:
-    """Classify lam against Gamma_k: interior, boundary band, or outside."""
+def cone_membership(spec: SymmetricFunctionSpec, lam) -> ConePoint:
+    """Classify lam against Gamma_k: interior, boundary band (of width
+    `cone_tolerances`), or outside."""
     lam = np.asarray(lam, dtype=float)
     sig = sigma_margins(spec, lam[None, :])[0]
-    tol = (
-        cone_tolerances(spec, lam[None, :])[0]
-        if tol_cone is None
-        else np.full(spec.k, float(tol_cone))
-    )
+    tol = cone_tolerances(spec, lam[None, :])[0]
     if np.any(sig < 0.0):
         membership = "outside"
     elif np.all(sig > tol):
@@ -363,19 +373,18 @@ def sample_cone_points(
     seed: int,
     rmin: float = 1e-3,
     rmax: float = 1e3,
-    boundary_fraction: float = 0.1,
 ) -> np.ndarray:
     """Pseudo-random strictly interior points of Gamma_k.
 
     Directions are an even mix of positive-orthant and unrestricted Gaussian
     draws (rejection against the cone), radius is log-uniform on
-    [rmin, rmax].  A `boundary_fraction` share is pushed along random exit
+    [rmin, rmax].  A BOUNDARY_FRACTION share is pushed along random exit
     segments to 0.999 of the exit parameter, which supplies near-boundary
     eigenvalue tuples with strongly tilted normals.
     """
     rng = np.random.default_rng(seed)
     pts = []
-    n_boundary = int(count * boundary_fraction)
+    n_boundary = int(count * BOUNDARY_FRACTION)
     n_bulk = count - n_boundary
     attempts = 0
     while len(pts) < n_bulk:
@@ -403,15 +412,15 @@ def sample_cone_points(
     return np.asarray(pts)
 
 
-def _exit_parameter(spec, base, d, t_cap_factor=50.0, bisect_iters=80):
+def _exit_parameter(spec, base, d):
     """Smallest t with base + t*d outside Gamma_k, or None if the ray stays in."""
 
     def inside(t):
         return np.all(sigma_margins(spec, (base + t * d)[None, :])[0] > 0.0)
 
-    scale = t_cap_factor * (1.0 + np.linalg.norm(base))
+    scale = EXIT_T_CAP * (1.0 + np.linalg.norm(base))
     t_hi = None
-    t = 1e-3 * scale / t_cap_factor
+    t = 1e-3 * scale / EXIT_T_CAP
     while t <= scale:
         if not inside(t):
             t_hi = t
@@ -420,7 +429,7 @@ def _exit_parameter(spec, base, d, t_cap_factor=50.0, bisect_iters=80):
     if t_hi is None:
         return None
     t_lo = 0.0
-    for _ in range(bisect_iters):
+    for _ in range(EXIT_BISECTIONS):
         mid = 0.5 * (t_lo + t_hi)
         if inside(mid):
             t_lo = mid
@@ -465,7 +474,6 @@ def check_structure_conditions(
     sample_count: int,
     seed: int,
     K0: float = 0.0,
-    n_rays: int = 8,
 ) -> StructureReport:
     """Certify the structure conditions on pseudo-random interior samples.
 
@@ -499,7 +507,7 @@ def check_structure_conditions(
     if min_f <= 0.0:
         raise StructureViolation("positivity f > 0", lam[np.argmin(f)], f"min f = {min_f:.3e}")
 
-    decay = _boundary_decay(spec, seed + 1, n_rays)
+    decay = _boundary_decay(spec, seed + 1)
 
     euler = np.einsum("ij,ij->i", grad, lam) + K0 * (1.0 + grad.sum(axis=1))
     min_euler = float(euler.min())
@@ -541,7 +549,7 @@ def check_structure_conditions(
     )
 
 
-def _boundary_decay(spec, seed, n_rays, s_max=40):
+def _boundary_decay(spec, seed):
     """f along segments halving the distance to sampled boundary points.
 
     Near a generic boundary point f vanishes like delta^(1/(k-l)), so over
@@ -555,9 +563,9 @@ def _boundary_decay(spec, seed, n_rays, s_max=40):
     rates = []
     tries = 0
     target_rate = 4.0 * 2.0 ** (-10.0 / spec.degree)
-    while len(rates) < n_rays:
+    while len(rates) < DECAY_RAYS:
         tries += 1
-        if tries > 200 * n_rays:
+        if tries > 200 * DECAY_RAYS:
             raise RuntimeError("no exiting rays found")
         d = rng.standard_normal(spec.n)
         d /= np.linalg.norm(d)
@@ -565,7 +573,7 @@ def _boundary_decay(spec, seed, n_rays, s_max=40):
         if t_exit is None:
             continue
         vals = []
-        for s in range(s_max + 1):
+        for s in range(DECAY_HALVINGS + 1):
             pt = anchor + (1.0 - 2.0**-s) * t_exit * d
             sig = sigma_margins(spec, pt[None, :])[0]
             if np.any(sig <= 0.0):
@@ -597,7 +605,6 @@ def estimate_theta(
     K_samples: np.ndarray,
     zeta: float,
     lambda_samples: np.ndarray,
-    zero_guard: float = 1e-10,
 ) -> ThetaCertificate:
     """Sampled minimum of the normalized supporting-hyperplane excess.
 
@@ -637,7 +644,7 @@ def estimate_theta(
         bracket = g_lam @ mu_blk.T - np.einsum("ij,ij->i", g_lam, lams)[:, None] \
             - f_mu[s : s + chunk][None, :] + f_lam[:, None]
         scale = 1.0 + np.abs(f_lam)[:, None] + np.abs(f_mu[s : s + chunk])[None, :]
-        violations += int(np.count_nonzero(bracket < -zero_guard * scale))
+        violations += int(np.count_nonzero(bracket < -THETA_ZERO_GUARD * scale))
         min_bracket = min(min_bracket, float(bracket.min()))
         gaps = np.linalg.norm(nu_lam[:, None, :] - nu_mu[None, s : s + chunk, :], axis=2)
         mask = gaps >= zeta

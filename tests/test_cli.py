@@ -151,6 +151,40 @@ def test_solver_failure_exit2(small_cfg, tmp_path):
     assert "solver_failure" in report and "MaxItersExceeded" in report
 
 
+def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
+    # psi = 1.2 - 0.5 z turns negative on the subsolution: PsiNotPositive is a
+    # library error, not a SolverError, and must still leave its report
+    cfg = tmp_path / "neg_psi.cfg"
+    cfg.write_text(SMALL_MA.replace('psi = "1"', 'psi = "1.2 - 0.5*z"'))
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_failure"]["error"] == "PsiNotPositive"
+    assert "solves" not in report
+
+
+def test_sweep_kappa_zg_equals_scalar_metric(tmp_path):
+    # A = kappa z g written both ways: the same s = 0.1 z, so the same bytes
+    text = (bundled_config_text("ma_obstacle")
+            .replace("theta_samples = 10000", "theta_samples = 1000"))
+    outs = []
+    for name, a in (("kappa", "A = kappa_zg 0.1"), ("scalar", 'A = scalar_metric "0.1*z"')):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text.replace("A = zero", a))
+        out = tmp_path / name
+        assert main(["sweep", str(cfg), "--out", str(out), "--grid-m", "33", "--quiet"]) == 0
+        outs.append(out)
+    a, b = (bundle_bytes(o) for o in outs)
+    assert a.keys() == b.keys()
+    fields = [f for f in a if f.startswith("u_eps_")]
+    assert fields and all(a[f] == b[f] for f in fields)
+    rep_a, rep_b = (json.loads((o / "report.json").read_text()) for o in outs)
+    assert rep_a.pop("config") != rep_b.pop("config")
+    assert rep_a == rep_b
+    assert len(rep_a["audits"]) == len(rep_a["epsilons"])
+    assert all(row["violations"] == 0 for row in rep_a["audits"])
+
+
 def test_nonuniform_sweep_exit4(tmp_path):
     # weak-force radial problem swept from 1e-2 cannot saturate the penalty
     txt = bundled_config_text("laplacian_obstacle").replace("m = 129", "m = 33") \

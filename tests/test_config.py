@@ -141,3 +141,9 @@ def test_kappa_zg_parse():
     txt = MINIMAL.replace("A = zero", "A = kappa_zg 0.5")
     cfg = parse_config(txt)
     assert cfg.a_mode == "kappa_zg" and float(cfg.a_param) == 0.5
+
+
+@pytest.mark.parametrize("kappa", ["abc", "inf", "nan"])
+def test_kappa_zg_must_be_finite_number(kappa):
+    with pytest.raises(ConfigError, match="kappa must be a finite number"):
+        parse_config(MINIMAL.replace("A = zero", f"A = kappa_zg {kappa}"))

@@ -189,6 +189,47 @@ def test_jacobian_matches_directional_fd(fspec):
     assert worst <= 1e-4
 
 
+def test_jacobian_fd_scalar_metric_p_dependent():
+    # A = s g with s depending on z and p exercises the A_p column of the stencil
+    prob = make_problem(m=11, fspec=SymmetricFunctionSpec(2, 2), psi="1 + 0.05*p2",
+                        a_mode="scalar_metric", a_param="0.2*z + 0.05*(p1^2 + p1*p2)")
+    rng = np.random.default_rng(3)
+    u = prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + 0.3 * x[..., 0] + 2.0)
+    eps = 1e-2
+    lin = linearize(evaluate_state(u, prob, eps), prob)
+    r0 = residual(u, prob, eps).values.ravel()
+    t = 1e-6
+    for _ in range(5):
+        d = np.zeros(prob.grid.shape)
+        d[prob.grid.interior] = rng.standard_normal(prob.grid.interior_shape)
+        Jd = lin.matrix @ d[prob.grid.interior].ravel()
+        fd = (residual(u + t * d, prob, eps).values.ravel() - r0) / t
+        assert np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12) < 1e-4
+
+
+@pytest.mark.parametrize("a_mode, a_param, s, s_z, s_p", [
+    ("zero", None, lambda z, p: 0 * z, lambda z, p: 0 * z, lambda z, p: 0 * p),
+    ("kappa_zg", -0.5, lambda z, p: -0.5 * z, lambda z, p: -0.5 + 0 * z, lambda z, p: 0 * p),
+    ("scalar_metric", "z^2 + 3*p2", lambda z, p: z**2 + 3 * p[:, 1], lambda z, p: 2 * z,
+     lambda z, p: np.stack([0 * z, 3 + 0 * z], axis=1)),
+], ids=["zero", "kappa_zg", "scalar_metric"])
+def test_coefficients_are_scalar_multiples_of_metric(a_mode, a_param, s, s_z, s_p):
+    rng = np.random.default_rng(0)
+    x, p = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    z = rng.standard_normal(6)
+    g = np.eye(2) + 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]]) * rng.random((6, 1, 1))
+    coeff = coefficients_from_expressions(2, "2 + x1*z", a_mode, a_param)
+    A, psi = coeff.at(x, z, p, g)
+    A_z, psi_z = coeff.at(x, z, p, g, wrt="z")
+    A_p, psi_p = coeff.at(x, z, p, g, wrt="p")
+    np.testing.assert_allclose(A, s(z, p)[:, None, None] * g)
+    np.testing.assert_allclose(A_z, s_z(z, p)[:, None, None] * g)
+    np.testing.assert_allclose(A_p, s_p(z, p)[:, :, None, None] * g[:, None])
+    np.testing.assert_allclose(psi, 2 + x[:, 0] * z)
+    np.testing.assert_allclose(psi_z, x[:, 0])
+    np.testing.assert_array_equal(psi_p, np.zeros((6, 2)))
+
+
 def test_jacobian_fd_conformal_metric():
     grid = ChartGrid.box((-1, -1), (1, 1), 11)
     metric = metric_from_callable(grid, lambda x: np.exp(0.4 * x[0]) * np.eye(2))
