@@ -65,6 +65,17 @@ def _subsolution(prob):
     return prob.subsolution if prob.subsolution is not None else default_initializer(prob)
 
 
+def _solve_row(rep) -> dict:
+    return {
+        "epsilon": rep.epsilon,
+        "converged": rep.converged,
+        "iterations": rep.iterations,
+        "final_residual": rep.residual_history[-1],
+        "final_margin": rep.final_margin,
+        "subsolution_dominance": rep.subsolution_dominance,
+    }
+
+
 def cmd_sweep(rs: RunSetup, args) -> int:
     """`solve` and `sweep`: only `sweep` exits 4 on non-uniform norms."""
     try:
@@ -85,26 +96,19 @@ def _run_and_report(rs: RunSetup, args) -> int:
             "message": str(exc),
             "epsilon": getattr(exc, "epsilon", None),
         }
+        finished = [_solve_row(rep) for rep in getattr(exc, "reports", [])]
+        if finished:
+            doc["solves"] = finished
         out.write_json("report.json", doc)
         _say(args, f"solver failed: {exc}")
         return 2
 
     bundles = []
-    solves = []
+    solves = [_solve_row(rep) for rep in result.reports]
     hist_rows = []
     for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
         b = compute_norm_bundle(u, rs.problem, eps)
         bundles.append(b)
-        solves.append(
-            {
-                "epsilon": eps,
-                "converged": rep.converged,
-                "iterations": rep.iterations,
-                "final_residual": rep.residual_history[-1],
-                "final_margin": rep.final_margin,
-                "subsolution_dominance": rep.subsolution_dominance,
-            }
-        )
         for it, rmax in enumerate(rep.residual_history):
             step = rep.step_history[it - 1] if it >= 1 else ""
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,

@@ -1,8 +1,9 @@
 """Damped Newton with admissibility safeguard, and warm-started continuation
 over a decreasing penalty schedule.
 
-Each Newton step solves the exact sparse Jacobian system and backtracks with
-two acceptance rules: (a) every interior point of the candidate stays inside
+Each Newton step solves the exact sparse Jacobian system by LU in a
+nested-dissection order of the interior grid, and backtracks with two
+acceptance rules: (a) every interior point of the candidate stays inside
 the cone with margin at least (1 - tau_ftb) times the current margin, and
 (b) Armijo decrease of the squared residual norm.  The subsolution supplies a
 safe start; warm starts carry each solution to the next epsilon.
@@ -10,6 +11,7 @@ safe start; warm starts carry each solution to the next epsilon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +134,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         if rnorm <= cfg.tol_residual:
             break
         lin = linearize(res.state, prob)
-        rhs = -res.values.ravel()
-        try:
-            with np.errstate(all="raise"):
-                delta_int = spla.spsolve(lin.matrix.tocsc(), rhs)
-        except (RuntimeError, FloatingPointError) as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(delta_int)):
-            raise SingularJacobian("non-finite Newton direction")
+        delta_int = _linear_solve(lin.matrix, -res.values.ravel(), grid.interior_shape)
         delta = np.zeros(grid.shape)
         delta[grid.interior] = delta_int.reshape(grid.interior_shape)
 
@@ -187,6 +182,55 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     return u, report
 
 
+@functools.lru_cache(maxsize=8)
+def _nested_dissection(shape: tuple) -> np.ndarray:
+    """Fill-reducing order of the C-ordered unknowns of a grid block (George's
+    nested dissection): bisect the longest axis at its middle plane, order the
+    two halves recursively and the separator plane after them.  A block whose
+    longest side is below 3 has no separator and keeps its natural order.  A
+    plane separates both the 9-point (2d) and the 19-point (3d) stencil.  The
+    order depends only on the shape (one per sweep), so it is cached and
+    read-only."""
+    pieces = []
+
+    def dissect(block):
+        axis = int(np.argmax(block.shape))
+        k = block.shape[axis]
+        if k < 3:
+            pieces.append(block.ravel())
+            return
+        low, separator, high = np.split(block, [k // 2, k // 2 + 1], axis=axis)
+        dissect(low)
+        dissect(high)
+        pieces.append(separator.ravel())
+
+    dissect(np.arange(int(np.prod(shape))).reshape(shape))
+    order = np.concatenate(pieces)
+    order.flags.writeable = False
+    return order
+
+
+def _linear_solve(J, b: np.ndarray, shape: tuple) -> np.ndarray:
+    """x = J^{-1} b over the interior unknowns of a grid of `shape`.
+
+    J and b are permuted symmetrically into nested-dissection order, so
+    SuperLU factors with that column order (NATURAL) and its default
+    partial pivoting; J is not symmetric in general.  A singular or
+    non-finite solve raises SingularJacobian.
+    """
+    order = _nested_dissection(shape)
+    try:
+        with np.errstate(all="raise"):
+            y = spla.spsolve(J[order][:, order].tocsc(), b[order], permc_spec="NATURAL")
+    except (RuntimeError, FloatingPointError) as exc:
+        raise SingularJacobian(str(exc)) from exc
+    if not np.all(np.isfinite(y)):
+        raise SingularJacobian("non-finite Newton direction")
+    x = np.empty_like(y)
+    x[order] = y
+    return x
+
+
 def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
                        cfg: NewtonConfig | None = None,
                        u0: np.ndarray | None = None) -> ContinuationResult:
@@ -194,7 +238,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
 
     The first epsilon starts from `u0` (or the default initializer); each
     later epsilon starts from the previous solution.  Solver errors carry the
-    epsilon at which they occurred.
+    epsilon at which they occurred and the solutions and reports of the
+    epsilons finished before it.
     """
     schedule = schedule or PenaltySchedule()
     cfg = cfg or NewtonConfig()
@@ -205,7 +250,7 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
         try:
             u, rep = newton_solve(u, prob, eps, cfg)
         except Exception as exc:
-            exc.epsilon = eps
+            exc.epsilon, exc.solutions, exc.reports = eps, sols, reports
             raise
         sols.append(u)
         reports.append(rep)

@@ -163,6 +163,21 @@ def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
     assert "solves" not in report
 
 
+def test_solver_failure_keeps_finished_epsilons(tmp_path):
+    # eps 1e-2 converges in 6 steps, the jump to 1e-5 needs 9: the failure
+    # report keeps the solve row of the first epsilon
+    cfg = tmp_path / "late_fail.cfg"
+    cfg.write_text(SMALL_MA.replace("ratio = 0.1", "ratio = 0.001")
+                   .replace("eps_min = 0.0001", "eps_min = 1e-05")
+                   .replace("max_iters = 80", "max_iters = 7"))
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_failure"]["error"] == "MaxItersExceeded"
+    assert report["solver_failure"]["epsilon"] == 1e-05
+    assert [(s["epsilon"], s["converged"]) for s in report["solves"]] == [(0.01, True)]
+
+
 def test_sweep_kappa_zg_equals_scalar_metric(tmp_path):
     # A = kappa z g written both ways: the same s = 0.1 z, so the same bytes
     text = (bundled_config_text("ma_obstacle")

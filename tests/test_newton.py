@@ -1,17 +1,26 @@
 """Newton solver, continuation and initializer tests."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from hessobs.errors import NoAdmissibleStart
-from hessobs.geometry import ChartGrid, flat_metric
+from hessobs.cli import main
+from hessobs.errors import NoAdmissibleStart, SingularJacobian
+from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
 from hessobs.newton import (
     NewtonConfig,
     PenaltySchedule,
+    _linear_solve,
+    _nested_dissection,
     continuation_solve,
     default_initializer,
     newton_solve,
 )
+from hessobs.problems import bundled_config_path
 from hessobs.operator import (
     Problem,
     coefficients_from_expressions,
@@ -151,6 +160,100 @@ def test_each_iterate_evaluated_once(monkeypatch):
     assert rep.iterations >= 2
     assert calls["residual"] >= 1 + rep.iterations  # start + every trial
     assert calls["state"] == calls["residual"]
+
+
+# -------------------------------------------------- linear solve
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (95, 95), (1, 1, 1), (13, 13, 13),
+                                   (7, 12, 5)], ids=str)
+def test_nested_dissection_is_cached_permutation(shape):
+    order = _nested_dissection(shape)
+    assert np.array_equal(np.sort(order), np.arange(int(np.prod(shape))))
+    assert _nested_dissection(shape) is order
+    assert not order.flags.writeable
+    # the last separator is the middle plane of the longest axis
+    axis = int(np.argmax(shape))
+    if shape[axis] >= 3:
+        index = np.arange(order.size).reshape(shape)
+        plane = np.take(index, shape[axis] // 2, axis=axis).ravel()
+        assert np.array_equal(order[-plane.size:], plane)
+
+
+def _conformal_kappa_2d():
+    grid = ChartGrid.box((-1, -1), (1, 1), (23, 19))
+    metric = metric_from_callable(grid, lambda x: np.exp(0.4 * x[0]) * np.eye(2))
+    coeff = coefficients_from_expressions(2, "1", "kappa_zg", 0.5)
+    prob = Problem(grid=grid, metric=metric, fspec=SymmetricFunctionSpec(2, 2),
+                   coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
+    u = grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + 0.2 * np.sin(x[..., 0]) + 3.0)
+    return prob, u
+
+
+def _flat_3d():
+    grid = ChartGrid.box((-1, -1, -1), (1, 1, 1), 11)
+    coeff = coefficients_from_expressions(3, "1 + 0.1*p1 + 0.05*z")
+    prob = Problem(grid=grid, metric=flat_metric(grid), fspec=SymmetricFunctionSpec(3, 2),
+                   coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
+    u = grid.sample(lambda x: (x**2).sum(axis=-1) + 0.3 * x[..., 0] * x[..., 1] ** 2)
+    return prob, u
+
+
+@pytest.mark.parametrize("make", [_conformal_kappa_2d, _flat_3d],
+                         ids=["2d-conformal-kappa_zg", "3d-flat"])
+def test_ordered_solve_matches_plain_spsolve(make):
+    prob, u = make()
+    J = linearize(evaluate_state(u, prob, 1e-2), prob).matrix
+    assert abs(J - J.T).max() > 1e-6 * abs(J).max()  # not symmetric
+    b = np.random.default_rng(5).standard_normal(J.shape[0])
+    x = _linear_solve(J, b, prob.grid.interior_shape)
+    ref = spla.spsolve(J.tocsc(), b)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_bundled_ma_obstacle_iteration_counts(tmp_path):
+    # per-epsilon Newton counts of the unordered LU solve, pinned
+    cfg = bundled_config_path("ma_obstacle")
+    assert main(["solve", str(cfg), "--grid-m", "33", "--audit", "off",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    solves = json.loads((tmp_path / "report.json").read_text())["solves"]
+    assert [s["iterations"] for s in solves] == [6, 5, 6, 6, 6]
+
+
+def singular_linearize(monkeypatch):
+    """Make every Newton Jacobian exactly singular: its first row is empty."""
+    import hessobs.newton as newton
+
+    def emptied(state, prob):
+        lin = linearize(state, prob)
+        keep = np.ones(lin.matrix.shape[0])
+        keep[0] = 0.0
+        J = sp.diags(keep) @ lin.matrix
+        J.eliminate_zeros()
+        return dataclasses.replace(lin, matrix=J.tocsr())
+
+    monkeypatch.setattr(newton, "linearize", emptied)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_singular_jacobian_raises(monkeypatch):
+    prob, _ = ma_manufactured(m=9)
+    u0 = prob.subsolution + prob.grid.sample(
+        lambda x: 0.05 * np.cos(np.pi * x[..., 0] / 2) * np.cos(np.pi * x[..., 1] / 2)
+    )
+    singular_linearize(monkeypatch)
+    with pytest.raises(SingularJacobian):
+        newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_singular_jacobian_cli_exit2(monkeypatch, tmp_path):
+    singular_linearize(monkeypatch)
+    cfg = bundled_config_path("ma_obstacle")
+    assert main(["solve", str(cfg), "--grid-m", "9", "--audit", "off",
+                 "--out", str(tmp_path), "--quiet"]) == 2
+    failure = json.loads((tmp_path / "report.json").read_text())["solver_failure"]
+    assert failure["error"] == "SingularJacobian"
+    assert failure["epsilon"] == 1e-2
 
 
 # -------------------------------------------------- continuation
