@@ -73,6 +73,9 @@ def _solve_row(rep) -> dict:
         "final_residual": rep.residual_history[-1],
         "final_margin": rep.final_margin,
         "subsolution_dominance": rep.subsolution_dominance,
+        "start": rep.start,
+        "rejected_margin": rep.rejected_margin,
+        "rejected_armijo": rep.rejected_armijo,
     }
 
 
@@ -96,6 +99,8 @@ def _run_and_report(rs: RunSetup, args) -> int:
             "message": str(exc),
             "epsilon": getattr(exc, "epsilon", None),
         }
+        if getattr(exc, "report", None) is not None:  # the failing epsilon's own solve
+            doc["solver_failure"]["solve"] = _solve_row(exc.report)
         finished = [_solve_row(rep) for rep in getattr(exc, "reports", [])]
         if finished:
             doc["solves"] = finished
@@ -166,7 +171,7 @@ def _run_and_report(rs: RunSetup, args) -> int:
         "contact_cells.csv",
         [f"i{d+1}" for d in range(grid.n)] + [f"x{d+1}" for d in range(grid.n)] + ["interface"],
         contact_rows,
-        f"contact cells at the final epsilon (tau = {fmt(contact.tau)}); grid indices, coordinates, interface flag",
+        f"contact cells at the final epsilon (tau = {contact.tau:.6e}); grid indices, coordinates, interface flag",
     )
     binary = args.field_format == "binary"
     for u, eps in zip(result.solutions, result.epsilons):

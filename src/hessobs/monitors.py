@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
-from .operator import Problem, StateEval, evaluate_state, operator_L
+from .operator import PENALTY_ROOT, Problem, StateEval, evaluate_state, operator_L
 from .symfunc import estimate_theta, sample_cone_points
 
 __all__ = [
@@ -58,7 +58,7 @@ def compute_norm_bundle(u: np.ndarray, prob: Problem, epsilon: float) -> NormBun
     hess_entry = float(np.abs(st.hess_cov).max())
     violation = float(np.maximum(u - prob.h, 0.0).max())
     penalty_sup = float(st.beta.max())
-    bound_ok = violation <= (penalty_sup * epsilon) ** (1.0 / 3.0) + 1e-12
+    bound_ok = violation <= (penalty_sup * epsilon) ** PENALTY_ROOT + 1e-12
     return NormBundle(
         epsilon=epsilon,
         c0_norm=float(np.abs(u).max()),
@@ -228,7 +228,7 @@ def extract_contact_set(
     asserted here (it mirrors the barrier argument's conclusion).
     """
     hmax = float(grid.spacing.max())
-    tau = (max(penalty_sup, 0.0) * epsilon) ** (1.0 / 3.0) + 2.0 * hmax**2 * hess_norm
+    tau = (max(penalty_sup, 0.0) * epsilon) ** PENALTY_ROOT + 2.0 * hmax**2 * hess_norm
     mask = (u[grid.interior] >= h[grid.interior] - tau)
     interface = np.zeros_like(mask)
     if mask.any():

@@ -1,4 +1,4 @@
-"""Damped Newton with admissibility safeguard, and warm-started continuation
+"""Damped Newton with admissibility safeguard, and Euler-Newton continuation
 over a decreasing penalty schedule.
 
 Each Newton step solves the exact sparse Jacobian system by LU in a
@@ -6,13 +6,16 @@ nested-dissection order of the interior grid, and backtracks with two
 acceptance rules: (a) every interior point of the candidate stays inside
 the cone with margin at least (1 - tau_ftb) times the current margin, and
 (b) Armijo decrease of the squared residual norm.  The subsolution supplies a
-safe start; warm starts carry each solution to the next epsilon.
+safe start.  Each later epsilon starts from an Euler predictor along the
+solution path in s = eps^(1/3), the scale of the cubic penalty's solutions
+((u - h)_+ ~ eps^(1/3)); the previous solution (warm start) is the
+fallback when the prediction is inadmissible or no closer.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -25,7 +28,15 @@ from .errors import (
     SingularJacobian,
 )
 from .geometry import pin_boundary
-from .operator import Problem, laplace_beltrami_solve, linearize, residual
+from .operator import (
+    PENALTY_ROOT,
+    Problem,
+    StateEval,
+    laplace_beltrami_solve,
+    linearize,
+    penalty,
+    residual,
+)
 
 __all__ = [
     "PenaltySchedule",
@@ -97,6 +108,13 @@ class SolveReport:
     margin_history: list
     final_margin: float
     subsolution_dominance: float | None  # min(u - subsolution) if available
+    rejected_margin: int  # line-search trials rejected for cone margin
+    rejected_armijo: int  # line-search trials rejected by the Armijo rule
+    # how continuation_solve chose the start: "initial", "predictor" or "warm_start"
+    start: str = "initial"
+    # evaluated state of the returned iterate; continuation_solve takes it
+    # for the predictor and releases it
+    final_state: StateEval | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -129,6 +147,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     hist = [rnorm]
     hist_l2 = [np.sqrt(rl2sq)]
     steps, margins = [], [res.margin]
+    rejected_margin = rejected_armijo = 0
 
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
@@ -149,6 +168,9 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
                 if cl2sq <= (1.0 - 2.0 * ARMIJO_C * t) * rl2sq:
                     accepted = (cand, cres, cl2sq, t)
                     break
+                rejected_armijo += 1
+            else:
+                rejected_margin += 1
             t *= BACKTRACK
         if accepted is None:
             raise LineSearchStall(t, rnorm, res.margin)
@@ -173,6 +195,9 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         margin_history=margins,
         final_margin=res.margin,
         subsolution_dominance=dom,
+        rejected_margin=rejected_margin,
+        rejected_armijo=rejected_armijo,
+        final_state=res.state,
     )
     if not converged:
         err = MaxItersExceeded(cfg.max_iters, rnorm)
@@ -231,13 +256,44 @@ def _linear_solve(J, b: np.ndarray, shape: tuple) -> np.ndarray:
     return x
 
 
+def _euler_start(u: np.ndarray, state: StateEval, prob: Problem,
+                 eps: float, eps_next: float) -> tuple[np.ndarray, str]:
+    """Start for eps_next from the solution u at eps and its evaluated state.
+
+    At fixed u the residual moves with epsilon by dF/deps = beta / eps, so
+    the path tangent solves J du/deps = -beta / eps.  The Euler step is taken
+    in s = eps^PENALTY_ROOT, along which the solution is smooth:
+    u + du/deps * (deps/ds) * (s_next - s).  The prediction is used only if
+    it is admissible at eps_next and its residual max-norm there is below
+    that of u; otherwise u itself is the (warm) start.
+    """
+    if not state.beta.any():  # the penalty is inactive: the tangent is zero
+        return u, "warm_start"
+    grid = prob.grid
+    du = _linear_solve(linearize(state, prob).matrix, -state.beta / eps, grid.interior_shape)
+    s, s_next = eps**PENALTY_ROOT, eps_next**PENALTY_ROOT
+    step = eps / (PENALTY_ROOT * s) * (s_next - s)  # deps/ds * (s_next - s)
+    pred = u.copy()
+    pred[grid.interior] += step * du.reshape(grid.interior_shape)
+    # u's residual at eps_next differs from its state's only in the penalty
+    warm = state.fval - state.psi - penalty(eps_next, state.z - prob.h_interior)[0]
+    pres = residual(pred, prob, eps_next)
+    if pres.admissible and np.abs(pres.values).max() < np.abs(warm).max():
+        return pred, "predictor"
+    return u, "warm_start"
+
+
 def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
                        cfg: NewtonConfig | None = None,
                        u0: np.ndarray | None = None) -> ContinuationResult:
-    """Solve along the decreasing epsilon schedule with warm starts.
+    """Solve along the decreasing epsilon schedule by Euler-Newton continuation.
 
-    The first epsilon starts from `u0` (or the default initializer); each
-    later epsilon starts from the previous solution.  Solver errors carry the
+    The first epsilon starts from `u0` (or the default initializer).  Each
+    later epsilon starts from the Euler predictor of `_euler_start`, built
+    from the previous solution and its final Newton state, or from the
+    previous solution itself when the prediction is not better; the report
+    records which in `start`.  The state, Jacobian and tangent of one epsilon
+    are released before the next Newton solve.  Solver errors carry the
     epsilon at which they occurred and the solutions and reports of the
     epsilons finished before it.
     """
@@ -246,12 +302,21 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     eps_values = schedule.values()
     u = u0 if u0 is not None else default_initializer(prob)
     sols, reports = [], []
-    for eps in eps_values:
+    state = None
+    for k, eps in enumerate(eps_values):
+        start = "initial"
         try:
+            if k:
+                u, start = _euler_start(u, state, prob, eps_values[k - 1], eps)
+                state = None
             u, rep = newton_solve(u, prob, eps, cfg)
         except Exception as exc:
+            if isinstance(exc, MaxItersExceeded):
+                exc.report.start = start
             exc.epsilon, exc.solutions, exc.reports = eps, sols, reports
             raise
+        rep.start = start
+        state, rep.final_state = rep.final_state, None
         sols.append(u)
         reports.append(rep)
     return ContinuationResult(epsilons=eps_values, solutions=sols, reports=reports)

@@ -37,6 +37,8 @@ __all__ = [
     "Problem",
     "StateEval",
     "LinearizedSystem",
+    "PENALTY_POWER",
+    "PENALTY_ROOT",
     "penalty",
     "residual",
     "linearize",
@@ -155,6 +157,12 @@ class Problem:
 # penalty
 # ---------------------------------------------------------------------------
 
+PENALTY_POWER = 3
+# a penalised solution with a bounded penalty beta = (u - h)_+^3 / eps has
+# (u - h)_+ ~ eps^(1/3): the natural continuation variable is s = eps^PENALTY_ROOT
+PENALTY_ROOT = 1.0 / PENALTY_POWER
+
+
 def penalty(epsilon: float, z):
     """Cubic penalty (value, first, second derivative); C^2 at z = 0.
 
@@ -165,9 +173,9 @@ def penalty(epsilon: float, z):
     z = np.asarray(z, dtype=float)
     pos = z > 0.0
     zp = np.where(pos, z, 0.0)
-    val = zp**3 / epsilon
-    d1 = 3.0 * zp**2 / epsilon
-    d2 = 6.0 * zp / epsilon
+    val = zp**PENALTY_POWER / epsilon
+    d1 = PENALTY_POWER * zp**(PENALTY_POWER - 1) / epsilon
+    d2 = PENALTY_POWER * (PENALTY_POWER - 1) * zp / epsilon
     if z.ndim == 0:
         return float(val), float(d1), float(d2)
     return val, d1, d2

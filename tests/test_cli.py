@@ -52,6 +52,17 @@ def test_sweep_exit0_and_contact_nonempty(small_cfg, tmp_path):
     assert len(contact) > 2  # meta + header + at least one cell
 
 
+def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
+    # a roundoff change in tau must not change the csv bytes; report.json
+    # keeps the full value
+    out = tmp_path / "out"
+    assert main(["solve", str(small_cfg), "--out", str(out), "--audit", "off", "--quiet"]) == 0
+    tau = json.loads((out / "report.json").read_text())["contact"]["tau"]
+    meta = (out / "contact_cells.csv").read_text().splitlines()[0]
+    assert f"(tau = {tau:.6e});" in meta
+    assert repr(tau) not in meta
+
+
 def test_sweep_reproducible_byte_identical(small_cfg, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["sweep", str(small_cfg), "--out", str(out1), "--quiet"]) == 0
@@ -164,18 +175,23 @@ def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
 
 
 def test_solver_failure_keeps_finished_epsilons(tmp_path):
-    # eps 1e-2 converges in 6 steps, the jump to 1e-5 needs 9: the failure
-    # report keeps the solve row of the first epsilon
+    # eps 1e-2 converges in 6 steps, the jump to 1e-7 needs 10 even from the
+    # predictor: the failure report keeps the solve row of the first epsilon
+    # and the failing epsilon's own unconverged row
     cfg = tmp_path / "late_fail.cfg"
-    cfg.write_text(SMALL_MA.replace("ratio = 0.1", "ratio = 0.001")
-                   .replace("eps_min = 0.0001", "eps_min = 1e-05")
+    cfg.write_text(SMALL_MA.replace("ratio = 0.1", "ratio = 1e-05")
+                   .replace("eps_min = 0.0001", "eps_min = 1e-07")
                    .replace("max_iters = 80", "max_iters = 7"))
     out = tmp_path / "out"
     assert main(["solve", str(cfg), "--out", str(out), "--quiet"]) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["solver_failure"]["error"] == "MaxItersExceeded"
-    assert report["solver_failure"]["epsilon"] == 1e-05
+    assert report["solver_failure"]["epsilon"] == 1e-07
     assert [(s["epsilon"], s["converged"]) for s in report["solves"]] == [(0.01, True)]
+    failed = report["solver_failure"]["solve"]
+    assert (failed["epsilon"], failed["converged"], failed["iterations"]) == (1e-07, False, 7)
+    assert failed["start"] == "predictor"
+    assert failed["final_residual"] > 1e-08
 
 
 def test_sweep_kappa_zg_equals_scalar_metric(tmp_path):

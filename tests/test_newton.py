@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hessobs.cli import main
+from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import NoAdmissibleStart, SingularJacobian
 from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
 from hessobs.newton import (
@@ -20,7 +21,7 @@ from hessobs.newton import (
     default_initializer,
     newton_solve,
 )
-from hessobs.problems import bundled_config_path
+from hessobs.problems import bundled_config_path, bundled_config_text
 from hessobs.operator import (
     Problem,
     coefficients_from_expressions,
@@ -162,6 +163,28 @@ def test_each_iterate_evaluated_once(monkeypatch):
     assert calls["state"] == calls["residual"]
 
 
+def test_line_search_rejections_are_counted(monkeypatch):
+    # every trial is accepted or rejected for exactly one reason; the first
+    # trial is made to fail the cone margin, ma_obstacle's first epsilon
+    # then rejects full steps by the Armijo rule on its own
+    import hessobs.newton as newton
+
+    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=17))
+    u0 = default_initializer(rs.problem)
+    calls = []
+
+    def first_trial_outside(u, prob, epsilon):
+        res = residual(u, prob, epsilon)
+        calls.append(res)
+        return dataclasses.replace(res, margin=-1.0) if len(calls) == 2 else res
+
+    monkeypatch.setattr(newton, "residual", first_trial_outside)
+    _, rep = newton_solve(u0, rs.problem, 1e-2, rs.newton)
+    assert rep.rejected_margin == 1
+    assert rep.rejected_armijo >= 1
+    assert len(calls) - 1 == rep.iterations + rep.rejected_margin + rep.rejected_armijo
+
+
 # -------------------------------------------------- linear solve
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (95, 95), (1, 1, 1), (13, 13, 13),
@@ -211,12 +234,12 @@ def test_ordered_solve_matches_plain_spsolve(make):
 
 
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
-    # per-epsilon Newton counts of the unordered LU solve, pinned
+    # per-epsilon Newton counts of the Euler-predicted continuation, pinned
     cfg = bundled_config_path("ma_obstacle")
     assert main(["solve", str(cfg), "--grid-m", "33", "--audit", "off",
                  "--out", str(tmp_path), "--quiet"]) == 0
     solves = json.loads((tmp_path / "report.json").read_text())["solves"]
-    assert [s["iterations"] for s in solves] == [6, 5, 6, 6, 6]
+    assert [s["iterations"] for s in solves] == [6, 4, 3, 3, 3]
 
 
 def singular_linearize(monkeypatch):
@@ -275,6 +298,38 @@ def test_continuation_warm_start_iterations():
     assert all(r.converged for r in result.reports)
     first = result.reports[0].iterations
     assert all(r.iterations <= first for r in result.reports[1:])
+
+
+def continuation_and_warm_chain(name, m):
+    """continuation_solve on a bundled problem, and the same schedule solved
+    by a hand-written chain of warm-started newton_solve calls."""
+    rs = build_runsetup(parse_config(bundled_config_text(name)).override(grid_m=m))
+    result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+    u = default_initializer(rs.problem)
+    chain = []
+    for eps in rs.schedule.values():
+        u, rep = newton_solve(u, rs.problem, eps, rs.newton)
+        chain.append((u, rep))
+    return result, chain
+
+
+def test_continuation_predictor_matches_warm_chain():
+    # the predictor changes where each Newton solve starts, not where it ends
+    result, chain = continuation_and_warm_chain("ma_obstacle", 33)
+    for u, (u_warm, _) in zip(result.solutions, chain):
+        assert np.abs(u - u_warm).max() <= 1e-9 * np.abs(u_warm).max()
+    assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
+    assert (sum(r.iterations for r in result.reports)
+            < sum(rep.iterations for _, rep in chain))
+    assert all(r.final_state is None for r in result.reports)
+
+
+def test_continuation_inactive_obstacle_warm_starts():
+    # h = u* + 1 is never reached: the penalty and with it the tangent vanish
+    result, chain = continuation_and_warm_chain("ma_manufactured", 17)
+    assert [r.start for r in result.reports] == ["initial"] + ["warm_start"] * 4
+    assert ([r.iterations for r in result.reports]
+            == [rep.iterations for _, rep in chain])
 
 
 def test_continuation_propagates_epsilon_on_failure():
