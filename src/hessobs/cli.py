@@ -80,19 +80,17 @@ def _solve_row(rep) -> dict:
 
 
 def cmd_sweep(rs: RunSetup, args) -> int:
-    """`solve` and `sweep`: only `sweep` exits 4 on non-uniform norms."""
-    try:
-        return _run_and_report(rs, args)
-    except HessObsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run_and_report(rs: RunSetup, args) -> int:
+    """`solve` and `sweep`: only `sweep` exits 4 on non-uniform norms.  Any
+    library error, in the solve or after it, exits 2 with the failure report:
+    the config, the epsilons, the `solves` rows finished before it and
+    `solver_failure`."""
     out = ReportBundleWriter(args.out)
     doc = {"config": {"text": rs.config.to_text()}, "epsilons": rs.schedule.values()}
+    reports = []
     try:
         result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+        reports = result.reports
+        return _report_sweep(rs, args, out, dict(doc), result)
     except HessObsError as exc:
         doc["solver_failure"] = {
             "error": type(exc).__name__,
@@ -101,13 +99,15 @@ def _run_and_report(rs: RunSetup, args) -> int:
         }
         if getattr(exc, "report", None) is not None:  # the failing epsilon's own solve
             doc["solver_failure"]["solve"] = _solve_row(exc.report)
-        finished = [_solve_row(rep) for rep in getattr(exc, "reports", [])]
+        finished = [_solve_row(rep) for rep in getattr(exc, "reports", reports)]
         if finished:
             doc["solves"] = finished
         out.write_json("report.json", doc)
         _say(args, f"solver failed: {exc}")
         return 2
 
+
+def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result) -> int:
     bundles = []
     solves = [_solve_row(rep) for rep in result.reports]
     hist_rows = []

@@ -256,7 +256,7 @@ class _Sign(_Node):
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
-def _tokenize(text, line_offset=0, col_offset=0):
+def _tokenize(text, line_offset=0):
     toks = []
     i = 0
     while i < len(text):
@@ -264,7 +264,7 @@ def _tokenize(text, line_offset=0, col_offset=0):
         if c.isspace():
             i += 1
             continue
-        col = i + 1 + col_offset
+        col = i + 1
         if c.isdigit() or (c == "." and i + 1 < len(text) and text[i + 1].isdigit()):
             j = i
             seen_e = False
@@ -293,7 +293,7 @@ def _tokenize(text, line_offset=0, col_offset=0):
             i += 1
         else:
             raise ConfigError(f"unexpected character {c!r} in expression", line_offset or None, col)
-    toks.append(("end", "", len(text) + 1 + col_offset))
+    toks.append(("end", "", len(text) + 1))
     return toks
 
 

@@ -256,7 +256,7 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     lam = lam_g.reshape(-1, n)
     V = V_g.reshape(-1, n, n)
     sig = sigma_margins(prob.fspec, lam)
-    fval, fgrad, ok = f_and_grad_masked(prob.fspec, lam)
+    fval, fgrad, ok = f_and_grad_masked(prob.fspec, lam, sig)
     if np.any(ok):
         fgrad[ok] = _average_tied_gradients(lam[ok], fgrad[ok])
     if psi.min() < PSI_FLOOR:
@@ -513,7 +513,7 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
     # move boundary contributions to the right side
     full = np.array(boundary_values, dtype=float, copy=True)
     full[grid.interior] = 0.0
-    bc_field = _apply_full_operator(grid, metric, ginv, c1, full)
+    bc_field = _apply_full_operator(grid, ginv, c1, full)
     b = np.broadcast_to(np.asarray(rhs, dtype=float), (N,)) - bc_field
     v_int = spsolve(Lap, b)
     out = np.array(boundary_values, dtype=float, copy=True)
@@ -521,7 +521,7 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
     return out
 
 
-def _apply_full_operator(grid, metric, Fij, c1, w):
+def _apply_full_operator(grid, Fij, c1, w):
     """Apply the plain-partial (Fij, c1) stencil operator to a full-grid
     field; this matches assemble_operator's discretization exactly."""
     from .geometry import hessian_centered

@@ -16,10 +16,16 @@ Internally both families share one code path: the pure root family is the
 quotient with l = 0 and sigma_0 = 1.  All derivative formulas run through
 logarithmic differentiation, which stays stable for eigenvalues spanning many
 orders of magnitude.
+
+Every cone test in the sampling and decay code is one batched mask,
+`_inside`.  The samplers draw their private generator in a fixed order (see
+`sample_cone_points`) and test the candidates in batches, so a seed names
+the same points whatever the batching.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +121,6 @@ class ThetaCertificate:
     zeta: float
     sample_count: int
     pair_count: int
-    worst_pair: tuple | None  # (mu, lam) achieving theta_hat
     violations_at_zero: int
     min_bracket: float
 
@@ -145,66 +150,16 @@ def elementary_symmetric(lam: np.ndarray, kmax: int) -> np.ndarray:
     return e
 
 
-def _prefix_suffix_tables(lam: np.ndarray, kmax: int):
-    """Prefix/suffix elementary-symmetric tables used for one-entry removal.
-
-    P[:, i] holds sigma_0..sigma_kmax of lam[:, :i]; S[:, i] of lam[:, i:].
-    """
-    lam = np.atleast_2d(lam)
+def _sigma_removed(lam: np.ndarray, j: int, order: int) -> np.ndarray:
+    """sigma_j of each row of lam without `order` distinct entries, by the
+    `elementary_symmetric` recurrence over the kept columns: shape (N, n)
+    for order 1, (N, n, n) with a zero diagonal for order 2."""
     npts, n = lam.shape
-    P = np.zeros((npts, n + 1, kmax + 1))
-    S = np.zeros((npts, n + 1, kmax + 1))
-    P[:, 0, 0] = 1.0
-    S[:, n, 0] = 1.0
-    for i in range(n):
-        P[:, i + 1] = P[:, i]
-        jtop = min(kmax, i + 1)
-        for j in range(jtop, 0, -1):
-            P[:, i + 1, j] += lam[:, i] * P[:, i, j - 1]
-    for i in range(n - 1, -1, -1):
-        S[:, i] = S[:, i + 1]
-        jtop = min(kmax, n - i)
-        for j in range(jtop, 0, -1):
-            S[:, i, j] += lam[:, i] * S[:, i + 1, j - 1]
-    return P, S
-
-
-def sigma_removed_one(lam: np.ndarray, j: int) -> np.ndarray:
-    """sigma_j of lam with entry i removed, for every i: shape (N, n).
-
-    Uses prefix/suffix convolution (the stable products-except-self scheme)
-    rather than the cancellation-prone division recurrence.
-    """
-    lam = np.atleast_2d(lam)
-    npts, n = lam.shape
-    if j < 0:
-        return np.zeros((npts, n))
-    P, S = _prefix_suffix_tables(lam, j)
-    out = np.zeros((npts, n))
-    for i in range(n):
-        acc = np.zeros(npts)
-        for a in range(j + 1):
-            acc += P[:, i, a] * S[:, i + 1, j - a]
-        out[:, i] = acc
-    return out
-
-
-def _sigma_removed_two(lam: np.ndarray, j: int) -> np.ndarray:
-    """sigma_j of lam with entries i1 and i2 removed, shape (N, n, n).
-
-    Diagonal (i1 == i2) is left at zero; only needed off-diagonal.
-    """
-    lam = np.atleast_2d(lam)
-    npts, n = lam.shape
-    out = np.zeros((npts, n, n))
-    if j < 0:
-        return out
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            keep = [c for c in range(n) if c not in (i1, i2)]
-            e = elementary_symmetric(lam[:, keep], j)
-            out[:, i1, i2] = e[:, j]
-            out[:, i2, i1] = e[:, j]
+    out = np.zeros((npts,) + (n,) * order)
+    if j >= 0:
+        for removed in itertools.permutations(range(n), order):
+            keep = [c for c in range(n) if c not in removed]
+            out[(slice(None),) + removed] = elementary_symmetric(lam[:, keep], j)[:, j]
     return out
 
 
@@ -235,16 +190,21 @@ def cone_tolerances(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
 
 def sigma_margins(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
     """sigma_1..sigma_k of each row, shape (N, k)."""
-    e = elementary_symmetric(lam, spec.k)
-    return e[:, 1 : spec.k + 1]
+    return elementary_symmetric(lam, spec.k)[:, 1:]
+
+
+def _inside(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
+    """Strict membership of each row of the (N, n) batch lam in Gamma_k: all
+    sigma margins > 0 (False on NaN rows)."""
+    return np.all(sigma_margins(spec, lam) > 0.0, axis=1)
 
 
 def cone_membership(spec: SymmetricFunctionSpec, lam) -> ConePoint:
     """Classify lam against Gamma_k: interior, boundary band (of width
     `cone_tolerances`), or outside."""
     lam = np.asarray(lam, dtype=float)
-    sig = sigma_margins(spec, lam[None, :])[0]
-    tol = cone_tolerances(spec, lam[None, :])[0]
+    sig = sigma_margins(spec, lam)[0]
+    tol = cone_tolerances(spec, lam)[0]
     if np.any(sig < 0.0):
         membership = "outside"
     elif np.all(sig > tol):
@@ -293,8 +253,7 @@ def grad_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
     """Gradient (f_1, ..., f_n); strictly positive on the cone interior."""
     lam = np.asarray(lam, dtype=float)
     _require_inside(spec, lam)
-    f, g = _grad_batch(spec, lam[None, :])
-    return g[0]
+    return _grad_batch(spec, lam[None, :])[1][0]
 
 
 def _grad_batch(spec: SymmetricFunctionSpec, lam: np.ndarray):
@@ -304,13 +263,10 @@ def _grad_batch(spec: SymmetricFunctionSpec, lam: np.ndarray):
     """
     lam = np.atleast_2d(lam)
     f, sk, sl = _f_batch(spec, lam)
-    rk = sigma_removed_one(lam, spec.k - 1)
-    term = rk / sk[:, None]
+    term = _sigma_removed(lam, spec.k - 1, 1) / sk[:, None]
     if spec.l:
-        rl = sigma_removed_one(lam, spec.l - 1)
-        term = term - rl / sl[:, None]
-    grad = f[:, None] * term / spec.degree
-    return f, grad
+        term = term - _sigma_removed(lam, spec.l - 1, 1) / sl[:, None]
+    return f, f[:, None] * term / spec.degree
 
 
 def hess_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
@@ -328,8 +284,8 @@ def _hess_batch(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
 
     def quotient_term(order, s_ord):
         # T_ij = d_j [ sigma_{order-1}(lam|i)/sigma_order ]
-        s = sigma_removed_one(lam, order - 1) / s_ord[:, None]  # (N, n)
-        r2 = _sigma_removed_two(lam, order - 2)  # (N, n, n), zero diagonal
+        s = _sigma_removed(lam, order - 1, 1) / s_ord[:, None]  # (N, n)
+        r2 = _sigma_removed(lam, order - 2, 2)  # (N, n, n), zero diagonal
         return r2 / s_ord[:, None, None] - s[:, :, None] * s[:, None, :], s
 
     Tk, s_k = quotient_term(spec.k, sk)
@@ -345,21 +301,18 @@ def normal_vector(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray):
-    """Batched (f, Df, ok) with NaN rows where lam is not strictly inside.
+def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndarray):
+    """Batched (f, Df, ok) with NaN rows where lam is not strictly inside,
+    given the rows' margins sig = sigma_margins(spec, lam).
 
     The non-raising entry point for field-level operator assembly; callers
     must honor the mask.
     """
-    lam = np.atleast_2d(lam)
-    sig = sigma_margins(spec, lam)
     ok = np.all(sig > 0.0, axis=1)
     f = np.full(lam.shape[0], np.nan)
     grad = np.full(lam.shape, np.nan)
     if np.any(ok):
-        f_ok, g_ok = _grad_batch(spec, lam[ok])
-        f[ok] = f_ok
-        grad[ok] = g_ok
+        f[ok], grad[ok] = _grad_batch(spec, lam[ok])
     return f, grad, ok
 
 
@@ -381,60 +334,83 @@ def sample_cone_points(
     [rmin, rmax].  A BOUNDARY_FRACTION share is pushed along random exit
     segments to 0.999 of the exit parameter, which supplies near-boundary
     eigenvalue tuples with strongly tilted normals.
+
+    Draw order: a private generator seeded with `seed` gives each bulk
+    candidate n normals, a uniform (orthant or not) and a uniform (radius),
+    then each exit ray an integer (its bulk base) and n normals.  Candidates
+    are tested in batches no larger than the number still missing, and the
+    accepted ones are kept in draw order, so the points do not depend on
+    the batching.
     """
     rng = np.random.default_rng(seed)
-    pts = []
     n_boundary = int(count * BOUNDARY_FRACTION)
     n_bulk = count - n_boundary
-    attempts = 0
-    while len(pts) < n_bulk:
-        attempts += 1
-        if attempts > 500 * count:
-            raise RuntimeError("cone sampler failed to reach requested count")
-        d = rng.standard_normal(spec.n)
-        if rng.random() < 0.5:
-            d = np.abs(d) + 1e-3
-        d /= np.linalg.norm(d)
-        r = rmin * (rmax / rmin) ** rng.random()
-        lam = r * d
-        if np.all(sigma_margins(spec, lam[None, :])[0] > 0.0):
-            pts.append(lam)
+
+    def bulk(size):
+        lam = np.empty((size, spec.n))
+        for row in lam:
+            d = rng.standard_normal(spec.n)
+            if rng.random() < 0.5:
+                d = np.abs(d) + 1e-3
+            row[:] = rmin * (rmax / rmin) ** rng.random() * (d / np.linalg.norm(d))
+        return lam
+
+    pts = _first_inside(spec, n_bulk, bulk)
+
+    def pushed(size):
+        base = np.empty((size, spec.n))
+        d = np.empty((size, spec.n))
+        for i in range(size):
+            base[i] = pts[rng.integers(0, n_bulk)]
+            d[i] = rng.standard_normal(spec.n)
+        d /= _norms(d)[:, None]
+        return base + 0.999 * _exit_parameters(spec, base, d)[:, None] * d
+
+    return np.concatenate([pts, _first_inside(spec, n_boundary, pushed)])
+
+
+def _norms(x):
+    """np.linalg.norm of each row, bit for bit: vecdot runs the same dot
+    kernel as the norm of one tuple (a row-wise add.reduce does not)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _first_inside(spec, count, draw):
+    """The first `count` rows inside Gamma_k, in draw order, of batches
+    draw(size) each as large as the number of rows still missing."""
+    pts = np.empty((0, spec.n))
+    drawn = 0
     while len(pts) < count:
-        base = pts[rng.integers(0, n_bulk)] if n_bulk else np.ones(spec.n)
-        d = rng.standard_normal(spec.n)
-        d /= np.linalg.norm(d)
-        t_exit = _exit_parameter(spec, base, d)
-        if t_exit is None:
-            continue
-        lam = base + 0.999 * t_exit * d
-        if np.all(sigma_margins(spec, lam[None, :])[0] > 0.0):
-            pts.append(lam)
-    return np.asarray(pts)
+        if drawn > 500 * count:
+            raise RuntimeError("cone sampler failed to reach requested count")
+        lam = draw(count - len(pts))
+        drawn += len(lam)
+        pts = np.concatenate([pts, lam[_inside(spec, lam)]])
+    return pts
 
 
-def _exit_parameter(spec, base, d):
-    """Smallest t with base + t*d outside Gamma_k, or None if the ray stays in."""
-
-    def inside(t):
-        return np.all(sigma_margins(spec, (base + t * d)[None, :])[0] > 0.0)
-
-    scale = EXIT_T_CAP * (1.0 + np.linalg.norm(base))
-    t_hi = None
+def _exit_parameters(spec, base, d):
+    """Smallest t with base + t*d outside Gamma_k for each row d of an (N, n)
+    batch of rays from one base or one base per row; NaN where the ray
+    stays inside up to EXIT_T_CAP * (1 + |base|).  t doubles from
+    1e-3 * (1 + |base|) to the first point outside, then EXIT_BISECTIONS
+    bisections of [0, t] close in on the crossing."""
+    base = np.broadcast_to(base, d.shape)
+    scale = EXIT_T_CAP * (1.0 + _norms(base))
     t = 1e-3 * scale / EXIT_T_CAP
-    while t <= scale:
-        if not inside(t):
-            t_hi = t
-            break
+    t_hi = np.full(len(d), np.nan)
+    searching = t <= scale
+    while searching.any():
+        out = searching & ~_inside(spec, base + t[:, None] * d)
+        t_hi[out] = t[out]
         t *= 2.0
-    if t_hi is None:
-        return None
-    t_lo = 0.0
+        searching &= ~out & (t <= scale)
+    t_lo = np.zeros(len(d))
     for _ in range(EXIT_BISECTIONS):
         mid = 0.5 * (t_lo + t_hi)
-        if inside(mid):
-            t_lo = mid
-        else:
-            t_hi = mid
+        inside = _inside(spec, base + mid[:, None] * d)
+        t_lo = np.where(inside, mid, t_lo)
+        t_hi = np.where(inside, t_hi, mid)
     return t_hi
 
 
@@ -529,7 +505,7 @@ def check_structure_conditions(
     else:
         nu0 = None
 
-    ladder = [eval_f(spec, (2.0**s) * np.ones(spec.n)) for s in range(41)]
+    ladder = _f_batch(spec, np.ldexp(np.ones(spec.n), np.arange(41)[:, None]))[0].tolist()
     monotone = all(b > a for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 1e9 * ladder[0]
     if not monotone:
         raise StructureViolation("divergence of f(R*1)", 2.0**40 * np.ones(spec.n), "ladder not monotone divergent")
@@ -557,42 +533,46 @@ def _boundary_decay(spec, seed):
     that rate is checked with a 4x band (scale-free, so prefactors from the
     exit geometry cannot pollute it), together with tail monotonicity and
     absolute smallness of the final sample.  Returns the decade rates.
+    The rays, unit normal draws of a generator seeded with `seed`, are
+    followed in batches and examined in draw order.
     """
     rng = np.random.default_rng(seed)
     anchor = np.ones(spec.n)
+    shrink = 1.0 - np.ldexp(1.0, -np.arange(DECAY_HALVINGS + 1))
     rates = []
     tries = 0
     target_rate = 4.0 * 2.0 ** (-10.0 / spec.degree)
     while len(rates) < DECAY_RAYS:
-        tries += 1
-        if tries > 200 * DECAY_RAYS:
-            raise RuntimeError("no exiting rays found")
-        d = rng.standard_normal(spec.n)
-        d /= np.linalg.norm(d)
-        t_exit = _exit_parameter(spec, anchor, d)
-        if t_exit is None:
-            continue
-        vals = []
-        for s in range(DECAY_HALVINGS + 1):
-            pt = anchor + (1.0 - 2.0**-s) * t_exit * d
-            sig = sigma_margins(spec, pt[None, :])[0]
-            if np.any(sig <= 0.0):
+        d = rng.standard_normal((2 * (DECAY_RAYS - len(rates)), spec.n))
+        d /= _norms(d)[:, None]
+        t_exit = _exit_parameters(spec, anchor, d)
+        lam = anchor + (t_exit[:, None] * shrink)[:, :, None] * d[:, None, :]
+        ok = _inside(spec, lam.reshape(-1, spec.n)).reshape(lam.shape[:2])
+        f = np.zeros(ok.shape)
+        f[ok] = _f_batch(spec, lam[ok])[0]
+        n_in = ok.cumprod(axis=1).sum(axis=1)  # halvings before the first one outside
+        for ray in range(len(d)):
+            tries += 1
+            if tries > 200 * DECAY_RAYS:
+                raise RuntimeError("no exiting rays found")
+            vals = f[ray, : n_in[ray]]
+            if len(vals) < 12:
+                continue
+            witness = anchor + t_exit[ray] * d[ray]
+            tail = vals[-5:]
+            if not all(b < a for a, b in zip(tail, tail[1:])):
+                raise StructureViolation("decay of f toward the cone boundary", witness,
+                                         "tail not decreasing")
+            rate = float(vals[-1] / vals[-11])
+            if rate > target_rate:
+                raise StructureViolation("decay of f toward the cone boundary", witness,
+                                         f"decade rate {rate:.3e} > target {target_rate:.3e}")
+            if vals[-1] > 0.05 * vals.max():
+                raise StructureViolation("decay of f toward the cone boundary", witness,
+                                         f"final value {vals[-1]:.3e} not small against max {vals.max():.3e}")
+            rates.append(rate)
+            if len(rates) == DECAY_RAYS:
                 break
-            vals.append(float(_f_batch(spec, pt[None, :])[0][0]))
-        if len(vals) < 12:
-            continue
-        tail = vals[-5:]
-        if not all(b < a for a, b in zip(tail, tail[1:])):
-            raise StructureViolation("decay of f toward the cone boundary", anchor + t_exit * d,
-                                     "tail not decreasing")
-        rate = vals[-1] / vals[-11]
-        if rate > target_rate:
-            raise StructureViolation("decay of f toward the cone boundary", anchor + t_exit * d,
-                                     f"decade rate {rate:.3e} > target {target_rate:.3e}")
-        if vals[-1] > 0.05 * max(vals):
-            raise StructureViolation("decay of f toward the cone boundary", anchor + t_exit * d,
-                                     f"final value {vals[-1]:.3e} not small against max {max(vals):.3e}")
-        rates.append(rate)
     return rates
 
 
@@ -657,11 +637,11 @@ def estimate_theta(
                 worst = (mu_blk[idx[1]].copy(), lams[idx[0]].copy())
 
     if pair_count == 0:
-        return ThetaCertificate(None, zeta, lams.shape[0], 0, None, violations, min_bracket)
+        return ThetaCertificate(None, zeta, lams.shape[0], 0, violations, min_bracket)
     if theta <= 0.0:
         raise StructureViolation(
             "supporting-hyperplane constant",
             worst,
             f"theta_hat = {theta:.3e} <= 0 despite normal gap >= {zeta}",
         )
-    return ThetaCertificate(theta, zeta, lams.shape[0], pair_count, worst, violations, min_bracket)
+    return ThetaCertificate(theta, zeta, lams.shape[0], pair_count, violations, min_bracket)

@@ -174,6 +174,72 @@ def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
     assert "solves" not in report
 
 
+# sigma_2 in 3d: a paraboloid subsolution with root ratio 1.25 against psi,
+# pressed against a ceiling only 0.3 above it
+TIGHT_3D = """\
+function {
+  family = sigma_k_root
+  k = 2
+  n = 3
+}
+grid {
+  lo = -2 -2 -2
+  hi = 2 2 2
+  m = 15
+}
+metric {
+  kind = flat
+}
+coefficients {
+  A = zero
+  psi = "sqrt(3)"
+}
+obstacle {
+  h = "0.625*(x1^2+x2^2+x3^2) + 0.3"
+}
+boundary {
+  phi = "0.625*(x1^2+x2^2+x3^2)"
+}
+subsolution {
+  u = "0.625*(x1^2+x2^2+x3^2)"
+}
+schedule {
+  eps0 = 0.01
+  ratio = 0.1
+  eps_min = 1e-06
+}
+newton {
+  tol = 1e-08
+  max_iters = 80
+}
+audit {
+  enabled = false
+  c_audit = 0
+  theta_samples = 10000
+  seed = 1
+}
+"""
+
+
+def test_failure_after_solve_writes_report_exit2(tmp_path):
+    # every epsilon converges, then the contact band reaches the first
+    # interior ring and extract_contact_set raises MonitorError: the failure
+    # report still names it and keeps all five solves
+    cfg = tmp_path / "tight3d.cfg"
+    cfg.write_text(TIGHT_3D)
+    out = tmp_path / "out"
+    argv = ["sweep", str(cfg), "--out", str(out), "--grid-m", "13", "--audit", "off", "--quiet"]
+    assert main(argv) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == ["config", "epsilons", "solver_failure", "solves"]
+    assert report["solver_failure"]["error"] == "MonitorError"
+    assert "chart boundary" in report["solver_failure"]["message"]
+    assert report["solver_failure"]["epsilon"] is None
+    assert [s["epsilon"] for s in report["solves"]] == report["epsilons"]
+    assert len(report["solves"]) == 5 and all(s["converged"] for s in report["solves"])
+    assert sorted(f.name for f in out.iterdir()) == ["report.json"]
+
+
 def test_solver_failure_keeps_finished_epsilons(tmp_path):
     # eps 1e-2 converges in 6 steps, the jump to 1e-7 needs 10 even from the
     # predictor: the failure report keeps the solve row of the first epsilon

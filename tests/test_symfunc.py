@@ -1,13 +1,19 @@
 """Cone-calculus unit tests: frozen values, finite-difference oracles,
 structure-condition suite, supporting-hyperplane estimates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hessobs import symfunc
 from hessobs.errors import OutsideCone
 from hessobs.symfunc import (
+    EXIT_BISECTIONS,
+    EXIT_T_CAP,
     SymmetricFunctionSpec,
+    _exit_parameters,
     _hess_batch,
     check_structure_conditions,
     cone_membership,
@@ -18,6 +24,7 @@ from hessobs.symfunc import (
     normal_vector,
     sample_cone_points,
     sigma,
+    sigma_margins,
 )
 
 SPECS = [
@@ -279,6 +286,128 @@ def test_structure_ladder_is_homogeneous():
     vals = rep.ladder_values
     assert vals[0] == pytest.approx(1.0)
     assert vals[-1] == pytest.approx(2.0**40, rel=1e-12)
+
+
+# -------------------------------------------------- sampler stream
+
+# sha256 of sample_cone_points(spec, 1000, 42).tobytes(), recorded from the
+# one-candidate-at-a-time sampler; batching the cone tests must not move a bit
+SAMPLE_DIGESTS = [
+    "ec10bd4a4ecb81e55cd347eb7b5d983c5f4be3a57e0676185c6c9d3740a84d71",
+    "f84fffdeb7160903d9454afd64c163d92e41e90504dcfa31dfbc1a38b99dd04c",
+    "4431e2da9e180059e95cdf26ec5dee82537b10ef10dcc65e9274cdceb45e208d",
+    "766157956c2f9efd316e6bae987f63ad7a07ffb213c385f92742a69a0914ffd8",
+    "6027847ad1f5a1f2c305d4bd82a62b09a657a0360c036af35f8cddf3178a3474",
+    "f84fffdeb7160903d9454afd64c163d92e41e90504dcfa31dfbc1a38b99dd04c",
+    "766157956c2f9efd316e6bae987f63ad7a07ffb213c385f92742a69a0914ffd8",
+]
+
+# check_structure_conditions(spec, 3000, 0).boundary_decay_ratios, recorded
+# from the one-ray decay check
+DECAY_RATIOS = [
+    [0.0009765624999999991, 0.0009765028953552249, 0.0009764434071115756,
+     0.0009764432907104507, 0.0009766817092895512, 0.0009765029535593349,
+     0.0009765028371511184, 0.0009764434071115756],
+    [0.03124809445862809, 0.031251907297985125, 0.031249999995870678,
+     0.031251905435724314, 0.0312519072921672, 0.03125000185551956,
+     0.031251907290845905, 0.031248094422287043],
+    [0.0009764831047442041, 0.000976641972859702, 0.0009764038258722128,
+     0.000976641972859702, 0.0009764830271403002, 0.0009766417788184135,
+     0.0009765628104409574, 0.0009764033990854559],
+    [0.031246301115659767, 0.031244779936690035, 0.031246639886408124,
+     0.03125149780120659, 0.031247758170416154, 0.03124686180185285,
+     0.03124819354933882, 0.03124988534992659],
+    [0.09920853257675796, 0.09920852864253607, 0.09920853643142427,
+     0.09921256183001248, 0.09921256967560106, 0.09920853260581614,
+     0.09921256173284171, 0.09921256971116088],
+    [0.0009764434078363033, 0.0009766817097259604, 0.0009765625011666874,
+     0.0009766815932653306, 0.0009766817100896026, 0.000976562617769297,
+     0.0009766817101721924, 0.0009764434101074766],
+    [0.0009763313333886216, 0.0009762362729307129, 0.0009763525067120648,
+     0.0009766561144157015, 0.0009764223920217522, 0.0009763663743993375,
+     0.0009764496000844413, 0.0009765553341889081],
+]
+
+
+def exit_parameter_reference(spec, base, d):
+    """One-ray exit search: double t from 1e-3 (1 + |base|) until base + t d
+    leaves the cone (NaN if it is still inside past EXIT_T_CAP (1 + |base|)),
+    then bisect [0, t] EXIT_BISECTIONS times."""
+
+    def inside(t):
+        return np.all(sigma_margins(spec, (base + t * d)[None, :])[0] > 0.0)
+
+    scale = EXIT_T_CAP * (1.0 + np.linalg.norm(base))
+    t = 1e-3 * scale / EXIT_T_CAP
+    while inside(t):
+        t *= 2.0
+        if t > scale:
+            return np.nan
+    t_lo, t_hi = 0.0, t
+    for _ in range(EXIT_BISECTIONS):
+        mid = 0.5 * (t_lo + t_hi)
+        if inside(mid):
+            t_lo = mid
+        else:
+            t_hi = mid
+    return t_hi
+
+
+@pytest.mark.parametrize("spec,digest", zip(SPECS, SAMPLE_DIGESTS), ids=str)
+def test_sampler_stream_is_pinned(spec, digest):
+    pts = sample_cone_points(spec, 1000, 42)
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+
+def test_sampler_stream_is_pinned_at_10k():
+    pts = sample_cone_points(SymmetricFunctionSpec(3, 2), 10_000, 7)
+    assert pts.shape == (10_000, 3)
+    assert (hashlib.sha256(pts.tobytes()).hexdigest()
+            == "3458eb527428dd6241c67c0d19308c5bae2fb661784eb6a3eadf9088cb795213")
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_exit_parameters_match_one_ray_search(spec):
+    rng = np.random.default_rng(11)
+    base = sample_cone_points(spec, 24, 3)
+    d = rng.standard_normal((24, spec.n))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    want = [exit_parameter_reference(spec, b, r) for b, r in zip(base, d)]
+    assert np.array_equal(_exit_parameters(spec, base, d), want, equal_nan=True)
+    anchor = np.ones(spec.n)
+    want = [exit_parameter_reference(spec, anchor, r) for r in d]
+    assert np.array_equal(_exit_parameters(spec, anchor, d), want, equal_nan=True)
+
+
+def test_exit_parameters_nan_on_rays_that_stay_inside():
+    # Gamma_1 is the half-space sum > 0: rays with sum(d) >= 0 never leave it
+    spec = SymmetricFunctionSpec(2, 1)
+    d = np.array([[1.0, 0.0], [0.6, -0.8], [-1.0, 0.0], [0.8, -0.6]])
+    t = _exit_parameters(spec, np.ones(2), d)
+    assert np.isnan(t[[0, 3]]).all()
+    assert t[1] == pytest.approx(10.0) and t[2] == pytest.approx(2.0)
+    assert np.array_equal(t, [exit_parameter_reference(spec, np.ones(2), r) for r in d],
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("spec,ratios", zip(SPECS, DECAY_RATIOS), ids=str)
+def test_boundary_decay_ratios_are_pinned(spec, ratios):
+    assert check_structure_conditions(spec, 3000, 0).boundary_decay_ratios == ratios
+
+
+def test_cone_tests_are_batched(monkeypatch):
+    # one sigma_margins call per batch, not per candidate: the sampler and the
+    # structure suite each took over 10,000 calls when they tested row by row
+    calls = []
+    margins = symfunc.sigma_margins
+    monkeypatch.setattr(symfunc, "sigma_margins",
+                        lambda *a: calls.append(1) or margins(*a))
+    spec = SymmetricFunctionSpec(2, 2)
+    sample_cone_points(spec, 1000, 42)
+    assert len(calls) < 1000
+    calls.clear()
+    check_structure_conditions(spec, 1000, 0)
+    assert len(calls) < 1000
 
 
 # -------------------------------------------------- theta estimates
