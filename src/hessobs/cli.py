@@ -120,20 +120,16 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
                               rep.margin_history[it]))
     audits = audit_inequalities(
         result.solutions, result.epsilons, _subsolution(rs.problem), rs.problem,
-        c_audit=(None if rs.audit.c_audit == 0 else rs.audit.c_audit),
+        c_audit=rs.audit.c_audit,
         theta_samples=rs.audit.theta_samples, seed=rs.audit.seed,
     ) if rs.audit.enabled else []
 
     sweep = sweep_summary(bundles)
     final_eps = result.epsilons[-1]
     final_bundle = bundles[-1]
-    h_clears = bool(
-        ((rs.problem.h - rs.problem.phi)[rs.problem.grid.boundary_mask()]).min() > 0
-    )
-    contact = extract_contact_set(
+    contact = extract_contact_set(  # build_runsetup ensured h > phi on the boundary
         result.final, rs.problem.h, rs.problem.grid, final_eps,
         final_bundle.penalty_sup, final_bundle.hess_norm,
-        h_above_phi_on_boundary=h_clears,
     )
 
     doc["solves"] = solves

@@ -1,23 +1,29 @@
 """Small arithmetic expression language for problem data.
 
 Expressions are arithmetic over the chart coordinates x1..xn, the solution
-value z and the gradient components p1..pn, with the usual functions.  They
-are parsed once into an AST, evaluated vectorized over numpy arrays, and
-differentiated symbolically (needed for exact Jacobian contributions of
-z- and p-dependent coefficients).
+value z and the gradient components p1..pn.  They are parsed once into an
+AST, evaluated vectorized over numpy arrays, and differentiated
+symbolically (needed for exact Jacobian contributions of z- and
+p-dependent coefficients).
 
-Grammar:
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := ('+'|'-') unary | power
-    power  := atom (('^'|'**') unary)?          (right associative)
-    atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
-
-Functions: exp log sin cos tan sqrt abs tanh sinh cosh atan min max.
-Constants: pi, e.
+The syntax is a subset of Python arithmetic, read by Python's own parser:
+decimal numbers, those names and the constants pi and e, + - * / and **,
+unary + and -, parentheses, and the functions exp log sin cos tan sqrt abs
+tanh sinh cosh atan, and min max of two or more arguments (folded left to
+right into binary calls).  `^` is a synonym for `**`, with Python's
+precedence and right associativity: -x1^2 is -(x1^2), 2^-3^2 is
+2^(-(3^2)).  Everything else is a ConfigError naming the config line and
+the column in the text as written: comparisons, indexing, attributes,
+keyword or starred arguments, lambdas, conditionals, // and %, hex, octal,
+binary, underscored and complex literals, True/False/None, strings,
+comments, non-ASCII characters and nesting deeper than Python's parser takes.
 """
 
 from __future__ import annotations
+
+import ast
+import functools
+import re
 
 import numpy as np
 
@@ -37,8 +43,8 @@ _FUNCTIONS = {
     "sinh": np.sinh,
     "cosh": np.cosh,
     "atan": np.arctan,
-    "min": None,  # variadic, handled specially
-    "max": None,
+    "min": np.minimum,  # binary; the parser folds more arguments
+    "max": np.maximum,
 }
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -54,9 +60,6 @@ class _Node:
 
     def diff(self, var):
         raise NotImplementedError
-
-    def names(self, out):
-        pass
 
 
 class _Num(_Node):
@@ -82,9 +85,6 @@ class _Var(_Node):
 
     def diff(self, var):
         return _Num(1.0 if var == self.name else 0.0)
-
-    def names(self, out):
-        out.add(self.name)
 
     def __repr__(self):
         return self.name
@@ -113,10 +113,8 @@ class _Bin(_Node):
 
     def diff(self, var):
         a, b, da, db = self.a, self.b, self.a.diff(var), self.b.diff(var)
-        if self.op == "+":
-            return _Bin("+", da, db)
-        if self.op == "-":
-            return _Bin("-", da, db)
+        if self.op in ("+", "-"):
+            return _Bin(self.op, da, db)
         if self.op == "*":
             return _Bin("+", _Bin("*", da, b), _Bin("*", a, db))
         if self.op == "/":
@@ -127,10 +125,6 @@ class _Bin(_Node):
             return _Bin("*", _Bin("*", _Num(b.v), _Bin("^", a, _Num(b.v - 1.0))), da)
         term = _Bin("+", _Bin("*", db, _Call("log", [a])), _Bin("/", _Bin("*", _Num(1.0), _Bin("*", b, da)), a))
         return _Bin("*", self, term)
-
-    def names(self, out):
-        self.a.names(out)
-        self.b.names(out)
 
     def __repr__(self):
         return f"({self.a!r} {self.op} {self.b!r})"
@@ -146,9 +140,6 @@ class _Neg(_Node):
     def diff(self, var):
         return _Neg(self.a.diff(var))
 
-    def names(self, out):
-        self.a.names(out)
-
     def __repr__(self):
         return f"(-{self.a!r})"
 
@@ -159,27 +150,10 @@ class _Call(_Node):
         self.args = args
 
     def ev(self, env):
-        vals = [a.ev(env) for a in self.args]
-        if self.fn == "min":
-            out = vals[0]
-            for v in vals[1:]:
-                out = np.minimum(out, v)
-            return out
-        if self.fn == "max":
-            out = vals[0]
-            for v in vals[1:]:
-                out = np.maximum(out, v)
-            return out
-        return _FUNCTIONS[self.fn](vals[0])
+        return _FUNCTIONS[self.fn](*[a.ev(env) for a in self.args])
 
     def diff(self, var):
         if self.fn in ("min", "max"):
-            if len(self.args) != 2:
-                # fold variadic min/max left-to-right before differentiating
-                folded = self.args[0]
-                for a in self.args[1:]:
-                    folded = _Call(self.fn, [folded, a])
-                return folded.diff(var)
             a, b = self.args
             return _Select(self.fn, a, b, a.diff(var), b.diff(var))
         (a,) = self.args
@@ -198,10 +172,6 @@ class _Call(_Node):
             "atan": lambda: _Bin("/", _Num(1.0), _Bin("+", _Num(1.0), _Bin("*", a, a))),
         }[self.fn]()
         return _Bin("*", chain, da)
-
-    def names(self, out):
-        for a in self.args:
-            a.names(out)
 
     def __repr__(self):
         return f"{self.fn}({', '.join(map(repr, self.args))})"
@@ -227,10 +197,6 @@ class _Select(_Node):
     def diff(self, var):
         return _Select(self.kind, self.a, self.b, self.da.diff(var), self.db.diff(var))
 
-    def names(self, out):
-        for node in (self.a, self.b, self.da, self.db):
-            node.names(out)
-
     def __repr__(self):
         return f"select[{self.kind}]({self.a!r}, {self.b!r}; {self.da!r}, {self.db!r})"
 
@@ -245,181 +211,110 @@ class _Sign(_Node):
     def diff(self, var):
         return _Num(0.0)
 
-    def names(self, out):
-        self.a.names(out)
-
     def __repr__(self):
         return f"sign({self.a!r})"
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# parser: Python's, with a whitelist of its nodes
 # ---------------------------------------------------------------------------
 
-def _tokenize(text, line_offset=0):
-    toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if c.isdigit() or (c == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_e = False
-            while j < len(text):
-                cj = text[j]
-                if cj.isdigit() or cj == ".":
-                    j += 1
-                elif cj in "eE" and not seen_e and j + 1 < len(text) and (text[j + 1].isdigit() or text[j + 1] in "+-"):
-                    seen_e = True
-                    j += 2
-                else:
-                    break
-            toks.append(("num", text[i:j], col))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], col))
-            i = j
-        elif text.startswith("**", i):
-            toks.append(("op", "^", col))
-            i += 2
-        elif c in "+-*/^(),":
-            toks.append(("op", c, col))
-            i += 1
-        else:
-            raise ConfigError(f"unexpected character {c!r} in expression", line_offset or None, col)
-    toks.append(("end", "", len(text) + 1))
-    return toks
+# the characters the language uses; Python would skip a comment and normalise
+# a non-ASCII name, so every other character is rejected before parsing
+_CHARACTERS = re.compile(r"[\w \t.+\-*/^(),]*", re.ASCII)
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-class _Parser:
-    def __init__(self, toks, line):
-        self.toks = toks
-        self.pos = 0
-        self.line = line
+def _column(text: str, offset: int) -> int:
+    """1-based column in `text` of the 0-based `offset` into the parsed
+    source, which is `text` without leading blanks and with '^' as '**'."""
+    col = len(text) - len(text.lstrip())
+    while offset > 0 and col < len(text):
+        offset -= 2 if text[col] == "^" else 1
+        col += 1
+    return col + offset + 1
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind=None, value=None):
-        t = self.toks[self.pos]
-        if kind and t[0] != kind or (value is not None and t[1] != value):
-            raise ConfigError(f"expected {value or kind}, found {t[1]!r}", self.line, t[2])
-        self.pos += 1
-        return t
-
-    def parse(self):
-        node = self.expr()
-        t = self.peek()
-        if t[0] != "end":
-            raise ConfigError(f"unexpected trailing token {t[1]!r}", self.line, t[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            node = _Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            node = _Bin(op, node, self.unary())
-        return node
-
-    def unary(self):
-        t = self.peek()
-        if t[:2] == ("op", "-"):
-            self.take()
-            return _Neg(self.unary())
-        if t[:2] == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            node = _Bin("^", node, self.unary())
-        return node
-
-    def atom(self):
-        t = self.peek()
-        if t[0] == "num":
-            self.take()
-            return _Num(float(t[1]))
-        if t[0] == "name":
-            self.take()
-            name = t[1]
-            if self.peek()[:2] == ("op", "("):
-                if name not in _FUNCTIONS:
-                    raise ConfigError(f"unknown function {name!r}", self.line, t[2])
-                self.take()
-                args = [self.expr()]
-                while self.peek()[:2] == ("op", ","):
-                    self.take()
-                    args.append(self.expr())
-                self.take("op", ")")
-                if name not in ("min", "max") and len(args) != 1:
-                    raise ConfigError(f"{name}() takes one argument", self.line, t[2])
-                if name in ("min", "max") and len(args) < 2:
-                    raise ConfigError(f"{name}() takes at least two arguments", self.line, t[2])
-                return _Call(name, args)
-            if name in _CONSTANTS:
-                return _Num(_CONSTANTS[name])
-            return _Var(name)
-        if t[:2] == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ConfigError(f"unexpected token {t[1]!r}", self.line, t[2])
-
-
-# ---------------------------------------------------------------------------
-# public wrapper
-# ---------------------------------------------------------------------------
 
 class Expression:
-    """Parsed expression bound to a variable universe."""
+    """Parsed expression; `variables` are the names it reads."""
 
-    def __init__(self, text: str, node: _Node, allowed: set[str]):
+    def __init__(self, text: str, node: _Node, variables: set[str]):
         self.text = text
         self.node = node
-        used = set()
-        node.names(used)
-        bad = used - allowed
-        if bad:
-            raise ConfigError(f"unknown variable(s) {sorted(bad)} in expression {text!r}")
-        self.variables = used
+        self.variables = variables
 
     def __call__(self, **env):
         return self.node.ev(env)
 
     def derivative(self, var: str) -> "Expression":
-        d = Expression.__new__(Expression)
-        d.text = f"d({self.text})/d{var}"
-        d.node = self.node.diff(var)
-        d.variables = self.variables
-        return d
+        return Expression(f"d({self.text})/d{var}", self.node.diff(var), self.variables)
 
     def __repr__(self):
         return f"Expression({self.text!r})"
 
 
+@functools.lru_cache(maxsize=None)
+def _variables(n: int, allow_zp: bool) -> frozenset:
+    # cached: building the names costs as much as converting a short expression
+    names = {f"x{i+1}" for i in range(n)}
+    if allow_zp:
+        names |= {"z"} | {f"p{i+1}" for i in range(n)}
+    return frozenset(names)
+
+
 def parse_expression(text: str, n: int, allow_zp: bool = True, line: int | None = None) -> Expression:
     """Parse `text` over variables x1..xn (plus z, p1..pn when allow_zp)."""
-    allowed = {f"x{i+1}" for i in range(n)}
-    if allow_zp:
-        allowed |= {"z"} | {f"p{i+1}" for i in range(n)}
-    toks = _tokenize(text, line_offset=line or 0)
-    node = _Parser(toks, line).parse()
-    return Expression(text, node, allowed)
+    allowed = _variables(n, allow_zp)
+    end = _CHARACTERS.match(text).end()
+    if end < len(text):
+        raise ConfigError(f"unexpected character {text[end]!r} in expression {text!r}",
+                          line, end + 1)
+    source = text.replace("^", "**").lstrip()
+    used = set()
+
+    def reject(node, why):
+        raise ConfigError(f"{why} in expression {text!r}", line, _column(text, node.col_offset))
+
+    def convert(node):
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) in _BINARY:
+            return _Bin(_BINARY[type(node.op)], convert(node.left), convert(node.right))
+        if kind is ast.Constant:
+            literal = source[node.col_offset:node.end_col_offset]
+            if not _DECIMAL.fullmatch(literal):
+                reject(node, f"{literal!r} is not a decimal number")
+            return _Num(float(literal))
+        if kind is ast.Name:
+            if node.id in _CONSTANTS:
+                return _Num(_CONSTANTS[node.id])
+            if node.id not in allowed:
+                reject(node, f"unknown variable {node.id!r}")
+            used.add(node.id)
+            return _Var(node.id)
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return _Neg(convert(node.operand))
+        if kind is ast.UnaryOp and type(node.op) is ast.UAdd:
+            return convert(node.operand)
+        if kind is ast.Call and type(node.func) is ast.Name and not node.keywords:
+            fn = node.func.id
+            if fn not in _FUNCTIONS:
+                reject(node, f"unknown function {fn!r}")
+            args = [convert(a) for a in node.args]
+            if fn in ("min", "max"):
+                if len(args) < 2:
+                    reject(node, f"{fn}() takes at least two arguments")
+                return functools.reduce(lambda a, b: _Call(fn, [a, b]), args)
+            if len(args) != 1:
+                reject(node, f"{fn}() takes one argument")
+            return _Call(fn, args)
+        reject(node, f"unsupported syntax {source[node.col_offset:node.end_col_offset]!r}")
+
+    try:
+        node = convert(ast.parse(source, mode="eval").body)
+    except SyntaxError as exc:
+        raise ConfigError(f"{exc.msg} in expression {text!r}", line,
+                          _column(text, (exc.offset or 1) - 1)) from None
+    except (RecursionError, MemoryError):  # how Python's parser and ast report deep nesting
+        raise ConfigError(f"expression nested too deeply: {text[:40]!r}...", line) from None
+    return Expression(text, node, used)

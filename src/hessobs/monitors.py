@@ -105,7 +105,7 @@ def audit_inequalities(
     epsilons: list,
     u_sub: np.ndarray,
     prob: Problem,
-    c_audit: float | None = None,
+    c_audit: float = 0.0,
     theta_samples: int = 4000,
     seed: int = 0,
 ) -> list[InequalityAudit]:
@@ -118,11 +118,15 @@ def audit_inequalities(
         min_i f_i >= (zeta0/sqrt(n)) sum f_i - tol       (diagonal bound)
         L(usub - u) + beta_eps(u - h) >= -tol            (order-zero bound)
 
-    The subsolution state, K, zeta0 and the sampled cone cloud do not depend
-    on epsilon and are built once per sweep.  theta_hat is halved to keep
-    sampling optimism out of the pass/fail line.  fprime_worst records the
+    The subsolution state, K, zeta0, the sampled cone cloud and the theta
+    certificate of the cloud do not depend on epsilon and are built once per
+    sweep.  theta_hat is the minimum over the cloud together with the
+    audited state's own eigenvalue field, which keeps the certificate
+    coherent with the per-point audit; it is halved to keep sampling
+    optimism out of the pass/fail line.  fprime_worst records the
     diagonal bound with its sharp per-point constant min_i nu_i(lam)/sqrt(n)
     instead of zeta0/sqrt(n); for linear f this slack is identically zero.
+    c_audit = 0 selects the audit band 10 * hess_norm * h^2.
     """
     grid = prob.grid
     n = grid.n
@@ -134,6 +138,7 @@ def audit_inequalities(
     if zeta0 <= 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
     lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
+    cloud_theta = estimate_theta(prob.fspec, K, zeta0, lam_rand).theta_hat
 
     audits = []
     for u, epsilon in zip(solutions, epsilons):
@@ -144,11 +149,9 @@ def audit_inequalities(
         nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
         sum_fi = fg.sum(axis=1)
 
-        # theta over K and lambda samples that include the audited state's own
-        # eigenvalue field, which keeps the certificate coherent with the
-        # per-point audit below.
-        cert = estimate_theta(prob.fspec, K, zeta0, np.vstack([lam_rand, st.lam]))
-        theta_hat = cert.theta_hat
+        own_theta = estimate_theta(prob.fspec, K, zeta0, st.lam).theta_hat
+        thetas = [t for t in (cloud_theta, own_theta) if t is not None]  # None = vacuous
+        theta_hat = min(thetas) if thetas else None
 
         gap = np.linalg.norm(nu_mu - nu, axis=1)
         case1 = gap >= zeta0
@@ -157,8 +160,7 @@ def audit_inequalities(
         Lv = operator_L(st, prob, u_sub - u).ravel()
         beta = st.beta
         hess_norm = float(np.abs(st.lam).max())
-        c_aud = 10.0 * hess_norm if c_audit is None else float(c_audit)
-        tol = c_aud * h2
+        tol = (c_audit or 10.0 * hess_norm) * h2
 
         violations = 0
         if np.any(case1):

@@ -31,6 +31,7 @@ from .geometry import pin_boundary
 from .operator import (
     PENALTY_ROOT,
     Problem,
+    ResidualResult,
     StateEval,
     laplace_beltrami_solve,
     linearize,
@@ -129,16 +130,19 @@ class ContinuationResult:
 
 
 def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
-                 cfg: NewtonConfig | None = None) -> tuple[np.ndarray, SolveReport]:
+                 cfg: NewtonConfig | None = None,
+                 res0: ResidualResult | None = None) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton on the penalized residual at fixed epsilon.
 
     u0 must be admissible at every interior point and hold the Dirichlet data
-    on the boundary layer; both are enforced here.
+    on the boundary layer; both are enforced here.  `res0`, when given, is
+    the residual of u0 at epsilon that the caller has evaluated; it is taken
+    as the start residual, so u0 must hold the Dirichlet data exactly.
     """
     cfg = cfg or NewtonConfig()
     grid = prob.grid
     u = pin_boundary(grid, u0, prob.phi)
-    res = residual(u, prob, epsilon)
+    res = res0 if res0 is not None else residual(u, prob, epsilon)
     if not res.admissible:
         raise NotAdmissible(res.flagged_points(grid), "initial iterate not admissible")
 
@@ -256,8 +260,8 @@ def _linear_solve(J, b: np.ndarray, shape: tuple) -> np.ndarray:
     return x
 
 
-def _euler_start(u: np.ndarray, state: StateEval, prob: Problem,
-                 eps: float, eps_next: float) -> tuple[np.ndarray, str]:
+def _euler_start(u: np.ndarray, state: StateEval, prob: Problem, eps: float,
+                 eps_next: float) -> tuple[np.ndarray, str, ResidualResult | None]:
     """Start for eps_next from the solution u at eps and its evaluated state.
 
     At fixed u the residual moves with epsilon by dF/deps = beta / eps, so
@@ -265,10 +269,11 @@ def _euler_start(u: np.ndarray, state: StateEval, prob: Problem,
     in s = eps^PENALTY_ROOT, along which the solution is smooth:
     u + du/deps * (deps/ds) * (s_next - s).  The prediction is used only if
     it is admissible at eps_next and its residual max-norm there is below
-    that of u; otherwise u itself is the (warm) start.
+    that of u; otherwise u itself is the (warm) start.  Returns the start,
+    how it was chosen and, for a prediction, its residual at eps_next.
     """
     if not state.beta.any():  # the penalty is inactive: the tangent is zero
-        return u, "warm_start"
+        return u, "warm_start", None
     grid = prob.grid
     du = _linear_solve(linearize(state, prob).matrix, -state.beta / eps, grid.interior_shape)
     s, s_next = eps**PENALTY_ROOT, eps_next**PENALTY_ROOT
@@ -279,8 +284,8 @@ def _euler_start(u: np.ndarray, state: StateEval, prob: Problem,
     warm = state.fval - state.psi - penalty(eps_next, state.z - prob.h_interior)[0]
     pres = residual(pred, prob, eps_next)
     if pres.admissible and np.abs(pres.values).max() < np.abs(warm).max():
-        return pred, "predictor"
-    return u, "warm_start"
+        return pred, "predictor", pres
+    return u, "warm_start", None
 
 
 def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
@@ -292,10 +297,11 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     later epsilon starts from the Euler predictor of `_euler_start`, built
     from the previous solution and its final Newton state, or from the
     previous solution itself when the prediction is not better; the report
-    records which in `start`.  The state, Jacobian and tangent of one epsilon
-    are released before the next Newton solve.  Solver errors carry the
-    epsilon at which they occurred and the solutions and reports of the
-    epsilons finished before it.
+    records which in `start`.  A prediction's residual, evaluated for that
+    comparison, is the Newton solve's start residual.  The state, Jacobian
+    and tangent of one epsilon are released before the next Newton solve.
+    Solver errors carry the epsilon at which they occurred and the solutions
+    and reports of the epsilons finished before it.
     """
     schedule = schedule or PenaltySchedule()
     cfg = cfg or NewtonConfig()
@@ -304,12 +310,12 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     sols, reports = [], []
     state = None
     for k, eps in enumerate(eps_values):
-        start = "initial"
+        start, res0 = "initial", None
         try:
             if k:
-                u, start = _euler_start(u, state, prob, eps_values[k - 1], eps)
+                u, start, res0 = _euler_start(u, state, prob, eps_values[k - 1], eps)
                 state = None
-            u, rep = newton_solve(u, prob, eps, cfg)
+            u, rep = newton_solve(u, prob, eps, cfg, res0)
         except Exception as exc:
             if isinstance(exc, MaxItersExceeded):
                 exc.report.start = start

@@ -125,6 +125,16 @@ def test_obstacle_below_boundary_exit1(tmp_path):
     assert main(["solve", str(bad), "--out", str(out), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("psi", ["1.2.3", "1e+", "x3", "x1[0]", "exp(x1, 2)"])
+def test_malformed_expression_is_config_error_with_line(small_cfg, tmp_path, capsys, psi):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_MA.replace('psi = "1"', f'psi = "{psi}"'))
+    assert main(["sweep", str(bad), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [line 20, col ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--grid-m", "2"],
     ["sweep", "--eps-min", "0"],

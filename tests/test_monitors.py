@@ -8,14 +8,15 @@ from hessobs.geometry import ChartGrid, flat_metric
 from hessobs.monitors import (
     NormBundle,
     audit_inequalities,
+    compact_set,
     compute_norm_bundle,
     contact_radius,
     extract_contact_set,
     sweep_summary,
 )
 from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
-from hessobs.operator import Problem, coefficients_from_expressions
-from hessobs.symfunc import SymmetricFunctionSpec
+from hessobs.operator import Problem, coefficients_from_expressions, evaluate_state
+from hessobs.symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
 
 
 def paraboloid_ceiling_problem(m=33, L=2.0, gap=0.3, fspec=None, psi="1"):
@@ -126,6 +127,32 @@ def test_audit_solved_ma_no_violations(solved_ma):
     assert aud.theta_hat is not None and aud.theta_hat > 0
     assert 0 < aud.zeta0 < 1.0 / (2.0 * np.sqrt(2.0))
     assert aud.case1_points + aud.case2_points == prob.grid.n_interior
+
+
+def test_audit_theta_cloud_certified_once(solved_ma, monkeypatch):
+    # the cloud's certificate is computed once per sweep; each epsilon adds
+    # only its own eigenvalue rows and gets the theta of cloud and rows together
+    import hessobs.monitors as monitors
+
+    prob, res = solved_ma
+    calls = []
+    estimate = monitors.estimate_theta
+    monkeypatch.setattr(monitors, "estimate_theta",
+                        lambda spec, K, zeta, lams: calls.append(lams)
+                        or estimate(spec, K, zeta, lams))
+    audits = audit_inequalities(res.solutions, res.epsilons, prob.subsolution, prob,
+                                theta_samples=500, seed=3)
+    monkeypatch.undo()
+
+    cloud = sample_cone_points(prob.fspec, 500, 3)
+    K, _, zeta0 = compact_set(evaluate_state(prob.subsolution, prob, res.epsilons[0]))
+    assert len(audits) == 3
+    for aud, u, eps in zip(audits, res.solutions, res.epsilons):
+        lam = evaluate_state(u, prob, eps).lam
+        assert aud.theta_hat is not None
+        cert = estimate_theta(prob.fspec, K, zeta0, np.vstack([cloud, lam]))
+        assert aud.theta_hat == cert.theta_hat
+    assert sum(len(lams) for lams in calls) == len(cloud) + 3 * prob.grid.n_interior
 
 
 # -------------------------------------------------- contact set

@@ -324,6 +324,25 @@ def test_continuation_predictor_matches_warm_chain():
     assert all(r.final_state is None for r in result.reports)
 
 
+def test_continuation_evaluates_no_state_twice(monkeypatch):
+    # a prediction's residual, evaluated to choose the start, is the Newton
+    # solve's start residual: no (iterate, epsilon) is evaluated twice
+    import hessobs.operator as operator
+
+    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=33))
+    seen = []
+    evaluate = operator.evaluate_state
+
+    def recording(u, prob, epsilon):
+        seen.append((u.tobytes(), epsilon))
+        return evaluate(u, prob, epsilon)
+
+    monkeypatch.setattr(operator, "evaluate_state", recording)
+    result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+    assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
+    assert len(set(seen)) == len(seen)
+
+
 def test_continuation_inactive_obstacle_warm_starts():
     # h = u* + 1 is never reached: the penalty and with it the tangent vanish
     result, chain = continuation_and_warm_chain("ma_manufactured", 17)
