@@ -353,11 +353,12 @@ class RunSetup:
     audit: AuditConfig
 
 
-def _sample_expr(text: str, grid: ChartGrid) -> np.ndarray:
-    expr = parse_expression(text, grid.n, allow_zp=False)
-    pts = grid.points()
-    env = {f"x{i+1}": pts[..., i] for i in range(grid.n)}
-    return np.broadcast_to(np.asarray(expr(**env), dtype=float), grid.shape).copy()
+def _sample_expr(text: str, pts: np.ndarray) -> np.ndarray:
+    """Expression sampled at the grid points `pts` (shape m + (n,))."""
+    n = pts.shape[-1]
+    expr = parse_expression(text, n, allow_zp=False)
+    env = {f"x{i+1}": pts[..., i] for i in range(n)}
+    return np.broadcast_to(np.asarray(expr(**env), dtype=float), pts.shape[:-1]).copy()
 
 
 def _load_tabulated_metric(path: str, grid: ChartGrid):
@@ -401,8 +402,9 @@ def build_runsetup(cfg: ProblemConfig) -> RunSetup:
 
     fspec = SymmetricFunctionSpec(n=cfg.n, k=cfg.k, l=cfg.l)
     coeff = coefficients_from_expressions(cfg.n, cfg.psi, cfg.a_mode, cfg.a_param)
-    h = _sample_expr(cfg.h, grid)
-    phi = _sample_expr(cfg.phi, grid)
+    pts = grid.points()
+    h = _sample_expr(cfg.h, pts)
+    phi = _sample_expr(cfg.phi, pts)
 
     bnd = grid.boundary_mask()
     gap = (h - phi)[bnd]
@@ -413,7 +415,7 @@ def build_runsetup(cfg: ProblemConfig) -> RunSetup:
 
     sub = None
     if cfg.subsolution != "builtin":
-        sub = pin_boundary(grid, _sample_expr(cfg.subsolution, grid), phi)
+        sub = pin_boundary(grid, _sample_expr(cfg.subsolution, pts), phi)
 
     problem = Problem(grid=grid, metric=metric, fspec=fspec, coeff=coeff,
                       h=h, phi=phi, subsolution=sub)

@@ -1,15 +1,18 @@
-"""Damped Newton with admissibility safeguard, and Euler-Newton continuation
-over a decreasing penalty schedule.
+"""Damped Newton with admissibility safeguard, and predictor-corrector
+continuation over a decreasing penalty schedule.
 
-Each Newton step solves the exact sparse Jacobian system by LU in a
-nested-dissection order of the interior grid, and backtracks with two
-acceptance rules: (a) every interior point of the candidate stays inside
-the cone with margin at least (1 - tau_ftb) times the current margin, and
-(b) Armijo decrease of the squared residual norm.  The subsolution supplies a
-safe start.  Each later epsilon starts from an Euler predictor along the
-solution path in s = eps^(1/3), the scale of the cubic penalty's solutions
-((u - h)_+ ~ eps^(1/3)); the previous solution (warm start) is the
-fallback when the prediction is inadmissible or no closer.
+Each Newton step factors the exact sparse Jacobian once, by LU in a
+nested-dissection order of the interior grid, and solves it for two
+right-hand sides: the Newton direction and the path tangent du/deps.  It
+backtracks with two acceptance rules: (a) every interior point of the
+candidate stays inside the cone with margin at least (1 - tau_ftb) times the
+current margin, and (b) Armijo decrease of the squared residual norm.  The
+subsolution supplies a safe start.  Each later epsilon starts from a
+prediction along the solution path in s = eps^(1/3), the scale of the cubic
+penalty's solutions ((u - h)_+ ~ eps^(1/3)): an Euler step from the first
+solution, and from the second on the cubic Hermite extrapolation through
+the last two solutions and their tangents.  The previous solution (warm
+start) is the fallback when the prediction is inadmissible or no closer.
 """
 
 from __future__ import annotations
@@ -113,9 +116,12 @@ class SolveReport:
     rejected_armijo: int  # line-search trials rejected by the Armijo rule
     # how continuation_solve chose the start: "initial", "predictor" or "warm_start"
     start: str = "initial"
-    # evaluated state of the returned iterate; continuation_solve takes it
-    # for the predictor and releases it
+    # evaluated state of the returned iterate, and the path tangent du/deps
+    # over the interior solved with the last Newton step's factorization (at
+    # the iterate before it; None without a step); continuation_solve takes
+    # both for the predictor and releases them
     final_state: StateEval | None = field(default=None, repr=False, compare=False)
+    tangent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -152,14 +158,18 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     hist_l2 = [np.sqrt(rl2sq)]
     steps, margins = [], [res.margin]
     rejected_margin = rejected_armijo = 0
+    tangent = None
 
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
             break
         lin = linearize(res.state, prob)
-        delta_int = _linear_solve(lin.matrix, -res.values.ravel(), grid.interior_shape)
-        delta = np.zeros(grid.shape)
-        delta[grid.interior] = delta_int.reshape(grid.interior_shape)
+        # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
+        # so the path tangent solves J du/deps = -beta / eps
+        rhs = np.stack([-res.values.ravel(), -res.state.beta / epsilon], axis=1)
+        x = _linear_solve(lin.matrix, rhs, grid.interior_shape)
+        delta = _on_grid(grid, x[:, 0])
+        tangent = x[:, 1]
 
         margin_floor = (1.0 - FRACTION_TO_BOUNDARY) * res.margin
         t = 1.0
@@ -202,6 +212,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         rejected_margin=rejected_margin,
         rejected_armijo=rejected_armijo,
         final_state=res.state,
+        tangent=tangent,
     )
     if not converged:
         err = MaxItersExceeded(cfg.max_iters, rnorm)
@@ -242,10 +253,11 @@ def _nested_dissection(shape: tuple) -> np.ndarray:
 def _linear_solve(J, b: np.ndarray, shape: tuple) -> np.ndarray:
     """x = J^{-1} b over the interior unknowns of a grid of `shape`.
 
-    J and b are permuted symmetrically into nested-dissection order, so
-    SuperLU factors with that column order (NATURAL) and its default
-    partial pivoting; J is not symmetric in general.  A singular or
-    non-finite solve raises SingularJacobian.
+    b holds one right-hand side (N,) or several as columns (N, k); all are
+    solved with one factorization.  J and b are permuted symmetrically into
+    nested-dissection order, so SuperLU factors with that column order
+    (NATURAL) and its default partial pivoting; J is not symmetric in
+    general.  A singular or non-finite solve raises SingularJacobian.
     """
     order = _nested_dissection(shape)
     try:
@@ -260,26 +272,57 @@ def _linear_solve(J, b: np.ndarray, shape: tuple) -> np.ndarray:
     return x
 
 
-def _euler_start(u: np.ndarray, state: StateEval, prob: Problem, eps: float,
-                 eps_next: float) -> tuple[np.ndarray, str, ResidualResult | None]:
-    """Start for eps_next from the solution u at eps and its evaluated state.
+def _on_grid(grid, interior_values: np.ndarray) -> np.ndarray:
+    """Full-grid field with the given interior values and a zero boundary layer."""
+    out = np.zeros(grid.shape)
+    out[grid.interior] = interior_values.reshape(grid.interior_shape)
+    return out
 
-    At fixed u the residual moves with epsilon by dF/deps = beta / eps, so
-    the path tangent solves J du/deps = -beta / eps.  The Euler step is taken
-    in s = eps^PENALTY_ROOT, along which the solution is smooth:
-    u + du/deps * (deps/ds) * (s_next - s).  The prediction is used only if
-    it is admissible at eps_next and its residual max-norm there is below
-    that of u; otherwise u itself is the (warm) start.  Returns the start,
-    how it was chosen and, for a prediction, its residual at eps_next.
+
+def _path_point(u: np.ndarray, tangent: np.ndarray | None, eps: float, grid):
+    """(s, u, du/ds) at s = eps^PENALTY_ROOT from the solution u and its
+    interior tangent du/deps, or None without a tangent."""
+    if tangent is None:
+        return None
+    s = eps**PENALTY_ROOT
+    return s, u, (eps / (PENALTY_ROOT * s)) * _on_grid(grid, tangent)  # deps/ds du/deps
+
+
+def _predict(s_next: float, point: tuple, previous: tuple | None = None) -> np.ndarray:
+    """Prediction at s_next from path points (s, u, du/ds).
+
+    With `point` alone it is the Euler step u + (s_next - s) du/ds.  With
+    the `previous` point it is the cubic Hermite polynomial through both
+    points' values and slopes, extrapolated to s_next.
     """
-    if not state.beta.any():  # the penalty is inactive: the tangent is zero
+    s, u, du = point
+    if previous is None:
+        return u + (s_next - s) * du
+    s0, u0, du0 = previous
+    h = s - s0
+    t = (s_next - s0) / h  # 0 at s0, 1 at s
+    # Hermite basis in t: h00 on u0 and 1 - h00 on u, h10 and h11 on h du0 and h du
+    return (u + (2.0 * t**3 - 3.0 * t**2 + 1.0) * (u0 - u)
+            + h * (t**3 - 2.0 * t**2 + t) * du0 + h * (t**3 - t**2) * du)
+
+
+def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: float,
+                     point: tuple | None, previous: tuple | None
+                     ) -> tuple[np.ndarray, str, ResidualResult | None]:
+    """Start for eps_next from the solution u, its evaluated state and the
+    path points (s, u, du/ds) of `_path_point` at its epsilon and the one
+    before (each None without a tangent).
+
+    The prediction is `_predict` at s_next = eps_next^PENALTY_ROOT, a step in
+    the variable along which the solution is smooth.  It is used only if it
+    is admissible at eps_next and its residual max-norm there is below that
+    of u; otherwise u itself is the (warm) start.  Returns the start, how it
+    was chosen and, for a prediction, its residual at eps_next.
+    """
+    # no tangent, or the penalty is inactive and the tangent is zero
+    if point is None or not state.beta.any():
         return u, "warm_start", None
-    grid = prob.grid
-    du = _linear_solve(linearize(state, prob).matrix, -state.beta / eps, grid.interior_shape)
-    s, s_next = eps**PENALTY_ROOT, eps_next**PENALTY_ROOT
-    step = eps / (PENALTY_ROOT * s) * (s_next - s)  # deps/ds * (s_next - s)
-    pred = u.copy()
-    pred[grid.interior] += step * du.reshape(grid.interior_shape)
+    pred = _predict(eps_next**PENALTY_ROOT, point, previous)
     # u's residual at eps_next differs from its state's only in the penalty
     warm = state.fval - state.psi - penalty(eps_next, state.z - prob.h_interior)[0]
     pres = residual(pred, prob, eps_next)
@@ -291,29 +334,33 @@ def _euler_start(u: np.ndarray, state: StateEval, prob: Problem, eps: float,
 def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
                        cfg: NewtonConfig | None = None,
                        u0: np.ndarray | None = None) -> ContinuationResult:
-    """Solve along the decreasing epsilon schedule by Euler-Newton continuation.
+    """Solve along the decreasing epsilon schedule by predictor-corrector
+    continuation.
 
     The first epsilon starts from `u0` (or the default initializer).  Each
-    later epsilon starts from the Euler predictor of `_euler_start`, built
-    from the previous solution and its final Newton state, or from the
-    previous solution itself when the prediction is not better; the report
-    records which in `start`.  A prediction's residual, evaluated for that
-    comparison, is the Newton solve's start residual.  The state, Jacobian
-    and tangent of one epsilon are released before the next Newton solve.
-    Solver errors carry the epsilon at which they occurred and the solutions
-    and reports of the epsilons finished before it.
+    later epsilon starts from the prediction of `_predicted_start`: an Euler
+    step from the first solution, and from the third epsilon on the cubic
+    Hermite extrapolation through the last two solutions.  Their tangents
+    come out of the Newton solves, which factor each Jacobian once for the
+    step and the tangent.  The previous solution itself is the start when
+    the prediction is not better; the report records which in `start`.  A
+    prediction's residual, evaluated for that comparison, is the Newton
+    solve's start residual.  The state of one epsilon is released once the
+    next start is chosen, its tangent after the start after that.  Solver
+    errors carry the epsilon at which they occurred and the solutions and
+    reports of the epsilons finished before it.
     """
     schedule = schedule or PenaltySchedule()
     cfg = cfg or NewtonConfig()
     eps_values = schedule.values()
     u = u0 if u0 is not None else default_initializer(prob)
     sols, reports = [], []
-    state = None
+    state = point = previous = None
     for k, eps in enumerate(eps_values):
         start, res0 = "initial", None
         try:
             if k:
-                u, start, res0 = _euler_start(u, state, prob, eps_values[k - 1], eps)
+                u, start, res0 = _predicted_start(u, state, prob, eps, point, previous)
                 state = None
             u, rep = newton_solve(u, prob, eps, cfg, res0)
         except Exception as exc:
@@ -323,6 +370,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
             raise
         rep.start = start
         state, rep.final_state = rep.final_state, None
+        previous, point = point, _path_point(u, rep.tangent, eps, prob.grid)
+        rep.tangent = None
         sols.append(u)
         reports.append(rep)
     return ContinuationResult(epsilons=eps_values, solutions=sols, reports=reports)

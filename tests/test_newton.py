@@ -17,6 +17,8 @@ from hessobs.newton import (
     PenaltySchedule,
     _linear_solve,
     _nested_dissection,
+    _path_point,
+    _predict,
     continuation_solve,
     default_initializer,
     newton_solve,
@@ -233,13 +235,28 @@ def test_ordered_solve_matches_plain_spsolve(make):
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("make", [_conformal_kappa_2d, _flat_3d],
+                         ids=["2d-conformal-kappa_zg", "3d-flat"])
+def test_two_column_solve_matches_two_solves(make):
+    # the Newton step and the tangent share one factorization
+    prob, u = make()
+    J = linearize(evaluate_state(u, prob, 1e-2), prob).matrix
+    b = np.random.default_rng(6).standard_normal((J.shape[0], 2))
+    shape = prob.grid.interior_shape
+    x = _linear_solve(J, b, shape)
+    assert x.shape == b.shape
+    for j in range(2):
+        ref = _linear_solve(J, b[:, j], shape)
+        assert np.abs(x[:, j] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
     # per-epsilon Newton counts of the Euler-predicted continuation, pinned
     cfg = bundled_config_path("ma_obstacle")
     assert main(["solve", str(cfg), "--grid-m", "33", "--audit", "off",
                  "--out", str(tmp_path), "--quiet"]) == 0
     solves = json.loads((tmp_path / "report.json").read_text())["solves"]
-    assert [s["iterations"] for s in solves] == [6, 4, 3, 3, 3]
+    assert [s["iterations"] for s in solves] == [6, 4, 2, 2, 3]
 
 
 def singular_linearize(monkeypatch):
@@ -341,6 +358,50 @@ def test_continuation_evaluates_no_state_twice(monkeypatch):
     result = continuation_solve(rs.problem, rs.schedule, rs.newton)
     assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
     assert len(set(seen)) == len(seen)
+
+
+def test_continuation_factors_once_per_newton_step(monkeypatch):
+    # the tangent of each epsilon comes out of its Newton solves' factorizations
+    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=33))
+    calls = []
+    spsolve = spla.spsolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spsolve", counting)
+    result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+    assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
+    assert len(calls) == sum(r.iterations for r in result.reports)
+    assert all(r.tangent is None for r in result.reports)
+
+
+def _cubic_path(s):
+    grid = np.linspace(-1.0, 1.0, 7)
+    a, b, c, d = (np.sin((k + 1) * grid) for k in range(4))
+    return a + b * s + c * s**2 + d * s**3, b + 2.0 * c * s + 3.0 * d * s**2
+
+
+def test_hermite_predictor_reproduces_a_cubic_path():
+    s_prev, s, s_next = 1.0, 0.1 ** (1 / 3), 0.01 ** (1 / 3)
+    previous = (s_prev, *_cubic_path(s_prev))
+    point = (s, *_cubic_path(s))
+    exact, _ = _cubic_path(s_next)
+    assert np.abs(_predict(s_next, point, previous) - exact).max() <= 1e-13
+
+
+def test_predictor_without_previous_point_is_the_euler_step():
+    # u + du/deps * (deps/ds) * (s_next - s) in s = eps^(1/3)
+    grid = ChartGrid.box((-1, -1), (1, 1), 7)
+    eps, eps_next = 1e-2, 1e-3
+    s, s_next = eps ** (1 / 3), eps_next ** (1 / 3)
+    u = grid.sample(lambda x: np.cos(x[..., 0]) + x[..., 1] ** 2)
+    du_deps = np.sin(np.arange(grid.n_interior) + 1.0)
+    euler = u.copy()
+    euler[grid.interior] += (3.0 * eps / s * (s_next - s)) * du_deps.reshape(grid.interior_shape)
+    pred = _predict(s_next, _path_point(u, du_deps, eps, grid))
+    assert np.abs(pred - euler).max() <= 1e-14 * np.abs(euler).max()
 
 
 def test_continuation_inactive_obstacle_warm_starts():
