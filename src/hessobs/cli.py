@@ -85,10 +85,10 @@ def cmd_sweep(rs: RunSetup, args) -> int:
     the config, the epsilons, the `solves` rows finished before it and
     `solver_failure`."""
     out = ReportBundleWriter(args.out)
-    doc = {"config": {"text": rs.config.to_text()}, "epsilons": rs.schedule.values()}
+    doc = {"config": {"text": rs.config.to_text()}, "epsilons": rs.config.schedule.values()}
     reports = []
     try:
-        result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+        result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
         reports = result.reports
         return _report_sweep(rs, args, out, dict(doc), result)
     except HessObsError as exc:
@@ -118,11 +118,11 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
             step = rep.step_history[it - 1] if it >= 1 else ""
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
                               rep.margin_history[it]))
+    audit = rs.config.audit
     audits = audit_inequalities(
         result.solutions, result.epsilons, _subsolution(rs.problem), rs.problem,
-        c_audit=rs.audit.c_audit,
-        theta_samples=rs.audit.theta_samples, seed=rs.audit.seed,
-    ) if rs.audit.enabled else []
+        c_audit=audit.c_audit, theta_samples=audit.theta_samples, seed=audit.seed,
+    ) if audit.enabled else []
 
     sweep = sweep_summary(bundles)
     final_eps = result.epsilons[-1]
@@ -186,7 +186,7 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
 
 
 def cmd_check_structure(rs: RunSetup, args) -> int:
-    seed = rs.audit.seed
+    seed = rs.config.audit.seed
     doc = {"family": str(rs.problem.fspec)}
     code = 0
     try:
@@ -229,9 +229,9 @@ def cmd_check_structure(rs: RunSetup, args) -> int:
 
 
 def cmd_verify_lemma(rs: RunSetup, args) -> int:
-    seed = rs.audit.seed
-    samples = args.samples if args.samples is not None else rs.audit.theta_samples
-    st = evaluate_state(_subsolution(rs.problem), rs.problem, rs.schedule.eps0)
+    seed = rs.config.audit.seed
+    samples = args.samples if args.samples is not None else rs.config.audit.theta_samples
+    st = evaluate_state(_subsolution(rs.problem), rs.problem, rs.config.schedule.eps0)
     if not st.admissible:
         print("error: subsolution not admissible, cannot form the compact set",
               file=sys.stderr)

@@ -16,20 +16,28 @@ Format: named blocks holding `key = value` entries, comments with `#`.
 Parsing is total with line-anchored errors; unknown blocks or keys are
 rejected.  Expressions are quoted strings over x1..xn (z, p1..pn where the
 quantity may depend on them).
+
+Set-up is one pass.  `parse_config` checks the text by building, once, what
+it describes: the SymmetricFunctionSpec, the ChartGrid, the schedule,
+Newton and audit settings, whose constructors hold the range rules and the
+defaults, and one expression tree per expression.  `build_runsetup` samples
+and assembles those trees.  Every set-up failure is a ConfigError,
+including a metric that is not positive definite, a metric table that is
+not numeric and an obstacle that does not clear the boundary data.
 """
 
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GridTooSmall, NotSPD
 from .expressions import parse_expression
-from .geometry import ChartGrid, flat_metric, metric_from_callable, pin_boundary
+from .geometry import ChartGrid, flat_metric, metric_from_field, pin_boundary
 from .newton import NewtonConfig, PenaltySchedule
-from .operator import Problem, coefficients_from_expressions
+from .operator import CoefficientField, Problem, a_scalar_text
 from .symfunc import SymmetricFunctionSpec
 
 __all__ = ["ProblemConfig", "AuditConfig", "parse_config", "build_runsetup", "RunSetup"]
@@ -57,16 +65,18 @@ class AuditConfig:
     theta_samples: int = 4000
     seed: int = 42
 
+    def __post_init__(self):
+        if self.theta_samples < 1:
+            raise ValueError(f"theta_samples must be at least 1, got {self.theta_samples}")
+
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    family: str
-    k: int
-    n: int
-    l: int
-    lo: tuple
-    hi: tuple
-    m: tuple
+    """A checked config: the grid and the symmetric-function spec it
+    describes, the expression texts and the parsed trees of those texts."""
+
+    fspec: SymmetricFunctionSpec
+    grid: ChartGrid
     metric_kind: str
     metric_phi: str | None
     metric_file: str | None
@@ -79,6 +89,17 @@ class ProblemConfig:
     schedule: PenaltySchedule
     newton: NewtonConfig
     audit: AuditConfig
+    # the parsed texts: "psi", "s" (A = s g), "h", "phi", and "u" and
+    # "metric_phi" where the config gives them
+    trees: dict = field(compare=False, repr=False)
+
+    family = property(lambda self: self.fspec.family)
+    n = property(lambda self: self.fspec.n)
+    k = property(lambda self: self.fspec.k)
+    l = property(lambda self: self.fspec.l)
+    lo = property(lambda self: self.grid.lo)
+    hi = property(lambda self: self.grid.hi)
+    m = property(lambda self: self.grid.m)
 
     def to_text(self) -> str:
         """Canonical config text; re-parses to an equal ProblemConfig."""
@@ -116,15 +137,13 @@ class ProblemConfig:
         """Replace the given fields; an out-of-range value raises ConfigError."""
         cfg = self
         if eps_min is not None:
-            try:
-                schedule = PenaltySchedule(cfg.schedule.eps0, cfg.schedule.ratio, float(eps_min))
-            except ValueError as exc:
-                raise ConfigError(f"eps_min override {eps_min!r}: {exc}") from exc
-            cfg = replace(cfg, schedule=schedule)
+            cfg = replace(cfg, schedule=_checked(
+                lambda: replace(cfg.schedule, eps_min=float(eps_min)),
+                f"eps_min override {eps_min!r}: "))
         if grid_m is not None:
-            if int(grid_m) < 3:
-                raise ConfigError(f"grid_m override {grid_m!r}: grid needs m >= 3 points per axis")
-            cfg = replace(cfg, m=(int(grid_m),) * cfg.n)
+            cfg = replace(cfg, grid=_checked(
+                lambda: replace(cfg.grid, m=(int(grid_m),) * cfg.n),
+                f"grid_m override {grid_m!r}: "))
         if seed is not None:
             cfg = replace(cfg, audit=replace(cfg.audit, seed=int(seed)))
         if audit_enabled is not None:
@@ -175,46 +194,67 @@ def _split_blocks(text: str) -> dict:
     return blocks
 
 
-def _num(blocks, block, key, default=None, cast=float):
+def _checked(make, what="", line=None):
+    """make(), with a constructor's own range check (ValueError or
+    GridTooSmall) raised as a ConfigError."""
+    try:
+        return make()
+    except (ValueError, GridTooSmall) as exc:
+        raise ConfigError(what + str(exc), line) from exc
+
+
+def _line(blocks, block, key):
+    return blocks.get(block, {}).get(key, (None, None))[1]
+
+
+_REQUIRED = object()
+
+
+def _unquote(val: str) -> str:
+    """A value in double quotes is one shell-quoted string; any other is as written."""
+    if not val.startswith('"'):
+        return val
+    parts = shlex.split(val)
+    if len(parts) != 1:
+        raise ValueError("expected one quoted string")
+    return parts[0]
+
+
+def _value(blocks, block, key, cast=_unquote, default=_REQUIRED):
+    """Entry `key` of `block` through `cast`, with line-anchored errors; a
+    missing key gives `default`, or is an error."""
     entry = blocks.get(block, {}).get(key)
     if entry is None:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing key {key!r} in block {block!r}")
         return default
     val, ln = entry
     try:
         return cast(val)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {key} = {val!r} as {cast.__name__}", ln) from exc
+        raise ConfigError(f"cannot parse {key} = {val!r}: {exc}", ln) from exc
 
 
-def _vec(blocks, block, key, cast=float):
-    entry = blocks.get(block, {}).get(key)
-    if entry is None:
-        raise ConfigError(f"missing key {key!r} in block {block!r}")
-    val, ln = entry
-    try:
-        return tuple(cast(tok) for tok in val.split())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {key} = {val!r} as a {cast.__name__} vector", ln) from exc
+def _entries(blocks, block, casts: dict) -> dict:
+    """The keys of `block` that the text gives, each cast by casts[key]; an
+    absent key keeps its dataclass default."""
+    return {key: _value(blocks, block, key, cast)
+            for key, cast in casts.items() if key in blocks.get(block, {})}
 
 
-def _string(blocks, block, key, default=None, required=False):
-    entry = blocks.get(block, {}).get(key)
-    if entry is None:
-        if required:
-            raise ConfigError(f"missing key {key!r} in block {block!r}")
-        return default
-    val, ln = entry
-    if val.startswith('"'):
-        try:
-            parts = shlex.split(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad quoting in {key} = {val!r}", ln) from exc
-        if len(parts) != 1:
-            raise ConfigError(f"expected one quoted string for {key}", ln)
-        return parts[0]
-    return val
+def _floats(val: str) -> tuple:
+    return tuple(float(tok) for tok in val.split())
+
+
+def _ints(val: str) -> tuple:
+    return tuple(int(tok) for tok in val.split())
+
+
+def _flag(val: str) -> bool:
+    word = _unquote(val).lower()
+    if word not in ("true", "false", "on", "off"):
+        raise ValueError("expected true, false, on or off")
+    return word in ("true", "on")
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -224,119 +264,80 @@ def parse_config(text: str) -> ProblemConfig:
         if b not in blocks:
             raise ConfigError(f"missing required block {b!r}")
 
-    family = _string(blocks, "function", "family", required=True)
+    family = _value(blocks, "function", "family")
     if family not in ("sigma_k_root", "sigma_quotient_root"):
-        ln = blocks["function"]["family"][1]
-        raise ConfigError(f"unknown family {family!r}", ln)
-    n = _num(blocks, "function", "n", cast=int)
-    k = _num(blocks, "function", "k", cast=int)
-    l = _num(blocks, "function", "l", default=0, cast=int)
-    if family == "sigma_quotient_root" and l == 0:
-        raise ConfigError("sigma_quotient_root requires key 'l' with 1 <= l < k")
-    if family == "sigma_k_root" and l != 0:
-        raise ConfigError("sigma_k_root does not take 'l'")
-    try:
-        SymmetricFunctionSpec(n=n, k=k, l=l)
-    except ValueError as exc:
-        raise ConfigError(str(exc), blocks["function"]["k"][1]) from exc
+        raise ConfigError(f"unknown family {family!r}", _line(blocks, "function", "family"))
+    n = _value(blocks, "function", "n", int)
+    k = _value(blocks, "function", "k", int)
+    l = _value(blocks, "function", "l", int, default=0)
+    if (l == 0) != (family == "sigma_k_root"):
+        raise ConfigError("sigma_k_root does not take 'l'" if l else
+                          "sigma_quotient_root requires key 'l' with 1 <= l < k")
+    fspec = _checked(lambda: SymmetricFunctionSpec(n=n, k=k, l=l),
+                     line=_line(blocks, "function", "k"))
 
-    lo = _vec(blocks, "grid", "lo")
-    hi = _vec(blocks, "grid", "hi")
-    m = _vec(blocks, "grid", "m", cast=int)
+    lo = _value(blocks, "grid", "lo", _floats)
+    hi = _value(blocks, "grid", "hi", _floats)
+    m = _value(blocks, "grid", "m", _ints)
     if len(m) == 1:
         m = m * len(lo)
     if not (len(lo) == len(hi) == len(m) == n):
         raise ConfigError(
             f"grid vectors must have length n = {n} (lo: {len(lo)}, hi: {len(hi)}, m: {len(m)})",
-            blocks["grid"]["lo"][1],
+            _line(blocks, "grid", "lo"),
         )
-    if any(mi < 3 for mi in m):
-        raise ConfigError("grid needs m >= 3 points per axis", blocks["grid"]["m"][1])
-    if any(b <= a for a, b in zip(lo, hi)):
-        raise ConfigError("grid needs hi > lo per axis", blocks["grid"]["hi"][1])
+    grid = _checked(lambda: ChartGrid(lo=lo, hi=hi, m=m), "grid: ", _line(blocks, "grid", "lo"))
 
-    metric_kind = _string(blocks, "metric", "kind", default="flat")
+    metric_kind = _value(blocks, "metric", "kind", default="flat")
     if metric_kind not in ("flat", "conformal", "tabulated"):
-        raise ConfigError(f"unknown metric kind {metric_kind!r}", blocks["metric"]["kind"][1])
-    metric_phi = _string(blocks, "metric", "phi")
-    metric_file = _string(blocks, "metric", "file")
+        raise ConfigError(f"unknown metric kind {metric_kind!r}", _line(blocks, "metric", "kind"))
+    metric_phi = _value(blocks, "metric", "phi", default=None)
+    metric_file = _value(blocks, "metric", "file", default=None)
     if metric_kind == "conformal" and metric_phi is None:
         raise ConfigError("conformal metric requires key 'phi'")
     if metric_kind == "tabulated" and metric_file is None:
         raise ConfigError("tabulated metric requires key 'file'")
 
-    a_raw = _string(blocks, "coefficients", "A", default="zero")
-    a_parts = shlex.split(a_raw)
-    a_mode = a_parts[0]
-    if a_mode not in ("zero", "kappa_zg", "scalar_metric"):
-        raise ConfigError(f"unknown A mode {a_mode!r}", blocks["coefficients"]["A"][1])
-    a_param = None
-    if a_mode == "kappa_zg":
+    a_line = _line(blocks, "coefficients", "A")
+    a_parts = _value(blocks, "coefficients", "A", lambda v: shlex.split(_unquote(v)),
+                     default=["zero"]) or [""]
+    a_mode, a_param = a_parts[0], None
+    if a_mode in ("kappa_zg", "scalar_metric"):
         if len(a_parts) != 2:
-            raise ConfigError("kappa_zg takes one numeric parameter",
-                              blocks["coefficients"]["A"][1])
+            raise ConfigError(f"{a_mode} takes one parameter", a_line)
         a_param = a_parts[1]
-        try:
-            if not np.isfinite(float(a_param)):
-                raise ValueError
-        except ValueError as exc:
-            raise ConfigError(f"kappa must be a finite number, got {a_param!r}",
-                              blocks["coefficients"]["A"][1]) from exc
-    elif a_mode == "scalar_metric":
-        if len(a_parts) != 2:
-            raise ConfigError('scalar_metric takes one quoted expression',
-                              blocks["coefficients"]["A"][1])
-        a_param = a_parts[1]
+    s_text = _checked(lambda: a_scalar_text(a_mode, a_param), line=a_line)
 
-    psi = _string(blocks, "coefficients", "psi", required=True)
-    h = _string(blocks, "obstacle", "h", required=True)
-    phi = _string(blocks, "boundary", "phi", required=True)
-    sub = _string(blocks, "subsolution", "u", default="builtin")
+    psi = _value(blocks, "coefficients", "psi")
+    h = _value(blocks, "obstacle", "h")
+    phi = _value(blocks, "boundary", "phi")
+    sub = _value(blocks, "subsolution", "u", default="builtin")
 
-    # validate expressions now, with their source lines
-    def _expr_check(block, key, text_, allow_zp):
-        entry = blocks.get(block, {}).get(key)
-        ln = entry[1] if entry else None
-        parse_expression(text_, n, allow_zp=allow_zp, line=ln)
+    # parse each expression once, with its source line; build_runsetup
+    # samples these trees
+    def tree(block, key, text_, allow_zp=False):
+        return parse_expression(text_, n, allow_zp=allow_zp, line=_line(blocks, block, key))
 
-    _expr_check("coefficients", "psi", psi, True)
-    _expr_check("obstacle", "h", h, False)
-    _expr_check("boundary", "phi", phi, False)
+    trees = {"psi": tree("coefficients", "psi", psi, True),
+             "h": tree("obstacle", "h", h), "phi": tree("boundary", "phi", phi)}
     if sub != "builtin":
-        _expr_check("subsolution", "u", sub, False)
-    if a_mode == "scalar_metric":
-        _expr_check("coefficients", "A", a_param, True)
+        trees["u"] = tree("subsolution", "u", sub)
+    trees["s"] = tree("coefficients", "A", s_text, True)
     if metric_phi is not None:
-        _expr_check("metric", "phi", metric_phi, False)
+        trees["metric_phi"] = tree("metric", "phi", metric_phi)
 
-    try:
-        schedule = PenaltySchedule(
-            eps0=_num(blocks, "schedule", "eps0", default=1e-1),
-            ratio=_num(blocks, "schedule", "ratio", default=0.1),
-            eps_min=_num(blocks, "schedule", "eps_min", default=1e-6),
-        )
-        newton = NewtonConfig(
-            tol_residual=_num(blocks, "newton", "tol", default=1e-8),
-            max_iters=_num(blocks, "newton", "max_iters", default=60, cast=int),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    enabled_str = _string(blocks, "audit", "enabled", default="true").lower()
-    if enabled_str not in ("true", "false", "on", "off"):
-        raise ConfigError(f"audit.enabled must be true/false, got {enabled_str!r}")
-    audit = AuditConfig(
-        enabled=enabled_str in ("true", "on"),
-        c_audit=_num(blocks, "audit", "c_audit", default=0.0),
-        theta_samples=_num(blocks, "audit", "theta_samples", default=4000, cast=int),
-        seed=_num(blocks, "audit", "seed", default=42, cast=int),
-    )
+    schedule = _checked(lambda: PenaltySchedule(**_entries(
+        blocks, "schedule", {"eps0": float, "ratio": float, "eps_min": float})))
+    newton = _entries(blocks, "newton", {"tol": float, "max_iters": int})
+    newton = _checked(lambda: NewtonConfig(newton.pop("tol", NewtonConfig.tol_residual), **newton))
+    audit = _checked(lambda: AuditConfig(**_entries(
+        blocks, "audit", {"enabled": _flag, "c_audit": float, "theta_samples": int, "seed": int})))
 
     return ProblemConfig(
-        family=family, k=k, n=n, l=l, lo=lo, hi=hi, m=m,
+        fspec=fspec, grid=grid,
         metric_kind=metric_kind, metric_phi=metric_phi, metric_file=metric_file,
-        a_mode=a_mode, a_param=a_param, psi=psi, h=h, phi=phi,
-        subsolution=sub, schedule=schedule, newton=newton, audit=audit,
+        a_mode=a_mode, a_param=a_param, psi=psi, h=h, phi=phi, subsolution=sub,
+        schedule=schedule, newton=newton, audit=audit, trees=trees,
     )
 
 
@@ -348,16 +349,13 @@ def parse_config(text: str) -> ProblemConfig:
 class RunSetup:
     config: ProblemConfig
     problem: Problem
-    schedule: PenaltySchedule
-    newton: NewtonConfig
-    audit: AuditConfig
+    # the benchmark's set-up timer (perfbench/run.py) reads rs.newton
+    newton = property(lambda self: self.config.newton)
 
 
-def _sample_expr(text: str, pts: np.ndarray) -> np.ndarray:
-    """Expression sampled at the grid points `pts` (shape m + (n,))."""
-    n = pts.shape[-1]
-    expr = parse_expression(text, n, allow_zp=False)
-    env = {f"x{i+1}": pts[..., i] for i in range(n)}
+def _sample(expr, pts: np.ndarray) -> np.ndarray:
+    """Expression tree over x1..xn sampled at the grid points `pts` (shape m + (n,))."""
+    env = {f"x{i+1}": pts[..., i] for i in range(pts.shape[-1])}
     return np.broadcast_to(np.asarray(expr(**env), dtype=float), pts.shape[:-1]).copy()
 
 
@@ -365,59 +363,53 @@ def _load_tabulated_metric(path: str, grid: ChartGrid):
     """Tabulated metric file: one row per grid point (C order), columns the
     upper triangle of g (g11 g12 ... row-major)."""
     n = grid.n
-    ncols = n * (n + 1) // 2
-    data = np.loadtxt(path, ndmin=2)
+    try:
+        data = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"tabulated metric {path!r}: {exc}") from exc
     expected = int(np.prod(grid.m))
-    if data.shape != (expected, ncols):
+    if data.shape != (expected, n * (n + 1) // 2):
         raise ConfigError(
-            f"tabulated metric {path!r}: expected shape {(expected, ncols)}, got {data.shape}"
+            f"tabulated metric {path!r}: expected shape {(expected, n * (n + 1) // 2)}, "
+            f"got {data.shape}"
         )
     g = np.zeros((expected, n, n))
-    col = 0
-    for i in range(n):
-        for j in range(i, n):
-            g[:, i, j] = data[:, col]
-            g[:, j, i] = data[:, col]
-            col += 1
-    from .geometry import metric_from_field
-
+    i, j = np.triu_indices(n)
+    g[:, i, j] = data
+    g[:, j, i] = data
     return metric_from_field(grid, g.reshape(grid.shape + (n, n)))
 
 
-def build_runsetup(cfg: ProblemConfig) -> RunSetup:
-    """Build the discrete problem; config-level feasibility checks live here."""
-    grid = ChartGrid(lo=cfg.lo, hi=cfg.hi, m=cfg.m)
+def _metric(cfg: ProblemConfig, pts: np.ndarray):
     if cfg.metric_kind == "flat":
-        metric = flat_metric(grid)
-    elif cfg.metric_kind == "conformal":
-        phi_expr = parse_expression(cfg.metric_phi, grid.n, allow_zp=False)
+        return flat_metric(cfg.grid)
+    if cfg.metric_kind == "conformal":  # g = exp(2 phi) I
+        scale = np.exp(2.0 * _sample(cfg.trees["metric_phi"], pts))
+        return metric_from_field(cfg.grid, scale[..., None, None] * np.eye(cfg.grid.n))
+    return _load_tabulated_metric(cfg.metric_file, cfg.grid)
 
-        def gfun(x):
-            env = {f"x{i+1}": x[i] for i in range(grid.n)}
-            return np.exp(2.0 * float(phi_expr(**env))) * np.eye(grid.n)
 
-        metric = metric_from_callable(grid, gfun)
-    else:
-        metric = _load_tabulated_metric(cfg.metric_file, grid)
-
-    fspec = SymmetricFunctionSpec(n=cfg.n, k=cfg.k, l=cfg.l)
-    coeff = coefficients_from_expressions(cfg.n, cfg.psi, cfg.a_mode, cfg.a_param)
+def build_runsetup(cfg: ProblemConfig) -> RunSetup:
+    """Sample and assemble the parsed config into the discrete problem.  A
+    metric that is not positive definite, an unreadable metric file and an
+    obstacle that does not clear the boundary data raise ConfigError."""
+    grid, trees = cfg.grid, cfg.trees
     pts = grid.points()
-    h = _sample_expr(cfg.h, pts)
-    phi = _sample_expr(cfg.phi, pts)
+    try:
+        metric = _metric(cfg, pts)
+    except NotSPD as exc:
+        raise ConfigError(f"{cfg.metric_kind} metric: {exc}") from exc
 
-    bnd = grid.boundary_mask()
-    gap = (h - phi)[bnd]
+    h = _sample(trees["h"], pts)
+    phi = _sample(trees["phi"], pts)
+    gap = (h - phi)[grid.boundary_mask()]
     if gap.min() <= 0.0:
         raise ConfigError(
             f"obstacle must clear the boundary data: min(h - phi) = {gap.min():.3e} <= 0 on the boundary"
         )
+    sub = pin_boundary(grid, _sample(trees["u"], pts), phi) if "u" in trees else None
 
-    sub = None
-    if cfg.subsolution != "builtin":
-        sub = pin_boundary(grid, _sample_expr(cfg.subsolution, pts), phi)
-
-    problem = Problem(grid=grid, metric=metric, fspec=fspec, coeff=coeff,
+    problem = Problem(grid=grid, metric=metric, fspec=cfg.fspec,
+                      coeff=CoefficientField(s=trees["s"], psi=trees["psi"]),
                       h=h, phi=phi, subsolution=sub)
-    return RunSetup(config=cfg, problem=problem, schedule=cfg.schedule,
-                    newton=cfg.newton, audit=cfg.audit)
+    return RunSetup(config=cfg, problem=problem)

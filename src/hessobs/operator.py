@@ -44,6 +44,7 @@ __all__ = [
     "linearize",
     "operator_L",
     "assemble_operator",
+    "a_scalar_text",
     "coefficients_from_expressions",
     "laplace_beltrami_solve",
 ]
@@ -101,20 +102,29 @@ class CoefficientField:
         return A_p, psi_p
 
 
-def coefficients_from_expressions(n: int, psi_text: str, a_mode: str = "zero",
-                                  a_param=None) -> CoefficientField:
-    """Coefficients from expression text; a_mode names s in A = s g:
-    "zero" (s = 0), "kappa_zg" (s = kappa z, a_param = kappa) or
+def a_scalar_text(a_mode: str, a_param=None) -> str:
+    """Expression text of s in A = s g for an A mode: "zero" (s = 0),
+    "kappa_zg" (s = kappa z, a_param = kappa, a finite number) or
     "scalar_metric" (a_param = the expression text of s)."""
     if a_mode == "zero":
-        s_text = "0"
-    elif a_mode == "kappa_zg":
-        s_text = f"{float(a_param)!r}*z"
-    elif a_mode == "scalar_metric":
-        s_text = str(a_param)
-    else:
-        raise ValueError(f"unknown A mode {a_mode!r}")
-    return CoefficientField(s=parse_expression(s_text, n),
+        return "0"
+    if a_mode == "kappa_zg":
+        try:
+            kappa = float(a_param)
+        except (TypeError, ValueError):
+            kappa = np.nan
+        if not np.isfinite(kappa):
+            raise ValueError(f"kappa must be a finite number, got {a_param!r}")
+        return f"{kappa!r}*z"
+    if a_mode == "scalar_metric":
+        return str(a_param)
+    raise ValueError(f"unknown A mode {a_mode!r}")
+
+
+def coefficients_from_expressions(n: int, psi_text: str, a_mode: str = "zero",
+                                  a_param=None) -> CoefficientField:
+    """Coefficients from the text of psi and an A mode (see a_scalar_text)."""
+    return CoefficientField(s=parse_expression(a_scalar_text(a_mode, a_param), n),
                             psi=parse_expression(psi_text, n))
 
 
@@ -192,9 +202,7 @@ class StateEval:
     z: np.ndarray  # u at interior points
     p: np.ndarray  # centered gradient (N, n)
     hess_cov: np.ndarray  # covariant Hessian (N, n, n)
-    A: np.ndarray  # (N, n, n)
-    U: np.ndarray  # hess_cov + A
-    lam: np.ndarray  # pencil eigenvalues, descending (N, n)
+    lam: np.ndarray  # pencil eigenvalues of U = hess_cov + A, descending (N, n)
     V: np.ndarray  # g-orthonormal frames (N, n, n)
     fval: np.ndarray  # f(lam), NaN where outside the cone
     fgrad: np.ndarray  # Df(lam), tie-averaged
@@ -249,9 +257,8 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     x = prob.x_interior
     g = prob.g_interior
     A, psi = prob.coeff.at(x, z, p, g)
-    U = Hc + A
     lam_g, V_g = eigen_wrt_metric_field(
-        U.reshape(grid.interior_shape + (n, n)), prob.metric, grid
+        (Hc + A).reshape(grid.interior_shape + (n, n)), prob.metric, grid
     )
     lam = lam_g.reshape(-1, n)
     V = V_g.reshape(-1, n, n)
@@ -264,7 +271,7 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
             f"psi minimum {psi.min():.3e} below floor {PSI_FLOOR}; the method requires psi > 0"
         )
     beta, dbeta, _ = penalty(epsilon, z - prob.h_interior)
-    return StateEval(z=z, p=p, hess_cov=Hc, A=A, U=U, lam=lam, V=V,
+    return StateEval(z=z, p=p, hess_cov=Hc, lam=lam, V=V,
                      fval=fval, fgrad=fgrad, ok=ok, sig=sig,
                      psi=psi, beta=beta, dbeta=dbeta)
 

@@ -79,7 +79,7 @@ def weak_radial(m):
     if key not in _CACHE:
         cfg = parse_config(bundled_config_text("laplacian_obstacle")).override(grid_m=m)
         rs = build_runsetup(cfg)
-        _CACHE[key] = (rs, continuation_solve(rs.problem, rs.schedule, rs.newton))
+        _CACHE[key] = (rs, continuation_solve(rs.problem, rs.config.schedule, rs.config.newton))
     return _CACHE[key]
 
 
@@ -90,7 +90,7 @@ def ma_manufactured(m):
             grid_m=m, eps_min=1e-2
         )
         rs = build_runsetup(cfg)
-        _CACHE[key] = (rs, continuation_solve(rs.problem, rs.schedule, rs.newton))
+        _CACHE[key] = (rs, continuation_solve(rs.problem, rs.config.schedule, rs.config.newton))
     return _CACHE[key]
 
 
@@ -98,7 +98,7 @@ def sweep_m65(name):
     key = ("sweep", name)
     if key not in _CACHE:
         rs = build_runsetup(parse_config(bundled_config_text(name)))
-        res = continuation_solve(rs.problem, rs.schedule, rs.newton)
+        res = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
         bundles = [
             compute_norm_bundle(u, rs.problem, e)
             for u, e in zip(res.solutions, res.epsilons)
@@ -145,7 +145,7 @@ def test_criterion_2_structure_suite():
 def test_criterion_3_theta_certificate():
     with criterion(3, "supporting-plane constant certificate on the sigma_2 problem", 10.0):
         rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")))
-        st = evaluate_state(rs.problem.subsolution, rs.problem, rs.schedule.eps0)
+        st = evaluate_state(rs.problem.subsolution, rs.problem, rs.config.schedule.eps0)
         K = np.unique(np.round(st.lam, 12), axis=0)
         nu = st.fgrad / np.linalg.norm(st.fgrad, axis=1, keepdims=True)
         zeta0 = float(min(nu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(2.0))))

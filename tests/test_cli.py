@@ -148,6 +148,32 @@ def test_out_of_range_flag_is_config_error(small_cfg, tmp_path, capsys, argv):
     out = ["--out", str(tmp_path / "out")]
     assert main([command, str(small_cfg), *flags, *out, "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _tabulated(tmp_path, row):
+    table = tmp_path / "g.txt"
+    table.write_text((row + "\n") * 21**2)
+    return SMALL_MA.replace("kind = flat", f'kind = tabulated\n  file = "{table}"')
+
+
+@pytest.mark.parametrize("make_text", [
+    lambda tmp: (SMALL_MA.replace("n = 2", "n = 4").replace("lo = -2 -2", "lo = -2 -2 -2 -2")
+                 .replace("hi = 2 2", "hi = 2 2 2 2")),
+    lambda tmp: SMALL_MA.replace("kind = flat", 'kind = conformal\n  phi = "log(x1)"'),
+    lambda tmp: _tabulated(tmp, "1 2 1"),
+    lambda tmp: _tabulated(tmp, "a b c"),
+    lambda tmp: SMALL_MA.replace("A = zero", "A ="),
+    lambda tmp: SMALL_MA.replace("A = zero", 'A = scalar_metric "0.1*z'),
+    lambda tmp: SMALL_MA.replace("theta_samples = 2000", "theta_samples = 0"),
+], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
+        "empty_A", "unclosed_quote_in_A", "no_theta_samples"])
+def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(make_text(tmp_path))
+    assert main(["sweep", str(bad), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,18 @@
 """Config parsing, validation, round-trips, bundled-file consistency."""
 
+import hashlib
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
+import hessobs.config as config
+import hessobs.operator as operator
 from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import ConfigError
+from hessobs.expressions import parse_expression
+from hessobs.geometry import metric_from_callable
 from hessobs.problems import BUNDLED, bundled_config_text
 
 MINIMAL = """
@@ -147,3 +155,54 @@ def test_kappa_zg_parse():
 def test_kappa_zg_must_be_finite_number(kappa):
     with pytest.raises(ConfigError, match="kappa must be a finite number"):
         parse_config(MINIMAL.replace("A = zero", f"A = kappa_zg {kappa}"))
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("laplacian_obstacle", "03dec7aeba1b0f1ebbd558f01ae32817d529236fa719f4f8d3e3fb7e0a1ce1b9"),
+    ("laplacian_obstacle_strong", "1f1be1fcb3aa401bf5852420e783f3a2026796d7ecab3c244dd75afd6e00a690"),
+    ("ma_manufactured", "f38a0786604edd3db1ed3c90cd5bff59dbdb557e85c842fc46983c7385ebc259"),
+    ("ma_obstacle", "a8656701080839b720a0cb8738c95cc5eb71613edc64d19526d3cb2ef869953a"),
+    ("solve_3d", "d93f7b11de0ae7edd532ff7887de244551bb61e27211b13eae0799ed1419d9c9"),
+])
+def test_to_text_bytes_are_pinned(name, digest):
+    # report.json echoes to_text(), so its bytes are part of every bundle
+    if name == "solve_3d":
+        if str(BENCH) not in sys.path:
+            sys.path.insert(0, str(BENCH))
+        import workloads
+
+        text = workloads.solve_3d_config(1)
+    else:
+        text = bundled_config_text(name)
+    assert hashlib.sha256(parse_config(text).to_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_setup_parses_each_expression_once(name, monkeypatch):
+    texts = []
+
+    def counting(text, *args, **kwargs):
+        texts.append(text)
+        return parse_expression(text, *args, **kwargs)
+
+    monkeypatch.setattr(config, "parse_expression", counting)
+    monkeypatch.setattr(operator, "parse_expression", counting)
+    rs = build_runsetup(parse_config(bundled_config_text(name)).override(grid_m=9))
+    # psi, s (A = s g), h, phi and u: every bundled config gives all five
+    assert len(texts) == len(rs.config.trees) == 5
+
+
+@pytest.mark.parametrize("m", [17, 65])
+def test_conformal_metric_equals_per_point_callable(m):
+    phi_text = "0.3*x1 + 0.1*sin(x2)"
+    txt = MINIMAL + f'\nmetric {{\n  kind = conformal\n  phi = "{phi_text}"\n}}\n'
+    metric = build_runsetup(parse_config(txt).override(grid_m=m)).problem.metric
+    phi = parse_expression(phi_text, 2, allow_zp=False)
+    ref = metric_from_callable(
+        metric.grid, lambda x: np.exp(2.0 * float(phi(x1=x[0], x2=x[1]))) * np.eye(2))
+    assert np.array_equal(metric.g, ref.g)
+    assert np.array_equal(metric.christoffel, ref.christoffel)
+

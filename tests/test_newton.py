@@ -181,7 +181,7 @@ def test_line_search_rejections_are_counted(monkeypatch):
         return dataclasses.replace(res, margin=-1.0) if len(calls) == 2 else res
 
     monkeypatch.setattr(newton, "residual", first_trial_outside)
-    _, rep = newton_solve(u0, rs.problem, 1e-2, rs.newton)
+    _, rep = newton_solve(u0, rs.problem, 1e-2, rs.config.newton)
     assert rep.rejected_margin == 1
     assert rep.rejected_armijo >= 1
     assert len(calls) - 1 == rep.iterations + rep.rejected_margin + rep.rejected_armijo
@@ -321,11 +321,11 @@ def continuation_and_warm_chain(name, m):
     """continuation_solve on a bundled problem, and the same schedule solved
     by a hand-written chain of warm-started newton_solve calls."""
     rs = build_runsetup(parse_config(bundled_config_text(name)).override(grid_m=m))
-    result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     u = default_initializer(rs.problem)
     chain = []
-    for eps in rs.schedule.values():
-        u, rep = newton_solve(u, rs.problem, eps, rs.newton)
+    for eps in rs.config.schedule.values():
+        u, rep = newton_solve(u, rs.problem, eps, rs.config.newton)
         chain.append((u, rep))
     return result, chain
 
@@ -355,7 +355,7 @@ def test_continuation_evaluates_no_state_twice(monkeypatch):
         return evaluate(u, prob, epsilon)
 
     monkeypatch.setattr(operator, "evaluate_state", recording)
-    result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
     assert len(set(seen)) == len(seen)
 
@@ -371,7 +371,7 @@ def test_continuation_factors_once_per_newton_step(monkeypatch):
         return spsolve(*args, **kwargs)
 
     monkeypatch.setattr(spla, "spsolve", counting)
-    result = continuation_solve(rs.problem, rs.schedule, rs.newton)
+    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
     assert len(calls) == sum(r.iterations for r in result.reports)
     assert all(r.tangent is None for r in result.reports)

@@ -53,7 +53,7 @@ def test_bundled_subsolution_certificate(name):
 @pytest.fixture(scope="module")
 def strong_sweep():
     rs = build_runsetup(parse_config(bundled_config_text("laplacian_obstacle_strong")))
-    return rs, continuation_solve(rs.problem, rs.schedule, rs.newton)
+    return rs, continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
 
 
 def test_bundled_dominance_reported(strong_sweep):
@@ -95,7 +95,7 @@ def test_ma_manufactured_dominance_within_truncation():
         grid_m=33, eps_min=1e-2
     )
     rs = build_runsetup(cfg)
-    res = continuation_solve(rs.problem, rs.schedule, rs.newton)
+    res = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     dom = res.reports[-1].subsolution_dominance
     # the sampled continuum solution is a subsolution only up to O(h^2)
     h2 = rs.problem.grid.spacing.max() ** 2
