@@ -20,16 +20,17 @@ quantity may depend on them).
 Set-up is one pass.  `parse_config` checks the text by building, once, what
 it describes: the SymmetricFunctionSpec, the ChartGrid, the schedule,
 Newton and audit settings, whose constructors hold the range rules and the
-defaults, and one expression tree per expression.  `build_runsetup` samples
-and assembles those trees.  Every set-up failure is a ConfigError,
-including a metric that is not positive definite, a metric table that is
-not numeric and an obstacle that does not clear the boundary data.
+defaults, and one expression tree per expression, which ProblemConfig keeps
+matched to its text.  `build_runsetup` samples and assembles those trees.
+Every set-up failure is a ConfigError, including a metric that is not
+positive definite, a metric table that is not numeric and an obstacle that
+does not clear the boundary data.
 """
 
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -91,7 +92,20 @@ class ProblemConfig:
     audit: AuditConfig
     # the parsed texts: "psi", "s" (A = s g), "h", "phi", and "u" and
     # "metric_phi" where the config gives them
-    trees: dict = field(compare=False, repr=False)
+    trees: dict = field(default_factory=dict, compare=False, repr=False)
+    lines: InitVar[dict | None] = None  # source line of each text, for parse errors
+
+    def __post_init__(self, lines):
+        # each text is parsed once; a tree is kept while its text is unchanged
+        # (dataclasses.replace of another field), so no tree goes stale
+        texts = {"psi": self.psi, "s": a_scalar_text(self.a_mode, self.a_param), "h": self.h,
+                 "phi": self.phi, "u": None if self.subsolution == "builtin" else self.subsolution,
+                 "metric_phi": self.metric_phi}
+        object.__setattr__(self, "trees", {
+            key: tree if (tree := self.trees.get(key)) is not None and tree.text == text
+            else parse_expression(text, self.n, allow_zp=key in ("psi", "s"),
+                                  line=(lines or {}).get(key))
+            for key, text in texts.items() if text is not None})
 
     family = property(lambda self: self.fspec.family)
     n = property(lambda self: self.fspec.n)
@@ -242,14 +256,6 @@ def _entries(blocks, block, casts: dict) -> dict:
             for key, cast in casts.items() if key in blocks.get(block, {})}
 
 
-def _floats(val: str) -> tuple:
-    return tuple(float(tok) for tok in val.split())
-
-
-def _ints(val: str) -> tuple:
-    return tuple(int(tok) for tok in val.split())
-
-
 def _flag(val: str) -> bool:
     word = _unquote(val).lower()
     if word not in ("true", "false", "on", "off"):
@@ -276,9 +282,9 @@ def parse_config(text: str) -> ProblemConfig:
     fspec = _checked(lambda: SymmetricFunctionSpec(n=n, k=k, l=l),
                      line=_line(blocks, "function", "k"))
 
-    lo = _value(blocks, "grid", "lo", _floats)
-    hi = _value(blocks, "grid", "hi", _floats)
-    m = _value(blocks, "grid", "m", _ints)
+    lo = _value(blocks, "grid", "lo", lambda v: tuple(map(float, v.split())))
+    hi = _value(blocks, "grid", "hi", lambda v: tuple(map(float, v.split())))
+    m = _value(blocks, "grid", "m", lambda v: tuple(map(int, v.split())))
     if len(m) == 1:
         m = m * len(lo)
     if not (len(lo) == len(hi) == len(m) == n):
@@ -306,30 +312,24 @@ def parse_config(text: str) -> ProblemConfig:
         if len(a_parts) != 2:
             raise ConfigError(f"{a_mode} takes one parameter", a_line)
         a_param = a_parts[1]
-    s_text = _checked(lambda: a_scalar_text(a_mode, a_param), line=a_line)
+    _checked(lambda: a_scalar_text(a_mode, a_param), line=a_line)
 
     psi = _value(blocks, "coefficients", "psi")
     h = _value(blocks, "obstacle", "h")
     phi = _value(blocks, "boundary", "phi")
     sub = _value(blocks, "subsolution", "u", default="builtin")
 
-    # parse each expression once, with its source line; build_runsetup
-    # samples these trees
-    def tree(block, key, text_, allow_zp=False):
-        return parse_expression(text_, n, allow_zp=allow_zp, line=_line(blocks, block, key))
-
-    trees = {"psi": tree("coefficients", "psi", psi, True),
-             "h": tree("obstacle", "h", h), "phi": tree("boundary", "phi", phi)}
-    if sub != "builtin":
-        trees["u"] = tree("subsolution", "u", sub)
-    trees["s"] = tree("coefficients", "A", s_text, True)
-    if metric_phi is not None:
-        trees["metric_phi"] = tree("metric", "phi", metric_phi)
+    # ProblemConfig parses each expression once; build_runsetup samples the trees
+    lines = {"psi": _line(blocks, "coefficients", "psi"), "s": a_line,
+             "h": _line(blocks, "obstacle", "h"), "phi": _line(blocks, "boundary", "phi"),
+             "u": _line(blocks, "subsolution", "u"), "metric_phi": _line(blocks, "metric", "phi")}
 
     schedule = _checked(lambda: PenaltySchedule(**_entries(
         blocks, "schedule", {"eps0": float, "ratio": float, "eps_min": float})))
     newton = _entries(blocks, "newton", {"tol": float, "max_iters": int})
-    newton = _checked(lambda: NewtonConfig(newton.pop("tol", NewtonConfig.tol_residual), **newton))
+    if "tol" in newton:
+        newton["tol_residual"] = newton.pop("tol")
+    newton = _checked(lambda: NewtonConfig(**newton))
     audit = _checked(lambda: AuditConfig(**_entries(
         blocks, "audit", {"enabled": _flag, "c_audit": float, "theta_samples": int, "seed": int})))
 
@@ -337,7 +337,7 @@ def parse_config(text: str) -> ProblemConfig:
         fspec=fspec, grid=grid,
         metric_kind=metric_kind, metric_phi=metric_phi, metric_file=metric_file,
         a_mode=a_mode, a_param=a_param, psi=psi, h=h, phi=phi, subsolution=sub,
-        schedule=schedule, newton=newton, audit=audit, trees=trees,
+        schedule=schedule, newton=newton, audit=audit, lines=lines,
     )
 
 

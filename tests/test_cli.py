@@ -148,6 +148,7 @@ def test_out_of_range_flag_is_config_error(small_cfg, tmp_path, capsys, argv):
     out = ["--out", str(tmp_path / "out")]
     assert main([command, str(small_cfg), *flags, *out, "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def _tabulated(tmp_path, row):

@@ -1,5 +1,6 @@
 """Config parsing, validation, round-trips, bundled-file consistency."""
 
+import dataclasses
 import hashlib
 import pathlib
 import sys
@@ -206,3 +207,13 @@ def test_conformal_metric_equals_per_point_callable(m):
     assert np.array_equal(metric.g, ref.g)
     assert np.array_equal(metric.christoffel, ref.christoffel)
 
+
+
+def test_replaced_text_is_sampled():
+    # the trees follow the texts: dataclasses.replace of h re-parses h only
+    cfg = parse_config(MINIMAL)
+    new = dataclasses.replace(cfg, h="x1 + 5")
+    assert new.trees["psi"] is cfg.trees["psi"]
+    assert new.trees["h"].text == "x1 + 5"
+    problem = build_runsetup(new).problem
+    assert np.array_equal(problem.h, problem.grid.points()[..., 0] + 5)
