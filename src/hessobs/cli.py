@@ -27,7 +27,7 @@ from .monitors import (
     sweep_summary,
 )
 from .newton import continuation_solve, default_initializer
-from .operator import certify_coefficients, evaluate_state
+from .operator import certify_coefficients, evaluate_state, spectrum
 from .report import ReportBundleWriter, fmt
 from .symfunc import check_structure_conditions, estimate_theta, sample_cone_points
 
@@ -236,7 +236,7 @@ def cmd_verify_lemma(rs: RunSetup, args) -> int:
         print("error: subsolution not admissible, cannot form the compact set",
               file=sys.stderr)
         return 2
-    K, _, zeta0 = compact_set(st)
+    K, _, zeta0 = compact_set(*spectrum(st, rs.problem))
     zeta = args.zeta if args.zeta is not None else zeta0
     lam = sample_cone_points(rs.problem.fspec, samples, seed)
     cert = estimate_theta(rs.problem.fspec, K, zeta, lam)

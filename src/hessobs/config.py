@@ -23,14 +23,15 @@ Newton and audit settings, whose constructors hold the range rules and the
 defaults, and one expression tree per expression, which ProblemConfig keeps
 matched to its text.  `build_runsetup` samples and assembles those trees.
 Every set-up failure is a ConfigError, including a metric that is not
-positive definite, a metric table that is not numeric and an obstacle that
-does not clear the boundary data.
+positive definite, a metric table that is not numeric, a sampled h, phi, u
+or metric phi that is not finite and an obstacle that does not clear the
+boundary data; each names the config line it comes from.
 """
 
 from __future__ import annotations
 
 import shlex
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,9 +94,10 @@ class ProblemConfig:
     # the parsed texts: "psi", "s" (A = s g), "h", "phi", and "u" and
     # "metric_phi" where the config gives them
     trees: dict = field(default_factory=dict, compare=False, repr=False)
-    lines: InitVar[dict | None] = None  # source line of each text, for parse errors
+    # source line of each text and of "metric_file", for set-up errors
+    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self, lines):
+    def __post_init__(self):
         # each text is parsed once; a tree is kept while its text is unchanged
         # (dataclasses.replace of another field), so no tree goes stale
         texts = {"psi": self.psi, "s": a_scalar_text(self.a_mode, self.a_param), "h": self.h,
@@ -104,7 +106,7 @@ class ProblemConfig:
         object.__setattr__(self, "trees", {
             key: tree if (tree := self.trees.get(key)) is not None and tree.text == text
             else parse_expression(text, self.n, allow_zp=key in ("psi", "s"),
-                                  line=(lines or {}).get(key))
+                                  line=self.lines.get(key))
             for key, text in texts.items() if text is not None})
 
     family = property(lambda self: self.fspec.family)
@@ -225,13 +227,14 @@ _REQUIRED = object()
 
 
 def _unquote(val: str) -> str:
-    """A value in double quotes is one shell-quoted string; any other is as written."""
+    """A value in double quotes is the text between them, which holds no
+    other double quote and no backslash; any other value is as written."""
     if not val.startswith('"'):
         return val
-    parts = shlex.split(val)
-    if len(parts) != 1:
-        raise ValueError("expected one quoted string")
-    return parts[0]
+    text = val[1:-1]
+    if len(val) < 2 or not val.endswith('"') or '"' in text or "\\" in text:
+        raise ValueError("expected one double-quoted string without inner quotes or backslashes")
+    return text
 
 
 def _value(blocks, block, key, cast=_unquote, default=_REQUIRED):
@@ -322,7 +325,8 @@ def parse_config(text: str) -> ProblemConfig:
     # ProblemConfig parses each expression once; build_runsetup samples the trees
     lines = {"psi": _line(blocks, "coefficients", "psi"), "s": a_line,
              "h": _line(blocks, "obstacle", "h"), "phi": _line(blocks, "boundary", "phi"),
-             "u": _line(blocks, "subsolution", "u"), "metric_phi": _line(blocks, "metric", "phi")}
+             "u": _line(blocks, "subsolution", "u"), "metric_phi": _line(blocks, "metric", "phi"),
+             "metric_file": _line(blocks, "metric", "file")}
 
     schedule = _checked(lambda: PenaltySchedule(**_entries(
         blocks, "schedule", {"eps0": float, "ratio": float, "eps_min": float})))
@@ -331,7 +335,8 @@ def parse_config(text: str) -> ProblemConfig:
         newton["tol_residual"] = newton.pop("tol")
     newton = _checked(lambda: NewtonConfig(**newton))
     audit = _checked(lambda: AuditConfig(**_entries(
-        blocks, "audit", {"enabled": _flag, "c_audit": float, "theta_samples": int, "seed": int})))
+        blocks, "audit", {"enabled": _flag, "c_audit": float, "theta_samples": int, "seed": int})),
+        line=_line(blocks, "audit", "theta_samples"))
 
     return ProblemConfig(
         fspec=fspec, grid=grid,
@@ -353,61 +358,71 @@ class RunSetup:
     newton = property(lambda self: self.config.newton)
 
 
-def _sample(expr, pts: np.ndarray) -> np.ndarray:
-    """Expression tree over x1..xn sampled at the grid points `pts` (shape m + (n,))."""
+def _sample(cfg: ProblemConfig, key: str, pts: np.ndarray) -> np.ndarray:
+    """The tree of text `key` over x1..xn sampled at the grid points `pts`
+    (shape m + (n,)); a value that is not finite is a ConfigError."""
     env = {f"x{i+1}": pts[..., i] for i in range(pts.shape[-1])}
-    return np.broadcast_to(np.asarray(expr(**env), dtype=float), pts.shape[:-1]).copy()
+    tree = cfg.trees[key]
+    out = np.broadcast_to(np.asarray(tree(**env), dtype=float), pts.shape[:-1]).copy()
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ConfigError(f"expression {tree.text!r} is not finite at {bad.sum()} of {bad.size} grid "
+                          f"points, first at x = {pts[bad][0]}", cfg.lines.get(key))
+    return out
 
 
-def _load_tabulated_metric(path: str, grid: ChartGrid):
-    """Tabulated metric file: one row per grid point (C order), columns the
-    upper triangle of g (g11 g12 ... row-major)."""
+def _load_tabulated_metric(path: str, grid: ChartGrid, line) -> np.ndarray:
+    """Metric blocks from a tabulated metric file: one row per grid point (C
+    order), columns the upper triangle of g (g11 g12 ... row-major)."""
     n = grid.n
     try:
         data = np.loadtxt(path, ndmin=2)
     except ValueError as exc:
-        raise ConfigError(f"tabulated metric {path!r}: {exc}") from exc
+        raise ConfigError(f"tabulated metric {path!r}: {exc}", line) from exc
     expected = int(np.prod(grid.m))
     if data.shape != (expected, n * (n + 1) // 2):
         raise ConfigError(
             f"tabulated metric {path!r}: expected shape {(expected, n * (n + 1) // 2)}, "
-            f"got {data.shape}"
+            f"got {data.shape}", line
         )
     g = np.zeros((expected, n, n))
     i, j = np.triu_indices(n)
     g[:, i, j] = data
     g[:, j, i] = data
-    return metric_from_field(grid, g.reshape(grid.shape + (n, n)))
+    return g.reshape(grid.shape + (n, n))
 
 
 def _metric(cfg: ProblemConfig, pts: np.ndarray):
     if cfg.metric_kind == "flat":
         return flat_metric(cfg.grid)
     if cfg.metric_kind == "conformal":  # g = exp(2 phi) I
-        scale = np.exp(2.0 * _sample(cfg.trees["metric_phi"], pts))
-        return metric_from_field(cfg.grid, scale[..., None, None] * np.eye(cfg.grid.n))
-    return _load_tabulated_metric(cfg.metric_file, cfg.grid)
+        line = cfg.lines.get("metric_phi")
+        g = np.exp(2.0 * _sample(cfg, "metric_phi", pts))[..., None, None] * np.eye(cfg.grid.n)
+    else:
+        line = cfg.lines.get("metric_file")
+        g = _load_tabulated_metric(cfg.metric_file, cfg.grid, line)
+    try:
+        return metric_from_field(cfg.grid, g)
+    except NotSPD as exc:
+        raise ConfigError(f"{cfg.metric_kind} metric: {exc}", line) from exc
 
 
 def build_runsetup(cfg: ProblemConfig) -> RunSetup:
     """Sample and assemble the parsed config into the discrete problem.  A
-    metric that is not positive definite, an unreadable metric file and an
-    obstacle that does not clear the boundary data raise ConfigError."""
+    metric that is not positive definite, an unreadable metric file, a
+    sampled text that is not finite and an obstacle that does not clear the
+    boundary data raise ConfigError."""
     grid, trees = cfg.grid, cfg.trees
     pts = grid.points()
-    try:
-        metric = _metric(cfg, pts)
-    except NotSPD as exc:
-        raise ConfigError(f"{cfg.metric_kind} metric: {exc}") from exc
-
-    h = _sample(trees["h"], pts)
-    phi = _sample(trees["phi"], pts)
+    metric = _metric(cfg, pts)
+    h = _sample(cfg, "h", pts)
+    phi = _sample(cfg, "phi", pts)
     gap = (h - phi)[grid.boundary_mask()]
     if gap.min() <= 0.0:
         raise ConfigError(
-            f"obstacle must clear the boundary data: min(h - phi) = {gap.min():.3e} <= 0 on the boundary"
-        )
-    sub = pin_boundary(grid, _sample(trees["u"], pts), phi) if "u" in trees else None
+            f"obstacle must clear the boundary data: min(h - phi) = {gap.min():.3e} <= 0 on the boundary",
+            cfg.lines.get("h"))
+    sub = pin_boundary(grid, _sample(cfg, "u", pts), phi) if "u" in trees else None
 
     problem = Problem(grid=grid, metric=metric, fspec=cfg.fspec,
                       coeff=CoefficientField(s=trees["s"], psi=trees["psi"]),

@@ -17,6 +17,8 @@ the column in the text as written: comparisons, indexing, attributes,
 keyword or starred arguments, lambdas, conditionals, // and %, hex, octal,
 binary, underscored and complex literals, True/False/None, strings,
 comments, non-ASCII characters and nesting deeper than Python's parser takes.
+Where an expression is undefined (log or sqrt of a negative number, say) its
+value is NaN or inf, without a numpy warning; callers check the values.
 """
 
 from __future__ import annotations
@@ -245,7 +247,8 @@ class Expression:
         self.variables = variables
 
     def __call__(self, **env):
-        return self.node.ev(env)
+        with np.errstate(all="ignore"):
+            return self.node.ev(env)
 
     def derivative(self, var: str) -> "Expression":
         return Expression(f"d({self.text})/d{var}", self.node.diff(var), self.variables)

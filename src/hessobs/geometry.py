@@ -243,11 +243,11 @@ def covariant_hessian(u: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.nd
 # ---------------------------------------------------------------------------
 
 def eigen_wrt_metric(X: np.ndarray, g: np.ndarray):
-    """Solve X v = lam g v for symmetric X and SPD g.
+    """Eigenvalues of the pencil X v = lam g v for symmetric X and SPD g,
+    sorted descending.
 
     Reduction through the Cholesky factor g = L L^T to the standard symmetric
-    problem of L^{-1} X L^{-T}.  Returns eigenvalues sorted descending and a
-    g-orthonormal frame V (columns; V^T g V = I, X V = g V diag(lam)).
+    problem of L^{-1} X L^{-T}; no eigenvectors are formed.
     """
     X = np.asarray(X, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -257,22 +257,15 @@ def eigen_wrt_metric(X: np.ndarray, g: np.ndarray):
         raise NotSPD("metric block not positive definite") from exc
     T = np.linalg.solve(L, X)
     B = np.linalg.solve(L, np.swapaxes(T, -1, -2))
-    B = 0.5 * (B + np.swapaxes(B, -1, -2))
-    lam, Q = np.linalg.eigh(B)
-    lam = lam[..., ::-1]
-    Q = Q[..., ::-1]
-    V = np.linalg.solve(np.swapaxes(L, -1, -2), Q)
-    return lam, V
+    return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, -1, -2)))[..., ::-1]
 
 
 def eigen_wrt_metric_field(X: np.ndarray, geo: MetricField, grid: ChartGrid):
-    """Batched pencil eigenvalues of an interior tensor field.
+    """Batched pencil eigenvalues (descending) of an interior tensor field.
 
-    X has shape interior + (n, n); returns (lam, V) with matching leading
-    shape.  Flat metrics skip the Cholesky reduction.
+    X has shape interior + (n, n); the eigenvalues have shape interior + (n,).
+    Flat metrics skip the Cholesky reduction.
     """
     if geo.is_flat:
-        lam, Q = np.linalg.eigh(X)
-        return lam[..., ::-1], Q[..., ::-1]
-    g_int = geo.g[grid.interior]
-    return eigen_wrt_metric(X, g_int)
+        return np.linalg.eigvalsh(X)[..., ::-1]
+    return eigen_wrt_metric(X, geo.g[grid.interior])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
-from .operator import PENALTY_ROOT, Problem, StateEval, evaluate_state, operator_L
+from .operator import PENALTY_ROOT, Problem, evaluate_state, operator_L, spectrum
 from .symfunc import estimate_theta, sample_cone_points
 
 __all__ = [
@@ -54,7 +54,7 @@ def compute_norm_bundle(u: np.ndarray, prob: Problem, epsilon: float) -> NormBun
     if not st.admissible:
         raise NotAdmissible([], "norm bundle requested at a non-admissible state")
     grad_norm = float(np.linalg.norm(st.p, axis=1).max())
-    hess_norm = float(np.abs(st.lam).max())
+    hess_norm = float(np.abs(spectrum(st, prob)[0]).max())
     hess_entry = float(np.abs(st.hess_cov).max())
     violation = float(np.maximum(u - prob.h, 0.0).max())
     penalty_sup = float(st.beta.max())
@@ -75,12 +75,12 @@ def compute_norm_bundle(u: np.ndarray, prob: Problem, epsilon: float) -> NormBun
 # inequality audits
 # ---------------------------------------------------------------------------
 
-def compact_set(sub_state: StateEval):
+def compact_set(mu: np.ndarray, grad: np.ndarray):
     """The compact set K = {mu(x)} (deduplicated) of the subsolution's
-    eigenvalue tuples, their unit normals nu_mu (N, n), and the default
-    normal-gap threshold zeta0 = min(min nu_mu / 2, (1 - 1e-6) / (2 sqrt n))."""
-    mu = sub_state.lam
-    nu_mu = sub_state.fgrad / np.linalg.norm(sub_state.fgrad, axis=1, keepdims=True)
+    eigenvalue tuples mu, their unit normals nu_mu (N, n) from grad = Df(mu),
+    and the default normal-gap threshold
+    zeta0 = min(min nu_mu / 2, (1 - 1e-6) / (2 sqrt n))."""
+    nu_mu = grad / np.linalg.norm(grad, axis=1, keepdims=True)
     zeta0 = float(min(nu_mu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(mu.shape[1]))))
     return np.unique(np.round(mu, 12), axis=0), nu_mu, zeta0
 
@@ -134,7 +134,7 @@ def audit_inequalities(
     st_sub = evaluate_state(u_sub, prob, epsilons[0])
     if not st_sub.admissible:
         raise NotAdmissible([], "audit requires admissible solution and subsolution")
-    K, nu_mu, zeta0 = compact_set(st_sub)
+    K, nu_mu, zeta0 = compact_set(*spectrum(st_sub, prob))
     if zeta0 <= 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
     lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
@@ -145,11 +145,11 @@ def audit_inequalities(
         st = evaluate_state(u, prob, epsilon)
         if not st.admissible:
             raise NotAdmissible([], "audit requires admissible solution and subsolution")
-        fg = st.fgrad
+        lam, fg = spectrum(st, prob)
         nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
         sum_fi = fg.sum(axis=1)
 
-        own_theta = estimate_theta(prob.fspec, K, zeta0, st.lam).theta_hat
+        own_theta = estimate_theta(prob.fspec, K, zeta0, lam).theta_hat
         thetas = [t for t in (cloud_theta, own_theta) if t is not None]  # None = vacuous
         theta_hat = min(thetas) if thetas else None
 
@@ -159,7 +159,7 @@ def audit_inequalities(
 
         Lv = operator_L(st, prob, u_sub - u).ravel()
         beta = st.beta
-        hess_norm = float(np.abs(st.lam).max())
+        hess_norm = float(np.abs(lam).max())
         tol = (c_audit or 10.0 * hess_norm) * h2
 
         violations = 0

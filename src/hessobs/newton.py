@@ -163,11 +163,11 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
             break
-        lin = linearize(res.state, prob)
+        J = linearize(res.state, prob)
         # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
         # so the path tangent solves J du/deps = -beta / eps
         rhs = np.stack([-res.values.ravel(), -res.state.beta / epsilon], axis=1)
-        x = _linear_solve(lin.matrix, rhs, grid.interior_shape)
+        x = _linear_solve(J, rhs, grid.interior_shape)
         delta = _on_grid(grid, x[:, 0])
         tangent = x[:, 1]
 

@@ -4,17 +4,19 @@ The residual at an interior point is
 
     r = f(lam(nabla^2 u + A(x, u, Du))) - psi(x, u, Du) - beta_eps(u - h),
 
-with the cubic penalty beta_eps(z) = z^3/eps for z > 0.  The Jacobian is
-assembled spectrally: in the g-orthonormal eigenframe of U = nabla^2 u + A,
-dF = sum_a f_a(lam) v_a (x) v_a, pushed back through the Cholesky congruence;
-chain-rule contributions of A_z, A_p, psi_z, psi_p and beta' complete the
-stencil.  The assembled sparse matrix is the exact Jacobian of the discrete
-residual (the spectral first derivative is exact, ties handled by cluster
-averaging).
+with the cubic penalty beta_eps(z) = z^3/eps for z > 0.  The Newton path
+never forms the eigenvalues lam: the sigma_j margins, f and
+F^{ij} = dF/dU_{ij} = D g^{-1} are polynomials in B = g^{-1} U, U =
+nabla^2 u + A, and come from the Newton-tensor recursion of
+`f_and_grad_of_matrix`, which is smooth at repeated eigenvalues.
+Chain-rule contributions of A_z, A_p, psi_z, psi_p and beta' complete the
+stencil, so the assembled sparse matrix is the exact Jacobian of the
+discrete residual.  Only the monitors read lam itself, through `spectrum`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +32,17 @@ from .geometry import (
     gradient_centered,
     interior_shift,
 )
-from .symfunc import SymmetricFunctionSpec, f_and_grad_masked, sigma_margins
+from .symfunc import SymmetricFunctionSpec, f_and_grad_masked, f_and_grad_of_matrix, sigma_margins
 
 __all__ = [
     "CoefficientField",
     "Problem",
     "StateEval",
-    "LinearizedSystem",
     "PENALTY_POWER",
     "PENALTY_ROOT",
     "penalty",
     "residual",
+    "spectrum",
     "linearize",
     "operator_L",
     "assemble_operator",
@@ -158,6 +160,10 @@ class Problem:
     def g_interior(self):
         return self._g_int
 
+    @functools.cached_property
+    def ginv_interior(self):  # read by curved metrics only
+        return self.metric.ginv[self.grid.interior].reshape(self._g_int.shape)
+
     @property
     def h_interior(self):
         return self._h_int
@@ -197,17 +203,17 @@ def penalty(epsilon: float, z):
 
 @dataclass
 class StateEval:
-    """All pointwise quantities of one iterate, flattened over interior points."""
+    """All pointwise quantities of one iterate, flattened over interior
+    points; the eigenvalues of g^{-1} U are left to `spectrum`."""
 
     z: np.ndarray  # u at interior points
     p: np.ndarray  # centered gradient (N, n)
     hess_cov: np.ndarray  # covariant Hessian (N, n, n)
-    lam: np.ndarray  # pencil eigenvalues of U = hess_cov + A, descending (N, n)
-    V: np.ndarray  # g-orthonormal frames (N, n, n)
-    fval: np.ndarray  # f(lam), NaN where outside the cone
-    fgrad: np.ndarray  # Df(lam), tie-averaged
+    U: np.ndarray  # hess_cov + A (N, n, n)
+    Fij: np.ndarray  # dF/dU in chart coordinates (N, n, n), NaN where outside the cone
+    fval: np.ndarray  # f(lam(g^{-1} U)), NaN where outside the cone
     ok: np.ndarray  # admissibility mask
-    sig: np.ndarray  # sigma_1..sigma_k margins (N, k)
+    sig: np.ndarray  # sigma_1..sigma_k margins of lam(g^{-1} U) (N, k)
     psi: np.ndarray
     beta: np.ndarray
     dbeta: np.ndarray
@@ -225,28 +231,6 @@ class StateEval:
         return self.fval - self.psi - self.beta
 
 
-def _average_tied_gradients(lam: np.ndarray, fg: np.ndarray) -> np.ndarray:
-    """Average f_i over clusters of (numerically) repeated eigenvalues.
-
-    For symmetric f the analytic values already agree on ties; averaging
-    removes the frame ambiguity of round-off-split eigenvalues.  lam is sorted
-    descending, so a cluster is a maximal run of neighbours within tol.
-    """
-    n = lam.shape[1]
-    tol = 1e-10 * (1.0 + np.abs(lam).max(axis=1))
-    split = (lam[:, :-1] - lam[:, 1:]) > tol[:, None]
-    cluster = np.concatenate([np.zeros((lam.shape[0], 1), dtype=int),
-                              np.cumsum(split, axis=1)], axis=1)
-    out = fg.copy()
-    for c in range(n - 1):  # a cluster of two or more starts at most at n - 2
-        member = cluster == c
-        size = member.sum(axis=1)
-        tied = size > 1
-        mean = np.where(member[tied], fg[tied], 0.0).sum(axis=1) / size[tied]
-        out[tied] = np.where(member[tied], mean[:, None], out[tied])
-    return out
-
-
 def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     """Evaluate every pointwise ingredient of the residual at iterate u."""
     grid = prob.grid
@@ -254,26 +238,30 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     z = u[grid.interior].ravel()
     p = gradient_centered(u, grid).reshape(-1, n)
     Hc = covariant_hessian(u, prob.metric, grid).reshape(-1, n, n)
-    x = prob.x_interior
-    g = prob.g_interior
-    A, psi = prob.coeff.at(x, z, p, g)
-    lam_g, V_g = eigen_wrt_metric_field(
-        (Hc + A).reshape(grid.interior_shape + (n, n)), prob.metric, grid
-    )
-    lam = lam_g.reshape(-1, n)
-    V = V_g.reshape(-1, n, n)
-    sig = sigma_margins(prob.fspec, lam)
-    fval, fgrad, ok = f_and_grad_masked(prob.fspec, lam, sig)
-    if np.any(ok):
-        fgrad[ok] = _average_tied_gradients(lam[ok], fgrad[ok])
-    if psi.min() < PSI_FLOOR:
+    A, psi = prob.coeff.at(prob.x_interior, z, p, prob.g_interior)
+    if not psi.min() >= PSI_FLOOR:  # also a NaN psi
         raise PsiNotPositive(
-            f"psi minimum {psi.min():.3e} below floor {PSI_FLOOR}; the method requires psi > 0"
+            f"psi minimum {psi.min():.3e} not above floor {PSI_FLOOR}; the method requires psi > 0"
         )
+    U = Hc + A
+    if prob.metric.is_flat:
+        sig, fval, Fij, ok = f_and_grad_of_matrix(prob.fspec, U)
+    else:  # dF/dU = D g^{-1} for the derivative D in B = g^{-1} U
+        sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, prob.ginv_interior @ U)
+        Fij = D @ prob.ginv_interior
     beta, dbeta, _ = penalty(epsilon, z - prob.h_interior)
-    return StateEval(z=z, p=p, hess_cov=Hc, lam=lam, V=V,
-                     fval=fval, fgrad=fgrad, ok=ok, sig=sig,
+    return StateEval(z=z, p=p, hess_cov=Hc, U=U, Fij=Fij, fval=fval, ok=ok, sig=sig,
                      psi=psi, beta=beta, dbeta=dbeta)
+
+
+def spectrum(st: StateEval, prob: Problem):
+    """Pencil eigenvalues lam of U (descending, (N, n)) and Df(lam), NaN
+    rows outside the cone, of an evaluated state.  The monitors read these
+    once per epsilon; the Newton path does not need them."""
+    n = prob.grid.n
+    lam = eigen_wrt_metric_field(st.U.reshape(prob.grid.interior_shape + (n, n)),
+                                 prob.metric, prob.grid).reshape(-1, n)
+    return lam, f_and_grad_masked(prob.fspec, lam, sigma_margins(prob.fspec, lam))[1]
 
 
 @dataclass
@@ -308,52 +296,32 @@ def residual(u: np.ndarray, prob: Problem, epsilon: float) -> ResidualResult:
 # linearization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LinearizedSystem:
-    """Pointwise coefficients and the assembled sparse Jacobian.
-
-    first_order holds the covariant-operator coefficient
-    (F^{ij} A^{ij}_{p_k} - psi_{p_k}); the assembled stencil additionally
-    carries the -F^{ij} Gamma^k_{ij} correction from the covariant Hessian.
-    """
-
-    Fij: np.ndarray  # (N, n, n), dF/dU in chart coordinates
-    first_order: np.ndarray  # (N, n)
-    zero_order: np.ndarray  # (N,)
-    matrix: sp.csr_matrix  # Jacobian over interior unknowns
-    state: StateEval
-
-
-def _principal_and_first_order(st: StateEval, prob: Problem):
-    """F^{ij} = dF/dU and the first-order coefficient
-    F^{ij} A^{ij}_{p_k} - psi_{p_k} at an admissible state."""
+def _first_order(st: StateEval, prob: Problem):
+    """The first-order coefficient F^{ij} A^{ij}_{p_k} - psi_{p_k} of an
+    admissible state."""
     if not st.admissible:
         bad = np.argwhere(~st.ok.reshape(prob.grid.interior_shape))
         raise NotAdmissible([tuple(int(v) + 1 for v in row) for row in bad])
-    Fij = np.einsum("...ia,...a,...ja->...ij", st.V, st.fgrad, st.V)
     A_p, psi_p = prob.coeff.at(prob.x_interior, st.z, st.p, prob.g_interior, wrt="p")
-    return Fij, np.einsum("...ij,...kij->...k", Fij, A_p) - psi_p
+    return np.einsum("...ij,...kij->...k", st.Fij, A_p) - psi_p
 
 
-def linearize(state: StateEval, prob: Problem) -> LinearizedSystem:
-    """Exact Jacobian of the discrete residual at an evaluated admissible
-    iterate; `state` is the `evaluate_state` result of that iterate (its
-    epsilon enters through the penalty derivative it holds)."""
+def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
+    """Exact Jacobian of the discrete residual over the interior unknowns at
+    an evaluated admissible iterate; `state` is the `evaluate_state` result
+    of that iterate (its epsilon enters through the penalty derivative it
+    holds).  The covariant Hessian adds -F^{ij} Gamma^k_{ij} to the
+    first-order stencil."""
     grid = prob.grid
     n = grid.n
-    Fij, first_order = _principal_and_first_order(state, prob)
+    Fij = state.Fij
+    c1 = _first_order(state, prob)
     A_z, psi_z = prob.coeff.at(prob.x_interior, state.z, state.p, prob.g_interior, wrt="z")
     zero_order = np.einsum("...ij,...ij->...", Fij, A_z) - psi_z - state.dbeta
-
-    if prob.metric.is_flat:
-        c1_stencil = first_order
-    else:
+    if not prob.metric.is_flat:
         gamma = prob.metric.christoffel[grid.interior].reshape(-1, n, n, n)
-        c1_stencil = first_order - np.einsum("...ij,...kij->...k", Fij, gamma)
-
-    J = assemble_operator(grid, Fij, c1_stencil, zero_order)
-    return LinearizedSystem(Fij=Fij, first_order=first_order,
-                            zero_order=zero_order, matrix=J, state=state)
+        c1 = c1 - np.einsum("...ij,...kij->...k", Fij, gamma)
+    return assemble_operator(grid, Fij, c1, zero_order)
 
 
 def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
@@ -417,10 +385,10 @@ def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
     """
     grid = prob.grid
     n = grid.n
-    Fij, c1 = _principal_and_first_order(state, prob)
+    c1 = _first_order(state, prob)
     Hv = covariant_hessian(v, prob.metric, grid).reshape(-1, n, n)
     dv = gradient_centered(v, grid).reshape(-1, n)
-    out = np.einsum("...ij,...ij->...", Fij, Hv) + np.einsum("...k,...k->...", c1, dv)
+    out = np.einsum("...ij,...ij->...", state.Fij, Hv) + np.einsum("...k,...k->...", c1, dv)
     return out.reshape(grid.interior_shape)
 
 

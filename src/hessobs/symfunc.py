@@ -15,7 +15,8 @@ by the second-order estimates.
 Internally both families share one code path: the pure root family is the
 quotient with l = 0 and sigma_0 = 1.  All derivative formulas run through
 logarithmic differentiation, which stays stable for eigenvalues spanning many
-orders of magnitude.
+orders of magnitude.  `f_and_grad_of_matrix` evaluates f and its derivative
+on a batch of matrices through their Newton tensors, without eigenvalues.
 
 Every cone test in the sampling and decay code is one batched mask,
 `_inside`.  The samplers draw their private generator in a fixed order (see
@@ -48,6 +49,7 @@ __all__ = [
     "sample_cone_points",
     "estimate_theta",
     "f_and_grad_masked",
+    "f_and_grad_of_matrix",
     "sigma_margins",
 ]
 
@@ -231,15 +233,52 @@ def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _f_batch(spec: SymmetricFunctionSpec, lam: np.ndarray):
-    """f on rows of lam via log form; caller guarantees positivity of sigmas.
+    """(f, sig_k, sig_l) on rows of lam via log form; caller guarantees
+    positivity of sigmas."""
+    return _f_of_sigmas(spec, elementary_symmetric(lam, spec.k))
 
-    Returns (f, sig_k, sig_l).
+
+def _f_of_sigmas(spec: SymmetricFunctionSpec, e: np.ndarray):
+    """(f, sig_k, sig_l) from the rows sigma_0 = 1, sigma_1..sigma_k of e by
+    the log form, which covers both families (sigma_0 = 1 for l = 0)."""
+    sk, sl = e[:, spec.k], e[:, spec.l]
+    return np.exp((np.log(sk) - np.log(sl)) / spec.degree), sk, sl
+
+
+def f_and_grad_of_matrix(spec: SymmetricFunctionSpec, B: np.ndarray):
+    """Batched (sig, f, D, ok) of the eigenvalues of the (N, n, n) matrices
+    B, without computing the eigenvalues.
+
+    sigma_j(lam(B)) and the Newton tensors T_j of B come from the recursion
+
+        T_0 = I,  sigma_j = tr(B T_{j-1}) / j,  T_j = sigma_j I - B T_{j-1},
+
+    and d sigma_j = tr(T_{j-1} dB) (Reilly, J. Differential Geom. 8, 1973).
+    sig holds sigma_1..sigma_k (N, k) and ok marks the rows where all are
+    positive.  There f takes the log form of `_f_batch`, and
+    D = f/(k-l) (T_{k-1}/sigma_k - T_{l-1}/sigma_l) is its derivative in
+    the sense df = tr(D dB); f and D are NaN on the other rows.
     """
-    e = elementary_symmetric(lam, spec.k)
-    sk = e[:, spec.k]
-    sl = e[:, spec.l] if spec.l else np.ones_like(sk)
-    f = np.exp((np.log(sk) - np.log(sl)) / spec.degree)
-    return f, sk, sl
+    N, n = B.shape[:2]
+    e = np.ones((N, spec.k + 1))
+    T = [np.broadcast_to(np.eye(n), B.shape)]
+    BT = B
+    for j in range(1, spec.k + 1):
+        e[:, j] = np.trace(BT, axis1=1, axis2=2) / j
+        if j < spec.k:
+            T.append(e[:, j, None, None] * np.eye(n) - BT)
+            BT = B @ T[j]
+    sig = e[:, 1:]
+    ok = np.all(sig > 0.0, axis=1)
+    f = np.full(N, np.nan)
+    D = np.full(B.shape, np.nan)
+    if np.any(ok):
+        f[ok], sk, sl = _f_of_sigmas(spec, e[ok])
+        dlog = T[spec.k - 1][ok] / sk[:, None, None]  # d log(sigma_k / sigma_l)
+        if spec.l:
+            dlog -= T[spec.l - 1][ok] / sl[:, None, None]
+        D[ok] = (f[ok] / spec.degree)[:, None, None] * dlog
+    return sig, f, D, ok
 
 
 def eval_f(spec: SymmetricFunctionSpec, lam) -> float:
@@ -305,8 +344,8 @@ def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndar
     """Batched (f, Df, ok) with NaN rows where lam is not strictly inside,
     given the rows' margins sig = sigma_margins(spec, lam).
 
-    The non-raising entry point for field-level operator assembly; callers
-    must honor the mask.
+    The non-raising entry point for eigenvalue fields (`operator.spectrum`);
+    callers must honor the mask.
     """
     ok = np.all(sig > 0.0, axis=1)
     f = np.full(lam.shape[0], np.nan)

@@ -20,7 +20,7 @@ from hessobs.monitors import (
     sweep_summary,
 )
 from hessobs.newton import NewtonConfig, continuation_solve, newton_solve
-from hessobs.operator import evaluate_state
+from hessobs.operator import evaluate_state, spectrum
 from hessobs.problems import (
     bundled_config_text,
     radial_exact,
@@ -146,8 +146,9 @@ def test_criterion_3_theta_certificate():
     with criterion(3, "supporting-plane constant certificate on the sigma_2 problem", 10.0):
         rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")))
         st = evaluate_state(rs.problem.subsolution, rs.problem, rs.config.schedule.eps0)
-        K = np.unique(np.round(st.lam, 12), axis=0)
-        nu = st.fgrad / np.linalg.norm(st.fgrad, axis=1, keepdims=True)
+        mu, grad = spectrum(st, rs.problem)
+        K = np.unique(np.round(mu, 12), axis=0)
+        nu = grad / np.linalg.norm(grad, axis=1, keepdims=True)
         zeta0 = float(min(nu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(2.0))))
         lam = sample_cone_points(rs.problem.fspec, 10_000, seed=42)
         cert = estimate_theta(rs.problem.fspec, K, zeta0, lam)

@@ -166,15 +166,17 @@ def _tabulated(tmp_path, row):
     lambda tmp: SMALL_MA.replace("A = zero", "A ="),
     lambda tmp: SMALL_MA.replace("A = zero", 'A = scalar_metric "0.1*z'),
     lambda tmp: SMALL_MA.replace("theta_samples = 2000", "theta_samples = 0"),
+    lambda tmp: SMALL_MA.replace('h = "0.625*(x1^2+x2^2) + 0.3"',
+                                 'h = "0.625*(x1^2+x2^2) + 0.3 + 0*sqrt(x1)"'),
 ], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
-        "empty_A", "unclosed_quote_in_A", "no_theta_samples"])
+        "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h"])
 def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     bad = tmp_path / "bad.cfg"
     bad.write_text(make_text(tmp_path))
     assert main(["sweep", str(bad), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert "Traceback" not in err
+    assert err.startswith("config error: [line ")
+    assert err.count("\n") == 1  # one line: no traceback, no numpy warning
     assert not (tmp_path / "out").exists()
 
 
@@ -200,15 +202,17 @@ def test_solver_failure_exit2(small_cfg, tmp_path):
 
 
 def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
-    # psi = 1.2 - 0.5 z turns negative on the subsolution: PsiNotPositive is a
-    # library error, not a SolverError, and must still leave its report
-    cfg = tmp_path / "neg_psi.cfg"
-    cfg.write_text(SMALL_MA.replace('psi = "1"', 'psi = "1.2 - 0.5*z"'))
-    out = tmp_path / "out"
-    assert main(["solve", str(cfg), "--out", str(out), "--quiet"]) == 2
-    report = json.loads((out / "report.json").read_text())
-    assert report["solver_failure"]["error"] == "PsiNotPositive"
-    assert "solves" not in report
+    # psi = 1.2 - 0.5 z turns negative on the subsolution, and 1 + 0.1 sqrt(x1)
+    # is NaN for x1 < 0: PsiNotPositive is a library error, not a SolverError,
+    # and must still leave its report
+    for i, psi in enumerate(["1.2 - 0.5*z", "1 + 0.1*sqrt(x1)"]):
+        cfg = tmp_path / f"bad_psi_{i}.cfg"
+        cfg.write_text(SMALL_MA.replace('psi = "1"', f'psi = "{psi}"'))
+        out = tmp_path / f"out_{i}"
+        assert main(["solve", str(cfg), "--out", str(out), "--quiet"]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["solver_failure"]["error"] == "PsiNotPositive"
+        assert "solves" not in report
 
 
 # sigma_2 in 3d: a paraboloid subsolution with root ratio 1.25 against psi,

@@ -15,7 +15,7 @@ from hessobs.monitors import (
     sweep_summary,
 )
 from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
-from hessobs.operator import Problem, coefficients_from_expressions, evaluate_state
+from hessobs.operator import Problem, coefficients_from_expressions, evaluate_state, spectrum
 from hessobs.symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
 
 
@@ -145,10 +145,10 @@ def test_audit_theta_cloud_certified_once(solved_ma, monkeypatch):
     monkeypatch.undo()
 
     cloud = sample_cone_points(prob.fspec, 500, 3)
-    K, _, zeta0 = compact_set(evaluate_state(prob.subsolution, prob, res.epsilons[0]))
+    K, _, zeta0 = compact_set(*spectrum(evaluate_state(prob.subsolution, prob, res.epsilons[0]), prob))
     assert len(audits) == 3
     for aud, u, eps in zip(audits, res.solutions, res.epsilons):
-        lam = evaluate_state(u, prob, eps).lam
+        lam = spectrum(evaluate_state(u, prob, eps), prob)[0]
         assert aud.theta_hat is not None
         cert = estimate_theta(prob.fspec, K, zeta0, np.vstack([cloud, lam]))
         assert aud.theta_hat == cert.theta_hat

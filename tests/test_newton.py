@@ -118,7 +118,7 @@ def test_ma_admissibility_margin_positive_every_iteration():
     u, rep = newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
     assert rep.converged
     assert all(m > 0 for m in rep.margin_history)
-    assert np.linalg.eigvalsh(linearize(evaluate_state(u, prob, 1e-2), prob).Fij).min() > 0
+    assert np.linalg.eigvalsh(evaluate_state(u, prob, 1e-2).Fij).min() > 0
 
 
 def test_ma_quadratic_tail():
@@ -227,7 +227,7 @@ def _flat_3d():
                          ids=["2d-conformal-kappa_zg", "3d-flat"])
 def test_ordered_solve_matches_plain_spsolve(make):
     prob, u = make()
-    J = linearize(evaluate_state(u, prob, 1e-2), prob).matrix
+    J = linearize(evaluate_state(u, prob, 1e-2), prob)
     assert abs(J - J.T).max() > 1e-6 * abs(J).max()  # not symmetric
     b = np.random.default_rng(5).standard_normal(J.shape[0])
     x = _linear_solve(J, b, prob.grid.interior_shape)
@@ -240,7 +240,7 @@ def test_ordered_solve_matches_plain_spsolve(make):
 def test_two_column_solve_matches_two_solves(make):
     # the Newton step and the tangent share one factorization
     prob, u = make()
-    J = linearize(evaluate_state(u, prob, 1e-2), prob).matrix
+    J = linearize(evaluate_state(u, prob, 1e-2), prob)
     b = np.random.default_rng(6).standard_normal((J.shape[0], 2))
     shape = prob.grid.interior_shape
     x = _linear_solve(J, b, shape)
@@ -264,12 +264,12 @@ def singular_linearize(monkeypatch):
     import hessobs.newton as newton
 
     def emptied(state, prob):
-        lin = linearize(state, prob)
-        keep = np.ones(lin.matrix.shape[0])
+        J = linearize(state, prob)
+        keep = np.ones(J.shape[0])
         keep[0] = 0.0
-        J = sp.diags(keep) @ lin.matrix
+        J = sp.diags(keep) @ J
         J.eliminate_zeros()
-        return dataclasses.replace(lin, matrix=J.tocsr())
+        return J.tocsr()
 
     monkeypatch.setattr(newton, "linearize", emptied)
 
@@ -358,6 +358,25 @@ def test_continuation_evaluates_no_state_twice(monkeypatch):
     result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
     assert len(set(seen)) == len(seen)
+
+
+def test_continuation_needs_no_eigenvalues(monkeypatch):
+    # sigma_j, f and F^{ij} come from Newton tensors: the solve itself never
+    # diagonalises, on a flat and on a conformal metric
+    import hessobs.operator as operator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen decomposition in the Newton path")
+
+    monkeypatch.setattr(operator, "eigen_wrt_metric_field", refuse)
+    base = parse_config(bundled_config_text("ma_obstacle")).override(grid_m=17, eps_min=1e-4)
+    conformal = parse_config(base.to_text().replace("kind = flat",
+                                                    'kind = conformal\n  phi = "0.05*x1"'))
+    for cfg in (base, conformal):
+        rs = build_runsetup(cfg)
+        assert rs.problem.metric.is_flat == (cfg is base)
+        result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+        assert all(r.converged for r in result.reports)
 
 
 def test_continuation_factors_once_per_newton_step(monkeypatch):

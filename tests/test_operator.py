@@ -7,7 +7,6 @@ from hessobs.errors import BadEpsilon, NotAdmissible, PsiNotPositive
 from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
 from hessobs.operator import (
     Problem,
-    _average_tied_gradients,
     coefficients_from_expressions,
     evaluate_state,
     laplace_beltrami_solve,
@@ -129,13 +128,13 @@ def test_residual_manufactured_order():
 def test_linearize_sigma1_is_discrete_laplacian():
     prob = make_problem(m=9, psi="1")
     u = prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
-    lin = linearize(evaluate_state(u, prob, 1e-2), prob)
-    assert np.abs(lin.Fij - np.eye(2)).max() < 1e-12
+    st = evaluate_state(u, prob, 1e-2)
+    assert np.abs(st.Fij - np.eye(2)).max() < 1e-12
     # matrix row for an interior point away from the boundary: 5-point laplacian
     grid = prob.grid
     idx = grid.interior_index_map()
     center = idx[4, 4]
-    row = lin.matrix.getrow(center).toarray().ravel()
+    row = linearize(st, prob).getrow(center).toarray().ravel()
     h2 = grid.spacing[0] ** 2
     assert row[center] == pytest.approx(-4.0 / h2)
     for nb in (idx[3, 4], idx[5, 4], idx[4, 3], idx[4, 5]):
@@ -155,8 +154,7 @@ def test_linearize_fij_positive_definite():
     u = prob.grid.sample(
         lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + 0.2 * np.sin(x[..., 0]) + 3.0
     )
-    lin = linearize(evaluate_state(u, prob, 1e-2), prob)
-    assert np.linalg.eigvalsh(lin.Fij).min() > 0.0
+    assert np.linalg.eigvalsh(evaluate_state(u, prob, 1e-2).Fij).min() > 0.0
 
 
 @pytest.mark.parametrize("fspec", [SymmetricFunctionSpec(2, 1), SymmetricFunctionSpec(2, 2),
@@ -174,14 +172,14 @@ def test_jacobian_matches_directional_fd(fspec):
     bump[prob.grid.interior] = 0.002 * rng.standard_normal(prob.grid.interior_shape)
     u = base + bump  # interior-perturbed admissible state, violates h slightly
     eps = 1e-2
-    lin = linearize(evaluate_state(u, prob, eps), prob)
+    J = linearize(evaluate_state(u, prob, eps), prob)
     r0 = residual(u, prob, eps).values.ravel()
     t = 1e-6
     worst = 0.0
     for _ in range(20):
         d = np.zeros(prob.grid.shape)
         d[prob.grid.interior] = rng.standard_normal(prob.grid.interior_shape)
-        Jd = lin.matrix @ d[prob.grid.interior].ravel()
+        Jd = J @ d[prob.grid.interior].ravel()
         r1 = residual(u + t * d, prob, eps).values.ravel()
         fd = (r1 - r0) / t
         rel = np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12)
@@ -196,13 +194,13 @@ def test_jacobian_fd_scalar_metric_p_dependent():
     rng = np.random.default_rng(3)
     u = prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 + 0.3 * x[..., 0] + 2.0)
     eps = 1e-2
-    lin = linearize(evaluate_state(u, prob, eps), prob)
+    J = linearize(evaluate_state(u, prob, eps), prob)
     r0 = residual(u, prob, eps).values.ravel()
     t = 1e-6
     for _ in range(5):
         d = np.zeros(prob.grid.shape)
         d[prob.grid.interior] = rng.standard_normal(prob.grid.interior_shape)
-        Jd = lin.matrix @ d[prob.grid.interior].ravel()
+        Jd = J @ d[prob.grid.interior].ravel()
         fd = (residual(u + t * d, prob, eps).values.ravel() - r0) / t
         assert np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12) < 1e-4
 
@@ -238,14 +236,37 @@ def test_jacobian_fd_conformal_metric():
                    coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
     u = grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
     eps = 1e-2
-    lin = linearize(evaluate_state(u, prob, eps), prob)
+    J = linearize(evaluate_state(u, prob, eps), prob)
     r0 = residual(u, prob, eps).values.ravel()
     rng = np.random.default_rng(3)
     t = 1e-6
     for _ in range(5):
         d = np.zeros(grid.shape)
         d[grid.interior] = rng.standard_normal(grid.interior_shape)
-        Jd = lin.matrix @ d[grid.interior].ravel()
+        Jd = J @ d[grid.interior].ravel()
+        fd = (residual(u + t * d, prob, eps).values.ravel() - r0) / t
+        assert np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12) < 1e-4
+
+
+def test_jacobian_fd_sigma2_anisotropic_metric():
+    # F^{ij} = D g^{-1} on a metric with off-diagonal entries
+    grid = ChartGrid.box((-1, -1), (1, 1), 11)
+    metric = metric_from_callable(
+        grid, lambda x: np.array([[1.5 + 0.3 * x[0], 0.4 * np.sin(x[1])],
+                                  [0.4 * np.sin(x[1]), 1.0 + 0.2 * x[0] * x[1]]]))
+    coeff = coefficients_from_expressions(2, "1 + 0.05*p1", "kappa_zg", 0.2)
+    prob = Problem(grid=grid, metric=metric, fspec=SymmetricFunctionSpec(2, 2),
+                   coeff=coeff, h=np.full(grid.shape, 3.1), phi=np.zeros(grid.shape))
+    u = grid.sample(lambda x: x[..., 0] ** 2 + 1.5 * x[..., 1] ** 2 + 0.3 * x[..., 0] * x[..., 1] + 3.0)
+    eps = 1e-2
+    J = linearize(evaluate_state(u, prob, eps), prob)
+    r0 = residual(u, prob, eps).values.ravel()
+    rng = np.random.default_rng(4)
+    t = 1e-6
+    for _ in range(5):
+        d = np.zeros(grid.shape)
+        d[grid.interior] = rng.standard_normal(grid.interior_shape)
+        Jd = J @ d[grid.interior].ravel()
         fd = (residual(u + t * d, prob, eps).values.ravel() - r0) / t
         assert np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12) < 1e-4
 
@@ -257,9 +278,9 @@ def test_linearize_sigma1_curved_fij_is_metric_inverse():
     prob = Problem(grid=grid, metric=metric, fspec=SymmetricFunctionSpec(2, 1),
                    coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
     u = grid.sample(lambda x: 4.0 * (x[..., 0] ** 2 + x[..., 1] ** 2))
-    lin = linearize(evaluate_state(u, prob, 1e-2), prob)
+    st = evaluate_state(u, prob, 1e-2)
     ginv = metric.ginv[grid.interior].reshape(-1, 2, 2)
-    assert np.abs(lin.Fij - ginv).max() < 1e-10
+    assert np.abs(st.Fij - ginv).max() < 1e-10
 
 
 # -------------------------------------------------- operator_L
@@ -288,26 +309,6 @@ def test_operator_L_linearity():
     lhs = operator_L(st, prob, 2.0 * v - 0.5 * w)
     rhs = 2.0 * operator_L(st, prob, v) - 0.5 * operator_L(st, prob, w)
     assert np.abs(lhs - rhs).max() < 1e-8
-
-
-# -------------------------------------------------- tie averaging
-
-@pytest.mark.parametrize("lam, fg, expected", [
-    # n = 2: exact tie, round-off tie, untied row (must come back unchanged)
-    ([[2.0, 2.0], [2.0 + 1e-12, 2.0], [3.0, 1.0]],
-     [[1.0, 4.0], [1.0, 4.0], [1.0, 4.0]],
-     [[2.5, 2.5], [2.5, 2.5], [1.0, 4.0]]),
-    # n = 3: 2-way tie at the top, 2-way tie at the bottom, 3-way tie, untied
-    ([[5.0, 5.0, 1.0], [5.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 2.0, 1.0]],
-     [[1.0, 2.0, 7.0], [1.0, 2.0, 7.0], [1.0, 2.0, 6.0], [0.1, 0.2, 0.7]],
-     [[1.5, 1.5, 7.0], [1.0, 4.5, 4.5], [3.0, 3.0, 3.0], [0.1, 0.2, 0.7]]),
-], ids=["n2", "n3"])
-def test_average_tied_gradients_clusters(lam, fg, expected):
-    fg = np.array(fg)
-    before = fg.copy()
-    out = _average_tied_gradients(np.array(lam), fg)
-    assert np.array_equal(out, np.array(expected))
-    assert np.array_equal(fg, before)
 
 
 # -------------------------------------------------- laplace-beltrami solve
@@ -348,13 +349,13 @@ def test_jacobian_fd_3d():
                    h=np.full(grid.shape, 50.0), phi=np.zeros(grid.shape))
     u = grid.sample(lambda x: (x**2).sum(axis=-1) + 3.0)
     eps = 1e-2
-    lin = linearize(evaluate_state(u, prob, eps), prob)
+    J = linearize(evaluate_state(u, prob, eps), prob)
     r0 = residual(u, prob, eps).values.ravel()
     rng = np.random.default_rng(5)
     t = 1e-6
     for _ in range(5):
         d = np.zeros(grid.shape)
         d[grid.interior] = rng.standard_normal(grid.interior_shape)
-        Jd = lin.matrix @ d[grid.interior].ravel()
+        Jd = J @ d[grid.interior].ravel()
         fd = (residual(u + t * d, prob, eps).values.ravel() - r0) / t
         assert np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12) < 1e-4

@@ -17,8 +17,10 @@ from hessobs.symfunc import (
     _hess_batch,
     check_structure_conditions,
     cone_membership,
+    cone_tolerances,
     estimate_theta,
     eval_f,
+    f_and_grad_of_matrix,
     grad_f,
     hess_f,
     normal_vector,
@@ -408,6 +410,74 @@ def test_cone_tests_are_batched(monkeypatch):
     calls.clear()
     check_structure_conditions(spec, 1000, 0)
     assert len(calls) < 1000
+
+
+# -------------------------------------------------- Newton-tensor path
+
+def _eigen_reference(spec, U, g):
+    """The eigen path: pencil eigenvalues lam of U v = lam g v in a
+    g-orthonormal frame V, f(lam) and F^{ij} = V diag(Df(lam)) V^T."""
+    L = np.linalg.cholesky(g)
+    C = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, U), 1, 2))
+    lam, Q = np.linalg.eigh(0.5 * (C + np.swapaxes(C, 1, 2)))
+    V = np.linalg.solve(np.swapaxes(L, 1, 2), Q)
+    f, Df = symfunc._grad_batch(spec, lam)
+    return lam, f, np.einsum("...ia,...a,...ja->...ij", V, Df, V)
+
+
+@pytest.mark.parametrize("metric", ["flat", "spd"])
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_newton_tensors_match_eigen_path(spec, metric):
+    # rows: the sampler's bulk, its last tenth at 0.999 of the exit
+    # parameter, and exact ties; each turned into U = L Q diag(lam) Q^T L^T
+    rng = np.random.default_rng(17)
+    ties = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 1.0], [3.0, 1.0, 1.0], [2.0, 2.0, -0.5],
+                     [1e-2, 1e-2, 1e-2], [4e2, 4e2, 4e2]])[:, : spec.n]
+    lam = np.vstack([sample_cone_points(spec, 200, seed=5), ties[symfunc._inside(spec, ties)]])
+    N, n = lam.shape
+    edge = np.zeros(N, dtype=bool)
+    edge[200 - int(200 * symfunc.BOUNDARY_FRACTION):200] = True
+    Q = np.linalg.qr(rng.standard_normal((N, n, n)))[0]
+    if metric == "flat":
+        g = np.broadcast_to(np.eye(n), (N, n, n))
+    else:
+        A = rng.standard_normal((N, n, n))
+        g = A @ np.swapaxes(A, 1, 2) + n * np.eye(n)
+    L = np.linalg.cholesky(g)
+    LQ = L @ Q
+    U = LQ @ (lam[:, :, None] * np.swapaxes(LQ, 1, 2))
+    U = 0.5 * (U + np.swapaxes(U, 1, 2))
+
+    ginv = np.linalg.inv(g)
+    sig, f, D, ok = f_and_grad_of_matrix(spec, ginv @ U)
+    Fij = D @ ginv  # dF/dU, as evaluate_state forms it
+    lam_ref, f_ref, F_ref = _eigen_reference(spec, U, g)
+    assert ok.all()
+    tol = cone_tolerances(spec, lam_ref)
+    assert np.all(np.abs(sig - sigma_margins(spec, lam_ref)) <= tol)
+    f_err = np.abs(f - f_ref) / f_ref
+    F_err = np.abs(Fij - F_ref).max(axis=(1, 2)) / np.abs(F_ref).max(axis=(1, 2))
+    assert f_err[~edge].max() <= 1e-12 and F_err[~edge].max() <= 1e-12
+    # at 0.999 of the exit parameter sigma_k is small against |lam|^k, and
+    # the eigen path's own f is off by up to 1.5e-11 there (on flat rows,
+    # sigma_k in exact rational arithmetic sits closer to the Newton
+    # tensors'); both stay within the margin band, carried through
+    # log sigma_k - log sigma_l
+    band = tol[:, spec.k - 1] / sig[:, spec.k - 1]
+    if spec.l:
+        band += tol[:, spec.l - 1] / sig[:, spec.l - 1]
+    assert np.all(f_err[edge] <= 1e-12 + band[edge])
+    assert np.all(F_err[edge] <= 1e-12 + band[edge])
+
+
+def test_newton_tensors_flag_rows_outside_the_cone():
+    spec = SymmetricFunctionSpec(3, 2)
+    B = np.array([np.diag([1.0, 1.0, 1.0]), np.diag([3.0, 1.0, -1.0]), np.full((3, 3), np.nan)])
+    sig, f, D, ok = f_and_grad_of_matrix(spec, B)
+    assert ok.tolist() == [True, False, False]
+    assert np.allclose(sig[:2], [[3.0, 3.0], [3.0, -1.0]])
+    assert np.isnan(f[1:]).all() and np.isnan(D[1:]).all()
+    assert f[0] == pytest.approx(np.sqrt(3.0))
 
 
 # -------------------------------------------------- theta estimates
