@@ -24,6 +24,7 @@ from .monitors import (
     compact_set,
     compute_norm_bundle,
     extract_contact_set,
+    solved_state,
     sweep_summary,
 )
 from .newton import continuation_solve, default_initializer
@@ -108,19 +109,21 @@ def cmd_sweep(rs: RunSetup, args) -> int:
 
 
 def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result) -> int:
-    bundles = []
+    audit = rs.config.audit
+    bundles, states = [], []  # the solved states are kept for the audit only
     solves = [_solve_row(rep) for rep in result.reports]
     hist_rows = []
     for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
-        b = compute_norm_bundle(u, rs.problem, eps)
-        bundles.append(b)
+        solved = solved_state(u, rs.problem, eps)
+        bundles.append(compute_norm_bundle(solved, rs.problem))
+        if audit.enabled:
+            states.append(solved)
         for it, rmax in enumerate(rep.residual_history):
             step = rep.step_history[it - 1] if it >= 1 else ""
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
                               rep.margin_history[it]))
-    audit = rs.config.audit
     audits = audit_inequalities(
-        result.solutions, result.epsilons, _subsolution(rs.problem), rs.problem,
+        states, _subsolution(rs.problem), rs.problem,
         c_audit=audit.c_audit, theta_samples=audit.theta_samples, seed=audit.seed,
     ) if audit.enabled else []
 

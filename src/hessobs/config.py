@@ -223,6 +223,11 @@ def _line(blocks, block, key):
     return blocks.get(block, {}).get(key, (None, None))[1]
 
 
+def _first_line(blocks, block):
+    """Line of the first entry of `block`, for a rule between its keys."""
+    return min((ln for _, ln in blocks.get(block, {}).values()), default=None)
+
+
 _REQUIRED = object()
 
 
@@ -329,11 +334,12 @@ def parse_config(text: str) -> ProblemConfig:
              "metric_file": _line(blocks, "metric", "file")}
 
     schedule = _checked(lambda: PenaltySchedule(**_entries(
-        blocks, "schedule", {"eps0": float, "ratio": float, "eps_min": float})))
+        blocks, "schedule", {"eps0": float, "ratio": float, "eps_min": float})),
+        line=_first_line(blocks, "schedule"))
     newton = _entries(blocks, "newton", {"tol": float, "max_iters": int})
     if "tol" in newton:
         newton["tol_residual"] = newton.pop("tol")
-    newton = _checked(lambda: NewtonConfig(**newton))
+    newton = _checked(lambda: NewtonConfig(**newton), line=_first_line(blocks, "newton"))
     audit = _checked(lambda: AuditConfig(**_entries(
         blocks, "audit", {"enabled": _flag, "c_audit": float, "theta_samples": int, "seed": int})),
         line=_line(blocks, "audit", "theta_samples"))

@@ -19,10 +19,12 @@ import numpy as np
 
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
-from .operator import PENALTY_ROOT, Problem, evaluate_state, operator_L, spectrum
+from .operator import PENALTY_ROOT, Problem, StateEval, evaluate_state, operator_L, spectrum
 from .symfunc import estimate_theta, sample_cone_points
 
 __all__ = [
+    "SolvedState",
+    "solved_state",
     "NormBundle",
     "InequalityAudit",
     "ContactSet",
@@ -37,6 +39,27 @@ __all__ = [
 
 
 @dataclass
+class SolvedState:
+    """A solved field u at epsilon with its evaluated state and its pencil
+    eigenvalues lam and Df(lam); the norm bundle and the audit of one
+    epsilon both read it."""
+
+    u: np.ndarray
+    epsilon: float
+    state: StateEval
+    lam: np.ndarray
+    fg: np.ndarray
+
+
+def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
+    """Evaluate an admissible solved state once for every monitor."""
+    st = evaluate_state(u, prob, epsilon)
+    if not st.admissible:
+        raise NotAdmissible([], "monitors requested at a non-admissible state")
+    return SolvedState(u, epsilon, st, *spectrum(st, prob))
+
+
+@dataclass
 class NormBundle:
     epsilon: float
     c0_norm: float  # max |u| over the closed chart
@@ -48,13 +71,11 @@ class NormBundle:
     bound_ok: bool  # violation <= (penalty_sup * eps)^(1/3) + 1e-12
 
 
-def compute_norm_bundle(u: np.ndarray, prob: Problem, epsilon: float) -> NormBundle:
+def compute_norm_bundle(s: SolvedState, prob: Problem) -> NormBundle:
     """Uniform-estimate monitors of a solved state."""
-    st = evaluate_state(u, prob, epsilon)
-    if not st.admissible:
-        raise NotAdmissible([], "norm bundle requested at a non-admissible state")
+    u, st, epsilon = s.u, s.state, s.epsilon
     grad_norm = float(np.linalg.norm(st.p, axis=1).max())
-    hess_norm = float(np.abs(spectrum(st, prob)[0]).max())
+    hess_norm = float(np.abs(s.lam).max())
     hess_entry = float(np.abs(st.hess_cov).max())
     violation = float(np.maximum(u - prob.h, 0.0).max())
     penalty_sup = float(st.beta.max())
@@ -101,16 +122,15 @@ class InequalityAudit:
 
 
 def audit_inequalities(
-    solutions: list,
-    epsilons: list,
+    states: list,
     u_sub: np.ndarray,
     prob: Problem,
     c_audit: float = 0.0,
     theta_samples: int = 4000,
     seed: int = 0,
 ) -> list[InequalityAudit]:
-    """Audit the two-case differential inequalities on each solved state of a
-    sweep (solutions[i] solved at epsilons[i]); one audit per state.
+    """Audit the two-case differential inequalities on each SolvedState of a
+    sweep; one audit per state.
 
     Case 1 (normal gap >= zeta0):
         L(usub - u) + beta_eps(u - h) >= (theta_hat/2) (1 + sum f_i) - tol
@@ -131,9 +151,9 @@ def audit_inequalities(
     grid = prob.grid
     n = grid.n
     h2 = float(grid.spacing.max()) ** 2
-    st_sub = evaluate_state(u_sub, prob, epsilons[0])
+    st_sub = evaluate_state(u_sub, prob, states[0].epsilon)
     if not st_sub.admissible:
-        raise NotAdmissible([], "audit requires admissible solution and subsolution")
+        raise NotAdmissible([], "audit requires an admissible subsolution")
     K, nu_mu, zeta0 = compact_set(*spectrum(st_sub, prob))
     if zeta0 <= 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
@@ -141,11 +161,8 @@ def audit_inequalities(
     cloud_theta = estimate_theta(prob.fspec, K, zeta0, lam_rand).theta_hat
 
     audits = []
-    for u, epsilon in zip(solutions, epsilons):
-        st = evaluate_state(u, prob, epsilon)
-        if not st.admissible:
-            raise NotAdmissible([], "audit requires admissible solution and subsolution")
-        lam, fg = spectrum(st, prob)
+    for s in states:
+        u, epsilon, st, lam, fg = s.u, s.epsilon, s.state, s.lam, s.fg
         nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
         sum_fi = fg.sum(axis=1)
 

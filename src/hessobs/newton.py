@@ -1,9 +1,10 @@
 """Damped Newton with admissibility safeguard, and predictor-corrector
 continuation over a decreasing penalty schedule.
 
-Each Newton step factors the exact sparse Jacobian once, by LU in a
-nested-dissection order of the interior grid, and solves it for two
-right-hand sides: the Newton direction and the path tangent du/deps.  It
+Each Newton step solves the exact sparse Jacobian for two right-hand
+sides, the Newton direction and the path tangent du/deps, by GMRES
+preconditioned by one geometric multigrid V-cycle, to the inexact-Newton
+tolerance min(0.1, |F|_inf / sqrt(N)) (a small grid is solved directly).  It
 backtracks with two acceptance rules: (a) every interior point of the
 candidate stays inside the cone with margin at least (1 - tau_ftb) times the
 current margin, and (b) Armijo decrease of the squared residual norm.  The
@@ -21,6 +22,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -117,9 +119,9 @@ class SolveReport:
     # how continuation_solve chose the start: "initial", "predictor" or "warm_start"
     start: str = "initial"
     # evaluated state of the returned iterate, and the path tangent du/deps
-    # over the interior solved with the last Newton step's factorization (at
-    # the iterate before it; None without a step); continuation_solve takes
-    # both for the predictor and releases them
+    # over the interior solved with the last Newton step's direction (at the
+    # iterate before it; None without a step); continuation_solve takes both
+    # for the predictor and releases them
     final_state: StateEval | None = field(default=None, repr=False, compare=False)
     tangent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -167,7 +169,8 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
         # so the path tangent solves J du/deps = -beta / eps
         rhs = np.stack([-res.values.ravel(), -res.state.beta / epsilon], axis=1)
-        x = _linear_solve(J, rhs, grid.interior_shape)
+        rtol = min(FORCING_MAX, rnorm / np.sqrt(rhs.shape[0]))
+        x = _linear_solve(J, rhs, grid.interior_shape, rtol)
         delta = _on_grid(grid, x[:, 0])
         tangent = x[:, 1]
 
@@ -222,54 +225,125 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     return u, report
 
 
+# linear solve: GMRES preconditioned by one multigrid V-cycle.  A level
+# with more than COARSE_N unknowns is coarsened, and the coarsest is solved
+# directly, so a grid of at most COARSE_N unknowns is one direct solve:
+# on ma_obstacle Jacobians a direct solve is the cheaper one up to 361
+# unknowns (2d) and the V-cycle from 529 on.  Each level is smoothed by
+# SMOOTHING_SWEEPS damped Jacobi sweeps (weight JACOBI_WEIGHT) before and
+# after its coarse correction.  A Newton step with residual max-norm r over
+# N unknowns solves to relative residual min(FORCING_MAX, r / sqrt(N))
+# (inexact Newton); GMRES restarts every GMRES_RESTART iterations, at most
+# GMRES_CYCLES times.
+COARSE_N = 500
+SMOOTHING_SWEEPS = 2
+JACOBI_WEIGHT = 0.7
+FORCING_MAX = 0.1
+GMRES_RESTART = 20
+GMRES_CYCLES = 10
+
+
+def _interpolation(k: int) -> sp.csr_matrix:
+    """Linear interpolation from k // 2 coarse to k fine points of one axis
+    (Dirichlet ends): coarse point j sits at fine point 2j + 1."""
+    j = np.arange(k // 2)
+    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+    cols = np.concatenate([j, j, j])
+    vals = np.concatenate([np.ones(j.size), np.full(2 * j.size, 0.5)])
+    keep = rows < k
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(k, k // 2))
+
+
 @functools.lru_cache(maxsize=8)
-def _nested_dissection(shape: tuple) -> np.ndarray:
-    """Fill-reducing order of the C-ordered unknowns of a grid block (George's
-    nested dissection): bisect the longest axis at its middle plane, order the
-    two halves recursively and the separator plane after them.  A block whose
-    longest side is below 3 has no separator and keeps its natural order.  A
-    plane separates both the 9-point (2d) and the 19-point (3d) stencil.  The
-    order depends only on the shape (one per sweep), so it is cached and
-    read-only."""
-    pieces = []
-
-    def dissect(block):
-        axis = int(np.argmax(block.shape))
-        k = block.shape[axis]
-        if k < 3:
-            pieces.append(block.ravel())
-            return
-        low, separator, high = np.split(block, [k // 2, k // 2 + 1], axis=axis)
-        dissect(low)
-        dissect(high)
-        pieces.append(separator.ravel())
-
-    dissect(np.arange(int(np.prod(shape))).reshape(shape))
-    order = np.concatenate(pieces)
-    order.flags.writeable = False
-    return order
+def _hierarchy(shape: tuple) -> tuple:
+    """The multigrid levels below a grid block of C-ordered unknowns: one
+    (coarse shape, P, R) per coarsening, with P the tensor product of the
+    axes' linear interpolation and R = P^T / 2^n.  A level is coarsened
+    while it has more than COARSE_N unknowns and every axis at least 3
+    points.  It depends only on the shape (one per sweep), so it is cached
+    and read-only."""
+    levels = []
+    while int(np.prod(shape)) > COARSE_N and min(shape) >= 3:
+        P = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
+                             [_interpolation(k) for k in shape])
+        R = (P.T / 2 ** len(shape)).tocsr()
+        for M in (P, R):
+            for a in (M.data, M.indices, M.indptr):
+                a.flags.writeable = False
+        shape = tuple(k // 2 for k in shape)
+        levels.append((shape, P, R))
+    return tuple(levels)
 
 
-def _linear_solve(J, b: np.ndarray, shape: tuple) -> np.ndarray:
-    """x = J^{-1} b over the interior unknowns of a grid of `shape`.
-
-    b holds one right-hand side (N,) or several as columns (N, k); all are
-    solved with one factorization.  J and b are permuted symmetrically into
-    nested-dissection order, so SuperLU factors with that column order
-    (NATURAL) and its default partial pivoting; J is not symmetric in
-    general.  A singular or non-finite solve raises SingularJacobian.
-    """
-    order = _nested_dissection(shape)
+def _v_cycle(J, shape: tuple):
+    """One V-cycle for J over the interior unknowns of a grid of `shape`, as
+    a function of the right-hand side.  Coarse operators are the Galerkin
+    products R A P; the coarsest level is factored by LU.  A zero or
+    non-finite diagonal on a smoothed level, or a singular coarsest level,
+    raises SingularJacobian."""
+    transfers = _hierarchy(shape)
+    ops = [J]
+    for _, P, R in transfers:
+        ops.append(R @ ops[-1] @ P)
+    weights = []
+    for A in ops[:-1]:
+        d = A.diagonal()
+        if not np.all(np.isfinite(d) & (d != 0.0)):
+            raise SingularJacobian("zero or non-finite Jacobian diagonal")
+        weights.append(JACOBI_WEIGHT / d)
     try:
-        with np.errstate(all="raise"):
-            y = spla.spsolve(J[order][:, order].tocsc(), b[order], permc_spec="NATURAL")
-    except (RuntimeError, FloatingPointError) as exc:
+        coarse = spla.splu(ops[-1].tocsc())
+    except RuntimeError as exc:
         raise SingularJacobian(str(exc)) from exc
-    if not np.all(np.isfinite(y)):
-        raise SingularJacobian("non-finite Newton direction")
-    x = np.empty_like(y)
-    x[order] = y
-    return x
+
+    levels = list(zip(ops, weights, transfers))
+
+    def cycle(b):
+        # down: pre-smooth from zero and restrict the residual, level by level
+        down = []
+        for A, w, (_, _, R) in levels:
+            x = w * b
+            for _ in range(SMOOTHING_SWEEPS - 1):
+                x += w * (b - A @ x)
+            down.append((x, b))
+            b = R @ (b - A @ x)
+        x = coarse.solve(b)
+        # up: add the prolonged correction and post-smooth
+        for (A, w, (_, P, _)), (x_fine, b) in zip(levels[::-1], down[::-1]):
+            x = x_fine + P @ x
+            for _ in range(SMOOTHING_SWEEPS):
+                x += w * (b - A @ x)
+        return x
+
+    return cycle
+
+
+def _linear_solve(J, b: np.ndarray, shape: tuple, rtol: float) -> np.ndarray:
+    """x with ||J x - b||_2 <= rtol ||b||_2 over the interior unknowns of a
+    grid of `shape`, by GMRES preconditioned by one V-cycle of `_v_cycle`.
+
+    b holds one right-hand side (N,) or several as columns (N, k); all share
+    the one V-cycle set-up.  J is not symmetric in general.  Without levels
+    the V-cycle is the exact solve, and GMRES stops after one iteration.  A
+    singular V-cycle, a non-finite solution or a column that misses rtol on
+    its true residual raises SingularJacobian.
+    """
+    cycle = _v_cycle(J, shape)
+    M = spla.LinearOperator(J.shape, matvec=cycle, dtype=float)
+    B = b.reshape(b.shape[0], -1)
+    X = np.empty(B.shape)
+    for j in range(B.shape[1]):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                X[:, j], _ = spla.gmres(J, B[:, j], rtol=rtol, atol=0.0, M=M,
+                                        restart=GMRES_RESTART, maxiter=GMRES_CYCLES)
+        except FloatingPointError as exc:
+            raise SingularJacobian(str(exc)) from exc
+        if not np.all(np.isfinite(X[:, j])):
+            raise SingularJacobian("non-finite Newton direction")
+        if not np.linalg.norm(J @ X[:, j] - B[:, j]) <= rtol * np.linalg.norm(B[:, j]):
+            raise SingularJacobian(f"GMRES missed relative residual {rtol:.1e}")
+    return X.reshape(b.shape)
 
 
 def _on_grid(grid, interior_values: np.ndarray) -> np.ndarray:
@@ -341,8 +415,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     later epsilon starts from the prediction of `_predicted_start`: an Euler
     step from the first solution, and from the third epsilon on the cubic
     Hermite extrapolation through the last two solutions.  Their tangents
-    come out of the Newton solves, which factor each Jacobian once for the
-    step and the tangent.  The previous solution itself is the start when
+    come out of the Newton solves, which solve each Jacobian for the step
+    and the tangent together.  The previous solution itself is the start when
     the prediction is not better; the report records which in `start`.  A
     prediction's residual, evaluated for that comparison, is the Newton
     solve's start residual.  The state of one epsilon is released once the

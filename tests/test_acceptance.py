@@ -17,6 +17,7 @@ from hessobs.monitors import (
     compute_norm_bundle,
     contact_radius,
     extract_contact_set,
+    solved_state,
     sweep_summary,
 )
 from hessobs.newton import NewtonConfig, continuation_solve, newton_solve
@@ -100,7 +101,7 @@ def sweep_m65(name):
         rs = build_runsetup(parse_config(bundled_config_text(name)))
         res = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
         bundles = [
-            compute_norm_bundle(u, rs.problem, e)
+            compute_norm_bundle(solved_state(u, rs.problem, e), rs.problem)
             for u, e in zip(res.solutions, res.epsilons)
         ]
         _CACHE[key] = (rs, res, bundles)
@@ -175,7 +176,7 @@ def test_criterion_4_laplacian_obstacle_oracle():
         assert err <= 5e-3
         assert np.abs(res.final - u_lcp).max() <= 5e-3
 
-        b = compute_norm_bundle(res.final, rs.problem, res.epsilons[-1])
+        b = compute_norm_bundle(solved_state(res.final, rs.problem, res.epsilons[-1]), rs.problem)
         cs = extract_contact_set(res.final, rs.problem.h, grid, res.epsilons[-1],
                                  b.penalty_sup, b.hess_norm)
         radius = contact_radius(cs, grid)
@@ -232,14 +233,14 @@ def test_criterion_7_second_order_uniformity():
 def test_criterion_8_inequality_audits():
     with criterion(8, "pointwise inequality audits clean at m=65", 120.0):
         rs, res = weak_radial(65)
-        [aud] = audit_inequalities([res.final], res.epsilons[-1:], rs.problem.subsolution,
-                                   rs.problem, seed=42)
+        [aud] = audit_inequalities([solved_state(res.final, rs.problem, res.epsilons[-1])],
+                                   rs.problem.subsolution, rs.problem, seed=42)
         assert aud.violations == 0
         assert abs(aud.fprime_worst) <= 1e-12  # linear family: slack exactly zero
 
         rs5, res5 = ma_manufactured(65)
-        [aud5] = audit_inequalities([res5.final], res5.epsilons[-1:], rs5.problem.subsolution,
-                                    rs5.problem, seed=42)
+        [aud5] = audit_inequalities([solved_state(res5.final, rs5.problem, res5.epsilons[-1])],
+                                    rs5.problem.subsolution, rs5.problem, seed=42)
         assert aud5.violations == 0
         assert aud5.case1_points + aud5.case2_points == rs5.problem.grid.n_interior
 

@@ -52,6 +52,22 @@ def test_sweep_exit0_and_contact_nonempty(small_cfg, tmp_path):
     assert len(contact) > 2  # meta + header + at least one cell
 
 
+def test_norms_and_audit_share_one_state_per_epsilon(small_cfg, tmp_path, monkeypatch):
+    # the monitors evaluate and diagonalise each solved state once, and the
+    # subsolution once for the audit
+    import hessobs.monitors as monitors
+
+    calls = {"evaluate_state": 0, "spectrum": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(monitors, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(monitors, name, counting)
+    assert main(["sweep", str(small_cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    epsilons = json.loads((tmp_path / "out" / "report.json").read_text())["epsilons"]
+    assert calls == {"evaluate_state": len(epsilons) + 1, "spectrum": len(epsilons) + 1}
+
+
 def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
     # a roundoff change in tau must not change the csv bytes; report.json
     # keeps the full value
@@ -168,8 +184,11 @@ def _tabulated(tmp_path, row):
     lambda tmp: SMALL_MA.replace("theta_samples = 2000", "theta_samples = 0"),
     lambda tmp: SMALL_MA.replace('h = "0.625*(x1^2+x2^2) + 0.3"',
                                  'h = "0.625*(x1^2+x2^2) + 0.3 + 0*sqrt(x1)"'),
+    lambda tmp: SMALL_MA.replace("eps_min = 0.0001", "eps_min = 0.5"),
+    lambda tmp: SMALL_MA.replace("max_iters = 80", "max_iters = 0"),
 ], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
-        "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h"])
+        "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h", "eps_min_above_eps0",
+        "no_newton_iterations"])
 def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     bad = tmp_path / "bad.cfg"
     bad.write_text(make_text(tmp_path))

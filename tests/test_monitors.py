@@ -12,6 +12,7 @@ from hessobs.monitors import (
     compute_norm_bundle,
     contact_radius,
     extract_contact_set,
+    solved_state,
     sweep_summary,
 )
 from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
@@ -45,7 +46,7 @@ def solved_ma():
 def test_bundle_inactive_state_zero_penalty(solved_ma):
     prob, _ = solved_ma
     u = np.array(prob.subsolution)  # below the obstacle everywhere
-    b = compute_norm_bundle(u, prob, 1e-2)
+    b = compute_norm_bundle(solved_state(u, prob, 1e-2), prob)
     assert b.penalty_sup == 0.0
     assert b.obstacle_violation == 0.0
     assert b.bound_ok
@@ -54,7 +55,7 @@ def test_bundle_inactive_state_zero_penalty(solved_ma):
 def test_bundle_violation_penalty_identity(solved_ma):
     prob, res = solved_ma
     for u, eps in zip(res.solutions, res.epsilons):
-        b = compute_norm_bundle(u, prob, eps)
+        b = compute_norm_bundle(solved_state(u, prob, eps), prob)
         if b.obstacle_violation > 0:
             assert b.penalty_sup == pytest.approx(b.obstacle_violation**3 / eps, rel=1e-12)
         assert b.bound_ok
@@ -72,7 +73,7 @@ def test_bundle_known_values():
                    fspec=SymmetricFunctionSpec(2, 1), coeff=coeff,
                    h=base, phi=base)
     u = base + 0.01 * bump  # smooth, Gamma_1-admissible, max violation 0.01
-    b = compute_norm_bundle(u, prob, 1e-6)
+    b = compute_norm_bundle(solved_state(u, prob, 1e-6), prob)
     assert b.obstacle_violation == pytest.approx(0.01)
     assert b.penalty_sup == pytest.approx(1.0)
 
@@ -85,7 +86,7 @@ def test_bundle_boundary_case_zero():
                    fspec=SymmetricFunctionSpec(2, 1), coeff=coeff,
                    h=np.zeros((9, 9)), phi=grid.sample(lambda x: -1.0 + 0.5 * (x**2).sum(-1)))
     u = grid.sample(lambda x: 0.5 * (x**2).sum(-1) - 1.0)
-    b = compute_norm_bundle(u, prob, 1e-2)
+    b = compute_norm_bundle(solved_state(u, prob, 1e-2), prob)
     assert b.penalty_sup == 0.0 and b.obstacle_violation == 0.0
 
 
@@ -101,7 +102,8 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
                    h=usub + 0.2, phi=usub, subsolution=usub)
     res = continuation_solve(prob, PenaltySchedule(1e-3, 0.1, 1e-3),
                              NewtonConfig(tol_residual=1e-10))
-    [aud] = audit_inequalities([res.final], [1e-3], prob.subsolution, prob, seed=1)
+    [aud] = audit_inequalities([solved_state(res.final, prob, 1e-3)], prob.subsolution, prob,
+                               seed=1)
     assert aud.case1_points == 0  # linear f: constant normal
     assert aud.case2_points == prob.grid.n_interior
     assert aud.violations == 0
@@ -111,7 +113,8 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
 
 def test_audit_u_equals_subsolution(solved_ma):
     prob, _ = solved_ma
-    [aud] = audit_inequalities([prob.subsolution], [1e-2], prob.subsolution, prob, seed=1)
+    [aud] = audit_inequalities([solved_state(prob.subsolution, prob, 1e-2)], prob.subsolution,
+                               prob, seed=1)
     # L(usub - u) = 0 and beta(usub - h) = 0 since usub <= h
     assert aud.case1_points == 0
     assert aud.violations == 0
@@ -120,8 +123,8 @@ def test_audit_u_equals_subsolution(solved_ma):
 
 def test_audit_solved_ma_no_violations(solved_ma):
     prob, res = solved_ma
-    [aud] = audit_inequalities([res.final], res.epsilons[-1:], prob.subsolution, prob,
-                               seed=42)
+    [aud] = audit_inequalities([solved_state(res.final, prob, res.epsilons[-1])],
+                               prob.subsolution, prob, seed=42)
     assert aud.violations == 0
     assert aud.case1_points > 0  # nonlinear family genuinely exercises case 1
     assert aud.theta_hat is not None and aud.theta_hat > 0
@@ -140,8 +143,8 @@ def test_audit_theta_cloud_certified_once(solved_ma, monkeypatch):
     monkeypatch.setattr(monitors, "estimate_theta",
                         lambda spec, K, zeta, lams: calls.append(lams)
                         or estimate(spec, K, zeta, lams))
-    audits = audit_inequalities(res.solutions, res.epsilons, prob.subsolution, prob,
-                                theta_samples=500, seed=3)
+    states = [solved_state(u, prob, e) for u, e in zip(res.solutions, res.epsilons)]
+    audits = audit_inequalities(states, prob.subsolution, prob, theta_samples=500, seed=3)
     monkeypatch.undo()
 
     cloud = sample_cone_points(prob.fspec, 500, 3)
@@ -167,7 +170,7 @@ def test_contact_empty_when_obstacle_high(solved_ma):
 def test_contact_nesting_in_tau(solved_ma):
     prob, res = solved_ma
     u, eps = res.final, res.epsilons[-1]
-    b = compute_norm_bundle(u, prob, eps)
+    b = compute_norm_bundle(solved_state(u, prob, eps), prob)
     cs_small = extract_contact_set(u, prob.h, prob.grid, eps, b.penalty_sup, b.hess_norm)
     cs_large = extract_contact_set(u, prob.h, prob.grid, eps, 8.0 * b.penalty_sup, b.hess_norm)
     assert cs_large.tau > cs_small.tau
@@ -178,7 +181,7 @@ def test_contact_stability_across_epsilon(solved_ma):
     prob, res = solved_ma
     masks = []
     for u, eps in zip(res.solutions[-2:], res.epsilons[-2:]):
-        b = compute_norm_bundle(u, prob, eps)
+        b = compute_norm_bundle(solved_state(u, prob, eps), prob)
         masks.append(extract_contact_set(u, prob.h, prob.grid, eps, b.penalty_sup, b.hess_norm).mask)
     sym_diff = np.count_nonzero(masks[0] ^ masks[1])
     assert sym_diff <= 0.35 * max(1, np.count_nonzero(masks[0]))
@@ -230,7 +233,8 @@ def test_sweep_flags_nonuniform():
 
 def test_sweep_solved_ma_uniform(solved_ma):
     prob, res = solved_ma
-    bundles = [compute_norm_bundle(u, prob, e) for u, e in zip(res.solutions, res.epsilons)]
+    bundles = [compute_norm_bundle(solved_state(u, prob, e), prob)
+               for u, e in zip(res.solutions, res.epsilons)]
     rep = sweep_summary(bundles)
     assert rep.ratios["penalty_sup"] <= 2.0
     assert rep.ratios["hess_norm"] <= 1.5

@@ -13,10 +13,11 @@ from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import NoAdmissibleStart, SingularJacobian
 from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
 from hessobs.newton import (
+    COARSE_N,
     NewtonConfig,
     PenaltySchedule,
+    _hierarchy,
     _linear_solve,
-    _nested_dissection,
     _path_point,
     _predict,
     continuation_solve,
@@ -189,23 +190,38 @@ def test_line_search_rejections_are_counted(monkeypatch):
 
 # -------------------------------------------------- linear solve
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (95, 95), (1, 1, 1), (13, 13, 13),
-                                   (7, 12, 5)], ids=str)
-def test_nested_dissection_is_cached_permutation(shape):
-    order = _nested_dissection(shape)
-    assert np.array_equal(np.sort(order), np.arange(int(np.prod(shape))))
-    assert _nested_dissection(shape) is order
-    assert not order.flags.writeable
-    # the last separator is the middle plane of the longest axis
-    axis = int(np.argmax(shape))
-    if shape[axis] >= 3:
-        index = np.arange(order.size).reshape(shape)
-        plane = np.take(index, shape[axis] // 2, axis=axis).ravel()
-        assert np.array_equal(order[-plane.size:], plane)
+# grid shape -> the shapes of its multigrid levels, finest first
+LEVEL_SHAPES = {
+    (1, 1): [(1, 1)],
+    (2, 2): [(2, 2)],
+    (95, 95): [(95, 95), (47, 47), (23, 23), (11, 11)],
+    (1, 1, 1): [(1, 1, 1)],
+    (13, 13, 13): [(13, 13, 13), (6, 6, 6)],
+    (7, 12, 5): [(7, 12, 5)],  # 420 unknowns: one direct solve
+}
 
 
-def _conformal_kappa_2d():
-    grid = ChartGrid.box((-1, -1), (1, 1), (23, 19))
+@pytest.mark.parametrize("shape", list(LEVEL_SHAPES), ids=str)
+def test_hierarchy_is_cached_and_read_only(shape):
+    shapes = LEVEL_SHAPES[shape]
+    levels = _hierarchy(shape)
+    assert _hierarchy(shape) is levels
+    assert [shape] + [coarse for coarse, _, _ in levels] == shapes
+    assert np.prod(shapes[-1]) <= COARSE_N
+    fine = shape
+    for coarse, P, R in levels:
+        assert P.shape == (np.prod(fine), np.prod(coarse))
+        assert abs(R - P.T / 2 ** len(shape)).max() == 0.0
+        for M in (P, R):
+            assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
+        # coarse point j sits at fine point 2j + 1 of every axis
+        first = np.ravel_multi_index((1,) * len(shape), fine)
+        assert P[first, 0] == 1.0
+        fine = coarse
+
+
+def _conformal_kappa_2d(m=(23, 19)):
+    grid = ChartGrid.box((-1, -1), (1, 1), m)
     metric = metric_from_callable(grid, lambda x: np.exp(0.4 * x[0]) * np.eye(2))
     coeff = coefficients_from_expressions(2, "1", "kappa_zg", 0.5)
     prob = Problem(grid=grid, metric=metric, fspec=SymmetricFunctionSpec(2, 2),
@@ -214,8 +230,8 @@ def _conformal_kappa_2d():
     return prob, u
 
 
-def _flat_3d():
-    grid = ChartGrid.box((-1, -1, -1), (1, 1, 1), 11)
+def _flat_3d(m=11):
+    grid = ChartGrid.box((-1, -1, -1), (1, 1, 1), m)
     coeff = coefficients_from_expressions(3, "1 + 0.1*p1 + 0.05*z")
     prob = Problem(grid=grid, metric=flat_metric(grid), fspec=SymmetricFunctionSpec(3, 2),
                    coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
@@ -223,31 +239,50 @@ def _flat_3d():
     return prob, u
 
 
-@pytest.mark.parametrize("make", [_conformal_kappa_2d, _flat_3d],
-                         ids=["2d-conformal-kappa_zg", "3d-flat"])
+# grids above COARSE_N unknowns, so that the solve runs GMRES on a V-cycle
+_MULTIGRID_CASES = pytest.mark.parametrize(
+    "make", [lambda: _conformal_kappa_2d(41), lambda: _flat_3d(15)],
+    ids=["2d-conformal-kappa_zg", "3d-flat"])
+
+
+@_MULTIGRID_CASES
 def test_ordered_solve_matches_plain_spsolve(make):
     prob, u = make()
     J = linearize(evaluate_state(u, prob, 1e-2), prob)
+    assert J.shape[0] > COARSE_N and _hierarchy(prob.grid.interior_shape)
     assert abs(J - J.T).max() > 1e-6 * abs(J).max()  # not symmetric
     b = np.random.default_rng(5).standard_normal(J.shape[0])
-    x = _linear_solve(J, b, prob.grid.interior_shape)
     ref = spla.spsolve(J.tocsc(), b)
-    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+    for rtol in (1e-3, 1e-10):
+        x = _linear_solve(J, b, prob.grid.interior_shape, rtol)
+        assert np.linalg.norm(J @ x - b) <= rtol * np.linalg.norm(b)
+        assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("make", [_conformal_kappa_2d, _flat_3d],
-                         ids=["2d-conformal-kappa_zg", "3d-flat"])
+@_MULTIGRID_CASES
 def test_two_column_solve_matches_two_solves(make):
-    # the Newton step and the tangent share one factorization
+    # the Newton step and the tangent share one V-cycle set-up
     prob, u = make()
     J = linearize(evaluate_state(u, prob, 1e-2), prob)
     b = np.random.default_rng(6).standard_normal((J.shape[0], 2))
     shape = prob.grid.interior_shape
-    x = _linear_solve(J, b, shape)
+    rtol = 1e-8
+    x = _linear_solve(J, b, shape, rtol)
     assert x.shape == b.shape
     for j in range(2):
-        ref = _linear_solve(J, b[:, j], shape)
-        assert np.abs(x[:, j] - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = _linear_solve(J, b[:, j], shape, rtol)
+        assert np.linalg.norm(J @ x[:, j] - b[:, j]) <= rtol * np.linalg.norm(b[:, j])
+        assert np.linalg.norm(x[:, j] - ref) <= rtol * np.linalg.norm(ref)
+
+
+def test_linear_solve_checks_its_true_residual():
+    # a tolerance below roundoff cannot be met: the solve raises instead of
+    # handing back a direction that misses it
+    prob, u = _conformal_kappa_2d(41)
+    J = linearize(evaluate_state(u, prob, 1e-2), prob)
+    b = np.random.default_rng(7).standard_normal(J.shape[0])
+    with pytest.raises(SingularJacobian, match="missed relative residual"):
+        _linear_solve(J, b, prob.grid.interior_shape, 1e-20)
 
 
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
@@ -274,26 +309,33 @@ def singular_linearize(monkeypatch):
     monkeypatch.setattr(newton, "linearize", emptied)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+# m = 9 is one direct solve; m = 33 has a multigrid level, whose Jacobi
+# smoother meets the empty row's zero diagonal
+SINGULAR_GRIDS = (9, 33)
+
+
 def test_singular_jacobian_raises(monkeypatch):
-    prob, _ = ma_manufactured(m=9)
-    u0 = prob.subsolution + prob.grid.sample(
-        lambda x: 0.05 * np.cos(np.pi * x[..., 0] / 2) * np.cos(np.pi * x[..., 1] / 2)
-    )
     singular_linearize(monkeypatch)
-    with pytest.raises(SingularJacobian):
-        newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
+    for m in SINGULAR_GRIDS:
+        prob, _ = ma_manufactured(m=m)
+        assert bool(_hierarchy(prob.grid.interior_shape)) == (m > 9)
+        u0 = prob.subsolution + prob.grid.sample(
+            lambda x: 0.05 * np.cos(np.pi * x[..., 0] / 2) * np.cos(np.pi * x[..., 1] / 2)
+        )
+        with pytest.raises(SingularJacobian):
+            newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_singular_jacobian_cli_exit2(monkeypatch, tmp_path):
     singular_linearize(monkeypatch)
     cfg = bundled_config_path("ma_obstacle")
-    assert main(["solve", str(cfg), "--grid-m", "9", "--audit", "off",
-                 "--out", str(tmp_path), "--quiet"]) == 2
-    failure = json.loads((tmp_path / "report.json").read_text())["solver_failure"]
-    assert failure["error"] == "SingularJacobian"
-    assert failure["epsilon"] == 1e-2
+    for m in SINGULAR_GRIDS:
+        out = tmp_path / str(m)
+        assert main(["solve", str(cfg), "--grid-m", str(m), "--audit", "off",
+                     "--out", str(out), "--quiet"]) == 2
+        failure = json.loads((out / "report.json").read_text())["solver_failure"]
+        assert failure["error"] == "SingularJacobian"
+        assert failure["epsilon"] == 1e-2
 
 
 # -------------------------------------------------- continuation
@@ -380,19 +422,22 @@ def test_continuation_needs_no_eigenvalues(monkeypatch):
 
 
 def test_continuation_factors_once_per_newton_step(monkeypatch):
-    # the tangent of each epsilon comes out of its Newton solves' factorizations
+    # the tangent of each epsilon comes out of its Newton steps' linear
+    # solves: one solve per step, for the direction and the tangent together
+    import hessobs.newton as newton
+
     rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=33))
-    calls = []
-    spsolve = spla.spsolve
+    columns = []
+    solve = newton._linear_solve
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return spsolve(*args, **kwargs)
+    def counting(J, b, shape, rtol):
+        columns.append(b.shape[1])
+        return solve(J, b, shape, rtol)
 
-    monkeypatch.setattr(spla, "spsolve", counting)
+    monkeypatch.setattr(newton, "_linear_solve", counting)
     result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
-    assert len(calls) == sum(r.iterations for r in result.reports)
+    assert columns == [2] * sum(r.iterations for r in result.reports)
     assert all(r.tangent is None for r in result.reports)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from hessobs.config import build_runsetup, parse_config
 from hessobs.expressions import parse_expression
-from hessobs.monitors import compute_norm_bundle
+from hessobs.monitors import compute_norm_bundle, solved_state
 from hessobs.newton import continuation_solve
 from hessobs.problems import BUNDLED, bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec, eval_f
@@ -75,7 +75,7 @@ def test_epsilon_stability_on_contact(strong_sweep):
     rs, res = strong_sweep
     for i in range(len(res.epsilons) - 1):
         eps = res.epsilons[i]
-        b = compute_norm_bundle(res.solutions[i], rs.problem, eps)
+        b = compute_norm_bundle(solved_state(res.solutions[i], rs.problem, eps), rs.problem)
         diff = np.abs(res.solutions[i] - res.solutions[i + 1]).max()
         assert diff <= 1.5 * (b.penalty_sup * eps) ** (1.0 / 3.0)
 
@@ -84,7 +84,7 @@ def test_violation_monotone_in_epsilon(strong_sweep):
     # observed (not proved): max (u_eps - h)_+ decreases along the sweep
     rs, res = strong_sweep
     viols = [
-        compute_norm_bundle(u, rs.problem, e).obstacle_violation
+        compute_norm_bundle(solved_state(u, rs.problem, e), rs.problem).obstacle_violation
         for u, e in zip(res.solutions, res.epsilons)
     ]
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(viols, viols[1:]))
