@@ -77,6 +77,7 @@ def _solve_row(rep) -> dict:
         "start": rep.start,
         "rejected_margin": rep.rejected_margin,
         "rejected_armijo": rep.rejected_armijo,
+        "krylov_iterations": rep.krylov_iterations,
     }
 
 

@@ -1,10 +1,11 @@
 """Damped Newton with admissibility safeguard, and predictor-corrector
 continuation over a decreasing penalty schedule.
 
-Each Newton step solves the exact sparse Jacobian for two right-hand
-sides, the Newton direction and the path tangent du/deps, by GMRES
-preconditioned by one geometric multigrid V-cycle, to the inexact-Newton
-tolerance min(0.1, |F|_inf / sqrt(N)) (a small grid is solved directly).  It
+Each Newton step solves the exact sparse Jacobian for the Newton
+direction by GMRES right-preconditioned by one geometric multigrid V-cycle,
+to the inexact-Newton tolerance min(0.1, |F|_inf / sqrt(N)) (a small grid is
+solved directly).  The path tangent du/deps is solved once per epsilon, after
+convergence, with the last Newton step's Jacobian and tolerance.  It
 backtracks with two acceptance rules: (a) every interior point of the
 candidate stays inside the cone with margin at least (1 - tau_ftb) times the
 current margin, and (b) Armijo decrease of the squared residual norm.  The
@@ -22,6 +23,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -116,12 +118,15 @@ class SolveReport:
     subsolution_dominance: float | None  # min(u - subsolution) if available
     rejected_margin: int  # line-search trials rejected for cone margin
     rejected_armijo: int  # line-search trials rejected by the Armijo rule
+    # preconditioned GMRES iterations, Newton directions and tangent together
+    krylov_iterations: int
     # how continuation_solve chose the start: "initial", "predictor" or "warm_start"
     start: str = "initial"
     # evaluated state of the returned iterate, and the path tangent du/deps
-    # over the interior solved with the last Newton step's direction (at the
-    # iterate before it; None without a step); continuation_solve takes both
-    # for the predictor and releases them
+    # over the interior, solved once after convergence with the last Newton
+    # step's Jacobian (at the iterate before it; None without a step or
+    # without convergence); continuation_solve takes both for the predictor
+    # and releases them
     final_state: StateEval | None = field(default=None, repr=False, compare=False)
     tangent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -160,19 +165,18 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     hist_l2 = [np.sqrt(rl2sq)]
     steps, margins = [], [res.margin]
     rejected_margin = rejected_armijo = 0
-    tangent = None
+    krylov = 0
+    tangent_system = None  # (J, beta, rtol) of the last Newton step
 
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
             break
         J = linearize(res.state, prob)
-        # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
-        # so the path tangent solves J du/deps = -beta / eps
-        rhs = np.stack([-res.values.ravel(), -res.state.beta / epsilon], axis=1)
-        rtol = min(FORCING_MAX, rnorm / np.sqrt(rhs.shape[0]))
-        x = _linear_solve(J, rhs, grid.interior_shape, rtol)
-        delta = _on_grid(grid, x[:, 0])
-        tangent = x[:, 1]
+        rtol = min(FORCING_MAX, rnorm / np.sqrt(J.shape[0]))
+        tangent_system = (J, res.state.beta, rtol)
+        x, k = _solver(J, grid.interior_shape)(-res.values.ravel(), rtol)
+        krylov += k
+        delta = _on_grid(grid, x)
 
         margin_floor = (1.0 - FRACTION_TO_BOUNDARY) * res.margin
         t = 1.0
@@ -199,6 +203,13 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         margins.append(res.margin)
 
     converged = rnorm <= cfg.tol_residual
+    tangent = None
+    if converged and tangent_system is not None:
+        # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
+        # so the path tangent solves J du/deps = -beta / eps
+        J, beta, rtol = tangent_system
+        tangent, k = _solver(J, grid.interior_shape)(-beta / epsilon, rtol)
+        krylov += k
     dom = None
     if prob.subsolution is not None:
         dom = float((u - prob.subsolution).min())
@@ -214,6 +225,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         subsolution_dominance=dom,
         rejected_margin=rejected_margin,
         rejected_armijo=rejected_armijo,
+        krylov_iterations=krylov,
         final_state=res.state,
         tangent=tangent,
     )
@@ -225,7 +237,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     return u, report
 
 
-# linear solve: GMRES preconditioned by one multigrid V-cycle.  A level
+# linear solve: GMRES right-preconditioned by one multigrid V-cycle.  A level
 # with more than COARSE_N unknowns is coarsened, and the coarsest is solved
 # directly, so a grid of at most COARSE_N unknowns is one direct solve:
 # on ma_obstacle Jacobians a direct solve is the cheaper one up to 361
@@ -318,32 +330,86 @@ def _v_cycle(J, shape: tuple):
     return cycle
 
 
-def _linear_solve(J, b: np.ndarray, shape: tuple, rtol: float) -> np.ndarray:
-    """x with ||J x - b||_2 <= rtol ||b||_2 over the interior unknowns of a
-    grid of `shape`, by GMRES preconditioned by one V-cycle of `_v_cycle`.
+def _solver(J, shape: tuple):
+    """The linear solve with J over the interior unknowns of a grid of
+    `shape`: solve(b, rtol) returns x with ||J x - b||_2 <= rtol ||b||_2 and
+    the GMRES iterations it took.
 
-    b holds one right-hand side (N,) or several as columns (N, k); all share
-    the one V-cycle set-up.  J is not symmetric in general.  Without levels
-    the V-cycle is the exact solve, and GMRES stops after one iteration.  A
-    singular V-cycle, a non-finite solution or a column that misses rtol on
-    its true residual raises SingularJacobian.
+    Restarted GMRES runs on J M, with M one V-cycle of `_v_cycle` built at
+    the first non-zero b (a zero b gives zero).  J is not symmetric in
+    general.  Each restart cycle of `_gmres_cycle` adds its correction to x
+    and recomputes the true residual b - J x; the solve stops once that is
+    at most rtol ||b||_2.  Without levels M is the exact solve, and one
+    iteration solves.  A singular V-cycle or Hessenberg matrix, a
+    floating-point error, a non-finite x or a true residual still above
+    rtol ||b||_2 after GMRES_CYCLES cycles raises SingularJacobian.
     """
-    cycle = _v_cycle(J, shape)
-    M = spla.LinearOperator(J.shape, matvec=cycle, dtype=float)
-    B = b.reshape(b.shape[0], -1)
-    X = np.empty(B.shape)
-    for j in range(B.shape[1]):
+    cycle = None
+
+    def solve(b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+        nonlocal cycle
+        x = np.zeros(b.shape)
+        r, rnorm = b, np.linalg.norm(b)
+        if rnorm == 0.0:
+            return x, 0
+        if cycle is None:
+            cycle = _v_cycle(J, shape)
+        target = rtol * rnorm
+        iterations = 0
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                X[:, j], _ = spla.gmres(J, B[:, j], rtol=rtol, atol=0.0, M=M,
-                                        restart=GMRES_RESTART, maxiter=GMRES_CYCLES)
-        except FloatingPointError as exc:
+                for _ in range(GMRES_CYCLES):
+                    dx, k = _gmres_cycle(J, cycle, r, rnorm, target)
+                    x += dx
+                    iterations += k
+                    r = b - J @ x
+                    rnorm = np.linalg.norm(r)
+                    if rnorm <= target:
+                        break
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
             raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(X[:, j])):
+        if not np.all(np.isfinite(x)):
             raise SingularJacobian("non-finite Newton direction")
-        if not np.linalg.norm(J @ X[:, j] - B[:, j]) <= rtol * np.linalg.norm(B[:, j]):
+        if not rnorm <= target:
             raise SingularJacobian(f"GMRES missed relative residual {rtol:.1e}")
-    return X.reshape(b.shape)
+        return x, iterations
+
+    return solve
+
+
+def _gmres_cycle(J, M, r: np.ndarray, rnorm: float, target: float) -> tuple[np.ndarray, int]:
+    """One restart cycle of GMRES on J M from the residual r of norm rnorm:
+    the correction M V y and the number of iterations.
+
+    Arnoldi by modified Gram-Schmidt builds the basis V, and Givens
+    rotations keep the Hessenberg matrix triangular, with |g[k + 1]| the
+    residual norm after k + 1 iterations.  With M on the right that is the
+    true residual up to roundoff, so the cycle stops once it is at most
+    `target`, or after GMRES_RESTART iterations.
+    """
+    m = GMRES_RESTART
+    V = np.empty((m + 1, r.size))
+    H = np.zeros((m, m))
+    cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+    V[0], g[0] = r / rnorm, rnorm
+    for k in range(m):
+        w = J @ M(V[k])
+        for i in range(k + 1):
+            H[i, k] = V[i] @ w
+            w -= H[i, k] * V[i]
+        h = np.linalg.norm(w)
+        for i in range(k):
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+        a = H[k, k]
+        H[k, k] = np.hypot(a, h)
+        cs[k], sn[k] = a / H[k, k], h / H[k, k]
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        if abs(g[k + 1]) <= target:
+            break
+        V[k + 1] = w / h
+    y = scipy.linalg.solve_triangular(H[:k + 1, :k + 1], g[:k + 1])
+    return M(y @ V[:k + 1]), k + 1
 
 
 def _on_grid(grid, interior_values: np.ndarray) -> np.ndarray:
@@ -415,8 +481,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     later epsilon starts from the prediction of `_predicted_start`: an Euler
     step from the first solution, and from the third epsilon on the cubic
     Hermite extrapolation through the last two solutions.  Their tangents
-    come out of the Newton solves, which solve each Jacobian for the step
-    and the tangent together.  The previous solution itself is the start when
+    come out of the Newton solves, one linear solve per epsilon with the
+    last Newton step's Jacobian.  The previous solution itself is the start when
     the prediction is not better; the report records which in `start`.  A
     prediction's residual, evaluated for that comparison, is the Newton
     solve's start residual.  The state of one epsilon is released once the

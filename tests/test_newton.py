@@ -14,10 +14,12 @@ from hessobs.errors import NoAdmissibleStart, SingularJacobian
 from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
 from hessobs.newton import (
     COARSE_N,
+    FORCING_MAX,
+    GMRES_RESTART,
     NewtonConfig,
     PenaltySchedule,
     _hierarchy,
-    _linear_solve,
+    _solver,
     _path_point,
     _predict,
     continuation_solve,
@@ -245,44 +247,137 @@ _MULTIGRID_CASES = pytest.mark.parametrize(
     ids=["2d-conformal-kappa_zg", "3d-flat"])
 
 
+def _first_jacobian(prob, u):
+    return linearize(evaluate_state(u, prob, 1e-2), prob)
+
+
 @_MULTIGRID_CASES
 def test_ordered_solve_matches_plain_spsolve(make):
     prob, u = make()
-    J = linearize(evaluate_state(u, prob, 1e-2), prob)
+    J = _first_jacobian(prob, u)
     assert J.shape[0] > COARSE_N and _hierarchy(prob.grid.interior_shape)
     assert abs(J - J.T).max() > 1e-6 * abs(J).max()  # not symmetric
     b = np.random.default_rng(5).standard_normal(J.shape[0])
     ref = spla.spsolve(J.tocsc(), b)
+    solve = _solver(J, prob.grid.interior_shape)
     for rtol in (1e-3, 1e-10):
-        x = _linear_solve(J, b, prob.grid.interior_shape, rtol)
+        x, _ = solve(b, rtol)
         assert np.linalg.norm(J @ x - b) <= rtol * np.linalg.norm(b)
         assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
 
 
-@_MULTIGRID_CASES
-def test_two_column_solve_matches_two_solves(make):
-    # the Newton step and the tangent share one V-cycle set-up
+def _with_ceiling(make):
+    """A multigrid case with u as its boundary data and a ceiling 0.05 above
+    u, which the solution at eps = 1e-2 presses against."""
     prob, u = make()
-    J = linearize(evaluate_state(u, prob, 1e-2), prob)
-    b = np.random.default_rng(6).standard_normal((J.shape[0], 2))
-    shape = prob.grid.interior_shape
-    rtol = 1e-8
-    x = _linear_solve(J, b, shape, rtol)
-    assert x.shape == b.shape
-    for j in range(2):
-        ref = _linear_solve(J, b[:, j], shape, rtol)
-        assert np.linalg.norm(J @ x[:, j] - b[:, j]) <= rtol * np.linalg.norm(b[:, j])
-        assert np.linalg.norm(x[:, j] - ref) <= rtol * np.linalg.norm(ref)
+    return dataclasses.replace(prob, phi=u, h=u + 0.05), u
+
+
+@_MULTIGRID_CASES
+def test_newton_tangent_solves_the_last_jacobian(make, monkeypatch):
+    # the tangent is solved once, after convergence, with the last Newton
+    # step's Jacobian J and tolerance: J du/deps = -beta / eps at the
+    # iterate before the last step
+    import hessobs.newton as newton
+
+    prob, u = _with_ceiling(make)
+    eps = 1e-2
+    steps = []
+
+    def recording(state, prob):
+        J = linearize(state, prob)
+        steps.append((J, state.beta))
+        return J
+
+    monkeypatch.setattr(newton, "linearize", recording)
+    _, rep = newton_solve(u, prob, eps)
+    J, beta = steps[-1]
+    assert len(steps) == rep.iterations >= 2 and beta.any()
+    b = -beta / eps
+    rtol = min(FORCING_MAX, rep.residual_history[-2] / np.sqrt(J.shape[0]))
+    ref = spla.spsolve(J.tocsc(), b)
+    assert np.linalg.norm(J @ rep.tangent - b) <= rtol * np.linalg.norm(b)
+    assert np.linalg.norm(rep.tangent - ref) <= rtol * np.linalg.norm(ref)
 
 
 def test_linear_solve_checks_its_true_residual():
     # a tolerance below roundoff cannot be met: the solve raises instead of
     # handing back a direction that misses it
     prob, u = _conformal_kappa_2d(41)
-    J = linearize(evaluate_state(u, prob, 1e-2), prob)
+    J = _first_jacobian(prob, u)
     b = np.random.default_rng(7).standard_normal(J.shape[0])
     with pytest.raises(SingularJacobian, match="missed relative residual"):
-        _linear_solve(J, b, prob.grid.interior_shape, 1e-20)
+        _solver(J, prob.grid.interior_shape)(b, 1e-20)
+
+
+def test_gmres_restarts_until_the_true_residual_is_met(monkeypatch):
+    # with restarts every 4 iterations, rtol 1e-10 takes several restart
+    # cycles; each ends on the true residual and carries x into the next
+    import hessobs.newton as newton
+
+    prob, u = _conformal_kappa_2d(41)
+    J = _first_jacobian(prob, u)
+    b = np.random.default_rng(8).standard_normal(J.shape[0])
+    shape = prob.grid.interior_shape
+    x_full, k_full = _solver(J, shape)(b, 1e-10)
+    assert k_full <= GMRES_RESTART
+    monkeypatch.setattr(newton, "GMRES_RESTART", 4)
+    x, k = _solver(J, shape)(b, 1e-10)
+    assert k > newton.GMRES_RESTART * 2
+    assert np.linalg.norm(J @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(x - x_full) <= 1e-9 * np.linalg.norm(x_full)
+
+
+def test_gmres_without_levels_solves_in_one_iteration():
+    # at most COARSE_N unknowns: the V-cycle is the exact solve
+    prob, u = _conformal_kappa_2d()
+    J = _first_jacobian(prob, u)
+    assert J.shape[0] <= COARSE_N and not _hierarchy(prob.grid.interior_shape)
+    b = np.random.default_rng(9).standard_normal(J.shape[0])
+    x, k = _solver(J, prob.grid.interior_shape)(b, 1e-12)
+    assert k == 1
+    assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_zero_right_hand_side_builds_no_v_cycle(monkeypatch):
+    import hessobs.newton as newton
+
+    def refuse(J, shape):
+        raise AssertionError("V-cycle built for a zero right-hand side")
+
+    monkeypatch.setattr(newton, "_v_cycle", refuse)
+    prob, u = _conformal_kappa_2d(41)
+    J = _first_jacobian(prob, u)
+    x, k = _solver(J, prob.grid.interior_shape)(np.zeros(J.shape[0]), 1e-3)
+    assert k == 0 and x.shape == (J.shape[0],) and not x.any()
+
+
+def test_no_v_cycle_alive_during_line_search(monkeypatch):
+    # each step's V-cycle (its coarse operators and coarse LU) is released
+    # before the line search: only J is held for the tangent
+    import weakref
+
+    import hessobs.newton as newton
+
+    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=33))
+    assert _hierarchy(rs.problem.grid.interior_shape)
+    cycles, trials = [], []
+    build = newton._v_cycle
+
+    def recording_cycle(J, shape):
+        cycle = build(J, shape)
+        cycles.append(weakref.ref(cycle))
+        return cycle
+
+    def checking_residual(u, prob, epsilon):
+        trials.append([ref for ref in cycles if ref() is not None])
+        return residual(u, prob, epsilon)
+
+    monkeypatch.setattr(newton, "_v_cycle", recording_cycle)
+    monkeypatch.setattr(newton, "residual", checking_residual)
+    _, rep = newton_solve(default_initializer(rs.problem), rs.problem, 1e-2, rs.config.newton)
+    assert rep.iterations >= 2 and len(cycles) == rep.iterations + 1
+    assert len(trials) > rep.iterations and not any(trials)
 
 
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
@@ -292,6 +387,35 @@ def test_bundled_ma_obstacle_iteration_counts(tmp_path):
                  "--out", str(tmp_path), "--quiet"]) == 0
     solves = json.loads((tmp_path / "report.json").read_text())["solves"]
     assert [s["iterations"] for s in solves] == [6, 4, 2, 2, 3]
+
+
+def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
+    # each solves row counts the GMRES iterations of its Newton directions
+    # and of its tangent, which adds at least one
+    import hessobs.newton as newton
+
+    iterations, per_epsilon = [], []
+    restart_cycle, solve = newton._gmres_cycle, newton.newton_solve
+
+    def counting_cycle(*args):
+        dx, k = restart_cycle(*args)
+        iterations.append(k)
+        return dx, k
+
+    def counting_solve(*args, **kwargs):
+        start = len(iterations)
+        out = solve(*args, **kwargs)
+        per_epsilon.append(sum(iterations[start:]))
+        return out
+
+    monkeypatch.setattr(newton, "_gmres_cycle", counting_cycle)
+    monkeypatch.setattr(newton, "newton_solve", counting_solve)
+    cfg = bundled_config_path("ma_obstacle")
+    assert main(["solve", str(cfg), "--grid-m", "33", "--audit", "off",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    solves = json.loads((tmp_path / "report.json").read_text())["solves"]
+    assert [s["krylov_iterations"] for s in solves] == per_epsilon
+    assert all(s["krylov_iterations"] > s["iterations"] for s in solves)
 
 
 def singular_linearize(monkeypatch):
@@ -422,23 +546,33 @@ def test_continuation_needs_no_eigenvalues(monkeypatch):
 
 
 def test_continuation_factors_once_per_newton_step(monkeypatch):
-    # the tangent of each epsilon comes out of its Newton steps' linear
-    # solves: one solve per step, for the direction and the tangent together
+    # one V-cycle set-up per Newton step, for its direction, and one per
+    # epsilon for the tangent, at the last step's Jacobian; ma_manufactured's
+    # obstacle is never reached, so its tangent right-hand sides are zero
+    # and set nothing up
     import hessobs.newton as newton
 
-    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=33))
-    columns = []
-    solve = newton._linear_solve
+    build = newton._v_cycle
+    for name, m, later_start in (("ma_obstacle", 33, "predictor"),
+                                 ("ma_manufactured", 17, "warm_start")):
+        rs = build_runsetup(parse_config(bundled_config_text(name)).override(grid_m=m))
+        jacobians = []
 
-    def counting(J, b, shape, rtol):
-        columns.append(b.shape[1])
-        return solve(J, b, shape, rtol)
+        def recording(J, shape):
+            jacobians.append(J)
+            return build(J, shape)
 
-    monkeypatch.setattr(newton, "_linear_solve", counting)
-    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
-    assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
-    assert columns == [2] * sum(r.iterations for r in result.reports)
-    assert all(r.tangent is None for r in result.reports)
+        monkeypatch.setattr(newton, "_v_cycle", recording)
+        result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+        assert [r.start for r in result.reports] == ["initial"] + [later_start] * 4
+        tangent = 1 if later_start == "predictor" else 0
+        expected = []
+        for rep in result.reports:
+            expected += ["direction"] * rep.iterations + ["tangent"] * tangent
+        seen = ["tangent" if k and J is jacobians[k - 1] else "direction"
+                for k, J in enumerate(jacobians)]
+        assert seen == expected
+        assert all(r.tangent is None for r in result.reports)
 
 
 def _cubic_path(s):
