@@ -21,16 +21,16 @@ from .config import RunSetup, build_runsetup, parse_config
 from .errors import ConfigError, HessObsError, StructureViolation
 from .monitors import (
     audit_inequalities,
-    compact_set,
     compute_norm_bundle,
     extract_contact_set,
     solved_state,
     sweep_summary,
+    theta_certificate,
 )
 from .newton import continuation_solve, default_initializer
-from .operator import certify_coefficients, evaluate_state, spectrum
+from .operator import certify_coefficients
 from .report import ReportBundleWriter, fmt
-from .symfunc import check_structure_conditions, estimate_theta, sample_cone_points
+from .symfunc import check_structure_conditions
 
 __all__ = ["main", "cmd_sweep", "cmd_check_structure", "cmd_verify_lemma"]
 
@@ -233,17 +233,17 @@ def cmd_check_structure(rs: RunSetup, args) -> int:
 
 
 def cmd_verify_lemma(rs: RunSetup, args) -> int:
+    """The audit's theta certificate of the cone cloud, at `--zeta` or zeta0.
+    A library error exits 2 (3 for a violated lemma) with one `error:` line
+    on stderr."""
     seed = rs.config.audit.seed
     samples = args.samples if args.samples is not None else rs.config.audit.theta_samples
-    st = evaluate_state(_subsolution(rs.problem), rs.problem, rs.config.schedule.eps0)
-    if not st.admissible:
-        print("error: subsolution not admissible, cannot form the compact set",
-              file=sys.stderr)
-        return 2
-    K, _, zeta0 = compact_set(*spectrum(st, rs.problem))
-    zeta = args.zeta if args.zeta is not None else zeta0
-    lam = sample_cone_points(rs.problem.fspec, samples, seed)
-    cert = estimate_theta(rs.problem.fspec, K, zeta, lam)
+    try:
+        K, _, cert = theta_certificate(_subsolution(rs.problem), rs.problem,
+                                       rs.config.schedule.eps0, samples, seed, args.zeta)
+    except HessObsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, StructureViolation) else 2
     doc = {
         "zeta": cert.zeta,
         "theta_hat": cert.theta_hat,
@@ -258,10 +258,10 @@ def cmd_verify_lemma(rs: RunSetup, args) -> int:
     if args.out:
         ReportBundleWriter(args.out).write_json("theta_certificate.json", doc)
     if cert.vacuous:
-        _say(args, f"certificate: vacuous (no sampled pair with normal gap >= {fmt(zeta)})")
+        _say(args, f"certificate: vacuous (no sampled pair with normal gap >= {fmt(cert.zeta)})")
     else:
         _say(args, f"certificate: theta_hat = {fmt(cert.theta_hat)} over "
-             f"{cert.pair_count} pairs (zeta = {fmt(zeta)}, {samples} samples, seed {seed})")
+             f"{cert.pair_count} pairs (zeta = {fmt(cert.zeta)}, {samples} samples, seed {seed})")
     if cert.violations_at_zero > 0:
         _say(args, f"{cert.violations_at_zero} pairs violate the concavity inequality "
              "at theta = 0: implementation bug")

@@ -31,6 +31,7 @@ __all__ = [
     "SweepReport",
     "compute_norm_bundle",
     "compact_set",
+    "theta_certificate",
     "audit_inequalities",
     "extract_contact_set",
     "contact_radius",
@@ -55,7 +56,8 @@ def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
     """Evaluate an admissible solved state once for every monitor."""
     st = evaluate_state(u, prob, epsilon)
     if not st.admissible:
-        raise NotAdmissible([], "monitors requested at a non-admissible state")
+        raise NotAdmissible(st.flagged_points(prob.grid),
+                            "monitors requested at a non-admissible state")
     return SolvedState(u, epsilon, st, *spectrum(st, prob))
 
 
@@ -106,6 +108,28 @@ def compact_set(mu: np.ndarray, grad: np.ndarray):
     return np.unique(np.round(mu, 12), axis=0), nu_mu, zeta0
 
 
+def theta_certificate(u_sub: np.ndarray, prob: Problem, epsilon: float,
+                      theta_samples: int, seed: int, zeta: float | None = None):
+    """The epsilon-independent part of the audit: the compact set K of the
+    subsolution u_sub (its state at epsilon, through `compact_set`), the
+    subsolution normals nu_mu, and the theta certificate of a cone cloud of
+    `theta_samples` points drawn with `seed`, at normal-gap threshold zeta
+    (zeta0 by default; the certificate's `zeta` is the one used).
+
+    An inadmissible subsolution raises NotAdmissible naming its points, and
+    a threshold that is not positive raises MonitorError."""
+    st = evaluate_state(u_sub, prob, epsilon)
+    if not st.admissible:
+        raise NotAdmissible(st.flagged_points(prob.grid),
+                            "subsolution not admissible, cannot form the compact set")
+    K, nu_mu, zeta0 = compact_set(*spectrum(st, prob))
+    zeta = zeta0 if zeta is None else zeta
+    if zeta <= 0.0:
+        raise MonitorError("zeta0 not positive: subsolution normals degenerate")
+    lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
+    return K, nu_mu, estimate_theta(prob.fspec, K, zeta, lam_rand)
+
+
 @dataclass
 class InequalityAudit:
     epsilon: float
@@ -140,10 +164,10 @@ def audit_inequalities(
 
     The subsolution state, K, zeta0, the sampled cone cloud and the theta
     certificate of the cloud do not depend on epsilon and are built once per
-    sweep.  theta_hat is the minimum over the cloud together with the
-    audited state's own eigenvalue field, which keeps the certificate
-    coherent with the per-point audit; it is halved to keep sampling
-    optimism out of the pass/fail line.  fprime_worst records the
+    sweep by `theta_certificate`.  theta_hat is the minimum over the cloud
+    together with the audited state's own eigenvalue field, which keeps the
+    certificate coherent with the per-point audit; it is halved to keep
+    sampling optimism out of the pass/fail line.  fprime_worst records the
     diagonal bound with its sharp per-point constant min_i nu_i(lam)/sqrt(n)
     instead of zeta0/sqrt(n); for linear f this slack is identically zero.
     c_audit = 0 selects the audit band 10 * hess_norm * h^2.
@@ -151,14 +175,8 @@ def audit_inequalities(
     grid = prob.grid
     n = grid.n
     h2 = float(grid.spacing.max()) ** 2
-    st_sub = evaluate_state(u_sub, prob, states[0].epsilon)
-    if not st_sub.admissible:
-        raise NotAdmissible([], "audit requires an admissible subsolution")
-    K, nu_mu, zeta0 = compact_set(*spectrum(st_sub, prob))
-    if zeta0 <= 0.0:
-        raise MonitorError("zeta0 not positive: subsolution normals degenerate")
-    lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
-    cloud_theta = estimate_theta(prob.fspec, K, zeta0, lam_rand).theta_hat
+    K, nu_mu, cloud = theta_certificate(u_sub, prob, states[0].epsilon, theta_samples, seed)
+    zeta0 = cloud.zeta
 
     audits = []
     for s in states:
@@ -167,7 +185,7 @@ def audit_inequalities(
         sum_fi = fg.sum(axis=1)
 
         own_theta = estimate_theta(prob.fspec, K, zeta0, lam).theta_hat
-        thetas = [t for t in (cloud_theta, own_theta) if t is not None]  # None = vacuous
+        thetas = [t for t in (cloud.theta_hat, own_theta) if t is not None]  # None = vacuous
         theta_hat = min(thetas) if thetas else None
 
         gap = np.linalg.norm(nu_mu - nu, axis=1)

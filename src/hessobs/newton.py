@@ -38,7 +38,6 @@ from .geometry import pin_boundary
 from .operator import (
     PENALTY_ROOT,
     Problem,
-    ResidualResult,
     StateEval,
     laplace_beltrami_solve,
     linearize,
@@ -144,13 +143,13 @@ class ContinuationResult:
 
 def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
                  cfg: NewtonConfig | None = None,
-                 res0: ResidualResult | None = None) -> tuple[np.ndarray, SolveReport]:
+                 res0: StateEval | None = None) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton on the penalized residual at fixed epsilon.
 
     u0 must be admissible at every interior point and hold the Dirichlet data
     on the boundary layer; both are enforced here.  `res0`, when given, is
-    the residual of u0 at epsilon that the caller has evaluated; it is taken
-    as the start residual, so u0 must hold the Dirichlet data exactly.
+    the state of u0 at epsilon that the caller has evaluated with `residual`;
+    it is taken as the start, so u0 must hold the Dirichlet data exactly.
     """
     cfg = cfg or NewtonConfig()
     grid = prob.grid
@@ -160,7 +159,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         raise NotAdmissible(res.flagged_points(grid), "initial iterate not admissible")
 
     rnorm = float(np.abs(res.values).max())
-    rl2sq = float((res.values.ravel() ** 2).sum())
+    rl2sq = float((res.values ** 2).sum())
     hist = [rnorm]
     hist_l2 = [np.sqrt(rl2sq)]
     steps, margins = [], [res.margin]
@@ -171,10 +170,10 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
             break
-        J = linearize(res.state, prob)
+        J = linearize(res, prob)
         rtol = min(FORCING_MAX, rnorm / np.sqrt(J.shape[0]))
-        tangent_system = (J, res.state.beta, rtol)
-        x, k = _solver(J, grid.interior_shape)(-res.values.ravel(), rtol)
+        tangent_system = (J, res.beta, rtol)
+        x, k = _linear_solve(J, grid.interior_shape, -res.values, rtol)
         krylov += k
         delta = _on_grid(grid, x)
 
@@ -185,7 +184,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
             cand = u + t * delta
             cres = residual(cand, prob, epsilon)
             if cres.admissible and cres.margin >= margin_floor:
-                cl2sq = float((cres.values.ravel() ** 2).sum())
+                cl2sq = float((cres.values ** 2).sum())
                 if cl2sq <= (1.0 - 2.0 * ARMIJO_C * t) * rl2sq:
                     accepted = (cand, cres, cl2sq, t)
                     break
@@ -208,7 +207,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
         # so the path tangent solves J du/deps = -beta / eps
         J, beta, rtol = tangent_system
-        tangent, k = _solver(J, grid.interior_shape)(-beta / epsilon, rtol)
+        tangent, k = _linear_solve(J, grid.interior_shape, -beta / epsilon, rtol)
         krylov += k
     dom = None
     if prob.subsolution is not None:
@@ -226,7 +225,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         rejected_margin=rejected_margin,
         rejected_armijo=rejected_armijo,
         krylov_iterations=krylov,
-        final_state=res.state,
+        final_state=res,
         tangent=tangent,
     )
     if not converged:
@@ -330,51 +329,43 @@ def _v_cycle(J, shape: tuple):
     return cycle
 
 
-def _solver(J, shape: tuple):
-    """The linear solve with J over the interior unknowns of a grid of
-    `shape`: solve(b, rtol) returns x with ||J x - b||_2 <= rtol ||b||_2 and
-    the GMRES iterations it took.
+def _linear_solve(J, shape: tuple, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Solve J x = b over the interior unknowns of a grid of `shape` to
+    ||J x - b||_2 <= rtol ||b||_2; returns x and the GMRES iterations it took.
 
-    Restarted GMRES runs on J M, with M one V-cycle of `_v_cycle` built at
-    the first non-zero b (a zero b gives zero).  J is not symmetric in
-    general.  Each restart cycle of `_gmres_cycle` adds its correction to x
-    and recomputes the true residual b - J x; the solve stops once that is
-    at most rtol ||b||_2.  Without levels M is the exact solve, and one
-    iteration solves.  A singular V-cycle or Hessenberg matrix, a
-    floating-point error, a non-finite x or a true residual still above
-    rtol ||b||_2 after GMRES_CYCLES cycles raises SingularJacobian.
+    Restarted GMRES runs on J M, with M one V-cycle of `_v_cycle`; a zero b
+    gives zero and builds no V-cycle.  J is not symmetric in general.  Each
+    restart cycle of `_gmres_cycle` adds its correction to x and recomputes
+    the true residual b - J x; the solve stops once that is at most
+    rtol ||b||_2.  Without levels M is the exact solve, and one iteration
+    solves.  A singular V-cycle or Hessenberg matrix, a floating-point
+    error, a non-finite x or a true residual still above rtol ||b||_2 after
+    GMRES_CYCLES cycles raises SingularJacobian.
     """
-    cycle = None
-
-    def solve(b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-        nonlocal cycle
-        x = np.zeros(b.shape)
-        r, rnorm = b, np.linalg.norm(b)
-        if rnorm == 0.0:
-            return x, 0
-        if cycle is None:
-            cycle = _v_cycle(J, shape)
-        target = rtol * rnorm
-        iterations = 0
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                for _ in range(GMRES_CYCLES):
-                    dx, k = _gmres_cycle(J, cycle, r, rnorm, target)
-                    x += dx
-                    iterations += k
-                    r = b - J @ x
-                    rnorm = np.linalg.norm(r)
-                    if rnorm <= target:
-                        break
-        except (FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularJacobian("non-finite Newton direction")
-        if not rnorm <= target:
-            raise SingularJacobian(f"GMRES missed relative residual {rtol:.1e}")
-        return x, iterations
-
-    return solve
+    x = np.zeros(b.shape)
+    r, rnorm = b, np.linalg.norm(b)
+    if rnorm == 0.0:
+        return x, 0
+    cycle = _v_cycle(J, shape)
+    target = rtol * rnorm
+    iterations = 0
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for _ in range(GMRES_CYCLES):
+                dx, k = _gmres_cycle(J, cycle, r, rnorm, target)
+                x += dx
+                iterations += k
+                r = b - J @ x
+                rnorm = np.linalg.norm(r)
+                if rnorm <= target:
+                    break
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise SingularJacobian(str(exc)) from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularJacobian("non-finite Newton direction")
+    if not rnorm <= target:
+        raise SingularJacobian(f"GMRES missed relative residual {rtol:.1e}")
+    return x, iterations
 
 
 def _gmres_cycle(J, M, r: np.ndarray, rnorm: float, target: float) -> tuple[np.ndarray, int]:
@@ -448,7 +439,7 @@ def _predict(s_next: float, point: tuple, previous: tuple | None = None) -> np.n
 
 def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: float,
                      point: tuple | None, previous: tuple | None
-                     ) -> tuple[np.ndarray, str, ResidualResult | None]:
+                     ) -> tuple[np.ndarray, str, StateEval | None]:
     """Start for eps_next from the solution u, its evaluated state and the
     path points (s, u, du/ds) of `_path_point` at its epsilon and the one
     before (each None without a tangent).
@@ -457,7 +448,7 @@ def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: f
     the variable along which the solution is smooth.  It is used only if it
     is admissible at eps_next and its residual max-norm there is below that
     of u; otherwise u itself is the (warm) start.  Returns the start, how it
-    was chosen and, for a prediction, its residual at eps_next.
+    was chosen and, for a prediction, its state at eps_next.
     """
     # no tangent, or the penalty is inactive and the tangent is zero
     if point is None or not state.beta.any():
@@ -472,28 +463,27 @@ def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: f
 
 
 def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
-                       cfg: NewtonConfig | None = None,
-                       u0: np.ndarray | None = None) -> ContinuationResult:
+                       cfg: NewtonConfig | None = None) -> ContinuationResult:
     """Solve along the decreasing epsilon schedule by predictor-corrector
     continuation.
 
-    The first epsilon starts from `u0` (or the default initializer).  Each
-    later epsilon starts from the prediction of `_predicted_start`: an Euler
-    step from the first solution, and from the third epsilon on the cubic
-    Hermite extrapolation through the last two solutions.  Their tangents
-    come out of the Newton solves, one linear solve per epsilon with the
-    last Newton step's Jacobian.  The previous solution itself is the start when
-    the prediction is not better; the report records which in `start`.  A
-    prediction's residual, evaluated for that comparison, is the Newton
-    solve's start residual.  The state of one epsilon is released once the
-    next start is chosen, its tangent after the start after that.  Solver
-    errors carry the epsilon at which they occurred and the solutions and
-    reports of the epsilons finished before it.
+    The first epsilon starts from `default_initializer`.  Each later
+    epsilon starts from the prediction of `_predicted_start`: an Euler step
+    from the first solution, and from the third epsilon on the cubic Hermite
+    extrapolation through the last two solutions.  Their tangents come out
+    of the Newton solves, one linear solve per epsilon with the last Newton
+    step's Jacobian.  The previous solution itself is the start when the
+    prediction is not better; the report records which in `start`.  A
+    prediction's state, evaluated for that comparison, is the Newton solve's
+    start state.  The state of one epsilon is released once the next start
+    is chosen, its tangent after the start after that.  Solver errors carry
+    the epsilon at which they occurred and the solutions and reports of the
+    epsilons finished before it.
     """
     schedule = schedule or PenaltySchedule()
     cfg = cfg or NewtonConfig()
     eps_values = schedule.values()
-    u = u0 if u0 is not None else default_initializer(prob)
+    u = default_initializer(prob)
     sols, reports = [], []
     state = point = previous = None
     for k, eps in enumerate(eps_values):

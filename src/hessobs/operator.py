@@ -17,7 +17,7 @@ discrete residual.  Only the monitors read lam itself, through `spectrum`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,26 +147,19 @@ class Problem:
     phi: np.ndarray  # boundary-data extension sampled on the grid
     subsolution: np.ndarray | None = None  # sampled subsolution (pinned to phi)
 
+    # interior points (N, n), metric blocks (N, n, n) and obstacle values (N,)
+    x_interior: np.ndarray = field(init=False, repr=False)
+    g_interior: np.ndarray = field(init=False, repr=False)
+    h_interior: np.ndarray = field(init=False, repr=False)
+
     def __post_init__(self):
-        self._x_int = self.grid.interior_points().reshape(-1, self.grid.n)
-        self._g_int = self.metric.g[self.grid.interior].reshape(-1, self.grid.n, self.grid.n)
-        self._h_int = self.h[self.grid.interior].ravel()
-
-    @property
-    def x_interior(self):
-        return self._x_int
-
-    @property
-    def g_interior(self):
-        return self._g_int
+        self.x_interior = self.grid.interior_points().reshape(-1, self.grid.n)
+        self.g_interior = self.metric.g[self.grid.interior].reshape(-1, self.grid.n, self.grid.n)
+        self.h_interior = self.h[self.grid.interior].ravel()
 
     @functools.cached_property
     def ginv_interior(self):  # read by curved metrics only
-        return self.metric.ginv[self.grid.interior].reshape(self._g_int.shape)
-
-    @property
-    def h_interior(self):
-        return self._h_int
+        return self.metric.ginv[self.grid.interior].reshape(self.g_interior.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +197,8 @@ def penalty(epsilon: float, z):
 @dataclass
 class StateEval:
     """All pointwise quantities of one iterate, flattened over interior
-    points; the eigenvalues of g^{-1} U are left to `spectrum`."""
+    points, with its penalized residual `values`; the eigenvalues of
+    g^{-1} U are left to `spectrum`."""
 
     z: np.ndarray  # u at interior points
     p: np.ndarray  # centered gradient (N, n)
@@ -217,6 +211,7 @@ class StateEval:
     psi: np.ndarray
     beta: np.ndarray
     dbeta: np.ndarray
+    values: np.ndarray  # residual fval - psi - beta, NaN where outside the cone
 
     @property
     def admissible(self) -> bool:
@@ -227,8 +222,10 @@ class StateEval:
         """min over interior points of min_j sigma_j(lam(U))."""
         return float(self.sig.min())
 
-    def residual_values(self) -> np.ndarray:
-        return self.fval - self.psi - self.beta
+    def flagged_points(self, grid: ChartGrid) -> list:
+        """Interior multi-indices (1-based) of the points outside the cone."""
+        bad = np.argwhere(~self.ok.reshape(grid.interior_shape))
+        return [tuple(int(v) + 1 for v in row) for row in bad]
 
 
 def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
@@ -251,7 +248,7 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
         Fij = D @ prob.ginv_interior
     beta, dbeta, _ = penalty(epsilon, z - prob.h_interior)
     return StateEval(z=z, p=p, hess_cov=Hc, U=U, Fij=Fij, fval=fval, ok=ok, sig=sig,
-                     psi=psi, beta=beta, dbeta=dbeta)
+                     psi=psi, beta=beta, dbeta=dbeta, values=fval - psi - beta)
 
 
 def spectrum(st: StateEval, prob: Problem):
@@ -264,32 +261,13 @@ def spectrum(st: StateEval, prob: Problem):
     return lam, f_and_grad_masked(prob.fspec, lam, sigma_margins(prob.fspec, lam))[1]
 
 
-@dataclass
-class ResidualResult:
-    values: np.ndarray  # interior-shaped field, NaN at inadmissible points
-    ok: np.ndarray  # admissibility mask, interior-shaped
-    margin: float
-    state: StateEval
-
-    @property
-    def admissible(self) -> bool:
-        return bool(self.ok.all())
-
-    def flagged_points(self, grid: ChartGrid):
-        """Interior multi-indices where the residual is undefined."""
-        bad = np.argwhere(~self.ok)
-        return [tuple(int(v) + 1 for v in row) for row in bad]
-
-
-def residual(u: np.ndarray, prob: Problem, epsilon: float) -> ResidualResult:
-    """Penalized residual on interior points with admissibility flag.
-
-    Values at flagged (non-admissible) points are NaN and must not be used.
-    """
-    st = evaluate_state(u, prob, epsilon)
-    vals = st.residual_values().reshape(prob.grid.interior_shape)
-    ok = st.ok.reshape(prob.grid.interior_shape)
-    return ResidualResult(values=vals, ok=ok, margin=st.margin, state=st)
+def residual(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
+    """The evaluated state of iterate u, whose `values` are the penalized
+    residual over the interior points (NaN where `ok` flags a point outside
+    the cone).  It is the Newton path's entry to `evaluate_state`, kept a
+    function of its own so that the solver's evaluations can be told apart
+    from the monitors'."""
+    return evaluate_state(u, prob, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +278,7 @@ def _first_order(st: StateEval, prob: Problem):
     """The first-order coefficient F^{ij} A^{ij}_{p_k} - psi_{p_k} of an
     admissible state."""
     if not st.admissible:
-        bad = np.argwhere(~st.ok.reshape(prob.grid.interior_shape))
-        raise NotAdmissible([tuple(int(v) + 1 for v in row) for row in bad])
+        raise NotAdmissible(st.flagged_points(prob.grid))
     A_p, psi_p = prob.coeff.at(prob.x_interior, st.z, st.p, prob.g_interior, wrt="p")
     return np.einsum("...ij,...kij->...k", st.Fij, A_p) - psi_p
 

@@ -665,7 +665,9 @@ def estimate_theta(
         scale = 1.0 + np.abs(f_lam)[:, None] + np.abs(f_mu[s : s + chunk])[None, :]
         violations += int(np.count_nonzero(bracket < -THETA_ZERO_GUARD * scale))
         min_bracket = min(min_bracket, float(bracket.min()))
-        gaps = np.linalg.norm(nu_lam[:, None, :] - nu_mu[None, s : s + chunk, :], axis=2)
+        # |nu_lam - nu_mu| one axis at a time, without an (N, M, n) difference array
+        gaps = np.sqrt(sum((nu_lam[:, i, None] - nu_mu[None, s : s + chunk, i]) ** 2
+                           for i in range(K.shape[1])))
         mask = gaps >= zeta
         pair_count += int(np.count_nonzero(mask))
         if np.any(mask):

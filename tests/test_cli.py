@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, report bundles, reproducibility."""
 
+import hashlib
 import json
 import pathlib
 
@@ -79,11 +80,46 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
     assert repr(tau) not in meta
 
 
-def test_sweep_reproducible_byte_identical(small_cfg, tmp_path):
+# sha256 of every bundle file of two sweeps: SMALL_MA with audits on (direct
+# linear solves) and ma_obstacle at m = 33 with audits off (V-cycle GMRES,
+# 26/23/12/12/22 Krylov iterations).  A change that moves roundoff updates
+# these pins and says so.
+PINNED_BUNDLES = {
+    "small_ma_audited": (SMALL_MA, [], {
+        "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
+        "norms_vs_eps.csv": "47dc333582599b594fc2a7ce122b725471285bde4a7a6ea02fd5f16665515510",
+        "report.json": "039679ea52772acdf050144021629bab5f736abeb4cbb7608818f811b6a6ada5",
+        "residual_history.csv": "d7956257129971653a4146bc24ddc2e217ed239b5878e6e95c7e15b1e2ccce9f",
+        "u_eps_1e-02.txt": "625df86a63d471bce4a89627104931977072f880bc9fc3f1141e5aa10ce231ee",
+        "u_eps_1e-03.txt": "5c2e930bfe89595deea5c125204426cd17980e329528ec771aa4503a53903bd9",
+        "u_eps_1e-04.txt": "3af759d5677b749a8e1d87b707c9c8190b132c34b00664f4835c49bbf75c45d1",
+    }),
+    "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
+                               ["--grid-m", "33", "--audit", "off"], {
+        "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
+        "norms_vs_eps.csv": "31f5d2329ce4e8f981480291a82dadf3ebc32d6e5ba28d22a0c37aae6e7ede83",
+        "report.json": "28fac60965fd27079774abb55fc9bd21843fac9fd4bf484357f6b54058e40367",
+        "residual_history.csv": "7ff011bc5db71a08ee8f4fb6ae0ddb0d88238825a17ccd611649780f63b57778",
+        "u_eps_1e-02.txt": "8da6c27ad88cd3791aa46d2f5aa65412a008fe00b45c80b70fc6583e9995f6b5",
+        "u_eps_1e-03.txt": "6fba8ff26e018781044b16ea45fb776f470f3ad77641c888cef714818cffeaac",
+        "u_eps_1e-04.txt": "eaec1aab5f8fbb62052145abe5d1fcfe8b61fc60e5d53c2af8c0c5ba8f8cfcc5",
+        "u_eps_1e-05.txt": "8e81d701f034f9a2a8d7686c9601274be289eb7b134b7a76482e59fafa3b9a18",
+        "u_eps_1e-06.txt": "b30c490552762498a2c6f7fc2a501fb81badec028c24a0717d64a8634893fe65",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BUNDLES))
+def test_sweep_reproducible_byte_identical(name, tmp_path):
+    text, flags, pins = PINNED_BUNDLES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep", str(small_cfg), "--out", str(out1), "--quiet"]) == 0
-    assert main(["sweep", str(small_cfg), "--out", str(out2), "--quiet"]) == 0
-    assert bundle_bytes(out1) == bundle_bytes(out2)
+    assert main(["sweep", str(cfg), "--out", str(out1), "--quiet", *flags]) == 0
+    assert main(["sweep", str(cfg), "--out", str(out2), "--quiet", *flags]) == 0
+    bundle = bundle_bytes(out1)
+    assert bundle == bundle_bytes(out2)
+    assert {f: hashlib.sha256(b).hexdigest() for f, b in bundle.items()} == pins
 
 
 def test_sweep_draws_cone_cloud_once(small_cfg, tmp_path, monkeypatch):
@@ -404,6 +440,35 @@ def test_verify_lemma_zeta_above_diameter_vacuous(small_cfg, tmp_path):
     assert main(["verify-lemma", str(small_cfg), "--zeta", "2.5",
                  "--samples", "500", "--quiet", "--out", str(out)]) == 0
     assert '"vacuous": true' in (out / "theta_certificate.json").read_text()
+
+
+@pytest.mark.parametrize("edits", [
+    {'psi = "1"': 'psi = "x1"'},  # PsiNotPositive at the subsolution
+    {'psi = "1"': 'psi = "1e9"', 'u = "0.625*(x1^2+x2^2)"': "u = builtin"},  # NoAdmissibleStart
+], ids=["psi_not_positive", "no_admissible_start"])
+def test_verify_lemma_library_error_exit2(edits, tmp_path, capsys):
+    text = bundled_config_text("ma_obstacle")
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["verify-lemma", str(cfg), "--samples", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_lemma_violated_certificate_exit3(small_cfg, monkeypatch, capsys):
+    import hessobs.monitors as monitors
+    from hessobs.errors import StructureViolation
+
+    def violated(*args):
+        raise StructureViolation("supporting-hyperplane constant", None, "theta_hat <= 0")
+
+    monkeypatch.setattr(monitors, "estimate_theta", violated)
+    assert main(["verify-lemma", str(small_cfg), "--samples", "100"]) == 3
+    assert capsys.readouterr().err.startswith("error: structure condition")
 
 
 # -------------------------------------------------- bundled configs

@@ -5,6 +5,7 @@ import pytest
 
 from hessobs.errors import BadEpsilon, NotAdmissible, PsiNotPositive
 from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
+from hessobs.monitors import solved_state, theta_certificate
 from hessobs.operator import (
     Problem,
     coefficients_from_expressions,
@@ -87,6 +88,19 @@ def test_residual_flags_inadmissible():
     assert not r.admissible
     assert np.isnan(r.values[~r.ok]).all()
     assert len(r.flagged_points(prob.grid)) == (~r.ok).sum()
+
+
+def test_monitors_name_the_flagged_points():
+    # the saddle above: solved_state and the audit's subsolution check raise
+    # NotAdmissible with the points outside the cone
+    prob = make_problem(m=9, fspec=SymmetricFunctionSpec(2, 2), psi="1")
+    u = prob.grid.sample(lambda x: 0.5 * (x[..., 0] ** 2 - 3.0 * x[..., 1] ** 2))
+    flagged = residual(u, prob, 1e-2).flagged_points(prob.grid)
+    assert flagged
+    for check in (solved_state, lambda *a: theta_certificate(*a, theta_samples=10, seed=0)):
+        with pytest.raises(NotAdmissible) as exc:
+            check(u, prob, 1e-2)
+        assert exc.value.points == flagged
 
 
 def test_residual_subsolution_sign():
