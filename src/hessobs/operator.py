@@ -11,12 +11,15 @@ nabla^2 u + A, and come from the Newton-tensor recursion of
 `f_and_grad_of_matrix`, which is smooth at repeated eigenvalues.
 Chain-rule contributions of A_z, A_p, psi_z, psi_p and beta' complete the
 stencil, so the assembled sparse matrix is the exact Jacobian of the
-discrete residual.  Only the monitors read lam itself, through `spectrum`.
+discrete residual.  Its sparsity pattern depends only on the interior grid
+shape: it is built once per shape and cached, and each assembly fills in
+the values.  Only the monitors read lam itself, through `spectrum`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,54 +304,55 @@ def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
     return assemble_operator(grid, Fij, c1, zero_order)
 
 
+@functools.lru_cache(maxsize=8)
+def _stencil_pattern(shape: tuple) -> tuple:
+    """The CSR pattern of the centered stencil over a C-ordered interior
+    block of `shape`: the stencil offsets in lexicographic order, which is
+    the order of their columns in every row, the (N, offsets) bool mask of
+    the neighbors that lie inside the block, and the int32 `indices` and
+    `indptr`.  It depends only on the shape (one per sweep), so it is
+    cached and read-only."""
+    n = len(shape)
+    offsets = tuple(o for o in itertools.product((-1, 0, 1), repeat=n)
+                    if np.count_nonzero(o) <= 2)
+    idx = np.pad(np.arange(int(np.prod(shape))).reshape(shape), 1, constant_values=-1)
+    cols = np.stack([interior_shift(idx, o).ravel() for o in offsets], axis=1)
+    keep = cols >= 0
+    indices = cols[keep].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
+    for a in (keep, indices, indptr):
+        a.flags.writeable = False
+    return offsets, keep, indices, indptr
+
+
 def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
                       c0: np.ndarray | float) -> sp.csr_matrix:
     """Assemble sum_ij F^{ij} d_ij + sum_k c1_k d_k + c0 over interior
     unknowns with centered stencils; Dirichlet neighbors are dropped.
 
-    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.
+    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.  The stencil values are
+    stacked in the column order of the grid's cached `_stencil_pattern`, and
+    the ones at interior neighbors are the CSR data, so every entry of the
+    stencil stays in the pattern, an exact zero too, and the pattern is the
+    same at every call on the grid.
     """
-    n = grid.n
     h = grid.spacing
     N = grid.n_interior
-    idx = grid.interior_index_map()
-    c0 = np.broadcast_to(np.asarray(c0, dtype=float), (N,))
-    rows_all, cols_all, data_all = [], [], []
-    rows = np.arange(N)
-
-    def push(offset, vals):
-        cols = interior_shift(idx, offset).ravel()
-        keep = cols >= 0
-        rows_all.append(rows[keep])
-        cols_all.append(cols[keep])
-        data_all.append(vals[keep])
-
-    center = c0.copy()
-    for d in range(n):
-        center -= 2.0 * Fij[:, d, d] / h[d] ** 2
-    push((0,) * n, center)
-
-    for d in range(n):
-        for s in (+1, -1):
-            off = [0] * n
-            off[d] = s
-            vals = Fij[:, d, d] / h[d] ** 2 + s * c1[:, d] / (2.0 * h[d])
-            push(tuple(off), vals)
-
-    for d in range(n):
-        for e in range(d + 1, n):
-            for sd in (+1, -1):
-                for se in (+1, -1):
-                    off = [0] * n
-                    off[d], off[e] = sd, se
-                    vals = sd * se * Fij[:, d, e] / (2.0 * h[d] * h[e])
-                    push(tuple(off), vals)
-
-    J = sp.coo_matrix(
-        (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(N, N),
-    )
-    return J.tocsr()
+    offsets, keep, indices, indptr = _stencil_pattern(grid.interior_shape)
+    vals = np.empty((N, len(offsets)))
+    for j, off in enumerate(offsets):
+        axes = np.flatnonzero(off)
+        if axes.size == 0:
+            vals[:, j] = c0
+            for d in range(grid.n):
+                vals[:, j] -= 2.0 * Fij[:, d, d] / h[d] ** 2
+        elif axes.size == 1:
+            d = axes[0]
+            vals[:, j] = Fij[:, d, d] / h[d] ** 2 + off[d] * c1[:, d] / (2.0 * h[d])
+        else:
+            d, e = axes
+            vals[:, j] = off[d] * off[e] * Fij[:, d, e] / (2.0 * h[d] * h[e])
+    return sp.csr_matrix((vals[keep], indices, indptr), shape=(N, N))
 
 
 def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hessobs.errors import BadEpsilon, NotAdmissible, PsiNotPositive
-from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
+from hessobs.geometry import ChartGrid, flat_metric, interior_shift, metric_from_callable
 from hessobs.monitors import solved_state, theta_certificate
 from hessobs.operator import (
     Problem,
+    _stencil_pattern,
+    assemble_operator,
     coefficients_from_expressions,
     evaluate_state,
     laplace_beltrami_solve,
@@ -323,6 +326,125 @@ def test_operator_L_linearity():
     lhs = operator_L(st, prob, 2.0 * v - 0.5 * w)
     rhs = 2.0 * operator_L(st, prob, v) - 0.5 * operator_L(st, prob, w)
     assert np.abs(lhs - rhs).max() < 1e-8
+
+
+# -------------------------------------------------- assembly
+
+def reference_assemble(grid, Fij, c1, c0):
+    """The COO builder `assemble_operator` replaced: every stencil entry at
+    an interior neighbor is pushed as (row, column, value), then tocsr."""
+    n = grid.n
+    h = grid.spacing
+    N = grid.n_interior
+    idx = grid.interior_index_map()
+    c0 = np.broadcast_to(np.asarray(c0, dtype=float), (N,))
+    rows_all, cols_all, data_all = [], [], []
+    rows = np.arange(N)
+
+    def push(offset, vals):
+        cols = interior_shift(idx, offset).ravel()
+        keep = cols >= 0
+        rows_all.append(rows[keep])
+        cols_all.append(cols[keep])
+        data_all.append(vals[keep])
+
+    center = c0.copy()
+    for d in range(n):
+        center -= 2.0 * Fij[:, d, d] / h[d] ** 2
+    push((0,) * n, center)
+    for d in range(n):
+        for s in (+1, -1):
+            off = [0] * n
+            off[d] = s
+            push(tuple(off), Fij[:, d, d] / h[d] ** 2 + s * c1[:, d] / (2.0 * h[d]))
+    for d in range(n):
+        for e in range(d + 1, n):
+            for sd in (+1, -1):
+                for se in (+1, -1):
+                    off = [0] * n
+                    off[d], off[e] = sd, se
+                    push(tuple(off), sd * se * Fij[:, d, e] / (2.0 * h[d] * h[e]))
+    J = sp.coo_matrix(
+        (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+        shape=(N, N),
+    )
+    return J.tocsr()
+
+
+def assembly_inputs(interior_shape, curved, diagonal_F, array_c0, seed=0):
+    """A grid of the given interior shape on [-1, 1]^n, and (Fij, c1, c0) on
+    it: Fij random symmetric, or its diagonal only (exact zero
+    off-diagonals); c1 zero on the flat metric and -Fij Gamma on a conformal
+    one; c0 an array or a scalar."""
+    n = len(interior_shape)
+    grid = ChartGrid.box((-1,) * n, (1,) * n, [k + 2 for k in interior_shape])
+    N = grid.n_interior
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, n, n))
+    Fij = X + X.transpose(0, 2, 1)
+    if diagonal_F:
+        Fij = Fij * np.eye(n)
+    if curved:
+        metric = metric_from_callable(grid, lambda x: np.exp(0.8 * x[0]) * np.eye(n))
+        gamma = metric.christoffel[grid.interior].reshape(-1, n, n, n)
+        c1 = -np.einsum("...ij,...kij->...k", Fij, gamma)
+        assert np.abs(c1).max() > 0.0
+    else:
+        c1 = np.zeros((N, n))
+    c0 = rng.standard_normal(N) if array_c0 else -1.5
+    return grid, Fij, c1, c0
+
+
+@pytest.mark.parametrize("interior_shape", [(1, 1), (1, 5), (2, 2), (1, 1, 1), (7, 12, 5)])
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("diagonal_F", [False, True])
+@pytest.mark.parametrize("array_c0", [False, True])
+def test_assembly_matches_reference_coo_bit_for_bit(interior_shape, curved, diagonal_F, array_c0):
+    grid, Fij, c1, c0 = assembly_inputs(interior_shape, curved, diagonal_F, array_c0)
+    J = assemble_operator(grid, Fij, c1, c0)
+    ref = reference_assemble(grid, Fij, c1, c0)
+    assert J.shape == ref.shape
+    assert J.data.dtype == ref.data.dtype and J.data.tobytes() == ref.data.tobytes()
+    assert J.indices.dtype == J.indptr.dtype == np.int32
+    assert np.array_equal(J.indices, ref.indices) and np.array_equal(J.indptr, ref.indptr)
+    # an exact zero stays in the pattern, so J's pattern is the same at every call
+    general = assemble_operator(*assembly_inputs(interior_shape, curved, False, array_c0))
+    assert np.array_equal(J.indices, general.indices) and np.array_equal(J.indptr, general.indptr)
+    if diagonal_F and interior_shape in ((2, 2), (7, 12, 5)):
+        assert (J.data == 0.0).any()
+
+
+def test_stencil_pattern_is_cached_per_interior_shape():
+    _stencil_pattern.cache_clear()
+    a = ChartGrid.box((-1, -1), (1, 1), 9)
+    b = ChartGrid.box((0, -3), (2, 5), 9)
+    Ja = assemble_operator(a, *assembly_inputs(a.interior_shape, False, False, True)[1:])
+    Jb = assemble_operator(b, *assembly_inputs(b.interior_shape, False, False, True)[1:])
+    info = _stencil_pattern.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    _, _, indices, indptr = _stencil_pattern(a.interior_shape)
+    for J in (Ja, Jb):
+        assert np.shares_memory(J.indices, indices) and np.shares_memory(J.indptr, indptr)
+
+
+def test_stencil_pattern_is_read_only():
+    grid = ChartGrid.box((-1, -1), (1, 1), 7)
+    for a in _stencil_pattern(grid.interior_shape)[1:]:
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    J = assemble_operator(grid, *assembly_inputs(grid.interior_shape, False, False, True)[1:])
+    with pytest.raises(ValueError):
+        J.indices[0] = 1
+
+
+def test_successive_assemblies_own_their_data():
+    grid, Fij, c1, c0 = assembly_inputs((5, 6), True, False, True)
+    J1 = assemble_operator(grid, Fij, c1, c0)
+    J2 = assemble_operator(grid, Fij, c1, c0)
+    before = J2.data.copy()
+    assert not np.shares_memory(J1.data, J2.data)
+    J1.data[:] = 7.0
+    assert np.array_equal(J2.data, before)
 
 
 # -------------------------------------------------- laplace-beltrami solve
