@@ -238,14 +238,17 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 
 # linear solve: GMRES right-preconditioned by one multigrid V-cycle.  A level
 # with more than COARSE_N unknowns is coarsened, and the coarsest is solved
-# directly, so a grid of at most COARSE_N unknowns is one direct solve:
-# on ma_obstacle Jacobians a direct solve is the cheaper one up to 361
-# unknowns (2d) and the V-cycle from 529 on.  Each level is smoothed by
-# SMOOTHING_SWEEPS damped Jacobi sweeps (weight JACOBI_WEIGHT) before and
-# after its coarse correction.  A Newton step with residual max-norm r over
-# N unknowns solves to relative residual min(FORCING_MAX, r / sqrt(N))
-# (inexact Newton); GMRES restarts every GMRES_RESTART iterations, at most
-# GMRES_CYCLES times.
+# directly, so a grid of at most COARSE_N unknowns is one direct solve.  On
+# ma_obstacle's first Jacobian (eps = 1e-2, rtol 1e-6, 2-core box) the
+# natural-order direct solve and a V-cycle with one coarsening break even
+# at about 360 to 530 unknowns in 2d; in 3d they tie at 216, and the V-cycle
+# takes two thirds of the direct time at 343.  Natural order loses to COLAMD
+# above about 1,000 unknowns, so it suits a coarsest level of this size
+# only.  Each level is smoothed by SMOOTHING_SWEEPS damped Jacobi sweeps
+# (weight JACOBI_WEIGHT) before and after its coarse correction.  A Newton
+# step with residual max-norm r over N unknowns solves to relative residual
+# min(FORCING_MAX, r / sqrt(N)) (inexact Newton); GMRES restarts every
+# GMRES_RESTART iterations, at most GMRES_CYCLES times.
 COARSE_N = 500
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
@@ -289,9 +292,11 @@ def _hierarchy(shape: tuple) -> tuple:
 def _v_cycle(J, shape: tuple):
     """One V-cycle for J over the interior unknowns of a grid of `shape`, as
     a function of the right-hand side.  Coarse operators are the Galerkin
-    products R A P; the coarsest level is factored by LU.  A zero or
-    non-finite diagonal on a smoothed level, or a singular coarsest level,
-    raises SingularJacobian."""
+    products R A P.  The coarsest level, J itself on a grid without levels,
+    is factored by sparse LU in natural order: lexicographic order on a
+    small structured grid is already banded, so a fill-reducing ordering
+    costs more than it saves.  A zero or non-finite diagonal on a smoothed
+    level, or a singular coarsest level, raises SingularJacobian."""
     transfers = _hierarchy(shape)
     ops = [J]
     for _, P, R in transfers:
@@ -303,7 +308,7 @@ def _v_cycle(J, shape: tuple):
             raise SingularJacobian("zero or non-finite Jacobian diagonal")
         weights.append(JACOBI_WEIGHT / d)
     try:
-        coarse = spla.splu(ops[-1].tocsc())
+        coarse = spla.splu(ops[-1].tocsc(), permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularJacobian(str(exc)) from exc
 

@@ -87,24 +87,24 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
-        "norms_vs_eps.csv": "47dc333582599b594fc2a7ce122b725471285bde4a7a6ea02fd5f16665515510",
-        "report.json": "039679ea52772acdf050144021629bab5f736abeb4cbb7608818f811b6a6ada5",
-        "residual_history.csv": "d7956257129971653a4146bc24ddc2e217ed239b5878e6e95c7e15b1e2ccce9f",
-        "u_eps_1e-02.txt": "625df86a63d471bce4a89627104931977072f880bc9fc3f1141e5aa10ce231ee",
-        "u_eps_1e-03.txt": "5c2e930bfe89595deea5c125204426cd17980e329528ec771aa4503a53903bd9",
-        "u_eps_1e-04.txt": "3af759d5677b749a8e1d87b707c9c8190b132c34b00664f4835c49bbf75c45d1",
+        "norms_vs_eps.csv": "9f33a320641f60e17b64923b9ca38f9a9fc70f3fdf5facb3b5bc7cd823cd199e",
+        "report.json": "6426ee49cfdbd4ee2da699da4d953ab533257a14114ea91f2a30206946c71f72",
+        "residual_history.csv": "107f269971624cf25cf49116f4bb90b7dd170cef8cd2c43b6e053ccb40d01007",
+        "u_eps_1e-02.txt": "4842f27da754381874714ed95dbb3b3e229dac58c31156fbfa1b3d719b567ab0",
+        "u_eps_1e-03.txt": "748fb61ace6aaa636a3e33c4eb89dd1a177215ea69ceccd9e0a6ab2f2b11c5aa",
+        "u_eps_1e-04.txt": "f0d7dcea3371dd88b3279a65d296de0ccb910cd436185fe69277ba25f76de61d",
     }),
     "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "33", "--audit", "off"], {
         "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
-        "norms_vs_eps.csv": "31f5d2329ce4e8f981480291a82dadf3ebc32d6e5ba28d22a0c37aae6e7ede83",
-        "report.json": "28fac60965fd27079774abb55fc9bd21843fac9fd4bf484357f6b54058e40367",
-        "residual_history.csv": "7ff011bc5db71a08ee8f4fb6ae0ddb0d88238825a17ccd611649780f63b57778",
-        "u_eps_1e-02.txt": "8da6c27ad88cd3791aa46d2f5aa65412a008fe00b45c80b70fc6583e9995f6b5",
-        "u_eps_1e-03.txt": "6fba8ff26e018781044b16ea45fb776f470f3ad77641c888cef714818cffeaac",
-        "u_eps_1e-04.txt": "eaec1aab5f8fbb62052145abe5d1fcfe8b61fc60e5d53c2af8c0c5ba8f8cfcc5",
-        "u_eps_1e-05.txt": "8e81d701f034f9a2a8d7686c9601274be289eb7b134b7a76482e59fafa3b9a18",
-        "u_eps_1e-06.txt": "b30c490552762498a2c6f7fc2a501fb81badec028c24a0717d64a8634893fe65",
+        "norms_vs_eps.csv": "950e78b15aa90719379b4ef9cc37e100f5bd7540f60ef378f4d0a72940333ca0",
+        "report.json": "8a50a6ed5db25aa99bffef0768753e0978d8a7ef84c8087feb024e3f5736de8e",
+        "residual_history.csv": "dcfc922bab442ec21729159b8e6a0e6271b60691f4eb602618255f50e974313e",
+        "u_eps_1e-02.txt": "f525ee71c78426dee08e3dc942fea52e371052e8ed2692ce037b3f0a063a4129",
+        "u_eps_1e-03.txt": "e954a6fd393075bf7d570e46c1ee26fcf32232f1666ce8e8073eccdcff878e44",
+        "u_eps_1e-04.txt": "780c68501a5be125e1455c6651354efead63a432f329d032161871f9422737dd",
+        "u_eps_1e-05.txt": "2d6cf2e1e1665c7f8937d68514c4353e13dd7f6fc8aa77f54304f319872dd48d",
+        "u_eps_1e-06.txt": "21e1a41c6f35f98fd00065e255b9187accdded8b8307674e69d498d136c8c9b7",
     }),
 }
 
