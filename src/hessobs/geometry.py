@@ -100,12 +100,6 @@ class ChartGrid:
         mask[self.interior] = False
         return mask
 
-    def interior_index_map(self) -> np.ndarray:
-        """Grid-shaped int array: running interior index, -1 on the boundary."""
-        idx = np.full(self.m, -1, dtype=np.int64)
-        idx[self.interior] = np.arange(self.n_interior).reshape(self.interior_shape)
-        return idx
-
     def sample(self, fn) -> np.ndarray:
         """Sample a callable of the stacked coordinate array onto the grid."""
         return np.asarray(fn(self.points()), dtype=float)

@@ -4,17 +4,19 @@ continuation over a decreasing penalty schedule.
 Each Newton step solves the exact sparse Jacobian for the Newton
 direction by GMRES right-preconditioned by one geometric multigrid V-cycle,
 to the inexact-Newton tolerance min(0.1, |F|_inf / sqrt(N)) (a small grid is
-solved directly).  The path tangent du/deps is solved once per epsilon, after
-convergence, with the last Newton step's Jacobian and tolerance.  It
-backtracks with two acceptance rules: (a) every interior point of the
-candidate stays inside the cone with margin at least (1 - tau_ftb) times the
-current margin, and (b) Armijo decrease of the squared residual norm.  The
-subsolution supplies a safe start.  Each later epsilon starts from a
-prediction along the solution path in s = eps^(1/3), the scale of the cubic
-penalty's solutions ((u - h)_+ ~ eps^(1/3)): an Euler step from the first
-solution, and from the second on the cubic Hermite extrapolation through
-the last two solutions and their tangents.  The previous solution (warm
-start) is the fallback when the prediction is inadmissible or no closer.
+solved directly).  The path tangent du/deps is solved once per epsilon,
+after convergence, with the last Newton step's Jacobian and tolerance.  The
+same GMRES and V-cycle solve the default initializer's harmonic lift; they
+are the package's only sparse solver.  Newton backtracks with two
+acceptance rules: (a) every interior point of the candidate stays inside
+the cone with margin at least (1 - tau_ftb) times the current margin, and
+(b) Armijo decrease of the squared residual norm.  The subsolution
+supplies a safe start.  Each later epsilon starts from a prediction along
+the solution path in s = eps^(1/3), the scale of the cubic penalty's
+solutions ((u - h)_+ ~ eps^(1/3)): an Euler step from the first solution,
+and from the second on the cubic Hermite extrapolation through the last two
+solutions and their tangents.  The previous solution (warm start) is the
+fallback when the prediction is inadmissible or no closer.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from .errors import (
     NotAdmissible,
     SingularJacobian,
 )
-from .geometry import pin_boundary
+from .geometry import ChartGrid, MetricField, covariant_hessian, pin_boundary
 from .operator import (
     PENALTY_ROOT,
     Problem,
     StateEval,
-    laplace_beltrami_solve,
+    assemble_operator,
     linearize,
     penalty,
     residual,
@@ -53,6 +55,7 @@ __all__ = [
     "newton_solve",
     "continuation_solve",
     "default_initializer",
+    "laplace_beltrami_solve",
 ]
 
 
@@ -248,13 +251,16 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 # (weight JACOBI_WEIGHT) before and after its coarse correction.  A Newton
 # step with residual max-norm r over N unknowns solves to relative residual
 # min(FORCING_MAX, r / sqrt(N)) (inexact Newton); GMRES restarts every
-# GMRES_RESTART iterations, at most GMRES_CYCLES times.
+# GMRES_RESTART iterations, at most GMRES_CYCLES times.  The default
+# initializer's harmonic lift is solved to relative residual LIFT_RTOL, near
+# roundoff, so that the start it gives is the direct solve's.
 COARSE_N = 500
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
 FORCING_MAX = 0.1
 GMRES_RESTART = 20
 GMRES_CYCLES = 10
+LIFT_RTOL = 1e-12
 
 
 def _interpolation(k: int) -> sp.csr_matrix:
@@ -519,9 +525,9 @@ def default_initializer(prob: Problem) -> np.ndarray:
     checked.  Otherwise a paraboloid q(x) = a |x - x_c|^2 / 2 + b is grown
     until f(lam(nabla^2 q + A[q])) >= psi[q] everywhere, b is set so that
     q <= min(phi, h), and the Dirichlet mismatch is blended in with the
-    solution of the Laplace-Beltrami problem L0 v = 0, v = phi - q on the
-    boundary.  The blended iterate is admissibility-checked; failure of both
-    paths raises NoAdmissibleStart (a subsolution is then required input).
+    Laplace-Beltrami lift of phi - q (`laplace_beltrami_solve`).  The
+    blended iterate is admissibility-checked; failure of both paths raises
+    NoAdmissibleStart (a subsolution is then required input).
     """
     grid = prob.grid
     if prob.subsolution is not None:
@@ -552,3 +558,26 @@ def default_initializer(prob: Problem) -> np.ndarray:
     raise NoAdmissibleStart(
         "built-in paraboloid/blend initializer failed; supply a subsolution"
     )
+
+
+def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
+                           boundary_values: np.ndarray) -> np.ndarray:
+    """The discrete harmonic lift of Dirichlet data: the full-grid field v
+    that holds `boundary_values` exactly on the boundary layer and solves
+    g^{ij} (nabla^2 v)_{ij} = 0 at the interior points.
+
+    With w the data on a zero interior, the interior of v - w solves the
+    assembled operator (g^{ij}, -g^{ij} Gamma^k_{ij}, 0) with right side
+    -g^{ij} (nabla^2 w)_{ij}, by `_linear_solve` to relative residual
+    LIFT_RTOL.
+    """
+    n = grid.n
+    ginv = metric.ginv[grid.interior].reshape(-1, n, n)
+    gamma = metric.christoffel[grid.interior].reshape(-1, n, n, n)
+    c1 = -np.einsum("...ij,...kij->...k", ginv, gamma)
+    w = pin_boundary(grid, np.zeros(grid.shape), boundary_values)
+    b = -np.einsum("...ij,...ij->...", ginv,
+                   covariant_hessian(w, metric, grid).reshape(-1, n, n))
+    v, _ = _linear_solve(assemble_operator(grid, ginv, c1, 0.0), grid.interior_shape,
+                         b, LIFT_RTOL)
+    return w + _on_grid(grid, v)

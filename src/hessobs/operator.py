@@ -14,6 +14,8 @@ stencil, so the assembled sparse matrix is the exact Jacobian of the
 discrete residual.  Its sparsity pattern depends only on the interior grid
 shape: it is built once per shape and cached, and each assembly fills in
 the values.  Only the monitors read lam itself, through `spectrum`.
+This module builds matrices and solves none: every sparse system, the
+default initializer's harmonic lift included, is solved in `newton`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "assemble_operator",
     "a_scalar_text",
     "coefficients_from_expressions",
-    "laplace_beltrami_solve",
 ]
 
 PSI_FLOOR = 1e-12
@@ -443,46 +444,3 @@ def certify_coefficients(prob: Problem, samples: int = 200,
 
     return CoefficientCertification(passed=failed is None, checks=checks,
                                     witness=witness, failed_condition=failed)
-
-
-# ---------------------------------------------------------------------------
-# linear solves with the Laplace-Beltrami operator (initializer plumbing)
-# ---------------------------------------------------------------------------
-
-def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
-                           boundary_values: np.ndarray,
-                           rhs: np.ndarray | float = 0.0) -> np.ndarray:
-    """Solve g^{ij} (nabla^2 v)_{ij} = rhs with Dirichlet data; returns the
-    full-grid field (boundary layer holds the data exactly)."""
-    from scipy.sparse.linalg import spsolve
-
-    n = grid.n
-    N = grid.n_interior
-    ginv = metric.ginv[grid.interior].reshape(-1, n, n)
-    if metric.is_flat:
-        c1 = np.zeros((N, n))
-    else:
-        gamma = metric.christoffel[grid.interior].reshape(-1, n, n, n)
-        c1 = -np.einsum("...ij,...kij->...k", ginv, gamma)
-    Lap = assemble_operator(grid, ginv, c1, 0.0)
-
-    # move boundary contributions to the right side
-    full = np.array(boundary_values, dtype=float, copy=True)
-    full[grid.interior] = 0.0
-    bc_field = _apply_full_operator(grid, ginv, c1, full)
-    b = np.broadcast_to(np.asarray(rhs, dtype=float), (N,)) - bc_field
-    v_int = spsolve(Lap, b)
-    out = np.array(boundary_values, dtype=float, copy=True)
-    out[grid.interior] = v_int.reshape(grid.interior_shape)
-    return out
-
-
-def _apply_full_operator(grid, Fij, c1, w):
-    """Apply the plain-partial (Fij, c1) stencil operator to a full-grid
-    field; this matches assemble_operator's discretization exactly."""
-    from .geometry import hessian_centered
-
-    n = grid.n
-    Hw = hessian_centered(w, grid).reshape(-1, n, n)
-    dw = gradient_centered(w, grid).reshape(-1, n)
-    return np.einsum("...ij,...ij->...", Fij, Hw) + np.einsum("...k,...k->...", c1, dw)

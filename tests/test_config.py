@@ -57,6 +57,15 @@ def test_round_trip_canonical_text():
         assert again == cfg
 
 
+def test_readme_example_parses_and_builds():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("```text\n") + len("```text\n")
+    text = readme[start:readme.index("```", start)]
+    rs = build_runsetup(parse_config(text))
+    assert rs.problem.grid.m == (65, 65)
+    assert rs.problem.subsolution is not None
+
+
 def test_unknown_block_rejected_with_line():
     with pytest.raises(ConfigError) as ei:
         parse_config(MINIMAL + "\nfrobnicate {\n  q = 1\n}\n")

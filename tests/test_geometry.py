@@ -30,14 +30,6 @@ def test_grid_validation():
         ChartGrid.box((0, 0), (0, 1), 5)
 
 
-def test_grid_masks_partition():
-    g = grid2(9)
-    bnd = g.boundary_mask()
-    idx = g.interior_index_map()
-    assert np.all((idx >= 0) == ~bnd)
-    assert idx.max() + 1 == g.n_interior == 7 * 7
-
-
 def test_pin_boundary():
     g = grid2(9)
     phi = g.sample(lambda x: x[..., 0] + 2.0 * x[..., 1])

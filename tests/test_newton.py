@@ -646,6 +646,35 @@ def test_initializer_rejects_inadmissible_subsolution():
         default_initializer(prob)
 
 
+def builtin_start_config(tmp_path, name):
+    text = bundled_config_text(name)
+    sub = next(line for line in text.splitlines() if line.strip().startswith("u = "))
+    cfg = tmp_path / f"{name}_builtin.cfg"
+    cfg.write_text(text.replace(sub, "  u = builtin"))
+    return cfg
+
+
+def test_builtin_start_sweep_converges(tmp_path):
+    # the paraboloid and its harmonic lift start the trace-operator sweep
+    cfg = builtin_start_config(tmp_path, "laplacian_obstacle_strong")
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--grid-m", "33", "--audit", "off",
+                 "--out", str(out), "--quiet"]) == 0
+    solves = json.loads((out / "report.json").read_text())["solves"]
+    assert all(s["converged"] for s in solves)
+    assert [s["iterations"] for s in solves] == [4, 4, 3, 3, 3]
+
+
+def test_builtin_start_fails_on_ma_obstacle(tmp_path):
+    # no blended paraboloid is admissible for the det-root problem
+    cfg = builtin_start_config(tmp_path, "ma_obstacle")
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--grid-m", "33", "--audit", "off",
+                 "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_failure"]["error"] == "NoAdmissibleStart"
+
+
 # -------------------------------------------------- 3d smoke test
 
 def test_sigma1_3d_solve():

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hessobs.errors import BadEpsilon, NotAdmissible, PsiNotPositive
-from hessobs.geometry import ChartGrid, flat_metric, interior_shift, metric_from_callable
+from hessobs.geometry import (
+    ChartGrid,
+    covariant_hessian,
+    flat_metric,
+    interior_shift,
+    metric_from_callable,
+)
 from hessobs.monitors import solved_state, theta_certificate
+from hessobs.newton import COARSE_N, laplace_beltrami_solve
 from hessobs.operator import (
     Problem,
     _stencil_pattern,
     assemble_operator,
     coefficients_from_expressions,
     evaluate_state,
-    laplace_beltrami_solve,
     linearize,
     operator_L,
     penalty,
@@ -149,7 +156,8 @@ def test_linearize_sigma1_is_discrete_laplacian():
     assert np.abs(st.Fij - np.eye(2)).max() < 1e-12
     # matrix row for an interior point away from the boundary: 5-point laplacian
     grid = prob.grid
-    idx = grid.interior_index_map()
+    idx = np.full(grid.shape, -1)
+    idx[grid.interior] = np.arange(grid.n_interior).reshape(grid.interior_shape)
     center = idx[4, 4]
     row = linearize(st, prob).getrow(center).toarray().ravel()
     h2 = grid.spacing[0] ** 2
@@ -336,7 +344,8 @@ def reference_assemble(grid, Fij, c1, c0):
     n = grid.n
     h = grid.spacing
     N = grid.n_interior
-    idx = grid.interior_index_map()
+    idx = np.full(grid.shape, -1)
+    idx[grid.interior] = np.arange(N).reshape(grid.interior_shape)
     c0 = np.broadcast_to(np.asarray(c0, dtype=float), (N,))
     rows_all, cols_all, data_all = [], [], []
     rows = np.arange(N)
@@ -457,15 +466,43 @@ def test_laplace_solve_flat_harmonic_exact():
     assert np.abs(v - data).max() < 1e-10
 
 
-def test_laplace_solve_rhs():
+def conformal_metric(grid):
+    return metric_from_callable(grid, lambda x: np.exp(0.8 * x[0]) * np.eye(grid.n))
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_laplace_solve_is_discrete_harmonic(curved):
+    # non-harmonic data: the lift keeps it on the boundary layer and its
+    # discrete Laplace-Beltrami operator vanishes at every interior point
     grid = ChartGrid.box((-1, -1), (1, 1), 17)
-    metric = flat_metric(grid)
-    data = np.zeros(grid.shape)
-    v = laplace_beltrami_solve(grid, metric, data, rhs=4.0)
-    # exact discrete solution of Delta v = 4 with zero data: v = x^2 + y^2 - blend
-    u_exact = grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
-    w = laplace_beltrami_solve(grid, metric, u_exact)  # harmonic with that data
-    assert np.abs((u_exact - w) - v).max() < 1e-9
+    metric = conformal_metric(grid) if curved else flat_metric(grid)
+    data = grid.sample(lambda x: np.exp(x[..., 0]) * np.cos(2.0 * x[..., 1]) + x[..., 1] ** 3)
+    v = laplace_beltrami_solve(grid, metric, data)
+    bnd = grid.boundary_mask()
+    assert np.array_equal(v[bnd], data[bnd])
+    ginv = metric.ginv[grid.interior]
+    lap = np.einsum("...ij,...ij->...", ginv, covariant_hessian(v, metric, grid))
+    assert np.abs(lap).max() <= 1e-9 * np.abs(data).max()
+
+
+@pytest.mark.parametrize("n, m", [(2, 33), (3, 17)])
+def test_laplace_solve_matches_a_direct_solve(n, m):
+    # conformal metric on grids with multigrid levels: the GMRES lift agrees
+    # with a sparse direct solve of the same assembled system
+    grid = ChartGrid.box((-1,) * n, (1,) * n, m)
+    assert grid.n_interior > COARSE_N
+    metric = conformal_metric(grid)
+    data = grid.sample(lambda x: np.sin(2.0 * x[..., 0]) * np.exp(x[..., 1]) + x.sum(axis=-1) ** 2)
+    v = laplace_beltrami_solve(grid, metric, data)
+    ginv = metric.ginv[grid.interior].reshape(-1, n, n)
+    c1 = -np.einsum("...ij,...kij->...k", ginv,
+                    metric.christoffel[grid.interior].reshape(-1, n, n, n))
+    w = np.array(data)
+    w[grid.interior] = 0.0
+    b = -np.einsum("...ij,...ij->...", ginv, covariant_hessian(w, metric, grid).reshape(-1, n, n))
+    ref = spla.spsolve(assemble_operator(grid, ginv, c1, 0.0).tocsc(), b)
+    err = np.abs(v[grid.interior].ravel() - ref).max()
+    assert err <= 1e-10 * np.abs(ref).max()
 
 
 def test_laplace_solve_conformal_2d():
