@@ -205,7 +205,7 @@ def cmd_check_structure(rs: RunSetup, args) -> int:
             "nu0_hat": rep.nu0_hat,
             "boundary_decay_ratios": rep.boundary_decay_ratios,
             "ladder_monotone": rep.ladder_monotone,
-            "passed": rep.passed(),
+            "passed": True,  # check_structure_conditions raises on any failed rule
         }
         _say(args, f"structure conditions: pass ({args.samples} samples)")
     except StructureViolation as exc:

@@ -8,7 +8,7 @@ points only, with second-order centered stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,18 +122,19 @@ class MetricField:
     """Sampled Riemannian metric with precomputed inverse and connection
     coefficients.  `christoffel[..., kk, i, j]` holds Gamma^kk_ij."""
 
-    grid: ChartGrid
     g: np.ndarray  # shape m + (n, n)
     ginv: np.ndarray
     christoffel: np.ndarray  # shape m + (n, n, n)
-    is_flat: bool = field(default=False)
+    is_flat: bool = False
 
 
 def flat_metric(grid: ChartGrid) -> MetricField:
+    """The Euclidean metric: g, ginv and christoffel are read-only broadcast
+    views of one identity and one zero, not full-grid copies."""
     n = grid.n
-    eye = np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy()
-    zero = np.zeros(grid.shape + (n, n, n))
-    return MetricField(grid=grid, g=eye, ginv=eye.copy(), christoffel=zero, is_flat=True)
+    eye = np.broadcast_to(np.eye(n), grid.shape + (n, n))
+    zero = np.broadcast_to(0.0, grid.shape + (n, n, n))
+    return MetricField(g=eye, ginv=eye, christoffel=zero, is_flat=True)
 
 
 def metric_from_callable(grid: ChartGrid, gfun) -> MetricField:
@@ -153,7 +154,7 @@ def metric_from_field(grid: ChartGrid, g: np.ndarray) -> MetricField:
         raise NotSPD("metric is not positive definite on the grid") from exc
     ginv = np.linalg.inv(g)
     gamma = christoffel_from_metric(g, grid, ginv=ginv)
-    return MetricField(grid=grid, g=g, ginv=ginv, christoffel=gamma, is_flat=False)
+    return MetricField(g=g, ginv=ginv, christoffel=gamma, is_flat=False)
 
 
 def christoffel_from_metric(g: np.ndarray, grid: ChartGrid, ginv: np.ndarray) -> np.ndarray:

@@ -255,14 +255,14 @@ def extract_contact_set(
     epsilon: float,
     penalty_sup: float,
     hess_norm: float,
-    h_above_phi_on_boundary: bool = True,
 ) -> ContactSet:
     """Indicator of the approximate contact set and its interface cells.
 
     The threshold combines the penalization depth (penalty_sup * eps)^(1/3)
-    with a discretization band 2 h^2 * hess_norm.  When the obstacle clears
-    the boundary data, no contact cell may touch the chart boundary; that is
-    asserted here (it mirrors the barrier argument's conclusion).
+    with a discretization band 2 h^2 * hess_norm.  The obstacle clears the
+    boundary data (`build_runsetup` ensures h > phi there), so no contact
+    cell may touch the chart boundary; that is asserted here (it mirrors the
+    barrier argument's conclusion).
     """
     hmax = float(grid.spacing.max())
     tau = (max(penalty_sup, 0.0) * epsilon) ** PENALTY_ROOT + 2.0 * hmax**2 * hess_norm
@@ -275,13 +275,12 @@ def extract_contact_set(
         for off in (*E, *-E):
             neighbor_all &= interior_shift(padded, off)
         interface = mask & ~neighbor_all
-        if h_above_phi_on_boundary:
-            edge = np.ones_like(mask)
-            edge[grid.interior] = False
-            if bool((mask & edge).any()):
-                raise MonitorError(
-                    "contact set touches the chart boundary although h > phi there"
-                )
+        edge = np.ones_like(mask)
+        edge[grid.interior] = False
+        if bool((mask & edge).any()):
+            raise MonitorError(
+                "contact set touches the chart boundary although h > phi there"
+            )
     return ContactSet(
         tau=float(tau),
         mask=mask,

@@ -5,12 +5,12 @@ Implements the two operator families
     f(lam) = sigma_k(lam)^(1/k)                 on Gamma_k
     f(lam) = (sigma_k(lam)/sigma_l(lam))^(1/(k-l))   on Gamma_k, 1 <= l < k
 
-together with first and second derivatives, cone classification, numerical
-certification of the structure conditions (monotonicity, concavity,
-positivity/boundary decay, the Euler-type lower bound, the negative-component
-gradient bound, divergence along the diagonal ray), and a sampling-based
-estimate of the uniform constant in the supporting-hyperplane inequality used
-by the second-order estimates.
+together with first and second derivatives, numerical certification of the
+structure conditions (monotonicity, concavity, positivity/boundary decay, the
+Euler-type lower bound, the negative-component gradient bound, divergence
+along the diagonal ray), and a sampling-based estimate of the uniform
+constant in the supporting-hyperplane inequality used by the second-order
+estimates.
 
 Internally both families share one code path: the pure root family is the
 quotient with l = 0 and sigma_0 = 1.  All derivative formulas run through
@@ -35,15 +35,11 @@ from .errors import OutsideCone, StructureViolation
 
 __all__ = [
     "SymmetricFunctionSpec",
-    "ConePoint",
     "ThetaCertificate",
     "StructureReport",
-    "sigma",
     "eval_f",
     "grad_f",
     "hess_f",
-    "normal_vector",
-    "cone_membership",
     "cone_tolerances",
     "check_structure_conditions",
     "sample_cone_points",
@@ -100,20 +96,6 @@ class SymmetricFunctionSpec:
 
 
 @dataclass(frozen=True)
-class ConePoint:
-    """Cone classification of one eigenvalue tuple."""
-
-    lam: np.ndarray
-    membership: str  # "interior" | "boundary" | "outside"
-    tol: np.ndarray  # per-degree tolerance band actually used
-    sigmas: np.ndarray  # sigma_1..sigma_k
-
-    @property
-    def interior(self) -> bool:
-        return self.membership == "interior"
-
-
-@dataclass(frozen=True)
 class ThetaCertificate:
     """Sampled lower bound for the constant in the supporting-hyperplane
     inequality.  `theta_hat is None` means the normal-gap premise was never
@@ -165,24 +147,15 @@ def _sigma_removed(lam: np.ndarray, j: int, order: int) -> np.ndarray:
     return out
 
 
-def sigma(j: int, lam) -> float:
-    """j-th elementary symmetric polynomial of the tuple lam (sigma_0 = 1)."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not (0 <= j <= n):
-        raise ValueError(f"need 0 <= j <= {n}, got {j}")
-    return float(elementary_symmetric(lam[None, :], j)[0, j])
-
-
 # ---------------------------------------------------------------------------
 # cone membership
 # ---------------------------------------------------------------------------
 
 def cone_tolerances(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
-    """Per-sigma tolerance band 1e-12 * (1 + |lam|)^j for j = 1..k.
+    """Per-sigma round-off band 1e-12 * (1 + |lam|)^j for j = 1..k.
 
     sigma_j is homogeneous of degree j, so the band must scale with degree;
-    a single (1+|lam|)^k band misclassifies sigma_1 at large radii.
+    a single (1+|lam|)^k band is far too wide for sigma_1 at large radii.
     """
     lam = np.atleast_2d(lam)
     r = 1.0 + np.linalg.norm(lam, axis=-1)
@@ -199,21 +172,6 @@ def _inside(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
     """Strict membership of each row of the (N, n) batch lam in Gamma_k: all
     sigma margins > 0 (False on NaN rows)."""
     return np.all(sigma_margins(spec, lam) > 0.0, axis=1)
-
-
-def cone_membership(spec: SymmetricFunctionSpec, lam) -> ConePoint:
-    """Classify lam against Gamma_k: interior, boundary band (of width
-    `cone_tolerances`), or outside."""
-    lam = np.asarray(lam, dtype=float)
-    sig = sigma_margins(spec, lam)[0]
-    tol = cone_tolerances(spec, lam)[0]
-    if np.any(sig < 0.0):
-        membership = "outside"
-    elif np.all(sig > tol):
-        membership = "interior"
-    else:
-        membership = "boundary"
-    return ConePoint(lam=lam, membership=membership, tol=tol, sigmas=sig)
 
 
 def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
@@ -332,12 +290,6 @@ def _hess_batch(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
     g = (s_k - s_l) / m
     H = f[:, None, None] * (g[:, :, None] * g[:, None, :] + (Tk - Tl) / m)
     return 0.5 * (H + np.swapaxes(H, 1, 2))
-
-
-def normal_vector(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
-    """Unit normal Df(lam)/|Df(lam)| to the level hypersurface through lam."""
-    g = grad_f(spec, lam)
-    return g / np.linalg.norm(g)
 
 
 def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndarray):
@@ -471,18 +423,6 @@ class StructureReport:
     ladder_values: list  # f(2^s * 1), s = 0..40
     ladder_monotone: bool
 
-    def passed(self) -> bool:
-        ok = (
-            self.min_grad_component > 0.0
-            and self.max_hess_eig_scaled <= 1e-8
-            and self.min_f > 0.0
-            and self.min_euler_bound >= 0.0
-            and self.ladder_monotone
-        )
-        if self.nu0_hat is not None:
-            ok = ok and self.nu0_hat > 0.0
-        return ok
-
 
 def check_structure_conditions(
     spec: SymmetricFunctionSpec,
@@ -507,7 +447,7 @@ def check_structure_conditions(
     f, grad = _grad_batch(spec, lam)
 
     min_grad = float(grad.min())
-    if min_grad <= 0.0:
+    if not min_grad > 0.0:
         idx = np.unravel_index(np.argmin(grad), grad.shape)[0]
         raise StructureViolation("monotonicity f_i > 0", lam[idx], f"min f_i = {min_grad:.3e}")
 
@@ -515,18 +455,18 @@ def check_structure_conditions(
     scaled = np.linalg.eigvalsh(H)[:, -1] / (1.0 + np.abs(H).max(axis=(1, 2)))
     worst = int(np.argmax(scaled))
     worst_scaled = float(scaled[worst])
-    if worst_scaled > 1e-8:
+    if not worst_scaled <= 1e-8:
         raise StructureViolation("concavity of f", lam[worst], f"lambda_max(D^2 f) slack {worst_scaled:.3e}")
 
     min_f = float(f.min())
-    if min_f <= 0.0:
+    if not min_f > 0.0:
         raise StructureViolation("positivity f > 0", lam[np.argmin(f)], f"min f = {min_f:.3e}")
 
     decay = _boundary_decay(spec, seed + 1)
 
     euler = np.einsum("ij,ij->i", grad, lam) + K0 * (1.0 + grad.sum(axis=1))
     min_euler = float(euler.min())
-    if min_euler < 0.0:
+    if not min_euler >= 0.0:
         raise StructureViolation(
             "Euler-type bound sum f_i lam_i + K0 (1+sum f_i) >= 0",
             lam[np.argmin(euler)],
@@ -538,7 +478,7 @@ def check_structure_conditions(
         denom = 1.0 + grad.sum(axis=1)
         ratios = np.where(neg, grad, np.inf) / denom[:, None]
         nu0 = float(ratios.min())
-        if nu0 <= 0.0:
+        if not nu0 > 0.0:
             bad = np.unravel_index(np.argmin(ratios), ratios.shape)[0]
             raise StructureViolation("gradient bound at negative components", lam[bad], f"nu0 = {nu0:.3e}")
     else:

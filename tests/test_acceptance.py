@@ -136,7 +136,8 @@ def test_criterion_2_structure_suite():
     with criterion(2, "structure-condition suite at 1000 samples per family", 10.0):
         for spec in FAMILIES:
             rep = check_structure_conditions(spec, 1000, seed=42)
-            assert rep.passed()
+            assert rep.min_f > 0.0
+            assert rep.nu0_hat is None or rep.nu0_hat > 0.0
             assert rep.max_hess_eig_scaled <= 1e-8
             assert rep.min_grad_component > 0.0
             assert rep.min_euler_bound >= 0.0

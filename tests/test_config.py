@@ -209,10 +209,11 @@ def test_setup_parses_each_expression_once(name, monkeypatch):
 def test_conformal_metric_equals_per_point_callable(m):
     phi_text = "0.3*x1 + 0.1*sin(x2)"
     txt = MINIMAL + f'\nmetric {{\n  kind = conformal\n  phi = "{phi_text}"\n}}\n'
-    metric = build_runsetup(parse_config(txt).override(grid_m=m)).problem.metric
+    problem = build_runsetup(parse_config(txt).override(grid_m=m)).problem
+    metric = problem.metric
     phi = parse_expression(phi_text, 2, allow_zp=False)
     ref = metric_from_callable(
-        metric.grid, lambda x: np.exp(2.0 * float(phi(x1=x[0], x2=x[1]))) * np.eye(2))
+        problem.grid, lambda x: np.exp(2.0 * float(phi(x1=x[0], x2=x[1]))) * np.eye(2))
     assert np.array_equal(metric.g, ref.g)
     assert np.array_equal(metric.christoffel, ref.christoffel)
 

@@ -68,6 +68,22 @@ def test_christoffel_symmetry_in_lower_indices():
     assert np.abs(gam - np.swapaxes(gam, -1, -2)).max() < 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_flat_metric_is_read_only_identity(n):
+    g = ChartGrid.box((-1.0,) * n, (1.0,) * n, 5)
+    geo = flat_metric(g)
+    assert geo.is_flat
+    assert geo.g.shape == geo.ginv.shape == g.shape + (n, n)
+    assert geo.christoffel.shape == g.shape + (n, n, n)
+    assert np.array_equal(geo.g, np.broadcast_to(np.eye(n), geo.g.shape))
+    assert np.array_equal(geo.ginv, geo.g)
+    assert not geo.christoffel.any()
+    for arr in (geo.g, geo.ginv, geo.christoffel):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
 def test_metric_not_spd_raises():
     g = grid2(5)
     with pytest.raises(NotSPD):

@@ -199,9 +199,8 @@ def test_contact_radius_disc():
     grid = ChartGrid.box((-1, -1), (1, 1), 65)
     rsq = (grid.points() ** 2).sum(axis=-1)
     u = np.where(rsq <= 0.25, 1.0, 0.0)
-    h = np.ones((65, 65)) * 1.0
-    h[0, 0] = 2.0  # keep h > phi check out of scope here
-    cs = extract_contact_set(u, h, grid, 1e-6, 0.0, 0.0, h_above_phi_on_boundary=False)
+    h = np.ones((65, 65))
+    cs = extract_contact_set(u, h, grid, 1e-6, 0.0, 0.0)
     assert abs(contact_radius(cs, grid) - 0.5) < 2.0 * grid.spacing.max()
 
 

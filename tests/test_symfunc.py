@@ -15,17 +15,16 @@ from hessobs.symfunc import (
     SymmetricFunctionSpec,
     _exit_parameters,
     _hess_batch,
+    _inside,
     check_structure_conditions,
-    cone_membership,
     cone_tolerances,
+    elementary_symmetric,
     estimate_theta,
     eval_f,
     f_and_grad_of_matrix,
     grad_f,
     hess_f,
-    normal_vector,
     sample_cone_points,
-    sigma,
     sigma_margins,
 )
 
@@ -73,16 +72,16 @@ def fd_hessian(spec, lam, step=None):
 # -------------------------------------------------- sigma
 
 def test_sigma_all_ones():
-    assert sigma(2, [1.0, 1.0, 1.0]) == pytest.approx(3.0)
+    assert elementary_symmetric([1.0, 1.0, 1.0], 2)[0, 2] == pytest.approx(3.0)
 
 
 def test_sigma_zero_is_one():
-    assert sigma(0, [17.0, -3.0, 2.5]) == 1.0
+    assert elementary_symmetric([17.0, -3.0, 2.5], 0)[0, 0] == 1.0
 
 
 def test_sigma_direct_expansion():
     # (-1)(1) + (-1)(1) + (1)(1) = -1
-    assert sigma(2, [-1.0, 1.0, 1.0]) == pytest.approx(-1.0)
+    assert elementary_symmetric([-1.0, 1.0, 1.0], 2)[0, 2] == pytest.approx(-1.0)
 
 
 def test_sigma_matches_enumeration():
@@ -92,7 +91,7 @@ def test_sigma_matches_enumeration():
 
     for j in range(7):
         brute = sum(np.prod([lam[i] for i in c]) for c in combinations(range(6), j))
-        assert sigma(j, lam) == pytest.approx(brute, rel=1e-12, abs=1e-12)
+        assert elementary_symmetric(lam, j)[0, j] == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
 
 # -------------------------------------------------- eval_f
@@ -176,22 +175,27 @@ def test_hess_batch_equals_stacked_rows(spec):
     assert np.array_equal(_hess_batch(spec, lam), np.stack([hess_f(spec, row) for row in lam]))
 
 
-# -------------------------------------------------- normal_vector
+# -------------------------------------------------- unit normal Df / |Df|
+
+def unit_normal(spec, lam):
+    g = grad_f(spec, lam)
+    return g / np.linalg.norm(g)
+
 
 def test_normal_sigma1_constant():
-    nu = normal_vector(SymmetricFunctionSpec(3, 1), [5.0, -1.0, 0.2])
+    nu = unit_normal(SymmetricFunctionSpec(3, 1), [5.0, -1.0, 0.2])
     assert nu == pytest.approx(np.full(3, 1.0 / np.sqrt(3.0)))
 
 
 def test_normal_at_diagonal():
     for spec in SPECS:
-        nu = normal_vector(spec, np.full(spec.n, 3.0))
+        nu = unit_normal(spec, np.full(spec.n, 3.0))
         assert nu == pytest.approx(np.full(spec.n, 1.0 / np.sqrt(spec.n)))
 
 
 def test_normal_sigma2_derived():
     # Dsigma_2 at (2,1,1) is (sigma_1(lam|i)) = (2,3,3); normalize
-    nu = normal_vector(SymmetricFunctionSpec(3, 2), [2.0, 1.0, 1.0])
+    nu = unit_normal(SymmetricFunctionSpec(3, 2), [2.0, 1.0, 1.0])
     expect = np.array([2.0, 3.0, 3.0]) / np.sqrt(22.0)
     assert nu == pytest.approx(expect)
     assert np.linalg.norm(nu) == pytest.approx(1.0)
@@ -201,27 +205,15 @@ def test_normal_sigma2_derived():
 # -------------------------------------------------- cone membership
 
 def test_membership_interior():
-    assert cone_membership(SymmetricFunctionSpec(3, 2), [1, 1, 1]).membership == "interior"
+    assert _inside(SymmetricFunctionSpec(3, 2), [[1, 1, 1]]).tolist() == [True]
 
 
 def test_membership_outside():
-    assert cone_membership(SymmetricFunctionSpec(3, 2), [-1, 1, 1]).membership == "outside"
+    assert _inside(SymmetricFunctionSpec(3, 2), [[-1, 1, 1]]).tolist() == [False]
 
 
 def test_membership_gamma1_mixed_signs():
-    assert cone_membership(SymmetricFunctionSpec(3, 1), [-1, 2, 0]).membership == "interior"
-
-
-def test_membership_boundary_band():
-    pt = cone_membership(SymmetricFunctionSpec(2, 2), [1.0, 1e-16])
-    assert pt.membership == "boundary"
-
-
-def test_membership_ladder_top_still_interior():
-    # degree-aware tolerance keeps huge diagonal points classified interior
-    spec = SymmetricFunctionSpec(3, 2)
-    lam = 2.0**40 * np.ones(3)
-    assert cone_membership(spec, lam).membership == "interior"
+    assert _inside(SymmetricFunctionSpec(3, 1), [[-1, 2, 0]]).tolist() == [True]
 
 
 # -------------------------------------------------- invariants (hypothesis)
@@ -270,7 +262,8 @@ def test_euler_relation(spec):
 )
 def test_structure_suite_passes(spec):
     rep = check_structure_conditions(spec, 1000, seed=42)
-    assert rep.passed()
+    assert rep.min_f > 0.0
+    assert rep.nu0_hat is None or rep.nu0_hat > 0.0
     assert rep.min_grad_component > 0
     assert rep.max_hess_eig_scaled <= 1e-8
     assert rep.min_euler_bound >= 0.0
