@@ -162,10 +162,10 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
     )
     grid = rs.problem.grid
     contact_rows = [
-        tuple(int(v) for v in i) + tuple(float(c) for c in x) + (bool(flag),)
-        for i, x, flag in zip(np.argwhere(contact.mask) + 1,
-                              grid.interior_points()[contact.mask],
-                              contact.interface[contact.mask])
+        (*i, *x, flag)
+        for i, x, flag in zip((np.argwhere(contact.mask) + 1).tolist(),
+                              grid.interior_points()[contact.mask].tolist(),
+                              contact.interface[contact.mask].tolist())
     ]
     out.write_csv(
         "contact_cells.csv",

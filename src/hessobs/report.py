@@ -97,8 +97,9 @@ def write_grid_dump(path, grid, values: np.ndarray):
         "# lo = " + " ".join(repr(float(v)) for v in grid.lo),
         "# hi = " + " ".join(repr(float(v)) for v in grid.hi),
     ]
-    lines.extend("%.17g" % v for v in np.asarray(values, dtype=float).ravel(order="C"))
-    path.write_text("\n".join(lines) + "\n")
+    flat = np.asarray(values, dtype=float).ravel(order="C").tolist()
+    # one %-format of the whole field: the same text as "%.17g" per value
+    path.write_text("\n".join(lines) + "\n" + "%.17g\n" * len(flat) % tuple(flat))
     return path
 
 

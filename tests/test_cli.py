@@ -146,6 +146,29 @@ def test_field_dump_round_trip(small_cfg, tmp_path):
     assert meta["n"] == "2"
 
 
+def test_field_dump_formats_each_value_at_17_digits(tmp_path):
+    # the whole-field format writes what "%.17g" writes per value, special
+    # values included, and reads back bit for bit
+    import numpy as np
+
+    from hessobs.geometry import ChartGrid
+    from hessobs.report import write_grid_dump
+
+    grid = ChartGrid.box((-1.0, -1.0), (1.0, 2.0), (3, 4))
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310,
+                       1.0, -3.0, 1e22, 0.1, 123456789.0]).reshape(3, 4)
+    path = write_grid_dump(tmp_path / "u.txt", grid, values)
+    lines = path.read_text().splitlines()
+    assert lines[-12:] == ["%.17g" % v for v in values.ravel()]
+    assert lines[-12:] == ["nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324",
+                           "9.9999999999999694e-311", "1", "-3", "1e+22",
+                           "0.10000000000000001", "123456789"]
+    meta, back = read_grid_dump(path)
+    assert meta["m"] == "3 4" and back.shape == (3, 4)
+    assert np.array_equal(back, values, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(values))
+
+
 def test_field_dump_binary_variant(small_cfg, tmp_path):
     import numpy as np
 
