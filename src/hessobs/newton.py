@@ -3,11 +3,14 @@ continuation over a decreasing penalty schedule.
 
 Each Newton step solves the exact sparse Jacobian for the Newton
 direction by GMRES right-preconditioned by one geometric multigrid V-cycle,
-to the inexact-Newton tolerance min(0.1, |F|_inf / sqrt(N)) (a small grid is
-solved directly).  The path tangent du/deps is solved once per epsilon,
-after convergence, with the last Newton step's Jacobian and tolerance.  The
-same GMRES and V-cycle solve the default initializer's harmonic lift; they
-are the package's only sparse solver.  Newton backtracks with two
+to the inexact-Newton tolerance min(0.1, |F|_inf / sqrt(N)).  The V-cycle
+is set up once per epsilon, from the first Newton step's Jacobian, and
+preconditions every later step of that epsilon: GMRES runs on each step's
+own Jacobian and checks its true residual, so only the preconditioner lags.
+The path tangent du/deps is solved once per epsilon, after convergence,
+with the last Newton step's Jacobian and tolerance and the same V-cycle.
+GMRES and the V-cycle also solve the default initializer's harmonic lift;
+they are the package's only sparse solver.  Newton backtracks with two
 acceptance rules: (a) every interior point of the candidate stays inside
 the cone with margin at least (1 - tau_ftb) times the current margin, and
 (b) Armijo decrease of the squared residual norm.  The subsolution
@@ -168,15 +171,18 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     steps, margins = [], [res.margin]
     rejected_margin = rejected_armijo = 0
     krylov = 0
+    cycle = None  # V-cycle of the first Newton step's Jacobian
     tangent_system = None  # (J, beta, rtol) of the last Newton step
 
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
             break
         J = linearize(res, prob)
+        if cycle is None:
+            cycle = _v_cycle(J, grid.interior_shape)
         rtol = min(FORCING_MAX, rnorm / np.sqrt(J.shape[0]))
         tangent_system = (J, res.beta, rtol)
-        x, k = _linear_solve(J, grid.interior_shape, -res.values, rtol)
+        x, k = _linear_solve(J, cycle, -res.values, rtol)
         krylov += k
         delta = _on_grid(grid, x)
 
@@ -210,7 +216,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
         # so the path tangent solves J du/deps = -beta / eps
         J, beta, rtol = tangent_system
-        tangent, k = _linear_solve(J, grid.interior_shape, -beta / epsilon, rtol)
+        tangent, k = _linear_solve(J, cycle, -beta / epsilon, rtol)
         krylov += k
     dom = None
     if prob.subsolution is not None:
@@ -241,15 +247,17 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 
 # linear solve: GMRES right-preconditioned by one multigrid V-cycle.  A level
 # with more than COARSE_N unknowns is coarsened, and the coarsest is solved
-# directly, so a grid of at most COARSE_N unknowns is one direct solve.  On
-# ma_obstacle's first Jacobian (eps = 1e-2, rtol 1e-6, 2-core box) the
-# natural-order direct solve and a V-cycle with one coarsening break even
-# at about 360 to 530 unknowns in 2d; in 3d they tie at 216, and the V-cycle
-# takes two thirds of the direct time at 343.  Natural order loses to COLAMD
-# above about 1,000 unknowns, so it suits a coarsest level of this size
-# only.  Each level is smoothed by SMOOTHING_SWEEPS damped Jacobi sweeps
-# (weight JACOBI_WEIGHT) before and after its coarse correction.  A Newton
-# step with residual max-norm r over N unknowns solves to relative residual
+# directly, so on a grid of at most COARSE_N unknowns the V-cycle is the LU
+# factor of the epsilon's first Jacobian: the exact solve of its first step
+# and a preconditioner of its later ones.  Over the 2 to 6 Newton steps of
+# one epsilon (one set-up, GMRES on each step's Jacobian; the first epsilon
+# of ma_obstacle and of its 3d lift, 2-core box), the natural-order LU and a
+# V-cycle with one coarsening break even at about 360 to 730 unknowns in 2d
+# and 220 to 340 in 3d.  Natural order loses to COLAMD above about 1,000
+# unknowns, so it suits a coarsest level of this size only.  Each level is
+# smoothed by SMOOTHING_SWEEPS damped Jacobi sweeps (weight JACOBI_WEIGHT)
+# before and after its coarse correction.  A Newton step with residual
+# max-norm r over N unknowns solves to relative residual
 # min(FORCING_MAX, r / sqrt(N)) (inexact Newton); GMRES restarts every
 # GMRES_RESTART iterations, at most GMRES_CYCLES times.  The default
 # initializer's harmonic lift is solved to relative residual LIFT_RTOL, near
@@ -297,12 +305,14 @@ def _hierarchy(shape: tuple) -> tuple:
 
 def _v_cycle(J, shape: tuple):
     """One V-cycle for J over the interior unknowns of a grid of `shape`, as
-    a function of the right-hand side.  Coarse operators are the Galerkin
-    products R A P.  The coarsest level, J itself on a grid without levels,
-    is factored by sparse LU in natural order: lexicographic order on a
-    small structured grid is already banded, so a fill-reducing ordering
-    costs more than it saves.  A zero or non-finite diagonal on a smoothed
-    level, or a singular coarsest level, raises SingularJacobian."""
+    a function of the right-hand side; `newton_solve` builds one per epsilon
+    and preconditions that epsilon's later Jacobians with it.  Coarse
+    operators are the Galerkin products R A P.  The coarsest level, J
+    itself on a grid without levels, is factored by sparse LU in natural
+    order: lexicographic order on a small structured grid is already banded,
+    so a fill-reducing ordering costs more than it saves.  A zero or
+    non-finite diagonal on a smoothed level, or a singular coarsest level,
+    raises SingularJacobian."""
     transfers = _hierarchy(shape)
     ops = [J]
     for _, P, R in transfers:
@@ -340,24 +350,29 @@ def _v_cycle(J, shape: tuple):
     return cycle
 
 
-def _linear_solve(J, shape: tuple, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-    """Solve J x = b over the interior unknowns of a grid of `shape` to
-    ||J x - b||_2 <= rtol ||b||_2; returns x and the GMRES iterations it took.
+def _linear_solve(J, cycle, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Solve J x = b over the interior unknowns to ||J x - b||_2 <= rtol
+    ||b||_2; returns x and the GMRES iterations it took.
 
-    Restarted GMRES runs on J M, with M one V-cycle of `_v_cycle`; a zero b
-    gives zero and builds no V-cycle.  J is not symmetric in general.  Each
-    restart cycle of `_gmres_cycle` adds its correction to x and recomputes
-    the true residual b - J x; the solve stops once that is at most
-    rtol ||b||_2.  Without levels M is the exact solve, and one iteration
-    solves.  A singular V-cycle or Hessenberg matrix, a floating-point
-    error, a non-finite x or a true residual still above rtol ||b||_2 after
-    GMRES_CYCLES cycles raises SingularJacobian.
+    Restarted GMRES runs on J M, with M the V-cycle `cycle` of `_v_cycle`,
+    which may have been built from an earlier Jacobian.  Given the interior
+    shape of the grid instead, the V-cycle is built from J; a zero b gives
+    zero and builds none.  J is not symmetric in general.  Each restart
+    cycle of `_gmres_cycle` adds its correction to x and recomputes the true
+    residual b - J x; the solve stops once that is at most rtol ||b||_2.
+    With M built from J on a grid without levels, M is the exact solve and
+    one iteration solves.  A singular V-cycle or Hessenberg matrix, a
+    floating-point error, a non-finite x or a true residual still above
+    rtol ||b||_2 after GMRES_CYCLES cycles raises SingularJacobian.  The
+    last is how a singular J under a V-cycle of an earlier Jacobian fails:
+    J M cannot reach the part of b outside J's range.
     """
     x = np.zeros(b.shape)
     r, rnorm = b, np.linalg.norm(b)
     if rnorm == 0.0:
         return x, 0
-    cycle = _v_cycle(J, shape)
+    if not callable(cycle):
+        cycle = _v_cycle(J, cycle)
     target = rtol * rnorm
     iterations = 0
     try:

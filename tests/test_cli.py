@@ -80,31 +80,32 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
     assert repr(tau) not in meta
 
 
-# sha256 of every bundle file of two sweeps: SMALL_MA with audits on (direct
-# linear solves) and ma_obstacle at m = 33 with audits off (V-cycle GMRES,
-# 26/23/12/12/22 Krylov iterations).  A change that moves roundoff updates
-# these pins and says so.
+# sha256 of every bundle file of two sweeps: SMALL_MA with audits on (no
+# multigrid level: each epsilon's first Jacobian is factored and its LU
+# preconditions the later steps, 36/10/7 Krylov iterations) and ma_obstacle
+# at m = 33 with audits off (V-cycle GMRES, 41/24/12/13/21 Krylov
+# iterations).  A change that moves roundoff updates these pins and says so.
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
-        "norms_vs_eps.csv": "9f33a320641f60e17b64923b9ca38f9a9fc70f3fdf5facb3b5bc7cd823cd199e",
-        "report.json": "6426ee49cfdbd4ee2da699da4d953ab533257a14114ea91f2a30206946c71f72",
-        "residual_history.csv": "107f269971624cf25cf49116f4bb90b7dd170cef8cd2c43b6e053ccb40d01007",
-        "u_eps_1e-02.txt": "4842f27da754381874714ed95dbb3b3e229dac58c31156fbfa1b3d719b567ab0",
-        "u_eps_1e-03.txt": "748fb61ace6aaa636a3e33c4eb89dd1a177215ea69ceccd9e0a6ab2f2b11c5aa",
-        "u_eps_1e-04.txt": "f0d7dcea3371dd88b3279a65d296de0ccb910cd436185fe69277ba25f76de61d",
+        "norms_vs_eps.csv": "e03725d764591c585c8b008911ec13771dd8b3d636aee5d3020e5ee22393050a",
+        "report.json": "841345b531de4ebbd74087bdcb7caa0ebe5afa7c609149f7cf4c0e7de02f093b",
+        "residual_history.csv": "198b159179e48eae44fbb4beb317138a32c684cbbe16dcffeb88530c72ebdce2",
+        "u_eps_1e-02.txt": "8a9e8a8ccaf1873c4361dfe70c359028dd1fe571e84d8fd59411a6ba0ccc0f5f",
+        "u_eps_1e-03.txt": "aa7b89dbf846747475882e7704ab4f2246a0cb50242961e516f866a94dc97e56",
+        "u_eps_1e-04.txt": "e302c041bb5aed799989c483550f4366e2afefe5d61ce0caa67e26e65b4b0248",
     }),
     "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "33", "--audit", "off"], {
         "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
-        "norms_vs_eps.csv": "950e78b15aa90719379b4ef9cc37e100f5bd7540f60ef378f4d0a72940333ca0",
-        "report.json": "8a50a6ed5db25aa99bffef0768753e0978d8a7ef84c8087feb024e3f5736de8e",
-        "residual_history.csv": "dcfc922bab442ec21729159b8e6a0e6271b60691f4eb602618255f50e974313e",
-        "u_eps_1e-02.txt": "f525ee71c78426dee08e3dc942fea52e371052e8ed2692ce037b3f0a063a4129",
-        "u_eps_1e-03.txt": "e954a6fd393075bf7d570e46c1ee26fcf32232f1666ce8e8073eccdcff878e44",
-        "u_eps_1e-04.txt": "780c68501a5be125e1455c6651354efead63a432f329d032161871f9422737dd",
-        "u_eps_1e-05.txt": "2d6cf2e1e1665c7f8937d68514c4353e13dd7f6fc8aa77f54304f319872dd48d",
-        "u_eps_1e-06.txt": "21e1a41c6f35f98fd00065e255b9187accdded8b8307674e69d498d136c8c9b7",
+        "norms_vs_eps.csv": "de2b9448565cb9893e0d4372e4c8872467e3c97e26ba45883d1cccf8655bd353",
+        "report.json": "0f209e21edde798f70fdf52384270d39481057d73e0e05564d37fe1a9bcbf48c",
+        "residual_history.csv": "488c507991eecf661c2188d346285e25791991c47221623472e2a85a12f4118e",
+        "u_eps_1e-02.txt": "b09c57a371f87f45f5f0738a27d7cb92d8c02156a3974be5667c731cd5712b3e",
+        "u_eps_1e-03.txt": "6b8ac5d63c0dab61bd7ff040f5e85534c1dfcb16e6b7f4dca6c56e7625c2f3ec",
+        "u_eps_1e-04.txt": "d682cad0b12ba126a8ceeed993b7cf49965cc6293981b9c2ac7bdbec11019074",
+        "u_eps_1e-05.txt": "1d8ce17db0d72e4aa09eff33578a87ccfd53f89dd8d2e0f876d24da1e16f5017",
+        "u_eps_1e-06.txt": "c271ccde0833692f9a80d2b245c1b127e6a23cc01fe422e334980f7fb9d61960",
     }),
 }
 

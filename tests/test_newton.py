@@ -351,32 +351,45 @@ def test_zero_right_hand_side_builds_no_v_cycle(monkeypatch):
     assert k == 0 and x.shape == (J.shape[0],) and not x.any()
 
 
-def test_no_v_cycle_alive_during_line_search(monkeypatch):
-    # each step's V-cycle (its coarse operators and coarse LU) is released
-    # before the line search: only J is held for the tangent
+def test_at_most_one_v_cycle_alive_during_continuation(monkeypatch):
+    # each epsilon's V-cycle (its coarse operators and coarse LU) lives
+    # through that epsilon's Newton steps and tangent only: it is released
+    # before the next one is built, and neither a SolveReport nor the
+    # ContinuationResult holds it
     import weakref
 
     import hessobs.newton as newton
 
     rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=33))
     assert _hierarchy(rs.problem.grid.interior_shape)
-    cycles, trials = [], []
-    build = newton._v_cycle
+    cycles, alive = [], []
+    build, solve = newton._v_cycle, newton.newton_solve
+
+    def live():
+        return [ref for ref in cycles if ref() is not None]
 
     def recording_cycle(J, shape):
         cycle = build(J, shape)
         cycles.append(weakref.ref(cycle))
+        alive.append(len(live()))
         return cycle
 
     def checking_residual(u, prob, epsilon):
-        trials.append([ref for ref in cycles if ref() is not None])
+        alive.append(len(live()))
         return residual(u, prob, epsilon)
+
+    def checking_solve(*args, **kwargs):
+        u, rep = solve(*args, **kwargs)
+        assert not live()  # rep is still held here
+        return u, rep
 
     monkeypatch.setattr(newton, "_v_cycle", recording_cycle)
     monkeypatch.setattr(newton, "residual", checking_residual)
-    _, rep = newton_solve(default_initializer(rs.problem), rs.problem, 1e-2, rs.config.newton)
-    assert rep.iterations >= 2 and len(cycles) == rep.iterations + 1
-    assert len(trials) > rep.iterations and not any(trials)
+    monkeypatch.setattr(newton, "newton_solve", checking_solve)
+    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+    assert len(cycles) == len(result.reports) == 5
+    assert max(alive) == 1 and len(alive) > sum(r.iterations for r in result.reports)
+    assert not live()
 
 
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
@@ -417,12 +430,18 @@ def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
     assert all(s["krylov_iterations"] > s["iterations"] for s in solves)
 
 
-def singular_linearize(monkeypatch):
-    """Make every Newton Jacobian exactly singular: its first row is empty."""
+def singular_linearize(monkeypatch, from_call=1):
+    """Make every Newton Jacobian from the `from_call`-th on exactly
+    singular: its first row is empty."""
     import hessobs.newton as newton
+
+    calls = []
 
     def emptied(state, prob):
         J = linearize(state, prob)
+        calls.append(None)
+        if len(calls) < from_call:
+            return J
         keep = np.ones(J.shape[0])
         keep[0] = 0.0
         J = sp.diags(keep) @ J
@@ -458,6 +477,33 @@ def test_singular_jacobian_cli_exit2(monkeypatch, tmp_path):
                      "--out", str(out), "--quiet"]) == 2
         failure = json.loads((out / "report.json").read_text())["solver_failure"]
         assert failure["error"] == "SingularJacobian"
+        assert failure["epsilon"] == 1e-2
+
+
+def test_later_singular_jacobian_raises(monkeypatch):
+    # the V-cycle is built from the first, regular Jacobian, so its
+    # diagonal check never sees the second one's empty row; GMRES's
+    # true-residual check does, since J M cannot reach the row's entry of b
+    for m in SINGULAR_GRIDS:
+        singular_linearize(monkeypatch, from_call=2)
+        prob, _ = ma_manufactured(m=m)
+        u0 = prob.subsolution + prob.grid.sample(
+            lambda x: 0.05 * np.cos(np.pi * x[..., 0] / 2) * np.cos(np.pi * x[..., 1] / 2)
+        )
+        with pytest.raises(SingularJacobian, match="missed relative residual"):
+            newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
+
+
+def test_later_singular_jacobian_cli_exit2(monkeypatch, tmp_path):
+    cfg = bundled_config_path("ma_obstacle")
+    for m in SINGULAR_GRIDS:
+        singular_linearize(monkeypatch, from_call=2)
+        out = tmp_path / str(m)
+        assert main(["solve", str(cfg), "--grid-m", str(m), "--audit", "off",
+                     "--out", str(out), "--quiet"]) == 2
+        failure = json.loads((out / "report.json").read_text())["solver_failure"]
+        assert failure["error"] == "SingularJacobian"
+        assert "missed relative residual" in failure["message"]
         assert failure["epsilon"] == 1e-2
 
 
@@ -544,33 +590,52 @@ def test_continuation_needs_no_eigenvalues(monkeypatch):
         assert all(r.converged for r in result.reports)
 
 
-def test_continuation_factors_once_per_newton_step(monkeypatch):
-    # one V-cycle set-up per Newton step, for its direction, and one per
-    # epsilon for the tangent, at the last step's Jacobian; ma_manufactured's
-    # obstacle is never reached, so its tangent right-hand sides are zero
-    # and set nothing up
+def test_continuation_factors_once_per_epsilon(monkeypatch):
+    # one V-cycle set-up per epsilon with a Newton step, from its first
+    # Jacobian; the later steps and the tangent reuse it.  ma_manufactured's
+    # obstacle is never reached, so its later epsilons take no step and its
+    # tangent right-hand sides are zero: they set nothing up
     import hessobs.newton as newton
 
-    build = newton._v_cycle
+    build, solve = newton._v_cycle, newton.newton_solve
     for name, m, later_start in (("ma_obstacle", 33, "predictor"),
                                  ("ma_manufactured", 17, "warm_start")):
         rs = build_runsetup(parse_config(bundled_config_text(name)).override(grid_m=m))
-        jacobians = []
+        events = []
 
-        def recording(J, shape):
-            jacobians.append(J)
+        def recording_solve(*args, **kwargs):
+            events.append(("solve", None))
+            return solve(*args, **kwargs)
+
+        def recording_linearize(state, prob):
+            J = linearize(state, prob)
+            events.append(("jacobian", J))
+            return J
+
+        def recording_build(J, shape):
+            events.append(("build", J))
             return build(J, shape)
 
-        monkeypatch.setattr(newton, "_v_cycle", recording)
+        monkeypatch.setattr(newton, "newton_solve", recording_solve)
+        monkeypatch.setattr(newton, "linearize", recording_linearize)
+        monkeypatch.setattr(newton, "_v_cycle", recording_build)
         result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
         assert [r.start for r in result.reports] == ["initial"] + [later_start] * 4
-        tangent = 1 if later_start == "predictor" else 0
-        expected = []
-        for rep in result.reports:
-            expected += ["direction"] * rep.iterations + ["tangent"] * tangent
-        seen = ["tangent" if k and J is jacobians[k - 1] else "direction"
-                for k, J in enumerate(jacobians)]
-        assert seen == expected
+        per_epsilon = []
+        for kind, J in events:
+            if kind == "solve":
+                per_epsilon.append([])
+            else:
+                per_epsilon[-1].append((kind, J))
+        assert events[0][0] == "solve" and len(per_epsilon) == len(result.reports)
+        for rep, seen in zip(result.reports, per_epsilon):
+            jacobians = [J for kind, J in seen if kind == "jacobian"]
+            builds = [J for kind, J in seen if kind == "build"]
+            assert len(jacobians) == rep.iterations
+            assert len(builds) == min(rep.iterations, 1)
+            if builds:
+                assert seen[1][0] == "build" and seen[1][1] is jacobians[0]
+        assert sum(r.iterations > 0 for r in result.reports) == (5 if name == "ma_obstacle" else 1)
         assert all(r.tangent is None for r in result.reports)
 
 
