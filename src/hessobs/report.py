@@ -17,20 +17,19 @@ import numpy as np
 __all__ = ["ReportBundleWriter", "fmt", "write_grid_dump", "read_grid_dump"]
 
 
+_EXACT = {float: repr, int: str, str: str, bool: lambda v: "true" if v else "false"}
+
+
 def fmt(v):
-    """Shortest round-trip representation; passthrough for non-floats."""
+    """Shortest round-trip representation (repr, which prints nan, inf and
+    -inf as such), bools as true/false, str of the rest; an exact Python
+    float, int, bool or str is looked up by its type first."""
+    exact = _EXACT.get(type(v))
+    if exact is not None:
+        return exact(v)
     if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if np.isnan(x):
-            return "nan"
-        if np.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+        return repr(float(v))
+    return str(v)  # also a numpy integer, whose str is its int's
 
 
 def _jsonable(obj):
@@ -40,9 +39,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        if np.isnan(x) or np.isinf(x):
-            return fmt(x)  # JSON has no nan/inf: encode as string
-        return x
+        return x if np.isfinite(x) else fmt(x)  # JSON has no nan/inf: encode as string
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.bool_):

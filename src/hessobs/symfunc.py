@@ -16,7 +16,8 @@ Internally both families share one code path: the pure root family is the
 quotient with l = 0 and sigma_0 = 1.  All derivative formulas run through
 logarithmic differentiation, which stays stable for eigenvalues spanning many
 orders of magnitude.  `f_and_grad_of_matrix` evaluates f and its derivative
-on a batch of matrices through their Newton tensors, without eigenvalues.
+on a batch of matrices through their Newton tensors, without eigenvalues:
+entrywise on the batch's (N,) columns, with no masked indexing.
 
 Every cone test in the sampling and decay code is one batched mask,
 `_inside`.  The samplers draw their private generator in a fixed order (see
@@ -26,6 +27,7 @@ the same points whatever the batching.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -211,32 +213,33 @@ def f_and_grad_of_matrix(spec: SymmetricFunctionSpec, B: np.ndarray):
 
         T_0 = I,  sigma_j = tr(B T_{j-1}) / j,  T_j = sigma_j I - B T_{j-1},
 
-    and d sigma_j = tr(T_{j-1} dB) (Reilly, J. Differential Geom. 8, 1973).
-    sig holds sigma_1..sigma_k (N, k) and ok marks the rows where all are
-    positive.  There f takes the log form of `_f_batch`, and
-    D = f/(k-l) (T_{k-1}/sigma_k - T_{l-1}/sigma_l) is its derivative in
-    the sense df = tr(D dB); f and D are NaN on the other rows.
+    and d sigma_j = tr(T_{j-1} dB) (Reilly, J. Differential Geom. 8, 1973),
+    entrywise on the (N,) columns B[:, i, c]: no (N, n, n) temporary.  sig
+    holds sigma_1..sigma_k (N, k), ok marks the rows where all are positive.
+    f takes the log form of `_f_of_sigmas`, and D = f/(k-l) (T_{k-1}/sigma_k -
+    T_{l-1}/sigma_l) is its derivative in the sense df = tr(D dB); both are
+    computed on every row and are NaN on the rows outside the cone.
     """
-    N, n = B.shape[:2]
-    e = np.ones((N, spec.k + 1))
-    T = [np.broadcast_to(np.eye(n), B.shape)]
-    BT = B
-    for j in range(1, spec.k + 1):
-        e[:, j] = np.trace(BT, axis1=1, axis2=2) / j
-        if j < spec.k:
-            T.append(e[:, j, None, None] * np.eye(n) - BT)
-            BT = B @ T[j]
-    sig = e[:, 1:]
-    ok = np.all(sig > 0.0, axis=1)
-    f = np.full(N, np.nan)
-    D = np.full(B.shape, np.nan)
-    if np.any(ok):
-        f[ok], sk, sl = _f_of_sigmas(spec, e[ok])
-        dlog = T[spec.k - 1][ok] / sk[:, None, None]  # d log(sigma_k / sigma_l)
-        if spec.l:
-            dlog -= T[spec.l - 1][ok] / sl[:, None, None]
-        D[ok] = (f[ok] / spec.degree)[:, None, None] * dlog
-    return sig, f, D, ok
+    n, e = B.shape[1], np.ones((B.shape[0], spec.k + 1))
+    ij = list(np.ndindex(n, n))
+    T = [{(i, c): float(i == c) for i, c in ij}]  # T_0 = I
+    BT = b = {(i, c): B[:, i, c] for i, c in ij}  # B T_0 = B
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, spec.k + 1):
+            e[:, j] = functools.reduce(np.add, [BT[i, i] for i in range(n)]) / j
+            if j < spec.k:  # the last step needs only the diagonal of B T_j
+                T.append({(i, c): e[:, j] - BT[i, c] if i == c else -BT[i, c] for i, c in ij})
+                BT = {(i, c): functools.reduce(np.add, [b[i, m] * T[j][m, c] for m in range(n)])
+                      for i, c in ij if i == c or j + 1 < spec.k}
+        ok = np.all(e[:, 1:] > 0.0, axis=1)
+        f = np.where(ok, _f_of_sigmas(spec, e)[0], np.nan)
+        fd, D = f / spec.degree, np.empty(B.shape)
+        for i, c in ij:  # d log(sigma_k / sigma_l), scaled by f / (k - l)
+            dlog = T[spec.k - 1][i, c] / e[:, spec.k]
+            if spec.l:
+                dlog = dlog - T[spec.l - 1][i, c] / e[:, spec.l]
+            np.multiply(fd, dlog, out=D[:, i, c])
+    return e[:, 1:], f, D, ok
 
 
 def eval_f(spec: SymmetricFunctionSpec, lam) -> float:

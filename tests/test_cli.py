@@ -4,11 +4,12 @@ import hashlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from hessobs.cli import main
 from hessobs.problems import bundled_config_path, bundled_config_text
-from hessobs.report import read_grid_dump
+from hessobs.report import fmt, read_grid_dump
 
 SMALL_MA = (
     bundled_config_text("ma_obstacle")
@@ -80,32 +81,50 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
     assert repr(tau) not in meta
 
 
-# sha256 of every bundle file of two sweeps: SMALL_MA with audits on (no
+# sha256 of every bundle file of three sweeps: SMALL_MA with audits on (no
 # multigrid level: each epsilon's first Jacobian is factored and its LU
-# preconditions the later steps, 36/10/7 Krylov iterations) and ma_obstacle
+# preconditions the later steps, 36/10/7 Krylov iterations), ma_obstacle
 # at m = 33 with audits off (V-cycle GMRES, 41/24/12/13/21 Krylov
+# iterations) and the sigma_1 laplacian_obstacle_strong at m = 25 with
+# audits off (23^2 unknowns, one multigrid level, 37/20/20/20/21 Krylov
 # iterations).  A change that moves roundoff updates these pins and says so.
+# The two sigma_2 sweeps last moved when f and Df came to be computed
+# entrywise: their fields by at most 1.8e-16 relative to the max norm, with
+# the same Newton and Krylov counts, contact cells and audit counts.  The
+# sigma_1 pin held through that change: the k = 1 path is bit-identical.
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
-        "norms_vs_eps.csv": "e03725d764591c585c8b008911ec13771dd8b3d636aee5d3020e5ee22393050a",
-        "report.json": "841345b531de4ebbd74087bdcb7caa0ebe5afa7c609149f7cf4c0e7de02f093b",
-        "residual_history.csv": "198b159179e48eae44fbb4beb317138a32c684cbbe16dcffeb88530c72ebdce2",
-        "u_eps_1e-02.txt": "8a9e8a8ccaf1873c4361dfe70c359028dd1fe571e84d8fd59411a6ba0ccc0f5f",
-        "u_eps_1e-03.txt": "aa7b89dbf846747475882e7704ab4f2246a0cb50242961e516f866a94dc97e56",
-        "u_eps_1e-04.txt": "e302c041bb5aed799989c483550f4366e2afefe5d61ce0caa67e26e65b4b0248",
+        "norms_vs_eps.csv": "3030659cf8378c16df6607187ceb4783eab8ac257ec49dd8eee179ff379b86e7",
+        "report.json": "2c6169f82f091c57628131554b4d146380c64ebf64de41d5123226e078e786fd",
+        "residual_history.csv": "d2e080ffe6017433e636dece6c07cb279f899b5120e924e720b62e57de281859",
+        "u_eps_1e-02.txt": "8742a3432f8d8b54486191eca18cd86a60c6bf0a40a85af39289513c7187f6c1",
+        "u_eps_1e-03.txt": "89a2e0365dedb91f9c82fae45fe3ce4919989c399090594daa947d173432c2d0",
+        "u_eps_1e-04.txt": "30020f9342d4cea483b1cca578cb8fa6621c614ea1289c81bb596558302fa838",
     }),
     "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "33", "--audit", "off"], {
         "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
-        "norms_vs_eps.csv": "de2b9448565cb9893e0d4372e4c8872467e3c97e26ba45883d1cccf8655bd353",
-        "report.json": "0f209e21edde798f70fdf52384270d39481057d73e0e05564d37fe1a9bcbf48c",
-        "residual_history.csv": "488c507991eecf661c2188d346285e25791991c47221623472e2a85a12f4118e",
-        "u_eps_1e-02.txt": "b09c57a371f87f45f5f0738a27d7cb92d8c02156a3974be5667c731cd5712b3e",
-        "u_eps_1e-03.txt": "6b8ac5d63c0dab61bd7ff040f5e85534c1dfcb16e6b7f4dca6c56e7625c2f3ec",
-        "u_eps_1e-04.txt": "d682cad0b12ba126a8ceeed993b7cf49965cc6293981b9c2ac7bdbec11019074",
-        "u_eps_1e-05.txt": "1d8ce17db0d72e4aa09eff33578a87ccfd53f89dd8d2e0f876d24da1e16f5017",
-        "u_eps_1e-06.txt": "c271ccde0833692f9a80d2b245c1b127e6a23cc01fe422e334980f7fb9d61960",
+        "norms_vs_eps.csv": "ceaed7deaa68feafdecb2ea66806a1e4eb702bb4ea00dff3f433847500283102",
+        "report.json": "2fe793c866f8d7783767559ee83d58363a20982a69931aa23bd561e76c86fbdc",
+        "residual_history.csv": "280534be6734e2f0329b9cfee171bac0442e430a4d55967ecf33d16c151b56ee",
+        "u_eps_1e-02.txt": "3fa32b00ba3b08d236f05ad218ce45cf5dc518de65d09339a676238ed948c5b3",
+        "u_eps_1e-03.txt": "9c0ef37c98847a1fb1368cef6436e5512e2cf4d4f44b477011ed42282dc9f9f0",
+        "u_eps_1e-04.txt": "85158b0d890f40090608ca8a64b51d4cbc7014663f21431305d335ec1b270ea0",
+        "u_eps_1e-05.txt": "bc93cb4423f2f5f0a676e9ee332a2b6a501d09f8005856b4332232443149c23c",
+        "u_eps_1e-06.txt": "4bc82d028a6950e17ddcf1163ce21a08845ea340c6b82e7642ca631721104817",
+    }),
+    "laplacian_strong_m25_sigma1": (bundled_config_text("laplacian_obstacle_strong"),
+                                    ["--grid-m", "25", "--audit", "off"], {
+        "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
+        "norms_vs_eps.csv": "b238bee861abc84e245f8630c5f5c1a84ed0dc560162680ccfecd3f9cc684a5b",
+        "report.json": "5d8087ee551a94a8ab581e1e6ee9bafb23983169309f53a9d77dac69b1e01dfc",
+        "residual_history.csv": "7af64119261528831495cb7a88e2edaed10f5cbcc28ec1cd85a6f8523a2229f4",
+        "u_eps_1e-02.txt": "9e9e70392154ced13599282653a9d90bd545d8ce8c1cf40ece1dadf4eee0f3c7",
+        "u_eps_1e-03.txt": "bc08d89d529982d3b6b850915af264973e39dae0069e977923140ab9a0cd90fa",
+        "u_eps_1e-04.txt": "c5b5ac9ca080a2711b2f7a3bf92fa7872ff1c609da37552da2a8e70b16445a46",
+        "u_eps_1e-05.txt": "3222d929e9dd091c1369954e3b75142f3237ce7eae7f4fa5e72a63d6793d8186",
+        "u_eps_1e-06.txt": "c8a69c7d6b3ed6ac6036a8da4d1a51008ffc4daf9ed4cb5b1af1cb5bfe7cf834",
     }),
 }
 
@@ -150,8 +169,6 @@ def test_field_dump_round_trip(small_cfg, tmp_path):
 def test_field_dump_formats_each_value_at_17_digits(tmp_path):
     # the whole-field format writes what "%.17g" writes per value, special
     # values included, and reads back bit for bit
-    import numpy as np
-
     from hessobs.geometry import ChartGrid
     from hessobs.report import write_grid_dump
 
@@ -170,9 +187,28 @@ def test_field_dump_formats_each_value_at_17_digits(tmp_path):
     assert np.array_equal(np.signbit(back), np.signbit(values))
 
 
-def test_field_dump_binary_variant(small_cfg, tmp_path):
-    import numpy as np
+class _ReprFloat(float):
+    def __repr__(self):
+        return "not the float's repr"
 
+
+@pytest.mark.parametrize("value,text", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"), (-0.0, "-0.0"),
+    (0.0, "0.0"), (5e-324, "5e-324"), (1e300, "1e+300"), (0.1, "0.1"),
+    (np.float64(0.1), "0.1"), (np.float64("nan"), "nan"), (np.float64("-inf"), "-inf"),
+    (np.float32(0.1), "0.10000000149011612"), (np.float32("inf"), "inf"),
+    (7, "7"), (-3, "-3"), (np.int64(7), "7"), (np.int64(-2**63), "-9223372036854775808"),
+    (True, "true"), (False, "false"), (np.bool_(True), "True"), (np.bool_(False), "False"),
+    ("abc", "abc"), ("", ""), (_ReprFloat(2.5), "2.5"),
+], ids=repr)
+def test_fmt_prints_each_type(value, text):
+    # the text of a csv cell: repr of a float, which names nan, inf and
+    # -inf; true/false for a Python bool; str of the rest, so a numpy bool
+    # prints True/False; a float subclass is printed as its float
+    assert fmt(value) == text
+
+
+def test_field_dump_binary_variant(small_cfg, tmp_path):
     out_t = tmp_path / "t"
     out_b = tmp_path / "b"
     main(["solve", str(small_cfg), "--out", str(out_t), "--quiet"])

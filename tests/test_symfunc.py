@@ -473,6 +473,70 @@ def test_newton_tensors_flag_rows_outside_the_cone():
     assert f[0] == pytest.approx(np.sqrt(3.0))
 
 
+# every (n, k, l) with n = 2 and 3: each root family and each quotient
+KERNEL_SPECS = [SymmetricFunctionSpec(n, k, l)
+                for n in (2, 3) for k in range(1, n + 1) for l in range(k)]
+
+
+def _mixed_batch(spec, seed):
+    """(B, lam) for a shuffled batch of rows of every kind: Q diag(lam) Q^T
+    with lam inside Gamma_k, at minus those points and at normal draws whose
+    sigma_j all clear zero by 1e-3 (1 + |lam|)^j; diagonal rows with r ones
+    and n - r zeros, on the boundary (sigma_k = 0 exactly) for r < k; NaN
+    rows, with lam NaN.  `_inside(spec, lam)` is each row's ok."""
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    draws = rng.standard_normal((60, n))
+    clear = 1e-3 * (1.0 + np.abs(draws).max(axis=1))[:, None] ** np.arange(1, spec.k + 1)
+    draws = draws[np.all(np.abs(sigma_margins(spec, draws)) > clear, axis=1)]
+    inside = sample_cone_points(spec, 12, seed=seed)
+    lam = np.vstack([inside, -inside, draws])
+    Q = np.linalg.qr(rng.standard_normal((len(lam), n, n)))[0]
+    B = [Q @ (lam[:, :, None] * np.swapaxes(Q, 1, 2))]
+    ones = np.tril(np.ones((n + 1, n)), -1)  # row r holds r ones
+    B.append(ones[:, :, None] * np.eye(n))
+    nan_diag = np.eye(n)
+    nan_diag[0, 0] = np.nan
+    B.append(np.stack([np.full((n, n), np.nan), nan_diag]))
+    lam = np.vstack([lam, ones, np.full((2, n), np.nan)])
+    order = rng.permutation(len(lam))
+    return np.concatenate(B)[order], lam[order]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_newton_tensors_nan_exactly_outside_the_cone(spec):
+    # f and D are computed on every row and NaN'd where ok fails, with no
+    # warning from the rows outside the cone (pytest makes one an error)
+    B, lam = _mixed_batch(spec, 3)
+    sig, f, D, ok = f_and_grad_of_matrix(spec, B)
+    assert ok.tolist() == _inside(spec, lam).tolist()
+    assert 0 < ok.sum() < len(ok)
+    if spec.k > 1:  # some rows fail on a higher sigma_j only
+        assert np.any(~ok & (sig[:, 0] > 0.0))
+    real = ~np.isnan(lam).any(axis=1)
+    assert np.all(np.abs(sig[real] - sigma_margins(spec, lam[real]))
+                  <= cone_tolerances(spec, lam[real]))
+    assert np.isnan(sig[~real]).all()
+    assert np.array_equal(np.isnan(f), ~ok)
+    assert np.isnan(D[~ok]).all() and not np.isnan(D[ok]).any()
+    assert np.all(f[ok] > 0.0)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_newton_tensor_rows_do_not_depend_on_the_batch(spec):
+    # each row's bits are the same evaluated alone, in the whole batch and
+    # on either side of every two-way split of it
+    B, _ = _mixed_batch(spec, 4)
+    whole = f_and_grad_of_matrix(spec, B)
+    for r in range(len(B)):
+        alone = f_and_grad_of_matrix(spec, B[r:r + 1])
+        assert [a.tobytes() for a in alone] == [a[r:r + 1].tobytes() for a in whole]
+    for cut in range(1, len(B)):
+        head, tail = f_and_grad_of_matrix(spec, B[:cut]), f_and_grad_of_matrix(spec, B[cut:])
+        for a, h, t in zip(whole, head, tail):
+            assert np.concatenate([h, t]).tobytes() == a.tobytes()
+
+
 # -------------------------------------------------- theta estimates
 
 def test_theta_sigma1_vacuous():
