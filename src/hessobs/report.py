@@ -17,18 +17,13 @@ import numpy as np
 __all__ = ["ReportBundleWriter", "fmt", "write_grid_dump", "read_grid_dump"]
 
 
-_EXACT = {float: repr, int: str, str: str, bool: lambda v: "true" if v else "false"}
-
-
 def fmt(v):
     """Shortest round-trip representation (repr, which prints nan, inf and
-    -inf as such), bools as true/false, str of the rest; an exact Python
-    float, int, bool or str is looked up by its type first."""
-    exact = _EXACT.get(type(v))
-    if exact is not None:
-        return exact(v)
+    -inf as such) of a float, true/false for a bool, str of the rest."""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
+    if isinstance(v, bool):
+        return "true" if v else "false"
     return str(v)  # also a numpy integer, whose str is its int's
 
 
@@ -39,7 +34,9 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return x if np.isfinite(x) else fmt(x)  # JSON has no nan/inf: encode as string
+        if np.isnan(x) or np.isinf(x):
+            return fmt(x)  # JSON has no nan/inf: encode as string
+        return x
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.bool_):
