@@ -191,6 +191,85 @@ def test_values_and_derivatives_pinned(text):
     assert pin_digest(text) == PIN_DIGESTS[text]
 
 
+# a batch on which min/max arguments tie, with each other and with the
+# corpus' constants, and abs(x1 - 1) sits at its kink
+PIN_TIE_VALUES = [0.0, 0.5, 0.6, 0.9, 1.0]
+
+
+def second_derivative_digest(text):
+    """sha256 (first 16 hex digits) of every second derivative d2/dv dw, on
+    pin_digest's random batch and on a batch with ties; NaN payloads are
+    folded to one NaN."""
+    e = parse_expression(text, n=3)
+    rng = np.random.default_rng(20)
+    batches = [{v: rng.uniform(0.6, 1.7, size=16) for v in PIN_VARIABLES}]
+    rng = np.random.default_rng(21)
+    batches.append({v: rng.choice(PIN_TIE_VALUES, size=16) for v in PIN_VARIABLES})
+    digest = hashlib.sha256()
+    for env in batches:
+        for v in PIN_VARIABLES:
+            dv = e.derivative(v)
+            for w in PIN_VARIABLES:
+                out = np.broadcast_to(np.asarray(dv.derivative(w)(**env), dtype=float), (16,))
+                digest.update(np.where(np.isnan(out), np.nan, out).tobytes())
+    return digest.hexdigest()[:16]
+
+
+PIN_SECOND_DIGESTS = {
+    '1': 'e927bd27935ebbe2',
+    '2.0': 'e927bd27935ebbe2',
+    '5*sqrt(3)/6': 'e927bd27935ebbe2',
+    '0.625*(x1^2+x2^2) + 0.3': '6ded20f7aaeb7bd5',
+    '0.625*(x1^2+x2^2)': '6ded20f7aaeb7bd5',
+    '0.625*(x1^2+x2^2+x3^2) + 0.8': '6b0bba809a6e7155',
+    '0.625*(x1^2+x2^2+x3^2)': '6b0bba809a6e7155',
+    'exp((x1^2+x2^2)/2)': 'dd7844b5f53064b8',
+    'exp((x1^2+x2^2)/2) + 1': 'dd7844b5f53064b8',
+    'exp((x1^2+x2^2)/2)*sqrt(1+x1^2+x2^2)': 'adbccf65f1ffed54',
+    '0.0 + 0.5125*(x1^2+x2^2) + 10.0*max(0, sqrt((x1^2+x2^2)) - 0.5)^2': '709b08b3bd8798fa',
+    '0.5*(x1^2+x2^2) + 0.00625*log(max(sqrt((x1^2+x2^2)), 0.5)) + 0.007457169878499647'
+    ' - 0.0125*max(0, 0.25 - (x1^2+x2^2))': 'c40dc4ee2146e563',
+    '0.0 + 1.75*(x1^2+x2^2) + 10.0*max(0, sqrt((x1^2+x2^2)) - 0.6)^2': '33133bdd7d3bf5af',
+    '0.5*(x1^2+x2^2) + 0.8999999999999999*log(max(sqrt((x1^2+x2^2)), 0.6)) + 0.9097430613893915'
+    ' - 1.25*max(0, 0.36 - (x1^2+x2^2))': 'ff0d522324a08b09',
+    '2*x1 + x2^2 - 1/4': '6536d022c7e422b3',
+    '-x1**2': '0f588d9e57d763b9',
+    '2^3^1': 'e927bd27935ebbe2',
+    'exp(x1) * sin(pi/2) + sqrt(max(0, x2))': 'abdac72aee94d656',
+    'min(x1, x2, 0.5)': 'e927bd27935ebbe2',
+    'x1*x2 + z - p1': 'b594dd8a9ce5f03b',
+    'x1^3 + 2*x1*x2': 'f862865ebf256c6b',
+    'exp(x1*x2)': '56cb8cd1ad57736e',
+    'log(1 + x1^2)': '0bd544f7013b26ec',
+    'sin(x1)*cos(x2)': '0f3606383dce9738',
+    'sqrt(1 + x1^2 + x2^2)': 'a07e44bdf4e61730',
+    'x1/x2': 'b9ca15987dd7a231',
+    'tanh(x1) + atan(x2)': 'fbdd3afd28b39c16',
+    'z^2 * p1 + p2/x2': '7ff8f2653cb2b332',
+    'max(0, x1 - 0.5)^2': '40f309ccd0531ab1',
+    'max(0, x1)': 'e927bd27935ebbe2',
+    '1 + 0.1*p1 + 0.05*z': 'e927bd27935ebbe2',
+    '1 + 0.2*sin(x1)*cos(x2)': '6bd53d6af226a65b',
+    '2 + x1*z': '3161af664fb1f37b',
+    '- -x1': 'e927bd27935ebbe2',
+    '+-+x1': '5fa650808a247171',
+    '-x1^2': '0f588d9e57d763b9',
+    '2^-3^2': 'e927bd27935ebbe2',
+    'x1 ** -2 * p3': '0ebf55d2da445042',
+    '  e^x1 + pi': '0f17097ae462ad44',
+    '1.5e-3*x1 + 2E+2*z - .5e1 + 3. + 1e3': 'e927bd27935ebbe2',
+    'max(x1, x2, z, p1) - min(p2, 0.9, x3)^2': '97ea6abfe99cba4b',
+    'abs(x1 - 1)*tan(x2)*cosh(z)*sinh(p1)': '72d1f66cfde67002',
+}
+
+
+@pytest.mark.parametrize("text", PIN_CORPUS)
+def test_second_derivatives_pinned(text):
+    # min/max and abs differentiate to derivative-only functions whose own
+    # derivatives appear only here
+    assert second_derivative_digest(text) == PIN_SECOND_DIGESTS[text]
+
+
 @pytest.mark.parametrize(
     "text",
     ["x1 < 2", "x1[0]", "x1.real", "exp(x=1)", "exp(**x1)", "lambda: 1", "0x10", "1_0",
