@@ -70,6 +70,8 @@ class AuditConfig:
     def __post_init__(self):
         if self.theta_samples < 1:
             raise ValueError(f"theta_samples must be at least 1, got {self.theta_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,8 @@ class ProblemConfig:
                 lambda: replace(cfg.grid, m=(int(grid_m),) * cfg.n),
                 f"grid_m override {grid_m!r}: "))
         if seed is not None:
-            cfg = replace(cfg, audit=replace(cfg.audit, seed=int(seed)))
+            cfg = replace(cfg, audit=_checked(
+                lambda: replace(cfg.audit, seed=int(seed)), f"seed override {seed!r}: "))
         if audit_enabled is not None:
             cfg = replace(cfg, audit=replace(cfg.audit, enabled=bool(audit_enabled)))
         return cfg
@@ -342,7 +345,7 @@ def parse_config(text: str) -> ProblemConfig:
     newton = _checked(lambda: NewtonConfig(**newton), line=_first_line(blocks, "newton"))
     audit = _checked(lambda: AuditConfig(**_entries(
         blocks, "audit", {"enabled": _flag, "c_audit": float, "theta_samples": int, "seed": int})),
-        line=_line(blocks, "audit", "theta_samples"))
+        line=_first_line(blocks, "audit"))
 
     return ProblemConfig(
         fspec=fspec, grid=grid,

@@ -1,10 +1,10 @@
 """Small arithmetic expression language for problem data.
 
 Expressions are arithmetic over the chart coordinates x1..xn, the solution
-value z and the gradient components p1..pn.  They are parsed once into an
-AST, evaluated vectorized over numpy arrays, and differentiated
-symbolically (needed for exact Jacobian contributions of z- and
-p-dependent coefficients).
+value z and the gradient components p1..pn.  They are parsed once into a
+tree of Python's own `ast` nodes, evaluated vectorized over numpy arrays,
+and differentiated symbolically into another such tree (needed for exact
+Jacobian contributions of z- and p-dependent coefficients).
 
 The syntax is a subset of Python arithmetic, read by Python's own parser:
 decimal numbers, those names and the constants pi and e, + - * / and **,
@@ -19,12 +19,15 @@ binary, underscored and complex literals, True/False/None, strings,
 comments, non-ASCII characters and nesting deeper than Python's parser takes.
 Where an expression is undefined (log or sqrt of a negative number, say) its
 value is NaN or inf, without a numpy warning; callers check the values.
+Constants are np.float64, so this holds for constant subexpressions too:
+1/0 and 2^1e300 are inf, (0-8)^(1/3) is NaN.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import operator
 import re
 
 import numpy as np
@@ -51,170 +54,111 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
+# derivative-only functions, never accepted by the parser: the a.e.
+# derivatives of min/max (the derivative of the branch taken) and of abs
+_INTERNAL = {
+    "select_min": lambda a, b, da, db: np.where(a <= b, da, db),
+    "select_max": lambda a, b, da, db: np.where(a >= b, da, db),
+    "sign": np.sign,
+}
+_EVAL = {**_FUNCTIONS, **_INTERNAL}
+
+
+def _power(a, b):
+    # integer exponents taken exactly
+    if np.isscalar(b) and float(b).is_integer():
+        return a ** int(b)
+    return a**b
+
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: _power}
+
 
 # ---------------------------------------------------------------------------
-# AST nodes
+# the tree: Python's ast nodes Constant (an np.float64), Name, UnaryOp(USub),
+# BinOp over + - * / ** and Call (one-argument functions, binary min/max and
+# the internal functions)
 # ---------------------------------------------------------------------------
 
-class _Node:
-    def ev(self, env):
-        raise NotImplementedError
-
-    def diff(self, var):
-        raise NotImplementedError
+def _num(v):
+    return ast.Constant(np.float64(v))
 
 
-class _Num(_Node):
-    def __init__(self, v):
-        self.v = float(v)
-
-    def ev(self, env):
-        return self.v
-
-    def diff(self, var):
-        return _Num(0.0)
-
-    def __repr__(self):
-        return repr(self.v)
+_bin = ast.BinOp  # _bin(left, op, right)
 
 
-class _Var(_Node):
-    def __init__(self, name):
-        self.name = name
-
-    def ev(self, env):
-        return env[self.name]
-
-    def diff(self, var):
-        return _Num(1.0 if var == self.name else 0.0)
-
-    def __repr__(self):
-        return self.name
+def _call(fn, *args):
+    return ast.Call(ast.Name(fn), list(args), [])
 
 
-class _Bin(_Node):
-    def __init__(self, op, a, b):
-        self.op = op
-        self.a = a
-        self.b = b
+_ADD, _SUB, _MUL, _DIV, _POW = ast.Add(), ast.Sub(), ast.Mult(), ast.Div(), ast.Pow()
 
-    def ev(self, env):
-        a, b = self.a.ev(env), self.b.ev(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        # power: integer exponents taken exactly
-        if np.isscalar(b) and float(b).is_integer():
-            return a ** int(b)
-        return a**b
+# d fn(a) / da as a tree in a
+_CHAIN = {
+    "exp": lambda a: _call("exp", a),
+    "log": lambda a: _bin(_num(1.0), _DIV, a),
+    "sin": lambda a: _call("cos", a),
+    "cos": lambda a: ast.UnaryOp(ast.USub(), _call("sin", a)),
+    "tan": lambda a: _bin(_num(1.0), _DIV, _bin(_call("cos", a), _POW, _num(2.0))),
+    "sqrt": lambda a: _bin(_num(0.5), _DIV, _call("sqrt", a)),
+    "abs": lambda a: _call("sign", a),
+    "tanh": lambda a: _bin(_num(1.0), _SUB, _bin(_call("tanh", a), _POW, _num(2.0))),
+    "sinh": lambda a: _call("cosh", a),
+    "cosh": lambda a: _call("sinh", a),
+    "atan": lambda a: _bin(_num(1.0), _DIV, _bin(_num(1.0), _ADD, _bin(a, _MUL, a))),
+}
 
-    def diff(self, var):
-        a, b, da, db = self.a, self.b, self.a.diff(var), self.b.diff(var)
-        if self.op in ("+", "-"):
-            return _Bin(self.op, da, db)
-        if self.op == "*":
-            return _Bin("+", _Bin("*", da, b), _Bin("*", a, db))
-        if self.op == "/":
-            num = _Bin("-", _Bin("*", da, b), _Bin("*", a, db))
-            return _Bin("/", num, _Bin("*", b, b))
+
+def _ev(node, env):
+    """Value of the tree `node` with the variables bound in `env`."""
+    kind = type(node)
+    if kind is ast.BinOp:
+        return _BINARY[type(node.op)](_ev(node.left, env), _ev(node.right, env))
+    if kind is ast.Name:
+        return env[node.id]
+    if kind is ast.Constant:
+        return node.value
+    if kind is ast.Call:
+        return _EVAL[node.func.id](*[_ev(a, env) for a in node.args])
+    return -_ev(node.operand, env)
+
+
+def _diff(node, var):
+    """Tree of the derivative of `node` in the variable `var`."""
+    kind = type(node)
+    if kind is ast.Constant:
+        return _num(0.0)
+    if kind is ast.Name:
+        return _num(1.0 if node.id == var else 0.0)
+    if kind is ast.UnaryOp:
+        return ast.UnaryOp(node.op, _diff(node.operand, var))
+    if kind is ast.BinOp:
+        op, a, b = type(node.op), node.left, node.right
+        da, db = _diff(a, var), _diff(b, var)
+        if op is ast.Add or op is ast.Sub:
+            return _bin(da, node.op, db)
+        if op is ast.Mult:
+            return _bin(_bin(da, _MUL, b), _ADD, _bin(a, _MUL, db))
+        if op is ast.Div:
+            return _bin(_bin(_bin(da, _MUL, b), _SUB, _bin(a, _MUL, db)), _DIV, _bin(b, _MUL, b))
         # d(a^b) = a^b * (db * log a + b * da / a); constant exponent shortcut
-        if isinstance(b, _Num):
-            return _Bin("*", _Bin("*", _Num(b.v), _Bin("^", a, _Num(b.v - 1.0))), da)
-        term = _Bin("+", _Bin("*", db, _Call("log", [a])), _Bin("/", _Bin("*", _Num(1.0), _Bin("*", b, da)), a))
-        return _Bin("*", self, term)
-
-    def __repr__(self):
-        return f"({self.a!r} {self.op} {self.b!r})"
-
-
-class _Neg(_Node):
-    def __init__(self, a):
-        self.a = a
-
-    def ev(self, env):
-        return -self.a.ev(env)
-
-    def diff(self, var):
-        return _Neg(self.a.diff(var))
-
-    def __repr__(self):
-        return f"(-{self.a!r})"
-
-
-class _Call(_Node):
-    def __init__(self, fn, args):
-        self.fn = fn
-        self.args = args
-
-    def ev(self, env):
-        return _FUNCTIONS[self.fn](*[a.ev(env) for a in self.args])
-
-    def diff(self, var):
-        if self.fn in ("min", "max"):
-            a, b = self.args
-            return _Select(self.fn, a, b, a.diff(var), b.diff(var))
-        (a,) = self.args
-        da = a.diff(var)
-        chain = {
-            "exp": lambda: _Call("exp", [a]),
-            "log": lambda: _Bin("/", _Num(1.0), a),
-            "sin": lambda: _Call("cos", [a]),
-            "cos": lambda: _Neg(_Call("sin", [a])),
-            "tan": lambda: _Bin("/", _Num(1.0), _Bin("^", _Call("cos", [a]), _Num(2.0))),
-            "sqrt": lambda: _Bin("/", _Num(0.5), _Call("sqrt", [a])),
-            "abs": lambda: _Sign(a),
-            "tanh": lambda: _Bin("-", _Num(1.0), _Bin("^", _Call("tanh", [a]), _Num(2.0))),
-            "sinh": lambda: _Call("cosh", [a]),
-            "cosh": lambda: _Call("sinh", [a]),
-            "atan": lambda: _Bin("/", _Num(1.0), _Bin("+", _Num(1.0), _Bin("*", a, a))),
-        }[self.fn]()
-        return _Bin("*", chain, da)
-
-    def __repr__(self):
-        return f"{self.fn}({', '.join(map(repr, self.args))})"
-
-
-class _Select(_Node):
-    """a.e. derivative of min/max: pick branch derivative by comparison.
-    Produced only by differentiation, never by the parser."""
-
-    def __init__(self, kind, a, b, da, db):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.da = da
-        self.db = db
-
-    def ev(self, env):
-        a, b = self.a.ev(env), self.b.ev(env)
-        da, db = self.da.ev(env), self.db.ev(env)
-        take_a = (a <= b) if self.kind == "min" else (a >= b)
-        return np.where(take_a, da, db)
-
-    def diff(self, var):
-        return _Select(self.kind, self.a, self.b, self.da.diff(var), self.db.diff(var))
-
-    def __repr__(self):
-        return f"select[{self.kind}]({self.a!r}, {self.b!r}; {self.da!r}, {self.db!r})"
-
-
-class _Sign(_Node):
-    def __init__(self, a):
-        self.a = a
-
-    def ev(self, env):
-        return np.sign(self.a.ev(env))
-
-    def diff(self, var):
-        return _Num(0.0)
-
-    def __repr__(self):
-        return f"sign({self.a!r})"
+        if type(b) is ast.Constant:
+            return _bin(_bin(_num(b.value), _MUL, _bin(a, _POW, _num(b.value - 1.0))), _MUL, da)
+        term = _bin(_bin(db, _MUL, _call("log", a)), _ADD,
+                    _bin(_bin(_num(1.0), _MUL, _bin(b, _MUL, da)), _DIV, a))
+        return _bin(node, _MUL, term)
+    fn, args = node.func.id, node.args
+    if fn in ("min", "max"):
+        a, b = args
+        return _call("select_" + fn, a, b, _diff(a, var), _diff(b, var))
+    if fn in ("select_min", "select_max"):
+        a, b, da, db = args
+        return _call(fn, a, b, _diff(da, var), _diff(db, var))
+    if fn == "sign":
+        return _num(0.0)
+    (a,) = args
+    return _bin(_CHAIN[fn](a), _MUL, _diff(a, var))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +169,6 @@ class _Sign(_Node):
 # a non-ASCII name, so every other character is rejected before parsing
 _CHARACTERS = re.compile(r"[\w \t.+\-*/^(),]*", re.ASCII)
 _DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
-_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def _column(text: str, offset: int) -> int:
@@ -241,17 +184,17 @@ def _column(text: str, offset: int) -> int:
 class Expression:
     """Parsed expression; `variables` are the names it reads."""
 
-    def __init__(self, text: str, node: _Node, variables: set[str]):
+    def __init__(self, text: str, node: ast.expr, variables: set[str]):
         self.text = text
         self.node = node
         self.variables = variables
 
     def __call__(self, **env):
         with np.errstate(all="ignore"):
-            return self.node.ev(env)
+            return _ev(self.node, env)
 
     def derivative(self, var: str) -> "Expression":
-        return Expression(f"d({self.text})/d{var}", self.node.diff(var), self.variables)
+        return Expression(f"d({self.text})/d{var}", _diff(self.node, var), self.variables)
 
     def __repr__(self):
         return f"Expression({self.text!r})"
@@ -282,21 +225,21 @@ def parse_expression(text: str, n: int, allow_zp: bool = True, line: int | None 
     def convert(node):
         kind = type(node)
         if kind is ast.BinOp and type(node.op) in _BINARY:
-            return _Bin(_BINARY[type(node.op)], convert(node.left), convert(node.right))
+            return _bin(convert(node.left), node.op, convert(node.right))
         if kind is ast.Constant:
             literal = source[node.col_offset:node.end_col_offset]
             if not _DECIMAL.fullmatch(literal):
                 reject(node, f"{literal!r} is not a decimal number")
-            return _Num(float(literal))
+            return _num(float(literal))
         if kind is ast.Name:
             if node.id in _CONSTANTS:
-                return _Num(_CONSTANTS[node.id])
+                return _num(_CONSTANTS[node.id])
             if node.id not in allowed:
                 reject(node, f"unknown variable {node.id!r}")
             used.add(node.id)
-            return _Var(node.id)
+            return node
         if kind is ast.UnaryOp and type(node.op) is ast.USub:
-            return _Neg(convert(node.operand))
+            return ast.UnaryOp(node.op, convert(node.operand))
         if kind is ast.UnaryOp and type(node.op) is ast.UAdd:
             return convert(node.operand)
         if kind is ast.Call and type(node.func) is ast.Name and not node.keywords:
@@ -307,10 +250,10 @@ def parse_expression(text: str, n: int, allow_zp: bool = True, line: int | None 
             if fn in ("min", "max"):
                 if len(args) < 2:
                     reject(node, f"{fn}() takes at least two arguments")
-                return functools.reduce(lambda a, b: _Call(fn, [a, b]), args)
+                return functools.reduce(lambda a, b: _call(fn, a, b), args)
             if len(args) != 1:
                 reject(node, f"{fn}() takes one argument")
-            return _Call(fn, args)
+            return _call(fn, *args)
         reject(node, f"unsupported syntax {source[node.col_offset:node.end_col_offset]!r}")
 
     try:

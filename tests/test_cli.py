@@ -254,6 +254,9 @@ def test_malformed_expression_is_config_error_with_line(small_cfg, tmp_path, cap
     ["verify-lemma", "--zeta", "0"],
     ["verify-lemma", "--samples", "0"],
     ["check-structure", "--samples", "0"],
+    ["sweep", "--seed", "-1"],
+    ["verify-lemma", "--seed", "-1"],
+    ["check-structure", "--seed", "-1"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_config_error(small_cfg, tmp_path, capsys, argv):
     command, *flags = argv
@@ -282,9 +285,12 @@ def _tabulated(tmp_path, row):
                                  'h = "0.625*(x1^2+x2^2) + 0.3 + 0*sqrt(x1)"'),
     lambda tmp: SMALL_MA.replace("eps_min = 0.0001", "eps_min = 0.5"),
     lambda tmp: SMALL_MA.replace("max_iters = 80", "max_iters = 0"),
+    lambda tmp: SMALL_MA.replace('h = "0.625*(x1^2+x2^2) + 0.3"',
+                                 'h = "0.625*(x1^2+x2^2) + 0.3 + 0*2^1e300"'),
+    lambda tmp: SMALL_MA.replace("seed = 42", "seed = -1"),
 ], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
         "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h", "eps_min_above_eps0",
-        "no_newton_iterations"])
+        "no_newton_iterations", "overflowing_constant_in_h", "negative_seed"])
 def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     bad = tmp_path / "bad.cfg"
     bad.write_text(make_text(tmp_path))
@@ -320,7 +326,8 @@ def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
     # psi = 1.2 - 0.5 z turns negative on the subsolution, and 1 + 0.1 sqrt(x1)
     # is NaN for x1 < 0: PsiNotPositive is a library error, not a SolverError,
     # and must still leave its report
-    for i, psi in enumerate(["1.2 - 0.5*z", "1 + 0.1*sqrt(x1)"]):
+    # 1/0 and (0-8)^(1/3) are inf and NaN, not a Python exception or complex
+    for i, psi in enumerate(["1.2 - 0.5*z", "1 + 0.1*sqrt(x1)", "1 + 0*(1/0)", "(0-8)^(1/3)"]):
         cfg = tmp_path / f"bad_psi_{i}.cfg"
         cfg.write_text(SMALL_MA.replace('psi = "1"', f'psi = "{psi}"'))
         out = tmp_path / f"out_{i}"

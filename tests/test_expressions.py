@@ -73,6 +73,17 @@ def test_derivative_of_max_kink_one_side():
     assert d(x1=np.array([-1.0, 2.0])) == pytest.approx([0.0, 1.0])
 
 
+@pytest.mark.parametrize(("text", "value"), [
+    ("1/0", np.inf), ("0^-1", np.inf), ("2^1e300", np.inf),
+    ("(0-8)^(1/3)", np.nan), ("(0-1)^0.5", np.nan),
+])
+def test_undefined_constant_follows_numpy(text, value):
+    # constants are float64: no ZeroDivisionError, OverflowError or complex
+    out = parse_expression(text, n=1)(x1=np.zeros(3))
+    assert np.isrealobj(out)
+    np.testing.assert_equal(out, value)
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ConfigError):
         parse_expression("x3 + 1", n=2)
@@ -275,7 +286,8 @@ def test_second_derivatives_pinned(text):
     ["x1 < 2", "x1[0]", "x1.real", "exp(x=1)", "exp(**x1)", "lambda: 1", "0x10", "1_0",
      "1j", "True", "...", "1.2.3", "1e+", "x3", "x1 # comment", "é1", "min(x1)",
      "exp(x1, x2)", "pi(1)", "x1 if x2 else z", "(x1, x2)", "x1 // 2", "",
-     "-" * 1000 + "x1", "-" * 100000 + "x1", "+".join(["x1"] * 5000)],
+     "-" * 1000 + "x1", "-" * 100000 + "x1", "+".join(["x1"] * 5000),
+     "sign(x1)", "select_min(x1, x2)", "select_max(x1, x2)"],
     ids=lambda text: text[:16],
 )
 def test_rejected_with_line(text):
