@@ -142,6 +142,35 @@ def test_sweep_reproducible_byte_identical(name, tmp_path):
     assert {f: hashlib.sha256(b).hexdigest() for f, b in bundle.items()} == pins
 
 
+# sha256 of the check-structure and verify-lemma bundles at 500 samples, on
+# SMALL_MA (sigma_2, a supplied subsolution) and on the bundled sigma_1
+# laplacian_obstacle (builtin start at m = 129, a vacuous certificate)
+PINNED_CERTIFICATES = {
+    "small_ma": (SMALL_MA, {
+        "check-structure": "f6ce4ee44b798db4fba7798018d38869e0731d20491bef0b59a45e94b4e6da55",
+        "verify-lemma": "7f039c9d1a02050d850160703876a12e8243d74a2e11f49af5a5d08e3c8f33d4",
+    }),
+    "laplacian_obstacle": (bundled_config_text("laplacian_obstacle"), {
+        "check-structure": "0c516017797c6bed8e06d1d989acce556ec791c9a820d526e32c78f93c1fb00c",
+        "verify-lemma": "55456d4e432439f619611338f135336d3886788815a3da3108173a38f415f752",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CERTIFICATES))
+def test_certificate_bundles_byte_identical(name, tmp_path):
+    text, pins = PINNED_CERTIFICATES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    digests = {}
+    for command, outdir in (("check-structure", "cs"), ("verify-lemma", "vl")):
+        assert main([command, str(cfg), "--samples", "500", "--quiet",
+                     "--out", str(tmp_path / outdir)]) == 0
+        [data] = bundle_bytes(tmp_path / outdir).values()
+        digests[command] = hashlib.sha256(data).hexdigest()
+    assert digests == pins
+
+
 def test_sweep_draws_cone_cloud_once(small_cfg, tmp_path, monkeypatch):
     import hessobs.monitors as monitors
 
