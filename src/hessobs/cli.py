@@ -72,7 +72,7 @@ def _solve_row(rep) -> dict:
         "converged": rep.converged,
         "iterations": rep.iterations,
         "final_residual": rep.residual_history[-1],
-        "final_margin": rep.final_margin,
+        "final_margin": rep.margin_history[-1],
         "subsolution_dominance": rep.subsolution_dominance,
         "start": rep.start,
         "rejected_margin": rep.rejected_margin,
@@ -123,10 +123,8 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
             step = rep.step_history[it - 1] if it >= 1 else ""
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
                               rep.margin_history[it]))
-    audits = audit_inequalities(
-        states, _subsolution(rs.problem), rs.problem,
-        c_audit=audit.c_audit, theta_samples=audit.theta_samples, seed=audit.seed,
-    ) if audit.enabled else []
+    audits = (audit_inequalities(states, _subsolution(rs.problem), rs.problem, audit)
+              if audit.enabled else [])
 
     sweep = sweep_summary(bundles)
     final_eps = result.epsilons[-1]
@@ -196,8 +194,8 @@ def cmd_check_structure(rs: RunSetup, args) -> int:
     try:
         rep = check_structure_conditions(rs.problem.fspec, args.samples, seed, K0=args.k0)
         doc["structure"] = {
-            "samples": rep.sample_count,
-            "K0": rep.K0,
+            "samples": args.samples,
+            "K0": args.k0,
             "min_grad_component": rep.min_grad_component,
             "max_hess_eig_scaled": rep.max_hess_eig_scaled,
             "min_f": rep.min_f,
@@ -239,8 +237,8 @@ def cmd_verify_lemma(rs: RunSetup, args) -> int:
     seed = rs.config.audit.seed
     samples = args.samples if args.samples is not None else rs.config.audit.theta_samples
     try:
-        K, _, cert = theta_certificate(_subsolution(rs.problem), rs.problem,
-                                       rs.config.schedule.eps0, samples, seed, args.zeta)
+        K, _, cert = theta_certificate(_subsolution(rs.problem), rs.problem, samples, seed,
+                                       args.zeta)
     except HessObsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, StructureViolation) else 2

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, GridTooSmall, NotSPD
 from .expressions import parse_expression
-from .geometry import ChartGrid, flat_metric, metric_from_field, pin_boundary
+from .geometry import ChartGrid, flat_metric, metric_from_field
 from .newton import NewtonConfig, PenaltySchedule
 from .operator import CoefficientField, Problem, a_scalar_text
 from .symfunc import SymmetricFunctionSpec
@@ -111,23 +111,21 @@ class ProblemConfig:
                                   line=self.lines.get(key))
             for key, text in texts.items() if text is not None})
 
-    family = property(lambda self: self.fspec.family)
+    # read by the benchmark's tests (perfbench/tests)
     n = property(lambda self: self.fspec.n)
     k = property(lambda self: self.fspec.k)
-    l = property(lambda self: self.fspec.l)
-    lo = property(lambda self: self.grid.lo)
-    hi = property(lambda self: self.grid.hi)
     m = property(lambda self: self.grid.m)
 
     def to_text(self) -> str:
         """Canonical config text; re-parses to an equal ProblemConfig."""
-        lines = ["function {", f"  family = {self.family}", f"  k = {self.k}", f"  n = {self.n}"]
-        if self.l:
-            lines.append(f"  l = {self.l}")
+        spec, grid = self.fspec, self.grid
+        lines = ["function {", f"  family = {spec.family}", f"  k = {spec.k}", f"  n = {spec.n}"]
+        if spec.l:
+            lines.append(f"  l = {spec.l}")
         lines += ["}", "grid {",
-                  "  lo = " + " ".join(repr(v) for v in self.lo),
-                  "  hi = " + " ".join(repr(v) for v in self.hi),
-                  "  m = " + " ".join(str(v) for v in self.m),
+                  "  lo = " + " ".join(repr(v) for v in grid.lo),
+                  "  hi = " + " ".join(repr(v) for v in grid.hi),
+                  "  m = " + " ".join(str(v) for v in grid.m),
                   "}", "metric {", f"  kind = {self.metric_kind}"]
         if self.metric_phi is not None:
             lines.append(f'  phi = "{self.metric_phi}"')
@@ -431,9 +429,7 @@ def build_runsetup(cfg: ProblemConfig) -> RunSetup:
         raise ConfigError(
             f"obstacle must clear the boundary data: min(h - phi) = {gap.min():.3e} <= 0 on the boundary",
             cfg.lines.get("h"))
-    sub = pin_boundary(grid, _sample(cfg, "u", pts), phi) if "u" in trees else None
-
     problem = Problem(grid=grid, metric=metric, fspec=cfg.fspec,
-                      coeff=CoefficientField(s=trees["s"], psi=trees["psi"]),
-                      h=h, phi=phi, subsolution=sub)
+                      coeff=CoefficientField(s=trees["s"], psi=trees["psi"]), h=h, phi=phi,
+                      subsolution=_sample(cfg, "u", pts) if "u" in trees else None)
     return RunSetup(config=cfg, problem=problem)

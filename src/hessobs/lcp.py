@@ -17,21 +17,20 @@ from .geometry import ChartGrid
 
 __all__ = ["projected_sor"]
 
+# convergence: the max update of one sweep at most SOR_TOL * scale, within
+# MAX_SWEEPS sweeps
+SOR_TOL = 1e-11
+MAX_SWEEPS = 100_000
 
-def projected_sor(
-    grid: ChartGrid,
-    psi: np.ndarray,
-    h_obstacle: np.ndarray,
-    boundary_values: np.ndarray,
-    omega: float | None = None,
-    tol: float = 1e-11,
-    max_sweeps: int = 100_000,
-) -> np.ndarray:
+
+def projected_sor(grid: ChartGrid, psi: np.ndarray, h_obstacle: np.ndarray,
+                  boundary_values: np.ndarray) -> np.ndarray:
     """Solve the ceiling-obstacle LCP on a uniform square-spacing 2d grid.
 
     psi, h_obstacle, boundary_values are full-grid fields; the returned field
     holds the Dirichlet data on the boundary layer.  Convergence is declared
-    on the max update per sweep falling below tol * scale.
+    on the max update per sweep falling below SOR_TOL * scale; RuntimeError
+    is raised after MAX_SWEEPS sweeps without it.
     """
     if grid.n != 2:
         raise ValueError("projected_sor implemented for 2d charts")
@@ -40,9 +39,8 @@ def projected_sor(
         raise ValueError("projected_sor expects equal spacing per axis")
     h2 = hx * hx
     m0, m1 = grid.m
-    if omega is None:
-        # asymptotically optimal SOR factor for the 5-point laplacian
-        omega = 2.0 / (1.0 + np.sin(np.pi / (max(m0, m1) - 1)))
+    # asymptotically optimal SOR factor for the 5-point laplacian
+    omega = 2.0 / (1.0 + np.sin(np.pi / (max(m0, m1) - 1)))
 
     u = np.array(boundary_values, dtype=float, copy=True)
     u[grid.interior] = np.minimum(u, h_obstacle)[grid.interior]
@@ -54,7 +52,7 @@ def projected_sor(
     colors = [red, ~red]
     scale = max(1.0, float(np.abs(u).max()), float(np.abs(psi).max()) * h2)
 
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         delta = 0.0
         for color in colors:
             nb = (
@@ -66,8 +64,8 @@ def projected_sor(
             changed = np.where(color, new, cur)
             delta = max(delta, float(np.abs(changed - cur).max()))
             u[grid.interior] = changed
-        if delta <= tol * scale:
+        if delta <= SOR_TOL * scale:
             break
     else:
-        raise RuntimeError(f"projected SOR did not converge in {max_sweeps} sweeps")
+        raise RuntimeError(f"projected SOR did not converge in {MAX_SWEEPS} sweeps")
     return u

@@ -17,9 +17,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import AuditConfig
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
-from .operator import PENALTY_ROOT, Problem, StateEval, evaluate_state, operator_L, spectrum
+from .operator import (PENALTY_ROOT, PROBE_EPSILON, Problem, StateEval, evaluate_state,
+                       operator_L, spectrum)
 from .symfunc import estimate_theta, sample_cone_points
 
 __all__ = [
@@ -108,17 +110,19 @@ def compact_set(mu: np.ndarray, grad: np.ndarray):
     return np.unique(np.round(mu, 12), axis=0), nu_mu, zeta0
 
 
-def theta_certificate(u_sub: np.ndarray, prob: Problem, epsilon: float,
-                      theta_samples: int, seed: int, zeta: float | None = None):
+def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed: int,
+                      zeta: float | None = None):
     """The epsilon-independent part of the audit: the compact set K of the
-    subsolution u_sub (its state at epsilon, through `compact_set`), the
-    subsolution normals nu_mu, and the theta certificate of a cone cloud of
-    `theta_samples` points drawn with `seed`, at normal-gap threshold zeta
-    (zeta0 by default; the certificate's `zeta` is the one used).
+    subsolution u_sub (through `compact_set`), the subsolution normals
+    nu_mu, and the theta certificate of a cone cloud of `theta_samples`
+    points drawn with `seed`, at normal-gap threshold zeta (zeta0 by
+    default; the certificate's `zeta` is the one used).  The spectrum of
+    u_sub does not depend on epsilon, so its state is evaluated at
+    PROBE_EPSILON.
 
     An inadmissible subsolution raises NotAdmissible naming its points, and
     a threshold that is not positive raises MonitorError."""
-    st = evaluate_state(u_sub, prob, epsilon)
+    st = evaluate_state(u_sub, prob, PROBE_EPSILON)
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "subsolution not admissible, cannot form the compact set")
@@ -145,16 +149,10 @@ class InequalityAudit:
     violations: int
 
 
-def audit_inequalities(
-    states: list,
-    u_sub: np.ndarray,
-    prob: Problem,
-    c_audit: float = 0.0,
-    theta_samples: int = 4000,
-    seed: int = 0,
-) -> list[InequalityAudit]:
+def audit_inequalities(states: list, u_sub: np.ndarray, prob: Problem,
+                       audit: AuditConfig) -> list[InequalityAudit]:
     """Audit the two-case differential inequalities on each SolvedState of a
-    sweep; one audit per state.
+    sweep with the settings of `audit`; one audit per state.
 
     Case 1 (normal gap >= zeta0):
         L(usub - u) + beta_eps(u - h) >= (theta_hat/2) (1 + sum f_i) - tol
@@ -175,7 +173,7 @@ def audit_inequalities(
     grid = prob.grid
     n = grid.n
     h2 = float(grid.spacing.max()) ** 2
-    K, nu_mu, cloud = theta_certificate(u_sub, prob, states[0].epsilon, theta_samples, seed)
+    K, nu_mu, cloud = theta_certificate(u_sub, prob, audit.theta_samples, audit.seed)
     zeta0 = cloud.zeta
 
     audits = []
@@ -195,7 +193,7 @@ def audit_inequalities(
         Lv = operator_L(st, prob, u_sub - u).ravel()
         beta = st.beta
         hess_norm = float(np.abs(lam).max())
-        tol = (c_audit or 10.0 * hess_norm) * h2
+        tol = (audit.c_audit or 10.0 * hess_norm) * h2
 
         violations = 0
         if np.any(case1):

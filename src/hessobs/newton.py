@@ -42,6 +42,7 @@ from .errors import (
 from .geometry import ChartGrid, MetricField, covariant_hessian, pin_boundary
 from .operator import (
     PENALTY_ROOT,
+    PROBE_EPSILON,
     Problem,
     StateEval,
     assemble_operator,
@@ -94,11 +95,6 @@ BACKTRACK = 0.5
 FRACTION_TO_BOUNDARY = 0.99
 STALL_STEP = 1e-10
 
-# epsilon of the initializer's probes; their outcome does not depend on it:
-# the subsolution is only checked for admissibility, and the paraboloid sits
-# below the obstacle, where the penalty vanishes
-_PROBE_EPSILON = 1e-1
-
 
 @dataclass(frozen=True)
 class NewtonConfig:
@@ -118,8 +114,7 @@ class SolveReport:
     residual_history: list  # max-norm per iterate (including the start)
     residual_l2_history: list
     step_history: list  # accepted line-search steps
-    margin_history: list
-    final_margin: float
+    margin_history: list  # its last entry is the returned iterate's margin
     subsolution_dominance: float | None  # min(u - subsolution) if available
     rejected_margin: int  # line-search trials rejected for cone margin
     rejected_armijo: int  # line-search trials rejected by the Armijo rule
@@ -229,7 +224,6 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         residual_l2_history=hist_l2,
         step_history=steps,
         margin_history=margins,
-        final_margin=res.margin,
         subsolution_dominance=dom,
         rejected_margin=rejected_margin,
         rejected_armijo=rejected_armijo,
@@ -536,8 +530,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
 def default_initializer(prob: Problem) -> np.ndarray:
     """Admissible initial iterate matching the Dirichlet data.
 
-    If the problem supplies a subsolution it is pinned and admissibility
-    checked.  Otherwise a paraboloid q(x) = a |x - x_c|^2 / 2 + b is grown
+    If the problem supplies a subsolution (pinned by Problem) its
+    admissibility is checked.  Otherwise a paraboloid q(x) = a |x - x_c|^2 / 2 + b is grown
     until f(lam(nabla^2 q + A[q])) >= psi[q] everywhere, b is set so that
     q <= min(phi, h), and the Dirichlet mismatch is blended in with the
     Laplace-Beltrami lift of phi - q (`laplace_beltrami_solve`).  The
@@ -546,13 +540,12 @@ def default_initializer(prob: Problem) -> np.ndarray:
     """
     grid = prob.grid
     if prob.subsolution is not None:
-        u0 = pin_boundary(grid, prob.subsolution, prob.phi)
-        res = residual(u0, prob, _PROBE_EPSILON)
+        res = residual(prob.subsolution, prob, PROBE_EPSILON)
         if not res.admissible:
             raise NoAdmissibleStart(
                 f"supplied subsolution leaves the cone at {len(res.flagged_points(grid))} points"
             )
-        return u0
+        return prob.subsolution
 
     pts = grid.points()
     center = np.array([(lo + hi) / 2.0 for lo, hi in zip(grid.lo, grid.hi)])
@@ -562,11 +555,11 @@ def default_initializer(prob: Problem) -> np.ndarray:
     while a <= 2.0**20:
         b = float((target - 0.5 * a * rsq).min()) - 1e-9
         q = 0.5 * a * rsq + b
-        rq = residual(pin_boundary(grid, q, q), prob, _PROBE_EPSILON)
+        rq = residual(pin_boundary(grid, q, q), prob, PROBE_EPSILON)
         if rq.admissible and rq.values.min() >= 0.0:
             v = laplace_beltrami_solve(grid, prob.metric, prob.phi - q)
             u0 = pin_boundary(grid, q + v, prob.phi)
-            r0 = residual(u0, prob, _PROBE_EPSILON)
+            r0 = residual(u0, prob, PROBE_EPSILON)
             if r0.admissible:
                 return u0
         a *= 2.0

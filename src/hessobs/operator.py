@@ -36,6 +36,7 @@ from .geometry import (
     eigen_wrt_metric_field,
     gradient_centered,
     interior_shift,
+    pin_boundary,
 )
 from .symfunc import SymmetricFunctionSpec, f_and_grad_masked, f_and_grad_of_matrix, sigma_margins
 
@@ -45,6 +46,7 @@ __all__ = [
     "StateEval",
     "PENALTY_POWER",
     "PENALTY_ROOT",
+    "PROBE_EPSILON",
     "penalty",
     "residual",
     "spectrum",
@@ -141,7 +143,8 @@ def coefficients_from_expressions(n: int, psi_text: str, a_mode: str = "zero",
 @dataclass
 class Problem:
     """Everything a solve needs: discretized domain, operator family,
-    coefficients, obstacle, boundary data and optional subsolution."""
+    coefficients, obstacle, boundary data and optional subsolution, which
+    is pinned to the boundary data here."""
 
     grid: ChartGrid
     metric: MetricField
@@ -149,7 +152,7 @@ class Problem:
     coeff: CoefficientField
     h: np.ndarray  # obstacle sampled on the grid
     phi: np.ndarray  # boundary-data extension sampled on the grid
-    subsolution: np.ndarray | None = None  # sampled subsolution (pinned to phi)
+    subsolution: np.ndarray | None = None  # sampled subsolution
 
     # interior points (N, n), metric blocks (N, n, n) and obstacle values (N,)
     x_interior: np.ndarray = field(init=False, repr=False)
@@ -160,6 +163,8 @@ class Problem:
         self.x_interior = self.grid.interior_points().reshape(-1, self.grid.n)
         self.g_interior = self.metric.g[self.grid.interior].reshape(-1, self.grid.n, self.grid.n)
         self.h_interior = self.h[self.grid.interior].ravel()
+        if self.subsolution is not None:
+            self.subsolution = pin_boundary(self.grid, self.subsolution, self.phi)
 
     @functools.cached_property
     def ginv_interior(self):  # read by curved metrics only
@@ -174,6 +179,10 @@ PENALTY_POWER = 3
 # a penalised solution with a bounded penalty beta = (u - h)_+^3 / eps has
 # (u - h)_+ ~ eps^(1/3): the natural continuation variable is s = eps^PENALTY_ROOT
 PENALTY_ROOT = 1.0 / PENALTY_POWER
+# epsilon of the states whose outcome does not depend on it: the default
+# initializer's admissibility probes (the paraboloid sits below the
+# obstacle, where the penalty vanishes) and the subsolution's spectrum
+PROBE_EPSILON = 1e-1
 
 
 def penalty(epsilon: float, z):
@@ -189,8 +198,6 @@ def penalty(epsilon: float, z):
     val = zp**PENALTY_POWER / epsilon
     d1 = PENALTY_POWER * zp**(PENALTY_POWER - 1) / epsilon
     d2 = PENALTY_POWER * (PENALTY_POWER - 1) * zp / epsilon
-    if z.ndim == 0:
-        return float(val), float(d1), float(d2)
     return val, d1, d2
 
 
@@ -386,8 +393,7 @@ class CoefficientCertification:
     failed_condition: str | None
 
 
-def certify_coefficients(prob: Problem, samples: int = 200,
-                         seed: int = 0) -> CoefficientCertification:
+def certify_coefficients(prob: Problem, samples: int, seed: int) -> CoefficientCertification:
     """Sampling certification of the coefficient sign/concavity conditions:
     concavity of A^{xi xi} and of -psi in p, A^{xi xi}_z >= 0, -psi_z >= 0,
     and positivity of psi.

@@ -42,7 +42,6 @@ __all__ = [
     "eval_f",
     "grad_f",
     "hess_f",
-    "cone_tolerances",
     "check_structure_conditions",
     "sample_cone_points",
     "estimate_theta",
@@ -51,7 +50,10 @@ __all__ = [
     "sigma_margins",
 ]
 
-# cone sampler: share of points pushed toward the boundary along exit rays
+# cone sampler: radii log-uniform on [SAMPLE_RMIN, SAMPLE_RMAX], and the
+# share of points pushed toward the boundary along exit rays
+SAMPLE_RMIN = 1e-3
+SAMPLE_RMAX = 1e3
 BOUNDARY_FRACTION = 0.1
 # exit search: the ray is followed up to EXIT_T_CAP * (1 + |base|), then
 # the crossing is bisected EXIT_BISECTIONS times
@@ -152,18 +154,6 @@ def _sigma_removed(lam: np.ndarray, j: int, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cone membership
 # ---------------------------------------------------------------------------
-
-def cone_tolerances(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
-    """Per-sigma round-off band 1e-12 * (1 + |lam|)^j for j = 1..k.
-
-    sigma_j is homogeneous of degree j, so the band must scale with degree;
-    a single (1+|lam|)^k band is far too wide for sigma_1 at large radii.
-    """
-    lam = np.atleast_2d(lam)
-    r = 1.0 + np.linalg.norm(lam, axis=-1)
-    j = np.arange(1, spec.k + 1)
-    return 1e-12 * r[:, None] ** j[None, :]
-
 
 def sigma_margins(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
     """sigma_1..sigma_k of each row, shape (N, k)."""
@@ -314,20 +304,14 @@ def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndar
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_cone_points(
-    spec: SymmetricFunctionSpec,
-    count: int,
-    seed: int,
-    rmin: float = 1e-3,
-    rmax: float = 1e3,
-) -> np.ndarray:
+def sample_cone_points(spec: SymmetricFunctionSpec, count: int, seed: int) -> np.ndarray:
     """Pseudo-random strictly interior points of Gamma_k.
 
     Directions are an even mix of positive-orthant and unrestricted Gaussian
     draws (rejection against the cone), radius is log-uniform on
-    [rmin, rmax].  A BOUNDARY_FRACTION share is pushed along random exit
-    segments to 0.999 of the exit parameter, which supplies near-boundary
-    eigenvalue tuples with strongly tilted normals.
+    [SAMPLE_RMIN, SAMPLE_RMAX].  A BOUNDARY_FRACTION share is pushed along
+    random exit segments to 0.999 of the exit parameter, which supplies
+    near-boundary eigenvalue tuples with strongly tilted normals.
 
     Draw order: a private generator seeded with `seed` gives each bulk
     candidate n normals, a uniform (orthant or not) and a uniform (radius),
@@ -346,7 +330,8 @@ def sample_cone_points(
             d = rng.standard_normal(spec.n)
             if rng.random() < 0.5:
                 d = np.abs(d) + 1e-3
-            row[:] = rmin * (rmax / rmin) ** rng.random() * (d / np.linalg.norm(d))
+            radius = SAMPLE_RMIN * (SAMPLE_RMAX / SAMPLE_RMIN) ** rng.random()
+            row[:] = radius * (d / np.linalg.norm(d))
         return lam
 
     pts = _first_inside(spec, n_bulk, bulk)
@@ -414,14 +399,11 @@ def _exit_parameters(spec, base, d):
 
 @dataclass
 class StructureReport:
-    spec: SymmetricFunctionSpec
-    sample_count: int
     min_grad_component: float
     max_hess_eig_scaled: float  # lambda_max(D^2 f) / (1 + |D^2 f|_inf), worst case
     min_f: float
     boundary_decay_ratios: list  # f_last/f_first per sampled boundary ray
     min_euler_bound: float  # min of sum f_i lam_i + K0 (1 + sum f_i)
-    K0: float
     nu0_hat: float | None  # min f_j/(1+sum f_i) over samples with lam_j < 0
     ladder_values: list  # f(2^s * 1), s = 0..40
     ladder_monotone: bool
@@ -493,14 +475,11 @@ def check_structure_conditions(
         raise StructureViolation("divergence of f(R*1)", 2.0**40 * np.ones(spec.n), "ladder not monotone divergent")
 
     return StructureReport(
-        spec=spec,
-        sample_count=sample_count,
         min_grad_component=min_grad,
         max_hess_eig_scaled=worst_scaled,
         min_f=min_f,
         boundary_decay_ratios=decay,
         min_euler_bound=min_euler,
-        K0=K0,
         nu0_hat=nu0,
         ladder_values=ladder,
         ladder_monotone=monotone,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hessobs.cli import main
-from hessobs.config import build_runsetup, parse_config
+from hessobs.config import AuditConfig, build_runsetup, parse_config
 from hessobs.lcp import projected_sor
 from hessobs.monitors import (
     audit_inequalities,
@@ -235,13 +235,13 @@ def test_criterion_8_inequality_audits():
     with criterion(8, "pointwise inequality audits clean at m=65", 120.0):
         rs, res = weak_radial(65)
         [aud] = audit_inequalities([solved_state(res.final, rs.problem, res.epsilons[-1])],
-                                   rs.problem.subsolution, rs.problem, seed=42)
+                                   rs.problem.subsolution, rs.problem, AuditConfig(seed=42))
         assert aud.violations == 0
         assert abs(aud.fprime_worst) <= 1e-12  # linear family: slack exactly zero
 
         rs5, res5 = ma_manufactured(65)
         [aud5] = audit_inequalities([solved_state(res5.final, rs5.problem, res5.epsilons[-1])],
-                                    rs5.problem.subsolution, rs5.problem, seed=42)
+                                    rs5.problem.subsolution, rs5.problem, AuditConfig(seed=42))
         assert aud5.violations == 0
         assert aud5.case1_points + aud5.case2_points == rs5.problem.grid.n_interior
 

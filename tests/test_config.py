@@ -42,7 +42,7 @@ boundary {
 
 def test_minimal_parses_with_defaults():
     cfg = parse_config(MINIMAL)
-    assert cfg.family == "sigma_k_root"
+    assert cfg.fspec.family == "sigma_k_root"
     assert cfg.m == (9, 9)
     assert cfg.metric_kind == "flat"
     assert cfg.subsolution == "builtin"
@@ -96,7 +96,7 @@ def test_quotient_full_spec():
     txt = MINIMAL.replace("family = sigma_k_root", "family = sigma_quotient_root") \
                  .replace("k = 1", "k = 2\n  l = 1")
     cfg = parse_config(txt)
-    assert (cfg.k, cfg.l) == (2, 1)
+    assert (cfg.fspec.k, cfg.fspec.l) == (2, 1)
 
 
 def test_bad_expression_has_location():

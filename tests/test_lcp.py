@@ -64,3 +64,13 @@ def test_rejects_anisotropic_grid():
     grid = ChartGrid.box((-1, -1), (1, 2), (17, 17))
     with pytest.raises(ValueError):
         projected_sor(grid, np.zeros(grid.shape), np.ones(grid.shape), np.zeros(grid.shape))
+
+
+def test_raises_without_convergence(monkeypatch):
+    import hessobs.lcp as lcp
+
+    monkeypatch.setattr(lcp, "MAX_SWEEPS", 1)
+    grid = ChartGrid.box((-1, -1), (1, 1), 17)
+    bdata = np.where(grid.boundary_mask(), 1.0, 0.0)  # a zero interior start
+    with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+        projected_sor(grid, np.full(grid.shape, 2.0), np.full(grid.shape, 100.0), bdata)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hessobs.config import AuditConfig, build_runsetup, parse_config
 from hessobs.errors import MonitorError
 from hessobs.geometry import ChartGrid, flat_metric
 from hessobs.monitors import (
@@ -15,8 +16,9 @@ from hessobs.monitors import (
     solved_state,
     sweep_summary,
 )
-from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
+from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve, default_initializer
 from hessobs.operator import Problem, coefficients_from_expressions, evaluate_state, spectrum
+from hessobs.problems import bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
 
 
@@ -103,7 +105,7 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
     res = continuation_solve(prob, PenaltySchedule(1e-3, 0.1, 1e-3),
                              NewtonConfig(tol_residual=1e-10))
     [aud] = audit_inequalities([solved_state(res.final, prob, 1e-3)], prob.subsolution, prob,
-                               seed=1)
+                               AuditConfig(seed=1))
     assert aud.case1_points == 0  # linear f: constant normal
     assert aud.case2_points == prob.grid.n_interior
     assert aud.violations == 0
@@ -114,7 +116,7 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
 def test_audit_u_equals_subsolution(solved_ma):
     prob, _ = solved_ma
     [aud] = audit_inequalities([solved_state(prob.subsolution, prob, 1e-2)], prob.subsolution,
-                               prob, seed=1)
+                               prob, AuditConfig(seed=1))
     # L(usub - u) = 0 and beta(usub - h) = 0 since usub <= h
     assert aud.case1_points == 0
     assert aud.violations == 0
@@ -124,7 +126,7 @@ def test_audit_u_equals_subsolution(solved_ma):
 def test_audit_solved_ma_no_violations(solved_ma):
     prob, res = solved_ma
     [aud] = audit_inequalities([solved_state(res.final, prob, res.epsilons[-1])],
-                               prob.subsolution, prob, seed=42)
+                               prob.subsolution, prob, AuditConfig(seed=42))
     assert aud.violations == 0
     assert aud.case1_points > 0  # nonlinear family genuinely exercises case 1
     assert aud.theta_hat is not None and aud.theta_hat > 0
@@ -144,7 +146,8 @@ def test_audit_theta_cloud_certified_once(solved_ma, monkeypatch):
                         lambda spec, K, zeta, lams: calls.append(lams)
                         or estimate(spec, K, zeta, lams))
     states = [solved_state(u, prob, e) for u, e in zip(res.solutions, res.epsilons)]
-    audits = audit_inequalities(states, prob.subsolution, prob, theta_samples=500, seed=3)
+    audits = audit_inequalities(states, prob.subsolution, prob,
+                                AuditConfig(theta_samples=500, seed=3))
     monkeypatch.undo()
 
     cloud = sample_cone_points(prob.fspec, 500, 3)
@@ -238,3 +241,15 @@ def test_sweep_solved_ma_uniform(solved_ma):
     assert rep.ratios["penalty_sup"] <= 2.0
     assert rep.ratios["hess_norm"] <= 1.5
     assert rep.uniform
+
+
+@pytest.mark.parametrize("name", ["ma_obstacle", "laplacian_obstacle"])
+def test_compact_set_does_not_depend_on_epsilon(name):
+    # the premise of PROBE_EPSILON: the subsolution's K, normals and zeta0
+    # come from its spectrum, which the penalty does not enter
+    prob = build_runsetup(parse_config(bundled_config_text(name))).problem
+    u_sub = prob.subsolution if prob.subsolution is not None else default_initializer(prob)
+    K, nu, zeta0 = compact_set(*spectrum(evaluate_state(u_sub, prob, 1e-6), prob))
+    for eps in (1e-2, 0.5):
+        K_e, nu_e, zeta0_e = compact_set(*spectrum(evaluate_state(u_sub, prob, eps), prob))
+        assert np.array_equal(K_e, K) and np.array_equal(nu_e, nu) and zeta0_e == zeta0

@@ -41,6 +41,18 @@ def make_problem(m=17, fspec=None, psi="2", a_mode="zero", a_param=None,
     return Problem(grid=grid, metric=metric, fspec=fspec, coeff=coeff, h=h, phi=phi)
 
 
+def test_problem_pins_supplied_subsolution():
+    # the subsolution's boundary layer is replaced by phi, its interior kept
+    prob = make_problem(phi_fn=lambda pts: pts[..., 0] ** 2)
+    sub = np.full(prob.grid.shape, 5.0)
+    prob = Problem(grid=prob.grid, metric=prob.metric, fspec=prob.fspec, coeff=prob.coeff,
+                   h=prob.h, phi=prob.phi, subsolution=sub)
+    edge = prob.grid.boundary_mask()
+    assert np.array_equal(prob.subsolution[edge], prob.phi[edge])
+    assert (prob.subsolution[~edge] == 5.0).all()
+    assert (sub == 5.0).all()  # the caller's array is not modified
+
+
 # -------------------------------------------------- penalty
 
 def test_penalty_negative_branch():
@@ -107,7 +119,8 @@ def test_monitors_name_the_flagged_points():
     u = prob.grid.sample(lambda x: 0.5 * (x[..., 0] ** 2 - 3.0 * x[..., 1] ** 2))
     flagged = residual(u, prob, 1e-2).flagged_points(prob.grid)
     assert flagged
-    for check in (solved_state, lambda *a: theta_certificate(*a, theta_samples=10, seed=0)):
+    for check in (solved_state,
+                  lambda u, prob, eps: theta_certificate(u, prob, theta_samples=10, seed=0)):
         with pytest.raises(NotAdmissible) as exc:
             check(u, prob, 1e-2)
         assert exc.value.points == flagged

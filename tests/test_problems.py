@@ -24,8 +24,8 @@ def analytic_subsolution_slack(cfg_text, n_samples=400):
     h = parse_expression(cfg.h, n, allow_zp=False)
     du = [u.derivative(f"x{i+1}") for i in range(n)]
     d2u = [[du[i].derivative(f"x{j+1}") for j in range(n)] for i in range(n)]
-    spec = SymmetricFunctionSpec(n=cfg.n, k=cfg.k, l=cfg.l)
-    lo, hi = np.array(cfg.lo), np.array(cfg.hi)
+    spec = cfg.fspec
+    lo, hi = np.array(cfg.grid.lo), np.array(cfg.grid.hi)
     pts = lo + (hi - lo) * RNG.random((n_samples, n))
     env = {f"x{i+1}": pts[:, i] for i in range(n)}
     z = np.broadcast_to(u(**env), (n_samples,))
