@@ -81,17 +81,25 @@ def _solve_row(rep) -> dict:
     }
 
 
+def _write_fields(out: ReportBundleWriter, args, grid, prefix: str, solutions, epsilons):
+    """One grid dump per field u and its epsilon, named prefix + epsilon tag."""
+    for u, eps in zip(solutions, epsilons):
+        out.write_field(f"{prefix}{_eps_tag(eps)}", grid, u, binary=args.field_format == "binary")
+
+
 def cmd_sweep(rs: RunSetup, args) -> int:
     """`solve` and `sweep`: only `sweep` exits 4 on non-uniform norms.  Any
-    library error, in the solve or after it, exits 2 with the failure report:
-    the config, the epsilons, the `solves` rows finished before it and
-    `solver_failure`."""
+    library error, in the solve or after it, exits 2 with the failure report
+    (the config, the epsilons, the `solves` rows finished before it and
+    `solver_failure`), the `u_eps_*` fields of the finished epsilons and,
+    after MaxItersExceeded, the failing epsilon's best iterate
+    `u_best_eps_*`."""
     out = ReportBundleWriter(args.out)
     doc = {"config": {"text": rs.config.to_text()}, "epsilons": rs.config.schedule.values()}
-    reports = []
+    reports, solutions = [], []
     try:
         result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
-        reports = result.reports
+        reports, solutions = result.reports, result.solutions
         return _report_sweep(rs, args, out, dict(doc), result)
     except HessObsError as exc:
         doc["solver_failure"] = {
@@ -105,6 +113,11 @@ def cmd_sweep(rs: RunSetup, args) -> int:
         if finished:
             doc["solves"] = finished
         out.write_json("report.json", doc)
+        grid = rs.problem.grid
+        _write_fields(out, args, grid, "u_eps_", getattr(exc, "solutions", solutions),
+                      doc["epsilons"])
+        if getattr(exc, "best_iterate", None) is not None:
+            _write_fields(out, args, grid, "u_best_eps_", [exc.best_iterate], [exc.epsilon])
         _say(args, f"solver failed: {exc}")
         return 2
 
@@ -171,9 +184,7 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
         contact_rows,
         f"contact cells at the final epsilon (tau = {contact.tau:.6e}); grid indices, coordinates, interface flag",
     )
-    binary = args.field_format == "binary"
-    for u, eps in zip(result.solutions, result.epsilons):
-        out.write_field(f"u_eps_{_eps_tag(eps)}", grid, u, binary=binary)
+    _write_fields(out, args, grid, "u_eps_", result.solutions, result.epsilons)
 
     for s in solves:
         _say(args, f"epsilon {fmt(s['epsilon'])}: {s['iterations']} iterations, "

@@ -23,9 +23,9 @@ Newton and audit settings, whose constructors hold the range rules and the
 defaults, and one expression tree per expression, which ProblemConfig keeps
 matched to its text.  `build_runsetup` samples and assembles those trees.
 Every set-up failure is a ConfigError, including a metric that is not
-positive definite, a metric table that is not numeric, a sampled h, phi, u
-or metric phi that is not finite and an obstacle that does not clear the
-boundary data; each names the config line it comes from.
+finite or not positive definite, a metric table that is not numeric, a
+sampled h, phi, u or metric phi that is not finite and an obstacle that
+does not clear the boundary data; each names the config line it comes from.
 """
 
 from __future__ import annotations
@@ -404,7 +404,8 @@ def _metric(cfg: ProblemConfig, pts: np.ndarray):
         return flat_metric(cfg.grid)
     if cfg.metric_kind == "conformal":  # g = exp(2 phi) I
         line = cfg.lines.get("metric_phi")
-        g = np.exp(2.0 * _sample(cfg, "metric_phi", pts))[..., None, None] * np.eye(cfg.grid.n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not finite: NotSPD
+            g = np.exp(2.0 * _sample(cfg, "metric_phi", pts))[..., None, None] * np.eye(cfg.grid.n)
     else:
         line = cfg.lines.get("metric_file")
         g = _load_tabulated_metric(cfg.metric_file, cfg.grid, line)

@@ -146,7 +146,10 @@ def metric_from_callable(grid: ChartGrid, gfun) -> MetricField:
 
 
 def metric_from_field(grid: ChartGrid, g: np.ndarray) -> MetricField:
-    """Build a MetricField from an already-sampled metric array."""
+    """Build a MetricField from an already-sampled metric array; a g that
+    is not finite or not positive definite raises NotSPD."""
+    if not np.isfinite(g).all():  # Cholesky does not raise on NaN
+        raise NotSPD("metric is not finite on the grid")
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     try:
         np.linalg.cholesky(g)

@@ -317,9 +317,13 @@ def _tabulated(tmp_path, row):
     lambda tmp: SMALL_MA.replace('h = "0.625*(x1^2+x2^2) + 0.3"',
                                  'h = "0.625*(x1^2+x2^2) + 0.3 + 0*2^1e300"'),
     lambda tmp: SMALL_MA.replace("seed = 42", "seed = -1"),
+    lambda tmp: _tabulated(tmp, "nan 0 1"),
+    lambda tmp: _tabulated(tmp, "1 0 inf"),
+    lambda tmp: SMALL_MA.replace("kind = flat", 'kind = conformal\n  phi = "400"'),
 ], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
         "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h", "eps_min_above_eps0",
-        "no_newton_iterations", "overflowing_constant_in_h", "negative_seed"])
+        "no_newton_iterations", "overflowing_constant_in_h", "negative_seed",
+        "tabulated_nan", "tabulated_inf", "conformal_overflow"])
 def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     bad = tmp_path / "bad.cfg"
     bad.write_text(make_text(tmp_path))
@@ -416,7 +420,7 @@ audit {
 def test_failure_after_solve_writes_report_exit2(tmp_path):
     # every epsilon converges, then the contact band reaches the first
     # interior ring and extract_contact_set raises MonitorError: the failure
-    # report still names it and keeps all five solves
+    # report still names it and keeps all five solves and their fields
     cfg = tmp_path / "tight3d.cfg"
     cfg.write_text(TIGHT_3D)
     out = tmp_path / "out"
@@ -429,13 +433,15 @@ def test_failure_after_solve_writes_report_exit2(tmp_path):
     assert report["solver_failure"]["epsilon"] is None
     assert [s["epsilon"] for s in report["solves"]] == report["epsilons"]
     assert len(report["solves"]) == 5 and all(s["converged"] for s in report["solves"])
-    assert sorted(f.name for f in out.iterdir()) == ["report.json"]
+    assert sorted(f.name for f in out.iterdir()) == ["report.json"] + [
+        f"u_eps_{eps:.0e}.txt" for eps in report["epsilons"]]
 
 
 def test_solver_failure_keeps_finished_epsilons(tmp_path):
     # eps 1e-2 converges in 6 steps, the jump to 1e-7 needs 10 even from the
     # predictor: the failure report keeps the solve row of the first epsilon
-    # and the failing epsilon's own unconverged row
+    # and the failing epsilon's own unconverged row, and the bundle the field
+    # of the first epsilon and the failing epsilon's best iterate
     cfg = tmp_path / "late_fail.cfg"
     cfg.write_text(SMALL_MA.replace("ratio = 0.1", "ratio = 1e-05")
                    .replace("eps_min = 0.0001", "eps_min = 1e-07")
@@ -450,6 +456,10 @@ def test_solver_failure_keeps_finished_epsilons(tmp_path):
     assert (failed["epsilon"], failed["converged"], failed["iterations"]) == (1e-07, False, 7)
     assert failed["start"] == "predictor"
     assert failed["final_residual"] > 1e-08
+    assert sorted(f.name for f in out.iterdir()) == [
+        "report.json", "u_best_eps_1e-07.txt", "u_eps_1e-02.txt"]
+    _, best = read_grid_dump(out / "u_best_eps_1e-07.txt")
+    assert best.shape == (21, 21) and np.isfinite(best).all()
 
 
 def test_sweep_kappa_zg_equals_scalar_metric(tmp_path):
