@@ -530,13 +530,14 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
 def default_initializer(prob: Problem) -> np.ndarray:
     """Admissible initial iterate matching the Dirichlet data.
 
-    If the problem supplies a subsolution (pinned by Problem) its
-    admissibility is checked.  Otherwise a paraboloid q(x) = a |x - x_c|^2 / 2 + b is grown
-    until f(lam(nabla^2 q + A[q])) >= psi[q] everywhere, b is set so that
-    q <= min(phi, h), and the Dirichlet mismatch is blended in with the
-    Laplace-Beltrami lift of phi - q (`laplace_beltrami_solve`).  The
-    blended iterate is admissibility-checked; failure of both paths raises
-    NoAdmissibleStart (a subsolution is then required input).
+    If the problem supplies a subsolution (Problem pins it) its
+    admissibility is checked.  Otherwise a paraboloid q(x) = a |x - x_c|^2
+    / 2 + b is grown until f(lam(nabla^2 q + A[q])) >= psi[q] everywhere,
+    b is set so that q <= min(phi, h), and the Dirichlet mismatch is
+    blended in with the Laplace-Beltrami lift of phi - q
+    (`laplace_beltrami_solve`).  The blended iterate is
+    admissibility-checked; failure of both paths raises NoAdmissibleStart
+    (a subsolution is then required input).
     """
     grid = prob.grid
     if prob.subsolution is not None:

@@ -46,7 +46,6 @@ __all__ = [
     "StateEval",
     "PENALTY_POWER",
     "PENALTY_ROOT",
-    "PROBE_EPSILON",
     "penalty",
     "residual",
     "spectrum",

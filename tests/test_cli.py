@@ -143,8 +143,8 @@ def test_sweep_reproducible_byte_identical(name, tmp_path):
 
 
 # sha256 of the check-structure and verify-lemma bundles at 500 samples, on
-# SMALL_MA (sigma_2, a supplied subsolution) and on the bundled sigma_1
-# laplacian_obstacle (builtin start at m = 129, a vacuous certificate)
+# SMALL_MA (sigma_2) and on the bundled sigma_1 laplacian_obstacle (m = 129,
+# a vacuous certificate)
 PINNED_CERTIFICATES = {
     "small_ma": (SMALL_MA, {
         "check-structure": "f6ce4ee44b798db4fba7798018d38869e0731d20491bef0b59a45e94b4e6da55",

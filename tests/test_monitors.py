@@ -16,7 +16,7 @@ from hessobs.monitors import (
     solved_state,
     sweep_summary,
 )
-from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve, default_initializer
+from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
 from hessobs.operator import Problem, coefficients_from_expressions, evaluate_state, spectrum
 from hessobs.problems import bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
@@ -248,7 +248,7 @@ def test_compact_set_does_not_depend_on_epsilon(name):
     # the premise of PROBE_EPSILON: the subsolution's K, normals and zeta0
     # come from its spectrum, which the penalty does not enter
     prob = build_runsetup(parse_config(bundled_config_text(name))).problem
-    u_sub = prob.subsolution if prob.subsolution is not None else default_initializer(prob)
+    u_sub = prob.subsolution
     K, nu, zeta0 = compact_set(*spectrum(evaluate_state(u_sub, prob, 1e-6), prob))
     for eps in (1e-2, 0.5):
         K_e, nu_e, zeta0_e = compact_set(*spectrum(evaluate_state(u_sub, prob, eps), prob))
