@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ SMALL_MA = (
     .replace("eps_min = 1e-06", "eps_min = 0.0001")
     .replace("theta_samples = 10000", "theta_samples = 2000")
 )
+# laplacian_obstacle_strong with its supplied subsolution replaced by the
+# built-in start, which the audit then takes as its subsolution
+LAPLACIAN_STRONG_BUILTIN = re.sub(r'(subsolution \{\n)  u = "[^"]*"', r"\1  u = builtin",
+                                  bundled_config_text("laplacian_obstacle_strong"))
 
 
 @pytest.fixture()
@@ -81,13 +86,14 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
     assert repr(tau) not in meta
 
 
-# sha256 of every bundle file of three sweeps: SMALL_MA with audits on (no
+# sha256 of every bundle file of four sweeps: SMALL_MA with audits on (no
 # multigrid level: each epsilon's first Jacobian is factored and its LU
 # preconditions the later steps, 36/10/7 Krylov iterations), ma_obstacle
 # at m = 33 with audits off (V-cycle GMRES, 41/24/12/13/21 Krylov
-# iterations) and the sigma_1 laplacian_obstacle_strong at m = 25 with
+# iterations), the sigma_1 laplacian_obstacle_strong at m = 25 with
 # audits off (23^2 unknowns, one multigrid level, 37/20/20/20/21 Krylov
-# iterations).  A change that moves roundoff updates these pins and says so.
+# iterations) and the same at m = 25 from the built-in start with audits
+# on, whose audit subsolution is that start.  A change that moves roundoff updates these pins and says so.
 # The two sigma_2 sweeps last moved when f and Df came to be computed
 # entrywise: their fields by at most 1.8e-16 relative to the max norm, with
 # the same Newton and Krylov counts, contact cells and audit counts.  The
@@ -125,6 +131,17 @@ PINNED_BUNDLES = {
         "u_eps_1e-04.txt": "c5b5ac9ca080a2711b2f7a3bf92fa7872ff1c609da37552da2a8e70b16445a46",
         "u_eps_1e-05.txt": "3222d929e9dd091c1369954e3b75142f3237ce7eae7f4fa5e72a63d6793d8186",
         "u_eps_1e-06.txt": "c8a69c7d6b3ed6ac6036a8da4d1a51008ffc4daf9ed4cb5b1af1cb5bfe7cf834",
+    }),
+    "laplacian_strong_m25_builtin_audited": (LAPLACIAN_STRONG_BUILTIN, ["--grid-m", "25"], {
+        "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
+        "norms_vs_eps.csv": "4208d1236f050d14b17f4a6d9947366c36266cf823824f2f6683da453baf402e",
+        "report.json": "925d3f6627425bbcd959cda923da23e5d95543dab7235853208a44a62f99e831",
+        "residual_history.csv": "e5afc8fd86446b700456713c7e7ee6ed3d868cbeabbe274f71c4c369b9973473",
+        "u_eps_1e-02.txt": "f5aa2f80f4e5a1c9d6eb4c53f801a8241b0cc447cbcee452929e64730e76fab1",
+        "u_eps_1e-03.txt": "bae53df2a7046cb51339c407aa910c01699e6d9b26305080108a9de042a2173b",
+        "u_eps_1e-04.txt": "e2341dff91e462006577de3fa9224074df73b30356862f644fa251bd7f5dc759",
+        "u_eps_1e-05.txt": "f9a86bcf069ae4ce7b6ab688915b41415e8ba49e4c8366ecc66c27c2560ecaa2",
+        "u_eps_1e-06.txt": "d30ab7e04ee430d2199be5f7cc0741923fb30b72d91c1e46f650d030921303a2",
     }),
 }
 
