@@ -42,6 +42,8 @@ def _load(args) -> RunSetup:
         raise ConfigError(f"--zeta must be positive, got {args.zeta}")
     if getattr(args, "samples", None) is not None and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if not np.isfinite(getattr(args, "k0", 0.0)):
+        raise ConfigError(f"--k0 must be finite, got {args.k0}")
     cfg = parse_config(pathlib.Path(args.config).read_text()).override(
         eps_min=getattr(args, "eps_min", None),
         grid_m=getattr(args, "grid_m", None),
@@ -60,10 +62,6 @@ def _say(args, *msg):
 
 def _eps_tag(eps: float) -> str:
     return f"{eps:.0e}"
-
-
-def _subsolution(prob):
-    return prob.subsolution if prob.subsolution is not None else default_initializer(prob)
 
 
 def _solve_row(rep) -> dict:
@@ -124,20 +122,21 @@ def cmd_sweep(rs: RunSetup, args) -> int:
 
 def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result) -> int:
     audit = rs.config.audit
-    bundles, states = [], []  # the solved states are kept for the audit only
+    certificate = (theta_certificate(result.start, rs.problem, audit.theta_samples, audit.seed)
+                   if audit.enabled else None)
+    bundles, audits = [], []
     solves = [_solve_row(rep) for rep in result.reports]
     hist_rows = []
     for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
         solved = solved_state(u, rs.problem, eps)
         bundles.append(compute_norm_bundle(solved, rs.problem))
         if audit.enabled:
-            states.append(solved)
+            audits.append(audit_inequalities(solved, result.start, rs.problem, certificate,
+                                             audit.c_audit))
         for it, rmax in enumerate(rep.residual_history):
             step = rep.step_history[it - 1] if it >= 1 else ""
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
                               rep.margin_history[it]))
-    audits = (audit_inequalities(states, _subsolution(rs.problem), rs.problem, audit)
-              if audit.enabled else [])
 
     sweep = sweep_summary(bundles)
     final_eps = result.epsilons[-1]
@@ -242,14 +241,14 @@ def cmd_check_structure(rs: RunSetup, args) -> int:
 
 
 def cmd_verify_lemma(rs: RunSetup, args) -> int:
-    """The audit's theta certificate of the cone cloud, at `--zeta` or zeta0.
-    A library error exits 2 (3 for a violated lemma) with one `error:` line
-    on stderr."""
+    """The audit's theta certificate of the cone cloud, at `--zeta` or zeta0,
+    from the start `default_initializer` gives the sweep.  A library error
+    exits 2 (3 for a violated lemma) with one `error:` line on stderr."""
     seed = rs.config.audit.seed
     samples = args.samples if args.samples is not None else rs.config.audit.theta_samples
     try:
-        K, _, cert = theta_certificate(_subsolution(rs.problem), rs.problem, samples, seed,
-                                       args.zeta)
+        K, _, cert = theta_certificate(default_initializer(rs.problem), rs.problem, samples,
+                                       seed, args.zeta)
     except HessObsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, StructureViolation) else 2

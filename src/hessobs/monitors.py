@@ -7,8 +7,9 @@ Points split into case 1 (normal gap >= zeta0) where the supporting-plane
 excess theta enters, and case 2 (gap < zeta0) where the diagonal bound on
 F^{ii} and the plain concavity inequality apply.  Discrete audits tolerate
 an O(h^2) slack band since the underlying inequalities hold for the
-continuous solution.  The audit takes the whole sweep: the compact set K,
-zeta0 and the sampled cone cloud are built once and shared by every epsilon.
+continuous solution.  The audit takes one solved state at a time: the
+compact set K, zeta0 and the theta certificate of the sampled cone cloud are
+built once per sweep by `theta_certificate` and shared by every epsilon.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import AuditConfig
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
 from .operator import (PENALTY_ROOT, PROBE_EPSILON, Problem, StateEval, evaluate_state,
@@ -149,10 +149,10 @@ class InequalityAudit:
     violations: int
 
 
-def audit_inequalities(states: list, u_sub: np.ndarray, prob: Problem,
-                       audit: AuditConfig) -> list[InequalityAudit]:
-    """Audit the two-case differential inequalities on each SolvedState of a
-    sweep with the settings of `audit`; one audit per state.
+def audit_inequalities(s: SolvedState, u_sub: np.ndarray, prob: Problem, certificate: tuple,
+                       c_audit: float) -> InequalityAudit:
+    """Audit the two-case differential inequalities on one SolvedState
+    against the subsolution u_sub.
 
     Case 1 (normal gap >= zeta0):
         L(usub - u) + beta_eps(u - h) >= (theta_hat/2) (1 + sum f_i) - tol
@@ -160,77 +160,72 @@ def audit_inequalities(states: list, u_sub: np.ndarray, prob: Problem,
         min_i f_i >= (zeta0/sqrt(n)) sum f_i - tol       (diagonal bound)
         L(usub - u) + beta_eps(u - h) >= -tol            (order-zero bound)
 
-    The subsolution state, K, zeta0, the sampled cone cloud and the theta
-    certificate of the cloud do not depend on epsilon and are built once per
-    sweep by `theta_certificate`.  theta_hat is the minimum over the cloud
-    together with the audited state's own eigenvalue field, which keeps the
+    `certificate` is the (K, nu_mu, cloud certificate) that
+    `theta_certificate` builds from u_sub once per sweep; none of it
+    depends on epsilon.  theta_hat is the minimum over the cloud together
+    with the audited state's own eigenvalue field, which keeps the
     certificate coherent with the per-point audit; it is halved to keep
     sampling optimism out of the pass/fail line.  fprime_worst records the
     diagonal bound with its sharp per-point constant min_i nu_i(lam)/sqrt(n)
     instead of zeta0/sqrt(n); for linear f this slack is identically zero.
     c_audit = 0 selects the audit band 10 * hess_norm * h^2.
     """
-    grid = prob.grid
-    n = grid.n
-    h2 = float(grid.spacing.max()) ** 2
-    K, nu_mu, cloud = theta_certificate(u_sub, prob, audit.theta_samples, audit.seed)
+    n = prob.grid.n
+    h2 = float(prob.grid.spacing.max()) ** 2
+    K, nu_mu, cloud = certificate
     zeta0 = cloud.zeta
+    u, st, lam, fg = s.u, s.state, s.lam, s.fg
+    nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
+    sum_fi = fg.sum(axis=1)
 
-    audits = []
-    for s in states:
-        u, epsilon, st, lam, fg = s.u, s.epsilon, s.state, s.lam, s.fg
-        nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
-        sum_fi = fg.sum(axis=1)
+    own_theta = estimate_theta(prob.fspec, K, zeta0, lam).theta_hat
+    thetas = [t for t in (cloud.theta_hat, own_theta) if t is not None]  # None = vacuous
+    theta_hat = min(thetas) if thetas else None
 
-        own_theta = estimate_theta(prob.fspec, K, zeta0, lam).theta_hat
-        thetas = [t for t in (cloud.theta_hat, own_theta) if t is not None]  # None = vacuous
-        theta_hat = min(thetas) if thetas else None
+    gap = np.linalg.norm(nu_mu - nu, axis=1)
+    case1 = gap >= zeta0
+    case2 = ~case1
 
-        gap = np.linalg.norm(nu_mu - nu, axis=1)
-        case1 = gap >= zeta0
-        case2 = ~case1
+    Lv = operator_L(st, prob, u_sub - u).ravel()
+    beta = st.beta
+    hess_norm = float(np.abs(lam).max())
+    tol = (c_audit or 10.0 * hess_norm) * h2
 
-        Lv = operator_L(st, prob, u_sub - u).ravel()
-        beta = st.beta
-        hess_norm = float(np.abs(lam).max())
-        tol = (audit.c_audit or 10.0 * hess_norm) * h2
+    violations = 0
+    if np.any(case1):
+        if theta_hat is None:
+            raise MonitorError("case-1 points present but theta certificate vacuous")
+        s1 = Lv[case1] + beta[case1] - 0.5 * theta_hat * (1.0 + sum_fi[case1])
+        worst1 = float(s1.min())
+        violations += int(np.count_nonzero(s1 < -tol))
+    else:
+        worst1 = np.inf
 
-        violations = 0
-        if np.any(case1):
-            if theta_hat is None:
-                raise MonitorError("case-1 points present but theta certificate vacuous")
-            s1 = Lv[case1] + beta[case1] - 0.5 * theta_hat * (1.0 + sum_fi[case1])
-            worst1 = float(s1.min())
-            violations += int(np.count_nonzero(s1 < -tol))
-        else:
-            worst1 = np.inf
+    if np.any(case2):
+        s2 = Lv[case2] + beta[case2]
+        worst2 = float(s2.min())
+        violations += int(np.count_nonzero(s2 < -tol))
+        diag = fg[case2].min(axis=1) - (zeta0 / np.sqrt(n)) * sum_fi[case2]
+        worst_diag = float(diag.min())
+        violations += int(np.count_nonzero(diag < -tol))
+    else:
+        worst2 = np.inf
+        worst_diag = np.inf
 
-        if np.any(case2):
-            s2 = Lv[case2] + beta[case2]
-            worst2 = float(s2.min())
-            violations += int(np.count_nonzero(s2 < -tol))
-            diag = fg[case2].min(axis=1) - (zeta0 / np.sqrt(n)) * sum_fi[case2]
-            worst_diag = float(diag.min())
-            violations += int(np.count_nonzero(diag < -tol))
-        else:
-            worst2 = np.inf
-            worst_diag = np.inf
-
-        sharp = fg.min(axis=1) - (nu.min(axis=1) / np.sqrt(n)) * sum_fi
-        audits.append(InequalityAudit(
-            epsilon=epsilon,
-            zeta0=zeta0,
-            theta_hat=theta_hat,
-            case1_points=int(case1.sum()),
-            case2_points=int(case2.sum()),
-            worst_slack_case1=worst1,
-            worst_slack_case2=worst2,
-            worst_slack_diag=worst_diag,
-            fprime_worst=float(sharp.min()),
-            tol_audit=tol,
-            violations=violations,
-        ))
-    return audits
+    sharp = fg.min(axis=1) - (nu.min(axis=1) / np.sqrt(n)) * sum_fi
+    return InequalityAudit(
+        epsilon=s.epsilon,
+        zeta0=zeta0,
+        theta_hat=theta_hat,
+        case1_points=int(case1.sum()),
+        case2_points=int(case2.sum()),
+        worst_slack_case1=worst1,
+        worst_slack_case2=worst2,
+        worst_slack_diag=worst_diag,
+        fprime_worst=float(sharp.min()),
+        tol_audit=tol,
+        violations=violations,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,7 @@ class ContinuationResult:
     epsilons: list
     solutions: list  # one full-grid field per epsilon
     reports: list  # SolveReport per epsilon
+    start: np.ndarray  # the first epsilon's start, from default_initializer
 
     @property
     def final(self) -> np.ndarray:
@@ -487,7 +488,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     """Solve along the decreasing epsilon schedule by predictor-corrector
     continuation.
 
-    The first epsilon starts from `default_initializer`.  Each later
+    The first epsilon starts from `default_initializer`; the result keeps
+    that start, which the audit takes as its subsolution.  Each later
     epsilon starts from the prediction of `_predicted_start`: an Euler step
     from the first solution, and from the third epsilon on the cubic Hermite
     extrapolation through the last two solutions.  Their tangents come out
@@ -503,7 +505,7 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     schedule = schedule or PenaltySchedule()
     cfg = cfg or NewtonConfig()
     eps_values = schedule.values()
-    u = default_initializer(prob)
+    u = u0 = default_initializer(prob)
     sols, reports = [], []
     state = point = previous = None
     for k, eps in enumerate(eps_values):
@@ -524,7 +526,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
         rep.tangent = None
         sols.append(u)
         reports.append(rep)
-    return ContinuationResult(epsilons=eps_values, solutions=sols, reports=reports)
+    return ContinuationResult(epsilons=eps_values, solutions=sols, reports=reports,
+                              start=u0)
 
 
 def default_initializer(prob: Problem) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hessobs.cli import main
-from hessobs.config import AuditConfig, build_runsetup, parse_config
+from hessobs.config import build_runsetup, parse_config
 from hessobs.lcp import projected_sor
 from hessobs.monitors import (
     audit_inequalities,
@@ -19,6 +19,7 @@ from hessobs.monitors import (
     extract_contact_set,
     solved_state,
     sweep_summary,
+    theta_certificate,
 )
 from hessobs.newton import NewtonConfig, continuation_solve, newton_solve
 from hessobs.operator import evaluate_state, spectrum
@@ -234,14 +235,17 @@ def test_criterion_7_second_order_uniformity():
 def test_criterion_8_inequality_audits():
     with criterion(8, "pointwise inequality audits clean at m=65", 120.0):
         rs, res = weak_radial(65)
-        [aud] = audit_inequalities([solved_state(res.final, rs.problem, res.epsilons[-1])],
-                                   rs.problem.subsolution, rs.problem, AuditConfig(seed=42))
+        usub = rs.problem.subsolution
+        aud = audit_inequalities(solved_state(res.final, rs.problem, res.epsilons[-1]), usub,
+                                 rs.problem, theta_certificate(usub, rs.problem, 4000, 42), 0.0)
         assert aud.violations == 0
         assert abs(aud.fprime_worst) <= 1e-12  # linear family: slack exactly zero
 
         rs5, res5 = ma_manufactured(65)
-        [aud5] = audit_inequalities([solved_state(res5.final, rs5.problem, res5.epsilons[-1])],
-                                    rs5.problem.subsolution, rs5.problem, AuditConfig(seed=42))
+        usub5 = rs5.problem.subsolution
+        aud5 = audit_inequalities(solved_state(res5.final, rs5.problem, res5.epsilons[-1]), usub5,
+                                  rs5.problem, theta_certificate(usub5, rs5.problem, 4000, 42),
+                                  0.0)
         assert aud5.violations == 0
         assert aud5.case1_points + aud5.case2_points == rs5.problem.grid.n_interior
 

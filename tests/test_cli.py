@@ -75,6 +75,58 @@ def test_norms_and_audit_share_one_state_per_epsilon(small_cfg, tmp_path, monkey
     assert calls == {"evaluate_state": len(epsilons) + 1, "spectrum": len(epsilons) + 1}
 
 
+@pytest.fixture()
+def builtin_cfg(tmp_path):
+    p = tmp_path / "builtin.cfg"
+    p.write_text(LAPLACIAN_STRONG_BUILTIN)
+    return p
+
+
+def test_builtin_start_built_once_per_command(builtin_cfg, tmp_path, monkeypatch):
+    # the audit's subsolution is the start continuation_solve used, and
+    # verify-lemma builds that start once
+    import hessobs.cli as cli
+    import hessobs.newton as newton
+
+    calls = []
+    for mod in (newton, cli):
+        def counting(prob, _fn=mod.default_initializer):
+            calls.append(prob)
+            return _fn(prob)
+        monkeypatch.setattr(mod, "default_initializer", counting)
+    assert main(["sweep", str(builtin_cfg), "--grid-m", "25", "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert len(json.loads((tmp_path / "out" / "report.json").read_text())["audits"]) == 5
+    assert len(calls) == 1
+    assert main(["verify-lemma", str(builtin_cfg), "--samples", "500", "--quiet"]) == 0
+    assert len(calls) == 2
+
+
+def test_at_most_two_solved_states_alive_during_audited_sweep(builtin_cfg, tmp_path,
+                                                              monkeypatch):
+    # each epsilon is audited in the loop that builds its norm bundle, so at
+    # most the state being audited and the one being built are alive, and
+    # none is kept once the bundle is written
+    import weakref
+
+    import hessobs.cli as cli
+
+    states, alive = [], []
+    build = cli.solved_state
+
+    def recording(*args):
+        s = build(*args)
+        states.append(weakref.ref(s))
+        alive.append(sum(ref() is not None for ref in states))
+        return s
+
+    monkeypatch.setattr(cli, "solved_state", recording)
+    assert main(["sweep", str(builtin_cfg), "--grid-m", "25", "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert len(states) == 5 and max(alive) <= 2
+    assert all(ref() is None for ref in states)
+
+
 def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
     # a roundoff change in tau must not change the csv bytes; report.json
     # keeps the full value
@@ -303,6 +355,9 @@ def test_malformed_expression_is_config_error_with_line(small_cfg, tmp_path, cap
     ["sweep", "--seed", "-1"],
     ["verify-lemma", "--seed", "-1"],
     ["check-structure", "--seed", "-1"],
+    ["check-structure", "--k0", "nan"],
+    ["check-structure", "--k0", "inf"],
+    ["check-structure", "--k0=-inf"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_config_error(small_cfg, tmp_path, capsys, argv):
     command, *flags = argv

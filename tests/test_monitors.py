@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hessobs.config import AuditConfig, build_runsetup, parse_config
+from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import MonitorError
 from hessobs.geometry import ChartGrid, flat_metric
 from hessobs.monitors import (
@@ -15,6 +15,7 @@ from hessobs.monitors import (
     extract_contact_set,
     solved_state,
     sweep_summary,
+    theta_certificate,
 )
 from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
 from hessobs.operator import Problem, coefficients_from_expressions, evaluate_state, spectrum
@@ -104,8 +105,8 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
                    h=usub + 0.2, phi=usub, subsolution=usub)
     res = continuation_solve(prob, PenaltySchedule(1e-3, 0.1, 1e-3),
                              NewtonConfig(tol_residual=1e-10))
-    [aud] = audit_inequalities([solved_state(res.final, prob, 1e-3)], prob.subsolution, prob,
-                               AuditConfig(seed=1))
+    aud = audit_inequalities(solved_state(res.final, prob, 1e-3), prob.subsolution, prob,
+                             theta_certificate(prob.subsolution, prob, 4000, 1), 0.0)
     assert aud.case1_points == 0  # linear f: constant normal
     assert aud.case2_points == prob.grid.n_interior
     assert aud.violations == 0
@@ -115,8 +116,8 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
 
 def test_audit_u_equals_subsolution(solved_ma):
     prob, _ = solved_ma
-    [aud] = audit_inequalities([solved_state(prob.subsolution, prob, 1e-2)], prob.subsolution,
-                               prob, AuditConfig(seed=1))
+    aud = audit_inequalities(solved_state(prob.subsolution, prob, 1e-2), prob.subsolution,
+                             prob, theta_certificate(prob.subsolution, prob, 4000, 1), 0.0)
     # L(usub - u) = 0 and beta(usub - h) = 0 since usub <= h
     assert aud.case1_points == 0
     assert aud.violations == 0
@@ -125,8 +126,8 @@ def test_audit_u_equals_subsolution(solved_ma):
 
 def test_audit_solved_ma_no_violations(solved_ma):
     prob, res = solved_ma
-    [aud] = audit_inequalities([solved_state(res.final, prob, res.epsilons[-1])],
-                               prob.subsolution, prob, AuditConfig(seed=42))
+    aud = audit_inequalities(solved_state(res.final, prob, res.epsilons[-1]), prob.subsolution,
+                             prob, theta_certificate(prob.subsolution, prob, 4000, 42), 0.0)
     assert aud.violations == 0
     assert aud.case1_points > 0  # nonlinear family genuinely exercises case 1
     assert aud.theta_hat is not None and aud.theta_hat > 0
@@ -145,9 +146,10 @@ def test_audit_theta_cloud_certified_once(solved_ma, monkeypatch):
     monkeypatch.setattr(monitors, "estimate_theta",
                         lambda spec, K, zeta, lams: calls.append(lams)
                         or estimate(spec, K, zeta, lams))
-    states = [solved_state(u, prob, e) for u, e in zip(res.solutions, res.epsilons)]
-    audits = audit_inequalities(states, prob.subsolution, prob,
-                                AuditConfig(theta_samples=500, seed=3))
+    certificate = theta_certificate(prob.subsolution, prob, 500, 3)
+    audits = [audit_inequalities(solved_state(u, prob, e), prob.subsolution, prob, certificate,
+                                 0.0)
+              for u, e in zip(res.solutions, res.epsilons)]
     monkeypatch.undo()
 
     cloud = sample_cone_points(prob.fspec, 500, 3)
