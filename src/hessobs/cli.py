@@ -38,8 +38,8 @@ __all__ = ["main", "cmd_sweep", "cmd_check_structure", "cmd_verify_lemma"]
 def _load(args) -> RunSetup:
     """Parse the config, apply the override flags and build the run; every
     out-of-range input raises ConfigError."""
-    if getattr(args, "zeta", None) is not None and not args.zeta > 0.0:
-        raise ConfigError(f"--zeta must be positive, got {args.zeta}")
+    if getattr(args, "zeta", None) is not None and not 0.0 < args.zeta < np.inf:
+        raise ConfigError(f"--zeta must be positive and finite, got {args.zeta}")
     if getattr(args, "samples", None) is not None and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if not np.isfinite(getattr(args, "k0", 0.0)):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, GridTooSmall, NotSPD
+from .errors import ConfigError, NotSPD
 from .expressions import parse_expression
 from .geometry import ChartGrid, flat_metric, metric_from_field
 from .newton import NewtonConfig, PenaltySchedule
@@ -68,6 +68,8 @@ class AuditConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not 0.0 <= self.c_audit < np.inf:  # also NaN
+            raise ValueError(f"c_audit must be finite and non-negative, got {self.c_audit}")
         if self.theta_samples < 1:
             raise ValueError(f"theta_samples must be at least 1, got {self.theta_samples}")
         if self.seed < 0:
@@ -212,11 +214,11 @@ def _split_blocks(text: str) -> dict:
 
 
 def _checked(make, what="", line=None):
-    """make(), with a constructor's own range check (ValueError or
-    GridTooSmall) raised as a ConfigError."""
+    """make(), with a constructor's own range check (ValueError) raised as a
+    ConfigError."""
     try:
         return make()
-    except (ValueError, GridTooSmall) as exc:
+    except ValueError as exc:
         raise ConfigError(what + str(exc), line) from exc
 
 

@@ -30,10 +30,6 @@ class NotSPD(HessObsError):
     """Matrix expected to be symmetric positive definite is not."""
 
 
-class GridTooSmall(HessObsError):
-    """Grid needs at least 3 points per axis for centered stencils."""
-
-
 class NotAdmissible(HessObsError):
     """State left the cone at some interior points; payload lists them."""
 
@@ -77,8 +73,9 @@ class SingularJacobian(SolverError):
 
 
 class NoAdmissibleStart(SolverError):
-    """Neither the supplied subsolution nor the built-in builder produced an
-    admissible initial iterate."""
+    """The built-in start (`u = builtin`) found no admissible initial
+    iterate; an inadmissible supplied subsolution raises NotAdmissible
+    instead."""
 
 
 class MonitorError(HessObsError):

@@ -8,11 +8,12 @@ points only, with second-order centered stencils.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmall, NotSPD
+from .errors import NotSPD
 
 __all__ = [
     "ChartGrid",
@@ -46,7 +47,9 @@ class ChartGrid:
         if len(self.hi) != n or len(self.m) != n:
             raise ValueError("lo, hi, m must have equal length")
         if any(mi < 3 for mi in self.m):
-            raise GridTooSmall(f"need >= 3 points per axis, got m = {self.m}")
+            raise ValueError(f"need >= 3 points per axis, got m = {self.m}")
+        if not all(map(math.isfinite, self.lo + self.hi)):
+            raise ValueError(f"lo and hi must be finite, got lo = {self.lo}, hi = {self.hi}")
         if any(h <= lo for lo, h in zip(self.lo, self.hi)):
             raise ValueError("need hi > lo on every axis")
 

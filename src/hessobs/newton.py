@@ -102,8 +102,8 @@ class NewtonConfig:
     max_iters: int = 60
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0 or self.max_iters < 1:
-            raise ValueError("tol_residual > 0 and max_iters >= 1 required")
+        if not 0.0 < self.tol_residual < np.inf or self.max_iters < 1:  # also NaN
+            raise ValueError("0 < tol_residual < inf and max_iters >= 1 required")
 
 
 @dataclass
@@ -350,9 +350,8 @@ def _linear_solve(J, cycle, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int
     ||b||_2; returns x and the GMRES iterations it took.
 
     Restarted GMRES runs on J M, with M the V-cycle `cycle` of `_v_cycle`,
-    which may have been built from an earlier Jacobian.  Given the interior
-    shape of the grid instead, the V-cycle is built from J; a zero b gives
-    zero and builds none.  J is not symmetric in general.  Each restart
+    which may have been built from an earlier Jacobian; a zero b gives zero
+    without applying it.  J is not symmetric in general.  Each restart
     cycle of `_gmres_cycle` adds its correction to x and recomputes the true
     residual b - J x; the solve stops once that is at most rtol ||b||_2.
     With M built from J on a grid without levels, M is the exact solve and
@@ -366,8 +365,6 @@ def _linear_solve(J, cycle, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int
     r, rnorm = b, np.linalg.norm(b)
     if rnorm == 0.0:
         return x, 0
-    if not callable(cycle):
-        cycle = _v_cycle(J, cycle)
     target = rtol * rnorm
     iterations = 0
     try:
@@ -531,26 +528,23 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
 
 
 def default_initializer(prob: Problem) -> np.ndarray:
-    """Admissible initial iterate matching the Dirichlet data.
+    """Initial iterate matching the Dirichlet data.
 
-    If the problem supplies a subsolution (Problem pins it) its
-    admissibility is checked.  Otherwise a paraboloid q(x) = a |x - x_c|^2
-    / 2 + b is grown until f(lam(nabla^2 q + A[q])) >= psi[q] everywhere,
-    b is set so that q <= min(phi, h), and the Dirichlet mismatch is
-    blended in with the Laplace-Beltrami lift of phi - q
-    (`laplace_beltrami_solve`).  The blended iterate is
-    admissibility-checked; failure of both paths raises NoAdmissibleStart
-    (a subsolution is then required input).
+    A supplied subsolution (Problem pins it) is returned as given; the first
+    state that uses it checks it: the first epsilon's `newton_solve`, or
+    `theta_certificate`, each raising NotAdmissible with the flagged points.
+    Otherwise a paraboloid q(x) = a |x - x_c|^2 / 2 + b is grown until
+    f(lam(nabla^2 q + A[q])) >= psi[q] everywhere, b is set so that
+    q <= min(phi, h), and the Dirichlet mismatch is blended in with the
+    Laplace-Beltrami lift of phi - q (`laplace_beltrami_solve`).  The
+    blended iterate is admissibility-checked; if no a up to 2^20 gives an
+    admissible one, NoAdmissibleStart is raised (a subsolution is then
+    required input).
     """
-    grid = prob.grid
     if prob.subsolution is not None:
-        res = residual(prob.subsolution, prob, PROBE_EPSILON)
-        if not res.admissible:
-            raise NoAdmissibleStart(
-                f"supplied subsolution leaves the cone at {len(res.flagged_points(grid))} points"
-            )
         return prob.subsolution
 
+    grid = prob.grid
     pts = grid.points()
     center = np.array([(lo + hi) / 2.0 for lo, hi in zip(grid.lo, grid.hi)])
     rsq = ((pts - center) ** 2).sum(axis=-1)
@@ -559,7 +553,7 @@ def default_initializer(prob: Problem) -> np.ndarray:
     while a <= 2.0**20:
         b = float((target - 0.5 * a * rsq).min()) - 1e-9
         q = 0.5 * a * rsq + b
-        rq = residual(pin_boundary(grid, q, q), prob, PROBE_EPSILON)
+        rq = residual(q, prob, PROBE_EPSILON)
         if rq.admissible and rq.values.min() >= 0.0:
             v = laplace_beltrami_solve(grid, prob.metric, prob.phi - q)
             u0 = pin_boundary(grid, q + v, prob.phi)
@@ -580,8 +574,8 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
 
     With w the data on a zero interior, the interior of v - w solves the
     assembled operator (g^{ij}, -g^{ij} Gamma^k_{ij}, 0) with right side
-    -g^{ij} (nabla^2 w)_{ij}, by `_linear_solve` to relative residual
-    LIFT_RTOL.
+    -g^{ij} (nabla^2 w)_{ij}, by `_linear_solve` under that operator's own
+    V-cycle to relative residual LIFT_RTOL.
     """
     n = grid.n
     ginv = metric.ginv[grid.interior].reshape(-1, n, n)
@@ -590,6 +584,6 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
     w = pin_boundary(grid, np.zeros(grid.shape), boundary_values)
     b = -np.einsum("...ij,...ij->...", ginv,
                    covariant_hessian(w, metric, grid).reshape(-1, n, n))
-    v, _ = _linear_solve(assemble_operator(grid, ginv, c1, 0.0), grid.interior_shape,
-                         b, LIFT_RTOL)
+    A = assemble_operator(grid, ginv, c1, 0.0)
+    v, _ = _linear_solve(A, _v_cycle(A, grid.interior_shape), b, LIFT_RTOL)
     return w + _on_grid(grid, v)

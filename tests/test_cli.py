@@ -350,6 +350,7 @@ def test_malformed_expression_is_config_error_with_line(small_cfg, tmp_path, cap
     ["sweep", "--eps-min", "0"],
     ["sweep", "--eps-min", "0.5"],
     ["verify-lemma", "--zeta", "0"],
+    ["verify-lemma", "--zeta", "inf"],
     ["verify-lemma", "--samples", "0"],
     ["check-structure", "--samples", "0"],
     ["sweep", "--seed", "-1"],
@@ -365,6 +366,12 @@ def test_out_of_range_flag_is_config_error(small_cfg, tmp_path, capsys, argv):
     assert main([command, str(small_cfg), *flags, *out, "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+# grid bounds that are not finite; the grid's errors name the line of its lo
+_NONFINITE_GRID = [SMALL_MA.replace(old, new) for old, new in (
+    ("lo = -2 -2", "lo = nan -2"), ("lo = -2 -2", "lo = -inf -2"), ("hi = 2 2", "hi = inf 2"))]
+_GRID_LINE = SMALL_MA.splitlines().index("  lo = -2 -2") + 1
 
 
 def _tabulated(tmp_path, row):
@@ -392,18 +399,29 @@ def _tabulated(tmp_path, row):
     lambda tmp: _tabulated(tmp, "nan 0 1"),
     lambda tmp: _tabulated(tmp, "1 0 inf"),
     lambda tmp: SMALL_MA.replace("kind = flat", 'kind = conformal\n  phi = "400"'),
+    lambda tmp: SMALL_MA.replace("tol = 1e-08", "tol = inf"),
+    lambda tmp: SMALL_MA.replace("tol = 1e-08", "tol = nan"),
+    lambda tmp: SMALL_MA.replace("c_audit = 0", "c_audit = nan"),
+    lambda tmp: SMALL_MA.replace("c_audit = 0", "c_audit = inf"),
+    lambda tmp: SMALL_MA.replace("c_audit = 0", "c_audit = -1"),
+    *[lambda tmp, text=text: text for text in _NONFINITE_GRID],
 ], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
         "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h", "eps_min_above_eps0",
         "no_newton_iterations", "overflowing_constant_in_h", "negative_seed",
-        "tabulated_nan", "tabulated_inf", "conformal_overflow"])
+        "tabulated_nan", "tabulated_inf", "conformal_overflow", "infinite_tol", "nan_tol",
+        "nan_c_audit", "infinite_c_audit", "negative_c_audit", "nan_lo", "minus_inf_lo",
+        "infinite_hi"])
 def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(make_text(tmp_path))
+    text = make_text(tmp_path)
+    bad.write_text(text)
     assert main(["sweep", str(bad), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: [line ")
     assert err.count("\n") == 1  # one line: no traceback, no numpy warning
     assert not (tmp_path / "out").exists()
+    if text in _NONFINITE_GRID:  # blamed on the grid, not on a later expression
+        assert err.startswith(f"config error: [line {_GRID_LINE}] grid: lo and hi must be finite")
 
 
 def test_eps_min_override_shortens_sweep(tmp_path):
@@ -427,10 +445,44 @@ def test_solver_failure_exit2(small_cfg, tmp_path):
     assert "solver_failure" in report and "MaxItersExceeded" in report
 
 
+def test_inadmissible_subsolution_fails_at_eps0(tmp_path):
+    # a supplied subsolution reaches the solve unprobed; the first epsilon's
+    # Newton solve rejects this concave one, and no epsilon finished
+    cfg = tmp_path / "concave.cfg"
+    cfg.write_text(SMALL_MA.replace('u = "0.625*(x1^2+x2^2)"', 'u = "-0.625*(x1^2+x2^2)"'))
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_failure"]["error"] == "NotAdmissible"
+    assert report["solver_failure"]["epsilon"] == report["epsilons"][0] == 0.01
+    assert "solves" not in report and not list(out.glob("u_eps_*"))
+
+
+def test_supplied_subsolution_evaluated_once_at_probe_epsilon(small_cfg, tmp_path,
+                                                              monkeypatch):
+    # the audit's and verify-lemma's theta certificate is the one evaluation
+    # of the subsolution at PROBE_EPSILON (SMALL_MA's schedule starts below it)
+    import hessobs.monitors as monitors
+    import hessobs.operator as operator
+
+    probes = []
+    for mod in (operator, monitors):
+        def counting(u, prob, epsilon, _fn=mod.evaluate_state):
+            if epsilon == operator.PROBE_EPSILON:
+                probes.append(u)
+            return _fn(u, prob, epsilon)
+        monkeypatch.setattr(mod, "evaluate_state", counting)
+    assert main(["sweep", str(small_cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(probes) == 1
+    assert main(["verify-lemma", str(small_cfg), "--samples", "100", "--quiet"]) == 0
+    assert len(probes) == 2
+
+
 def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
     # psi = 1.2 - 0.5 z turns negative on the subsolution, and 1 + 0.1 sqrt(x1)
     # is NaN for x1 < 0: PsiNotPositive is a library error, not a SolverError,
-    # and must still leave its report
+    # and must still leave its report; the subsolution reaches the solve
+    # unprobed, so the failure is the first epsilon's
     # 1/0 and (0-8)^(1/3) are inf and NaN, not a Python exception or complex
     for i, psi in enumerate(["1.2 - 0.5*z", "1 + 0.1*sqrt(x1)", "1 + 0*(1/0)", "(0-8)^(1/3)"]):
         cfg = tmp_path / f"bad_psi_{i}.cfg"
@@ -439,6 +491,7 @@ def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
         assert main(["solve", str(cfg), "--out", str(out), "--quiet"]) == 2
         report = json.loads((out / "report.json").read_text())
         assert report["solver_failure"]["error"] == "PsiNotPositive"
+        assert report["solver_failure"]["epsilon"] == report["epsilons"][0]
         assert "solves" not in report
 
 
@@ -623,7 +676,9 @@ def test_verify_lemma_zeta_above_diameter_vacuous(small_cfg, tmp_path):
 @pytest.mark.parametrize("edits", [
     {'psi = "1"': 'psi = "x1"'},  # PsiNotPositive at the subsolution
     {'psi = "1"': 'psi = "1e9"', 'u = "0.625*(x1^2+x2^2)"': "u = builtin"},  # NoAdmissibleStart
-], ids=["psi_not_positive", "no_admissible_start"])
+    # NotAdmissible from theta_certificate, the one check of a supplied subsolution
+    {'u = "0.625*(x1^2+x2^2)"': 'u = "-0.625*(x1^2+x2^2)"'},
+], ids=["psi_not_positive", "no_admissible_start", "not_admissible"])
 def test_verify_lemma_library_error_exit2(edits, tmp_path, capsys):
     text = bundled_config_text("ma_obstacle")
     for old, new in edits.items():

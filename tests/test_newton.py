@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from hessobs.cli import main
 from hessobs.config import build_runsetup, parse_config
-from hessobs.errors import NoAdmissibleStart, SingularJacobian
+from hessobs.errors import NotAdmissible, SingularJacobian
 from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
 from hessobs.newton import (
     COARSE_N,
@@ -22,6 +22,7 @@ from hessobs.newton import (
     _linear_solve,
     _path_point,
     _predict,
+    _v_cycle,
     continuation_solve,
     default_initializer,
     newton_solve,
@@ -260,7 +261,7 @@ def test_ordered_solve_matches_plain_spsolve(make):
     b = np.random.default_rng(5).standard_normal(J.shape[0])
     ref = spla.spsolve(J.tocsc(), b)
     for rtol in (1e-3, 1e-10):
-        x, _ = _linear_solve(J, prob.grid.interior_shape, b, rtol)
+        x, _ = _linear_solve(J, _v_cycle(J, prob.grid.interior_shape), b, rtol)
         assert np.linalg.norm(J @ x - b) <= rtol * np.linalg.norm(b)
         assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
 
@@ -306,7 +307,7 @@ def test_linear_solve_checks_its_true_residual():
     J = _first_jacobian(prob, u)
     b = np.random.default_rng(7).standard_normal(J.shape[0])
     with pytest.raises(SingularJacobian, match="missed relative residual"):
-        _linear_solve(J, prob.grid.interior_shape, b, 1e-20)
+        _linear_solve(J, _v_cycle(J, prob.grid.interior_shape), b, 1e-20)
 
 
 def test_gmres_restarts_until_the_true_residual_is_met(monkeypatch):
@@ -317,11 +318,11 @@ def test_gmres_restarts_until_the_true_residual_is_met(monkeypatch):
     prob, u = _conformal_kappa_2d(41)
     J = _first_jacobian(prob, u)
     b = np.random.default_rng(8).standard_normal(J.shape[0])
-    shape = prob.grid.interior_shape
-    x_full, k_full = _linear_solve(J, shape, b, 1e-10)
+    cycle = _v_cycle(J, prob.grid.interior_shape)
+    x_full, k_full = _linear_solve(J, cycle, b, 1e-10)
     assert k_full <= GMRES_RESTART
     monkeypatch.setattr(newton, "GMRES_RESTART", 4)
-    x, k = _linear_solve(J, shape, b, 1e-10)
+    x, k = _linear_solve(J, cycle, b, 1e-10)
     assert k > newton.GMRES_RESTART * 2
     assert np.linalg.norm(J @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert np.linalg.norm(x - x_full) <= 1e-9 * np.linalg.norm(x_full)
@@ -333,21 +334,18 @@ def test_gmres_without_levels_solves_in_one_iteration():
     J = _first_jacobian(prob, u)
     assert J.shape[0] <= COARSE_N and not _hierarchy(prob.grid.interior_shape)
     b = np.random.default_rng(9).standard_normal(J.shape[0])
-    x, k = _linear_solve(J, prob.grid.interior_shape, b, 1e-12)
+    x, k = _linear_solve(J, _v_cycle(J, prob.grid.interior_shape), b, 1e-12)
     assert k == 1
     assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_zero_right_hand_side_builds_no_v_cycle(monkeypatch):
-    import hessobs.newton as newton
+def test_zero_right_hand_side_applies_no_v_cycle():
+    def refuse(b):
+        raise AssertionError("V-cycle applied for a zero right-hand side")
 
-    def refuse(J, shape):
-        raise AssertionError("V-cycle built for a zero right-hand side")
-
-    monkeypatch.setattr(newton, "_v_cycle", refuse)
     prob, u = _conformal_kappa_2d(41)
     J = _first_jacobian(prob, u)
-    x, k = _linear_solve(J, prob.grid.interior_shape, np.zeros(J.shape[0]), 1e-3)
+    x, k = _linear_solve(J, refuse, np.zeros(J.shape[0]), 1e-3)
     assert k == 0 and x.shape == (J.shape[0],) and not x.any()
 
 
@@ -703,12 +701,19 @@ def test_initializer_supplied_subsolution_passthrough():
     assert np.abs(u0 - ustar).max() < 1e-14
 
 
-def test_initializer_rejects_inadmissible_subsolution():
+def test_inadmissible_subsolution_fails_the_first_solve():
+    # the initializer hands a supplied subsolution over as given; the first
+    # epsilon's Newton solve rejects it, naming the points, before any
+    # epsilon finishes
     prob, _ = ma_manufactured(m=9)
     bad = prob.grid.sample(lambda x: -(x[..., 0] ** 2 + x[..., 1] ** 2))
     prob.subsolution = bad
-    with pytest.raises(NoAdmissibleStart):
-        default_initializer(prob)
+    assert default_initializer(prob) is bad
+    schedule = PenaltySchedule(eps0=1e-2, eps_min=1e-4)
+    with pytest.raises(NotAdmissible, match="initial iterate not admissible") as ei:
+        continuation_solve(prob, schedule)
+    assert ei.value.points and ei.value.epsilon == schedule.eps0
+    assert ei.value.solutions == [] and ei.value.reports == []
 
 
 def builtin_start_config(tmp_path, name):
