@@ -88,10 +88,11 @@ def _write_fields(out: ReportBundleWriter, args, grid, prefix: str, solutions, e
 def cmd_sweep(rs: RunSetup, args) -> int:
     """`solve` and `sweep`: only `sweep` exits 4 on non-uniform norms.  Any
     library error, in the solve or after it, exits 2 with the failure report
-    (the config, the epsilons, the `solves` rows finished before it and
-    `solver_failure`), the `u_eps_*` fields of the finished epsilons and,
-    after MaxItersExceeded, the failing epsilon's best iterate
-    `u_best_eps_*`."""
+    (the config, the epsilons, `solver_failure`, and the `solves` and
+    `norms` rows of the epsilons finished before it), the `u_eps_*` fields
+    of the finished epsilons and, after MaxItersExceeded, the failing
+    epsilon's best iterate `u_best_eps_*`.  The norms rows stop before the
+    first finished field whose monitors raise."""
     out = ReportBundleWriter(args.out)
     doc = {"config": {"text": rs.config.to_text()}, "epsilons": rs.config.schedule.values()}
     reports, solutions = [], []
@@ -110,10 +111,19 @@ def cmd_sweep(rs: RunSetup, args) -> int:
         finished = [_solve_row(rep) for rep in getattr(exc, "reports", reports)]
         if finished:
             doc["solves"] = finished
+        solutions = getattr(exc, "solutions", solutions)
+        norms = []
+        try:
+            for u, eps in zip(solutions, doc["epsilons"]):
+                norms.append(asdict(compute_norm_bundle(solved_state(u, rs.problem, eps),
+                                                        rs.problem)))
+        except HessObsError:
+            pass
+        if norms:
+            doc["norms"] = norms
         out.write_json("report.json", doc)
         grid = rs.problem.grid
-        _write_fields(out, args, grid, "u_eps_", getattr(exc, "solutions", solutions),
-                      doc["epsilons"])
+        _write_fields(out, args, grid, "u_eps_", solutions, doc["epsilons"])
         if getattr(exc, "best_iterate", None) is not None:
             _write_fields(out, args, grid, "u_best_eps_", [exc.best_iterate], [exc.epsilon])
         _say(args, f"solver failed: {exc}")

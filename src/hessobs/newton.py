@@ -2,11 +2,12 @@
 continuation over a decreasing penalty schedule.
 
 Each Newton step solves the exact sparse Jacobian for the Newton
-direction by GMRES right-preconditioned by one geometric multigrid V-cycle,
-to the inexact-Newton tolerance min(0.1, |F|_inf / sqrt(N)).  The V-cycle
-is set up once per epsilon, from the first Newton step's Jacobian, and
-preconditions every later step of that epsilon: GMRES runs on each step's
-own Jacobian and checks its true residual, so only the preconditioner lags.
+direction by flexible GMRES preconditioned by one geometric multigrid
+V-cycle, one V-cycle application per iteration, to the inexact-Newton
+tolerance min(0.1, |F|_inf / sqrt(N)).  The V-cycle is set up once per
+epsilon, from the first Newton step's Jacobian, and preconditions every
+later step of that epsilon: GMRES runs on each step's own Jacobian and
+checks its true residual, so only the preconditioner lags.
 The path tangent du/deps is solved once per epsilon, after convergence,
 with the last Newton step's Jacobian and tolerance and the same V-cycle.
 GMRES and the V-cycle also solve the default initializer's harmonic lift;
@@ -240,11 +241,12 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     return u, report
 
 
-# linear solve: GMRES right-preconditioned by one multigrid V-cycle.  A level
-# with more than COARSE_N unknowns is coarsened, and the coarsest is solved
-# directly, so on a grid of at most COARSE_N unknowns the V-cycle is the LU
-# factor of the epsilon's first Jacobian: the exact solve of its first step
-# and a preconditioner of its later ones.  Over the 2 to 6 Newton steps of
+# linear solve: flexible GMRES preconditioned by one multigrid V-cycle, one
+# V-cycle application per iteration.  A level with more than COARSE_N
+# unknowns is coarsened, and the coarsest is solved directly, so on a grid
+# of at most COARSE_N unknowns the V-cycle is the LU factor of the
+# epsilon's first Jacobian: the exact solve of its first step and a
+# preconditioner of its later ones.  Over the 2 to 6 Newton steps of
 # one epsilon (one set-up, GMRES on each step's Jacobian; the first epsilon
 # of ma_obstacle and of its 3d lift, 2-core box), the natural-order LU and a
 # V-cycle with one coarsening break even at about 360 to 730 unknowns in 2d
@@ -349,17 +351,18 @@ def _linear_solve(J, cycle, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int
     """Solve J x = b over the interior unknowns to ||J x - b||_2 <= rtol
     ||b||_2; returns x and the GMRES iterations it took.
 
-    Restarted GMRES runs on J M, with M the V-cycle `cycle` of `_v_cycle`,
-    which may have been built from an earlier Jacobian; a zero b gives zero
-    without applying it.  J is not symmetric in general.  Each restart
+    Restarted flexible GMRES runs on J, preconditioned by the V-cycle
+    `cycle` of `_v_cycle`, which may have been built from an earlier
+    Jacobian, with one V-cycle application per iteration; a zero b gives
+    zero without applying it.  J is not symmetric in general.  Each restart
     cycle of `_gmres_cycle` adds its correction to x and recomputes the true
     residual b - J x; the solve stops once that is at most rtol ||b||_2.
-    With M built from J on a grid without levels, M is the exact solve and
-    one iteration solves.  A singular V-cycle or Hessenberg matrix, a
+    With the V-cycle built from J on a grid without levels, it is the exact
+    solve and one iteration solves.  A singular V-cycle or Hessenberg matrix, a
     floating-point error, a non-finite x or a true residual still above
     rtol ||b||_2 after GMRES_CYCLES cycles raises SingularJacobian.  The
     last is how a singular J under a V-cycle of an earlier Jacobian fails:
-    J M cannot reach the part of b outside J's range.
+    no correction reaches the part of b outside J's range.
     """
     x = np.zeros(b.shape)
     r, rnorm = b, np.linalg.norm(b)
@@ -387,22 +390,27 @@ def _linear_solve(J, cycle, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int
 
 
 def _gmres_cycle(J, M, r: np.ndarray, rnorm: float, target: float) -> tuple[np.ndarray, int]:
-    """One restart cycle of GMRES on J M from the residual r of norm rnorm:
-    the correction M V y and the number of iterations.
+    """One restart cycle of flexible GMRES (Saad 1993) on J with the
+    preconditioner M from the residual r of norm rnorm: the correction Z y
+    and the number of iterations, with one application of M per iteration.
 
-    Arnoldi by modified Gram-Schmidt builds the basis V, and Givens
-    rotations keep the Hessenberg matrix triangular, with |g[k + 1]| the
-    residual norm after k + 1 iterations.  With M on the right that is the
-    true residual up to roundoff, so the cycle stops once it is at most
-    `target`, or after GMRES_RESTART iterations.
+    Arnoldi by modified Gram-Schmidt builds the basis V of J Z, with
+    Z[k] = M(V[k]) kept, and Givens rotations keep the Hessenberg matrix
+    triangular, with |g[k + 1]| the residual norm after k + 1 iterations.
+    Since the correction is built from the Z that were multiplied by J,
+    that is the true residual of Z y up to roundoff even when M is not
+    exactly linear, so the cycle stops once it is at most `target`, or after
+    GMRES_RESTART iterations.
     """
     m = GMRES_RESTART
     V = np.empty((m + 1, r.size))
+    Z = np.empty((m, r.size))
     H = np.zeros((m, m))
     cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
     V[0], g[0] = r / rnorm, rnorm
     for k in range(m):
-        w = J @ M(V[k])
+        Z[k] = M(V[k])
+        w = J @ Z[k]
         for i in range(k + 1):
             H[i, k] = V[i] @ w
             w -= H[i, k] * V[i]
@@ -418,7 +426,7 @@ def _gmres_cycle(J, M, r: np.ndarray, rnorm: float, target: float) -> tuple[np.n
             break
         V[k + 1] = w / h
     y = scipy.linalg.solve_triangular(H[:k + 1, :k + 1], g[:k + 1])
-    return M(y @ V[:k + 1]), k + 1
+    return y @ Z[:k + 1], k + 1
 
 
 def _on_grid(grid, interior_values: np.ndarray) -> np.ndarray:

@@ -145,55 +145,57 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
 # iterations), the sigma_1 laplacian_obstacle_strong at m = 25 with
 # audits off (23^2 unknowns, one multigrid level, 37/20/20/20/21 Krylov
 # iterations) and the same at m = 25 from the built-in start with audits
-# on, whose audit subsolution is that start.  A change that moves roundoff updates these pins and says so.
-# The two sigma_2 sweeps last moved when f and Df came to be computed
-# entrywise: their fields by at most 1.8e-16 relative to the max norm, with
-# the same Newton and Krylov counts, contact cells and audit counts.  The
-# sigma_1 pin held through that change: the k = 1 path is bit-identical.
+# on, whose audit subsolution is that start.  A change that moves roundoff
+# updates these pins and says so.  All four last moved when the linear solve
+# became flexible GMRES, one V-cycle application per iteration (the
+# correction Z y from the Arnoldi loop's Z = M(V) in place of a last
+# application M(V y)): their fields by at most 1.8e-16 relative to the max
+# norm, with the same Newton and Krylov counts, contact cells and audit
+# counts; contact_cells.csv held.
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
-        "norms_vs_eps.csv": "3030659cf8378c16df6607187ceb4783eab8ac257ec49dd8eee179ff379b86e7",
-        "report.json": "2c6169f82f091c57628131554b4d146380c64ebf64de41d5123226e078e786fd",
-        "residual_history.csv": "d2e080ffe6017433e636dece6c07cb279f899b5120e924e720b62e57de281859",
-        "u_eps_1e-02.txt": "8742a3432f8d8b54486191eca18cd86a60c6bf0a40a85af39289513c7187f6c1",
-        "u_eps_1e-03.txt": "89a2e0365dedb91f9c82fae45fe3ce4919989c399090594daa947d173432c2d0",
-        "u_eps_1e-04.txt": "30020f9342d4cea483b1cca578cb8fa6621c614ea1289c81bb596558302fa838",
+        "norms_vs_eps.csv": "bf4a35ca890f98bbdfabc62e771c3a9909e9183a6d8894e972b0f26ffdc63526",
+        "report.json": "23709ab0fc52bf94cb3f41834d6431a60f206fe715d04cc9acb60bb7a7a1a6ab",
+        "residual_history.csv": "16811d01f697352f70d5c5be78e641986281c47c0233ec99d16b9f57e060e79f",
+        "u_eps_1e-02.txt": "2eed387016a46015e4308fbab41f333e9d82720337894a61780e92f0ed88ab54",
+        "u_eps_1e-03.txt": "f21a693e48b92b44767c25e1c43ed7c9ad7bf46fcc646d9bc5aab744fbaba33a",
+        "u_eps_1e-04.txt": "6f4d7684473c0103eedd2e42487b11ad7fc7a5be1d33dba062f524ed6bb261c9",
     }),
     "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "33", "--audit", "off"], {
         "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
-        "norms_vs_eps.csv": "ceaed7deaa68feafdecb2ea66806a1e4eb702bb4ea00dff3f433847500283102",
-        "report.json": "2fe793c866f8d7783767559ee83d58363a20982a69931aa23bd561e76c86fbdc",
-        "residual_history.csv": "280534be6734e2f0329b9cfee171bac0442e430a4d55967ecf33d16c151b56ee",
-        "u_eps_1e-02.txt": "3fa32b00ba3b08d236f05ad218ce45cf5dc518de65d09339a676238ed948c5b3",
-        "u_eps_1e-03.txt": "9c0ef37c98847a1fb1368cef6436e5512e2cf4d4f44b477011ed42282dc9f9f0",
-        "u_eps_1e-04.txt": "85158b0d890f40090608ca8a64b51d4cbc7014663f21431305d335ec1b270ea0",
-        "u_eps_1e-05.txt": "bc93cb4423f2f5f0a676e9ee332a2b6a501d09f8005856b4332232443149c23c",
-        "u_eps_1e-06.txt": "4bc82d028a6950e17ddcf1163ce21a08845ea340c6b82e7642ca631721104817",
+        "norms_vs_eps.csv": "b74ae4cb74907ba6a1b216a7e47282598693f0401a0e68ab01d0235d6028e51d",
+        "report.json": "f22dfddedac62c24389d8193fd1d00cc0d15cc62e8a00890e46b2b7d484255e4",
+        "residual_history.csv": "47337adb402f1f1a3a8b05f58bf189af4bbb894dca9cf65c9c2c0746ebca6ccc",
+        "u_eps_1e-02.txt": "66658ad33ea0e9ede7fb6c39c2d142018a763094a11cb0f3e84707b5ee65dc6e",
+        "u_eps_1e-03.txt": "c1a9676683a84b906e18740fabb5452c180f996635150b5587b4956a0d3798c0",
+        "u_eps_1e-04.txt": "7b793c41b978136066caeee1221412199deb70a2dd3e41fbb591e0f7ea877155",
+        "u_eps_1e-05.txt": "ca8b11b6da3a5771dc33806f966e558f41dab711f46e003705ddde2ab138430c",
+        "u_eps_1e-06.txt": "db3832be62b1b955135bfbeb37ed59a6a8696b4b2894c808a41589a25ad10b57",
     }),
     "laplacian_strong_m25_sigma1": (bundled_config_text("laplacian_obstacle_strong"),
                                     ["--grid-m", "25", "--audit", "off"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "b238bee861abc84e245f8630c5f5c1a84ed0dc560162680ccfecd3f9cc684a5b",
-        "report.json": "5d8087ee551a94a8ab581e1e6ee9bafb23983169309f53a9d77dac69b1e01dfc",
-        "residual_history.csv": "7af64119261528831495cb7a88e2edaed10f5cbcc28ec1cd85a6f8523a2229f4",
-        "u_eps_1e-02.txt": "9e9e70392154ced13599282653a9d90bd545d8ce8c1cf40ece1dadf4eee0f3c7",
-        "u_eps_1e-03.txt": "bc08d89d529982d3b6b850915af264973e39dae0069e977923140ab9a0cd90fa",
-        "u_eps_1e-04.txt": "c5b5ac9ca080a2711b2f7a3bf92fa7872ff1c609da37552da2a8e70b16445a46",
-        "u_eps_1e-05.txt": "3222d929e9dd091c1369954e3b75142f3237ce7eae7f4fa5e72a63d6793d8186",
-        "u_eps_1e-06.txt": "c8a69c7d6b3ed6ac6036a8da4d1a51008ffc4daf9ed4cb5b1af1cb5bfe7cf834",
+        "norms_vs_eps.csv": "8cc039250c3848369dc1ee9392c3df1ca7f705778ae07f62bdeb724125b4df2a",
+        "report.json": "ba08e13734f7b3e4857c12a5dabab35091180b66e6b5e3c0b415863933d1ceed",
+        "residual_history.csv": "2ffd66c9becb14e26524847a224bb5b3ceb9cfc940828d97ff4b101568befdf3",
+        "u_eps_1e-02.txt": "154061041cd7d2cb0719c6f7af9d5416f7a593edb42f70ac58ab8747bfd5dd37",
+        "u_eps_1e-03.txt": "b397ee32063cdc790cc806b1dd4381df2a636a83e60c07fdee9cbcb988ca55cd",
+        "u_eps_1e-04.txt": "46a68cfe3426642fbb9d6f2ebbce896a35666efbf58f09bf82c1522e2da37ec9",
+        "u_eps_1e-05.txt": "e033c80a1a6258f5c5c290bd02b2ac1847abdb0635b03d140c2a49e241f1a84a",
+        "u_eps_1e-06.txt": "916099f4b0ba4e34db26646dfafed1a8059c9c78d382a6cab9beaca78badd30c",
     }),
     "laplacian_strong_m25_builtin_audited": (LAPLACIAN_STRONG_BUILTIN, ["--grid-m", "25"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "4208d1236f050d14b17f4a6d9947366c36266cf823824f2f6683da453baf402e",
-        "report.json": "925d3f6627425bbcd959cda923da23e5d95543dab7235853208a44a62f99e831",
-        "residual_history.csv": "e5afc8fd86446b700456713c7e7ee6ed3d868cbeabbe274f71c4c369b9973473",
-        "u_eps_1e-02.txt": "f5aa2f80f4e5a1c9d6eb4c53f801a8241b0cc447cbcee452929e64730e76fab1",
-        "u_eps_1e-03.txt": "bae53df2a7046cb51339c407aa910c01699e6d9b26305080108a9de042a2173b",
-        "u_eps_1e-04.txt": "e2341dff91e462006577de3fa9224074df73b30356862f644fa251bd7f5dc759",
-        "u_eps_1e-05.txt": "f9a86bcf069ae4ce7b6ab688915b41415e8ba49e4c8366ecc66c27c2560ecaa2",
-        "u_eps_1e-06.txt": "d30ab7e04ee430d2199be5f7cc0741923fb30b72d91c1e46f650d030921303a2",
+        "norms_vs_eps.csv": "2b58d9cde1969b81cc4144c4e61f782a890b6a1c0819abae85be438e9d32abdd",
+        "report.json": "60bad6342056c46a9661493f1222a24424bf18fddc16448dc284c2a7e4eef6a9",
+        "residual_history.csv": "88cf6bc13664bf3e313bb1463c22d31471e827dec3ddc5a3303cfae92bdc2a93",
+        "u_eps_1e-02.txt": "6014a76d7102c6e1d21ee5b7d1a4ac1a3d03862065baf2ded06d9421a466b9df",
+        "u_eps_1e-03.txt": "85554413992c6c58bc7d7f6ec314c4b37b64cd9cb3aa6885d8e9654491cb5a98",
+        "u_eps_1e-04.txt": "e825640ddf7f775edc6492a3e0688b7654ce50862277dcf11d058e4b7afe9033",
+        "u_eps_1e-05.txt": "9f6fd74626af6aed17143b7b6390b59c6e2d193ddc6edcf571f969762b58fa24",
+        "u_eps_1e-06.txt": "551fc4956f7cc533b405e6d7c232bedd8b947a37bc7612804f44102094e25750",
     }),
 }
 
@@ -545,28 +547,62 @@ audit {
 def test_failure_after_solve_writes_report_exit2(tmp_path):
     # every epsilon converges, then the contact band reaches the first
     # interior ring and extract_contact_set raises MonitorError: the failure
-    # report still names it and keeps all five solves and their fields
+    # report still names it and keeps all five solves, their norms and their
+    # fields
     cfg = tmp_path / "tight3d.cfg"
     cfg.write_text(TIGHT_3D)
     out = tmp_path / "out"
     argv = ["sweep", str(cfg), "--out", str(out), "--grid-m", "13", "--audit", "off", "--quiet"]
     assert main(argv) == 2
     report = json.loads((out / "report.json").read_text())
-    assert list(report) == ["config", "epsilons", "solver_failure", "solves"]
+    assert list(report) == ["config", "epsilons", "solver_failure", "solves", "norms"]
     assert report["solver_failure"]["error"] == "MonitorError"
     assert "chart boundary" in report["solver_failure"]["message"]
     assert report["solver_failure"]["epsilon"] is None
     assert [s["epsilon"] for s in report["solves"]] == report["epsilons"]
     assert len(report["solves"]) == 5 and all(s["converged"] for s in report["solves"])
+    assert [n["epsilon"] for n in report["norms"]] == report["epsilons"]
+    assert sorted(f.name for f in out.iterdir()) == ["report.json"] + [
+        f"u_eps_{eps:.0e}.txt" for eps in report["epsilons"]]
+
+
+def test_failure_norms_stop_at_the_first_failing_monitor(small_cfg, tmp_path, monkeypatch):
+    # a failure after the solve, and then the monitors of the second of the
+    # three finished fields raise: the report keeps the first field's norms
+    # row and every field
+    import hessobs.cli as cli
+    from hessobs.errors import MonitorError, NotAdmissible
+
+    failed = []
+    build = cli.solved_state
+
+    def failing_contact(*args):
+        failed.append(None)
+        raise MonitorError("contact set")
+
+    def failing_state(u, prob, eps):
+        if failed and eps == 1e-3:
+            raise NotAdmissible([], "monitors requested at a non-admissible state")
+        return build(u, prob, eps)
+
+    monkeypatch.setattr(cli, "extract_contact_set", failing_contact)
+    monkeypatch.setattr(cli, "solved_state", failing_state)
+    out = tmp_path / "out"
+    assert main(["solve", str(small_cfg), "--out", str(out), "--audit", "off", "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_failure"]["error"] == "MonitorError"
+    assert len(report["solves"]) == 3
+    assert [n["epsilon"] for n in report["norms"]] == [0.01]
     assert sorted(f.name for f in out.iterdir()) == ["report.json"] + [
         f"u_eps_{eps:.0e}.txt" for eps in report["epsilons"]]
 
 
 def test_solver_failure_keeps_finished_epsilons(tmp_path):
     # eps 1e-2 converges in 6 steps, the jump to 1e-7 needs 10 even from the
-    # predictor: the failure report keeps the solve row of the first epsilon
-    # and the failing epsilon's own unconverged row, and the bundle the field
-    # of the first epsilon and the failing epsilon's best iterate
+    # predictor: the failure report keeps the solve and norms rows of the
+    # first epsilon and the failing epsilon's own unconverged row, and the
+    # bundle the field of the first epsilon and the failing epsilon's best
+    # iterate
     cfg = tmp_path / "late_fail.cfg"
     cfg.write_text(SMALL_MA.replace("ratio = 0.1", "ratio = 1e-05")
                    .replace("eps_min = 0.0001", "eps_min = 1e-07")
@@ -581,6 +617,8 @@ def test_solver_failure_keeps_finished_epsilons(tmp_path):
     assert (failed["epsilon"], failed["converged"], failed["iterations"]) == (1e-07, False, 7)
     assert failed["start"] == "predictor"
     assert failed["final_residual"] > 1e-08
+    [norms] = report["norms"]
+    assert norms["epsilon"] == 0.01 and norms["c0_norm"] > 0.0
     assert sorted(f.name for f in out.iterdir()) == [
         "report.json", "u_best_eps_1e-07.txt", "u_eps_1e-02.txt"]
     _, best = read_grid_dump(out / "u_best_eps_1e-07.txt")

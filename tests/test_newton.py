@@ -18,6 +18,7 @@ from hessobs.newton import (
     GMRES_RESTART,
     NewtonConfig,
     PenaltySchedule,
+    _gmres_cycle,
     _hierarchy,
     _linear_solve,
     _path_point,
@@ -310,22 +311,63 @@ def test_linear_solve_checks_its_true_residual():
         _linear_solve(J, _v_cycle(J, prob.grid.interior_shape), b, 1e-20)
 
 
+def _counting(M):
+    """M and a list whose length is the number of times M was applied."""
+    calls = []
+
+    def counted(b):
+        calls.append(None)
+        return M(b)
+
+    return counted, calls
+
+
 def test_gmres_restarts_until_the_true_residual_is_met(monkeypatch):
     # with restarts every 4 iterations, rtol 1e-10 takes several restart
-    # cycles; each ends on the true residual and carries x into the next
+    # cycles; each ends on the true residual and carries x into the next.
+    # Flexible GMRES returns Z y from the Z = M(V) of its Arnoldi loop, so
+    # no restart cycle ends with another V-cycle application: applications
+    # equal iterations, with one restart cycle and with several
     import hessobs.newton as newton
 
     prob, u = _conformal_kappa_2d(41)
     J = _first_jacobian(prob, u)
     b = np.random.default_rng(8).standard_normal(J.shape[0])
-    cycle = _v_cycle(J, prob.grid.interior_shape)
+    cycle, calls = _counting(_v_cycle(J, prob.grid.interior_shape))
     x_full, k_full = _linear_solve(J, cycle, b, 1e-10)
-    assert k_full <= GMRES_RESTART
+    assert 1 < k_full <= GMRES_RESTART and len(calls) == k_full
     monkeypatch.setattr(newton, "GMRES_RESTART", 4)
+    calls.clear()
     x, k = _linear_solve(J, cycle, b, 1e-10)
-    assert k > newton.GMRES_RESTART * 2
+    assert k > newton.GMRES_RESTART * 2 and len(calls) == k
     assert np.linalg.norm(J @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert np.linalg.norm(x - x_full) <= 1e-9 * np.linalg.norm(x_full)
+
+
+def test_gmres_cycle_tolerates_a_varying_preconditioner():
+    # a preconditioner that is not one linear map (here the V-cycle and half
+    # of it on alternate calls) still gives a correction whose true residual
+    # is the rotated one: this is why Z = M(V) is kept.  A last application
+    # M(V y) in place of Z y leaves half of the residual here, and
+    # _linear_solve then raises SingularJacobian
+    prob, u = _conformal_kappa_2d(41)
+    J = _first_jacobian(prob, u)
+    c = _v_cycle(J, prob.grid.interior_shape)
+    r = np.random.default_rng(10).standard_normal(J.shape[0])
+    rnorm = np.linalg.norm(r)
+    calls = []
+
+    def M(b):
+        calls.append(None)
+        return c(b) if len(calls) % 2 else 0.5 * c(b)
+
+    dx, k = _gmres_cycle(J, M, r, rnorm, 1e-8 * rnorm)
+    assert k < GMRES_RESTART
+    assert np.linalg.norm(r - J @ dx) <= 1e-8 * rnorm
+    calls.clear()
+    x, k = _linear_solve(J, M, r, 1e-8)
+    assert len(calls) == k
+    assert np.linalg.norm(r - J @ x) <= 1e-8 * rnorm
 
 
 def test_gmres_without_levels_solves_in_one_iteration():
@@ -391,12 +433,14 @@ def test_at_most_one_v_cycle_alive_during_continuation(monkeypatch):
 
 
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
-    # per-epsilon Newton counts of the Euler-predicted continuation, pinned
+    # per-epsilon Newton and GMRES counts of the Euler-predicted
+    # continuation, pinned
     cfg = bundled_config_path("ma_obstacle")
     assert main(["solve", str(cfg), "--grid-m", "33", "--audit", "off",
                  "--out", str(tmp_path), "--quiet"]) == 0
     solves = json.loads((tmp_path / "report.json").read_text())["solves"]
     assert [s["iterations"] for s in solves] == [6, 4, 2, 2, 3]
+    assert [s["krylov_iterations"] for s in solves] == [41, 24, 12, 13, 21]
 
 
 def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
