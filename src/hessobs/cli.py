@@ -2,7 +2,7 @@
 
 Exit codes are a public contract:
     0  success
-    1  configuration error (parse or validation)
+    1  input error (usage, config parse or validation, unreadable file)
     2  solver failure (diagnosis embedded in the report)
     3  condition violation (structure conditions, coefficient signs, lemma)
     4  uniformity warning (sweep solved but monitored norms not eps-uniform)
@@ -37,14 +37,24 @@ __all__ = ["main", "cmd_sweep", "cmd_check_structure", "cmd_verify_lemma"]
 
 def _load(args) -> RunSetup:
     """Parse the config, apply the override flags and build the run; every
-    out-of-range input raises ConfigError."""
+    out-of-range input, an unreadable config and an `--out` below a file
+    raise ConfigError."""
+    if args.out is not None:  # --out, or the first of its parents that exists, is a directory
+        out = pathlib.Path(args.out).absolute()
+        existing = next(q for q in (out, *out.parents) if q.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
     if getattr(args, "zeta", None) is not None and not 0.0 < args.zeta < np.inf:
         raise ConfigError(f"--zeta must be positive and finite, got {args.zeta}")
     if getattr(args, "samples", None) is not None and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if not np.isfinite(getattr(args, "k0", 0.0)):
         raise ConfigError(f"--k0 must be finite, got {args.k0}")
-    cfg = parse_config(pathlib.Path(args.config).read_text()).override(
+    try:
+        text = pathlib.Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"config {args.config}: {exc}") from exc
+    cfg = parse_config(text).override(
         eps_min=getattr(args, "eps_min", None),
         grid_m=getattr(args, "grid_m", None),
         seed=getattr(args, "seed", None),
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, help_ in (("solve", "run the penalized continuation solve"),
+    for name, help_ in (("solve", "the same bundle as sweep, audits included; never exits 4"),
                         ("sweep", "full epsilon sweep with monitors and audits")):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("config", help="problem configuration file")
@@ -338,10 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         rs = _load(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return args.fn(rs, args)

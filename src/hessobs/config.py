@@ -23,9 +23,10 @@ Newton and audit settings, whose constructors hold the range rules and the
 defaults, and one expression tree per expression, which ProblemConfig keeps
 matched to its text.  `build_runsetup` samples and assembles those trees.
 Every set-up failure is a ConfigError, including a metric that is not
-finite or not positive definite, a metric table that is not numeric, a
-sampled h, phi, u or metric phi that is not finite and an obstacle that
-does not clear the boundary data; each names the config line it comes from.
+finite or not positive definite, a metric table that is missing, a
+directory or not numeric, a sampled h, phi, u or metric phi that is not
+finite and an obstacle that does not clear the boundary data; each names
+the config line it comes from.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ def _load_tabulated_metric(path: str, grid: ChartGrid, line) -> np.ndarray:
     n = grid.n
     try:
         data = np.loadtxt(path, ndmin=2)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # missing, a directory, not numeric
         raise ConfigError(f"tabulated metric {path!r}: {exc}", line) from exc
     expected = int(np.prod(grid.m))
     if data.shape != (expected, n * (n + 1) // 2):

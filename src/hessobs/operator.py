@@ -9,11 +9,12 @@ never forms the eigenvalues lam: the sigma_j margins, f and
 F^{ij} = dF/dU_{ij} = D g^{-1} are polynomials in B = g^{-1} U, U =
 nabla^2 u + A, and come from the Newton-tensor recursion of
 `f_and_grad_of_matrix`, which is smooth at repeated eigenvalues.
-Chain-rule contributions of A_z, A_p, psi_z, psi_p and beta' complete the
-stencil, so the assembled sparse matrix is the exact Jacobian of the
-discrete residual.  Its sparsity pattern depends only on the interior grid
-shape: it is built once per shape and cached, and each assembly fills in
-the values.  Only the monitors read lam itself, through `spectrum`.
+Chain-rule contributions of A = s g (s_z and s_p times F^{ij} g_{ij}),
+psi_z, psi_p and beta' complete the stencil, so the assembled sparse matrix
+is the exact Jacobian of the discrete residual.  Its sparsity pattern
+depends only on the interior grid shape: it is built once per shape and
+cached, and each assembly fills in the values.  Only the monitors read lam
+itself, through `spectrum`.
 This module builds matrices and solves none: every sparse system, the
 default initializer's harmonic lift included, is solved in `newton`.
 """
@@ -70,8 +71,9 @@ class CoefficientField:
 
     Every A mode is a scalar multiple of the metric g, so the field is two
     expressions over x1..xn, z, p1..pn: the scalar s and the right side psi.
-    Their z and p derivatives are built once.  `at` evaluates a batch of
-    points x (N, n), z (N,), p (N, n) with metric blocks g (N, n, n).
+    Their z and p derivatives are built once.  `at` evaluates them at a
+    batch of points x (N, n), z (N,), p (N, n); the consumers multiply s
+    by g themselves.
     """
 
     s: Expression
@@ -83,30 +85,26 @@ class CoefficientField:
         names = ["z"] + [v for v in self.s.variables | self.psi.variables if v[0] == "p"]
         self._d = {v: (self.s.derivative(v), self.psi.derivative(v)) for v in names}
 
-    def at(self, x, z, p, g, wrt=None):
-        """(A, psi) at the batch, (A_z, psi_z) for wrt="z", or (A_p, psi_p)
-        for wrt="p".  A and A_z are (N, n, n) and psi, psi_z (N,); A_p is
-        (N, n, n, n) with the p-component index first after the batch axis,
-        psi_p is (N, n)."""
+    def at(self, x, z, p, wrt=None):
+        """(s, psi) at the batch, (s_z, psi_z) for wrt="z", or (s_p, psi_p)
+        for wrt="p"; s, psi, s_z and psi_z are (N,), s_p and psi_p (N, n)."""
         n = x.shape[1]
         env = {f"x{i+1}": x[:, i] for i in range(n)}
         env["z"] = z
         env.update({f"p{i+1}": p[:, i] for i in range(n)})
 
-        def times_metric(s_expr, psi_expr):
-            s, psi = (np.broadcast_to(e(**env), z.shape).astype(float)
-                      for e in (s_expr, psi_expr))
-            return s[:, None, None] * g, psi
+        def values(*exprs):
+            return tuple(np.broadcast_to(e(**env), z.shape).astype(float) for e in exprs)
 
         if wrt is None:
-            return times_metric(self.s, self.psi)
+            return values(self.s, self.psi)
         if wrt == "z":
-            return times_metric(*self._d["z"])
-        A_p, psi_p = np.zeros((z.shape[0], n, n, n)), np.zeros((z.shape[0], n))
+            return values(*self._d["z"])
+        s_p, psi_p = np.zeros((z.shape[0], n)), np.zeros((z.shape[0], n))
         for i in range(n):
             if f"p{i+1}" in self._d:
-                A_p[:, i], psi_p[:, i] = times_metric(*self._d[f"p{i+1}"])
-        return A_p, psi_p
+                s_p[:, i], psi_p[:, i] = values(*self._d[f"p{i+1}"])
+        return s_p, psi_p
 
 
 def a_scalar_text(a_mode: str, a_param=None) -> str:
@@ -185,9 +183,9 @@ PROBE_EPSILON = 1e-1
 
 
 def penalty(epsilon: float, z):
-    """Cubic penalty (value, first, second derivative); C^2 at z = 0.
+    """Cubic penalty (value, first derivative); C^2 at z = 0.
 
-    value = z^3/eps for z > 0 and 0 otherwise; all three outputs are >= 0.
+    value = z^3/eps for z > 0 and 0 otherwise; both outputs are >= 0.
     """
     if not (0.0 < epsilon < 1.0):
         raise BadEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -196,8 +194,7 @@ def penalty(epsilon: float, z):
     zp = np.where(pos, z, 0.0)
     val = zp**PENALTY_POWER / epsilon
     d1 = PENALTY_POWER * zp**(PENALTY_POWER - 1) / epsilon
-    d2 = PENALTY_POWER * (PENALTY_POWER - 1) * zp / epsilon
-    return val, d1, d2
+    return val, d1
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ class StateEval:
     z: np.ndarray  # u at interior points
     p: np.ndarray  # centered gradient (N, n)
     hess_cov: np.ndarray  # covariant Hessian (N, n, n)
-    U: np.ndarray  # hess_cov + A (N, n, n)
+    U: np.ndarray  # hess_cov + s g (N, n, n)
     Fij: np.ndarray  # dF/dU in chart coordinates (N, n, n), NaN where outside the cone
     fval: np.ndarray  # f(lam(g^{-1} U)), NaN where outside the cone
     ok: np.ndarray  # admissibility mask
@@ -245,18 +242,18 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     z = u[grid.interior].ravel()
     p = gradient_centered(u, grid).reshape(-1, n)
     Hc = covariant_hessian(u, prob.metric, grid).reshape(-1, n, n)
-    A, psi = prob.coeff.at(prob.x_interior, z, p, prob.g_interior)
+    s, psi = prob.coeff.at(prob.x_interior, z, p)
     if not psi.min() >= PSI_FLOOR:  # also a NaN psi
         raise PsiNotPositive(
             f"psi minimum {psi.min():.3e} not above floor {PSI_FLOOR}; the method requires psi > 0"
         )
-    U = Hc + A
+    U = Hc + s[:, None, None] * prob.g_interior
     if prob.metric.is_flat:
         sig, fval, Fij, ok = f_and_grad_of_matrix(prob.fspec, U)
     else:  # dF/dU = D g^{-1} for the derivative D in B = g^{-1} U
         sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, prob.ginv_interior @ U)
         Fij = D @ prob.ginv_interior
-    beta, dbeta, _ = penalty(epsilon, z - prob.h_interior)
+    beta, dbeta = penalty(epsilon, z - prob.h_interior)
     return StateEval(z=z, p=p, hess_cov=Hc, U=U, Fij=Fij, fval=fval, ok=ok, sig=sig,
                      psi=psi, beta=beta, dbeta=dbeta, values=fval - psi - beta)
 
@@ -285,12 +282,13 @@ def residual(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
 # ---------------------------------------------------------------------------
 
 def _first_order(st: StateEval, prob: Problem):
-    """The first-order coefficient F^{ij} A^{ij}_{p_k} - psi_{p_k} of an
-    admissible state."""
+    """The first-order coefficient s_{p_k} F^{ij} g_{ij} - psi_{p_k} of an
+    admissible state, and F^{ij} g_{ij}."""
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid))
-    A_p, psi_p = prob.coeff.at(prob.x_interior, st.z, st.p, prob.g_interior, wrt="p")
-    return np.einsum("...ij,...kij->...k", st.Fij, A_p) - psi_p
+    Fg = np.einsum("...ij,...ij->...", st.Fij, prob.g_interior)
+    s_p, psi_p = prob.coeff.at(prob.x_interior, st.z, st.p, wrt="p")
+    return s_p * Fg[:, None] - psi_p, Fg
 
 
 def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
@@ -301,14 +299,13 @@ def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
     first-order stencil."""
     grid = prob.grid
     n = grid.n
-    Fij = state.Fij
-    c1 = _first_order(state, prob)
-    A_z, psi_z = prob.coeff.at(prob.x_interior, state.z, state.p, prob.g_interior, wrt="z")
-    zero_order = np.einsum("...ij,...ij->...", Fij, A_z) - psi_z - state.dbeta
+    c1, Fg = _first_order(state, prob)
+    s_z, psi_z = prob.coeff.at(prob.x_interior, state.z, state.p, wrt="z")
+    zero_order = s_z * Fg - psi_z - state.dbeta
     if not prob.metric.is_flat:
         gamma = prob.metric.christoffel[grid.interior].reshape(-1, n, n, n)
-        c1 = c1 - np.einsum("...ij,...kij->...k", Fij, gamma)
-    return assemble_operator(grid, Fij, c1, zero_order)
+        c1 = c1 - np.einsum("...ij,...kij->...k", state.Fij, gamma)
+    return assemble_operator(grid, state.Fij, c1, zero_order)
 
 
 @functools.lru_cache(maxsize=8)
@@ -366,14 +363,14 @@ def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
     """Apply the first-order linear operator at an evaluated admissible state
     (the `evaluate_state` result of the iterate) to the field v:
 
-        L v = F^{ij} (nabla^2 v)_{ij} + (F^{ij} A^{ij}_{p_k} - psi_{p_k}) d_k v
+        L v = F^{ij} (nabla^2 v)_{ij} + (s_{p_k} F^{ij} g_{ij} - psi_{p_k}) d_k v
 
     (principal and first-order parts only, no zero-order term).  Returns an
     interior-shaped field.
     """
     grid = prob.grid
     n = grid.n
-    c1 = _first_order(state, prob)
+    c1, _ = _first_order(state, prob)
     Hv = covariant_hessian(v, prob.metric, grid).reshape(-1, n, n)
     dv = gradient_centered(v, grid).reshape(-1, n)
     out = np.einsum("...ij,...ij->...", state.Fij, Hv) + np.einsum("...k,...k->...", c1, dv)
@@ -424,28 +421,28 @@ def certify_coefficients(prob: Problem, samples: int, seed: int) -> CoefficientC
             i = int(np.argmin(slack))
             witness, failed = (x[i], z[i], p[i]), name
 
-    A, psi = prob.coeff.at(x, z, p, g)
+    s, psi = prob.coeff.at(x, z, p)
     record("psi > 0", psi - PSI_FLOOR)
-    A_z, psi_z = prob.coeff.at(x, z, p, g, wrt="z")
+    s_z, psi_z = prob.coeff.at(x, z, p, wrt="z")
     record("-psi_z >= 0", -psi_z)
-    record("A^xx_z >= 0", np.linalg.eigvalsh(A_z)[:, 0])
+    record("A^xx_z >= 0", np.linalg.eigvalsh(s_z[:, None, None] * g)[:, 0])
 
     # concavity in p by random-direction second differences
     t = 1e-3 * (1.0 + np.linalg.norm(p, axis=1, keepdims=True))
     dp = rng.standard_normal((samples, n))
     dp /= np.linalg.norm(dp, axis=1, keepdims=True)
     scale2 = t.ravel() ** 2
-    (A_pp, psi_pp), (A_pm, psi_pm) = (prob.coeff.at(x, z, q, g) for q in (p + t * dp, p - t * dp))
+    (s_pp, psi_pp), (s_pm, psi_pm) = (prob.coeff.at(x, z, q) for q in (p + t * dp, p - t * dp))
     # -psi concave in p means the second difference of psi is >= 0
     record("-psi concave in p", (psi_pp - 2.0 * psi + psi_pm) / scale2)
 
     xi = rng.standard_normal((samples, n))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
 
-    def quad(M):
-        return np.einsum("...i,...ij,...j->...", xi, M, xi)
+    def quad(s):  # xi^T (s g) xi
+        return np.einsum("...i,...ij,...j->...", xi, s[:, None, None] * g, xi)
 
-    record("A^xx concave in p", -(quad(A_pp) - 2.0 * quad(A) + quad(A_pm)) / scale2)
+    record("A^xx concave in p", -(quad(s_pp) - 2.0 * quad(s) + quad(s_pm)) / scale2)
 
     return CoefficientCertification(passed=failed is None, checks=checks,
                                     witness=witness, failed_condition=failed)

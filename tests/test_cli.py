@@ -370,6 +370,49 @@ def test_out_of_range_flag_is_config_error(small_cfg, tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify-lemma", "CFG", "--grid-m", "5"], 1),  # a flag verify-lemma does not take
+    (["sweep", "CFG"], 1),  # no --out
+    (["sweep", "CFG", "--out", "OUT", "--grid-m", "abc"], 1),
+    ([], 1),  # no command
+    (["--help"], 0),
+    (["sweep", "--help"], 0),
+], ids=["unknown_flag", "no_out", "grid_m_not_int", "no_command", "help", "sweep_help"])
+def test_usage_error_exits_1_and_writes_nothing(small_cfg, tmp_path, capsys, argv, code):
+    out = tmp_path / "out"
+    argv = [{"CFG": str(small_cfg), "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err if code else captured.out).startswith("usage: hessobs")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    if kind == "directory":
+        cfg.mkdir()
+    else:  # a Latin-1 comment line
+        cfg.write_bytes(b"# caf\xe9\n" + SMALL_MA.encode())
+    assert main(["sweep", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1  # one line: no traceback
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "check-structure", "verify-lemma"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_out_naming_a_file_is_config_error(small_cfg, tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "out" if below else taken
+    assert main([command, str(small_cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [?] --out {out}: ")
+    assert taken.read_text() == "kept"
+    assert sorted(tmp_path.iterdir()) == [small_cfg, taken]
+
+
 # grid bounds that are not finite; the grid's errors name the line of its lo
 _NONFINITE_GRID = [SMALL_MA.replace(old, new) for old, new in (
     ("lo = -2 -2", "lo = nan -2"), ("lo = -2 -2", "lo = -inf -2"), ("hi = 2 2", "hi = inf 2"))]
@@ -407,12 +450,14 @@ def _tabulated(tmp_path, row):
     lambda tmp: SMALL_MA.replace("c_audit = 0", "c_audit = inf"),
     lambda tmp: SMALL_MA.replace("c_audit = 0", "c_audit = -1"),
     *[lambda tmp, text=text: text for text in _NONFINITE_GRID],
+    lambda tmp: SMALL_MA.replace("kind = flat", f'kind = tabulated\n  file = "{tmp / "no.txt"}"'),
+    lambda tmp: SMALL_MA.replace("kind = flat", f'kind = tabulated\n  file = "{tmp}"'),
 ], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
         "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h", "eps_min_above_eps0",
         "no_newton_iterations", "overflowing_constant_in_h", "negative_seed",
         "tabulated_nan", "tabulated_inf", "conformal_overflow", "infinite_tol", "nan_tol",
         "nan_c_audit", "infinite_c_audit", "negative_c_audit", "nan_lo", "minus_inf_lo",
-        "infinite_hi"])
+        "infinite_hi", "tabulated_missing", "tabulated_directory"])
 def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     bad = tmp_path / "bad.cfg"
     text = make_text(tmp_path)
