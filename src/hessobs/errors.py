@@ -88,5 +88,5 @@ class ConfigError(HessObsError):
     def __init__(self, message, line=None, col=None):
         self.line = line
         self.col = col
-        loc = f"line {line}" + (f", col {col}" if col is not None else "") if line else "?"
-        super().__init__(f"[{loc}] {message}")
+        loc = f"[line {line}" + (f", col {col}" if col is not None else "") + "] " if line else ""
+        super().__init__(loc + message)

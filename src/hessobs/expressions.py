@@ -142,8 +142,11 @@ def _diff(node, var):
             return _bin(_bin(da, _MUL, b), _ADD, _bin(a, _MUL, db))
         if op is ast.Div:
             return _bin(_bin(_bin(da, _MUL, b), _SUB, _bin(a, _MUL, db)), _DIV, _bin(b, _MUL, b))
-        # d(a^b) = a^b * (db * log a + b * da / a); constant exponent shortcut
+        # d(a^b) = a^b * (db * log a + b * da / a); constant exponent shortcut,
+        # with a^0 constant (0 * a^-1 would be NaN at a = 0)
         if type(b) is ast.Constant:
+            if b.value == 0.0:
+                return _num(0.0)
             return _bin(_bin(_num(b.value), _MUL, _bin(a, _POW, _num(b.value - 1.0))), _MUL, da)
         term = _bin(_bin(db, _MUL, _call("log", a)), _ADD,
                     _bin(_bin(_num(1.0), _MUL, _bin(b, _MUL, da)), _DIV, a))

@@ -9,7 +9,8 @@ epsilon, from the first Newton step's Jacobian, and preconditions every
 later step of that epsilon: GMRES runs on each step's own Jacobian and
 checks its true residual, so only the preconditioner lags.
 The path tangent du/deps is solved once per epsilon, after convergence,
-with the last Newton step's Jacobian and tolerance and the same V-cycle.
+with the last Newton step's Jacobian and the same V-cycle, to the fixed
+relative residual TANGENT_RTOL: it only feeds the next epsilon's predictor.
 GMRES and the V-cycle also solve the default initializer's harmonic lift;
 they are the package's only sparse solver.  Newton backtracks with two
 acceptance rules: (a) every interior point of the candidate stays inside
@@ -125,9 +126,9 @@ class SolveReport:
     start: str = "initial"
     # evaluated state of the returned iterate, and the path tangent du/deps
     # over the interior, solved once after convergence with the last Newton
-    # step's Jacobian (at the iterate before it; None without a step or
-    # without convergence); continuation_solve takes both for the predictor
-    # and releases them
+    # step's Jacobian (at the iterate before it) to TANGENT_RTOL (None
+    # without a step or without convergence); continuation_solve takes both
+    # for the predictor and releases them
     final_state: StateEval | None = field(default=None, repr=False, compare=False)
     tangent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -169,7 +170,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     rejected_margin = rejected_armijo = 0
     krylov = 0
     cycle = None  # V-cycle of the first Newton step's Jacobian
-    tangent_system = None  # (J, beta, rtol) of the last Newton step
+    tangent_system = None  # (J, beta) of the last Newton step
 
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
@@ -178,7 +179,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         if cycle is None:
             cycle = _v_cycle(J, grid.interior_shape)
         rtol = min(FORCING_MAX, rnorm / np.sqrt(J.shape[0]))
-        tangent_system = (J, res.beta, rtol)
+        tangent_system = (J, res.beta)
         x, k = _linear_solve(J, cycle, -res.values, rtol)
         krylov += k
         delta = _on_grid(grid, x)
@@ -212,8 +213,8 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     if converged and tangent_system is not None:
         # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
         # so the path tangent solves J du/deps = -beta / eps
-        J, beta, rtol = tangent_system
-        tangent, k = _linear_solve(J, cycle, -beta / epsilon, rtol)
+        J, beta = tangent_system
+        tangent, k = _linear_solve(J, cycle, -beta / epsilon, TANGENT_RTOL)
         krylov += k
     dom = None
     if prob.subsolution is not None:
@@ -258,7 +259,12 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 # min(FORCING_MAX, r / sqrt(N)) (inexact Newton); GMRES restarts every
 # GMRES_RESTART iterations, at most GMRES_CYCLES times.  The default
 # initializer's harmonic lift is solved to relative residual LIFT_RTOL, near
-# roundoff, so that the start it gives is the direct solve's.
+# roundoff, so that the start it gives is the direct solve's.  The path
+# tangent only feeds the next epsilon's predictor, which need only land in
+# Newton's basin, so it is solved to relative residual TANGENT_RTOL: on the
+# bundled sweeps 1e-2 or looser changed the Newton steps per epsilon, while
+# 1e-3 changed none and cut a sweep's GMRES iterations by about a fifth
+# against the last Newton step's tolerance (about 1e-8 by then).
 COARSE_N = 500
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
@@ -266,6 +272,7 @@ FORCING_MAX = 0.1
 GMRES_RESTART = 20
 GMRES_CYCLES = 10
 LIFT_RTOL = 1e-12
+TANGENT_RTOL = 1e-3
 
 
 def _interpolation(k: int) -> sp.csr_matrix:

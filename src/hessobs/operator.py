@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 PSI_FLOOR = 1e-12
-CERTIFY_TOL = 1e-8  # certify_coefficients fails a check whose worst slack is below -CERTIFY_TOL
+CERTIFY_TOL = 1e-8  # certify_coefficients fails a check whose worst slack is not >= -CERTIFY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +389,15 @@ class CoefficientCertification:
     failed_condition: str | None
 
 
+@np.errstate(all="ignore")  # a non-finite slack fails its check instead
 def certify_coefficients(prob: Problem, samples: int, seed: int) -> CoefficientCertification:
     """Sampling certification of the coefficient sign/concavity conditions:
     concavity of A^{xi xi} and of -psi in p, A^{xi xi}_z >= 0, -psi_z >= 0,
     and positivity of psi.
 
     Sampled over grid points, a z box around the boundary/subsolution range
-    and a p ball; a certification, not a proof.
+    and a p ball; a certification, not a proof.  A check passes when its
+    worst slack is at least -CERTIFY_TOL, so a NaN slack fails it.
     """
     rng = np.random.default_rng(seed)
     grid = prob.grid
@@ -417,7 +419,7 @@ def certify_coefficients(prob: Problem, samples: int, seed: int) -> CoefficientC
     def record(name, slack):
         nonlocal witness, failed
         checks[name] = worst = float(np.min(slack))
-        if worst < -CERTIFY_TOL and failed is None:
+        if not worst >= -CERTIFY_TOL and failed is None:  # also NaN
             i = int(np.argmin(slack))
             witness, failed = (x[i], z[i], p[i]), name
 

@@ -140,62 +140,64 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
 
 # sha256 of every bundle file of four sweeps: SMALL_MA with audits on (no
 # multigrid level: each epsilon's first Jacobian is factored and its LU
-# preconditions the later steps, 36/10/7 Krylov iterations), ma_obstacle
-# at m = 33 with audits off (V-cycle GMRES, 41/24/12/13/21 Krylov
+# preconditions the later steps, 31/8/6 Krylov iterations), ma_obstacle
+# at m = 33 with audits off (V-cycle GMRES, 35/18/10/10/17 Krylov
 # iterations), the sigma_1 laplacian_obstacle_strong at m = 25 with
-# audits off (23^2 unknowns, one multigrid level, 37/20/20/20/21 Krylov
+# audits off (23^2 unknowns, one multigrid level, 30/15/15/15/16 Krylov
 # iterations) and the same at m = 25 from the built-in start with audits
 # on, whose audit subsolution is that start.  A change that moves roundoff
-# updates these pins and says so.  All four last moved when the linear solve
-# became flexible GMRES, one V-cycle application per iteration (the
-# correction Z y from the Arnoldi loop's Z = M(V) in place of a last
-# application M(V y)): their fields by at most 1.8e-16 relative to the max
-# norm, with the same Newton and Krylov counts, contact cells and audit
-# counts; contact_cells.csv held.
+# updates these pins and says so.  All four last moved when the path
+# tangent came to be solved to TANGENT_RTOL rather than to the last Newton
+# step's tolerance: the predicted starts of the second epsilon on moved, so
+# every field after the first (whose u_eps_1e-02.txt held), the residual
+# histories, the norms and report.json moved; fields by at most 1.4e-12
+# relative to the max norm (SMALL_MA; 3.9e-13 at m = 33, 2.0e-16 at m = 25),
+# with the same Newton counts, contact cells and audit case counts;
+# contact_cells.csv held.
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
-        "norms_vs_eps.csv": "bf4a35ca890f98bbdfabc62e771c3a9909e9183a6d8894e972b0f26ffdc63526",
-        "report.json": "23709ab0fc52bf94cb3f41834d6431a60f206fe715d04cc9acb60bb7a7a1a6ab",
-        "residual_history.csv": "16811d01f697352f70d5c5be78e641986281c47c0233ec99d16b9f57e060e79f",
+        "norms_vs_eps.csv": "682adfdb2b0cb27d0a467960af444db5af7ada764f89527728ad8b3b64d1ea17",
+        "report.json": "5f81e8cf06186928ccdbc99799850bcbc70ec5b0b5775f88a6365bd099a2f536",
+        "residual_history.csv": "835c031f8513eb018b0852cb32fec3ff49393b5b522fd2dcb8ad3f9ae5e2cc84",
         "u_eps_1e-02.txt": "2eed387016a46015e4308fbab41f333e9d82720337894a61780e92f0ed88ab54",
-        "u_eps_1e-03.txt": "f21a693e48b92b44767c25e1c43ed7c9ad7bf46fcc646d9bc5aab744fbaba33a",
-        "u_eps_1e-04.txt": "6f4d7684473c0103eedd2e42487b11ad7fc7a5be1d33dba062f524ed6bb261c9",
+        "u_eps_1e-03.txt": "06fdcfb681e83c82f8f4a90d818820bd16ac2037bf722b57ae5d23309a41c176",
+        "u_eps_1e-04.txt": "3b82eed98e7ac4f417e314127b933ee808933b9b796d925f9463c20eafed557a",
     }),
     "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "33", "--audit", "off"], {
         "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
-        "norms_vs_eps.csv": "b74ae4cb74907ba6a1b216a7e47282598693f0401a0e68ab01d0235d6028e51d",
-        "report.json": "f22dfddedac62c24389d8193fd1d00cc0d15cc62e8a00890e46b2b7d484255e4",
-        "residual_history.csv": "47337adb402f1f1a3a8b05f58bf189af4bbb894dca9cf65c9c2c0746ebca6ccc",
+        "norms_vs_eps.csv": "ffabd0d053378f3e2ae81921330781457441552be4e568756bf33e816b41bba8",
+        "report.json": "31d6965cc780b5518bb217a3a738250b65f847affe4bd0c35c1a0f13cdd05ee7",
+        "residual_history.csv": "fb75b928d4a4b13a03ed5fee78931ff0e8344b348b57834f8c4d638b25dfccab",
         "u_eps_1e-02.txt": "66658ad33ea0e9ede7fb6c39c2d142018a763094a11cb0f3e84707b5ee65dc6e",
-        "u_eps_1e-03.txt": "c1a9676683a84b906e18740fabb5452c180f996635150b5587b4956a0d3798c0",
-        "u_eps_1e-04.txt": "7b793c41b978136066caeee1221412199deb70a2dd3e41fbb591e0f7ea877155",
-        "u_eps_1e-05.txt": "ca8b11b6da3a5771dc33806f966e558f41dab711f46e003705ddde2ab138430c",
-        "u_eps_1e-06.txt": "db3832be62b1b955135bfbeb37ed59a6a8696b4b2894c808a41589a25ad10b57",
+        "u_eps_1e-03.txt": "cc66d389ab4a0fb6c0c846bd6d88b9aa0c89a25bfdbe1bf1a19399fd5f8ec7a9",
+        "u_eps_1e-04.txt": "0c271df8d14a7d3a936574c60dfb8f080b9cd865b5b225d388ff04c1fb224a5f",
+        "u_eps_1e-05.txt": "60f11768705607dc276d239827da4b171e1d3b51f4d5b16a2d999ba33ad8fbcb",
+        "u_eps_1e-06.txt": "95752c9151d200e1c65cf590a0059a9d26a98b599254d58e840f29b502f436a8",
     }),
     "laplacian_strong_m25_sigma1": (bundled_config_text("laplacian_obstacle_strong"),
                                     ["--grid-m", "25", "--audit", "off"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "8cc039250c3848369dc1ee9392c3df1ca7f705778ae07f62bdeb724125b4df2a",
-        "report.json": "ba08e13734f7b3e4857c12a5dabab35091180b66e6b5e3c0b415863933d1ceed",
-        "residual_history.csv": "2ffd66c9becb14e26524847a224bb5b3ceb9cfc940828d97ff4b101568befdf3",
+        "norms_vs_eps.csv": "567734469badada55eac757915d95785151c361cc2c2d64c71637be61065053f",
+        "report.json": "4f443a0eb10ddec1bd95023d24073d70f8f5dce26a921d66aea2931ffafce35b",
+        "residual_history.csv": "8fce363f5de9b69e68f9ccfd7b801fadd319370f98f5829e644735b032a4333d",
         "u_eps_1e-02.txt": "154061041cd7d2cb0719c6f7af9d5416f7a593edb42f70ac58ab8747bfd5dd37",
-        "u_eps_1e-03.txt": "b397ee32063cdc790cc806b1dd4381df2a636a83e60c07fdee9cbcb988ca55cd",
-        "u_eps_1e-04.txt": "46a68cfe3426642fbb9d6f2ebbce896a35666efbf58f09bf82c1522e2da37ec9",
-        "u_eps_1e-05.txt": "e033c80a1a6258f5c5c290bd02b2ac1847abdb0635b03d140c2a49e241f1a84a",
-        "u_eps_1e-06.txt": "916099f4b0ba4e34db26646dfafed1a8059c9c78d382a6cab9beaca78badd30c",
+        "u_eps_1e-03.txt": "81df35f613e1bccb9691abe20b6c775d936e1a8cf6866dfb0d465306b0891261",
+        "u_eps_1e-04.txt": "ad7ccdf1bf03a5bf406cd210fcdde5f5255ad23310880f33429516caf6c9a047",
+        "u_eps_1e-05.txt": "78f78d8c30de57ee03d454bda8a1b230da101b6f14b0ab1d90f1cf547a7cafae",
+        "u_eps_1e-06.txt": "8487dc1c57aeab8d549c9abe644f7f61a5edb1854e47065d5c5f3d9a61f5b9ab",
     }),
     "laplacian_strong_m25_builtin_audited": (LAPLACIAN_STRONG_BUILTIN, ["--grid-m", "25"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "2b58d9cde1969b81cc4144c4e61f782a890b6a1c0819abae85be438e9d32abdd",
-        "report.json": "60bad6342056c46a9661493f1222a24424bf18fddc16448dc284c2a7e4eef6a9",
-        "residual_history.csv": "88cf6bc13664bf3e313bb1463c22d31471e827dec3ddc5a3303cfae92bdc2a93",
+        "norms_vs_eps.csv": "60a9595f254882a4b54b59059ad253223177a0cd6c5c158b38fd1a19d9eb674a",
+        "report.json": "27f1e7aa558300fe9192da67b49954361b0acb7c88dce8fcc7b467998c596541",
+        "residual_history.csv": "1173f88b2050db69229a3a837f1d383976a3cc2e97c8460b622bd28e119ddda3",
         "u_eps_1e-02.txt": "6014a76d7102c6e1d21ee5b7d1a4ac1a3d03862065baf2ded06d9421a466b9df",
-        "u_eps_1e-03.txt": "85554413992c6c58bc7d7f6ec314c4b37b64cd9cb3aa6885d8e9654491cb5a98",
-        "u_eps_1e-04.txt": "e825640ddf7f775edc6492a3e0688b7654ce50862277dcf11d058e4b7afe9033",
-        "u_eps_1e-05.txt": "9f6fd74626af6aed17143b7b6390b59c6e2d193ddc6edcf571f969762b58fa24",
-        "u_eps_1e-06.txt": "551fc4956f7cc533b405e6d7c232bedd8b947a37bc7612804f44102094e25750",
+        "u_eps_1e-03.txt": "7de5e7920e444558009b9f24ce6ef1f06497012fea8d9135acbcbdd85cb22dba",
+        "u_eps_1e-04.txt": "d03341dd3d08c6182eca5a2556e3d8dfe5049dcd648fa3e7a99ef8bb4dcc6e24",
+        "u_eps_1e-05.txt": "d3be88ef9b4b5e30c860cf0d37ac0663b348029417238b0f2fc57b254cb6a8cc",
+        "u_eps_1e-06.txt": "aae9d370a5380d50a0832875f281f4bdb40a5240c5f11ff2e536ee96e8a5e0c2",
     }),
 }
 
@@ -408,7 +410,7 @@ def test_out_naming_a_file_is_config_error(small_cfg, tmp_path, capsys, command,
     taken.write_text("kept")
     out = taken / "out" if below else taken
     assert main([command, str(small_cfg), "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: [?] --out {out}: ")
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
     assert taken.read_text() == "kept"
     assert sorted(tmp_path.iterdir()) == [small_cfg, taken]
 
@@ -670,6 +672,21 @@ def test_solver_failure_keeps_finished_epsilons(tmp_path):
     assert best.shape == (21, 21) and np.isfinite(best).all()
 
 
+@pytest.mark.parametrize("psi", ["(1)*x1^0", "(1)*z^0", "(1) + 0*x1^0"])
+def test_zero_power_psi_sweeps_as_psi_one(tmp_path, psi):
+    # psi = 1 written with a zero power has zero derivatives, not NaN ones at
+    # x1 = 0 or z = 0, so its sweep writes psi = 1's fields
+    fields = {}
+    for name, text in (("one", "1"), ("power", psi)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(bundled_config_text("ma_obstacle").replace('psi = "1"', f'psi = "{text}"'))
+        out = tmp_path / name
+        assert main(["sweep", str(cfg), "--grid-m", "21", "--audit", "off", "--out", str(out),
+                     "--quiet"]) == 0
+        fields[name] = {f: b for f, b in bundle_bytes(out).items() if f.startswith("u_eps_")}
+    assert len(fields["one"]) == 5 and fields["power"] == fields["one"]
+
+
 def test_sweep_kappa_zg_equals_scalar_metric(tmp_path):
     # A = kappa z g written both ways: the same s = 0.1 z, so the same bytes
     text = (bundled_config_text("ma_obstacle")
@@ -718,6 +735,18 @@ def test_check_structure_psi_z_violation(tmp_path):
     assert code == 3
     doc = (out / "check_structure.json").read_text()
     assert "-psi_z >= 0" in doc
+
+
+def test_check_structure_fails_a_nan_slack(tmp_path, capsys):
+    # psi = 1/0 is inf and its z-derivative NaN: the NaN slack fails its
+    # check, and no numpy warning reaches stderr
+    cfg = tmp_path / "inf_psi.cfg"
+    cfg.write_text(bundled_config_text("ma_obstacle").replace('psi = "1"', 'psi = "1/0"'))
+    out = tmp_path / "out"
+    assert main(["check-structure", str(cfg), "--quiet", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "check_structure.json").read_text())
+    assert doc["coefficients"]["failed_condition"] == "-psi_z >= 0"
 
 
 def test_check_structure_kappa_zg_passes(tmp_path):

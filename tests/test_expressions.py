@@ -84,6 +84,18 @@ def test_undefined_constant_follows_numpy(text, value):
     np.testing.assert_equal(out, value)
 
 
+@pytest.mark.parametrize(("text", "order", "value"), [
+    ("x1^0", 1, 0.0), ("x1^1", 2, 0.0), ("x1*x1^1.0", 2, 2.0),
+])
+def test_zero_power_differentiates_to_zero(text, order, value):
+    # a^0 has derivative 0, also at a = 0, where c a^(c - 1) is 0 * inf
+    d = parse_expression(text, n=1)
+    for _ in range(order):
+        d = d.derivative("x1")
+    x1 = np.array([0.0, 0.5, -1.5])
+    np.testing.assert_array_equal(np.broadcast_to(d(x1=x1), x1.shape), value)
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ConfigError):
         parse_expression("x3 + 1", n=2)
