@@ -70,6 +70,11 @@ def _say(args, *msg):
         print(*msg)
 
 
+def _fmt_point(v) -> str:
+    """A scalar through `fmt`, or a vector as [v1, v2, ...]."""
+    return fmt(v) if np.ndim(v) == 0 else "[" + ", ".join(fmt(c) for c in v) + "]"
+
+
 def _eps_tag(eps: float) -> str:
     return f"{eps:.0e}"
 
@@ -252,8 +257,9 @@ def cmd_check_structure(rs: RunSetup, args) -> int:
         _say(args, "coefficient conditions: pass "
              + ", ".join(f"{k} (worst {fmt(v)})" for k, v in cert.checks.items()))
     else:
-        _say(args, f"coefficient condition violated: {cert.failed_condition} "
-             f"at {cert.witness}")
+        doc["coefficients"]["witness"] = cert.witness
+        _say(args, f"coefficient condition violated: {cert.failed_condition} at "
+             + ", ".join(f"{k} = {_fmt_point(v)}" for k, v in cert.witness.items()))
         code = 3
     if args.out:
         ReportBundleWriter(args.out).write_json("check_structure.json", doc)

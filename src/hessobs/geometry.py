@@ -19,7 +19,6 @@ __all__ = [
     "ChartGrid",
     "MetricField",
     "flat_metric",
-    "metric_from_callable",
     "metric_from_field",
     "christoffel_from_metric",
     "covariant_hessian",
@@ -138,14 +137,6 @@ def flat_metric(grid: ChartGrid) -> MetricField:
     eye = np.broadcast_to(np.eye(n), grid.shape + (n, n))
     zero = np.broadcast_to(0.0, grid.shape + (n, n, n))
     return MetricField(g=eye, ginv=eye, christoffel=zero, is_flat=True)
-
-
-def metric_from_callable(grid: ChartGrid, gfun) -> MetricField:
-    """Sample an analytic metric callback g(x) -> (n, n) onto the grid and
-    precompute Christoffel symbols by finite differences of the sampled field."""
-    pts = grid.points().reshape(-1, grid.n)
-    g = np.array([gfun(x) for x in pts], dtype=float).reshape(grid.shape + (grid.n, grid.n))
-    return metric_from_field(grid, g)
 
 
 def metric_from_field(grid: ChartGrid, g: np.ndarray) -> MetricField:

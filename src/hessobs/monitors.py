@@ -36,7 +36,6 @@ __all__ = [
     "theta_certificate",
     "audit_inequalities",
     "extract_contact_set",
-    "contact_radius",
     "sweep_summary",
 ]
 
@@ -283,14 +282,6 @@ def extract_contact_set(
     )
 
 
-def contact_radius(contact: ContactSet, grid: ChartGrid) -> float:
-    """Area-equivalent radius of the contact set (2d charts)."""
-    if grid.n != 2:
-        raise ValueError("contact_radius is defined for 2d charts")
-    cell_area = float(np.prod(grid.spacing))
-    return float(np.sqrt(contact.cells * cell_area / np.pi))
-
-
 # ---------------------------------------------------------------------------
 # sweep summary
 # ---------------------------------------------------------------------------
@@ -300,10 +291,6 @@ class SweepReport:
     rows: list  # one dict of norm bundle fields per epsilon
     ratios: dict  # max/min across the sweep per monitored field
     warnings: list  # field names whose ratio exceeds 2
-
-    @property
-    def uniform(self) -> bool:
-        return not self.warnings
 
 
 def _ratio(values) -> float:

@@ -163,7 +163,8 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         raise NotAdmissible(res.flagged_points(grid), "initial iterate not admissible")
 
     rnorm = float(np.abs(res.values).max())
-    rl2sq = float((res.values ** 2).sum())
+    with np.errstate(over="ignore"):  # an overflowing residual squares to inf
+        rl2sq = float((res.values ** 2).sum())
     hist = [rnorm]
     hist_l2 = [np.sqrt(rl2sq)]
     steps, margins = [], [res.margin]
@@ -191,7 +192,8 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
             cand = u + t * delta
             cres = residual(cand, prob, epsilon)
             if cres.admissible and cres.margin >= margin_floor:
-                cl2sq = float((cres.values ** 2).sum())
+                with np.errstate(over="ignore"):
+                    cl2sq = float((cres.values ** 2).sum())
                 if cl2sq <= (1.0 - 2.0 * ARMIJO_C * t) * rl2sq:
                     accepted = (cand, cres, cl2sq, t)
                     break
@@ -372,13 +374,13 @@ def _linear_solve(J, cycle, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int
     no correction reaches the part of b outside J's range.
     """
     x = np.zeros(b.shape)
-    r, rnorm = b, np.linalg.norm(b)
-    if rnorm == 0.0:
-        return x, 0
-    target = rtol * rnorm
     iterations = 0
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
+            r, rnorm = b, np.linalg.norm(b)
+            if rnorm == 0.0:
+                return x, 0
+            target = rtol * rnorm
             for _ in range(GMRES_CYCLES):
                 dx, k = _gmres_cycle(J, cycle, r, rnorm, target)
                 x += dx

@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-__all__ = ["ReportBundleWriter", "fmt", "write_grid_dump", "read_grid_dump"]
+__all__ = ["ReportBundleWriter", "fmt", "write_grid_dump"]
 
 
 def fmt(v):
@@ -96,19 +96,3 @@ def write_grid_dump(path, grid, values: np.ndarray):
     path.write_text("\n".join(lines) + "\n" + "%.17g\n" * len(flat) % tuple(flat))
     return path
 
-
-def read_grid_dump(path):
-    """Inverse of write_grid_dump: returns (meta dict, values array)."""
-    meta = {}
-    vals = []
-    for line in pathlib.Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
-        elif line.strip():
-            vals.append(float(line))
-    m = tuple(int(v) for v in meta["m"].split())
-    arr = np.array(vals).reshape(m)
-    return meta, arr

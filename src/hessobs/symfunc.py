@@ -39,9 +39,6 @@ __all__ = [
     "SymmetricFunctionSpec",
     "ThetaCertificate",
     "StructureReport",
-    "eval_f",
-    "grad_f",
-    "hess_f",
     "check_structure_conditions",
     "sample_cone_points",
     "estimate_theta",
@@ -232,20 +229,6 @@ def f_and_grad_of_matrix(spec: SymmetricFunctionSpec, B: np.ndarray):
     return e[:, 1:], f, D, ok
 
 
-def eval_f(spec: SymmetricFunctionSpec, lam) -> float:
-    """Evaluate f(lam); positive and homogeneous of degree one on Gamma_k."""
-    lam = np.asarray(lam, dtype=float)
-    _require_inside(spec, lam)
-    return float(_f_batch(spec, lam[None, :])[0][0])
-
-
-def grad_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
-    """Gradient (f_1, ..., f_n); strictly positive on the cone interior."""
-    lam = np.asarray(lam, dtype=float)
-    _require_inside(spec, lam)
-    return _grad_batch(spec, lam[None, :])[1][0]
-
-
 def _grad_batch(spec: SymmetricFunctionSpec, lam: np.ndarray):
     """(f, Df) on rows of lam.  Df by logarithmic differentiation:
 
@@ -257,13 +240,6 @@ def _grad_batch(spec: SymmetricFunctionSpec, lam: np.ndarray):
     if spec.l:
         term = term - _sigma_removed(lam, spec.l - 1, 1) / sl[:, None]
     return f, f[:, None] * term / spec.degree
-
-
-def hess_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
-    """Hessian D^2 f(lam); negative semidefinite on the cone (concavity)."""
-    lam = np.asarray(lam, dtype=float)
-    _require_inside(spec, lam)
-    return _hess_batch(spec, lam[None, :])[0]
 
 
 def _hess_batch(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:

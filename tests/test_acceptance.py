@@ -11,11 +11,9 @@ import pytest
 
 from hessobs.cli import main
 from hessobs.config import build_runsetup, parse_config
-from hessobs.lcp import projected_sor
 from hessobs.monitors import (
     audit_inequalities,
     compute_norm_bundle,
-    contact_radius,
     extract_contact_set,
     solved_state,
     sweep_summary,
@@ -23,20 +21,15 @@ from hessobs.monitors import (
 )
 from hessobs.newton import NewtonConfig, continuation_solve, newton_solve
 from hessobs.operator import evaluate_state, spectrum
-from hessobs.problems import (
-    bundled_config_text,
-    radial_exact,
-    radial_params,
-)
+from hessobs.problems import bundled_config_text
 from hessobs.symfunc import (
     SymmetricFunctionSpec,
     check_structure_conditions,
     estimate_theta,
-    eval_f,
-    grad_f,
-    hess_f,
     sample_cone_points,
 )
+from oracles import (contact_radius, eval_f, grad_f, hess_f, projected_sor, radial_exact,
+                     radial_params)
 
 FAMILIES = [
     SymmetricFunctionSpec(2, 1),

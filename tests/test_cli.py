@@ -10,7 +10,8 @@ import pytest
 
 from hessobs.cli import main
 from hessobs.problems import bundled_config_path, bundled_config_text
-from hessobs.report import fmt, read_grid_dump
+from hessobs.report import fmt
+from oracles import read_grid_dump
 
 SMALL_MA = (
     bundled_config_text("ma_obstacle")
@@ -753,6 +754,52 @@ def test_check_structure_kappa_zg_passes(tmp_path):
     cfg = tmp_path / "kzg.cfg"
     cfg.write_text(SMALL_MA.replace("A = zero", "A = kappa_zg 0.5"))
     assert main(["check-structure", str(cfg), "--samples", "200", "--quiet"]) == 0
+
+
+def test_check_structure_prints_and_writes_the_witness(tmp_path, capsys):
+    # a failed coefficient check names its sample's x, z and p through fmt,
+    # on stdout and in the coefficients block of the bundle
+    cfg = tmp_path / "inf_psi.cfg"
+    cfg.write_text(bundled_config_text("ma_obstacle").replace('psi = "1"', 'psi = "1/0"'))
+    out = tmp_path / "out"
+    assert main(["check-structure", str(cfg), "--out", str(out)]) == 3
+    witness = json.loads((out / "check_structure.json").read_text())["coefficients"]["witness"]
+    assert list(witness) == ["x", "z", "p"]
+
+    def vector(v):
+        return "[" + ", ".join(fmt(c) for c in v) + "]"
+
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"coefficient condition violated: -psi_z >= 0 at x = {vector(witness['x'])}, "
+        f"z = {fmt(witness['z'])}, p = {vector(witness['p'])}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_structure_large_subsolution_exit0(tmp_path, capsys):
+    # 1 + 2 max|u| overflows to inf; the z box is capped where it can be drawn
+    cfg = tmp_path / "big_u.cfg"
+    cfg.write_text(bundled_config_text("ma_obstacle").replace('u = "0.625*(x1^2+x2^2)"',
+                                                               'u = "1e308"'))
+    assert main(["check-structure", str(cfg), "--samples", "200", "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("old,new,error", [
+    ('psi = "1"', 'psi = "1e308"', "SingularJacobian"),
+    ('u = "0.625*(x1^2+x2^2)"', 'u = "1e308"', "NotAdmissible"),
+], ids=["psi_1e308", "u_1e308"])
+def test_overflowing_sweep_exit2_without_warnings(old, new, error, tmp_path, capsys):
+    # an overflow inside the solve is a solver failure with its report; no
+    # numpy RuntimeWarning may escape on the way (the filter makes one an error)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(bundled_config_text("ma_obstacle").replace(old, new))
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--grid-m", "21", "--audit", "off", "--quiet",
+                 "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_failure"]["error"] == error
+    assert capsys.readouterr().err == ""
 
 
 # -------------------------------------------------- verify-lemma

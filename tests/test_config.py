@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 import hessobs.config as config
-import hessobs.operator as operator
 from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import ConfigError
 from hessobs.expressions import parse_expression
-from hessobs.geometry import metric_from_callable
 from hessobs.problems import BUNDLED, bundled_config_text
+from oracles import metric_from_callable
 
 MINIMAL = """
 function {
@@ -199,7 +198,6 @@ def test_setup_parses_each_expression_once(name, monkeypatch):
         return parse_expression(text, *args, **kwargs)
 
     monkeypatch.setattr(config, "parse_expression", counting)
-    monkeypatch.setattr(operator, "parse_expression", counting)
     rs = build_runsetup(parse_config(bundled_config_text(name)).override(grid_m=9))
     # psi, s (A = s g), h, phi and u: every bundled config gives all five
     assert len(texts) == len(rs.config.trees) == 5

@@ -10,9 +10,9 @@ from hessobs.geometry import (
     eigen_wrt_metric,
     flat_metric,
     gradient_centered,
-    metric_from_callable,
     pin_boundary,
 )
+from oracles import metric_from_callable
 
 
 def grid2(m=17, lo=(-1.0, -1.0), hi=(1.0, 1.0)):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hessobs.geometry import ChartGrid
-from hessobs.lcp import projected_sor
-from hessobs.problems import radial_exact, radial_obstacle, radial_params
+from oracles import projected_sor, radial_exact, radial_obstacle, radial_params
 
 
 def test_unconstrained_reduces_to_poisson():
@@ -67,9 +66,9 @@ def test_rejects_anisotropic_grid():
 
 
 def test_raises_without_convergence(monkeypatch):
-    import hessobs.lcp as lcp
+    import oracles
 
-    monkeypatch.setattr(lcp, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(oracles, "MAX_SWEEPS", 1)
     grid = ChartGrid.box((-1, -1), (1, 1), 17)
     bdata = np.where(grid.boundary_mask(), 1.0, 0.0)  # a zero interior start
     with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):

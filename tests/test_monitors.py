@@ -11,16 +11,16 @@ from hessobs.monitors import (
     audit_inequalities,
     compact_set,
     compute_norm_bundle,
-    contact_radius,
     extract_contact_set,
     solved_state,
     sweep_summary,
     theta_certificate,
 )
 from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
-from hessobs.operator import Problem, coefficients_from_expressions, evaluate_state, spectrum
+from hessobs.operator import Problem, evaluate_state, spectrum
 from hessobs.problems import bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
+from oracles import coefficients_from_expressions, contact_radius
 
 
 def paraboloid_ceiling_problem(m=33, L=2.0, gap=0.3, fspec=None, psi="1"):
@@ -215,14 +215,14 @@ def test_sweep_single_entry_ratios_one():
     b = NormBundle(1e-3, 1.0, 2.0, 3.0, 3.0, 0.5, 0.05, True)
     rep = sweep_summary([b])
     assert all(v == 1.0 for v in rep.ratios.values())
-    assert rep.uniform
+    assert not rep.warnings
 
 
 def test_sweep_zero_penalty_ratio_one():
     rows = [NormBundle(10.0**-k, 1.0, 2.0, 3.0, 3.0, 0.0, 0.0, True) for k in range(2, 5)]
     rep = sweep_summary(rows)
     assert rep.ratios["penalty_sup"] == 1.0
-    assert rep.uniform
+    assert not rep.warnings
 
 
 def test_sweep_flags_nonuniform():
@@ -232,7 +232,7 @@ def test_sweep_flags_nonuniform():
     ]
     rep = sweep_summary(rows)
     assert "penalty_sup" in rep.warnings
-    assert not rep.uniform
+    assert rep.warnings
 
 
 def test_sweep_solved_ma_uniform(solved_ma):
@@ -242,7 +242,7 @@ def test_sweep_solved_ma_uniform(solved_ma):
     rep = sweep_summary(bundles)
     assert rep.ratios["penalty_sup"] <= 2.0
     assert rep.ratios["hess_norm"] <= 1.5
-    assert rep.uniform
+    assert not rep.warnings
 
 
 @pytest.mark.parametrize("name", ["ma_obstacle", "laplacian_obstacle"])

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hessobs.cli import main
 from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import NotAdmissible, SingularJacobian
-from hessobs.geometry import ChartGrid, flat_metric, metric_from_callable
+from hessobs.geometry import ChartGrid, flat_metric
 from hessobs.newton import (
     COARSE_N,
     GMRES_RESTART,
@@ -31,12 +31,12 @@ from hessobs.newton import (
 from hessobs.problems import bundled_config_path, bundled_config_text
 from hessobs.operator import (
     Problem,
-    coefficients_from_expressions,
     evaluate_state,
     linearize,
     residual,
 )
 from hessobs.symfunc import SymmetricFunctionSpec
+from oracles import coefficients_from_expressions, metric_from_callable
 
 
 def linear_problem(m=17):

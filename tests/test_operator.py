@@ -5,13 +5,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import BadEpsilon, NotAdmissible, PsiNotPositive
 from hessobs.geometry import (
     ChartGrid,
     covariant_hessian,
     flat_metric,
     interior_shift,
-    metric_from_callable,
 )
 from hessobs.monitors import solved_state, theta_certificate
 from hessobs.newton import COARSE_N, laplace_beltrami_solve
@@ -19,14 +19,16 @@ from hessobs.operator import (
     Problem,
     _stencil_pattern,
     assemble_operator,
-    coefficients_from_expressions,
+    certify_coefficients,
     evaluate_state,
     linearize,
     operator_L,
     penalty,
     residual,
 )
+from hessobs.problems import bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec
+from oracles import coefficients_from_expressions, metric_from_callable
 
 
 def make_problem(m=17, fspec=None, psi="2", a_mode="zero", a_param=None,
@@ -544,3 +546,37 @@ def test_jacobian_fd_3d():
         Jd = J @ d[grid.interior].ravel()
         fd = (residual(u + t * d, prob, eps).values.ravel() - r0) / t
         assert np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12) < 1e-4
+
+
+# -------------------------------------------------- coefficient certification
+
+CONFORMAL = 'kind = conformal\n  phi = "0.05*x1"'
+
+
+def _certificate(a_line, metric="kind = flat"):
+    text = bundled_config_text("ma_obstacle").replace("A = zero", a_line)
+    cfg = parse_config(text.replace("kind = flat", metric)).override(grid_m=17)
+    return certify_coefficients(build_runsetup(cfg).problem, samples=250, seed=42)
+
+
+def test_coefficient_certificate_does_not_read_the_metric():
+    # A = s g with g positive definite and free of z and p: its checks read s
+    # alone, so a curved metric gives the flat metric's slacks
+    a_line = 'A = scalar_metric "0.1*z - 0.02*(p1^2+p2^2)"'
+    flat, conformal = _certificate(a_line), _certificate(a_line, CONFORMAL)
+    assert flat.passed and conformal.passed
+    assert conformal.checks == flat.checks
+    assert flat.checks["A^xx_z >= 0"] == pytest.approx(0.1)
+    assert flat.checks["A^xx concave in p"] == pytest.approx(0.04)
+
+
+@pytest.mark.parametrize("metric", ["kind = flat", CONFORMAL], ids=["flat", "conformal"])
+@pytest.mark.parametrize("a_line,condition", [
+    ('A = scalar_metric "0.1*(p1^2+p2^2)"', "A^xx concave in p"),  # s convex in p
+    ("A = kappa_zg -0.1", "A^xx_z >= 0"),
+], ids=["s_convex_in_p", "kappa_zg_negative"])
+def test_coefficient_certificate_fails_on_s(a_line, condition, metric):
+    cert = _certificate(a_line, metric)
+    assert not cert.passed
+    assert cert.failed_condition == condition
+    assert set(cert.witness) == {"x", "z", "p"}

@@ -9,7 +9,7 @@ from hessobs.expressions import parse_expression
 from hessobs.monitors import compute_norm_bundle, solved_state
 from hessobs.newton import continuation_solve
 from hessobs.problems import BUNDLED, bundled_config_text
-from hessobs.symfunc import SymmetricFunctionSpec, eval_f
+from oracles import eval_f
 
 RNG = np.random.default_rng(123)
 

