@@ -1,4 +1,4 @@
-"""Chart grids, metric fields, covariant Hessians, metric eigenvalues.
+"""Chart grids, metric fields, and every way the metric enters the operator.
 
 The chart is a uniform rectangular grid in n = 2 or 3 dimensions.  Scalar
 fields are plain ndarrays of the grid shape; Dirichlet data lives on the
@@ -25,7 +25,9 @@ __all__ = [
     "gradient_centered",
     "hessian_centered",
     "interior_shift",
-    "eigen_wrt_metric",
+    "to_metric_frame",
+    "derivative_to_chart",
+    "add_christoffel_term",
     "eigen_wrt_metric_field",
     "pin_boundary",
 ]
@@ -121,59 +123,55 @@ def pin_boundary(grid: ChartGrid, values: np.ndarray, phi: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class MetricField:
-    """Sampled Riemannian metric with precomputed inverse and connection
-    coefficients.  `christoffel[..., kk, i, j]` holds Gamma^kk_ij."""
+    """Sampled Riemannian metric with precomputed inverse Cholesky factor and
+    connection coefficients.  `linv` holds L^{-1} for g = L L^T, and
+    `christoffel[..., kk, i, j]` holds Gamma^kk_ij."""
 
     g: np.ndarray  # shape m + (n, n)
-    ginv: np.ndarray
+    linv: np.ndarray
     christoffel: np.ndarray  # shape m + (n, n, n)
     is_flat: bool = False
 
 
 def flat_metric(grid: ChartGrid) -> MetricField:
-    """The Euclidean metric: g, ginv and christoffel are read-only broadcast
+    """The Euclidean metric: g, linv and christoffel are read-only broadcast
     views of one identity and one zero, not full-grid copies."""
     n = grid.n
     eye = np.broadcast_to(np.eye(n), grid.shape + (n, n))
     zero = np.broadcast_to(0.0, grid.shape + (n, n, n))
-    return MetricField(g=eye, ginv=eye, christoffel=zero, is_flat=True)
+    return MetricField(g=eye, linv=eye, christoffel=zero, is_flat=True)
 
 
 def metric_from_field(grid: ChartGrid, g: np.ndarray) -> MetricField:
-    """Build a MetricField from an already-sampled metric array; a g that
-    is not finite or not positive definite raises NotSPD."""
+    """Build a MetricField from a sampled metric array, keeping the Cholesky
+    factor of its SPD test as L^{-1}; a g that is not finite or SPD, or whose
+    Christoffel symbols are not finite, raises NotSPD."""
     if not np.isfinite(g).all():  # Cholesky does not raise on NaN
         raise NotSPD("metric is not finite on the grid")
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    g = 0.5 * g + 0.5 * np.swapaxes(g, -1, -2)  # 0.5 * (g + g^T) overflows near the largest float
     try:
-        np.linalg.cholesky(g)
+        L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NotSPD("metric is not positive definite on the grid") from exc
-    ginv = np.linalg.inv(g)
-    gamma = christoffel_from_metric(g, grid, ginv=ginv)
-    return MetricField(g=g, ginv=ginv, christoffel=gamma, is_flat=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # tested below
+        gamma = christoffel_from_metric(g, grid)
+    if not np.isfinite(gamma).all():
+        raise NotSPD("metric's Christoffel symbols are not finite on the grid")
+    return MetricField(g=g, linv=np.linalg.inv(L), christoffel=gamma, is_flat=False)
 
 
-def christoffel_from_metric(g: np.ndarray, grid: ChartGrid, ginv: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with ginv the
-    inverse of the sampled metric g.
+def christoffel_from_metric(g: np.ndarray, grid: ChartGrid) -> np.ndarray:
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) of the sampled
+    metric g.
 
     Metric derivatives are centered in the interior and one-sided
     second-order on the boundary faces (np.gradient, edge_order=2).
     """
-    n = grid.n
-    h = grid.spacing
-    dg = np.stack(
-        [np.gradient(g, h[d], axis=d, edge_order=2) for d in range(n)], axis=-3
-    )  # shape m + (d, i, j): d_d g_ij
+    dg = np.stack([np.gradient(g, h, axis=d, edge_order=2) for d, h in enumerate(grid.spacing)],
+                  axis=-3)  # shape m + (d, i, j): d_d g_ij
     # bracket_{l i j} = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = np.empty_like(dg)
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                bracket[..., l, i, j] = dg[..., i, j, l] + dg[..., j, i, l] - dg[..., l, i, j]
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
-    return gamma
+    bracket = np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -1, -3) - dg
+    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(g), bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +229,39 @@ def covariant_hessian(u: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues with respect to the metric
+# the metric in the discrete operator
 # ---------------------------------------------------------------------------
 
-def eigen_wrt_metric(X: np.ndarray, g: np.ndarray):
-    """Eigenvalues of the pencil X v = lam g v for symmetric X and SPD g,
-    sorted descending.
+def to_metric_frame(X: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:
+    """B = L^{-1} X L^{-T}, g = L L^T, of an interior field X of symmetric
+    (..., n, n) blocks: B has the eigenvalues of X v = lam g v.  Flat: X."""
+    if geo.is_flat:
+        return X
+    Li = geo.linv[grid.interior].reshape(X.shape)
+    # batched matmul runs about 3x slower on a transposed view than on a copy
+    return Li @ X @ np.swapaxes(Li, -1, -2).copy()
 
-    Reduction through the Cholesky factor g = L L^T to the standard symmetric
-    problem of L^{-1} X L^{-T}; no eigenvectors are formed.
-    """
-    X = np.asarray(X, dtype=float)
-    g = np.asarray(g, dtype=float)
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD("metric block not positive definite") from exc
-    T = np.linalg.solve(L, X)
-    B = np.linalg.solve(L, np.swapaxes(T, -1, -2))
-    return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, -1, -2)))[..., ::-1]
+
+def derivative_to_chart(D: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:
+    """F = L^{-T} D L^{-1}, so that tr(D dB) = tr(F dX) for B = `to_metric_frame`
+    (X).  Flat: D."""
+    if geo.is_flat:
+        return D
+    Li = geo.linv[grid.interior].reshape(D.shape)
+    return np.swapaxes(Li, -1, -2).copy() @ D @ Li
+
+
+def add_christoffel_term(c1: np.ndarray, F: np.ndarray, geo: MetricField, grid: ChartGrid):
+    """c1 - F^{ij} Gamma^k_{ij}, c1 (N, n), F (N, n, n): the chart first-order
+    part of F^{ij} (nabla^2 v)_{ij} + c1_k d_k v.  Flat: c1."""
+    if geo.is_flat:
+        return c1
+    n = grid.n
+    gamma = geo.christoffel[grid.interior].reshape(-1, n, n, n)
+    return c1 - np.einsum("...ij,...kij->...k", F, gamma)
 
 
 def eigen_wrt_metric_field(X: np.ndarray, geo: MetricField, grid: ChartGrid):
-    """Batched pencil eigenvalues (descending) of an interior tensor field.
-
-    X has shape interior + (n, n); the eigenvalues have shape interior + (n,).
-    Flat metrics skip the Cholesky reduction.
-    """
-    if geo.is_flat:
-        return np.linalg.eigvalsh(X)[..., ::-1]
-    return eigen_wrt_metric(X, geo.g[grid.interior])
+    """Pencil eigenvalues (descending, shape X.shape[:-1]) of an interior
+    field X of symmetric blocks: those of `to_metric_frame` (X)."""
+    return np.linalg.eigvalsh(to_metric_frame(X, geo, grid))[..., ::-1]

@@ -119,15 +119,17 @@ def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed
     u_sub does not depend on epsilon, so its state is evaluated at
     PROBE_EPSILON.
 
-    An inadmissible subsolution raises NotAdmissible naming its points, and
-    a threshold that is not positive raises MonitorError."""
+    An inadmissible subsolution raises NotAdmissible naming its points;
+    normals that are not finite and a zeta not above 0 raise MonitorError."""
     st = evaluate_state(u_sub, prob, PROBE_EPSILON)
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "subsolution not admissible, cannot form the compact set")
     K, nu_mu, zeta0 = compact_set(*spectrum(st, prob))
+    if not np.isfinite(nu_mu).all():
+        raise MonitorError("subsolution normals not finite: sigma_k overflows on its spectrum")
     zeta = zeta0 if zeta is None else zeta
-    if zeta <= 0.0:
+    if not zeta > 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
     lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
     return K, nu_mu, estimate_theta(prob.fspec, K, zeta, lam_rand)

@@ -41,7 +41,8 @@ from .errors import (
     NotAdmissible,
     SingularJacobian,
 )
-from .geometry import ChartGrid, MetricField, covariant_hessian, pin_boundary
+from .geometry import (ChartGrid, MetricField, add_christoffel_term, covariant_hessian,
+                       derivative_to_chart, pin_boundary)
 from .operator import (
     PENALTY_ROOT,
     PROBE_EPSILON,
@@ -595,9 +596,9 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
     V-cycle to relative residual LIFT_RTOL.
     """
     n = grid.n
-    ginv = metric.ginv[grid.interior].reshape(-1, n, n)
-    gamma = metric.christoffel[grid.interior].reshape(-1, n, n, n)
-    c1 = -np.einsum("...ij,...kij->...k", ginv, gamma)
+    # g^{ij} = L^{-T} L^{-1} is the derivative of tr B = tr(L^{-1} X L^{-T}) in X
+    ginv = derivative_to_chart(np.broadcast_to(np.eye(n), (grid.n_interior, n, n)), metric, grid)
+    c1 = add_christoffel_term(np.zeros((grid.n_interior, n)), ginv, metric, grid)
     w = pin_boundary(grid, np.zeros(grid.shape), boundary_values)
     b = -np.einsum("...ij,...ij->...", ginv,
                    covariant_hessian(w, metric, grid).reshape(-1, n, n))

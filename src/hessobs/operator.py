@@ -5,16 +5,16 @@ The residual at an interior point is
     r = f(lam(nabla^2 u + A(x, u, Du))) - psi(x, u, Du) - beta_eps(u - h),
 
 with the cubic penalty beta_eps(z) = z^3/eps for z > 0.  The Newton path
-never forms the eigenvalues lam: the sigma_j margins, f and
-F^{ij} = dF/dU_{ij} = D g^{-1} are polynomials in B = g^{-1} U, U =
-nabla^2 u + A, and come from the Newton-tensor recursion of
-`f_and_grad_of_matrix`, which is smooth at repeated eigenvalues.
+never forms the eigenvalues lam: the sigma_j margins, f and F^{ij} =
+dF/dU_{ij} come from the Newton-tensor recursion of `f_and_grad_of_matrix`,
+smooth at repeated eigenvalues, on geometry's reduced pencil B = L^{-1} U
+L^{-T}, g = L L^T and U = nabla^2 u + A (`to_metric_frame`).
 Chain-rule contributions of A = s g (s_z and s_p times F^{ij} g_{ij}),
 psi_z, psi_p and beta' complete the stencil, so the assembled sparse matrix
 is the exact Jacobian of the discrete residual.  Its sparsity pattern
 depends only on the interior grid shape: it is built once per shape and
 cached, and each assembly fills in the values.  Only the monitors read lam
-itself, through `spectrum`.
+itself, through `spectrum`, from the same B.
 This module builds matrices and solves none: every sparse system, the
 default initializer's harmonic lift included, is solved in `newton`.
 """
@@ -33,11 +33,14 @@ from .expressions import Expression
 from .geometry import (
     ChartGrid,
     MetricField,
+    add_christoffel_term,
     covariant_hessian,
+    derivative_to_chart,
     eigen_wrt_metric_field,
     gradient_centered,
     interior_shift,
     pin_boundary,
+    to_metric_frame,
 )
 from .symfunc import SymmetricFunctionSpec, f_and_grad_masked, f_and_grad_of_matrix, sigma_margins
 
@@ -154,10 +157,6 @@ class Problem:
         if self.subsolution is not None:
             self.subsolution = pin_boundary(self.grid, self.subsolution, self.phi)
 
-    @functools.cached_property
-    def ginv_interior(self):  # read by curved metrics only
-        return self.metric.ginv[self.grid.interior].reshape(self.g_interior.shape)
-
 
 # ---------------------------------------------------------------------------
 # penalty
@@ -195,17 +194,17 @@ def penalty(epsilon: float, z):
 @dataclass
 class StateEval:
     """All pointwise quantities of one iterate, flattened over interior
-    points, with its penalized residual `values`; the eigenvalues of
-    g^{-1} U are left to `spectrum`."""
+    points, with its penalized residual `values`; the pencil eigenvalues
+    of U are left to `spectrum`."""
 
     z: np.ndarray  # u at interior points
     p: np.ndarray  # centered gradient (N, n)
     hess_cov: np.ndarray  # covariant Hessian (N, n, n)
     U: np.ndarray  # hess_cov + s g (N, n, n)
     Fij: np.ndarray  # dF/dU in chart coordinates (N, n, n), NaN where outside the cone
-    fval: np.ndarray  # f(lam(g^{-1} U)), NaN where outside the cone
+    fval: np.ndarray  # f(lam), lam the pencil eigenvalues of U; NaN where outside the cone
     ok: np.ndarray  # admissibility mask
-    sig: np.ndarray  # sigma_1..sigma_k margins of lam(g^{-1} U) (N, k)
+    sig: np.ndarray  # sigma_1..sigma_k margins of lam (N, k)
     psi: np.ndarray
     beta: np.ndarray
     dbeta: np.ndarray
@@ -243,23 +242,19 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
             f"psi minimum {psi.min():.3e} not above floor {PSI_FLOOR}; the method requires psi > 0"
         )
     U = Hc + s[:, None, None] * prob.g_interior
-    if prob.metric.is_flat:
-        sig, fval, Fij, ok = f_and_grad_of_matrix(prob.fspec, U)
-    else:  # dF/dU = D g^{-1} for the derivative D in B = g^{-1} U
-        sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, prob.ginv_interior @ U)
-        Fij = D @ prob.ginv_interior
+    sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, to_metric_frame(U, prob.metric, grid))
+    Fij = derivative_to_chart(D, prob.metric, grid)
     beta, dbeta = penalty(epsilon, z - prob.h_interior)
     return StateEval(z=z, p=p, hess_cov=Hc, U=U, Fij=Fij, fval=fval, ok=ok, sig=sig,
                      psi=psi, beta=beta, dbeta=dbeta, values=fval - psi - beta)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def spectrum(st: StateEval, prob: Problem):
     """Pencil eigenvalues lam of U (descending, (N, n)) and Df(lam), NaN
-    rows outside the cone, of an evaluated state.  The monitors read these
-    once per epsilon; the Newton path does not need them."""
-    n = prob.grid.n
-    lam = eigen_wrt_metric_field(st.U.reshape(prob.grid.interior_shape + (n, n)),
-                                 prob.metric, prob.grid).reshape(-1, n)
+    rows outside the cone, of an evaluated state, for the monitors; an
+    overflowing sigma_j gives a non-finite Df, not a numpy warning."""
+    lam = eigen_wrt_metric_field(st.U, prob.metric, prob.grid)
     return lam, f_and_grad_masked(prob.fspec, lam, sigma_margins(prob.fspec, lam))[1]
 
 
@@ -293,13 +288,10 @@ def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
     holds).  The covariant Hessian adds -F^{ij} Gamma^k_{ij} to the
     first-order stencil."""
     grid = prob.grid
-    n = grid.n
     c1, Fg = _first_order(state, prob)
     s_z, psi_z = prob.coeff.at(prob.x_interior, state.z, state.p, wrt="z")
     zero_order = s_z * Fg - psi_z - state.dbeta
-    if not prob.metric.is_flat:
-        gamma = prob.metric.christoffel[grid.interior].reshape(-1, n, n, n)
-        c1 = c1 - np.einsum("...ij,...kij->...k", state.Fij, gamma)
+    c1 = add_christoffel_term(c1, state.Fij, prob.metric, grid)
     return assemble_operator(grid, state.Fij, c1, zero_order)
 
 

@@ -142,9 +142,9 @@ def _sigma_removed(lam: np.ndarray, j: int, order: int) -> np.ndarray:
     npts, n = lam.shape
     out = np.zeros((npts,) + (n,) * order)
     if j >= 0:
-        for removed in itertools.permutations(range(n), order):
-            keep = [c for c in range(n) if c not in removed]
-            out[(slice(None),) + removed] = elementary_symmetric(lam[:, keep], j)[:, j]
+        for removed in itertools.combinations(range(n), order):
+            s = elementary_symmetric(np.delete(lam, removed, axis=1), j)[:, j]
+            out[(slice(None),) + removed] = out[(slice(None),) + removed[::-1]] = s
     return out
 
 
@@ -165,9 +165,8 @@ def _inside(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
 
 def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
     """Raise OutsideCone unless every sigma_j, j <= k, is strictly positive on
-    every row of the (N, n) batch lam (a single tuple is one row); the error
-    names the first bad row and its first failing j."""
-    lam = np.atleast_2d(lam)
+    every row of the (N, n) batch lam; the error names the first bad row and
+    its first failing j."""
     e = elementary_symmetric(lam, spec.k)
     bad = e[:, 1:] <= 0.0
     if bad.any():

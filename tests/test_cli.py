@@ -23,6 +23,8 @@ SMALL_MA = (
 # built-in start, which the audit then takes as its subsolution
 LAPLACIAN_STRONG_BUILTIN = re.sub(r'(subsolution \{\n)  u = "[^"]*"', r"\1  u = builtin",
                                   bundled_config_text("laplacian_obstacle_strong"))
+CONFORMAL_MA = bundled_config_text("ma_obstacle").replace(
+    "kind = flat", 'kind = conformal\n  phi = "0.05*x1"')
 
 
 @pytest.fixture()
@@ -199,6 +201,19 @@ PINNED_BUNDLES = {
         "u_eps_1e-04.txt": "d03341dd3d08c6182eca5a2556e3d8dfe5049dcd648fa3e7a99ef8bb4dcc6e24",
         "u_eps_1e-05.txt": "d3be88ef9b4b5e30c860cf0d37ac0663b348029417238b0f2fc57b254cb6a8cc",
         "u_eps_1e-06.txt": "aae9d370a5380d50a0832875f281f4bdb40a5240c5f11ff2e536ee96e8a5e0c2",
+    }),
+    # the one curved pin: g = exp(0.1 x1) I through the Cholesky reduction
+    # and the Christoffel term, audits on (at m = 21 the contact band exits 2)
+    "ma_obstacle_conformal_m25_audited": (CONFORMAL_MA, ["--grid-m", "25"], {
+        "contact_cells.csv": "5f10b2938197536be24ac2fa3cc883290765fbf9893e2b9a4d42c00b83d4f623",
+        "norms_vs_eps.csv": "4a4b530173647138fea71382107699ead3cb16dcab266a63461b2f2274a73eda",
+        "report.json": "a797889f4dad1a8610701463c11202958a6d1cc8cafa420cec96fa17a8638baa",
+        "residual_history.csv": "c8efa5ab1b8aad00329f8256eeac7f0655a119e40baaa7efff0b2d998e268539",
+        "u_eps_1e-02.txt": "23ac9cb4cc82ed688585c2358103911e9c2dffad03c7eac261e56d1c289a94a4",
+        "u_eps_1e-03.txt": "855da6972f36c12adb07e0eacac4fc877e36aeef3ffe16cfae0ed5432f40eeef",
+        "u_eps_1e-04.txt": "be60e3e1c52608462b00bc85b7e211c5be1c1b54f63da99370d8387b97d45519",
+        "u_eps_1e-05.txt": "3677ac3e0d6d297691ea53a2e42fd6d3c92104e4bb3ec8058adf642933773a26",
+        "u_eps_1e-06.txt": "9921b4ed02f140bb228da1e90f362142b5542f3b164e27d9146196a98a8c73f9",
     }),
 }
 
@@ -455,12 +470,14 @@ def _tabulated(tmp_path, row):
     *[lambda tmp, text=text: text for text in _NONFINITE_GRID],
     lambda tmp: SMALL_MA.replace("kind = flat", f'kind = tabulated\n  file = "{tmp / "no.txt"}"'),
     lambda tmp: SMALL_MA.replace("kind = flat", f'kind = tabulated\n  file = "{tmp}"'),
+    lambda tmp: _tabulated(tmp, "1e308 0 1e308"),  # finite, but d_i g_jk overflows
 ], ids=["n4_chart", "conformal_log", "tabulated_not_spd", "tabulated_not_numeric",
         "empty_A", "unclosed_quote_in_A", "no_theta_samples", "nan_h", "eps_min_above_eps0",
         "no_newton_iterations", "overflowing_constant_in_h", "negative_seed",
         "tabulated_nan", "tabulated_inf", "conformal_overflow", "infinite_tol", "nan_tol",
         "nan_c_audit", "infinite_c_audit", "negative_c_audit", "nan_lo", "minus_inf_lo",
-        "infinite_hi", "tabulated_missing", "tabulated_directory"])
+        "infinite_hi", "tabulated_missing", "tabulated_directory",
+        "tabulated_christoffel_overflow"])
 def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     bad = tmp_path / "bad.cfg"
     text = make_text(tmp_path)
@@ -469,6 +486,7 @@ def test_setup_failure_is_config_error(tmp_path, capsys, make_text):
     err = capsys.readouterr().err
     assert err.startswith("config error: [line ")
     assert err.count("\n") == 1  # one line: no traceback, no numpy warning
+    assert "Warning" not in err
     assert not (tmp_path / "out").exists()
     if text in _NONFINITE_GRID:  # blamed on the grid, not on a later expression
         assert err.startswith(f"config error: [line {_GRID_LINE}] grid: lo and hi must be finite")
@@ -837,7 +855,9 @@ def test_verify_lemma_zeta_above_diameter_vacuous(small_cfg, tmp_path):
     {'psi = "1"': 'psi = "1e9"', 'u = "0.625*(x1^2+x2^2)"': "u = builtin"},  # NoAdmissibleStart
     # NotAdmissible from theta_certificate, the one check of a supplied subsolution
     {'u = "0.625*(x1^2+x2^2)"': 'u = "-0.625*(x1^2+x2^2)"'},
-], ids=["psi_not_positive", "no_admissible_start", "not_admissible"])
+    # g = e^{-600} I: the subsolution's sigma_2 overflows, its normals are NaN
+    {"kind = flat": 'kind = conformal\n  phi = "-300"'},
+], ids=["psi_not_positive", "no_admissible_start", "not_admissible", "nan_normals"])
 def test_verify_lemma_library_error_exit2(edits, tmp_path, capsys):
     text = bundled_config_text("ma_obstacle")
     for old, new in edits.items():
@@ -849,6 +869,28 @@ def test_verify_lemma_library_error_exit2(edits, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_overflowing_subsolution_spectrum(tmp_path, capsys):
+    # g = e^{-600} I is finite and SPD, but the subsolution's pencil
+    # eigenvalues are about 1e261, so sigma_2 overflows: the sweep fails at
+    # its first epsilon, check-structure reads no state, and verify-lemma
+    # refuses the NaN normals at a given zeta too, writing nothing
+    cfg = tmp_path / "tiny_metric.cfg"
+    cfg.write_text(bundled_config_text("ma_obstacle").replace(
+        "kind = flat", 'kind = conformal\n  phi = "-300"'))
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "sweep"), "--quiet"]) == 2
+    report = json.loads((tmp_path / "sweep" / "report.json").read_text())
+    assert report["solver_failure"]["epsilon"] == 0.01
+    assert main(["check-structure", str(cfg), "--samples", "100", "--quiet"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "vl"
+    assert main(["verify-lemma", str(cfg), "--zeta", "0.1", "--samples", "100",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: subsolution normals not finite")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_lemma_violated_certificate_exit3(small_cfg, monkeypatch, capsys):

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hessobs.errors import NotSPD
 from hessobs.geometry import (
     ChartGrid,
+    add_christoffel_term,
+    christoffel_from_metric,
     covariant_hessian,
-    eigen_wrt_metric,
+    derivative_to_chart,
+    eigen_wrt_metric_field,
     flat_metric,
     gradient_centered,
+    metric_from_field,
     pin_boundary,
+    to_metric_frame,
 )
 from oracles import metric_from_callable
 
@@ -73,12 +79,12 @@ def test_flat_metric_is_read_only_identity(n):
     g = ChartGrid.box((-1.0,) * n, (1.0,) * n, 5)
     geo = flat_metric(g)
     assert geo.is_flat
-    assert geo.g.shape == geo.ginv.shape == g.shape + (n, n)
+    assert geo.g.shape == geo.linv.shape == g.shape + (n, n)
     assert geo.christoffel.shape == g.shape + (n, n, n)
     assert np.array_equal(geo.g, np.broadcast_to(np.eye(n), geo.g.shape))
-    assert np.array_equal(geo.ginv, geo.g)
+    assert np.array_equal(geo.linv, geo.g)
     assert not geo.christoffel.any()
-    for arr in (geo.g, geo.ginv, geo.christoffel):
+    for arr in (geo.g, geo.linv, geo.christoffel):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
@@ -161,34 +167,104 @@ def test_gradient_centered_exact_on_linear():
 
 # -------------------------------------------------- pencil eigenvalues
 
+def constant_field(grid, block):
+    return np.broadcast_to(np.asarray(block, dtype=float), grid.shape + np.shape(block)).copy()
+
+
 def test_eigen_identity_metric():
-    lam = eigen_wrt_metric(np.diag([3.0, 1.0]), np.eye(2))
-    assert lam == pytest.approx([3.0, 1.0])
+    g = grid2(5)
+    X = constant_field(g, np.diag([3.0, 1.0]))[g.interior]
+    want = constant_field(g, [3.0, 1.0])[g.interior]
+    for geo in (flat_metric(g), metric_from_field(g, constant_field(g, np.eye(2)))):
+        assert np.array_equal(eigen_wrt_metric_field(X, geo, g), want)
 
 
 def test_eigen_diag_pencil():
     # det(X - lam g) = 0 with X = diag(4,2), g = diag(4,1): lam = {1, 2} descending
-    lam = eigen_wrt_metric(np.diag([4.0, 2.0]), np.diag([4.0, 1.0]))
-    assert lam == pytest.approx([2.0, 1.0])
+    g = grid2(5)
+    geo = metric_from_field(g, constant_field(g, np.diag([4.0, 1.0])))
+    lam = eigen_wrt_metric_field(constant_field(g, np.diag([4.0, 2.0]))[g.interior], geo, g)
+    assert np.abs(lam - np.array([2.0, 1.0])).max() < 1e-15
 
 
-def test_eigen_trace_identity_and_reconstruction():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        A = rng.normal(size=(3, 3))
-        X = 0.5 * (A + A.T)
-        B = rng.normal(size=(3, 3))
-        g = B @ B.T + 3.0 * np.eye(3)
-        lam = eigen_wrt_metric(X, g)
-        gX = np.linalg.solve(g, X)
-        assert lam.sum() == pytest.approx(np.trace(gX), rel=1e-12)
-        assert np.all(np.diff(lam) <= 1e-12)
-        # the power sums and the product fix the characteristic polynomial of g^{-1} X
-        scale = max(1.0, np.abs(gX).max())
-        assert abs((lam**2).sum() - np.trace(gX @ gX)) < 1e-10 * scale**2
-        assert abs(lam.prod() - np.linalg.det(X) / np.linalg.det(g)) < 1e-10 * scale**3
+def random_metric_and_field(n, m, seed):
+    """A sampled anisotropic SPD metric field and a random symmetric interior field."""
+    grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, m)
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=grid.shape + (n, n))
+    X = rng.normal(size=grid.interior_shape + (n, n))
+    return grid, A @ np.swapaxes(A, -1, -2) + 3.0 * np.eye(n), 0.5 * (X + np.swapaxes(X, -1, -2))
 
 
-def test_eigen_not_spd_raises():
-    with pytest.raises(NotSPD):
-        eigen_wrt_metric(np.eye(2), np.diag([1.0, -2.0]))
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigen_field_matches_scipy_eigh(n):
+    grid, g, X = random_metric_and_field(n, 6, seed=n)
+    geo = metric_from_field(grid, g)
+    lam = eigen_wrt_metric_field(X, geo, grid).reshape(-1, n)
+    Xs, gs = X.reshape(-1, n, n), geo.g[grid.interior].reshape(-1, n, n)
+    ref = np.array([scipy.linalg.eigh(x, b, eigvals_only=True)[::-1] for x, b in zip(Xs, gs)])
+    assert np.all(np.diff(lam, axis=1) <= 0.0)
+    assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivative_to_chart_is_the_adjoint_of_to_metric_frame(n):
+    # df = tr(D dB) with dB = L^{-1} dX L^{-T} equals tr(F dX) for F = L^{-T} D L^{-1}
+    grid, g, X = random_metric_and_field(n, 5, seed=10 + n)
+    geo = metric_from_field(grid, g)
+    D = np.random.default_rng(n).normal(size=X.shape)
+    lhs = np.einsum("...ij,...ji->...", D, to_metric_frame(X, geo, grid))
+    rhs = np.einsum("...ij,...ji->...", derivative_to_chart(D, geo, grid), X)
+    assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(lhs).max()
+    flat = flat_metric(grid)
+    assert to_metric_frame(X, flat, grid) is X and derivative_to_chart(D, flat, grid) is D
+
+
+def test_metric_field_not_spd_raises():
+    g = grid2(5)
+    with pytest.raises(NotSPD, match="not positive definite"):
+        metric_from_field(g, constant_field(g, np.diag([1.0, -2.0])))
+
+
+def test_metric_field_with_infinite_christoffel_raises():
+    # finite and SPD, but its one-sided derivatives overflow; no numpy warning
+    g = grid2(5)
+    with pytest.raises(NotSPD, match="Christoffel"):
+        metric_from_field(g, constant_field(g, np.diag([1e308, 1e308])))
+
+
+# -------------------------------------------------- the Christoffel term
+
+def looped_christoffel(g, grid):
+    """The bracket d_i g_jl + d_j g_il - d_l g_ij index by index."""
+    n = grid.n
+    dg = np.stack([np.gradient(g, grid.spacing[d], axis=d, edge_order=2) for d in range(n)],
+                  axis=-3)
+    bracket = np.empty_like(dg)
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                bracket[..., l, i, j] = dg[..., i, j, l] + dg[..., j, i, l] - dg[..., l, i, j]
+    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(g), bracket)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_christoffel_bracket_by_axes_equals_the_loop(n):
+    grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, 7)
+    x = grid.points()
+    g = np.eye(n) * (1.0 + 0.3 * x[..., :1, None] ** 2) + 0.1 * np.sin(
+        x[..., :, None] + 2.0 * x[..., None, :])
+    g = 0.5 * g + 0.5 * np.swapaxes(g, -1, -2)
+    assert np.array_equal(christoffel_from_metric(g, grid), looped_christoffel(g, grid))
+
+
+def test_christoffel_term():
+    # g = e^{2 x1} I: Gamma^1_11 = 1, Gamma^1_22 = -1, Gamma^2_12 = Gamma^2_21 = 1, so
+    # -F^{ij} Gamma^k_ij = (F_22 - F_11, -2 F_12) up to the metric's difference error
+    g = grid2(33)
+    geo = metric_from_callable(g, lambda x: np.exp(2.0 * x[0]) * np.eye(2))
+    A = np.random.default_rng(0).normal(size=(g.n_interior, 2, 2))
+    F, c1 = A + np.swapaxes(A, 1, 2), np.ones((g.n_interior, 2))
+    want = c1 + np.stack([F[:, 1, 1] - F[:, 0, 0], -2.0 * F[:, 0, 1]], axis=1)
+    assert np.abs(add_christoffel_term(c1, F, geo, g) - want).max() < 5e-3 * np.abs(F).max()
+    assert add_christoffel_term(c1, F, flat_metric(g), g) is c1

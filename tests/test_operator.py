@@ -25,9 +25,10 @@ from hessobs.operator import (
     operator_L,
     penalty,
     residual,
+    spectrum,
 )
 from hessobs.problems import bundled_config_text
-from hessobs.symfunc import SymmetricFunctionSpec
+from hessobs.symfunc import SymmetricFunctionSpec, sigma_margins
 from oracles import coefficients_from_expressions, metric_from_callable
 
 
@@ -288,7 +289,7 @@ def test_jacobian_fd_conformal_metric():
 
 
 def test_jacobian_fd_sigma2_anisotropic_metric():
-    # F^{ij} = D g^{-1} on a metric with off-diagonal entries
+    # F^{ij} = L^{-T} D L^{-1} on a metric with off-diagonal entries
     grid = ChartGrid.box((-1, -1), (1, 1), 11)
     metric = metric_from_callable(
         grid, lambda x: np.array([[1.5 + 0.3 * x[0], 0.4 * np.sin(x[1])],
@@ -310,6 +311,28 @@ def test_jacobian_fd_sigma2_anisotropic_metric():
         assert np.abs(fd - Jd).max() / max(np.abs(Jd).max(), 1e-12) < 1e-4
 
 
+@pytest.mark.parametrize("metric", ["conformal", "tabulated"])
+def test_newton_margins_equal_the_monitors_margins(metric, tmp_path):
+    # the Newton path's sigma_j and the monitors' eigenvalues come from the
+    # same reduced pencil L^{-1} U L^{-T}
+    text = bundled_config_text("ma_obstacle").replace("m = 65", "m = 17")
+    if metric == "conformal":
+        text = text.replace("kind = flat", 'kind = conformal\n  phi = "0.05*x1"')
+    else:  # anisotropic: g12 != 0 and g11 != g22
+        x = np.linspace(-2.0, 2.0, 17)
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        rows = np.stack([1 + 0.05 * X1**2, 0.02 * X1 * X2, 1 + 0.03 * X2**2], -1).reshape(-1, 3)
+        np.savetxt(tmp_path / "g.txt", rows)
+        text = text.replace("kind = flat", f'kind = tabulated\n  file = "{tmp_path / "g.txt"}"')
+    prob = build_runsetup(parse_config(text)).problem
+    assert not prob.metric.is_flat
+    u = prob.subsolution + 0.1 * prob.grid.sample(lambda x: np.sin(x[..., 0]) * x[..., 1] ** 2)
+    st = evaluate_state(u, prob, 1e-2)
+    assert st.admissible
+    sig = sigma_margins(prob.fspec, spectrum(st, prob)[0])
+    assert np.all(np.abs(sig - st.sig) <= 1e-14 * np.abs(st.sig))
+
+
 def test_linearize_sigma1_curved_fij_is_metric_inverse():
     grid = ChartGrid.box((-1, -1), (1, 1), 9)
     metric = metric_from_callable(grid, lambda x: np.exp(0.6 * x[0]) * np.eye(2))
@@ -318,7 +341,7 @@ def test_linearize_sigma1_curved_fij_is_metric_inverse():
                    coeff=coeff, h=np.full(grid.shape, 1e6), phi=np.zeros(grid.shape))
     u = grid.sample(lambda x: 4.0 * (x[..., 0] ** 2 + x[..., 1] ** 2))
     st = evaluate_state(u, prob, 1e-2)
-    ginv = metric.ginv[grid.interior].reshape(-1, 2, 2)
+    ginv = np.linalg.inv(metric.g[grid.interior]).reshape(-1, 2, 2)
     assert np.abs(st.Fij - ginv).max() < 1e-10
 
 
@@ -494,7 +517,7 @@ def test_laplace_solve_is_discrete_harmonic(curved):
     v = laplace_beltrami_solve(grid, metric, data)
     bnd = grid.boundary_mask()
     assert np.array_equal(v[bnd], data[bnd])
-    ginv = metric.ginv[grid.interior]
+    ginv = np.linalg.inv(metric.g[grid.interior])
     lap = np.einsum("...ij,...ij->...", ginv, covariant_hessian(v, metric, grid))
     assert np.abs(lap).max() <= 1e-9 * np.abs(data).max()
 
@@ -508,7 +531,7 @@ def test_laplace_solve_matches_a_direct_solve(n, m):
     metric = conformal_metric(grid)
     data = grid.sample(lambda x: np.sin(2.0 * x[..., 0]) * np.exp(x[..., 1]) + x.sum(axis=-1) ** 2)
     v = laplace_beltrami_solve(grid, metric, data)
-    ginv = metric.ginv[grid.interior].reshape(-1, n, n)
+    ginv = np.linalg.inv(metric.g[grid.interior]).reshape(-1, n, n)
     c1 = -np.einsum("...ij,...kij->...k", ginv,
                     metric.christoffel[grid.interior].reshape(-1, n, n, n))
     w = np.array(data)

@@ -440,9 +440,11 @@ def test_newton_tensors_match_eigen_path(spec, metric):
     U = LQ @ (lam[:, :, None] * np.swapaxes(LQ, 1, 2))
     U = 0.5 * (U + np.swapaxes(U, 1, 2))
 
-    ginv = np.linalg.inv(g)
-    sig, f, D, ok = f_and_grad_of_matrix(spec, ginv @ U)
-    Fij = D @ ginv  # dF/dU, as evaluate_state forms it
+    # B = L^{-1} U L^{-T} and dF/dU = L^{-T} D L^{-1}, as geometry's
+    # to_metric_frame and derivative_to_chart form them
+    Li = np.linalg.inv(L)
+    sig, f, D, ok = f_and_grad_of_matrix(spec, Li @ U @ np.swapaxes(Li, 1, 2))
+    Fij = np.swapaxes(Li, 1, 2) @ D @ Li
     lam_ref, f_ref, F_ref = _eigen_reference(spec, U, g)
     assert ok.all()
     tol = cone_tolerances(spec, lam_ref)
