@@ -4,6 +4,11 @@ The chart is a uniform rectangular grid in n = 2 or 3 dimensions.  Scalar
 fields are plain ndarrays of the grid shape; Dirichlet data lives on the
 boundary layer of the same array.  All differential operators act on interior
 points only, with second-order centered stencils.
+
+Per-point data has one layout: a flat (N, ...) block over the N interior
+points in the C order of `u[grid.interior].ravel()`.  The metric is stored
+so, and every derivative, metric product and coordinate returned here is
+such a block: callers neither slice nor reshape.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ class ChartGrid:
 
     @property
     def n_interior(self) -> int:
-        return int(np.prod(self.interior_shape))
+        return math.prod(self.interior_shape)
 
     def axes(self):
         return [np.linspace(l, h, mi) for l, h, mi in zip(self.lo, self.hi, self.m)]
@@ -97,7 +102,8 @@ class ChartGrid:
         return np.stack(mesh, axis=-1)
 
     def interior_points(self) -> np.ndarray:
-        return self.points()[self.interior]
+        """Coordinates of the interior points, shape (N, n)."""
+        return self.points()[self.interior].reshape(-1, self.n)
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.ones(self.m, dtype=bool)
@@ -123,29 +129,30 @@ def pin_boundary(grid: ChartGrid, values: np.ndarray, phi: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class MetricField:
-    """Sampled Riemannian metric with precomputed inverse Cholesky factor and
-    connection coefficients.  `linv` holds L^{-1} for g = L L^T, and
-    `christoffel[..., kk, i, j]` holds Gamma^kk_ij."""
+    """Sampled Riemannian metric at the interior points, with its inverse
+    Cholesky factor and connection coefficients: `linv` holds L^{-1} for
+    g = L L^T, and `christoffel[:, kk, i, j]` holds Gamma^kk_ij."""
 
-    g: np.ndarray  # shape m + (n, n)
-    linv: np.ndarray
-    christoffel: np.ndarray  # shape m + (n, n, n)
+    g: np.ndarray  # (N, n, n)
+    linv: np.ndarray  # (N, n, n)
+    christoffel: np.ndarray  # (N, n, n, n)
     is_flat: bool = False
 
 
 def flat_metric(grid: ChartGrid) -> MetricField:
     """The Euclidean metric: g, linv and christoffel are read-only broadcast
-    views of one identity and one zero, not full-grid copies."""
-    n = grid.n
-    eye = np.broadcast_to(np.eye(n), grid.shape + (n, n))
-    zero = np.broadcast_to(0.0, grid.shape + (n, n, n))
+    views of one identity and one zero, not per-point copies."""
+    n, N = grid.n, grid.n_interior
+    eye = np.broadcast_to(np.eye(n), (N, n, n))
+    zero = np.broadcast_to(0.0, (N, n, n, n))
     return MetricField(g=eye, linv=eye, christoffel=zero, is_flat=True)
 
 
 def metric_from_field(grid: ChartGrid, g: np.ndarray) -> MetricField:
-    """Build a MetricField from a sampled metric array, keeping the Cholesky
-    factor of its SPD test as L^{-1}; a g that is not finite or SPD, or whose
-    Christoffel symbols are not finite, raises NotSPD."""
+    """A MetricField from a metric g sampled on the whole grid, m + (n, n): the
+    interior blocks of g, of L^{-1} for the Cholesky factor L of its SPD test
+    and of its Christoffel symbols.  A g that is not finite or SPD on the grid,
+    or whose Christoffel symbols are not finite there, raises NotSPD."""
     if not np.isfinite(g).all():  # Cholesky does not raise on NaN
         raise NotSPD("metric is not finite on the grid")
     g = 0.5 * g + 0.5 * np.swapaxes(g, -1, -2)  # 0.5 * (g + g^T) overflows near the largest float
@@ -157,6 +164,8 @@ def metric_from_field(grid: ChartGrid, g: np.ndarray) -> MetricField:
         gamma = christoffel_from_metric(g, grid)
     if not np.isfinite(gamma).all():
         raise NotSPD("metric's Christoffel symbols are not finite on the grid")
+    g, L, gamma = (a[grid.interior].reshape(grid.n_interior, *a.shape[grid.n:])
+                   for a in (g, L, gamma))
     return MetricField(g=g, linv=np.linalg.inv(L), christoffel=gamma, is_flat=False)
 
 
@@ -185,18 +194,18 @@ def interior_shift(u: np.ndarray, offset) -> np.ndarray:
 
 
 def gradient_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
-    """Centered first derivatives on interior points, shape interior + (n,)."""
+    """Centered first derivatives at the interior points, (N, n)."""
     n = grid.n
     h = grid.spacing
     E = np.eye(n, dtype=int)
     out = np.empty(grid.interior_shape + (n,))
     for d in range(n):
         out[..., d] = (interior_shift(u, E[d]) - interior_shift(u, -E[d])) / (2.0 * h[d])
-    return out
+    return out.reshape(-1, n)
 
 
 def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
-    """Plain (non-covariant) second derivatives on interior points."""
+    """Plain (non-covariant) second derivatives at the interior points, (N, n, n)."""
     n = grid.n
     h = grid.spacing
     E = np.eye(n, dtype=int)
@@ -215,53 +224,47 @@ def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
             ) / (4.0 * h[d] * h[e])
             out[..., d, e] = cross
             out[..., e, d] = cross
-    return out
+    return out.reshape(-1, n, n)
 
 
 def covariant_hessian(u: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:
-    """(nabla^2 u)_ij = d_ij u - Gamma^k_ij d_k u on interior points."""
+    """(nabla^2 u)_ij = d_ij u - Gamma^k_ij d_k u at the interior points, (N, n, n)."""
     H = hessian_centered(u, grid)
     if geo.is_flat:
         return H
-    du = gradient_centered(u, grid)
-    gamma_int = geo.christoffel[grid.interior]
-    return H - np.einsum("...kij,...k->...ij", gamma_int, du)
+    return H - np.einsum("...kij,...k->...ij", geo.christoffel, gradient_centered(u, grid))
 
 
 # ---------------------------------------------------------------------------
 # the metric in the discrete operator
 # ---------------------------------------------------------------------------
 
-def to_metric_frame(X: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:
-    """B = L^{-1} X L^{-T}, g = L L^T, of an interior field X of symmetric
-    (..., n, n) blocks: B has the eigenvalues of X v = lam g v.  Flat: X."""
+def to_metric_frame(X: np.ndarray, geo: MetricField) -> np.ndarray:
+    """B = L^{-1} X L^{-T}, g = L L^T, of a field X of symmetric (N, n, n)
+    blocks: B has the eigenvalues of X v = lam g v.  Flat: X."""
     if geo.is_flat:
         return X
-    Li = geo.linv[grid.interior].reshape(X.shape)
     # batched matmul runs about 3x slower on a transposed view than on a copy
-    return Li @ X @ np.swapaxes(Li, -1, -2).copy()
+    return geo.linv @ X @ np.swapaxes(geo.linv, -1, -2).copy()
 
 
-def derivative_to_chart(D: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:
-    """F = L^{-T} D L^{-1}, so that tr(D dB) = tr(F dX) for B = `to_metric_frame`
-    (X).  Flat: D."""
+def derivative_to_chart(D: np.ndarray, geo: MetricField) -> np.ndarray:
+    """F = L^{-T} D L^{-1} of a field D of (N, n, n) blocks, so that
+    tr(D dB) = tr(F dX) for B = `to_metric_frame` (X).  Flat: D."""
     if geo.is_flat:
         return D
-    Li = geo.linv[grid.interior].reshape(D.shape)
-    return np.swapaxes(Li, -1, -2).copy() @ D @ Li
+    return np.swapaxes(geo.linv, -1, -2).copy() @ D @ geo.linv
 
 
-def add_christoffel_term(c1: np.ndarray, F: np.ndarray, geo: MetricField, grid: ChartGrid):
+def add_christoffel_term(c1: np.ndarray, F: np.ndarray, geo: MetricField):
     """c1 - F^{ij} Gamma^k_{ij}, c1 (N, n), F (N, n, n): the chart first-order
     part of F^{ij} (nabla^2 v)_{ij} + c1_k d_k v.  Flat: c1."""
     if geo.is_flat:
         return c1
-    n = grid.n
-    gamma = geo.christoffel[grid.interior].reshape(-1, n, n, n)
-    return c1 - np.einsum("...ij,...kij->...k", F, gamma)
+    return c1 - np.einsum("...ij,...kij->...k", F, geo.christoffel)
 
 
-def eigen_wrt_metric_field(X: np.ndarray, geo: MetricField, grid: ChartGrid):
-    """Pencil eigenvalues (descending, shape X.shape[:-1]) of an interior
-    field X of symmetric blocks: those of `to_metric_frame` (X)."""
-    return np.linalg.eigvalsh(to_metric_frame(X, geo, grid))[..., ::-1]
+def eigen_wrt_metric_field(X: np.ndarray, geo: MetricField):
+    """Pencil eigenvalues (descending, (N, n)) of a field X of symmetric
+    (N, n, n) blocks: those of `to_metric_frame` (X)."""
+    return np.linalg.eigvalsh(to_metric_frame(X, geo))[..., ::-1]

@@ -187,7 +187,7 @@ def audit_inequalities(s: SolvedState, u_sub: np.ndarray, prob: Problem, certifi
     case1 = gap >= zeta0
     case2 = ~case1
 
-    Lv = operator_L(st, prob, u_sub - u).ravel()
+    Lv = operator_L(st, prob, u_sub - u)
     beta = st.beta
     hess_norm = float(np.abs(lam).max())
     tol = (c_audit or 10.0 * hess_norm) * h2

@@ -597,11 +597,10 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
     """
     n = grid.n
     # g^{ij} = L^{-T} L^{-1} is the derivative of tr B = tr(L^{-1} X L^{-T}) in X
-    ginv = derivative_to_chart(np.broadcast_to(np.eye(n), (grid.n_interior, n, n)), metric, grid)
-    c1 = add_christoffel_term(np.zeros((grid.n_interior, n)), ginv, metric, grid)
+    ginv = derivative_to_chart(np.broadcast_to(np.eye(n), (grid.n_interior, n, n)), metric)
+    c1 = add_christoffel_term(np.zeros((grid.n_interior, n)), ginv, metric)
     w = pin_boundary(grid, np.zeros(grid.shape), boundary_values)
-    b = -np.einsum("...ij,...ij->...", ginv,
-                   covariant_hessian(w, metric, grid).reshape(-1, n, n))
+    b = -np.einsum("...ij,...ij->...", ginv, covariant_hessian(w, metric, grid))
     A = assemble_operator(grid, ginv, c1, 0.0)
     v, _ = _linear_solve(A, _v_cycle(A, grid.interior_shape), b, LIFT_RTOL)
     return w + _on_grid(grid, v)

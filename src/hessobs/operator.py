@@ -145,14 +145,12 @@ class Problem:
     phi: np.ndarray  # boundary-data extension sampled on the grid
     subsolution: np.ndarray | None = None  # sampled subsolution
 
-    # interior points (N, n), metric blocks (N, n, n) and obstacle values (N,)
+    # interior points (N, n) and obstacle values (N,)
     x_interior: np.ndarray = field(init=False, repr=False)
-    g_interior: np.ndarray = field(init=False, repr=False)
     h_interior: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.x_interior = self.grid.interior_points().reshape(-1, self.grid.n)
-        self.g_interior = self.metric.g[self.grid.interior].reshape(-1, self.grid.n, self.grid.n)
+        self.x_interior = self.grid.interior_points()
         self.h_interior = self.h[self.grid.interior].ravel()
         if self.subsolution is not None:
             self.subsolution = pin_boundary(self.grid, self.subsolution, self.phi)
@@ -232,18 +230,17 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     fails the psi floor here, and a non-finite U the cone test of `ok`,
     which the callers read."""
     grid = prob.grid
-    n = grid.n
     z = u[grid.interior].ravel()
-    p = gradient_centered(u, grid).reshape(-1, n)
-    Hc = covariant_hessian(u, prob.metric, grid).reshape(-1, n, n)
+    p = gradient_centered(u, grid)
+    Hc = covariant_hessian(u, prob.metric, grid)
     s, psi = prob.coeff.at(prob.x_interior, z, p)
     if not psi.min() >= PSI_FLOOR:  # also a NaN psi
         raise PsiNotPositive(
             f"psi minimum {psi.min():.3e} not above floor {PSI_FLOOR}; the method requires psi > 0"
         )
-    U = Hc + s[:, None, None] * prob.g_interior
-    sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, to_metric_frame(U, prob.metric, grid))
-    Fij = derivative_to_chart(D, prob.metric, grid)
+    U = Hc + s[:, None, None] * prob.metric.g
+    sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, to_metric_frame(U, prob.metric))
+    Fij = derivative_to_chart(D, prob.metric)
     beta, dbeta = penalty(epsilon, z - prob.h_interior)
     return StateEval(z=z, p=p, hess_cov=Hc, U=U, Fij=Fij, fval=fval, ok=ok, sig=sig,
                      psi=psi, beta=beta, dbeta=dbeta, values=fval - psi - beta)
@@ -252,9 +249,9 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def spectrum(st: StateEval, prob: Problem):
     """Pencil eigenvalues lam of U (descending, (N, n)) and Df(lam), NaN
-    rows outside the cone, of an evaluated state, for the monitors; an
-    overflowing sigma_j gives a non-finite Df, not a numpy warning."""
-    lam = eigen_wrt_metric_field(st.U, prob.metric, prob.grid)
+    rows outside the cone, of an evaluated state, for the monitors; a
+    sigma_j that overflows puts its row outside, with no numpy warning."""
+    lam = eigen_wrt_metric_field(st.U, prob.metric)
     return lam, f_and_grad_masked(prob.fspec, lam, sigma_margins(prob.fspec, lam))[1]
 
 
@@ -276,7 +273,7 @@ def _first_order(st: StateEval, prob: Problem):
     admissible state, and F^{ij} g_{ij}."""
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid))
-    Fg = np.einsum("...ij,...ij->...", st.Fij, prob.g_interior)
+    Fg = np.einsum("...ij,...ij->...", st.Fij, prob.metric.g)
     s_p, psi_p = prob.coeff.at(prob.x_interior, st.z, st.p, wrt="p")
     return s_p * Fg[:, None] - psi_p, Fg
 
@@ -287,12 +284,11 @@ def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
     of that iterate (its epsilon enters through the penalty derivative it
     holds).  The covariant Hessian adds -F^{ij} Gamma^k_{ij} to the
     first-order stencil."""
-    grid = prob.grid
     c1, Fg = _first_order(state, prob)
     s_z, psi_z = prob.coeff.at(prob.x_interior, state.z, state.p, wrt="z")
     zero_order = s_z * Fg - psi_z - state.dbeta
-    c1 = add_christoffel_term(c1, state.Fij, prob.metric, grid)
-    return assemble_operator(grid, state.Fij, c1, zero_order)
+    c1 = add_christoffel_term(c1, state.Fij, prob.metric)
+    return assemble_operator(prob.grid, state.Fij, c1, zero_order)
 
 
 @functools.lru_cache(maxsize=8)
@@ -352,16 +348,13 @@ def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
 
         L v = F^{ij} (nabla^2 v)_{ij} + (s_{p_k} F^{ij} g_{ij} - psi_{p_k}) d_k v
 
-    (principal and first-order parts only, no zero-order term).  Returns an
-    interior-shaped field.
+    (principal and first-order parts only, no zero-order term) at the
+    interior points, shape (N,).
     """
-    grid = prob.grid
-    n = grid.n
     c1, _ = _first_order(state, prob)
-    Hv = covariant_hessian(v, prob.metric, grid).reshape(-1, n, n)
-    dv = gradient_centered(v, grid).reshape(-1, n)
-    out = np.einsum("...ij,...ij->...", state.Fij, Hv) + np.einsum("...k,...k->...", c1, dv)
-    return out.reshape(grid.interior_shape)
+    Hv = covariant_hessian(v, prob.metric, prob.grid)
+    dv = gradient_centered(v, prob.grid)
+    return np.einsum("...ij,...ij->...", state.Fij, Hv) + np.einsum("...k,...k->...", c1, dv)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ orders of magnitude.  `f_and_grad_of_matrix` evaluates f and its derivative
 on a batch of matrices through their Newton tensors, without eigenvalues:
 entrywise on the batch's (N,) columns, with no masked indexing.
 
-Every cone test in the sampling and decay code is one batched mask,
-`_inside`.  The samplers draw their private generator in a fixed order (see
+Every cone test, of matrices, eigenvalue fields and samples alike, applies
+one rule to the sigma margins, `_margin_ok`: each positive and finite.  The
+samplers draw their private generator in a fixed order (see
 `sample_cone_points`) and test the candidates in batches, so a seed names
 the same points whatever the batching.
 """
@@ -157,18 +158,23 @@ def sigma_margins(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
     return elementary_symmetric(lam, spec.k)[:, 1:]
 
 
+def _margin_ok(sig: np.ndarray) -> np.ndarray:
+    """The cone rule, entrywise on sigma margins: 0 < sigma_j < inf.  A NaN
+    margin, and one that overflowed to +inf, is outside."""
+    return (sig > 0.0) & (sig < np.inf)
+
+
 def _inside(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
-    """Strict membership of each row of the (N, n) batch lam in Gamma_k: all
-    sigma margins > 0 (False on NaN rows)."""
-    return np.all(sigma_margins(spec, lam) > 0.0, axis=1)
+    """Rows of the (N, n) batch lam inside Gamma_k: `_margin_ok` on every margin."""
+    return _margin_ok(sigma_margins(spec, lam)).all(axis=1)
 
 
 def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
-    """Raise OutsideCone unless every sigma_j, j <= k, is strictly positive on
-    every row of the (N, n) batch lam; the error names the first bad row and
-    its first failing j."""
+    """Raise OutsideCone unless every sigma_j, j <= k, of every row of the
+    (N, n) batch lam meets `_margin_ok`; the error names the first bad row
+    and its first failing j."""
     e = elementary_symmetric(lam, spec.k)
-    bad = e[:, 1:] <= 0.0
+    bad = ~_margin_ok(e[:, 1:])
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         raise OutsideCone(lam[i], e[i], int(np.argmax(bad[i])) + 1)
@@ -201,7 +207,7 @@ def f_and_grad_of_matrix(spec: SymmetricFunctionSpec, B: np.ndarray):
 
     and d sigma_j = tr(T_{j-1} dB) (Reilly, J. Differential Geom. 8, 1973),
     entrywise on the (N,) columns B[:, i, c]: no (N, n, n) temporary.  sig
-    holds sigma_1..sigma_k (N, k), ok marks the rows where all are positive.
+    holds sigma_1..sigma_k (N, k), ok marks the rows where all meet `_margin_ok`.
     f takes the log form of `_f_of_sigmas`, and D = f/(k-l) (T_{k-1}/sigma_k -
     T_{l-1}/sigma_l) is its derivative in the sense df = tr(D dB); both are
     computed on every row and are NaN on the rows outside the cone.
@@ -217,7 +223,7 @@ def f_and_grad_of_matrix(spec: SymmetricFunctionSpec, B: np.ndarray):
                 T.append({(i, c): e[:, j] - BT[i, c] if i == c else -BT[i, c] for i, c in ij})
                 BT = {(i, c): functools.reduce(np.add, [b[i, m] * T[j][m, c] for m in range(n)])
                       for i, c in ij if i == c or j + 1 < spec.k}
-        ok = np.all(e[:, 1:] > 0.0, axis=1)
+        ok = _margin_ok(e[:, 1:]).all(axis=1)
         f = np.where(ok, _f_of_sigmas(spec, e)[0], np.nan)
         fd, D = f / spec.degree, np.empty(B.shape)
         for i, c in ij:  # d log(sigma_k / sigma_l), scaled by f / (k - l)
@@ -267,7 +273,7 @@ def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndar
     The non-raising entry point for eigenvalue fields (`operator.spectrum`);
     callers must honor the mask.
     """
-    ok = np.all(sig > 0.0, axis=1)
+    ok = _margin_ok(sig).all(axis=1)
     f = np.full(lam.shape[0], np.nan)
     grad = np.full(lam.shape, np.nan)
     if np.any(ok):
@@ -380,8 +386,7 @@ class StructureReport:
     boundary_decay_ratios: list  # f_last/f_first per sampled boundary ray
     min_euler_bound: float  # min of sum f_i lam_i + K0 (1 + sum f_i)
     nu0_hat: float | None  # min f_j/(1+sum f_i) over samples with lam_j < 0
-    ladder_values: list  # f(2^s * 1), s = 0..40
-    ladder_monotone: bool
+    ladder_values: list  # f(2^s * 1), s = 0..40, strictly increasing
 
 
 def check_structure_conditions(
@@ -445,8 +450,7 @@ def check_structure_conditions(
         nu0 = None
 
     ladder = _f_batch(spec, np.ldexp(np.ones(spec.n), np.arange(41)[:, None]))[0].tolist()
-    monotone = all(b > a for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 1e9 * ladder[0]
-    if not monotone:
+    if not (all(b > a for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 1e9 * ladder[0]):
         raise StructureViolation("divergence of f(R*1)", 2.0**40 * np.ones(spec.n), "ladder not monotone divergent")
 
     return StructureReport(
@@ -457,7 +461,6 @@ def check_structure_conditions(
         min_euler_bound=min_euler,
         nu0_hat=nu0,
         ladder_values=ladder,
-        ladder_monotone=monotone,
     )
 
 

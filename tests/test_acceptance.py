@@ -135,7 +135,7 @@ def test_criterion_2_structure_suite():
             assert rep.max_hess_eig_scaled <= 1e-8
             assert rep.min_grad_component > 0.0
             assert rep.min_euler_bound >= 0.0
-            assert rep.ladder_monotone
+            assert all(b > a for a, b in zip(rep.ladder_values, rep.ladder_values[1:]))
 
 
 def test_criterion_3_theta_certificate():

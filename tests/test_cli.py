@@ -855,7 +855,7 @@ def test_verify_lemma_zeta_above_diameter_vacuous(small_cfg, tmp_path):
     {'psi = "1"': 'psi = "1e9"', 'u = "0.625*(x1^2+x2^2)"': "u = builtin"},  # NoAdmissibleStart
     # NotAdmissible from theta_certificate, the one check of a supplied subsolution
     {'u = "0.625*(x1^2+x2^2)"': 'u = "-0.625*(x1^2+x2^2)"'},
-    # g = e^{-600} I: the subsolution's sigma_2 overflows, its normals are NaN
+    # g = e^{-600} I: the subsolution's sigma_2 overflows to inf, outside the cone
     {"kind = flat": 'kind = conformal\n  phi = "-300"'},
 ], ids=["psi_not_positive", "no_admissible_start", "not_admissible", "nan_normals"])
 def test_verify_lemma_library_error_exit2(edits, tmp_path, capsys):
@@ -873,15 +873,21 @@ def test_verify_lemma_library_error_exit2(edits, tmp_path, capsys):
 
 def test_overflowing_subsolution_spectrum(tmp_path, capsys):
     # g = e^{-600} I is finite and SPD, but the subsolution's pencil
-    # eigenvalues are about 1e261, so sigma_2 overflows: the sweep fails at
-    # its first epsilon, check-structure reads no state, and verify-lemma
-    # refuses the NaN normals at a given zeta too, writing nothing
+    # eigenvalues are about 1e261, so sigma_2 overflows to inf, and a margin
+    # that is not finite is outside the cone: the sweep fails at its first
+    # epsilon on the subsolution itself on every grid, check-structure reads
+    # no state, and verify-lemma refuses the subsolution at a given zeta
+    # too, writing nothing
     cfg = tmp_path / "tiny_metric.cfg"
     cfg.write_text(bundled_config_text("ma_obstacle").replace(
         "kind = flat", 'kind = conformal\n  phi = "-300"'))
-    assert main(["sweep", str(cfg), "--out", str(tmp_path / "sweep"), "--quiet"]) == 2
-    report = json.loads((tmp_path / "sweep" / "report.json").read_text())
-    assert report["solver_failure"]["epsilon"] == 0.01
+    for m in ("21", "65"):
+        out = tmp_path / f"sweep_{m}"
+        assert main(["sweep", str(cfg), "--grid-m", m, "--audit", "off", "--out", str(out),
+                     "--quiet"]) == 2
+        failure = json.loads((out / "report.json").read_text())["solver_failure"]
+        assert (failure["error"], failure["epsilon"]) == ("NotAdmissible", 0.01)
+        assert f"at {(int(m) - 2) ** 2} interior points" in failure["message"]
     assert main(["check-structure", str(cfg), "--samples", "100", "--quiet"]) == 0
     capsys.readouterr()
     out = tmp_path / "vl"
@@ -889,7 +895,7 @@ def test_overflowing_subsolution_spectrum(tmp_path, capsys):
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("error: subsolution normals not finite")
+    assert captured.err.startswith("error: subsolution not admissible, cannot form the compact set")
     assert captured.err.count("\n") == 1
 
 

@@ -138,9 +138,8 @@ def test_conformal_metric_build():
     txt = MINIMAL + '\nmetric {\n  kind = conformal\n  phi = "0.3*x1"\n}\n'
     rs = build_runsetup(parse_config(txt))
     assert not rs.problem.metric.is_flat
-    g00 = rs.problem.metric.g[..., 0, 0]
-    pts = rs.problem.grid.points()
-    assert np.abs(g00 - np.exp(0.6 * pts[..., 0])).max() < 1e-12
+    g00 = rs.problem.metric.g[:, 0, 0]
+    assert np.abs(g00 - np.exp(0.6 * rs.problem.x_interior[:, 0])).max() < 1e-12
 
 
 def test_tabulated_metric_build(tmp_path):
@@ -151,7 +150,7 @@ def test_tabulated_metric_build(tmp_path):
     np.savetxt(f, rows)
     txt = MINIMAL + f'\nmetric {{\n  kind = tabulated\n  file = "{f}"\n}}\n'
     rs = build_runsetup(parse_config(txt))
-    assert np.abs(rs.problem.metric.g[3, 3] - np.array([[2.0, 0.1], [0.1, 1.0]])).max() < 1e-12
+    assert np.abs(rs.problem.metric.g - np.array([[2.0, 0.1], [0.1, 1.0]])).max() < 1e-12
 
 
 def test_kappa_zg_parse():

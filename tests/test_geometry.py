@@ -14,6 +14,7 @@ from hessobs.geometry import (
     eigen_wrt_metric_field,
     flat_metric,
     gradient_centered,
+    hessian_centered,
     metric_from_field,
     pin_boundary,
     to_metric_frame,
@@ -58,11 +59,11 @@ def test_christoffel_conformal_symbolic():
     # with phi = x1: Gamma^1_11 = 1, Gamma^1_22 = -1, Gamma^2_12 = 1, others 0.
     g = grid2(33)
     geo = metric_from_callable(g, lambda x: np.exp(2.0 * x[0]) * np.eye(2))
-    gam = geo.christoffel[g.interior]
-    assert np.abs(gam[..., 0, 0, 0] - 1.0).max() < 5e-3
-    assert np.abs(gam[..., 0, 1, 1] + 1.0).max() < 5e-3
-    assert np.abs(gam[..., 1, 0, 1] - 1.0).max() < 5e-3
-    assert np.abs(gam[..., 1, 1, 1]).max() < 5e-3
+    gam = geo.christoffel
+    assert np.abs(gam[:, 0, 0, 0] - 1.0).max() < 5e-3
+    assert np.abs(gam[:, 0, 1, 1] + 1.0).max() < 5e-3
+    assert np.abs(gam[:, 1, 0, 1] - 1.0).max() < 5e-3
+    assert np.abs(gam[:, 1, 1, 1]).max() < 5e-3
 
 
 def test_christoffel_symmetry_in_lower_indices():
@@ -79,8 +80,8 @@ def test_flat_metric_is_read_only_identity(n):
     g = ChartGrid.box((-1.0,) * n, (1.0,) * n, 5)
     geo = flat_metric(g)
     assert geo.is_flat
-    assert geo.g.shape == geo.linv.shape == g.shape + (n, n)
-    assert geo.christoffel.shape == g.shape + (n, n, n)
+    assert geo.g.shape == geo.linv.shape == (g.n_interior, n, n)
+    assert geo.christoffel.shape == (g.n_interior, n, n, n)
     assert np.array_equal(geo.g, np.broadcast_to(np.eye(n), geo.g.shape))
     assert np.array_equal(geo.linv, geo.g)
     assert not geo.christoffel.any()
@@ -171,28 +172,34 @@ def constant_field(grid, block):
     return np.broadcast_to(np.asarray(block, dtype=float), grid.shape + np.shape(block)).copy()
 
 
+def constant_blocks(grid, block):
+    return np.broadcast_to(np.asarray(block, dtype=float),
+                           (grid.n_interior,) + np.shape(block)).copy()
+
+
 def test_eigen_identity_metric():
     g = grid2(5)
-    X = constant_field(g, np.diag([3.0, 1.0]))[g.interior]
-    want = constant_field(g, [3.0, 1.0])[g.interior]
+    X = constant_blocks(g, np.diag([3.0, 1.0]))
+    want = constant_blocks(g, [3.0, 1.0])
     for geo in (flat_metric(g), metric_from_field(g, constant_field(g, np.eye(2)))):
-        assert np.array_equal(eigen_wrt_metric_field(X, geo, g), want)
+        assert np.array_equal(eigen_wrt_metric_field(X, geo), want)
 
 
 def test_eigen_diag_pencil():
     # det(X - lam g) = 0 with X = diag(4,2), g = diag(4,1): lam = {1, 2} descending
     g = grid2(5)
     geo = metric_from_field(g, constant_field(g, np.diag([4.0, 1.0])))
-    lam = eigen_wrt_metric_field(constant_field(g, np.diag([4.0, 2.0]))[g.interior], geo, g)
+    lam = eigen_wrt_metric_field(constant_blocks(g, np.diag([4.0, 2.0])), geo)
     assert np.abs(lam - np.array([2.0, 1.0])).max() < 1e-15
 
 
 def random_metric_and_field(n, m, seed):
-    """A sampled anisotropic SPD metric field and a random symmetric interior field."""
+    """A sampled anisotropic SPD metric on the grid and a random field of
+    symmetric (N, n, n) blocks."""
     grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, m)
     rng = np.random.default_rng(seed)
     A = rng.normal(size=grid.shape + (n, n))
-    X = rng.normal(size=grid.interior_shape + (n, n))
+    X = rng.normal(size=(grid.n_interior, n, n))
     return grid, A @ np.swapaxes(A, -1, -2) + 3.0 * np.eye(n), 0.5 * (X + np.swapaxes(X, -1, -2))
 
 
@@ -200,9 +207,8 @@ def random_metric_and_field(n, m, seed):
 def test_eigen_field_matches_scipy_eigh(n):
     grid, g, X = random_metric_and_field(n, 6, seed=n)
     geo = metric_from_field(grid, g)
-    lam = eigen_wrt_metric_field(X, geo, grid).reshape(-1, n)
-    Xs, gs = X.reshape(-1, n, n), geo.g[grid.interior].reshape(-1, n, n)
-    ref = np.array([scipy.linalg.eigh(x, b, eigvals_only=True)[::-1] for x, b in zip(Xs, gs)])
+    lam = eigen_wrt_metric_field(X, geo)
+    ref = np.array([scipy.linalg.eigh(x, b, eigvals_only=True)[::-1] for x, b in zip(X, geo.g)])
     assert np.all(np.diff(lam, axis=1) <= 0.0)
     assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -213,11 +219,11 @@ def test_derivative_to_chart_is_the_adjoint_of_to_metric_frame(n):
     grid, g, X = random_metric_and_field(n, 5, seed=10 + n)
     geo = metric_from_field(grid, g)
     D = np.random.default_rng(n).normal(size=X.shape)
-    lhs = np.einsum("...ij,...ji->...", D, to_metric_frame(X, geo, grid))
-    rhs = np.einsum("...ij,...ji->...", derivative_to_chart(D, geo, grid), X)
+    lhs = np.einsum("...ij,...ji->...", D, to_metric_frame(X, geo))
+    rhs = np.einsum("...ij,...ji->...", derivative_to_chart(D, geo), X)
     assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(lhs).max()
     flat = flat_metric(grid)
-    assert to_metric_frame(X, flat, grid) is X and derivative_to_chart(D, flat, grid) is D
+    assert to_metric_frame(X, flat) is X and derivative_to_chart(D, flat) is D
 
 
 def test_metric_field_not_spd_raises():
@@ -235,6 +241,15 @@ def test_metric_field_with_infinite_christoffel_raises():
 
 # -------------------------------------------------- the Christoffel term
 
+def anisotropic_metric(grid):
+    """A smooth SPD metric with nonzero off-diagonal entries and varying
+    eigenvalues, sampled on the whole grid."""
+    n, x = grid.n, grid.points()
+    g = np.eye(n) * (1.0 + 0.3 * x[..., :1, None] ** 2) + 0.1 * np.sin(
+        x[..., :, None] + 2.0 * x[..., None, :])
+    return 0.5 * g + 0.5 * np.swapaxes(g, -1, -2)
+
+
 def looped_christoffel(g, grid):
     """The bracket d_i g_jl + d_j g_il - d_l g_ij index by index."""
     n = grid.n
@@ -251,10 +266,7 @@ def looped_christoffel(g, grid):
 @pytest.mark.parametrize("n", [2, 3])
 def test_christoffel_bracket_by_axes_equals_the_loop(n):
     grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, 7)
-    x = grid.points()
-    g = np.eye(n) * (1.0 + 0.3 * x[..., :1, None] ** 2) + 0.1 * np.sin(
-        x[..., :, None] + 2.0 * x[..., None, :])
-    g = 0.5 * g + 0.5 * np.swapaxes(g, -1, -2)
+    g = anisotropic_metric(grid)
     assert np.array_equal(christoffel_from_metric(g, grid), looped_christoffel(g, grid))
 
 
@@ -266,5 +278,77 @@ def test_christoffel_term():
     A = np.random.default_rng(0).normal(size=(g.n_interior, 2, 2))
     F, c1 = A + np.swapaxes(A, 1, 2), np.ones((g.n_interior, 2))
     want = c1 + np.stack([F[:, 1, 1] - F[:, 0, 0], -2.0 * F[:, 0, 1]], axis=1)
-    assert np.abs(add_christoffel_term(c1, F, geo, g) - want).max() < 5e-3 * np.abs(F).max()
-    assert add_christoffel_term(c1, F, flat_metric(g), g) is c1
+    assert np.abs(add_christoffel_term(c1, F, geo) - want).max() < 5e-3 * np.abs(F).max()
+    assert add_christoffel_term(c1, F, flat_metric(g)) is c1
+
+
+# -------------------------------------------------- the per-point layout
+
+def at_index(grid, i):
+    """The full-grid multi-index of row i of a per-point block."""
+    return tuple(int(j) + 1 for j in np.unravel_index(i, grid.interior_shape))
+
+
+@pytest.mark.parametrize("n, m", [(2, (6, 9)), (3, (5, 6, 4))])
+def test_per_point_outputs_are_blocks_in_interior_ravel_order(n, m):
+    grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, m)
+    N, h = grid.n_interior, grid.spacing
+    u = np.random.default_rng(n).normal(size=grid.shape)
+    x = grid.interior_points()
+    du = gradient_centered(u, grid)
+    H = hessian_centered(u, grid)
+    assert x.shape == du.shape == (N, n) and H.shape == (N, n, n)
+    pts = grid.points()
+    assert np.array_equal(x[:, 0], pts[..., 0][grid.interior].ravel())
+    assert np.array_equal(u[grid.interior].ravel(), [u[at_index(grid, i)] for i in range(N)])
+    for i in (0, 1, N // 2, N - 1):
+        c = at_index(grid, i)
+        assert np.array_equal(x[i], pts[c])
+        for d in range(n):
+            up, dn = list(c), list(c)
+            up[d] += 1
+            dn[d] -= 1
+            assert du[i, d] == (u[tuple(up)] - u[tuple(dn)]) / (2.0 * h[d])
+            assert H[i, d, d] == (u[tuple(up)] - 2.0 * u[c] + u[tuple(dn)]) / h[d] ** 2
+    assert covariant_hessian(u, flat_metric(grid), grid).shape == (N, n, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_metric_arrays_are_interior_blocks(n):
+    grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, 6)
+    N = grid.n_interior
+    g = anisotropic_metric(grid)
+    for geo in (flat_metric(grid), metric_from_field(grid, g)):
+        assert geo.g.shape == geo.linv.shape == (N, n, n)
+        assert geo.christoffel.shape == (N, n, n, n)
+    geo = metric_from_field(grid, g)
+    assert np.array_equal(geo.g, g[grid.interior].reshape(-1, n, n))
+    assert np.abs(geo.linv @ geo.g @ np.swapaxes(geo.linv, -1, -2) - np.eye(n)).max() < 1e-14
+    for arr in (geo.g, geo.linv, geo.christoffel):
+        assert arr.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n, m", [(2, 13), (3, 7)])
+def test_curved_metric_products_equal_the_full_grid_reference_bit_for_bit(n, m):
+    # the blocks give the numbers the full-grid arrays, sliced to the
+    # interior at each call, gave
+    grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, m)
+    g = anisotropic_metric(grid)
+    geo = metric_from_field(grid, g)
+    gamma = christoffel_from_metric(g, grid)[grid.interior]  # interior-grid view
+    Li = np.linalg.inv(np.linalg.cholesky(g))[grid.interior].reshape(-1, n, n)
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=grid.shape)
+    shape = grid.interior_shape
+    H = hessian_centered(u, grid).reshape(shape + (n, n))
+    du = gradient_centered(u, grid).reshape(shape + (n,))
+    cov = (H - np.einsum("...kij,...k->...ij", gamma, du)).reshape(-1, n, n)
+    assert np.array_equal(covariant_hessian(u, geo, grid), cov)
+    X = rng.normal(size=(grid.n_interior, n, n))
+    X = X + np.swapaxes(X, -1, -2)
+    LiT = np.swapaxes(Li, -1, -2).copy()
+    assert np.array_equal(to_metric_frame(X, geo), Li @ X @ LiT)
+    assert np.array_equal(derivative_to_chart(X, geo), LiT @ X @ Li)
+    c1 = rng.normal(size=(grid.n_interior, n))
+    want = c1 - np.einsum("...ij,...kij->...k", X, gamma.reshape(-1, n, n, n))
+    assert np.array_equal(add_christoffel_term(c1, X, geo), want)
