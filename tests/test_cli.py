@@ -215,6 +215,19 @@ PINNED_BUNDLES = {
         "u_eps_1e-05.txt": "3677ac3e0d6d297691ea53a2e42fd6d3c92104e4bb3ec8058adf642933773a26",
         "u_eps_1e-06.txt": "9921b4ed02f140bb228da1e90f362142b5542f3b164e27d9146196a98a8c73f9",
     }),
+    # a sigma_2 audit whose subsolution has a non-constant Hessian, so K has
+    # many rows and the per-state theta scan forms pairs
+    "ma_manufactured_m25_audited": (bundled_config_text("ma_manufactured"), ["--grid-m", "25"], {
+        "contact_cells.csv": "3a79fb6ab7326ef47b64f57ba085b68269ed31addfff6c24f50d04c739e8c78c",
+        "norms_vs_eps.csv": "d064a59548f332f0fa1c7d781b944556d9746b614225bcf8ef6972907490a176",
+        "report.json": "0a9ef559cbe7cb9044aef2aab06cfa3e87d73eb704d57943f2e336720ff5217c",
+        "residual_history.csv": "1cf99acf2f56ed4c17915458127227d14e18575dca866e857ffef5d34ebc2f99",
+        "u_eps_1e-02.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
+        "u_eps_1e-03.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
+        "u_eps_1e-04.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
+        "u_eps_1e-05.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
+        "u_eps_1e-06.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
+    }),
 }
 
 
