@@ -93,6 +93,12 @@ class ChartGrid:
     def n_interior(self) -> int:
         return math.prod(self.interior_shape)
 
+    def interior_indices(self, flags: np.ndarray) -> list:
+        """Interior multi-indices (1-based) of the flagged entries of an (N,)
+        block over the interior points."""
+        return [tuple(int(v) + 1 for v in row)
+                for row in np.argwhere(flags.reshape(self.interior_shape))]
+
     def axes(self):
         return [np.linspace(l, h, mi) for l, h, mi in zip(self.lo, self.hi, self.m)]
 

@@ -119,15 +119,20 @@ def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed
     u_sub does not depend on epsilon, so its state is evaluated at
     PROBE_EPSILON.
 
-    An inadmissible subsolution raises NotAdmissible naming its points;
-    normals that are not finite and a zeta not above 0 raise MonitorError."""
+    An inadmissible subsolution raises NotAdmissible naming its points.
+    Its spectrum is tested once more, by the cone rule on the pencil
+    eigenvalues, and rows outside by that rule alone have no normal: they
+    raise MonitorError naming their points, as does a zeta not above 0."""
     st = evaluate_state(u_sub, prob, PROBE_EPSILON)
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "subsolution not admissible, cannot form the compact set")
     K, nu_mu, zeta0 = compact_set(*spectrum(st, prob))
     if not np.isfinite(nu_mu).all():
-        raise MonitorError("subsolution normals not finite: sigma_k overflows on its spectrum")
+        points = prob.grid.interior_indices(~np.isfinite(nu_mu).all(axis=1))
+        raise MonitorError(
+            "subsolution eigenvalues outside the cone, though its Newton tensors are inside, "
+            f"at {len(points)} interior points (first: {points[:3]})")
     zeta = zeta0 if zeta is None else zeta
     if not zeta > 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
@@ -166,9 +171,11 @@ def audit_inequalities(s: SolvedState, u_sub: np.ndarray, prob: Problem, certifi
     depends on epsilon.  theta_hat is the minimum over the cloud together
     with the audited state's own eigenvalue field, which keeps the
     certificate coherent with the per-point audit; it is halved to keep
-    sampling optimism out of the pass/fail line.  fprime_worst records the
-    diagonal bound with its sharp per-point constant min_i nu_i(lam)/sqrt(n)
-    instead of zeta0/sqrt(n); for linear f this slack is identically zero.
+    sampling optimism out of the pass/fail line.  The state's rows are
+    scanned for theta_hat alone, with the Df(lam) the SolvedState holds.
+    fprime_worst records the diagonal bound with its sharp per-point
+    constant min_i nu_i(lam)/sqrt(n) instead of zeta0/sqrt(n); for linear f
+    this slack is identically zero.
     c_audit = 0 selects the audit band 10 * hess_norm * h^2.
     """
     n = prob.grid.n
@@ -179,7 +186,7 @@ def audit_inequalities(s: SolvedState, u_sub: np.ndarray, prob: Problem, certifi
     nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
     sum_fi = fg.sum(axis=1)
 
-    own_theta = estimate_theta(prob.fspec, K, zeta0, lam).theta_hat
+    own_theta = estimate_theta(prob.fspec, K, zeta0, lam, fg, all_pairs=False).theta_hat
     thetas = [t for t in (cloud.theta_hat, own_theta) if t is not None]  # None = vacuous
     theta_hat = min(thetas) if thetas else None
 

@@ -219,8 +219,7 @@ class StateEval:
 
     def flagged_points(self, grid: ChartGrid) -> list:
         """Interior multi-indices (1-based) of the points outside the cone."""
-        bad = np.argwhere(~self.ok.reshape(grid.interior_shape))
-        return [tuple(int(v) + 1 for v in row) for row in bad]
+        return grid.interior_indices(~self.ok)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")

@@ -23,7 +23,11 @@ Every cone test, of matrices, eigenvalue fields and samples alike, applies
 one rule to the sigma margins, `_margin_ok`: each positive and finite.  The
 samplers draw their private generator in a fixed order (see
 `sample_cone_points`) and test the candidates in batches, so a seed names
-the same points whatever the batching.
+the same points whatever the batching: the boundary phase, the last to
+draw, may draw past its last accepted ray, and its points are still the
+first inside ones in draw order.  `estimate_theta` skips the rows whose
+normal cannot lie zeta from any normal of K and settles most normal gaps
+in Gram form, with the all-pairs scan's numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ __all__ = [
 SAMPLE_RMIN = 1e-3
 SAMPLE_RMAX = 1e3
 BOUNDARY_FRACTION = 0.1
+# the boundary phase draws this many rays per missing point in one batch, so
+# that it rarely needs a second
+PUSH_OVERDRAW = 3
 # exit search: the ray is followed up to EXIT_T_CAP * (1 + |base|), then
 # the crossing is bisected EXIT_BISECTIONS times
 EXIT_T_CAP = 50.0
@@ -63,6 +70,11 @@ DECAY_HALVINGS = 40
 # theta certificate: a bracket below -THETA_ZERO_GUARD * (1 + |f(lam)| + |f(mu)|)
 # counts as a violation of the plain concavity inequality
 THETA_ZERO_GUARD = 1e-10
+# normal gaps: an absolute margin on the gap of two unit normals (at most 2)
+# and on its square (at most 4), far above their round-off (about 1e-15)
+GAP_ROUNDOFF = 1e-9
+# pairs per block of the theta scan's elementwise work, sized to stay in cache
+PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,8 +119,8 @@ class ThetaCertificate:
     zeta: float
     sample_count: int
     pair_count: int
-    violations_at_zero: int
-    min_bracket: float
+    violations_at_zero: int | None  # None when the scan read theta_hat only
+    min_bracket: float | None
 
     @property
     def vacuous(self) -> bool:
@@ -296,33 +308,40 @@ def sample_cone_points(spec: SymmetricFunctionSpec, count: int, seed: int) -> np
 
     Draw order: a private generator seeded with `seed` gives each bulk
     candidate n normals, a uniform (orthant or not) and a uniform (radius),
-    then each exit ray an integer (its bulk base) and n normals.  Candidates
-    are tested in batches no larger than the number still missing, and the
-    accepted ones are kept in draw order, so the points do not depend on
+    then each exit ray an integer (its bulk base) and n normals.  Bulk
+    candidates are tested in batches no larger than the number still
+    missing, so the bulk phase stops drawing at its last accepted candidate.
+    Nothing draws after the boundary phase, so it draws PUSH_OVERDRAW times
+    the rays it needs in one batch and may draw past its last accepted ray.
+    Either way the points are the first inside ones in draw order, whatever
     the batching.
     """
     rng = np.random.default_rng(seed)
+    normal, uniform = rng.standard_normal, rng.random
     n_boundary = int(count * BOUNDARY_FRACTION)
     n_bulk = count - n_boundary
+    ratio = SAMPLE_RMAX / SAMPLE_RMIN
 
     def bulk(size):
-        lam = np.empty((size, spec.n))
-        for row in lam:
-            d = rng.standard_normal(spec.n)
-            if rng.random() < 0.5:
-                d = np.abs(d) + 1e-3
-            radius = SAMPLE_RMIN * (SAMPLE_RMAX / SAMPLE_RMIN) ** rng.random()
-            row[:] = radius * (d / np.linalg.norm(d))
-        return lam
+        # only the draws run per candidate; the radius power stays a scalar op
+        d = np.empty((size, spec.n))
+        orthant, radius = [], []
+        for row in d:
+            normal(out=row)
+            orthant.append(uniform() < 0.5)
+            radius.append(SAMPLE_RMIN * ratio ** uniform())
+        d[orthant] = np.abs(d[orthant]) + 1e-3
+        return np.array(radius)[:, None] * (d / _norms(d)[:, None])
 
     pts = _first_inside(spec, n_bulk, bulk)
 
     def pushed(size):
-        base = np.empty((size, spec.n))
-        d = np.empty((size, spec.n))
-        for i in range(size):
-            base[i] = pts[rng.integers(0, n_bulk)]
-            d[i] = rng.standard_normal(spec.n)
+        d = np.empty((PUSH_OVERDRAW * size, spec.n))
+        picks = []
+        for row in d:
+            picks.append(rng.integers(0, n_bulk))
+            normal(out=row)
+        base = pts[picks]
         d /= _norms(d)[:, None]
         return base + 0.999 * _exit_parameters(spec, base, d)[:, None] * d
 
@@ -337,7 +356,8 @@ def _norms(x):
 
 def _first_inside(spec, count, draw):
     """The first `count` rows inside Gamma_k, in draw order, of batches
-    draw(size) each as large as the number of rows still missing."""
+    draw(missing), where missing is the number of rows still missing; a
+    batch may hold more rows than that."""
     pts = np.empty((0, spec.n))
     drawn = 0
     while len(pts) < count:
@@ -346,15 +366,17 @@ def _first_inside(spec, count, draw):
         lam = draw(count - len(pts))
         drawn += len(lam)
         pts = np.concatenate([pts, lam[_inside(spec, lam)]])
-    return pts
+    return pts[:count]
 
 
 def _exit_parameters(spec, base, d):
     """Smallest t with base + t*d outside Gamma_k for each row d of an (N, n)
     batch of rays from one base or one base per row; NaN where the ray
     stays inside up to EXIT_T_CAP * (1 + |base|).  t doubles from
-    1e-3 * (1 + |base|) to the first point outside, then EXIT_BISECTIONS
-    bisections of [0, t] close in on the crossing."""
+    1e-3 * (1 + |base|) to the first point outside, then at most
+    EXIT_BISECTIONS bisections of [0, t] close in on the crossing; they stop
+    at the fixed point, once a bisection moves no bracket end (a NaN end
+    stays NaN), since every later one would repeat it."""
     base = np.broadcast_to(base, d.shape)
     scale = EXIT_T_CAP * (1.0 + _norms(base))
     t = 1e-3 * scale / EXIT_T_CAP
@@ -369,8 +391,10 @@ def _exit_parameters(spec, base, d):
     for _ in range(EXIT_BISECTIONS):
         mid = 0.5 * (t_lo + t_hi)
         inside = _inside(spec, base + mid[:, None] * d)
-        t_lo = np.where(inside, mid, t_lo)
-        t_hi = np.where(inside, t_hi, mid)
+        lo, hi = np.where(inside, mid, t_lo), np.where(inside, t_hi, mid)
+        if np.array_equal(lo, t_lo) and np.array_equal(hi, t_hi, equal_nan=True):
+            break
+        t_lo, t_hi = lo, hi
     return t_hi
 
 
@@ -524,6 +548,8 @@ def estimate_theta(
     K_samples: np.ndarray,
     zeta: float,
     lambda_samples: np.ndarray,
+    grad: np.ndarray | None = None,
+    all_pairs: bool = True,
 ) -> ThetaCertificate:
     """Sampled minimum of the normalized supporting-hyperplane excess.
 
@@ -536,6 +562,16 @@ def estimate_theta(
     premise.  Every pair, gap or not, is also checked against the plain
     concavity inequality (the bracket must be >= 0 up to round-off); failures
     are counted in `violations_at_zero` and indicate an implementation bug.
+
+    Rows that cannot meet the gap are skipped: with c the mean of the nu_mu
+    and R = max_j |nu_mu_j - c|, the triangle inequality bounds every gap of
+    a row by |nu_lam - c| + R, so a row whose bound is below zeta by more
+    than GAP_ROUNDOFF forms no pair.  `_gap_mask` decides the gaps of the
+    others.  With all_pairs=False the scan forms brackets for those others
+    only, and no pair matrix when there are none, and returns theta_hat and
+    pair_count alone (violations_at_zero and min_bracket are None).  `grad`
+    may hold Df of the lambda rows, as `f_and_grad_masked` gives it, in
+    place of recomputing it.
     """
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")
@@ -544,11 +580,19 @@ def estimate_theta(
     _require_inside(spec, K)
     _require_inside(spec, lams)
 
-    f_lam, g_lam = _grad_batch(spec, lams)
+    f_lam, g_lam = _grad_batch(spec, lams) if grad is None else (_f_batch(spec, lams)[0], grad)
     f_mu, g_mu = _grad_batch(spec, K)
     nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
     nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
     denom = 1.0 + g_lam.sum(axis=1)
+    lam_dot = np.einsum("ij,ij->i", g_lam, lams)
+
+    centre = nu_mu.mean(axis=0)
+    reach = np.linalg.norm(nu_lam - centre, axis=1) + np.linalg.norm(nu_mu - centre, axis=1).max()
+    near = reach >= zeta - GAP_ROUNDOFF
+    rows = np.arange(len(lams)) if all_pairs else np.flatnonzero(near)
+    if not (all_pairs or len(rows)):
+        return ThetaCertificate(None, zeta, lams.shape[0], 0, None, None)
 
     theta = np.inf
     worst = None
@@ -558,25 +602,37 @@ def estimate_theta(
     # chunk over K to bound the pair matrices
     chunk = max(1, int(2e6 / max(1, lams.shape[0])))
     for s in range(0, K.shape[0], chunk):
-        mu_blk = K[s : s + chunk]
-        # bracket[t, j] for lam_t, mu_j
-        bracket = g_lam @ mu_blk.T - np.einsum("ij,ij->i", g_lam, lams)[:, None] \
-            - f_mu[s : s + chunk][None, :] + f_lam[:, None]
-        scale = 1.0 + np.abs(f_lam)[:, None] + np.abs(f_mu[s : s + chunk])[None, :]
-        violations += int(np.count_nonzero(bracket < -THETA_ZERO_GUARD * scale))
-        min_bracket = min(min_bracket, float(bracket.min()))
-        # |nu_lam - nu_mu| one axis at a time, without an (N, M, n) difference array
-        gaps = np.sqrt(sum((nu_lam[:, i, None] - nu_mu[None, s : s + chunk, i]) ** 2
-                           for i in range(K.shape[1])))
-        mask = gaps >= zeta
-        pair_count += int(np.count_nonzero(mask))
-        if np.any(mask):
-            ratios = np.where(mask, bracket / denom[:, None], np.inf)
-            idx = np.unravel_index(np.argmin(ratios), ratios.shape)
-            if ratios[idx] < theta:
-                theta = float(ratios[idx])
-                worst = (mu_blk[idx[1]].copy(), lams[idx[0]].copy())
+        blk = slice(s, s + chunk)
+        # the product runs over every lambda row, since BLAS rounds an entry
+        # differently with the matrix shape; the rest runs on row blocks
+        # that stay in cache
+        product = g_lam @ K[blk].T
+        step = max(1, PAIR_BLOCK // product.shape[1])
+        for r in range(0, len(rows), step):
+            t = rows[r : r + step]
+            # bracket[t, j] for lam_t, mu_j
+            bracket = product[t]
+            bracket -= lam_dot[t, None]
+            bracket -= f_mu[None, blk]
+            bracket += f_lam[t, None]
+            if all_pairs:
+                scale = 1.0 + np.abs(f_lam[t])[:, None] + np.abs(f_mu[blk])[None, :]
+                violations += int(np.count_nonzero(bracket < -THETA_ZERO_GUARD * scale))
+                min_bracket = min(min_bracket, float(bracket.min()))
+            if not near[t].any():
+                continue
+            mask = _gap_mask(nu_lam[t], nu_mu[blk], zeta)
+            pair_count += int(np.count_nonzero(mask))
+            ratios = np.divide(bracket, denom[t, None], out=bracket, where=mask)
+            low = float(np.min(ratios, where=mask, initial=np.inf))
+            if low < theta:
+                theta = low
+                if low <= 0.0:  # the witness of a violated lemma
+                    idx = np.unravel_index(np.argmin(np.where(mask, ratios, np.inf)), ratios.shape)
+                    worst = (K[blk][idx[1]].copy(), lams[t[idx[0]]].copy())
 
+    if not all_pairs:
+        violations = min_bracket = None
     if pair_count == 0:
         return ThetaCertificate(None, zeta, lams.shape[0], 0, violations, min_bracket)
     if theta <= 0.0:
@@ -586,3 +642,21 @@ def estimate_theta(
             f"theta_hat = {theta:.3e} <= 0 despite normal gap >= {zeta}",
         )
     return ThetaCertificate(theta, zeta, lams.shape[0], pair_count, violations, min_bracket)
+
+
+def _gap_mask(nu_a: np.ndarray, nu_b: np.ndarray, zeta: float) -> np.ndarray:
+    """|nu_a_t - nu_b_j| >= zeta for every pair of rows, decided as the
+    per-axis expression sqrt(sum_i (a_i - b_i)^2) decides it.  The Gram form
+    |a|^2 + |b|^2 - 2 a.b settles the pairs whose squared gap is more than
+    GAP_ROUNDOFF from zeta^2; the rest are recomputed by that expression."""
+    d2 = (-2.0 * nu_a) @ nu_b.T
+    d2 += (np.einsum("ij,ij->i", nu_a, nu_a) - zeta * zeta)[:, None]
+    d2 += np.einsum("ij,ij->i", nu_b, nu_b)[None, :]
+    mask = d2 >= GAP_ROUNDOFF
+    unsure = d2 > -GAP_ROUNDOFF
+    unsure ^= mask
+    if unsure.any():
+        t, j = np.nonzero(unsure)
+        exact = np.sqrt(sum((nu_a[t, i] - nu_b[j, i]) ** 2 for i in range(nu_a.shape[1])))
+        mask[t, j] = exact >= zeta
+    return mask

@@ -9,7 +9,9 @@ them, so they live here and not in the package.
 - a coefficient field from the text of psi and an A mode, a metric sampled
   from a per-point callback, and the reader of a grid dump;
 - f, Df and D^2 f at one eigenvalue tuple, over the batched symmetric-function
-  code.
+  code;
+- the all-pairs theta scan that `estimate_theta`'s row filter and Gram-form
+  gaps must reproduce.
 
 The radial construction: inside r <= a the solution coincides with the
 obstacle branch h0 + (psi0 + force)/4 * r^2 (so the trace operator exceeds
@@ -30,7 +32,8 @@ from hessobs.expressions import parse_expression
 from hessobs.geometry import ChartGrid, MetricField, metric_from_field
 from hessobs.monitors import ContactSet
 from hessobs.operator import CoefficientField, a_scalar_text
-from hessobs.symfunc import SymmetricFunctionSpec, _f_batch, _grad_batch, _hess_batch
+from hessobs.symfunc import (THETA_ZERO_GUARD, SymmetricFunctionSpec, ThetaCertificate, _f_batch,
+                             _grad_batch, _hess_batch)
 
 # ---------------------------------------------------------------------------
 # the radial obstacle problem in closed form
@@ -211,3 +214,39 @@ def grad_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
 
 def hess_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
     return _hess_batch(spec, np.asarray(lam, dtype=float)[None, :])[0]
+
+
+# ---------------------------------------------------------------------------
+# the all-pairs theta scan
+# ---------------------------------------------------------------------------
+
+def estimate_theta_reference(spec: SymmetricFunctionSpec, K_samples, zeta: float,
+                             lambda_samples) -> ThetaCertificate:
+    """`estimate_theta` as one pass over every (lam, mu) pair: brackets and
+    per-axis normal gaps of all pairs, chunked over K, with no row filter
+    and no Gram form.  The package's scan must match it bit for bit."""
+    K = np.atleast_2d(np.asarray(K_samples, dtype=float))
+    lams = np.atleast_2d(np.asarray(lambda_samples, dtype=float))
+    f_lam, g_lam = _grad_batch(spec, lams)
+    f_mu, g_mu = _grad_batch(spec, K)
+    nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
+    nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
+    denom = 1.0 + g_lam.sum(axis=1)
+
+    theta, pair_count, violations, min_bracket = np.inf, 0, 0, np.inf
+    chunk = max(1, int(2e6 / max(1, lams.shape[0])))
+    for s in range(0, K.shape[0], chunk):
+        mu_blk = K[s : s + chunk]
+        bracket = g_lam @ mu_blk.T - np.einsum("ij,ij->i", g_lam, lams)[:, None] \
+            - f_mu[s : s + chunk][None, :] + f_lam[:, None]
+        scale = 1.0 + np.abs(f_lam)[:, None] + np.abs(f_mu[s : s + chunk])[None, :]
+        violations += int(np.count_nonzero(bracket < -THETA_ZERO_GUARD * scale))
+        min_bracket = min(min_bracket, float(bracket.min()))
+        gaps = np.sqrt(sum((nu_lam[:, i, None] - nu_mu[None, s : s + chunk, i]) ** 2
+                           for i in range(K.shape[1])))
+        mask = gaps >= zeta
+        pair_count += int(np.count_nonzero(mask))
+        if np.any(mask):
+            theta = min(theta, float(np.where(mask, bracket / denom[:, None], np.inf).min()))
+    return ThetaCertificate(theta if pair_count else None, zeta, lams.shape[0], pair_count,
+                            violations, min_bracket)

@@ -144,8 +144,8 @@ def test_audit_theta_cloud_certified_once(solved_ma, monkeypatch):
     calls = []
     estimate = monitors.estimate_theta
     monkeypatch.setattr(monitors, "estimate_theta",
-                        lambda spec, K, zeta, lams: calls.append(lams)
-                        or estimate(spec, K, zeta, lams))
+                        lambda spec, K, zeta, lams, *a, **kw: calls.append(lams)
+                        or estimate(spec, K, zeta, lams, *a, **kw))
     certificate = theta_certificate(prob.subsolution, prob, 500, 3)
     audits = [audit_inequalities(solved_state(u, prob, e), prob.subsolution, prob, certificate,
                                  0.0)
@@ -255,3 +255,44 @@ def test_compact_set_does_not_depend_on_epsilon(name):
     for eps in (1e-2, 0.5):
         K_e, nu_e, zeta0_e = compact_set(*spectrum(evaluate_state(u_sub, prob, eps), prob))
         assert np.array_equal(K_e, K) and np.array_equal(nu_e, nu) and zeta0_e == zeta0
+
+
+def test_sigma1_audit_forms_no_pair_matrix():
+    # k = 1: every normal is (1, ..., 1)/sqrt(n), so no row can meet the gap
+    # and the per-state scan skips them all before it forms any pair matrix
+    import tracemalloc
+
+    prob = build_runsetup(parse_config(bundled_config_text("laplacian_obstacle_strong"))).problem
+    certificate = theta_certificate(prob.subsolution, prob, 100, 42)
+    s = solved_state(prob.subsolution, prob, 1e-2)
+    pair_bytes = 8 * min(len(s.lam) * len(certificate[0]), 2_000_000)
+    assert pair_bytes > 4_000_000
+    tracemalloc.start()
+    try:
+        aud = audit_inequalities(s, prob.subsolution, prob, certificate, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aud.theta_hat is None and aud.case1_points == 0
+    assert peak < pair_bytes / 4
+
+
+def test_nonfinite_subsolution_normals_name_the_points(monkeypatch):
+    # rows the Newton-tensor rule admitted but the eigenvalue cone rule of
+    # `spectrum` rejects have NaN normals; the error names their points
+    import hessobs.monitors as monitors
+
+    prob = paraboloid_ceiling_problem(m=9)
+    real = monitors.spectrum
+
+    def one_row_out(st, prob):
+        lam, fg = real(st, prob)
+        fg = fg.copy()
+        fg[10] = np.nan  # interior point (2, 4) of the 7 x 7 block
+        return lam, fg
+
+    monkeypatch.setattr(monitors, "spectrum", one_row_out)
+    with pytest.raises(MonitorError) as exc:
+        theta_certificate(prob.subsolution, prob, 10, 0)
+    assert str(exc.value) == ("subsolution eigenvalues outside the cone, though its Newton "
+                              "tensors are inside, at 1 interior points (first: [(2, 4)])")

@@ -23,7 +23,7 @@ from hessobs.symfunc import (
     sample_cone_points,
     sigma_margins,
 )
-from oracles import eval_f, grad_f, hess_f
+from oracles import estimate_theta_reference, eval_f, grad_f, hess_f
 
 def cone_tolerances(spec, lam):
     """Per-sigma round-off band 1e-12 * (1 + |lam|)^j for j = 1..k: sigma_j
@@ -389,18 +389,28 @@ def test_boundary_decay_ratios_are_pinned(spec, ratios):
     assert check_structure_conditions(spec, 3000, 0).boundary_decay_ratios == ratios
 
 
-def test_cone_tests_are_batched(monkeypatch):
-    # one sigma_margins call per batch, not per candidate: the sampler and the
-    # structure suite each took over 10,000 calls when they tested row by row
+@pytest.mark.parametrize("spec", [*SPECS[:2], SymmetricFunctionSpec(3, 2)], ids=str)
+@pytest.mark.parametrize("count", [1000, 10_000])
+def test_cone_tests_are_batched(spec, count, monkeypatch):
+    # one sigma_margins call per batch, not per candidate, one batch of exit
+    # rays, and bisections that stop at their fixed point: at most 94 calls
+    # per sample here
     calls = []
     margins = symfunc.sigma_margins
     monkeypatch.setattr(symfunc, "sigma_margins",
                         lambda *a: calls.append(1) or margins(*a))
-    spec = SymmetricFunctionSpec(2, 2)
-    sample_cone_points(spec, 1000, 42)
-    assert len(calls) < 1000
-    calls.clear()
-    check_structure_conditions(spec, 1000, 0)
+    for seed in range(3):
+        calls.clear()
+        sample_cone_points(spec, count, seed)
+        assert len(calls) < 120
+
+
+def test_structure_cone_tests_are_batched(monkeypatch):
+    calls = []
+    margins = symfunc.sigma_margins
+    monkeypatch.setattr(symfunc, "sigma_margins",
+                        lambda *a: calls.append(1) or margins(*a))
+    check_structure_conditions(SymmetricFunctionSpec(2, 2), 1000, 0)
     assert len(calls) < 1000
 
 
@@ -578,6 +588,50 @@ def test_theta_reproducible():
     a = estimate_theta(spec, np.array([[2.0, 2.0]]), 0.1, sample_cone_points(spec, 2000, seed=4))
     b = estimate_theta(spec, np.array([[2.0, 2.0]]), 0.1, sample_cone_points(spec, 2000, seed=4))
     assert a.theta_hat == b.theta_hat
+
+
+def _theta_scan_case(spec, n_k, n_lam, narrow, seed):
+    """K (from the sampler, or narrow: a 2 % cluster around one tuple, as a
+    subsolution with a nearly constant Hessian gives) and a cloud from the
+    sampler, and a zeta equal to the per-axis gap of one pair; the cloud
+    gains positive multiples of that pair's row, whose normals agree up to
+    round-off, so many gaps lie within 1e-12 of zeta, on both sides of it."""
+    rng = np.random.default_rng(seed)
+    if narrow:
+        K = (np.arange(spec.n, 0, -1) + 1.0) * (1.0 + 0.02 * rng.standard_normal((n_k, spec.n)))
+    else:
+        K = sample_cone_points(spec, n_k, seed)
+    lams = sample_cone_points(spec, n_lam, seed + 1)
+    nu = lambda g: g / np.linalg.norm(g, axis=1, keepdims=True)
+    nu_mu, nu_lam = nu(symfunc._grad_batch(spec, K)[1]), nu(symfunc._grad_batch(spec, lams)[1])
+    gaps = np.sqrt(sum((nu_lam[:, i, None] - nu_mu[None, :, i]) ** 2 for i in range(spec.n)))
+    t, j = np.unravel_index(np.argmin(np.abs(gaps - 0.6 * gaps.max())), gaps.shape)
+    scales = rng.uniform(0.5, 2.0, 40)
+    lams = np.vstack([lams, scales[:, None] * lams[t]])
+    nu_lam = nu(symfunc._grad_batch(spec, lams)[1])
+    near = np.abs(np.linalg.norm(nu_lam - nu_mu[j], axis=1) - gaps[t, j]) < 1e-12
+    assert near.sum() > 20
+    return K, lams, float(gaps[t, j])
+
+
+@pytest.mark.parametrize("spec", [SymmetricFunctionSpec(2, 2), SymmetricFunctionSpec(3, 2),
+                                  SymmetricFunctionSpec(3, 3), SymmetricFunctionSpec(2, 2, 1),
+                                  SymmetricFunctionSpec(3, 2, 1)], ids=str)
+@pytest.mark.parametrize("case", [(40, 600, False), (30, 600, True), (900, 2500, False)],
+                         ids=["one_chunk", "narrow_K", "two_chunks"])
+def test_theta_scan_matches_all_pairs_reference(spec, case):
+    # the row filter and the Gram-form gaps change no bit of the certificate,
+    # at zeta on a pair's gap and one ulp either side of it
+    K, lams, gap = _theta_scan_case(spec, *case, seed=case[0] + case[1])
+    grad = symfunc._grad_batch(spec, lams)[1]
+    for zeta in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0), 0.5 * gap):
+        want = estimate_theta_reference(spec, K, zeta, lams)
+        got = estimate_theta(spec, K, zeta, lams)
+        assert (got.theta_hat, got.pair_count, got.violations_at_zero, got.min_bracket) == (
+            want.theta_hat, want.pair_count, want.violations_at_zero, want.min_bracket)
+        own = estimate_theta(spec, K, zeta, lams, grad, all_pairs=False)
+        assert (own.theta_hat, own.pair_count) == (want.theta_hat, want.pair_count)
+        assert own.violations_at_zero is None and own.min_bracket is None
 
 
 def test_theta_rejects_outside_samples():
