@@ -147,8 +147,8 @@ def cmd_sweep(rs: RunSetup, args) -> int:
 
 def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result) -> int:
     audit = rs.config.audit
-    certificate = (theta_certificate(result.start, rs.problem, audit.theta_samples, audit.seed)
-                   if audit.enabled else None)
+    certificate = (theta_certificate(result.start, rs.problem, audit.theta_samples, audit.seed,
+                                     all_pairs=False) if audit.enabled else None)
     bundles, audits = [], []
     solves = [_solve_row(rep) for rep in result.reports]
     hist_rows = []

@@ -14,15 +14,16 @@ built once per sweep by `theta_certificate` and shared by every epsilon.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import functools
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
 from .operator import (PENALTY_ROOT, PROBE_EPSILON, Problem, StateEval, evaluate_state,
-                       operator_L, spectrum)
-from .symfunc import estimate_theta, sample_cone_points
+                       operator_L, spectrum, spectrum_gradient)
+from .symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
 
 __all__ = [
     "SolvedState",
@@ -43,14 +44,18 @@ __all__ = [
 @dataclass
 class SolvedState:
     """A solved field u at epsilon with its evaluated state and its pencil
-    eigenvalues lam and Df(lam); the norm bundle and the audit of one
-    epsilon both read it."""
+    eigenvalues lam; the norm bundle and the audit of one epsilon both read
+    it.  Df(lam), which only the audit reads, is computed on first use."""
 
     u: np.ndarray
     epsilon: float
     state: StateEval
     lam: np.ndarray
-    fg: np.ndarray
+    fspec: SymmetricFunctionSpec = field(repr=False)
+
+    @functools.cached_property
+    def fg(self) -> np.ndarray:
+        return spectrum_gradient(self.fspec, self.lam)
 
 
 def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
@@ -59,7 +64,7 @@ def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "monitors requested at a non-admissible state")
-    return SolvedState(u, epsilon, st, *spectrum(st, prob))
+    return SolvedState(u, epsilon, st, spectrum(st, prob, False)[0], prob.fspec)
 
 
 @dataclass
@@ -110,14 +115,15 @@ def compact_set(mu: np.ndarray, grad: np.ndarray):
 
 
 def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed: int,
-                      zeta: float | None = None):
+                      zeta: float | None = None, all_pairs: bool = True):
     """The epsilon-independent part of the audit: the compact set K of the
     subsolution u_sub (through `compact_set`), the subsolution normals
     nu_mu, and the theta certificate of a cone cloud of `theta_samples`
     points drawn with `seed`, at normal-gap threshold zeta (zeta0 by
     default; the certificate's `zeta` is the one used).  The spectrum of
     u_sub does not depend on epsilon, so its state is evaluated at
-    PROBE_EPSILON.
+    PROBE_EPSILON.  all_pairs=False gives `estimate_theta`'s theta-only
+    scan, which is all the audit reads.
 
     An inadmissible subsolution raises NotAdmissible naming its points.
     Its spectrum is tested once more, by the cone rule on the pencil
@@ -137,7 +143,7 @@ def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed
     if not zeta > 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
     lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
-    return K, nu_mu, estimate_theta(prob.fspec, K, zeta, lam_rand)
+    return K, nu_mu, estimate_theta(prob.fspec, K, zeta, lam_rand, all_pairs=all_pairs)
 
 
 @dataclass

@@ -52,6 +52,7 @@ __all__ = [
     "penalty",
     "residual",
     "spectrum",
+    "spectrum_gradient",
     "linearize",
     "operator_L",
     "assemble_operator",
@@ -246,12 +247,19 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def spectrum(st: StateEval, prob: Problem):
-    """Pencil eigenvalues lam of U (descending, (N, n)) and Df(lam), NaN
-    rows outside the cone, of an evaluated state, for the monitors; a
-    sigma_j that overflows puts its row outside, with no numpy warning."""
+def spectrum(st: StateEval, prob: Problem, grad: bool = True):
+    """Pencil eigenvalues lam of U (descending, (N, n)) of an evaluated
+    state, for the monitors, and their `spectrum_gradient` (None when grad
+    is False)."""
     lam = eigen_wrt_metric_field(st.U, prob.metric)
-    return lam, f_and_grad_masked(prob.fspec, lam, sigma_margins(prob.fspec, lam))[1]
+    return lam, spectrum_gradient(prob.fspec, lam) if grad else None
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def spectrum_gradient(fspec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
+    """Df(lam), NaN rows outside the cone; a sigma_j that overflows puts its
+    row outside, with no numpy warning."""
+    return f_and_grad_masked(fspec, lam, sigma_margins(fspec, lam))[1]
 
 
 def residual(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:

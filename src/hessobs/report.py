@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import pathlib
 
@@ -25,6 +26,17 @@ def fmt(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)  # also a numpy integer, whose str is its int's
+
+
+# the types whose str is their fmt
+_PLAIN = frozenset((int, float))
+
+
+def _csv_text(v) -> str:
+    text = fmt(v)
+    if any(c in text for c in ',"\r\n'):
+        raise ValueError(f"CSV value {text!r} would need quoting")
+    return text
 
 
 def _jsonable(obj):
@@ -61,14 +73,25 @@ class ReportBundleWriter:
         return path
 
     def write_csv(self, name: str, columns: list, rows: list, meta: str):
-        """CSV with a `# meta` comment row, a header row, then data rows."""
+        """CSV with a `# meta` comment row, a header row, then data rows,
+        each value as `fmt` writes it.  The data rows are one %-format of
+        the table, column by column: %s of a Python int or float is its
+        fmt, a column of bools maps to true/false, and any other column
+        goes through fmt first.  A data value that CSV would quote raises
+        ValueError."""
         path = self.outdir / name
         buf = io.StringIO()
         buf.write("# " + meta + "\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([fmt(v) for v in row])
+        csv.writer(buf, lineterminator="\n").writerow(columns)
+        cols = list(zip(*rows))
+        for j, col in enumerate(cols):
+            kinds = set(map(type, col))
+            if kinds == {bool}:
+                cols[j] = map(("false", "true").__getitem__, col)
+            elif not kinds <= _PLAIN:
+                cols[j] = map(_csv_text, col)
+        values = tuple(itertools.chain.from_iterable(zip(*cols)))
+        buf.write(("%s," * (len(columns) - 1) + "%s\n") * len(rows) % values)
         path.write_text(buf.getvalue())
         return path
 

@@ -339,6 +339,35 @@ def test_fmt_prints_each_type(value, text):
     assert fmt(value) == text
 
 
+FMT_CASES = [float("nan"), float("inf"), -0.0, 5e-324, 1e300, 0.1, np.float64(0.1),
+             np.float32(0.1), 7, np.int64(-2**63), True, False, np.bool_(True), "",
+             _ReprFloat(2.5)]
+
+
+def test_csv_rows_are_fmt_of_each_value(tmp_path):
+    # the one %-format of a table writes what csv.writer writes of the
+    # fmt of each value: plain int, float and bool columns, a float column
+    # with an empty first cell, and a column of every type fmt prints
+    import csv
+    import io
+
+    from hessobs.report import ReportBundleWriter
+
+    rows = [(i, 0.1 * i - 1.0, i % 3 == 0, "" if i == 0 else 1.5 ** -i,
+             FMT_CASES[i % len(FMT_CASES)]) for i in range(40)]
+    columns = ["i", "x", "flag", "step", "any"]
+    path = ReportBundleWriter(tmp_path).write_csv("t.csv", columns, rows, "meta")
+    ref = io.StringIO()
+    w = csv.writer(ref, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows([fmt(v) for v in row] for row in rows)
+    assert path.read_text() == "# meta\n" + ref.getvalue()
+    assert ReportBundleWriter(tmp_path).write_csv("e.csv", columns, [], "m").read_text() == (
+        "# m\ni,x,flag,step,any\n")
+    with pytest.raises(ValueError, match="would need quoting"):
+        ReportBundleWriter(tmp_path).write_csv("q.csv", ["a", "b"], [(1, "x,y")], "m")
+
+
 def test_field_dump_binary_variant(small_cfg, tmp_path):
     out_t = tmp_path / "t"
     out_b = tmp_path / "b"
@@ -916,7 +945,7 @@ def test_verify_lemma_violated_certificate_exit3(small_cfg, monkeypatch, capsys)
     import hessobs.monitors as monitors
     from hessobs.errors import StructureViolation
 
-    def violated(*args):
+    def violated(*args, **kwargs):
         raise StructureViolation("supporting-hyperplane constant", None, "theta_hat <= 0")
 
     monkeypatch.setattr(monitors, "estimate_theta", violated)

@@ -16,9 +16,9 @@ from hessobs.monitors import (
     sweep_summary,
     theta_certificate,
 )
-from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve
+from hessobs.newton import NewtonConfig, PenaltySchedule, continuation_solve, default_initializer
 from hessobs.operator import Problem, evaluate_state, spectrum
-from hessobs.problems import bundled_config_text
+from hessobs.problems import BUNDLED, bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
 from oracles import coefficients_from_expressions, contact_radius
 
@@ -255,6 +255,39 @@ def test_compact_set_does_not_depend_on_epsilon(name):
     for eps in (1e-2, 0.5):
         K_e, nu_e, zeta0_e = compact_set(*spectrum(evaluate_state(u_sub, prob, eps), prob))
         assert np.array_equal(K_e, K) and np.array_equal(nu_e, nu) and zeta0_e == zeta0
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sweep_certificate_theta_only_scan_matches_all_pairs(name):
+    # the sweep's cloud certificate takes the theta-only scan and
+    # verify-lemma the all-pairs one; theta_hat, zeta and K agree bit for bit
+    rs = build_runsetup(parse_config(bundled_config_text(name)))
+    u_sub, audit = default_initializer(rs.problem), rs.config.audit
+    K, nu, full = theta_certificate(u_sub, rs.problem, audit.theta_samples, audit.seed)
+    K_t, nu_t, fast = theta_certificate(u_sub, rs.problem, audit.theta_samples, audit.seed,
+                                        all_pairs=False)
+    assert np.array_equal(K_t, K) and np.array_equal(nu_t, nu)
+    assert (fast.theta_hat, fast.zeta, fast.pair_count) == (full.theta_hat, full.zeta,
+                                                            full.pair_count)
+    assert fast.violations_at_zero is None and full.violations_at_zero == 0
+
+
+def test_solved_state_computes_df_only_when_read(solved_ma, monkeypatch):
+    # the norm bundle reads lam alone; Df(lam) is computed once, on the
+    # audit's first read, and is the spectrum's
+    import hessobs.monitors as monitors
+
+    prob, res = solved_ma
+    calls = []
+    gradient = monitors.spectrum_gradient
+    monkeypatch.setattr(monitors, "spectrum_gradient",
+                        lambda *a: calls.append(a) or gradient(*a))
+    s = solved_state(res.final, prob, res.epsilons[-1])
+    compute_norm_bundle(s, prob)
+    assert not calls
+    lam, fg = spectrum(evaluate_state(res.final, prob, res.epsilons[-1]), prob)
+    assert np.array_equal(s.lam, lam) and np.array_equal(s.fg, fg, equal_nan=True)
+    assert s.fg is s.fg and len(calls) == 1
 
 
 def test_sigma1_audit_forms_no_pair_matrix():
