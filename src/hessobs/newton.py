@@ -4,8 +4,10 @@ continuation over a decreasing penalty schedule.
 Each Newton step solves the exact sparse Jacobian for the Newton
 direction by flexible GMRES preconditioned by one geometric multigrid
 V-cycle, one V-cycle application per iteration, to the inexact-Newton
-tolerance min(0.1, |F|_inf / sqrt(N)).  The V-cycle is set up once per
-epsilon, from the first Newton step's Jacobian, and preconditions every
+relative tolerance min(0.1, max(|F|_inf / sqrt(N), 0.5 tol / |F|_2)): the
+second term stops a step once its linearised residual is below tol / 2,
+which is all the Newton test on |F|_inf needs.  The V-cycle is set up once
+per epsilon, from the first Newton step's Jacobian, and preconditions every
 later step of that epsilon: GMRES runs on each step's own Jacobian and
 checks its true residual, so only the preconditioner lags.
 The path tangent du/deps is solved once per epsilon, after convergence,
@@ -180,7 +182,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         J = linearize(res, prob)
         if cycle is None:
             cycle = _v_cycle(J, grid.interior_shape)
-        rtol = min(FORCING_MAX, rnorm / np.sqrt(J.shape[0]))
+        rtol = _forcing(rnorm, np.sqrt(rl2sq), J.shape[0], cfg.tol_residual)
         tangent_system = (J, res.beta)
         x, k = _linear_solve(J, cycle, -res.values, rtol)
         krylov += k
@@ -258,24 +260,41 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 # unknowns, so it suits a coarsest level of this size only.  Each level is
 # smoothed by SMOOTHING_SWEEPS damped Jacobi sweeps (weight JACOBI_WEIGHT)
 # before and after its coarse correction.  A Newton step with residual
-# max-norm r over N unknowns solves to relative residual
-# min(FORCING_MAX, r / sqrt(N)) (inexact Newton); GMRES restarts every
-# GMRES_RESTART iterations, at most GMRES_CYCLES times.  The default
-# initializer's harmonic lift is solved to relative residual LIFT_RTOL, near
-# roundoff, so that the start it gives is the direct solve's.  The path
-# tangent only feeds the next epsilon's predictor, which need only land in
-# Newton's basin, so it is solved to relative residual TANGENT_RTOL: on the
-# bundled sweeps 1e-2 or looser changed the Newton steps per epsilon, while
-# 1e-3 changed none and cut a sweep's GMRES iterations by about a fifth
-# against the last Newton step's tolerance (about 1e-8 by then).
+# max-norm r and 2-norm r2 over N unknowns solves to relative residual
+# min(FORCING_MAX, max(r / sqrt(N), FORCING_SAFEGUARD tol / r2)) (inexact
+# Newton, with the safeguard of Eisenstat and Walker 1996 and Kelley 1995,
+# section 6.3).  The safeguard term asks for no linearised residual below
+# FORCING_SAFEGUARD tol in the 2-norm, which bounds the max-norm of the
+# Newton test too, so the last step of an epsilon no longer solves to about
+# 1e-8 relative; GMRES checks the true residual, so the step still gets what
+# it asks for.  On the bundled sweeps and their 3d lift this left the Newton
+# steps per epsilon as they were and cut a sweep's GMRES iterations by 20 to
+# 30 %.  GMRES restarts every GMRES_RESTART iterations, at most GMRES_CYCLES
+# times.  The default initializer's harmonic lift is solved to relative
+# residual LIFT_RTOL, near roundoff, so that the start it gives is the
+# direct solve's.  The path tangent only feeds the next epsilon's
+# predictor, which need only land in Newton's basin, so it is solved to
+# relative residual TANGENT_RTOL: on the bundled sweeps 1e-2 or looser
+# changed the Newton steps per epsilon, while 1e-3 changed none and cut a
+# sweep's GMRES iterations by about a fifth against the last Newton step's
+# tolerance before the safeguard (about 1e-8).
 COARSE_N = 500
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
 FORCING_MAX = 0.1
+FORCING_SAFEGUARD = 0.5
 GMRES_RESTART = 20
 GMRES_CYCLES = 10
 LIFT_RTOL = 1e-12
 TANGENT_RTOL = 1e-3
+
+
+def _forcing(rnorm: float, rnorm_l2: float, n: int, tol: float) -> float:
+    """Relative residual to which a Newton step solves its linear system,
+    from the residual's max-norm and 2-norm over n unknowns and the Newton
+    tolerance `tol`: min(FORCING_MAX, max(rnorm / sqrt(n),
+    FORCING_SAFEGUARD tol / rnorm_l2))."""
+    return min(FORCING_MAX, max(rnorm / np.sqrt(n), FORCING_SAFEGUARD * tol / rnorm_l2))
 
 
 def _interpolation(k: int) -> sp.csr_matrix:

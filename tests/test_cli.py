@@ -143,77 +143,77 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
 
 # sha256 of every bundle file of four sweeps: SMALL_MA with audits on (no
 # multigrid level: each epsilon's first Jacobian is factored and its LU
-# preconditions the later steps, 31/8/6 Krylov iterations), ma_obstacle
-# at m = 33 with audits off (V-cycle GMRES, 35/18/10/10/17 Krylov
+# preconditions the later steps, 26/8/5 Krylov iterations), ma_obstacle
+# at m = 33 with audits off (V-cycle GMRES, 29/12/9/9/10 Krylov
 # iterations), the sigma_1 laplacian_obstacle_strong at m = 25 with
-# audits off (23^2 unknowns, one multigrid level, 30/15/15/15/16 Krylov
+# audits off (23^2 unknowns, one multigrid level, 21/11/10/10/10 Krylov
 # iterations) and the same at m = 25 from the built-in start with audits
 # on, whose audit subsolution is that start.  A change that moves roundoff
-# updates these pins and says so.  All four last moved when the path
-# tangent came to be solved to TANGENT_RTOL rather than to the last Newton
-# step's tolerance: the predicted starts of the second epsilon on moved, so
-# every field after the first (whose u_eps_1e-02.txt held), the residual
-# histories, the norms and report.json moved; fields by at most 1.4e-12
-# relative to the max norm (SMALL_MA; 3.9e-13 at m = 33, 2.0e-16 at m = 25),
-# with the same Newton counts, contact cells and audit case counts;
-# contact_cells.csv held.
+# updates these pins and says so.  These four and the conformal pin last
+# moved when each Newton step's linear solve stopped at 0.5 tol / |F|_2
+# relative (the forcing term's safeguard) rather than at |F|_inf / sqrt(N)
+# alone: every field except the builtin sweep's first, the residual
+# histories, the norms and report.json moved, fields by at most 5.4e-12
+# relative to the max norm (conformal; 3.1e-12 SMALL_MA, 9.2e-13 at m = 33,
+# 1.2e-13 at m = 25), with the same Newton counts, contact cells and audit
+# case counts; contact_cells.csv held.
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
-        "norms_vs_eps.csv": "682adfdb2b0cb27d0a467960af444db5af7ada764f89527728ad8b3b64d1ea17",
-        "report.json": "5f81e8cf06186928ccdbc99799850bcbc70ec5b0b5775f88a6365bd099a2f536",
-        "residual_history.csv": "835c031f8513eb018b0852cb32fec3ff49393b5b522fd2dcb8ad3f9ae5e2cc84",
-        "u_eps_1e-02.txt": "2eed387016a46015e4308fbab41f333e9d82720337894a61780e92f0ed88ab54",
-        "u_eps_1e-03.txt": "06fdcfb681e83c82f8f4a90d818820bd16ac2037bf722b57ae5d23309a41c176",
-        "u_eps_1e-04.txt": "3b82eed98e7ac4f417e314127b933ee808933b9b796d925f9463c20eafed557a",
+        "norms_vs_eps.csv": "fac8f213802504065d15c58b938f19f9d70e781b063d2bacdc1ad06028b8370b",
+        "report.json": "a5e95905b46e0afcaa983565f2bb3d90c51851ebb5250438c170d04cb72a2552",
+        "residual_history.csv": "d838bc24b08cf19d5823492a804d0b71e822e34891cefe96e79a9288d7a021f3",
+        "u_eps_1e-02.txt": "37710eb4ff25a499496fdc82f010513249a2d06f8a1d5f0bb07f898f86540f87",
+        "u_eps_1e-03.txt": "f5369d2bebf6610f9c83ce015c7646a0b268ba107e7eaac7e49b02beab688bc5",
+        "u_eps_1e-04.txt": "4c9b9fd2c46db4b53bd6f18e252894a41fdc6f6277f7ce92b740a05cd824d174",
     }),
     "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "33", "--audit", "off"], {
         "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
-        "norms_vs_eps.csv": "ffabd0d053378f3e2ae81921330781457441552be4e568756bf33e816b41bba8",
-        "report.json": "31d6965cc780b5518bb217a3a738250b65f847affe4bd0c35c1a0f13cdd05ee7",
-        "residual_history.csv": "fb75b928d4a4b13a03ed5fee78931ff0e8344b348b57834f8c4d638b25dfccab",
-        "u_eps_1e-02.txt": "66658ad33ea0e9ede7fb6c39c2d142018a763094a11cb0f3e84707b5ee65dc6e",
-        "u_eps_1e-03.txt": "cc66d389ab4a0fb6c0c846bd6d88b9aa0c89a25bfdbe1bf1a19399fd5f8ec7a9",
-        "u_eps_1e-04.txt": "0c271df8d14a7d3a936574c60dfb8f080b9cd865b5b225d388ff04c1fb224a5f",
-        "u_eps_1e-05.txt": "60f11768705607dc276d239827da4b171e1d3b51f4d5b16a2d999ba33ad8fbcb",
-        "u_eps_1e-06.txt": "95752c9151d200e1c65cf590a0059a9d26a98b599254d58e840f29b502f436a8",
+        "norms_vs_eps.csv": "177a0a1fd574a6fac3a25f244cda2ebf739273fa6e37e65bbb5c6ae0500f970c",
+        "report.json": "c99f0f81b6630b49c472d5f16879ddb3461e7007d3bc86dc4a603a171160802e",
+        "residual_history.csv": "8dda0cd7f47d4472de9ef9a67afe71622fe257c24556c06654b0657b99fc2ce8",
+        "u_eps_1e-02.txt": "befb2a18726bc2e7d6fe5e7bb5d77258a98b8acc34172bc3016ee26295f8aba4",
+        "u_eps_1e-03.txt": "3ac69a5e1c58c1f92acbb856b7dbe5871aa42c4155c876e37ea94152dd311cd8",
+        "u_eps_1e-04.txt": "92852ab421fffcac4a4cb5840c99d194097c563bf0041bbb2f0ea2a7c2aa3f29",
+        "u_eps_1e-05.txt": "1acc7d4df89f2cee44c4f96f4e993674ca0ff0868a99bf6d08448877e51ec664",
+        "u_eps_1e-06.txt": "f1da4e452003f3215cf3f516e2dd6bed9c88db8dd91c6f003ab6c0cab787c77d",
     }),
     "laplacian_strong_m25_sigma1": (bundled_config_text("laplacian_obstacle_strong"),
                                     ["--grid-m", "25", "--audit", "off"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "567734469badada55eac757915d95785151c361cc2c2d64c71637be61065053f",
-        "report.json": "4f443a0eb10ddec1bd95023d24073d70f8f5dce26a921d66aea2931ffafce35b",
-        "residual_history.csv": "8fce363f5de9b69e68f9ccfd7b801fadd319370f98f5829e644735b032a4333d",
-        "u_eps_1e-02.txt": "154061041cd7d2cb0719c6f7af9d5416f7a593edb42f70ac58ab8747bfd5dd37",
-        "u_eps_1e-03.txt": "81df35f613e1bccb9691abe20b6c775d936e1a8cf6866dfb0d465306b0891261",
-        "u_eps_1e-04.txt": "ad7ccdf1bf03a5bf406cd210fcdde5f5255ad23310880f33429516caf6c9a047",
-        "u_eps_1e-05.txt": "78f78d8c30de57ee03d454bda8a1b230da101b6f14b0ab1d90f1cf547a7cafae",
-        "u_eps_1e-06.txt": "8487dc1c57aeab8d549c9abe644f7f61a5edb1854e47065d5c5f3d9a61f5b9ab",
+        "norms_vs_eps.csv": "551bfac77d08c0e67972f118ff96926457995bf3654fe4558f00feda3a99c051",
+        "report.json": "b7e2723087bf92ad164f80cf2d38a0a0cc759172d7fb1bcdbab3cde09a7b71c6",
+        "residual_history.csv": "bd5ad6dd66791c016b8368c15ebc5e5c3e8cad12aa2b5774198ee9d99490080c",
+        "u_eps_1e-02.txt": "24529dab2e0d484066d93e07b6ea17ef8182fe3854edfbd7c27b1a6a23f58286",
+        "u_eps_1e-03.txt": "527bd7bdf4e1c07f735c5026c4e6ff860a998df7f26f44ee99df7012f8fdc1ba",
+        "u_eps_1e-04.txt": "1693463317353ad3c5f0ed53a3fa9184c77cf6a9950991c8e08505bacd117fc2",
+        "u_eps_1e-05.txt": "dca8dda93f66d71ab1684e66261532acb61fb309eb1110f1d3c7f3611cf156c5",
+        "u_eps_1e-06.txt": "efa529366103ab865d11653b9b67106c960568165cec6c1e8fbb429519147de1",
     }),
     "laplacian_strong_m25_builtin_audited": (LAPLACIAN_STRONG_BUILTIN, ["--grid-m", "25"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "60a9595f254882a4b54b59059ad253223177a0cd6c5c158b38fd1a19d9eb674a",
-        "report.json": "27f1e7aa558300fe9192da67b49954361b0acb7c88dce8fcc7b467998c596541",
-        "residual_history.csv": "1173f88b2050db69229a3a837f1d383976a3cc2e97c8460b622bd28e119ddda3",
+        "norms_vs_eps.csv": "0961bf90d989d4fb7778b403bdd390135c592700718d7b7e9a5f23be289ac0e4",
+        "report.json": "d588579090a1e8ac4b3c3d81a36d91f65571dc9b0f011e7cc07b3608c3bf2af9",
+        "residual_history.csv": "f584889d8ac8632ae31c1da14c397ef0fbe0aff1d38944c0ce7cfee5657a2853",
         "u_eps_1e-02.txt": "6014a76d7102c6e1d21ee5b7d1a4ac1a3d03862065baf2ded06d9421a466b9df",
-        "u_eps_1e-03.txt": "7de5e7920e444558009b9f24ce6ef1f06497012fea8d9135acbcbdd85cb22dba",
-        "u_eps_1e-04.txt": "d03341dd3d08c6182eca5a2556e3d8dfe5049dcd648fa3e7a99ef8bb4dcc6e24",
-        "u_eps_1e-05.txt": "d3be88ef9b4b5e30c860cf0d37ac0663b348029417238b0f2fc57b254cb6a8cc",
-        "u_eps_1e-06.txt": "aae9d370a5380d50a0832875f281f4bdb40a5240c5f11ff2e536ee96e8a5e0c2",
+        "u_eps_1e-03.txt": "881935350464b8f5f1818a07ccf645e064429b2c8574cf713d7e1dacf5bcbefb",
+        "u_eps_1e-04.txt": "78dadc275cd1dd9a4a11c8903ad4cceb04a6bc04ebc2492526eca39d49983754",
+        "u_eps_1e-05.txt": "9dafdabbb68b4d6a56592dd4cf2510cc0d468ab6123281387282618089dcf242",
+        "u_eps_1e-06.txt": "8ae8dc3d5df0d3f1b075b9cfceadf66a4ed9facd5b3f917a2a697940440044a9",
     }),
     # the one curved pin: g = exp(0.1 x1) I through the Cholesky reduction
     # and the Christoffel term, audits on (at m = 21 the contact band exits 2)
     "ma_obstacle_conformal_m25_audited": (CONFORMAL_MA, ["--grid-m", "25"], {
         "contact_cells.csv": "5f10b2938197536be24ac2fa3cc883290765fbf9893e2b9a4d42c00b83d4f623",
-        "norms_vs_eps.csv": "4a4b530173647138fea71382107699ead3cb16dcab266a63461b2f2274a73eda",
-        "report.json": "a797889f4dad1a8610701463c11202958a6d1cc8cafa420cec96fa17a8638baa",
-        "residual_history.csv": "c8efa5ab1b8aad00329f8256eeac7f0655a119e40baaa7efff0b2d998e268539",
-        "u_eps_1e-02.txt": "23ac9cb4cc82ed688585c2358103911e9c2dffad03c7eac261e56d1c289a94a4",
-        "u_eps_1e-03.txt": "855da6972f36c12adb07e0eacac4fc877e36aeef3ffe16cfae0ed5432f40eeef",
-        "u_eps_1e-04.txt": "be60e3e1c52608462b00bc85b7e211c5be1c1b54f63da99370d8387b97d45519",
-        "u_eps_1e-05.txt": "3677ac3e0d6d297691ea53a2e42fd6d3c92104e4bb3ec8058adf642933773a26",
-        "u_eps_1e-06.txt": "9921b4ed02f140bb228da1e90f362142b5542f3b164e27d9146196a98a8c73f9",
+        "norms_vs_eps.csv": "d2eac5c05a16f1cc21af4a9a9c729cb2cecca85e13491403f6af66aebf3572d0",
+        "report.json": "447abca1db54af1bfa16a1163521a7d8355ba8948d3d3b8b47e751ef3e89934f",
+        "residual_history.csv": "6d0a35d51da1e0ba86e543aa6d9f991e63395a703657af1b27ab8f66a8911c37",
+        "u_eps_1e-02.txt": "83dfb31a0aacdf10915a95b225ea6afdb217b4f5135dbe99ded11f2d91db44c1",
+        "u_eps_1e-03.txt": "a7805818bb61547acd4e4dde69c2fd97c4e90d6e4c8f819a9988577ba651765e",
+        "u_eps_1e-04.txt": "34ca930d18807b2bfa9808812e0e3fb01c4b6da235017f6609428d6ee7902f88",
+        "u_eps_1e-05.txt": "ffeeaa5ae38457c2400d417058ed5b0b7deb00fc44d4841b72bf731a5cc8493e",
+        "u_eps_1e-06.txt": "d0801299502162f521a7863e902894748ced2f793c648d30bc5f691115ece127",
     }),
     # a sigma_2 audit whose subsolution has a non-constant Hessian, so K has
     # many rows and the per-state theta scan forms pairs

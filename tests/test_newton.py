@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -14,10 +16,13 @@ from hessobs.errors import NotAdmissible, SingularJacobian
 from hessobs.geometry import ChartGrid, flat_metric
 from hessobs.newton import (
     COARSE_N,
+    FORCING_MAX,
+    FORCING_SAFEGUARD,
     GMRES_RESTART,
     TANGENT_RTOL,
     NewtonConfig,
     PenaltySchedule,
+    _forcing,
     _gmres_cycle,
     _hierarchy,
     _linear_solve,
@@ -439,7 +444,7 @@ def test_bundled_ma_obstacle_iteration_counts(tmp_path):
                  "--out", str(tmp_path), "--quiet"]) == 0
     solves = json.loads((tmp_path / "report.json").read_text())["solves"]
     assert [s["iterations"] for s in solves] == [6, 4, 2, 2, 3]
-    assert [s["krylov_iterations"] for s in solves] == [35, 18, 10, 10, 17]
+    assert [s["krylov_iterations"] for s in solves] == [29, 12, 9, 9, 10]
 
 
 # Newton steps and start per epsilon of the four bundled configs at their
@@ -459,6 +464,55 @@ def test_bundled_newton_steps_and_starts(name):
     result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     assert ([r.iterations for r in result.reports],
             [r.start for r in result.reports]) == BUNDLED_NEWTON_STEPS[name]
+
+
+def test_forcing_term_stays_between_its_safeguard_and_cap():
+    # a step solves to min(FORCING_MAX, max(|F|_inf / sqrt(N), 0.5 tol / |F|_2)):
+    # never looser than FORCING_MAX, and never tighter than the relative
+    # residual that leaves the linearised residual at 0.5 tol in the 2-norm
+    rng = np.random.default_rng(0)
+    tol = 1e-8
+    for n in (9, 361, 2197):
+        for scale in 10.0 ** np.arange(-11.0, 4.0):
+            F = scale * rng.standard_normal(n)
+            rnorm, r2 = float(np.abs(F).max()), float(np.linalg.norm(F))
+            rtol = _forcing(rnorm, r2, n, tol)
+            assert rtol == min(FORCING_MAX, max(rnorm / np.sqrt(n), FORCING_SAFEGUARD * tol / r2))
+            assert rtol <= FORCING_MAX
+            assert rtol >= min(FORCING_MAX, FORCING_SAFEGUARD * tol / r2)
+            assert rtol * r2 >= min(FORCING_MAX * r2, FORCING_SAFEGUARD * tol)
+    assert FORCING_SAFEGUARD == 0.5
+    assert _forcing(np.inf, np.inf, 9, tol) == FORCING_MAX  # an overflowing residual
+
+
+def _solve_3d_config_text():
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import workloads
+
+    return workloads.solve_3d_config(1)
+
+
+# Newton steps per epsilon, which the forcing term's safeguard left as they
+# were, and the GMRES iterations of the sweep before the safeguard (90 and 96)
+SAFEGUARD_CASES = {
+    "ma_obstacle_m33": (lambda: bundled_config_text("ma_obstacle"), 33, [6, 4, 2, 2, 3], 90),
+    "solve_3d_m15": (_solve_3d_config_text, 15, [6, 4, 3, 2, 2], 96),
+}
+
+
+@pytest.mark.parametrize("name", list(SAFEGUARD_CASES))
+def test_forcing_safeguard_keeps_newton_steps_and_tolerance(name):
+    # the safeguard stops each step's GMRES once the linearised residual is
+    # below tol / 2, which leaves every final residual within tol and cuts
+    # the sweep's GMRES iterations by more than 15 %
+    text, m, steps, krylov_before = SAFEGUARD_CASES[name]
+    rs = build_runsetup(parse_config(text()).override(grid_m=m))
+    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+    assert [r.iterations for r in result.reports] == steps
+    assert all(r.residual_history[-1] <= rs.config.newton.tol_residual for r in result.reports)
+    assert sum(r.krylov_iterations for r in result.reports) <= 0.85 * krylov_before
 
 
 def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
