@@ -265,11 +265,11 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 # Newton, with the safeguard of Eisenstat and Walker 1996 and Kelley 1995,
 # section 6.3).  The safeguard term asks for no linearised residual below
 # FORCING_SAFEGUARD tol in the 2-norm, which bounds the max-norm of the
-# Newton test too, so the last step of an epsilon no longer solves to about
-# 1e-8 relative; GMRES checks the true residual, so the step still gets what
-# it asks for.  On the bundled sweeps and their 3d lift this left the Newton
-# steps per epsilon as they were and cut a sweep's GMRES iterations by 20 to
-# 30 %.  GMRES restarts every GMRES_RESTART iterations, at most GMRES_CYCLES
+# Newton test too; without it the last step of an epsilon would solve to
+# about 1e-8 relative.  GMRES checks the true residual, so the step still
+# gets what it asks for.  On the bundled sweeps and their 3d lift the
+# safeguard kept the Newton steps per epsilon and cut a sweep's GMRES
+# iterations by 20 to 30 %.  GMRES restarts every GMRES_RESTART iterations, at most GMRES_CYCLES
 # times.  The default initializer's harmonic lift is solved to relative
 # residual LIFT_RTOL, near roundoff, so that the start it gives is the
 # direct solve's.  The path tangent only feeds the next epsilon's

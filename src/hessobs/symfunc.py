@@ -282,7 +282,7 @@ def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndar
     """Batched (f, Df, ok) with NaN rows where lam is not strictly inside,
     given the rows' margins sig = sigma_margins(spec, lam).
 
-    The non-raising entry point for eigenvalue fields (`operator.spectrum`);
+    The non-raising entry point for eigenvalue fields (`operator.spectrum_gradient`);
     callers must honor the mask.
     """
     ok = _margin_ok(sig).all(axis=1)
