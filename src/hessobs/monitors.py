@@ -64,7 +64,7 @@ def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "monitors requested at a non-admissible state")
-    return SolvedState(u, epsilon, st, spectrum(st, prob, False)[0], prob.fspec)
+    return SolvedState(u, epsilon, st, spectrum(st, prob, grad=False)[0], prob.fspec)
 
 
 @dataclass

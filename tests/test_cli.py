@@ -69,9 +69,9 @@ def test_norms_and_audit_share_one_state_per_epsilon(small_cfg, tmp_path, monkey
 
     calls = {"evaluate_state": 0, "spectrum": 0}
     for name in calls:
-        def counting(*args, _fn=getattr(monitors, name), _name=name):
+        def counting(*args, _fn=getattr(monitors, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(monitors, name, counting)
     assert main(["sweep", str(small_cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     epsilons = json.loads((tmp_path / "out" / "report.json").read_text())["epsilons"]
