@@ -80,7 +80,8 @@ def _eps_tag(eps: float) -> str:
 
 
 def _solve_row(rep) -> dict:
-    return {
+    """A report's `solves` row; only a nested start's has `nested_levels`."""
+    row = {
         "epsilon": rep.epsilon,
         "converged": rep.converged,
         "iterations": rep.iterations,
@@ -92,6 +93,9 @@ def _solve_row(rep) -> dict:
         "rejected_armijo": rep.rejected_armijo,
         "krylov_iterations": rep.krylov_iterations,
     }
+    if rep.nested_levels:
+        row["nested_levels"] = rep.nested_levels
+    return row
 
 
 def _write_fields(out: ReportBundleWriter, args, grid, prefix: str, solutions, epsilons):

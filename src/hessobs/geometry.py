@@ -120,6 +120,14 @@ class ChartGrid:
         """Sample a callable of the stacked coordinate array onto the grid."""
         return np.asarray(fn(self.points()), dtype=float)
 
+    def every_other(self) -> "ChartGrid":
+        """The grid of every other point, boundary included, of a grid with an
+        odd m on every axis: (m + 1) / 2 points per axis, its point j at this
+        grid's point 2j."""
+        if any(mi % 2 == 0 for mi in self.m):
+            raise ValueError(f"every other point is a uniform grid for odd m only, got {self.m}")
+        return ChartGrid(lo=self.lo, hi=self.hi, m=tuple((mi + 1) // 2 for mi in self.m))
+
 
 def pin_boundary(grid: ChartGrid, values: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Copy of `values` with the boundary layer replaced by Dirichlet data."""
@@ -143,6 +151,21 @@ class MetricField:
     linv: np.ndarray  # (N, n, n)
     christoffel: np.ndarray  # (N, n, n, n)
     is_flat: bool = False
+
+    def every_other(self, grid: ChartGrid) -> "MetricField":
+        """The metric of `grid` at the interior points of `grid.every_other()`:
+        its g, L^{-1} and Gamma blocks at the points the two grids share."""
+        coarse = grid.every_other()
+        if self.is_flat:
+            return flat_metric(coarse)
+        shared = tuple(slice(1, None, 2) for _ in range(grid.n))
+
+        def at_shared(a):
+            block = a.reshape(grid.interior_shape + a.shape[1:])[shared]
+            return block.reshape(coarse.n_interior, *a.shape[1:])
+
+        return MetricField(g=at_shared(self.g), linv=at_shared(self.linv),
+                           christoffel=at_shared(self.christoffel), is_flat=False)
 
 
 def flat_metric(grid: ChartGrid) -> MetricField:

@@ -18,7 +18,12 @@ they are the package's only sparse solver.  Newton backtracks with two
 acceptance rules: (a) every interior point of the candidate stays inside
 the cone with margin at least (1 - tau_ftb) times the current margin, and
 (b) Armijo decrease of the squared residual norm.  The subsolution
-supplies a safe start.  Each later epsilon starts from a prediction along
+supplies a safe start.  The first epsilon is solved by nested iteration
+(Briggs, Henson and McCormick, A Multigrid Tutorial, 2nd ed., ch. 3) on
+the grids of every other point that are levels of the V-cycle: the
+coarsest solve runs from the injected start, and each finer level starts
+from the cubic interpolant of the level below, when that is admissible and
+closer than the start.  Each later epsilon starts from a prediction along
 the solution path in s = eps^(1/3), the scale of the cubic penalty's
 solutions ((u - h)_+ ~ eps^(1/3)): an Euler step from the first solution,
 and from the second on the cubic Hermite extrapolation through the last two
@@ -37,6 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    HessObsError,
     LineSearchStall,
     MaxItersExceeded,
     NoAdmissibleStart,
@@ -125,8 +131,12 @@ class SolveReport:
     rejected_armijo: int  # line-search trials rejected by the Armijo rule
     # preconditioned GMRES iterations, Newton directions and tangent together
     krylov_iterations: int
-    # how continuation_solve chose the start: "initial", "predictor" or "warm_start"
+    # how continuation_solve chose the start: "initial", "nested", "predictor"
+    # or "warm_start"
     start: str = "initial"
+    # of a "nested" start, the coarse solves it came from, coarsest first:
+    # [m, Newton steps, Krylov iterations] per level, m the level's points per axis
+    nested_levels: list = field(default_factory=list)
     # evaluated state of the returned iterate, and the path tangent du/deps
     # over the interior, solved once after convergence with the last Newton
     # step's Jacobian (at the iterate before it) to TANGENT_RTOL (None
@@ -517,13 +527,99 @@ def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: f
     return u, "warm_start", None
 
 
+def _nested_grid(grid: ChartGrid) -> ChartGrid | None:
+    """The grid of every other point of `grid` when the first epsilon is
+    solved there first, or None.  That is when every axis has an odd m of
+    at least 7, so that the coarse grid keeps at least 4 points per axis,
+    and the coarse interior holds more than COARSE_N unknowns: the interior
+    of each such grid is a level of `_hierarchy` that the V-cycle smooths,
+    and the V-cycle's coarsest level solves directly whatever lies below."""
+    if any(mi % 2 == 0 or mi < 7 for mi in grid.m):
+        return None
+    coarse = grid.every_other()
+    return coarse if coarse.n_interior > COARSE_N else None
+
+
+def _inject(u: np.ndarray) -> np.ndarray:
+    """A full-grid field at the points of `ChartGrid.every_other`."""
+    return u[(slice(None, None, 2),) * u.ndim]
+
+
+def _injected_problem(prob: Problem, coarse: ChartGrid) -> Problem:
+    """`prob` on `coarse`, the grid of every other point of its grid: h, phi,
+    the subsolution and the metric taken at the shared points, and the
+    coordinates and the subsolution pin the constructor gives."""
+    sub = None if prob.subsolution is None else _inject(prob.subsolution)
+    return Problem(grid=coarse, metric=prob.metric.every_other(prob.grid), fspec=prob.fspec,
+                   coeff=prob.coeff, h=_inject(prob.h), phi=_inject(prob.phi),
+                   subsolution=sub)
+
+
+def _prolong_cubic(u: np.ndarray) -> np.ndarray:
+    """Full-grid field on the grid of 2k - 1 points per axis from one on its
+    every other point, k >= 4 points per axis, by 4-point cubic
+    interpolation along each axis in turn.  A midpoint with two coarse
+    points on either side takes (-a + 9b + 9c - d) / 16 of them, the
+    midpoint next to each end the one-sided (5a + 15b - 5c + d) / 16, a
+    the end point; both are exact on cubics."""
+    for axis in range(u.ndim):
+        c = np.moveaxis(u, axis, 0)
+        f = np.empty((2 * c.shape[0] - 1,) + c.shape[1:])
+        f[::2] = c
+        f[3:-3:2] = (9.0 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16.0
+        f[1] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+        f[-2] = (5.0 * c[-1] + 15.0 * c[-2] - 5.0 * c[-3] + c[-4]) / 16.0
+        u = np.moveaxis(f, 0, axis)
+    return u
+
+
+def _nested_start(u0: np.ndarray, prob: Problem, epsilon: float, cfg: NewtonConfig
+                  ) -> tuple[np.ndarray, str, StateEval | None, list]:
+    """Start at the first epsilon from the start u0 by nested iteration.
+
+    On a grid with a `_nested_grid`, epsilon is solved on that grid first,
+    from the injected u0 and its own nested start, and the solution is
+    interpolated back by `_prolong_cubic` with phi pinned.  The interpolant
+    is used only if it is admissible at epsilon and its residual max-norm
+    there is below that of u0; otherwise, or when the coarse solve raises a
+    library error, u0 itself is the start.  Returns the start, "nested" or
+    "initial", its state at epsilon when evaluated here, and the coarse
+    levels a nested start came from, [m, Newton steps, Krylov iterations]
+    each, coarsest first.
+    """
+    coarse = _nested_grid(prob.grid)
+    if coarse is None:
+        return u0, "initial", None, []
+    cprob = _injected_problem(prob, coarse)
+    try:
+        cu, _, cres, levels = _nested_start(_inject(u0), cprob, epsilon, cfg)
+        cu, rep = newton_solve(cu, cprob, epsilon, cfg, cres)
+    except HessObsError:
+        return u0, "initial", None, []
+    res0 = residual(u0, prob, epsilon)
+    nested = pin_boundary(prob.grid, _prolong_cubic(cu), prob.phi)
+    nres = residual(nested, prob, epsilon)
+    if nres.admissible and np.abs(nres.values).max() < np.abs(res0.values).max():
+        return nested, "nested", nres, levels + [[list(coarse.m), rep.iterations,
+                                                  rep.krylov_iterations]]
+    return u0, "initial", res0, []
+
+
 def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
                        cfg: NewtonConfig | None = None) -> ContinuationResult:
     """Solve along the decreasing epsilon schedule by predictor-corrector
     continuation.
 
     The first epsilon starts from `default_initializer`; the result keeps
-    that start, which the audit takes as its subsolution.  Each later
+    that start, which the audit takes as its subsolution.  On a grid with
+    coarse levels (`_nested_grid`) that start is first carried through
+    them by `_nested_start`: epsilon is solved on the coarsest from the
+    injected start, and each finer level starts from the cubic interpolant
+    of the one below when it is admissible and closer than its own start.
+    The report's `start` is then "nested" and `nested_levels` holds the
+    coarse solves, while `iterations` and `krylov_iterations` stay the
+    fine grid's; a coarse solve's library error only drops the nested
+    start.  Each later
     epsilon starts from the prediction of `_predicted_start`: an Euler step
     from the first solution, and from the third epsilon on the cubic Hermite
     extrapolation through the last two solutions.  Their tangents come out
@@ -543,18 +639,20 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     sols, reports = [], []
     state = point = previous = None
     for k, eps in enumerate(eps_values):
-        start, res0 = "initial", None
+        start, res0, levels = "initial", None, []
         try:
             if k:
                 u, start, res0 = _predicted_start(u, state, prob, eps, point, previous)
                 state = None
+            else:
+                u, start, res0, levels = _nested_start(u0, prob, eps, cfg)
             u, rep = newton_solve(u, prob, eps, cfg, res0)
         except Exception as exc:
             if isinstance(exc, MaxItersExceeded):
-                exc.report.start = start
+                exc.report.start, exc.report.nested_levels = start, levels
             exc.epsilon, exc.solutions, exc.reports = eps, sols, reports
             raise
-        rep.start = start
+        rep.start, rep.nested_levels = start, levels
         state, rep.final_state = rep.final_state, None
         previous, point = point, _path_point(u, rep.tangent, eps, prob.grid)
         rep.tangent = None

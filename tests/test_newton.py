@@ -25,9 +25,12 @@ from hessobs.newton import (
     _forcing,
     _gmres_cycle,
     _hierarchy,
+    _injected_problem,
     _linear_solve,
+    _nested_grid,
     _path_point,
     _predict,
+    _prolong_cubic,
     _v_cycle,
     continuation_solve,
     default_initializer,
@@ -449,11 +452,14 @@ def test_bundled_ma_obstacle_iteration_counts(tmp_path):
 
 # Newton steps and start per epsilon of the four bundled configs at their
 # default grids; the tangent's tolerance TANGENT_RTOL left all of them as
-# they were with the tangent solved to the last Newton step's tolerance
+# they were with the tangent solved to the last Newton step's tolerance.
+# The nested start cut the first epsilon's fine steps from 6 (5 on
+# laplacian_obstacle) to 2 and left the later ones; ma_manufactured's
+# interpolant is no closer than its start, which it keeps
 BUNDLED_NEWTON_STEPS = {
-    "ma_obstacle": ([6, 4, 2, 2, 2], ["initial"] + ["predictor"] * 4),
-    "laplacian_obstacle": ([5], ["initial"]),
-    "laplacian_obstacle_strong": ([6, 4, 3, 3, 3], ["initial"] + ["predictor"] * 4),
+    "ma_obstacle": ([2, 4, 2, 2, 2], ["nested"] + ["predictor"] * 4),
+    "laplacian_obstacle": ([2], ["nested"]),
+    "laplacian_obstacle_strong": ([2, 4, 3, 3, 3], ["nested"] + ["predictor"] * 4),
     "ma_manufactured": ([2, 0, 0, 0, 0], ["initial"] + ["warm_start"] * 4),
 }
 
@@ -667,11 +673,11 @@ def test_continuation_predictor_matches_warm_chain():
 
 
 def test_continuation_evaluates_no_state_twice(monkeypatch):
-    # a prediction's residual, evaluated to choose the start, is the Newton
-    # solve's start residual: no (iterate, epsilon) is evaluated twice
+    # a prediction's or interpolant's residual, evaluated to choose the
+    # start, is the Newton solve's start residual: no (iterate, epsilon) is
+    # evaluated twice, on the fine grid or a coarse one
     import hessobs.operator as operator
 
-    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=33))
     seen = []
     evaluate = operator.evaluate_state
 
@@ -680,9 +686,165 @@ def test_continuation_evaluates_no_state_twice(monkeypatch):
         return evaluate(u, prob, epsilon)
 
     monkeypatch.setattr(operator, "evaluate_state", recording)
-    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
-    assert [r.start for r in result.reports] == ["initial"] + ["predictor"] * 4
-    assert len(set(seen)) == len(seen)
+    for m, first in ((33, "initial"), (65, "nested")):
+        rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=m))
+        seen.clear()
+        result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+        assert [r.start for r in result.reports] == [first] + ["predictor"] * 4
+        assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("m", [(9, 11), (7, 9, 13)])
+def test_cubic_prolongation_is_exact_on_cubics(m):
+    # cubic in each variable, so that the axis-by-axis interpolation is
+    # exact everywhere, the midpoints next to the boundary included
+    fine = ChartGrid.box((-1.0,) * len(m), (2.0,) * len(m), m)
+    coarse = fine.every_other()
+    assert coarse.m == tuple((k + 1) // 2 for k in m)
+
+    def cubic(x):
+        factors = [1.0 + 0.5 * x[..., i] - (i + 1) * x[..., i] ** 2 + 0.25 * x[..., i] ** 3
+                   for i in range(len(m))]
+        return np.prod(factors, axis=0) + (x**3).sum(axis=-1)
+
+    u = _prolong_cubic(coarse.sample(cubic))
+    assert u.shape == fine.shape
+    assert np.abs(u - fine.sample(cubic)).max() <= 1e-12 * np.abs(fine.sample(cubic)).max()
+
+
+@pytest.mark.parametrize("metric", ["flat", 'conformal\n  phi = "0.05*x1"'])
+def test_injected_problem_equals_fine_one_at_shared_points(metric):
+    text = bundled_config_text("ma_obstacle").replace("kind = flat", f"kind = {metric}")
+    prob = build_runsetup(parse_config(text).override(grid_m=65)).problem
+    coarse = _nested_grid(prob.grid)
+    assert coarse.m == (33, 33)
+    cprob = _injected_problem(prob, coarse)
+    assert cprob.grid is coarse and cprob.metric.is_flat == (metric == "flat")
+    for a, b in ((cprob.h, prob.h), (cprob.phi, prob.phi),
+                 (cprob.subsolution, prob.subsolution)):
+        assert np.array_equal(a, b[::2, ::2])
+    # the fine interior point at each coarse interior point, from coordinates
+    h = prob.grid.spacing
+    fine_index = np.rint((cprob.x_interior - np.array(prob.grid.lo)) / h).astype(int) - 1
+    row = np.ravel_multi_index(tuple(fine_index.T), prob.grid.interior_shape)
+    assert np.allclose(cprob.x_interior, prob.x_interior[row], rtol=0.0, atol=1e-14)
+    assert np.array_equal(cprob.h_interior, prob.h_interior[row])
+    for name in ("g", "linv", "christoffel"):
+        assert np.array_equal(getattr(cprob.metric, name), getattr(prob.metric, name)[row])
+
+
+# configs whose first epsilon nests, and the coarse grids it runs on
+NESTED_CASES = {
+    "ma_obstacle_m65": (lambda: bundled_config_text("ma_obstacle"), 65, [[33, 33]]),
+    "conformal_m65": (lambda: bundled_config_text("ma_obstacle").replace(
+        "kind = flat", 'kind = conformal\n  phi = "0.05*x1"'), 65, [[33, 33]]),
+    "solve_3d_m33": (_solve_3d_config_text, 33, [[17, 17, 17]]),
+}
+
+
+def _sweep_without_nesting(monkeypatch, rs):
+    import hessobs.newton as newton
+
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "_nested_grid", lambda grid: None)
+        return continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+
+
+@pytest.mark.parametrize("name", list(NESTED_CASES))
+def test_nested_start_matches_direct_path(monkeypatch, name):
+    # the first epsilon, solved on the coarse grids first, ends where the
+    # solve from the subsolution ends, in fewer fine Newton steps; the later
+    # epsilons take the steps they took, and the result keeps the subsolution
+    text, m, levels = NESTED_CASES[name]
+    rs = build_runsetup(parse_config(text()).override(grid_m=m))
+    nested = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+    direct = _sweep_without_nesting(monkeypatch, rs)
+    assert [r.start for r in nested.reports] == ["nested"] + ["predictor"] * 4
+    assert direct.reports[0].start == "initial" and direct.reports[0].nested_levels == []
+    first = nested.reports[0]
+    assert [level[0] for level in first.nested_levels] == levels
+    assert first.iterations < direct.reports[0].iterations
+    assert ([r.iterations for r in nested.reports[1:]]
+            == [r.iterations for r in direct.reports[1:]])
+    assert all(r.residual_history[-1] <= rs.config.newton.tol_residual for r in nested.reports)
+    assert nested.start is direct.start is rs.problem.subsolution
+    for u, v in zip(nested.solutions, direct.solutions):
+        assert np.abs(u - v).max() <= 1e-10 * np.abs(v).max()
+
+
+def test_nested_start_falls_back_to_initial(monkeypatch):
+    # an even m does not nest; a coarse solve that raises and an interpolant
+    # no closer than the start (ma_manufactured) leave the start as it was,
+    # and the sweep bit-identical to the one without nesting
+    import hessobs.newton as newton
+
+    solve = newton.newton_solve
+    coarse_calls = []
+
+    def failing_coarse(u0, prob, *args, **kwargs):
+        if prob.grid.m != (65, 65):
+            coarse_calls.append(prob.grid.m)
+            raise SingularJacobian("coarse")
+        return solve(u0, prob, *args, **kwargs)
+
+    ma = bundled_config_text("ma_obstacle")
+    cases = [(ma, 64, None), (ma, 65, failing_coarse),
+             (bundled_config_text("ma_manufactured"), 65, None)]
+    for text, m, patched_solve in cases:
+        rs = build_runsetup(parse_config(text).override(grid_m=m))
+        assert (_nested_grid(rs.problem.grid) is None) == (m % 2 == 0)
+        with monkeypatch.context() as patch:
+            if patched_solve is not None:
+                patch.setattr(newton, "newton_solve", patched_solve)
+            result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+        direct = _sweep_without_nesting(monkeypatch, rs)
+        assert result.reports[0].start == "initial"
+        assert result.reports[0].nested_levels == []
+        assert [r.iterations for r in result.reports] == [r.iterations for r in direct.reports]
+        for u, v in zip(result.solutions, direct.solutions):
+            assert np.array_equal(u, v)
+    assert coarse_calls == [(33, 33)]
+
+
+def test_nested_start_keeps_fine_solver_errors(monkeypatch):
+    # a coarse solve's error only drops the nested start; the fine grid's
+    # own error still ends the sweep at its epsilon
+    import hessobs.newton as newton
+
+    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=65))
+    solve = newton.newton_solve
+
+    def failing_fine(u0, prob, *args, **kwargs):
+        if prob.grid.m == (65, 65):
+            raise SingularJacobian("fine")
+        return solve(u0, prob, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "newton_solve", failing_fine)
+    with pytest.raises(SingularJacobian, match="fine") as info:
+        continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+    assert info.value.epsilon == rs.config.schedule.eps0 and info.value.reports == []
+
+
+def test_nested_levels_only_in_a_nested_start_row(tmp_path):
+    # the first epsilon's solves row lists its coarse levels, coarsest first;
+    # its iterations and Krylov count stay the fine grid's, and the rows of
+    # the other starts keep their keys
+    out = {}
+    for m in (33, 97):
+        assert main(["solve", str(bundled_config_path("ma_obstacle")), "--grid-m", str(m),
+                     "--audit", "off", "--out", str(tmp_path / str(m)), "--quiet"]) == 0
+        out[m] = json.loads((tmp_path / str(m) / "report.json").read_text())["solves"]
+    keys = set(out[33][0])
+    assert "nested_levels" not in keys
+    assert all(set(row) == keys for row in out[33] + out[97][1:])
+    first = out[97][0]
+    assert set(first) == keys | {"nested_levels"} and first["start"] == "nested"
+    assert [level[0] for level in first["nested_levels"]] == [[25, 25], [49, 49]]
+    assert all(steps >= 1 and krylov > steps for _, steps, krylov in first["nested_levels"])
+    assert first["nested_levels"][0][1] >= max(row["iterations"] for row in out[97])
+    lines = (tmp_path / "97" / "residual_history.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")][1:]
+    assert sum(float(r[0]) == first["epsilon"] for r in rows) == first["iterations"] + 1
 
 
 def test_continuation_needs_no_eigenvalues(monkeypatch):
