@@ -160,8 +160,7 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
         solved = solved_state(u, rs.problem, eps)
         bundles.append(compute_norm_bundle(solved, rs.problem))
         if audit.enabled:
-            audits.append(audit_inequalities(solved, result.start, rs.problem, certificate,
-                                             audit.c_audit))
+            audits.append(audit_inequalities(solved, rs.problem, certificate, audit.c_audit))
         for it, rmax in enumerate(rep.residual_history):
             step = rep.step_history[it - 1] if it >= 1 else ""
             hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
@@ -277,8 +276,8 @@ def cmd_verify_lemma(rs: RunSetup, args) -> int:
     seed = rs.config.audit.seed
     samples = args.samples if args.samples is not None else rs.config.audit.theta_samples
     try:
-        K, _, cert = theta_certificate(default_initializer(rs.problem), rs.problem, samples,
-                                       seed, args.zeta)
+        K, _, cert, _ = theta_certificate(default_initializer(rs.problem), rs.problem, samples,
+                                          seed, args.zeta)
     except HessObsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, StructureViolation) else 2

@@ -64,7 +64,7 @@ def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "monitors requested at a non-admissible state")
-    return SolvedState(u, epsilon, st, spectrum(st, prob, grad=False)[0], prob.fspec)
+    return SolvedState(u, epsilon, st, spectrum(st, prob), prob.fspec)
 
 
 @dataclass
@@ -116,24 +116,26 @@ def compact_set(mu: np.ndarray, grad: np.ndarray):
 
 def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed: int,
                       zeta: float | None = None, all_pairs: bool = True):
-    """The epsilon-independent part of the audit: the compact set K of the
-    subsolution u_sub (through `compact_set`), the subsolution normals
-    nu_mu, and the theta certificate of a cone cloud of `theta_samples`
-    points drawn with `seed`, at normal-gap threshold zeta (zeta0 by
-    default; the certificate's `zeta` is the one used).  The spectrum of
-    u_sub does not depend on epsilon, so its state is evaluated at
-    PROBE_EPSILON.  all_pairs=False gives `estimate_theta`'s theta-only
-    scan, which is all the audit reads.
+    """The epsilon-independent part of the audit, (K, nu_mu, cloud
+    certificate, u_sub): the compact set K and normals nu_mu of the
+    subsolution u_sub (`compact_set`), the theta certificate of a cone
+    cloud of `theta_samples` points drawn with `seed` at normal-gap
+    threshold zeta (zeta0 by default; the certificate's `zeta` is the one
+    used), and u_sub itself.  The spectrum of u_sub does not depend on
+    epsilon, so its `solved_state` is taken at PROBE_EPSILON.
+    all_pairs=False gives `estimate_theta`'s theta-only scan, which is all
+    the audit reads.
 
     An inadmissible subsolution raises NotAdmissible naming its points.
     Its spectrum is tested once more, by the cone rule on the pencil
     eigenvalues, and rows outside by that rule alone have no normal: they
     raise MonitorError naming their points, as does a zeta not above 0."""
-    st = evaluate_state(u_sub, prob, PROBE_EPSILON)
-    if not st.admissible:
-        raise NotAdmissible(st.flagged_points(prob.grid),
-                            "subsolution not admissible, cannot form the compact set")
-    K, nu_mu, zeta0 = compact_set(*spectrum(st, prob))
+    try:
+        sub = solved_state(u_sub, prob, PROBE_EPSILON)
+    except NotAdmissible as exc:
+        raise NotAdmissible(exc.points, "subsolution not admissible, cannot form the compact set"
+                            ) from None
+    K, nu_mu, zeta0 = compact_set(sub.lam, sub.fg)
     if not np.isfinite(nu_mu).all():
         points = prob.grid.interior_indices(~np.isfinite(nu_mu).all(axis=1))
         raise MonitorError(
@@ -143,7 +145,7 @@ def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed
     if not zeta > 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
     lam_rand = sample_cone_points(prob.fspec, theta_samples, seed)
-    return K, nu_mu, estimate_theta(prob.fspec, K, zeta, lam_rand, all_pairs=all_pairs)
+    return K, nu_mu, estimate_theta(prob.fspec, K, zeta, lam_rand, all_pairs=all_pairs), u_sub
 
 
 @dataclass
@@ -161,10 +163,10 @@ class InequalityAudit:
     violations: int
 
 
-def audit_inequalities(s: SolvedState, u_sub: np.ndarray, prob: Problem, certificate: tuple,
+def audit_inequalities(s: SolvedState, prob: Problem, certificate: tuple,
                        c_audit: float) -> InequalityAudit:
     """Audit the two-case differential inequalities on one SolvedState
-    against the subsolution u_sub.
+    against the subsolution usub that `certificate` was built from.
 
     Case 1 (normal gap >= zeta0):
         L(usub - u) + beta_eps(u - h) >= (theta_hat/2) (1 + sum f_i) - tol
@@ -172,10 +174,10 @@ def audit_inequalities(s: SolvedState, u_sub: np.ndarray, prob: Problem, certifi
         min_i f_i >= (zeta0/sqrt(n)) sum f_i - tol       (diagonal bound)
         L(usub - u) + beta_eps(u - h) >= -tol            (order-zero bound)
 
-    `certificate` is the (K, nu_mu, cloud certificate) that
-    `theta_certificate` builds from u_sub once per sweep; none of it
-    depends on epsilon.  theta_hat is the minimum over the cloud together
-    with the audited state's own eigenvalue field, which keeps the
+    `certificate` is the (K, nu_mu, cloud certificate, usub) that
+    `theta_certificate` builds once per sweep; none of it depends on
+    epsilon.  theta_hat is the minimum over the cloud together with the
+    audited state's own eigenvalue field, which keeps the
     certificate coherent with the per-point audit; it is halved to keep
     sampling optimism out of the pass/fail line.  The state's rows are
     scanned for theta_hat alone, with the Df(lam) the SolvedState holds.
@@ -186,7 +188,7 @@ def audit_inequalities(s: SolvedState, u_sub: np.ndarray, prob: Problem, certifi
     """
     n = prob.grid.n
     h2 = float(prob.grid.spacing.max()) ** 2
-    K, nu_mu, cloud = certificate
+    K, nu_mu, cloud, u_sub = certificate
     zeta0 = cloud.zeta
     u, st, lam, fg = s.u, s.state, s.lam, s.fg
     nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)

@@ -10,9 +10,9 @@ which is all the Newton test on |F|_inf needs.  The V-cycle is set up once
 per epsilon, from the first Newton step's Jacobian, and preconditions every
 later step of that epsilon: GMRES runs on each step's own Jacobian and
 checks its true residual, so only the preconditioner lags.
-The path tangent du/deps is solved once per epsilon, after convergence,
-with the last Newton step's Jacobian and the same V-cycle, to the fixed
-relative residual TANGENT_RTOL: it only feeds the next epsilon's predictor.
+The continuation solves the path tangent du/deps of each epsilon with its
+last Newton step's Jacobian and V-cycle, to the fixed relative residual
+TANGENT_RTOL: it only feeds the next epsilon's predictor.
 GMRES and the V-cycle also solve the default initializer's harmonic lift;
 they are the package's only sparse solver.  Newton backtracks with two
 acceptance rules: (a) every interior point of the candidate stays inside
@@ -129,21 +129,18 @@ class SolveReport:
     subsolution_dominance: float | None  # min(u - subsolution) if available
     rejected_margin: int  # line-search trials rejected for cone margin
     rejected_armijo: int  # line-search trials rejected by the Armijo rule
-    # preconditioned GMRES iterations, Newton directions and tangent together
-    krylov_iterations: int
+    krylov_iterations: int  # GMRES iterations, with a continuation's tangent
     # how continuation_solve chose the start: "initial", "nested", "predictor"
     # or "warm_start"
     start: str = "initial"
     # of a "nested" start, the coarse solves it came from, coarsest first:
     # [m, Newton steps, Krylov iterations] per level, m the level's points per axis
     nested_levels: list = field(default_factory=list)
-    # evaluated state of the returned iterate, and the path tangent du/deps
-    # over the interior, solved once after convergence with the last Newton
-    # step's Jacobian (at the iterate before it) to TANGENT_RTOL (None
-    # without a step or without convergence); continuation_solve takes both
-    # for the predictor and releases them
+    # evaluated state of the returned iterate and, after convergence, the
+    # last Newton step's (J, beta at the iterate J was taken at, V-cycle);
+    # continuation_solve takes both for the predictor and releases them
     final_state: StateEval | None = field(default=None, repr=False, compare=False)
-    tangent: np.ndarray | None = field(default=None, repr=False, compare=False)
+    last_step: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -181,10 +178,9 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
     hist = [rnorm]
     hist_l2 = [np.sqrt(rl2sq)]
     steps, margins = [], [res.margin]
-    rejected_margin = rejected_armijo = 0
-    krylov = 0
+    rejected_margin = rejected_armijo = krylov = 0
     cycle = None  # V-cycle of the first Newton step's Jacobian
-    tangent_system = None  # (J, beta) of the last Newton step
+    last_step = None
 
     for it in range(1, cfg.max_iters + 1):
         if rnorm <= cfg.tol_residual:
@@ -193,7 +189,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         if cycle is None:
             cycle = _v_cycle(J, grid.interior_shape)
         rtol = _forcing(rnorm, np.sqrt(rl2sq), J.shape[0], cfg.tol_residual)
-        tangent_system = (J, res.beta)
+        last_step = (J, res.beta, cycle)
         x, k = _linear_solve(J, cycle, -res.values, rtol)
         krylov += k
         delta = _on_grid(grid, x)
@@ -224,16 +220,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         margins.append(res.margin)
 
     converged = rnorm <= cfg.tol_residual
-    tangent = None
-    if converged and tangent_system is not None:
-        # at fixed u the residual moves with epsilon by dF/deps = beta / eps,
-        # so the path tangent solves J du/deps = -beta / eps
-        J, beta = tangent_system
-        tangent, k = _linear_solve(J, cycle, -beta / epsilon, TANGENT_RTOL)
-        krylov += k
-    dom = None
-    if prob.subsolution is not None:
-        dom = float((u - prob.subsolution).min())
+    dom = None if prob.subsolution is None else float((u - prob.subsolution).min())
     report = SolveReport(
         epsilon=epsilon,
         converged=converged,
@@ -247,7 +234,7 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
         rejected_armijo=rejected_armijo,
         krylov_iterations=krylov,
         final_state=res,
-        tangent=tangent,
+        last_step=last_step if converged else None,
     )
     if not converged:
         err = MaxItersExceeded(cfg.max_iters, rnorm)
@@ -475,6 +462,20 @@ def _on_grid(grid, interior_values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _path_tangent(rep: SolveReport, eps: float) -> np.ndarray | None:
+    """The interior path tangent du/deps at the solution `rep` reports, or
+    None without a Newton step: the residual moves with epsilon by beta /
+    eps, so J du/deps = -beta / eps with the report's `last_step`, solved
+    to TANGENT_RTOL.  The report counts its GMRES iterations and drops the
+    step."""
+    if rep.last_step is None:
+        return None
+    (J, beta, cycle), rep.last_step = rep.last_step, None
+    tangent, k = _linear_solve(J, cycle, -beta / eps, TANGENT_RTOL)
+    rep.krylov_iterations += k
+    return tangent
+
+
 def _path_point(u: np.ndarray, tangent: np.ndarray | None, eps: float, grid):
     """(s, u, du/ds) at s = eps^PENALTY_ROOT from the solution u and its
     interior tangent du/deps, or None without a tangent."""
@@ -619,18 +620,18 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     The report's `start` is then "nested" and `nested_levels` holds the
     coarse solves, while `iterations` and `krylov_iterations` stay the
     fine grid's; a coarse solve's library error only drops the nested
-    start.  Each later
-    epsilon starts from the prediction of `_predicted_start`: an Euler step
-    from the first solution, and from the third epsilon on the cubic Hermite
-    extrapolation through the last two solutions.  Their tangents come out
-    of the Newton solves, one linear solve per epsilon with the last Newton
-    step's Jacobian.  The previous solution itself is the start when the
-    prediction is not better; the report records which in `start`.  A
-    prediction's state, evaluated for that comparison, is the Newton solve's
-    start state.  The state of one epsilon is released once the next start
-    is chosen, its tangent after the start after that.  Solver errors carry
-    the epsilon at which they occurred and the solutions and reports of the
-    epsilons finished before it.
+    start.  Each later epsilon starts from the prediction of
+    `_predicted_start`: an Euler step from the first solution, and from the
+    third epsilon on the cubic Hermite extrapolation through the last two
+    solutions.  `_path_tangent` solves the tangents, after each epsilon's
+    Newton solve; the coarse solves of a nested start solve none.  The
+    previous solution itself is the start when the prediction is not
+    better; the report records which in `start`.  A prediction's state,
+    evaluated for that comparison, is the Newton solve's start state.  The
+    state of one epsilon is released once the next start is chosen, its
+    tangent after the start after that.  Solver errors carry the epsilon at
+    which they occurred and the solutions and reports of the epsilons
+    finished before it.
     """
     schedule = schedule or PenaltySchedule()
     cfg = cfg or NewtonConfig()
@@ -647,6 +648,7 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
             else:
                 u, start, res0, levels = _nested_start(u0, prob, eps, cfg)
             u, rep = newton_solve(u, prob, eps, cfg, res0)
+            tangent = _path_tangent(rep, eps)
         except Exception as exc:
             if isinstance(exc, MaxItersExceeded):
                 exc.report.start, exc.report.nested_levels = start, levels
@@ -654,8 +656,7 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
             raise
         rep.start, rep.nested_levels = start, levels
         state, rep.final_state = rep.final_state, None
-        previous, point = point, _path_point(u, rep.tangent, eps, prob.grid)
-        rep.tangent = None
+        previous, point = point, _path_point(u, tangent, eps, prob.grid)
         sols.append(u)
         reports.append(rep)
     return ContinuationResult(epsilons=eps_values, solutions=sols, reports=reports,
@@ -668,13 +669,14 @@ def default_initializer(prob: Problem) -> np.ndarray:
     A supplied subsolution (Problem pins it) is returned as given; the first
     state that uses it checks it: the first epsilon's `newton_solve`, or
     `theta_certificate`, each raising NotAdmissible with the flagged points.
-    Otherwise a paraboloid q(x) = a |x - x_c|^2 / 2 + b is grown until
-    f(lam(nabla^2 q + A[q])) >= psi[q] everywhere, b is set so that
-    q <= min(phi, h), and the Dirichlet mismatch is blended in with the
-    Laplace-Beltrami lift of phi - q (`laplace_beltrami_solve`).  The
-    blended iterate is admissibility-checked; if no a up to 2^20 gives an
-    admissible one, NoAdmissibleStart is raised (a subsolution is then
-    required input).
+    Otherwise a paraboloid q(x) = a |x - x_c|^2 / 2 + b, b set so that
+    q <= min(phi, h), is grown (a = 1, 2, 4, ..., 2^20) until it is
+    admissible with f(lam(nabla^2 q + A[q])) >= psi[q] everywhere, and the
+    Dirichlet mismatch is blended in once, with the Laplace-Beltrami lift
+    of phi - q (`laplace_beltrami_solve`): the blend is lift(phi) + a w
+    with one w for every a, so a larger a only scales w.  If no a
+    qualifies or the blend is inadmissible, NoAdmissibleStart is raised
+    (a subsolution is then required input).
     """
     if prob.subsolution is not None:
         return prob.subsolution
@@ -692,13 +694,11 @@ def default_initializer(prob: Problem) -> np.ndarray:
         if rq.admissible and rq.values.min() >= 0.0:
             v = laplace_beltrami_solve(grid, prob.metric, prob.phi - q)
             u0 = pin_boundary(grid, q + v, prob.phi)
-            r0 = residual(u0, prob, PROBE_EPSILON)
-            if r0.admissible:
+            if residual(u0, prob, PROBE_EPSILON).admissible:
                 return u0
+            break
         a *= 2.0
-    raise NoAdmissibleStart(
-        "built-in paraboloid/blend initializer failed; supply a subsolution"
-    )
+    raise NoAdmissibleStart("built-in paraboloid/blend initializer failed; supply a subsolution")
 
 
 def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,

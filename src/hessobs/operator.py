@@ -247,12 +247,10 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def spectrum(st: StateEval, prob: Problem, grad: bool = True):
+def spectrum(st: StateEval, prob: Problem) -> np.ndarray:
     """Pencil eigenvalues lam of U (descending, (N, n)) of an evaluated
-    state, for the monitors, and their `spectrum_gradient` (None when grad
-    is False)."""
-    lam = eigen_wrt_metric_field(st.U, prob.metric)
-    return lam, spectrum_gradient(prob.fspec, lam) if grad else None
+    state, for the monitors."""
+    return eigen_wrt_metric_field(st.U, prob.metric)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")

@@ -20,7 +20,7 @@ from hessobs.monitors import (
     theta_certificate,
 )
 from hessobs.newton import NewtonConfig, continuation_solve, newton_solve
-from hessobs.operator import evaluate_state, spectrum
+from hessobs.operator import evaluate_state, spectrum, spectrum_gradient
 from hessobs.problems import bundled_config_text
 from hessobs.symfunc import (
     SymmetricFunctionSpec,
@@ -142,7 +142,8 @@ def test_criterion_3_theta_certificate():
     with criterion(3, "supporting-plane constant certificate on the sigma_2 problem", 10.0):
         rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")))
         st = evaluate_state(rs.problem.subsolution, rs.problem, rs.config.schedule.eps0)
-        mu, grad = spectrum(st, rs.problem)
+        mu = spectrum(st, rs.problem)
+        grad = spectrum_gradient(rs.problem.fspec, mu)
         K = np.unique(np.round(mu, 12), axis=0)
         nu = grad / np.linalg.norm(grad, axis=1, keepdims=True)
         zeta0 = float(min(nu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(2.0))))
@@ -229,14 +230,14 @@ def test_criterion_8_inequality_audits():
     with criterion(8, "pointwise inequality audits clean at m=65", 120.0):
         rs, res = weak_radial(65)
         usub = rs.problem.subsolution
-        aud = audit_inequalities(solved_state(res.final, rs.problem, res.epsilons[-1]), usub,
+        aud = audit_inequalities(solved_state(res.final, rs.problem, res.epsilons[-1]),
                                  rs.problem, theta_certificate(usub, rs.problem, 4000, 42), 0.0)
         assert aud.violations == 0
         assert abs(aud.fprime_worst) <= 1e-12  # linear family: slack exactly zero
 
         rs5, res5 = ma_manufactured(65)
         usub5 = rs5.problem.subsolution
-        aud5 = audit_inequalities(solved_state(res5.final, rs5.problem, res5.epsilons[-1]), usub5,
+        aud5 = audit_inequalities(solved_state(res5.final, rs5.problem, res5.epsilons[-1]),
                                   rs5.problem, theta_certificate(usub5, rs5.problem, 4000, 42),
                                   0.0)
         assert aud5.violations == 0

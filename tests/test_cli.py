@@ -179,6 +179,20 @@ PINNED_BUNDLES = {
         "u_eps_1e-05.txt": "1acc7d4df89f2cee44c4f96f4e993674ca0ff0868a99bf6d08448877e51ec664",
         "u_eps_1e-06.txt": "f1da4e452003f3215cf3f516e2dd6bed9c88db8dd91c6f003ab6c0cab787c77d",
     }),
+    # the smallest 2d grid that nests: the first epsilon is solved on the
+    # 25 x 25 grid first (529 interior unknowns, above COARSE_N)
+    "ma_obstacle_m49_nested": (bundled_config_text("ma_obstacle"),
+                               ["--grid-m", "49", "--audit", "off"], {
+        "contact_cells.csv": "23421a0fb278d9b8fb3731205e892a948b1ac3327c45faa8ee6ebfceb8a66d77",
+        "norms_vs_eps.csv": "473e00a1154e007b4e1c011e99adc4be13b4cb3555b7a437dfa6a9359f8314e1",
+        "report.json": "ba5c39368581e35aedb76656e6721e0e043a36316d2c934e75be80795bd4bdae",
+        "residual_history.csv": "5a784206d9b4d1442628d0d8ccc12941d87157737b50d8111c981ffc130e102e",
+        "u_eps_1e-02.txt": "0d1d54d82e73520552164ca2a137c78b12ff78400216cac043f146fcdee0ea91",
+        "u_eps_1e-03.txt": "48e3dd02a67554d33f74125665da08cf3b6913578a0243c9f10f08293bc47880",
+        "u_eps_1e-04.txt": "317624399724a10b17514b94d81f8e5bb9931605f4299c7777b0a7c611ba64c2",
+        "u_eps_1e-05.txt": "6242276de72e7d8c6c03cf0c271e633e8f1f677dea0f9813e151b33870d647b9",
+        "u_eps_1e-06.txt": "fc1693dde823d61e89b894e66eda2ecb28f8f36188a617dfa190c469eb863066",
+    }),
     "laplacian_strong_m25_sigma1": (bundled_config_text("laplacian_obstacle_strong"),
                                     ["--grid-m", "25", "--audit", "off"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",

@@ -105,7 +105,7 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
                    h=usub + 0.2, phi=usub, subsolution=usub)
     res = continuation_solve(prob, PenaltySchedule(1e-3, 0.1, 1e-3),
                              NewtonConfig(tol_residual=1e-10))
-    aud = audit_inequalities(solved_state(res.final, prob, 1e-3), prob.subsolution, prob,
+    aud = audit_inequalities(solved_state(res.final, prob, 1e-3), prob,
                              theta_certificate(prob.subsolution, prob, 4000, 1), 0.0)
     assert aud.case1_points == 0  # linear f: constant normal
     assert aud.case2_points == prob.grid.n_interior
@@ -116,8 +116,8 @@ def test_audit_sigma1_all_case2_diag_slack_zero():
 
 def test_audit_u_equals_subsolution(solved_ma):
     prob, _ = solved_ma
-    aud = audit_inequalities(solved_state(prob.subsolution, prob, 1e-2), prob.subsolution,
-                             prob, theta_certificate(prob.subsolution, prob, 4000, 1), 0.0)
+    aud = audit_inequalities(solved_state(prob.subsolution, prob, 1e-2), prob,
+                             theta_certificate(prob.subsolution, prob, 4000, 1), 0.0)
     # L(usub - u) = 0 and beta(usub - h) = 0 since usub <= h
     assert aud.case1_points == 0
     assert aud.violations == 0
@@ -126,8 +126,8 @@ def test_audit_u_equals_subsolution(solved_ma):
 
 def test_audit_solved_ma_no_violations(solved_ma):
     prob, res = solved_ma
-    aud = audit_inequalities(solved_state(res.final, prob, res.epsilons[-1]), prob.subsolution,
-                             prob, theta_certificate(prob.subsolution, prob, 4000, 42), 0.0)
+    aud = audit_inequalities(solved_state(res.final, prob, res.epsilons[-1]), prob,
+                             theta_certificate(prob.subsolution, prob, 4000, 42), 0.0)
     assert aud.violations == 0
     assert aud.case1_points > 0  # nonlinear family genuinely exercises case 1
     assert aud.theta_hat is not None and aud.theta_hat > 0
@@ -147,16 +147,16 @@ def test_audit_theta_cloud_certified_once(solved_ma, monkeypatch):
                         lambda spec, K, zeta, lams, *a, **kw: calls.append(lams)
                         or estimate(spec, K, zeta, lams, *a, **kw))
     certificate = theta_certificate(prob.subsolution, prob, 500, 3)
-    audits = [audit_inequalities(solved_state(u, prob, e), prob.subsolution, prob, certificate,
-                                 0.0)
+    audits = [audit_inequalities(solved_state(u, prob, e), prob, certificate, 0.0)
               for u, e in zip(res.solutions, res.epsilons)]
     monkeypatch.undo()
 
     cloud = sample_cone_points(prob.fspec, 500, 3)
-    K, _, zeta0 = compact_set(*spectrum(evaluate_state(prob.subsolution, prob, res.epsilons[0]), prob))
+    sub = solved_state(prob.subsolution, prob, res.epsilons[0])
+    K, _, zeta0 = compact_set(sub.lam, sub.fg)
     assert len(audits) == 3
     for aud, u, eps in zip(audits, res.solutions, res.epsilons):
-        lam = spectrum(evaluate_state(u, prob, eps), prob)[0]
+        lam = spectrum(evaluate_state(u, prob, eps), prob)
         assert aud.theta_hat is not None
         cert = estimate_theta(prob.fspec, K, zeta0, np.vstack([cloud, lam]))
         assert aud.theta_hat == cert.theta_hat
@@ -251,22 +251,26 @@ def test_compact_set_does_not_depend_on_epsilon(name):
     # come from its spectrum, which the penalty does not enter
     prob = build_runsetup(parse_config(bundled_config_text(name))).problem
     u_sub = prob.subsolution
-    K, nu, zeta0 = compact_set(*spectrum(evaluate_state(u_sub, prob, 1e-6), prob))
+    s = solved_state(u_sub, prob, 1e-6)
+    K, nu, zeta0 = compact_set(s.lam, s.fg)
     for eps in (1e-2, 0.5):
-        K_e, nu_e, zeta0_e = compact_set(*spectrum(evaluate_state(u_sub, prob, eps), prob))
+        s = solved_state(u_sub, prob, eps)
+        K_e, nu_e, zeta0_e = compact_set(s.lam, s.fg)
         assert np.array_equal(K_e, K) and np.array_equal(nu_e, nu) and zeta0_e == zeta0
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_sweep_certificate_theta_only_scan_matches_all_pairs(name):
     # the sweep's cloud certificate takes the theta-only scan and
-    # verify-lemma the all-pairs one; theta_hat, zeta and K agree bit for bit
+    # verify-lemma the all-pairs one; theta_hat, zeta and K agree bit for
+    # bit, and both carry the subsolution they were built from
     rs = build_runsetup(parse_config(bundled_config_text(name)))
     u_sub, audit = default_initializer(rs.problem), rs.config.audit
-    K, nu, full = theta_certificate(u_sub, rs.problem, audit.theta_samples, audit.seed)
-    K_t, nu_t, fast = theta_certificate(u_sub, rs.problem, audit.theta_samples, audit.seed,
-                                        all_pairs=False)
+    K, nu, full, sub = theta_certificate(u_sub, rs.problem, audit.theta_samples, audit.seed)
+    K_t, nu_t, fast, sub_t = theta_certificate(u_sub, rs.problem, audit.theta_samples,
+                                               audit.seed, all_pairs=False)
     assert np.array_equal(K_t, K) and np.array_equal(nu_t, nu)
+    assert sub is sub_t is u_sub
     assert (fast.theta_hat, fast.zeta, fast.pair_count) == (full.theta_hat, full.zeta,
                                                             full.pair_count)
     assert fast.violations_at_zero is None and full.violations_at_zero == 0
@@ -274,7 +278,7 @@ def test_sweep_certificate_theta_only_scan_matches_all_pairs(name):
 
 def test_solved_state_computes_df_only_when_read(solved_ma, monkeypatch):
     # the norm bundle reads lam alone; Df(lam) is computed once, on the
-    # audit's first read, and is the spectrum's
+    # audit's first read, and is the spectrum gradient of lam
     import hessobs.monitors as monitors
 
     prob, res = solved_ma
@@ -285,7 +289,8 @@ def test_solved_state_computes_df_only_when_read(solved_ma, monkeypatch):
     s = solved_state(res.final, prob, res.epsilons[-1])
     compute_norm_bundle(s, prob)
     assert not calls
-    lam, fg = spectrum(evaluate_state(res.final, prob, res.epsilons[-1]), prob)
+    lam = spectrum(evaluate_state(res.final, prob, res.epsilons[-1]), prob)
+    fg = gradient(prob.fspec, lam)
     assert np.array_equal(s.lam, lam) and np.array_equal(s.fg, fg, equal_nan=True)
     assert s.fg is s.fg and len(calls) == 1
 
@@ -302,7 +307,7 @@ def test_sigma1_audit_forms_no_pair_matrix():
     assert pair_bytes > 4_000_000
     tracemalloc.start()
     try:
-        aud = audit_inequalities(s, prob.subsolution, prob, certificate, 0.0)
+        aud = audit_inequalities(s, prob, certificate, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,19 +317,18 @@ def test_sigma1_audit_forms_no_pair_matrix():
 
 def test_nonfinite_subsolution_normals_name_the_points(monkeypatch):
     # rows the Newton-tensor rule admitted but the eigenvalue cone rule of
-    # `spectrum` rejects have NaN normals; the error names their points
+    # `spectrum_gradient` rejects have NaN normals; the error names their points
     import hessobs.monitors as monitors
 
     prob = paraboloid_ceiling_problem(m=9)
-    real = monitors.spectrum
+    real = monitors.spectrum_gradient
 
-    def one_row_out(st, prob):
-        lam, fg = real(st, prob)
-        fg = fg.copy()
+    def one_row_out(fspec, lam):
+        fg = real(fspec, lam).copy()
         fg[10] = np.nan  # interior point (2, 4) of the 7 x 7 block
-        return lam, fg
+        return fg
 
-    monkeypatch.setattr(monitors, "spectrum", one_row_out)
+    monkeypatch.setattr(monitors, "spectrum_gradient", one_row_out)
     with pytest.raises(MonitorError) as exc:
         theta_certificate(prob.subsolution, prob, 10, 0)
     assert str(exc.value) == ("subsolution eigenvalues outside the cone, though its Newton "

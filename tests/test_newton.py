@@ -284,28 +284,42 @@ def _with_ceiling(make):
 
 @_MULTIGRID_CASES
 def test_newton_tangent_solves_the_last_jacobian(make, monkeypatch):
-    # the tangent is solved once, after convergence, with the last Newton
-    # step's Jacobian J to TANGENT_RTOL: J du/deps = -beta / eps at the
-    # iterate before the last step
+    # newton_solve hands the continuation its last step's Jacobian J, the
+    # penalty beta at the iterate before that step and its V-cycle; the
+    # continuation solves the tangent J du/deps = -beta / eps with them,
+    # once, after convergence, to TANGENT_RTOL, and lets go of the step
     import hessobs.newton as newton
 
     prob, u = _with_ceiling(make)
+    prob = dataclasses.replace(prob, subsolution=u)
     eps = 1e-2
-    steps = []
+    steps, tangents = [], []
+    path_point = newton._path_point
 
     def recording(state, prob):
         J = linearize(state, prob)
         steps.append((J, state.beta))
         return J
 
+    def recording_point(u, tangent, eps, grid):
+        tangents.append(tangent)
+        return path_point(u, tangent, eps, grid)
+
     monkeypatch.setattr(newton, "linearize", recording)
     _, rep = newton_solve(u, prob, eps)
     J, beta = steps[-1]
     assert len(steps) == rep.iterations >= 2 and beta.any()
+    assert rep.last_step[0] is J and rep.last_step[1] is beta
+    steps.clear()
+    monkeypatch.setattr(newton, "_path_point", recording_point)
+    [rep] = continuation_solve(prob, PenaltySchedule(eps, 0.1, eps)).reports
+    J, beta = steps[-1]
+    [tangent] = tangents
+    assert len(steps) == rep.iterations and rep.last_step is None
     b = -beta / eps
     ref = spla.spsolve(J.tocsc(), b)
-    assert np.linalg.norm(J @ rep.tangent - b) <= TANGENT_RTOL * np.linalg.norm(b)
-    assert np.linalg.norm(rep.tangent - ref) <= TANGENT_RTOL * np.linalg.norm(ref)
+    assert np.linalg.norm(J @ tangent - b) <= TANGENT_RTOL * np.linalg.norm(b)
+    assert np.linalg.norm(tangent - ref) <= TANGENT_RTOL * np.linalg.norm(ref)
 
 
 def test_linear_solve_checks_its_true_residual():
@@ -400,9 +414,10 @@ def test_zero_right_hand_side_applies_no_v_cycle():
 
 def test_at_most_one_v_cycle_alive_during_continuation(monkeypatch):
     # each epsilon's V-cycle (its coarse operators and coarse LU) lives
-    # through that epsilon's Newton steps and tangent only: it is released
-    # before the next one is built, and neither a SolveReport nor the
-    # ContinuationResult holds it
+    # through that epsilon's Newton steps and tangent only: newton_solve's
+    # report hands it to the continuation with the last step, which
+    # releases it once the tangent is solved, before the next Newton solve
+    # starts; neither a SolveReport nor the ContinuationResult keeps it
     import weakref
 
     import hessobs.newton as newton
@@ -426,8 +441,9 @@ def test_at_most_one_v_cycle_alive_during_continuation(monkeypatch):
         return residual(u, prob, epsilon)
 
     def checking_solve(*args, **kwargs):
+        assert not live()
         u, rep = solve(*args, **kwargs)
-        assert not live()  # rep is still held here
+        assert [ref() for ref in live()] == [rep.last_step[2]]
         return u, rep
 
     monkeypatch.setattr(newton, "_v_cycle", recording_cycle)
@@ -436,7 +452,7 @@ def test_at_most_one_v_cycle_alive_during_continuation(monkeypatch):
     result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
     assert len(cycles) == len(result.reports) == 5
     assert max(alive) == 1 and len(alive) > sum(r.iterations for r in result.reports)
-    assert not live()
+    assert not live() and all(r.last_step is None for r in result.reports)
 
 
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
@@ -523,10 +539,11 @@ def test_forcing_safeguard_keeps_newton_steps_and_tolerance(name):
 
 def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
     # each solves row counts the GMRES iterations of its Newton directions
-    # and of its tangent, which adds at least one
+    # and of the tangent the continuation solves after them, which adds at
+    # least one: all the iterations from its Newton solve to the next
     import hessobs.newton as newton
 
-    iterations, per_epsilon = [], []
+    iterations, starts = [], []
     restart_cycle, solve = newton._gmres_cycle, newton.newton_solve
 
     def counting_cycle(*args):
@@ -535,10 +552,8 @@ def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
         return dx, k
 
     def counting_solve(*args, **kwargs):
-        start = len(iterations)
-        out = solve(*args, **kwargs)
-        per_epsilon.append(sum(iterations[start:]))
-        return out
+        starts.append(len(iterations))
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(newton, "_gmres_cycle", counting_cycle)
     monkeypatch.setattr(newton, "newton_solve", counting_solve)
@@ -546,7 +561,9 @@ def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
     assert main(["solve", str(cfg), "--grid-m", "33", "--audit", "off",
                  "--out", str(tmp_path), "--quiet"]) == 0
     solves = json.loads((tmp_path / "report.json").read_text())["solves"]
-    assert [s["krylov_iterations"] for s in solves] == per_epsilon
+    bounds = starts + [len(iterations)]
+    assert [s["krylov_iterations"] for s in solves] == [
+        sum(iterations[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert all(s["krylov_iterations"] > s["iterations"] for s in solves)
 
 
@@ -825,6 +842,38 @@ def test_nested_start_keeps_fine_solver_errors(monkeypatch):
     assert info.value.epsilon == rs.config.schedule.eps0 and info.value.reports == []
 
 
+def test_coarse_solves_solve_no_tangent(monkeypatch):
+    # newton_solve solves Newton directions only; the continuation solves
+    # one tangent per fine epsilon with a Newton step, and the coarse solve
+    # of the nested start, whose tangent nothing reads, solves none
+    import hessobs.newton as newton
+
+    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=65))
+    calls, in_newton = [], []
+    linear_solve, solve = newton._linear_solve, newton.newton_solve
+
+    def recording_linear_solve(J, cycle, b, rtol):
+        calls.append((bool(in_newton), b.size, rtol))
+        return linear_solve(J, cycle, b, rtol)
+
+    def marking_solve(*args, **kwargs):
+        in_newton.append(None)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            in_newton.pop()
+
+    monkeypatch.setattr(newton, "_linear_solve", recording_linear_solve)
+    monkeypatch.setattr(newton, "newton_solve", marking_solve)
+    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+    assert result.reports[0].nested_levels == [[[33, 33], 6, 25]]
+    steps = sum(r.iterations for r in result.reports)
+    tangents = [call for call in calls if call[2] == TANGENT_RTOL]
+    assert tangents == [(False, rs.problem.grid.n_interior, TANGENT_RTOL)] * 5
+    assert sum(r.iterations > 0 for r in result.reports) == 5
+    assert [call[0] for call in calls].count(True) == steps + 6
+
+
 def test_nested_levels_only_in_a_nested_start_row(tmp_path):
     # the first epsilon's solves row lists its coarse levels, coarsest first;
     # its iterations and Krylov count stay the fine grid's, and the rows of
@@ -912,7 +961,7 @@ def test_continuation_factors_once_per_epsilon(monkeypatch):
             if builds:
                 assert seen[1][0] == "build" and seen[1][1] is jacobians[0]
         assert sum(r.iterations > 0 for r in result.reports) == (5 if name == "ma_obstacle" else 1)
-        assert all(r.tangent is None for r in result.reports)
+        assert all(r.last_step is None for r in result.reports)
 
 
 def _cubic_path(s):
@@ -1013,14 +1062,23 @@ def test_builtin_start_sweep_converges(tmp_path):
     assert [s["iterations"] for s in solves] == [4, 4, 3, 3, 3]
 
 
-def test_builtin_start_fails_on_ma_obstacle(tmp_path):
-    # no blended paraboloid is admissible for the det-root problem
+def test_builtin_start_fails_on_ma_obstacle(tmp_path, monkeypatch):
+    # no blended paraboloid is admissible for the det-root problem; the
+    # blend does not depend on the paraboloid's size, so the first one that
+    # qualifies is the only lift solved
+    import hessobs.newton as newton
+
+    lifts = []
+    lift = newton.laplace_beltrami_solve
+    monkeypatch.setattr(newton, "laplace_beltrami_solve",
+                        lambda *args: lifts.append(args) or lift(*args))
     cfg = builtin_start_config(tmp_path, "ma_obstacle")
     out = tmp_path / "out"
     assert main(["sweep", str(cfg), "--grid-m", "33", "--audit", "off",
                  "--out", str(out), "--quiet"]) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["solver_failure"]["error"] == "NoAdmissibleStart"
+    assert len(lifts) == 1
 
 
 # -------------------------------------------------- 3d smoke test

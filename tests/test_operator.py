@@ -329,7 +329,7 @@ def test_newton_margins_equal_the_monitors_margins(metric, tmp_path):
     u = prob.subsolution + 0.1 * prob.grid.sample(lambda x: np.sin(x[..., 0]) * x[..., 1] ** 2)
     st = evaluate_state(u, prob, 1e-2)
     assert st.admissible
-    sig = sigma_margins(prob.fspec, spectrum(st, prob)[0])
+    sig = sigma_margins(prob.fspec, spectrum(st, prob))
     assert np.all(np.abs(sig - st.sig) <= 1e-14 * np.abs(st.sig))
 
 
