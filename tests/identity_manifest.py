@@ -1,0 +1,81 @@
+"""Print one sha256 per output file of a fixed set of `hessobs` runs.
+
+    python3 tests/identity_manifest.py > manifest.txt
+
+The runs go through `hessobs.cli.main` in this one process, on the sources
+in the `src/` next to this directory, with one BLAS thread:
+
+- `sweep` of each bundled config with audits on, at seeds 42 and 1;
+- `check-structure` and `verify-lemma` of each bundled config: the bundle
+  and the progress text on stdout;
+- `ma_obstacle` at --grid-m 97 with audits off;
+- the generated 3d config of the `solve_3d` benchmark workload
+  (`perfbench/workloads.py`), seed 1;
+- `ma_manufactured` at --grid-m 25 with audits on.
+
+Each line is `<sha256>  <run>/<file>`, and each run adds `<exit code>  <run>/rc`.
+A change meant to keep every result byte-identical is checked by running
+this script on both checkouts (copy it into the older one) and diffing the
+two outputs; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def runs():
+    """(name, argv builder, config text) per run; argv takes the config path."""
+    from hessobs.problems import BUNDLED, bundled_config_text
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import solve_3d_config
+
+    for name in BUNDLED:
+        text = bundled_config_text(name)
+        for seed in (42, 1):
+            yield (f"sweep_{name}_seed{seed}", text,
+                   lambda cfg, seed=seed: ["sweep", cfg, "--seed", str(seed), "--audit", "on"])
+        for command in ("check-structure", "verify-lemma"):
+            yield f"{command}_{name}", text, lambda cfg, command=command: [command, cfg]
+    yield ("sweep_ma_obstacle_m97", bundled_config_text("ma_obstacle"),
+           lambda cfg: ["sweep", cfg, "--grid-m", "97", "--audit", "off"])
+    yield "sweep_solve_3d", solve_3d_config(1), lambda cfg: ["sweep", cfg]
+    yield ("sweep_ma_manufactured_m25", bundled_config_text("ma_manufactured"),
+           lambda cfg: ["sweep", cfg, "--grid-m", "25", "--audit", "on"])
+
+
+def main() -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
+    from hessobs.cli import main as hessobs_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text, argv in runs():
+            run_dir = pathlib.Path(tmp) / name
+            run_dir.mkdir()
+            cfg = run_dir / "run.cfg"
+            cfg.write_text(text)
+            out = run_dir / "out"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = hessobs_main([*argv(str(cfg)), "--out", str(out)])
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+            files["stdout"] = stdout.getvalue().encode()
+            for fname, data in files.items():
+                print(f"{hashlib.sha256(data).hexdigest()}  {name}/{fname}")
+            print(f"{rc}  {name}/rc", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,8 @@ them, so they live here and not in the package.
   from a per-point callback, and the reader of a grid dump;
 - f, Df and D^2 f at one eigenvalue tuple, over the batched symmetric-function
   code;
+- the per-point cone kernels as they were written before they ran on
+  contiguous (N,) columns, which the package's must match bit for bit;
 - the all-pairs theta scan that `estimate_theta`'s row filter and Gram-form
   gaps must reproduce.
 
@@ -23,17 +25,19 @@ which only steepens the gap without moving the solution.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from hessobs.errors import OutsideCone
 from hessobs.expressions import parse_expression
 from hessobs.geometry import ChartGrid, MetricField, metric_from_field
 from hessobs.monitors import ContactSet
 from hessobs.operator import CoefficientField, a_scalar_text
 from hessobs.symfunc import (THETA_ZERO_GUARD, SymmetricFunctionSpec, ThetaCertificate, _f_batch,
-                             _grad_batch, _hess_batch)
+                             _grad_batch, _hess_batch, _margin_ok)
 
 # ---------------------------------------------------------------------------
 # the radial obstacle problem in closed form
@@ -214,6 +218,78 @@ def grad_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
 
 def hess_f(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
     return _hess_batch(spec, np.asarray(lam, dtype=float)[None, :])[0]
+
+
+# ---------------------------------------------------------------------------
+# the per-point cone kernels on (N, k) blocks
+# ---------------------------------------------------------------------------
+# Each runs its elementwise ops on strided columns of an (N, k) or (N, n)
+# block and its reductions along the short axis, as the package did before
+# its kernels moved to contiguous (N,) columns; the package's kernels must
+# give the same bits, the same masks and the same errors.
+
+def elementary_symmetric_reference(lam, kmax: int) -> np.ndarray:
+    """sigma_0..sigma_kmax of each row of lam, shape (N, kmax+1)."""
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    npts, n = lam.shape
+    e = np.zeros((npts, kmax + 1))
+    e[:, 0] = 1.0
+    for c in range(n):
+        jtop = min(kmax, c + 1)
+        for j in range(jtop, 0, -1):
+            e[:, j] += lam[:, c] * e[:, j - 1]
+    return e
+
+
+def sigma_margins_reference(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
+    return elementary_symmetric_reference(lam, spec.k)[:, 1:]
+
+
+def inside_reference(spec: SymmetricFunctionSpec, lam) -> np.ndarray:
+    return _margin_ok(sigma_margins_reference(spec, lam)).all(axis=1)
+
+
+def require_inside_reference(spec: SymmetricFunctionSpec, lam):
+    e = elementary_symmetric_reference(lam, spec.k)
+    bad = ~_margin_ok(e[:, 1:])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        raise OutsideCone(lam[i], e[i], int(np.argmax(bad[i])) + 1)
+
+
+def f_and_grad_of_matrix_reference(spec: SymmetricFunctionSpec, B: np.ndarray):
+    """(sig, f, D, ok) of the (N, n, n) batch B by the Newton-tensor
+    recursion, sigma_j stored in the columns of one (N, k+1) block."""
+    n, e = B.shape[1], np.ones((B.shape[0], spec.k + 1))
+    ij = list(np.ndindex(n, n))
+    T = [{(i, c): float(i == c) for i, c in ij}]  # T_0 = I
+    BT = b = {(i, c): B[:, i, c] for i, c in ij}  # B T_0 = B
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, spec.k + 1):
+            e[:, j] = functools.reduce(np.add, [BT[i, i] for i in range(n)]) / j
+            if j < spec.k:
+                T.append({(i, c): e[:, j] - BT[i, c] if i == c else -BT[i, c] for i, c in ij})
+                BT = {(i, c): functools.reduce(np.add, [b[i, m] * T[j][m, c] for m in range(n)])
+                      for i, c in ij if i == c or j + 1 < spec.k}
+        ok = _margin_ok(e[:, 1:]).all(axis=1)
+        sk, sl = e[:, spec.k], e[:, spec.l]
+        f = np.where(ok, np.exp((np.log(sk) - np.log(sl)) / spec.degree), np.nan)
+        fd, D = f / spec.degree, np.empty(B.shape)
+        for i, c in ij:
+            dlog = T[spec.k - 1][i, c] / e[:, spec.k]
+            if spec.l:
+                dlog = dlog - T[spec.l - 1][i, c] / e[:, spec.l]
+            np.multiply(fd, dlog, out=D[:, i, c])
+    return e[:, 1:], f, D, ok
+
+
+def f_and_grad_masked_reference(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndarray):
+    ok = _margin_ok(sig).all(axis=1)
+    f = np.full(lam.shape[0], np.nan)
+    grad = np.full(lam.shape, np.nan)
+    if np.any(ok):
+        f[ok], grad[ok] = _grad_batch(spec, lam[ok])
+    return f, grad, ok
 
 
 # ---------------------------------------------------------------------------

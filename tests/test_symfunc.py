@@ -23,7 +23,18 @@ from hessobs.symfunc import (
     sample_cone_points,
     sigma_margins,
 )
-from oracles import estimate_theta_reference, eval_f, grad_f, hess_f
+from oracles import (
+    elementary_symmetric_reference,
+    estimate_theta_reference,
+    eval_f,
+    f_and_grad_masked_reference,
+    f_and_grad_of_matrix_reference,
+    grad_f,
+    hess_f,
+    inside_reference,
+    require_inside_reference,
+    sigma_margins_reference,
+)
 
 def cone_tolerances(spec, lam):
     """Per-sigma round-off band 1e-12 * (1 + |lam|)^j for j = 1..k: sigma_j
@@ -546,6 +557,99 @@ def test_newton_tensor_rows_do_not_depend_on_the_batch(spec):
         head, tail = f_and_grad_of_matrix(spec, B[:cut]), f_and_grad_of_matrix(spec, B[cut:])
         for a, h, t in zip(whole, head, tail):
             assert np.concatenate([h, t]).tobytes() == a.tobytes()
+
+
+# -------------------------------------------------- kernels against their (N, k)-block references
+
+def _edge_rows(spec, seed):
+    """Eigenvalue rows of every kind: inside (sampled), outside (minus those
+    and normal draws), on the boundary (r ones and n - r zeros, and sigma_1
+    = 0 by (1, -1, 0)), and rows drawn from NaN, +-inf, +-1e200 (whose
+    sigma_j overflow), +-0.0, +-1 and 1e-200."""
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    inside = sample_cone_points(spec, 16, seed=seed)
+    ones = np.tril(np.ones((n + 1, n)), -1)  # row r holds r ones
+    special = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0, -0.0, 1.0, -1.0, 1e-200])
+    lam = np.vstack([inside, -inside, rng.standard_normal((16, n)), ones, -0.0 * ones,
+                     np.array([1.0, -1.0, 0.0])[:n], special[rng.integers(0, 10, (80, n))]])
+    signed_zero = rng.random(lam.shape) < 0.1
+    lam[signed_zero] = -0.0  # -0.0 entries in rows inside too
+    return lam[rng.permutation(len(lam))]
+
+
+def _layouts(a):
+    """a as a C-contiguous array, in Fortran order, and as a strided view
+    of every other row of a larger array."""
+    return [np.ascontiguousarray(a), np.asfortranarray(a), np.repeat(a, 2, axis=0)[::2]]
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and values, NaN equal to NaN and -0.0 told from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype == bool:
+        return np.array_equal(a, b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+@np.errstate(all="ignore")
+def test_cone_kernels_match_block_references_bit_for_bit(spec):
+    base = _edge_rows(spec, 7)
+    ref_ok = inside_reference(spec, base)
+    assert 0 < ref_ok.sum() < len(ref_ok) and np.isnan(sigma_margins_reference(spec, base)).any()
+    for lam in _layouts(base):
+        for kmax in range(spec.n + 1):
+            assert _same_bits(elementary_symmetric(lam, kmax),
+                              elementary_symmetric_reference(lam, kmax))
+        sig = sigma_margins(spec, lam)
+        assert _same_bits(sig, sigma_margins_reference(spec, lam))
+        assert _same_bits(_inside(spec, lam), ref_ok)
+        for got, want in zip(symfunc.f_and_grad_masked(spec, lam, sig),
+                             f_and_grad_masked_reference(spec, lam, sig)):
+            assert _same_bits(got, want)
+        for rows in (lam, lam[ref_ok], lam[~ref_ok][::-1]):
+            try:
+                require_inside_reference(spec, rows)
+            except OutsideCone as exc:
+                with pytest.raises(OutsideCone) as got:
+                    symfunc._require_inside(spec, rows)
+                assert str(got.value) == str(exc) and got.value.j_failed == exc.j_failed
+                assert _same_bits(got.value.lam, exc.lam)
+                assert _same_bits(got.value.sigmas, exc.sigmas)
+            else:
+                symfunc._require_inside(spec, rows)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+@np.errstate(all="ignore")
+def test_newton_tensors_match_block_reference_bit_for_bit(spec):
+    # symmetric B = Q diag(lam) Q^T of the edge rows, diag(lam) itself
+    # (exact boundary rows, signed zeros, NaN, inf and overflow on the
+    # diagonal), and random symmetric B with special entries anywhere
+    rng = np.random.default_rng(11)
+    lam = _edge_rows(spec, 8)
+    n = spec.n
+    Q = np.linalg.qr(rng.standard_normal((len(lam), n, n)))[0]
+    finite = np.isfinite(lam).all(axis=1)
+    rotated = Q[finite] @ (lam[finite, :, None] * np.swapaxes(Q[finite], 1, 2))
+    diagonal = np.zeros((len(lam), n, n))
+    diagonal[:, range(n), range(n)] = lam
+    X = rng.standard_normal((40, n, n))
+    X[rng.random(X.shape) < 0.15] = -0.0
+    X[rng.random(X.shape) < 0.1] = 1e200
+    X[rng.random(X.shape) < 0.05] = np.nan
+    X[rng.random(X.shape) < 0.05] = -np.inf
+    B = np.concatenate([rotated, diagonal, X + np.swapaxes(X, 1, 2)])
+    ref = f_and_grad_of_matrix_reference(spec, B)
+    assert 0 < ref[3].sum() < len(B)
+    for Bl in _layouts(B):
+        got = f_and_grad_of_matrix(spec, Bl)
+        assert len(got) == 4
+        for a, b in zip(got, ref):
+            assert _same_bits(a, b)
 
 
 # -------------------------------------------------- theta estimates
