@@ -23,7 +23,7 @@ from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
 from .operator import (PENALTY_ROOT, PROBE_EPSILON, Problem, StateEval, evaluate_state,
                        operator_L, spectrum, spectrum_gradient)
-from .symfunc import SymmetricFunctionSpec, estimate_theta, sample_cone_points
+from .symfunc import SymmetricFunctionSpec, _row_norms, estimate_theta, sample_cone_points
 
 __all__ = [
     "SolvedState",
@@ -82,7 +82,7 @@ class NormBundle:
 def compute_norm_bundle(s: SolvedState, prob: Problem) -> NormBundle:
     """Uniform-estimate monitors of a solved state."""
     u, st, epsilon = s.u, s.state, s.epsilon
-    grad_norm = float(np.linalg.norm(st.p, axis=1).max())
+    grad_norm = float(_row_norms(st.p).max())
     hess_norm = float(np.abs(s.lam).max())
     hess_entry = float(np.abs(st.hess_cov).max())
     violation = float(np.maximum(u - prob.h, 0.0).max())
@@ -109,7 +109,7 @@ def compact_set(mu: np.ndarray, grad: np.ndarray):
     eigenvalue tuples mu, their unit normals nu_mu (N, n) from grad = Df(mu),
     and the default normal-gap threshold
     zeta0 = min(min nu_mu / 2, (1 - 1e-6) / (2 sqrt n))."""
-    nu_mu = grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    nu_mu = grad / _row_norms(grad)[:, None]
     zeta0 = float(min(nu_mu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(mu.shape[1]))))
     return np.unique(np.round(mu, 12), axis=0), nu_mu, zeta0
 
@@ -191,14 +191,15 @@ def audit_inequalities(s: SolvedState, prob: Problem, certificate: tuple,
     K, nu_mu, cloud, u_sub = certificate
     zeta0 = cloud.zeta
     u, st, lam, fg = s.u, s.state, s.lam, s.fg
-    nu = fg / np.linalg.norm(fg, axis=1, keepdims=True)
-    sum_fi = fg.sum(axis=1)
+    nu = fg / _row_norms(fg)[:, None]
+    sum_fi = sum(fg.T)
+    min_fi = functools.reduce(np.minimum, fg.T)
 
     own_theta = estimate_theta(prob.fspec, K, zeta0, lam, fg, all_pairs=False).theta_hat
     thetas = [t for t in (cloud.theta_hat, own_theta) if t is not None]  # None = vacuous
     theta_hat = min(thetas) if thetas else None
 
-    gap = np.linalg.norm(nu_mu - nu, axis=1)
+    gap = _row_norms(nu_mu - nu)
     case1 = gap >= zeta0
     case2 = ~case1
 
@@ -221,14 +222,14 @@ def audit_inequalities(s: SolvedState, prob: Problem, certificate: tuple,
         s2 = Lv[case2] + beta[case2]
         worst2 = float(s2.min())
         violations += int(np.count_nonzero(s2 < -tol))
-        diag = fg[case2].min(axis=1) - (zeta0 / np.sqrt(n)) * sum_fi[case2]
+        diag = min_fi[case2] - (zeta0 / np.sqrt(n)) * sum_fi[case2]
         worst_diag = float(diag.min())
         violations += int(np.count_nonzero(diag < -tol))
     else:
         worst2 = np.inf
         worst_diag = np.inf
 
-    sharp = fg.min(axis=1) - (nu.min(axis=1) / np.sqrt(n)) * sum_fi
+    sharp = min_fi - (functools.reduce(np.minimum, nu.T) / np.sqrt(n)) * sum_fi
     return InequalityAudit(
         epsilon=s.epsilon,
         zeta0=zeta0,

@@ -322,29 +322,29 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
     """Assemble sum_ij F^{ij} d_ij + sum_k c1_k d_k + c0 over interior
     unknowns with centered stencils; Dirichlet neighbors are dropped.
 
-    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.  The stencil values are
-    stacked in the column order of the grid's cached `_stencil_pattern`, and
-    the ones at interior neighbors are the CSR data, so every entry of the
-    stencil stays in the pattern, an exact zero too, and the pattern is the
-    same at every call on the grid.
+    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.  The stencil values fill
+    one contiguous row per offset of the grid's cached `_stencil_pattern`,
+    whose mask gathers the ones at interior neighbors from the transpose as
+    the CSR data, so every entry of the stencil stays in the pattern, an
+    exact zero too, and the pattern is the same at every call on the grid.
     """
     h = grid.spacing
     N = grid.n_interior
     offsets, keep, indices, indptr = _stencil_pattern(grid.interior_shape)
-    vals = np.empty((N, len(offsets)))
+    vals = np.empty((len(offsets), N))
     for j, off in enumerate(offsets):
         axes = np.flatnonzero(off)
         if axes.size == 0:
-            vals[:, j] = c0
+            vals[j] = c0
             for d in range(grid.n):
-                vals[:, j] -= 2.0 * Fij[:, d, d] / h[d] ** 2
+                vals[j] -= 2.0 * Fij[:, d, d] / h[d] ** 2
         elif axes.size == 1:
             d = axes[0]
-            vals[:, j] = Fij[:, d, d] / h[d] ** 2 + off[d] * c1[:, d] / (2.0 * h[d])
+            vals[j] = Fij[:, d, d] / h[d] ** 2 + off[d] * c1[:, d] / (2.0 * h[d])
         else:
             d, e = axes
-            vals[:, j] = off[d] * off[e] * Fij[:, d, e] / (2.0 * h[d] * h[e])
-    return sp.csr_matrix((vals[keep], indices, indptr), shape=(N, N))
+            vals[j] = off[d] * off[e] * Fij[:, d, e] / (2.0 * h[d] * h[e])
+    return sp.csr_matrix((vals.T[keep], indices, indptr), shape=(N, N))
 
 
 def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:

@@ -132,20 +132,19 @@ class ThetaCertificate:
 # ---------------------------------------------------------------------------
 
 def elementary_symmetric(lam: np.ndarray, kmax: int) -> np.ndarray:
-    """sigma_0..sigma_kmax of each row of lam, shape (N, kmax+1).
+    """sigma_0..sigma_kmax of each row of lam, shape (N, kmax+1), as the
+    transpose of a C-ordered array: each sigma_j is a contiguous column.
 
     Built by the one-variable-at-a-time recurrence e_j += lam_c * e_{j-1},
     O(n*kmax) per point, no combinatorial enumeration.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    npts, n = lam.shape
-    e = np.zeros((npts, kmax + 1))
-    e[:, 0] = 1.0
-    for c in range(n):
-        jtop = min(kmax, c + 1)
-        for j in range(jtop, 0, -1):
-            e[:, j] += lam[:, c] * e[:, j - 1]
-    return e
+    e = np.zeros((kmax + 1, lam.shape[0]))
+    e[0] = 1.0
+    for c in range(lam.shape[1]):
+        for j in range(min(kmax, c + 1), 0, -1):
+            e[j] += lam[:, c] * e[j - 1]
+    return e.T
 
 
 def _sigma_removed(lam: np.ndarray, j: int, order: int) -> np.ndarray:
@@ -176,9 +175,14 @@ def _margin_ok(sig: np.ndarray) -> np.ndarray:
     return (sig > 0.0) & (sig < np.inf)
 
 
+def _all_ok(columns) -> np.ndarray:
+    """`_margin_ok` on each (N,) margin column, ANDed per row."""
+    return functools.reduce(np.logical_and, map(_margin_ok, columns))
+
+
 def _inside(spec: SymmetricFunctionSpec, lam: np.ndarray) -> np.ndarray:
     """Rows of the (N, n) batch lam inside Gamma_k: `_margin_ok` on every margin."""
-    return _margin_ok(sigma_margins(spec, lam)).all(axis=1)
+    return _all_ok(sigma_margins(spec, lam).T)
 
 
 def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
@@ -186,10 +190,10 @@ def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
     (N, n) batch lam meets `_margin_ok`; the error names the first bad row
     and its first failing j."""
     e = elementary_symmetric(lam, spec.k)
-    bad = ~_margin_ok(e[:, 1:])
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        raise OutsideCone(lam[i], e[i], int(np.argmax(bad[i])) + 1)
+    inside = _all_ok(e.T[1:])
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise OutsideCone(lam[i], e[i], int(np.argmin(_margin_ok(e[i, 1:]))) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +203,14 @@ def _require_inside(spec: SymmetricFunctionSpec, lam: np.ndarray):
 def _f_batch(spec: SymmetricFunctionSpec, lam: np.ndarray):
     """(f, sig_k, sig_l) on rows of lam via log form; caller guarantees
     positivity of sigmas."""
-    return _f_of_sigmas(spec, elementary_symmetric(lam, spec.k))
+    return _f_of_sigmas(spec, elementary_symmetric(lam, spec.k).T)
 
 
-def _f_of_sigmas(spec: SymmetricFunctionSpec, e: np.ndarray):
-    """(f, sig_k, sig_l) from the rows sigma_0 = 1, sigma_1..sigma_k of e by
-    the log form, which covers both families (sigma_0 = 1 for l = 0)."""
-    sk, sl = e[:, spec.k], e[:, spec.l]
-    return np.exp((np.log(sk) - np.log(sl)) / spec.degree), sk, sl
+def _f_of_sigmas(spec: SymmetricFunctionSpec, e):
+    """(f, sig_k, sig_l) from the (N,) columns sigma_0 = 1, sigma_1..sigma_k
+    of e by the log form; log sigma_l enters only for a quotient (l > 0)."""
+    sk, sl = e[spec.k], e[spec.l]
+    return np.exp((np.log(sk) - np.log(sl) if spec.l else np.log(sk)) / spec.degree), sk, sl
 
 
 def f_and_grad_of_matrix(spec: SymmetricFunctionSpec, B: np.ndarray):
@@ -218,32 +222,33 @@ def f_and_grad_of_matrix(spec: SymmetricFunctionSpec, B: np.ndarray):
         T_0 = I,  sigma_j = tr(B T_{j-1}) / j,  T_j = sigma_j I - B T_{j-1},
 
     and d sigma_j = tr(T_{j-1} dB) (Reilly, J. Differential Geom. 8, 1973),
-    entrywise on the (N,) columns B[:, i, c]: no (N, n, n) temporary.  sig
-    holds sigma_1..sigma_k (N, k), ok marks the rows where all meet `_margin_ok`.
+    entrywise on the (N,) columns B[:, i, c] and sigma_j.  sig stacks
+    sigma_1..sigma_k (N, k), ok marks the rows where all meet `_margin_ok`.
     f takes the log form of `_f_of_sigmas`, and D = f/(k-l) (T_{k-1}/sigma_k -
     T_{l-1}/sigma_l) is its derivative in the sense df = tr(D dB); both are
     computed on every row and are NaN on the rows outside the cone.
     """
-    n, e = B.shape[1], np.ones((B.shape[0], spec.k + 1))
+    n, sig = B.shape[1], [np.ones(B.shape[0])]  # sigma_0..sigma_k
     ij = list(np.ndindex(n, n))
     T = [{(i, c): float(i == c) for i, c in ij}]  # T_0 = I
     BT = b = {(i, c): B[:, i, c] for i, c in ij}  # B T_0 = B
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(1, spec.k + 1):
-            e[:, j] = functools.reduce(np.add, [BT[i, i] for i in range(n)]) / j
+            sig.append(functools.reduce(np.add, [BT[i, i] for i in range(n)]) / j)
             if j < spec.k:  # the last step needs only the diagonal of B T_j
-                T.append({(i, c): e[:, j] - BT[i, c] if i == c else -BT[i, c] for i, c in ij})
+                T.append({(i, c): sig[j] - BT[i, c] if i == c else -BT[i, c] for i, c in ij})
                 BT = {(i, c): functools.reduce(np.add, [b[i, m] * T[j][m, c] for m in range(n)])
                       for i, c in ij if i == c or j + 1 < spec.k}
-        ok = _margin_ok(e[:, 1:]).all(axis=1)
-        f = np.where(ok, _f_of_sigmas(spec, e)[0], np.nan)
+        ok = _all_ok(sig[1:])
+        f = _f_of_sigmas(spec, sig)[0]
+        f[~ok] = np.nan
         fd, D = f / spec.degree, np.empty(B.shape)
         for i, c in ij:  # d log(sigma_k / sigma_l), scaled by f / (k - l)
-            dlog = T[spec.k - 1][i, c] / e[:, spec.k]
+            dlog = T[spec.k - 1][i, c] / sig[spec.k]
             if spec.l:
-                dlog = dlog - T[spec.l - 1][i, c] / e[:, spec.l]
+                dlog = dlog - T[spec.l - 1][i, c] / sig[spec.l]
             np.multiply(fd, dlog, out=D[:, i, c])
-    return e[:, 1:], f, D, ok
+    return np.stack(sig[1:], axis=1), f, D, ok
 
 
 def _grad_batch(spec: SymmetricFunctionSpec, lam: np.ndarray):
@@ -285,7 +290,7 @@ def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndar
     The non-raising entry point for eigenvalue fields (`operator.spectrum_gradient`);
     callers must honor the mask.
     """
-    ok = _margin_ok(sig).all(axis=1)
+    ok = _all_ok(sig.T)
     f = np.full(lam.shape[0], np.nan)
     grad = np.full(lam.shape, np.nan)
     if np.any(ok):
@@ -352,6 +357,11 @@ def _norms(x):
     """np.linalg.norm of each row, bit for bit: vecdot runs the same dot
     kernel as the norm of one tuple (a row-wise add.reduce does not)."""
     return np.sqrt(np.vecdot(x, x))
+
+
+def _row_norms(x):
+    """np.linalg.norm(x, axis=1) bit for bit, summed over the (N,) columns."""
+    return np.sqrt(sum(c * c for c in x.T))
 
 
 def _first_inside(spec, count, draw):
@@ -582,13 +592,13 @@ def estimate_theta(
 
     f_lam, g_lam = _grad_batch(spec, lams) if grad is None else (_f_batch(spec, lams)[0], grad)
     f_mu, g_mu = _grad_batch(spec, K)
-    nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
-    nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
-    denom = 1.0 + g_lam.sum(axis=1)
+    nu_lam = g_lam / _row_norms(g_lam)[:, None]
+    nu_mu = g_mu / _row_norms(g_mu)[:, None]
+    denom = 1.0 + sum(g_lam.T)
     lam_dot = np.einsum("ij,ij->i", g_lam, lams)
 
     centre = nu_mu.mean(axis=0)
-    reach = np.linalg.norm(nu_lam - centre, axis=1) + np.linalg.norm(nu_mu - centre, axis=1).max()
+    reach = _row_norms(nu_lam - centre) + _row_norms(nu_mu - centre).max()
     near = reach >= zeta - GAP_ROUNDOFF
     rows = np.arange(len(lams)) if all_pairs else np.flatnonzero(near)
     if not (all_pairs or len(rows)):
