@@ -10,9 +10,9 @@ which is all the Newton test on |F|_inf needs.  The V-cycle is set up once
 per epsilon, from the first Newton step's Jacobian, and preconditions every
 later step of that epsilon: GMRES runs on each step's own Jacobian and
 checks its true residual, so only the preconditioner lags.
-The continuation solves the path tangent du/deps of each epsilon with its
-last Newton step's Jacobian and V-cycle, to the fixed relative residual
-TANGENT_RTOL: it only feeds the next epsilon's predictor.
+The continuation solves the path tangent du/deps of each epsilon but the
+last with its last Newton step's Jacobian and V-cycle, to the fixed relative
+residual TANGENT_RTOL: it only feeds the next epsilon's predictor.
 GMRES and the V-cycle also solve the default initializer's harmonic lift;
 they are the package's only sparse solver.  Newton backtracks with two
 acceptance rules: (a) every interior point of the candidate stays inside
@@ -466,11 +466,10 @@ def _path_tangent(rep: SolveReport, eps: float) -> np.ndarray | None:
     """The interior path tangent du/deps at the solution `rep` reports, or
     None without a Newton step: the residual moves with epsilon by beta /
     eps, so J du/deps = -beta / eps with the report's `last_step`, solved
-    to TANGENT_RTOL.  The report counts its GMRES iterations and drops the
-    step."""
+    to TANGENT_RTOL.  The report counts its GMRES iterations."""
     if rep.last_step is None:
         return None
-    (J, beta, cycle), rep.last_step = rep.last_step, None
+    J, beta, cycle = rep.last_step
     tangent, k = _linear_solve(J, cycle, -beta / eps, TANGENT_RTOL)
     rep.krylov_iterations += k
     return tangent
@@ -623,8 +622,9 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
     start.  Each later epsilon starts from the prediction of
     `_predicted_start`: an Euler step from the first solution, and from the
     third epsilon on the cubic Hermite extrapolation through the last two
-    solutions.  `_path_tangent` solves the tangents, after each epsilon's
-    Newton solve; the coarse solves of a nested start solve none.  The
+    solutions.  `_path_tangent` solves the tangents after the Newton solves
+    of every epsilon but the last, which no prediction reads, and each last
+    step is released; the coarse solves of a nested start solve none.  The
     previous solution itself is the start when the prediction is not
     better; the report records which in `start`.  A prediction's state,
     evaluated for that comparison, is the Newton solve's start state.  The
@@ -648,7 +648,8 @@ def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
             else:
                 u, start, res0, levels = _nested_start(u0, prob, eps, cfg)
             u, rep = newton_solve(u, prob, eps, cfg, res0)
-            tangent = _path_tangent(rep, eps)
+            tangent = _path_tangent(rep, eps) if k + 1 < len(eps_values) else None
+            rep.last_step = None
         except Exception as exc:
             if isinstance(exc, MaxItersExceeded):
                 exc.report.start, exc.report.nested_levels = start, levels

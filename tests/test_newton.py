@@ -285,9 +285,11 @@ def _with_ceiling(make):
 @_MULTIGRID_CASES
 def test_newton_tangent_solves_the_last_jacobian(make, monkeypatch):
     # newton_solve hands the continuation its last step's Jacobian J, the
-    # penalty beta at the iterate before that step and its V-cycle; the
-    # continuation solves the tangent J du/deps = -beta / eps with them,
-    # once, after convergence, to TANGENT_RTOL, and lets go of the step
+    # penalty beta at the iterate before that step and its V-cycle; on a
+    # two-epsilon schedule the continuation solves the first epsilon's
+    # tangent J du/deps = -beta / eps with them, once, after convergence, to
+    # TANGENT_RTOL, solves none for the last epsilon, whose tangent no
+    # prediction reads, and lets go of both steps
     import hessobs.newton as newton
 
     prob, u = _with_ceiling(make)
@@ -312,10 +314,13 @@ def test_newton_tangent_solves_the_last_jacobian(make, monkeypatch):
     assert rep.last_step[0] is J and rep.last_step[1] is beta
     steps.clear()
     monkeypatch.setattr(newton, "_path_point", recording_point)
-    [rep] = continuation_solve(prob, PenaltySchedule(eps, 0.1, eps)).reports
-    J, beta = steps[-1]
-    [tangent] = tangents
-    assert len(steps) == rep.iterations and rep.last_step is None
+    reports = continuation_solve(prob, PenaltySchedule(eps, 0.1, 0.1 * eps)).reports
+    assert [r.epsilon for r in reports] == [eps, 0.1 * eps]
+    assert len(steps) == sum(r.iterations for r in reports) and reports[1].iterations >= 1
+    assert all(r.last_step is None for r in reports)
+    J, beta = steps[reports[0].iterations - 1]
+    tangent, last = tangents
+    assert last is None
     b = -beta / eps
     ref = spla.spsolve(J.tocsc(), b)
     assert np.linalg.norm(J @ tangent - b) <= TANGENT_RTOL * np.linalg.norm(b)
@@ -457,13 +462,14 @@ def test_at_most_one_v_cycle_alive_during_continuation(monkeypatch):
 
 def test_bundled_ma_obstacle_iteration_counts(tmp_path):
     # per-epsilon Newton and GMRES counts of the Euler-predicted
-    # continuation, pinned
+    # continuation, pinned; the last epsilon solves no tangent (it took 10
+    # GMRES iterations with it)
     cfg = bundled_config_path("ma_obstacle")
     assert main(["solve", str(cfg), "--grid-m", "33", "--audit", "off",
                  "--out", str(tmp_path), "--quiet"]) == 0
     solves = json.loads((tmp_path / "report.json").read_text())["solves"]
     assert [s["iterations"] for s in solves] == [6, 4, 2, 2, 3]
-    assert [s["krylov_iterations"] for s in solves] == [29, 12, 9, 9, 10]
+    assert [s["krylov_iterations"] for s in solves] == [29, 12, 9, 9, 8]
 
 
 # Newton steps and start per epsilon of the four bundled configs at their
@@ -539,8 +545,8 @@ def test_forcing_safeguard_keeps_newton_steps_and_tolerance(name):
 
 def test_krylov_iterations_count_every_gmres_iteration(tmp_path, monkeypatch):
     # each solves row counts the GMRES iterations of its Newton directions
-    # and of the tangent the continuation solves after them, which adds at
-    # least one: all the iterations from its Newton solve to the next
+    # and, for every epsilon but the last, of the tangent the continuation
+    # solves after them: all the iterations from its Newton solve to the next
     import hessobs.newton as newton
 
     iterations, starts = [], []
@@ -844,8 +850,9 @@ def test_nested_start_keeps_fine_solver_errors(monkeypatch):
 
 def test_coarse_solves_solve_no_tangent(monkeypatch):
     # newton_solve solves Newton directions only; the continuation solves
-    # one tangent per fine epsilon with a Newton step, and the coarse solve
-    # of the nested start, whose tangent nothing reads, solves none
+    # one tangent per fine epsilon with a Newton step but the last, and
+    # neither the last epsilon nor the coarse solve of the nested start,
+    # whose tangents nothing reads, solves one
     import hessobs.newton as newton
 
     rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=65))
@@ -869,7 +876,7 @@ def test_coarse_solves_solve_no_tangent(monkeypatch):
     assert result.reports[0].nested_levels == [[[33, 33], 6, 25]]
     steps = sum(r.iterations for r in result.reports)
     tangents = [call for call in calls if call[2] == TANGENT_RTOL]
-    assert tangents == [(False, rs.problem.grid.n_interior, TANGENT_RTOL)] * 5
+    assert tangents == [(False, rs.problem.grid.n_interior, TANGENT_RTOL)] * 4
     assert sum(r.iterations > 0 for r in result.reports) == 5
     assert [call[0] for call in calls].count(True) == steps + 6
 
