@@ -156,23 +156,27 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
     bundles, audits = [], []
     solves = [_solve_row(rep) for rep in result.reports]
     hist_rows = []
-    for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
-        solved = solved_state(u, rs.problem, eps)
-        bundles.append(compute_norm_bundle(solved, rs.problem))
-        if audit.enabled:
-            audits.append(audit_inequalities(solved, rs.problem, certificate, audit.c_audit))
-        for it, rmax in enumerate(rep.residual_history):
-            step = rep.step_history[it - 1] if it >= 1 else ""
-            hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
-                              rep.margin_history[it]))
+    try:  # a monitor's error names the epsilon it checked, the contact set's the last
+        for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
+            solved = solved_state(u, rs.problem, eps)
+            bundles.append(compute_norm_bundle(solved, rs.problem))
+            if audit.enabled:
+                audits.append(audit_inequalities(solved, rs.problem, certificate, audit.c_audit))
+            for it, rmax in enumerate(rep.residual_history):
+                step = rep.step_history[it - 1] if it >= 1 else ""
+                hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
+                                  rep.margin_history[it]))
 
-    sweep = sweep_summary(bundles)
-    final_eps = result.epsilons[-1]
-    final_bundle = bundles[-1]
-    contact = extract_contact_set(  # build_runsetup ensured h > phi on the boundary
-        result.final, rs.problem.h, rs.problem.grid, final_eps,
-        final_bundle.penalty_sup, final_bundle.hess_norm,
-    )
+        sweep = sweep_summary(bundles)
+        final_eps = result.epsilons[-1]
+        final_bundle = bundles[-1]
+        contact = extract_contact_set(  # build_runsetup ensured h > phi on the boundary
+            result.final, rs.problem.h, rs.problem.grid, final_eps,
+            final_bundle.penalty_sup, final_bundle.hess_norm,
+        )
+    except HessObsError as exc:
+        exc.epsilon = eps
+        raise
 
     doc["solves"] = solves
     doc["norms"] = sweep.rows

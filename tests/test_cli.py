@@ -673,8 +673,8 @@ audit {
 def test_failure_after_solve_writes_report_exit2(tmp_path):
     # every epsilon converges, then the contact band reaches the first
     # interior ring and extract_contact_set raises MonitorError: the failure
-    # report still names it and keeps all five solves, their norms and their
-    # fields
+    # report still names it, with the final epsilon, at which the contact
+    # set was taken, and keeps all five solves, their norms and their fields
     cfg = tmp_path / "tight3d.cfg"
     cfg.write_text(TIGHT_3D)
     out = tmp_path / "out"
@@ -684,12 +684,39 @@ def test_failure_after_solve_writes_report_exit2(tmp_path):
     assert list(report) == ["config", "epsilons", "solver_failure", "solves", "norms"]
     assert report["solver_failure"]["error"] == "MonitorError"
     assert "chart boundary" in report["solver_failure"]["message"]
-    assert report["solver_failure"]["epsilon"] is None
+    assert report["solver_failure"]["epsilon"] == report["epsilons"][-1]
     assert [s["epsilon"] for s in report["solves"]] == report["epsilons"]
     assert len(report["solves"]) == 5 and all(s["converged"] for s in report["solves"])
     assert [n["epsilon"] for n in report["norms"]] == report["epsilons"]
     assert sorted(f.name for f in out.iterdir()) == ["report.json"] + [
         f"u_eps_{eps:.0e}.txt" for eps in report["epsilons"]]
+
+
+@pytest.mark.parametrize("monitor,epsilon", [("solved_state", 1e-3),
+                                             ("compute_norm_bundle", 1e-3),
+                                             ("audit_inequalities", 1e-3),
+                                             ("theta_certificate", None)])
+def test_monitor_failure_names_its_epsilon(monitor, epsilon, small_cfg, tmp_path, monkeypatch):
+    # a per-epsilon monitor that raises at the second of the three finished
+    # epsilons records that epsilon; the theta certificate belongs to none
+    import hessobs.cli as cli
+    from hessobs.errors import MonitorError
+
+    real = getattr(cli, monitor)
+
+    def failing(*args, **kwargs):
+        # solved_state takes (u, prob, epsilon), the others a SolvedState first
+        eps = args[2] if monitor == "solved_state" else getattr(args[0], "epsilon", None)
+        if monitor == "theta_certificate" or eps == 1e-3:
+            raise MonitorError(f"{monitor} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, monitor, failing)
+    out = tmp_path / "out"
+    assert main(["sweep", str(small_cfg), "--out", str(out), "--quiet"]) == 2
+    failure = json.loads((out / "report.json").read_text())["solver_failure"]
+    assert failure == {"error": "MonitorError", "message": f"{monitor} failed",
+                       "epsilon": epsilon}
 
 
 def test_failure_norms_stop_at_the_first_failing_monitor(small_cfg, tmp_path, monkeypatch):
