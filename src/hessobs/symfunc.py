@@ -16,8 +16,10 @@ Internally both families share one code path: the pure root family is the
 quotient with l = 0 and sigma_0 = 1.  All derivative formulas run through
 logarithmic differentiation, which stays stable for eigenvalues spanning many
 orders of magnitude.  `f_and_grad_of_matrix` evaluates f and its derivative
-on a batch of matrices through their Newton tensors, without eigenvalues:
-entrywise on the batch's (N,) columns, with no masked indexing.
+on a batch of matrices through their Newton tensors, without eigenvalues.
+Per-point data is reduced over its n or k columns as contiguous (N,)
+arrays: sigma_j, the cone test, and row norms, sums and minima are column
+expressions, never a numpy pass along a short trailing axis.
 
 Every cone test, of matrices, eigenvalue fields and samples alike, applies
 one rule to the sigma margins, `_margin_ok`: each positive and finite.  The

@@ -421,8 +421,9 @@ def test_at_most_one_v_cycle_alive_during_continuation(monkeypatch):
     # each epsilon's V-cycle (its coarse operators and coarse LU) lives
     # through that epsilon's Newton steps and tangent only: newton_solve's
     # report hands it to the continuation with the last step, which
-    # releases it once the tangent is solved, before the next Newton solve
-    # starts; neither a SolveReport nor the ContinuationResult keeps it
+    # releases it once the tangent is solved (or skipped, for the last
+    # epsilon), before the next Newton solve starts; neither a SolveReport
+    # nor the ContinuationResult keeps it
     import weakref
 
     import hessobs.newton as newton
