@@ -13,10 +13,13 @@ such a block: callers neither slice nor reshape.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NotSPD
 
@@ -233,27 +236,52 @@ def gradient_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     return out.reshape(-1, n)
 
 
-def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
-    """Plain (non-covariant) second derivatives at the interior points, (N, n, n)."""
-    n = grid.n
-    h = grid.spacing
+@functools.lru_cache(maxsize=8)
+def _second_differences(shape: tuple) -> sp.csr_matrix:
+    """The integer-weight second differences of a grid of `shape` as one
+    CSR operator on the C-ordered `u.ravel()`: row j * N + i holds, at
+    interior point i, the terms of the j-th distinct Hessian column (the
+    n diagonal ones, then (d, e), d < e, in order) with weights +1, -2, +1
+    or +1, -1, -1, +1, in the order `hessian_centered`'s stencil adds them.
+    It depends only on the shape, so it is cached and read-only."""
+    n = len(shape)
     E = np.eye(n, dtype=int)
-    out = np.empty(grid.interior_shape + (n, n))
-    center = u[grid.interior]
-    for d in range(n):
-        out[..., d, d] = (interior_shift(u, E[d]) - 2.0 * center
-                          + interior_shift(u, -E[d])) / h[d] ** 2
-    for d in range(n):
-        for e in range(d + 1, n):
-            cross = (
-                interior_shift(u, E[d] + E[e])
-                - interior_shift(u, E[d] - E[e])
-                - interior_shift(u, E[e] - E[d])
-                + interior_shift(u, -E[d] - E[e])
-            ) / (4.0 * h[d] * h[e])
-            out[..., d, e] = cross
-            out[..., e, d] = cross
-    return out.reshape(-1, n, n)
+    stencils = [((E[d], 1), (0 * E[d], -2), (-E[d], 1)) for d in range(n)]
+    stencils += [((E[d] + E[e], 1), (E[d] - E[e], -1), (E[e] - E[d], -1), (-E[d] - E[e], 1))
+                 for d, e in itertools.combinations(range(n), 2)]
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    N = math.prod(s - 2 for s in shape)
+    indices = np.concatenate([np.stack([interior_shift(idx, o).ravel() for o, _ in st], axis=1).ravel()
+                              for st in stencils]).astype(np.int32)
+    data = np.concatenate([np.tile([float(w) for _, w in st], N) for st in stencils])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat([len(st) for st in stencils], N))])
+    A = sp.csr_matrix((data, indices, indptr.astype(np.int32)), shape=(len(stencils) * N, idx.size))
+    for a in (A.data, A.indices, A.indptr):
+        a.flags.writeable = False
+    return A
+
+
+def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
+    """Plain (non-covariant) second derivatives at the interior points, a
+    C-ordered (N, n, n) block: the cached `_second_differences` of u, each
+    column divided by h_d^2 or 4 h_d h_e into its entries of the block.
+
+    Bit for bit the centered stencil (u(+e_d) - 2 u + u(-e_d)) / h_d^2 and
+    (u(+e_d+e_e) - u(+e_d-e_e) - u(-e_d+e_e) + u(-e_d-e_e)) / (4 h_d h_e)
+    taken on slices, with one exception: the product sums from +0.0, so an
+    entry that the slice form gives as -0.0 (a stencil of signed zeros, such
+    as -0.0 at both neighbours of a +0.0 centre) reads +0.0, an equal value.
+    """
+    n, N = grid.n, grid.n_interior
+    h = grid.spacing
+    pairs = [(d, d) for d in range(n)] + list(itertools.combinations(range(n), 2))
+    cols = (_second_differences(grid.shape) @ u.ravel()).reshape(len(pairs), N)
+    out = np.empty((N, n, n))
+    for col, (d, e) in zip(cols, pairs):
+        np.divide(col, h[d] ** 2 if d == e else 4.0 * h[d] * h[e], out=out[:, d, e])
+        if d != e:
+            out[:, e, d] = out[:, d, e]
+    return out
 
 
 def covariant_hessian(u: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:

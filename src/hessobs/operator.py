@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,15 +175,18 @@ PROBE_EPSILON = 1e-1
 def penalty(epsilon: float, z):
     """Cubic penalty (value, first derivative); C^2 at z = 0.
 
-    value = z^3/eps for z > 0 and 0 otherwise; both outputs are >= 0.
+    value = z^3/eps for z > 0 and 0 otherwise; both outputs are arrays of
+    z's shape and >= 0.  Only the points in contact (z > 0) are computed;
+    every other entry, NaN z included, is +0.0.
     """
     if not (0.0 < epsilon < 1.0):
         raise BadEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
     z = np.asarray(z, dtype=float)
-    pos = z > 0.0
-    zp = np.where(pos, z, 0.0)
-    val = zp**PENALTY_POWER / epsilon
-    d1 = PENALTY_POWER * zp**(PENALTY_POWER - 1) / epsilon
+    val, d1 = np.zeros(z.shape), np.zeros(z.shape)
+    pos = np.flatnonzero(z > 0.0)
+    zp = z.take(pos)
+    val.put(pos, zp**PENALTY_POWER / epsilon)
+    d1.put(pos, PENALTY_POWER * zp**(PENALTY_POWER - 1) / epsilon)
     return val, d1
 
 
@@ -299,14 +303,22 @@ def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
 @functools.lru_cache(maxsize=8)
 def _stencil_pattern(shape: tuple) -> tuple:
     """The CSR pattern of the centered stencil over a C-ordered interior
-    block of `shape`: the stencil offsets in lexicographic order, which is
-    the order of their columns in every row, the (N, offsets) bool mask of
-    the neighbors that lie inside the block, and the int32 `indices` and
-    `indptr`.  It depends only on the shape (one per sweep), so it is
-    cached and read-only."""
+    block of `shape`: one recipe per stencil offset, in the lexicographic
+    order of the offsets, which is the order of their columns in every row,
+    the (N, offsets) bool mask of the neighbors that lie inside the block,
+    and the int32 `indices` and `indptr`.  A recipe names how
+    `assemble_operator` fills the offset's row: ("center",), ("+", d) or
+    ("-", d) for +-e_d, and ("+", d, e) or ("-", d, e) for a diagonal
+    neighbor in the (d, e) plane whose offsets along d and e have that
+    product.  It depends only on the shape (one per sweep), so it is cached
+    and read-only."""
     n = len(shape)
-    offsets = tuple(o for o in itertools.product((-1, 0, 1), repeat=n)
-                    if np.count_nonzero(o) <= 2)
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=n) if np.count_nonzero(o) <= 2]
+    recipes = []
+    for off in offsets:
+        axes = tuple(d for d in range(n) if off[d])
+        sign = "+" if math.prod(off[d] for d in axes) > 0 else "-"
+        recipes.append((sign, *axes) if axes else ("center",))
     idx = np.pad(np.arange(int(np.prod(shape))).reshape(shape), 1, constant_values=-1)
     cols = np.stack([interior_shift(idx, o).ravel() for o in offsets], axis=1)
     keep = cols >= 0
@@ -314,7 +326,7 @@ def _stencil_pattern(shape: tuple) -> tuple:
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
     for a in (keep, indices, indptr):
         a.flags.writeable = False
-    return offsets, keep, indices, indptr
+    return tuple(recipes), keep, indices, indptr
 
 
 def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
@@ -322,28 +334,37 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
     """Assemble sum_ij F^{ij} d_ij + sum_k c1_k d_k + c0 over interior
     unknowns with centered stencils; Dirichlet neighbors are dropped.
 
-    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.  The stencil values fill
-    one contiguous row per offset of the grid's cached `_stencil_pattern`,
-    whose mask gathers the ones at interior neighbors from the transpose as
-    the CSR data, so every entry of the stencil stays in the pattern, an
-    exact zero too, and the pattern is the same at every call on the grid.
+    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.  Each distinct
+    coefficient column, F^{dd} / h_d^2, c1_d / (2 h_d) and F^{de} / (2 h_d
+    h_e), is computed once, and the recipes of the grid's cached
+    `_stencil_pattern` fill one contiguous row per offset from them with one
+    add, subtract, copy or sign change (the centre subtracts 2 F^{dd} / h_d^2
+    from c0 per axis), bit for bit the stencil's value at that offset.  The
+    pattern's mask gathers the rows' values at interior neighbors from the
+    transpose as the CSR data, so every entry of the stencil stays in the
+    pattern, an exact zero too, and the pattern is the same at every call
+    on the grid.
     """
     h = grid.spacing
-    N = grid.n_interior
-    offsets, keep, indices, indptr = _stencil_pattern(grid.interior_shape)
-    vals = np.empty((len(offsets), N))
-    for j, off in enumerate(offsets):
-        axes = np.flatnonzero(off)
-        if axes.size == 0:
-            vals[j] = c0
-            for d in range(grid.n):
-                vals[j] -= 2.0 * Fij[:, d, d] / h[d] ** 2
-        elif axes.size == 1:
-            d = axes[0]
-            vals[j] = Fij[:, d, d] / h[d] ** 2 + off[d] * c1[:, d] / (2.0 * h[d])
+    n, N = grid.n, grid.n_interior
+    recipes, keep, indices, indptr = _stencil_pattern(grid.interior_shape)
+    second = [Fij[:, d, d] / h[d] ** 2 for d in range(n)]
+    first = [c1[:, d] / (2.0 * h[d]) for d in range(n)]
+    mixed = {(d, e): Fij[:, d, e] / (2.0 * h[d] * h[e])
+             for d, e in itertools.combinations(range(n), 2)}
+    vals = np.empty((len(recipes), N))
+    for row, (sign, *axes) in zip(vals, recipes):
+        if not axes:
+            row[...] = c0
+            for d in range(n):
+                row -= 2.0 * Fij[:, d, d] / h[d] ** 2
+        elif len(axes) == 1:
+            (np.add if sign == "+" else np.subtract)(second[axes[0]], first[axes[0]], out=row)
+        elif sign == "+":
+            row[...] = mixed[tuple(axes)]
         else:
-            d, e = axes
-            vals[j] = off[d] * off[e] * Fij[:, d, e] / (2.0 * h[d] * h[e])
+            # not np.negative: -1 * x keeps the sign bit of a NaN, as the stencil does
+            np.multiply(mixed[tuple(axes)], -1.0, out=row)
     return sp.csr_matrix((vals.T[keep], indices, indptr), shape=(N, N))
 
 

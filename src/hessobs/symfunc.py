@@ -290,9 +290,12 @@ def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndar
     given the rows' margins sig = sigma_margins(spec, lam).
 
     The non-raising entry point for eigenvalue fields (`operator.spectrum_gradient`);
-    callers must honor the mask.
+    callers must honor the mask.  When every row is inside, as on every
+    solved state, the batch is evaluated whole, with no gather or scatter.
     """
     ok = _all_ok(sig.T)
+    if ok.all():
+        return (*_grad_batch(spec, lam), ok)
     f = np.full(lam.shape[0], np.nan)
     grad = np.full(lam.shape, np.nan)
     if np.any(ok):

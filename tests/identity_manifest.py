@@ -11,7 +11,12 @@ in the `src/` next to this directory, with one BLAS thread:
 - `ma_obstacle` at --grid-m 97 with audits off;
 - the generated 3d config of the `solve_3d` benchmark workload
   (`perfbench/workloads.py`), seed 1;
-- `ma_manufactured` at --grid-m 25 with audits on.
+- `ma_manufactured` at --grid-m 25 with audits on;
+- `ma_obstacle` on the conformal metric phi = 0.05 x1 at --grid-m 25 with
+  audits on (the curved pin of `tests/test_cli.py`);
+- `ma_obstacle` with A = kappa_zg 0.05 at --grid-m 33;
+- the `solve_3d` config as sigma_3 / sigma_1 (k = 3, l = 1, psi = 0.48) at
+  m = 11, which exits 2 on a contact-band failure after its last epsilon.
 
 Each line is `<sha256>  <run>/<file>`, and each run adds `<exit code>  <run>/rc`.
 A change meant to keep every result byte-identical is checked by running
@@ -51,6 +56,15 @@ def runs():
     yield "sweep_solve_3d", solve_3d_config(1), lambda cfg: ["sweep", cfg]
     yield ("sweep_ma_manufactured_m25", bundled_config_text("ma_manufactured"),
            lambda cfg: ["sweep", cfg, "--grid-m", "25", "--audit", "on"])
+    ma = bundled_config_text("ma_obstacle")
+    yield ("sweep_ma_obstacle_conformal_m25",
+           ma.replace("kind = flat", 'kind = conformal\n  phi = "0.05*x1"'),
+           lambda cfg: ["sweep", cfg, "--grid-m", "25", "--audit", "on"])
+    yield ("sweep_ma_obstacle_kappa_zg_m33", ma.replace("A = zero", "A = kappa_zg 0.05"),
+           lambda cfg: ["sweep", cfg, "--grid-m", "33"])
+    quotient = (solve_3d_config(1).replace("family = sigma_k_root", "family = sigma_quotient_root")
+                .replace("k = 2", "k = 3\n  l = 1").replace('psi = "5*sqrt(3)/6"', 'psi = "0.48"'))
+    yield "sweep_solve_3d_quotient_m11", quotient, lambda cfg: ["sweep", cfg, "--grid-m", "11"]
 
 
 def main() -> int:

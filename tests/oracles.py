@@ -13,7 +13,10 @@ them, so they live here and not in the package.
 - the per-point cone kernels as they were written before they ran on
   contiguous (N,) columns, which the package's must match bit for bit;
 - the all-pairs theta scan that `estimate_theta`'s row filter and Gram-form
-  gaps must reproduce.
+  gaps must reproduce;
+- the centered second derivatives taken on slices, and the penalty on every
+  point, as they were written before the Hessian became one cached sparse
+  product and the penalty ran on the points in contact only.
 
 The radial construction: inside r <= a the solution coincides with the
 obstacle branch h0 + (psi0 + force)/4 * r^2 (so the trace operator exceeds
@@ -33,9 +36,9 @@ import numpy as np
 
 from hessobs.errors import OutsideCone
 from hessobs.expressions import parse_expression
-from hessobs.geometry import ChartGrid, MetricField, metric_from_field
+from hessobs.geometry import ChartGrid, MetricField, interior_shift, metric_from_field
 from hessobs.monitors import ContactSet
-from hessobs.operator import CoefficientField, a_scalar_text
+from hessobs.operator import PENALTY_POWER, CoefficientField, a_scalar_text
 from hessobs.symfunc import (THETA_ZERO_GUARD, SymmetricFunctionSpec, ThetaCertificate, _f_batch,
                              _grad_batch, _hess_batch, _margin_ok)
 
@@ -326,3 +329,38 @@ def estimate_theta_reference(spec: SymmetricFunctionSpec, K_samples, zeta: float
             theta = min(theta, float(np.where(mask, bracket / denom[:, None], np.inf).min()))
     return ThetaCertificate(theta if pair_count else None, zeta, lams.shape[0], pair_count,
                             violations, min_bracket)
+
+
+# ---------------------------------------------------------------------------
+# the stencil kernels on slices
+# ---------------------------------------------------------------------------
+
+def hessian_centered_reference(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
+    """Centered second derivatives at the interior points, (N, n, n), each
+    entry one stencil expression on shifted slices of u."""
+    n = grid.n
+    h = grid.spacing
+    E = np.eye(n, dtype=int)
+    out = np.empty(grid.interior_shape + (n, n))
+    center = u[grid.interior]
+    for d in range(n):
+        out[..., d, d] = (interior_shift(u, E[d]) - 2.0 * center
+                          + interior_shift(u, -E[d])) / h[d] ** 2
+    for d in range(n):
+        for e in range(d + 1, n):
+            cross = (
+                interior_shift(u, E[d] + E[e])
+                - interior_shift(u, E[d] - E[e])
+                - interior_shift(u, E[e] - E[d])
+                + interior_shift(u, -E[d] - E[e])
+            ) / (4.0 * h[d] * h[e])
+            out[..., d, e] = cross
+            out[..., e, d] = cross
+    return out.reshape(-1, n, n)
+
+
+def penalty_reference(epsilon: float, z):
+    """The cubic penalty's value and derivative, z clipped at 0 everywhere."""
+    z = np.asarray(z, dtype=float)
+    zp = np.where(z > 0.0, z, 0.0)
+    return zp**PENALTY_POWER / epsilon, PENALTY_POWER * zp**(PENALTY_POWER - 1) / epsilon

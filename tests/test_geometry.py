@@ -13,13 +13,14 @@ from hessobs.geometry import (
     derivative_to_chart,
     eigen_wrt_metric_field,
     flat_metric,
+    _second_differences,
     gradient_centered,
     hessian_centered,
     metric_from_field,
     pin_boundary,
     to_metric_frame,
 )
-from oracles import metric_from_callable
+from oracles import hessian_centered_reference, metric_from_callable
 
 
 def grid2(m=17, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
@@ -311,6 +312,69 @@ def test_per_point_outputs_are_blocks_in_interior_ravel_order(n, m):
             assert du[i, d] == (u[tuple(up)] - u[tuple(dn)]) / (2.0 * h[d])
             assert H[i, d, d] == (u[tuple(up)] - 2.0 * u[c] + u[tuple(dn)]) / h[d] ** 2
     assert covariant_hessian(u, flat_metric(grid), grid).shape == (N, n, n)
+    # a transposed view would change the last bit of einsums that read them
+    assert du.flags.c_contiguous and H.flags.c_contiguous
+
+
+# -------------------------------------------------- the Hessian as one cached product
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 1e-200, -1e-200, 0.0, -0.0])
+
+
+def stencil_fields(shape, seed):
+    """Normal draws; the same with half the points NaN, +-inf, +-1e200,
+    +-1e-200 or +-0.0; and signed zeros only."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(shape)
+    special = u.copy()
+    mask = rng.random(shape) < 0.5
+    special[mask] = rng.choice(SPECIAL, mask.sum())
+    return u, special, rng.choice([0.0, -0.0], shape)
+
+
+@pytest.mark.parametrize("m", [(3, 3), (3, 7), (9, 14, 7)])
+@pytest.mark.parametrize("anisotropic", [False, True])
+@np.errstate(all="ignore")
+def test_hessian_matches_the_slice_reference_bit_for_bit(m, anisotropic):
+    n = len(m)
+    lo, hi = ((-1.0, 0.0, 2.0)[:n], (1.0, 3.0, 2.5)[:n]) if anisotropic else ((-1.0,) * n, (1.0,) * n)
+    grid = ChartGrid.box(lo, hi, m)
+    for k, u in enumerate(stencil_fields(m, len(m) + anisotropic)):
+        got, want = hessian_centered(u, grid), hessian_centered_reference(u, grid)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want, equal_nan=True)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        # the one exception: a -0.0 of the slice form reads +0.0
+        assert (got[differ] == 0.0).all() and np.signbit(want[differ]).all()
+        assert not np.signbit(got[differ]).any()
+        if k == 1:
+            assert not np.isfinite(want).all()
+
+
+def test_hessian_reads_plus_zero_where_the_slice_form_reads_minus_zero():
+    # -0.0 at both x1-neighbours of a +0.0 centre: the slice form's
+    # (-0.0 - 2 * 0.0) + -0.0 is -0.0, while the product sums from +0.0
+    grid = ChartGrid.box((-1.0, -1.0), (1.0, 1.0), 3)
+    u = np.zeros(grid.shape)
+    u[0, 1] = u[2, 1] = -0.0
+    got, want = hessian_centered(u, grid), hessian_centered_reference(u, grid)
+    assert np.array_equal(got, want)
+    assert np.signbit(want[0, 0, 0]) and not np.signbit(got[0, 0, 0])
+    assert got.view(np.uint64)[0, 1:].tolist() == want.view(np.uint64)[0, 1:].tolist()
+
+
+def test_second_differences_are_cached_per_shape_and_read_only():
+    _second_differences.cache_clear()
+    a = ChartGrid.box((-1, -1), (1, 1), 9)
+    b = ChartGrid.box((0, -3), (2, 5), 9)  # the same shape, another spacing
+    for grid in (a, b):
+        hessian_centered(np.ones(grid.shape), grid)
+    info = _second_differences.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    A = _second_differences(a.shape)
+    for arr in (A.data, A.indices, A.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
 
 
 @pytest.mark.parametrize("n", [2, 3])

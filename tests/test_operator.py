@@ -29,7 +29,7 @@ from hessobs.operator import (
 )
 from hessobs.problems import bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec, sigma_margins
-from oracles import coefficients_from_expressions, metric_from_callable
+from oracles import coefficients_from_expressions, metric_from_callable, penalty_reference
 
 
 def make_problem(m=17, fspec=None, psi="2", a_mode="zero", a_param=None,
@@ -92,6 +92,18 @@ def test_penalty_c2_at_zero():
     assert np.abs(v).max() < 1e-20
     assert np.abs(d1).max() < 1e-12
     assert np.abs(np.diff(d1) / 1e-9).max() < 1e-6  # the second derivative, by difference
+
+
+@np.errstate(over="ignore")
+def test_penalty_matches_the_every_point_reference_bit_for_bit():
+    special = [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e-200, -1e-200, 0.0, -0.0]
+    rng = np.random.default_rng(3)
+    z = np.concatenate([rng.standard_normal(401), special, rng.choice(special, 100)])
+    for eps in (0.5, 1e-6):
+        for zz in (z, z[::3], z.reshape(-1, 2), *special, 0.3, -0.3):
+            for got, want in zip(penalty(eps, zz), penalty_reference(eps, zz)):
+                assert isinstance(got, np.ndarray) and got.shape == np.shape(zz)
+                assert got.dtype == want.dtype and got.tobytes() == np.asarray(want).tobytes()
 
 
 # -------------------------------------------------- residual
@@ -456,6 +468,25 @@ def test_assembly_matches_reference_coo_bit_for_bit(interior_shape, curved, diag
     assert np.array_equal(J.indices, general.indices) and np.array_equal(J.indptr, general.indptr)
     if diagonal_F and interior_shape in ((2, 2), (7, 12, 5)):
         assert (J.data == 0.0).any()
+
+
+@pytest.mark.parametrize("interior_shape", [(2, 2), (7, 12, 5)])
+@np.errstate(all="ignore")
+def test_assembly_matches_reference_coo_on_special_values(interior_shape):
+    # NaN, +-inf, overflowing, tiny and signed-zero coefficients give the
+    # reference's bits too, NaN signs included
+    grid, Fij, c1, c0 = assembly_inputs(interior_shape, True, False, True)
+    special = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 0.0, -0.0])
+    rng = np.random.default_rng(5)
+    for a in (Fij, c1, c0):
+        mask = rng.random(a.shape) < 0.2
+        a[mask] = rng.choice(special, mask.sum())
+    Fij[rng.random(Fij.shape) < 0.05] = -np.nan
+    J = assemble_operator(grid, Fij, c1, c0)
+    ref = reference_assemble(grid, Fij, c1, c0)
+    assert np.isnan(J.data).any() and np.signbit(J.data[np.isnan(J.data)]).any()
+    assert J.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(J.indices, ref.indices) and np.array_equal(J.indptr, ref.indptr)
 
 
 def test_stencil_pattern_is_cached_per_interior_shape():

@@ -610,6 +610,10 @@ def test_cone_kernels_match_block_references_bit_for_bit(spec):
         for got, want in zip(symfunc.f_and_grad_masked(spec, lam, sig),
                              f_and_grad_masked_reference(spec, lam, sig)):
             assert _same_bits(got, want)
+        inside = lam[ref_ok]  # every row inside: the batch is evaluated whole
+        for got, want in zip(symfunc.f_and_grad_masked(spec, inside, sig[ref_ok]),
+                             f_and_grad_masked_reference(spec, inside, sig[ref_ok])):
+            assert _same_bits(got, want)
         for rows in (lam, lam[ref_ok], lam[~ref_ok][::-1]):
             try:
                 require_inside_reference(spec, rows)
