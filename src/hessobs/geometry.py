@@ -5,10 +5,13 @@ fields are plain ndarrays of the grid shape; Dirichlet data lives on the
 boundary layer of the same array.  All differential operators act on interior
 points only, with second-order centered stencils.
 
-Per-point data has one layout: a flat (N, ...) block over the N interior
-points in the C order of `u[grid.interior].ravel()`.  The metric is stored
-so, and every derivative, metric product and coordinate returned here is
-such a block: callers neither slice nor reshape.
+Per-point data has one layout: a flat, C-ordered (N, ...) block over the N
+interior points in the C order of `u[grid.interior].ravel()`.  The metric is
+stored so, and every derivative, metric product and coordinate returned here
+is such a block: callers neither slice nor reshape.  A stencil runs as a few
+long passes, not one short pass per offset: the second derivatives are one
+product of a cached sparse operator of integer weights with `u.ravel()`,
+whose (N,) columns are divided into the block.
 """
 
 from __future__ import annotations
@@ -237,28 +240,29 @@ def gradient_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _second_differences(shape: tuple) -> sp.csr_matrix:
-    """The integer-weight second differences of a grid of `shape` as one
-    CSR operator on the C-ordered `u.ravel()`: row j * N + i holds, at
-    interior point i, the terms of the j-th distinct Hessian column (the
-    n diagonal ones, then (d, e), d < e, in order) with weights +1, -2, +1
-    or +1, -1, -1, +1, in the order `hessian_centered`'s stencil adds them.
-    It depends only on the shape, so it is cached and read-only."""
+def _second_differences(shape: tuple) -> tuple:
+    """The distinct Hessian entries (d, e) of a grid of `shape`, the n
+    diagonal ones and then d < e in order, and their integer-weight second
+    differences as one CSR operator on the C-ordered `u.ravel()`: row
+    j * N + i holds the terms of entry j at interior point i, with weights
+    +1, -2, +1 or +1, -1, -1, +1 in the order the centered stencil adds
+    them.  It depends only on the shape, so it is cached and read-only."""
     n = len(shape)
     E = np.eye(n, dtype=int)
-    stencils = [((E[d], 1), (0 * E[d], -2), (-E[d], 1)) for d in range(n)]
-    stencils += [((E[d] + E[e], 1), (E[d] - E[e], -1), (E[e] - E[d], -1), (-E[d] - E[e], 1))
-                 for d, e in itertools.combinations(range(n), 2)]
+    pairs = tuple((d, d) for d in range(n)) + tuple(itertools.combinations(range(n), 2))
+    stencils = [((E[d], 1), (0 * E[d], -2), (-E[d], 1)) if d == e else
+                ((E[d] + E[e], 1), (E[d] - E[e], -1), (E[e] - E[d], -1), (-E[d] - E[e], 1))
+                for d, e in pairs]
     idx = np.arange(math.prod(shape)).reshape(shape)
     N = math.prod(s - 2 for s in shape)
     indices = np.concatenate([np.stack([interior_shift(idx, o).ravel() for o, _ in st], axis=1).ravel()
                               for st in stencils]).astype(np.int32)
     data = np.concatenate([np.tile([float(w) for _, w in st], N) for st in stencils])
     indptr = np.concatenate([[0], np.cumsum(np.repeat([len(st) for st in stencils], N))])
-    A = sp.csr_matrix((data, indices, indptr.astype(np.int32)), shape=(len(stencils) * N, idx.size))
+    A = sp.csr_matrix((data, indices, indptr.astype(np.int32)), shape=(len(pairs) * N, idx.size))
     for a in (A.data, A.indices, A.indptr):
         a.flags.writeable = False
-    return A
+    return pairs, A
 
 
 def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
@@ -274,8 +278,8 @@ def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     """
     n, N = grid.n, grid.n_interior
     h = grid.spacing
-    pairs = [(d, d) for d in range(n)] + list(itertools.combinations(range(n), 2))
-    cols = (_second_differences(grid.shape) @ u.ravel()).reshape(len(pairs), N)
+    pairs, A = _second_differences(grid.shape)
+    cols = (A @ u.ravel()).reshape(len(pairs), N)
     out = np.empty((N, n, n))
     for col, (d, e) in zip(cols, pairs):
         np.divide(col, h[d] ** 2 if d == e else 4.0 * h[d] * h[e], out=out[:, d, e])

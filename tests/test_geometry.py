@@ -371,7 +371,7 @@ def test_second_differences_are_cached_per_shape_and_read_only():
         hessian_centered(np.ones(grid.shape), grid)
     info = _second_differences.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    A = _second_differences(a.shape)
+    _, A = _second_differences(a.shape)
     for arr in (A.data, A.indices, A.indptr):
         with pytest.raises(ValueError):
             arr[0] = arr[1]

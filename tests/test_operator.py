@@ -487,6 +487,11 @@ def test_assembly_matches_reference_coo_on_special_values(interior_shape):
     assert np.isnan(J.data).any() and np.signbit(J.data[np.isnan(J.data)]).any()
     assert J.data.tobytes() == ref.data.tobytes()
     assert np.array_equal(J.indices, ref.indices) and np.array_equal(J.indptr, ref.indptr)
+    # a subnormal F^{dd} / h^2, where 2 (F / h^2) is not (2 F) / h^2: the
+    # centre subtracts the latter, as the stencil does
+    Fij = 1e-310 * assembly_inputs(interior_shape, False, True, False)[1]
+    J = assemble_operator(grid, Fij, np.zeros_like(c1), 0.0)
+    assert J.data.tobytes() == reference_assemble(grid, Fij, np.zeros_like(c1), 0.0).data.tobytes()
 
 
 def test_stencil_pattern_is_cached_per_interior_shape():
