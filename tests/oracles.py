@@ -14,9 +14,12 @@ them, so they live here and not in the package.
   contiguous (N,) columns, which the package's must match bit for bit;
 - the all-pairs theta scan that `estimate_theta`'s row filter and Gram-form
   gaps must reproduce;
-- the centered second derivatives taken on slices, and the penalty on every
-  point, as they were written before the Hessian became one cached sparse
-  product and the penalty ran on the points in contact only.
+- the centered first and second derivatives taken on slices, and the
+  penalty on every point, as they were written before the Hessian became one
+  cached sparse product and the penalty ran on the points in contact only;
+- the audit's linear operator as the covariant Hessian and gradient of v
+  contracted by two einsums, as it was written before it read the stencil
+  table.
 
 The radial construction: inside r <= a the solution coincides with the
 obstacle branch h0 + (psi0 + force)/4 * r^2 (so the trace operator exceeds
@@ -335,6 +338,18 @@ def estimate_theta_reference(spec: SymmetricFunctionSpec, K_samples, zeta: float
 # the stencil kernels on slices
 # ---------------------------------------------------------------------------
 
+def gradient_centered_reference(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
+    """Centered first derivatives at the interior points, (N, n), each entry
+    one stencil expression on shifted slices of u."""
+    n = grid.n
+    h = grid.spacing
+    E = np.eye(n, dtype=int)
+    out = np.empty(grid.interior_shape + (n,))
+    for d in range(n):
+        out[..., d] = (interior_shift(u, E[d]) - interior_shift(u, -E[d])) / (2.0 * h[d])
+    return out.reshape(-1, n)
+
+
 def hessian_centered_reference(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     """Centered second derivatives at the interior points, (N, n, n), each
     entry one stencil expression on shifted slices of u."""
@@ -357,6 +372,28 @@ def hessian_centered_reference(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
             out[..., d, e] = cross
             out[..., e, d] = cross
     return out.reshape(-1, n, n)
+
+
+def first_order_reference(state, prob) -> np.ndarray:
+    """The chart first-order coefficient c1 = s_{p_k} F^{ij} g_{ij} - psi_{p_k}
+    of an evaluated state, (N, n), without the Christoffel term."""
+    Fg = np.einsum("...ij,...ij->...", state.Fij, prob.metric.g)
+    s_p, psi_p = prob.coeff.at(prob.x_interior, state.z, state.p, wrt="p")
+    return s_p * Fg[:, None] - psi_p
+
+
+def operator_L_reference(state, prob, v: np.ndarray) -> np.ndarray:
+    """F^{ij} (nabla^2 v)_{ij} + c1_k d_k v at the interior points of an
+    evaluated admissible state, (N,), c1 = `first_order_reference`: the
+    covariant Hessian and the gradient of the full-grid field v, boundary
+    values included, contracted with F and c1 by two einsums."""
+    geo = prob.metric
+    c1 = first_order_reference(state, prob)
+    dv = gradient_centered_reference(v, prob.grid)
+    Hv = hessian_centered_reference(v, prob.grid)
+    if not geo.is_flat:
+        Hv = Hv - np.einsum("...kij,...k->...ij", geo.christoffel, dv)
+    return np.einsum("...ij,...ij->...", state.Fij, Hv) + np.einsum("...k,...k->...", c1, dv)
 
 
 def penalty_reference(epsilon: float, z):

@@ -20,7 +20,7 @@ from hessobs.geometry import (
     pin_boundary,
     to_metric_frame,
 )
-from oracles import hessian_centered_reference, metric_from_callable
+from oracles import gradient_centered_reference, hessian_centered_reference, metric_from_callable
 
 
 def grid2(m=17, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
@@ -349,6 +349,9 @@ def test_hessian_matches_the_slice_reference_bit_for_bit(m, anisotropic):
         assert not np.signbit(got[differ]).any()
         if k == 1:
             assert not np.isfinite(want).all()
+        grad = gradient_centered(u, grid)
+        assert grad.flags.c_contiguous
+        assert grad.tobytes() == gradient_centered_reference(u, grid).tobytes()
 
 
 def test_hessian_reads_plus_zero_where_the_slice_form_reads_minus_zero():
