@@ -18,15 +18,20 @@ in the `src/` next to this directory, with one BLAS thread:
 - the `solve_3d` config as sigma_3 / sigma_1 (k = 3, l = 1, psi = 0.48) at
   m = 11, which exits 2 on a contact-band failure after its last epsilon.
 
-Each line is `<sha256>  <run>/<file>`, and each run adds `<exit code>  <run>/rc`.
-A change meant to keep every result byte-identical is checked by running
-this script on both checkouts (copy it into the older one) and diffing the
-two outputs; pytest does not collect it.
+The first line is the numerics fingerprint, `# numerics  openblas <core>
+numpy <features>`: the core type OpenBLAS picked its kernels for and the CPU
+features numpy dispatches on, either of which can move the last bits of a
+result.  Then each line is `<sha256>  <run>/<file>`, and each run adds
+`<exit code>  <run>/rc`.  A change meant to keep every result byte-identical
+is checked by running this script on both checkouts (copy it into the older
+one) and diffing the two outputs, which compare only under equal
+fingerprints; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -67,12 +72,29 @@ def runs():
     yield "sweep_solve_3d_quotient_m11", quotient, lambda cfg: ["sweep", cfg, "--grid-m", "11"]
 
 
+def numerics() -> str:
+    """The numerics fingerprint: OpenBLAS's core type, read through numpy's
+    bundled `libscipy_openblas64_` ("unknown" without it), and the CPU
+    features numpy's dispatch finds on."""
+    import numpy
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    core = "unknown"
+    for lib in (pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return f"# numerics  openblas {core}  numpy {features}"
+
+
 def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
     from hessobs.cli import main as hessobs_main
 
+    print(numerics(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, text, argv in runs():
             run_dir = pathlib.Path(tmp) / name
