@@ -5,13 +5,15 @@ fields are plain ndarrays of the grid shape; Dirichlet data lives on the
 boundary layer of the same array.  All differential operators act on interior
 points only, with second-order centered stencils.
 
+The centered stencil is described once, by `stencil_table`, and every
+stencil kernel reads it: the gradient on slices, the second derivatives as
+one product of a cached sparse operator of integer weights with `u.ravel()`,
+and `operator`'s assembly and audit operator as one row per offset.
+
 Per-point data has one layout: a flat, C-ordered (N, ...) block over the N
 interior points in the C order of `u[grid.interior].ravel()`.  The metric is
 stored so, and every derivative, metric product and coordinate returned here
-is such a block: callers neither slice nor reshape.  A stencil runs as a few
-long passes, not one short pass per offset: the second derivatives are one
-product of a cached sparse operator of integer weights with `u.ravel()`,
-whose (N,) columns are divided into the block.
+is such a block: callers neither slice nor reshape.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "metric_from_field",
     "christoffel_from_metric",
     "covariant_hessian",
+    "stencil_table",
+    "stencil_scale",
     "gradient_centered",
     "hessian_centered",
     "interior_shift",
@@ -228,61 +232,75 @@ def interior_shift(u: np.ndarray, offset) -> np.ndarray:
     return u[tuple(slice(1 + s, u.shape[d] - 1 + s) for d, s in enumerate(offset))]
 
 
-def gradient_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
-    """Centered first derivatives at the interior points, (N, n)."""
-    n = grid.n
-    h = grid.spacing
+@functools.lru_cache(maxsize=2)
+def stencil_table(n: int) -> tuple:
+    """The centered stencil on an n-dimensional grid, one (derivative, terms)
+    entry per derivative: the diagonal second derivatives (d, d), then the
+    mixed (d, e), d < e, then the first derivatives (d,).  The terms are
+    (offset, integer weight) pairs in the order the stencil adds them; their
+    weighted sum of u(x + offset) over `stencil_scale` is the derivative."""
     E = np.eye(n, dtype=int)
-    out = np.empty(grid.interior_shape + (n,))
-    for d in range(n):
-        out[..., d] = (interior_shift(u, E[d]) - interior_shift(u, -E[d])) / (2.0 * h[d])
-    return out.reshape(-1, n)
+    table = ([((d, d), [(E[d], 1), (0 * E[d], -2), (-E[d], 1)]) for d in range(n)]
+             + [((d, e), [(E[d] + E[e], 1), (E[d] - E[e], -1), (E[e] - E[d], -1), (-E[d] - E[e], 1)])
+                for d, e in itertools.combinations(range(n), 2)]
+             + [((d,), [(E[d], 1), (-E[d], -1)]) for d in range(n)])
+    return tuple((der, tuple((tuple(o.tolist()), w) for o, w in terms)) for der, terms in table)
+
+
+def stencil_scale(derivative: tuple, h: np.ndarray) -> float:
+    """The divisor of a `stencil_table` derivative at spacing h: h_d^2,
+    4 h_d h_e or 2 h_d."""
+    d, e = derivative[0], derivative[-1]
+    return 2.0 * h[d] if len(derivative) == 1 else h[d] ** 2 if d == e else 4.0 * h[d] * h[e]
+
+
+def gradient_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
+    """Centered first derivatives at the interior points, (N, n): the
+    table's terms summed on shifted slices of u from the first term."""
+    h = grid.spacing
+    out = np.empty(grid.interior_shape + (grid.n,))
+    for derivative, terms in stencil_table(grid.n):
+        if len(derivative) == 1:
+            col = functools.reduce(np.add, [w * interior_shift(u, o) for o, w in terms])
+            np.divide(col, stencil_scale(derivative, h), out=out[..., derivative[0]])
+    return out.reshape(-1, grid.n)
 
 
 @functools.lru_cache(maxsize=8)
 def _second_differences(shape: tuple) -> tuple:
-    """The distinct Hessian entries (d, e) of a grid of `shape`, the n
-    diagonal ones and then d < e in order, and their integer-weight second
-    differences as one CSR operator on the C-ordered `u.ravel()`: row
-    j * N + i holds the terms of entry j at interior point i, with weights
-    +1, -2, +1 or +1, -1, -1, +1 in the order the centered stencil adds
-    them.  It depends only on the shape, so it is cached and read-only."""
-    n = len(shape)
-    E = np.eye(n, dtype=int)
-    pairs = tuple((d, d) for d in range(n)) + tuple(itertools.combinations(range(n), 2))
-    stencils = [((E[d], 1), (0 * E[d], -2), (-E[d], 1)) if d == e else
-                ((E[d] + E[e], 1), (E[d] - E[e], -1), (E[e] - E[d], -1), (-E[d] - E[e], 1))
-                for d, e in pairs]
+    """The second derivatives (d, e) of the `stencil_table` of a grid of
+    `shape`, in table order, and their terms as one CSR operator of integer
+    weights on the C-ordered `u.ravel()`: row j * N + i holds the terms of
+    derivative j at interior point i, in table order.  It depends only on
+    the shape, so it is cached and read-only."""
+    second = [(derivative, terms) for derivative, terms in stencil_table(len(shape))
+              if len(derivative) == 2]
     idx = np.arange(math.prod(shape)).reshape(shape)
     N = math.prod(s - 2 for s in shape)
-    indices = np.concatenate([np.stack([interior_shift(idx, o).ravel() for o, _ in st], axis=1).ravel()
-                              for st in stencils]).astype(np.int32)
-    data = np.concatenate([np.tile([float(w) for _, w in st], N) for st in stencils])
-    indptr = np.concatenate([[0], np.cumsum(np.repeat([len(st) for st in stencils], N))])
-    A = sp.csr_matrix((data, indices, indptr.astype(np.int32)), shape=(len(pairs) * N, idx.size))
+    indices = np.concatenate([np.stack([interior_shift(idx, o).ravel() for o, _ in terms], axis=1).ravel()
+                              for _, terms in second]).astype(np.int32)
+    data = np.concatenate([np.tile([float(w) for _, w in terms], N) for _, terms in second])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat([len(terms) for _, terms in second], N))])
+    A = sp.csr_matrix((data, indices, indptr.astype(np.int32)), shape=(len(second) * N, idx.size))
     for a in (A.data, A.indices, A.indptr):
         a.flags.writeable = False
-    return pairs, A
+    return tuple(derivative for derivative, _ in second), A
 
 
 def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     """Plain (non-covariant) second derivatives at the interior points, a
     C-ordered (N, n, n) block: the cached `_second_differences` of u, each
-    column divided by h_d^2 or 4 h_d h_e into its entries of the block.
-
-    Bit for bit the centered stencil (u(+e_d) - 2 u + u(-e_d)) / h_d^2 and
-    (u(+e_d+e_e) - u(+e_d-e_e) - u(-e_d+e_e) + u(-e_d-e_e)) / (4 h_d h_e)
-    taken on slices, with one exception: the product sums from +0.0, so an
-    entry that the slice form gives as -0.0 (a stencil of signed zeros, such
-    as -0.0 at both neighbours of a +0.0 centre) reads +0.0, an equal value.
-    """
+    column divided by its `stencil_scale` into its entries of the block.
+    Bit for bit the table's terms summed on slices, except that the product
+    sums from +0.0: an entry the slice form gives as -0.0 (such as -0.0 at
+    both neighbours of a +0.0 centre) reads +0.0, an equal value."""
     n, N = grid.n, grid.n_interior
     h = grid.spacing
     pairs, A = _second_differences(grid.shape)
     cols = (A @ u.ravel()).reshape(len(pairs), N)
     out = np.empty((N, n, n))
     for col, (d, e) in zip(cols, pairs):
-        np.divide(col, h[d] ** 2 if d == e else 4.0 * h[d] * h[e], out=out[:, d, e])
+        np.divide(col, stencil_scale((d, e), h), out=out[:, d, e])
         if d != e:
             out[:, e, d] = out[:, d, e]
     return out

@@ -22,8 +22,6 @@ default initializer's harmonic lift included, is solved in `newton`.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +39,8 @@ from .geometry import (
     gradient_centered,
     interior_shift,
     pin_boundary,
+    stencil_scale,
+    stencil_table,
     to_metric_frame,
 )
 from .symfunc import SymmetricFunctionSpec, f_and_grad_masked, f_and_grad_of_matrix, sigma_margins
@@ -303,30 +303,53 @@ def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
 @functools.lru_cache(maxsize=8)
 def _stencil_pattern(shape: tuple) -> tuple:
     """The CSR pattern of the centered stencil over a C-ordered interior
-    block of `shape`: one recipe per stencil offset, in the lexicographic
-    order of the offsets, which is the order of their columns in every row,
-    the (N, offsets) bool mask of the neighbors that lie inside the block,
-    and the int32 `indices` and `indptr`.  A recipe names how
-    `assemble_operator` fills the offset's row: ("center",), ("+", d) or
-    ("-", d) for +-e_d, and ("+", d, e) or ("-", d, e) for a diagonal
-    neighbor in the (d, e) plane whose offsets along d and e have that
-    product.  It depends only on the shape (one per sweep), so it is cached
-    and read-only."""
-    n = len(shape)
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=n) if np.count_nonzero(o) <= 2]
-    recipes = []
-    for off in offsets:
-        axes = tuple(d for d in range(n) if off[d])
-        sign = "+" if math.prod(off[d] for d in axes) > 0 else "-"
-        recipes.append((sign, *axes) if axes else ("center",))
+    block of `shape`: geometry's `stencil_table` grouped by offset, one
+    (offset, ((derivative, weight), ...)) group per offset in lexicographic
+    order, which is their columns' order in every row; the (N, offsets) bool
+    mask of the neighbors inside the block; and the int32 `indices` and
+    `indptr`.  It depends only on the shape, so it is cached and read-only."""
+    groups = {}
+    for derivative, terms in stencil_table(len(shape)):
+        for offset, weight in terms:
+            groups.setdefault(offset, []).append((derivative, weight))
+    groups = tuple((offset, tuple(groups[offset])) for offset in sorted(groups))
     idx = np.pad(np.arange(int(np.prod(shape))).reshape(shape), 1, constant_values=-1)
-    cols = np.stack([interior_shift(idx, o).ravel() for o in offsets], axis=1)
+    cols = np.stack([interior_shift(idx, offset).ravel() for offset, _ in groups], axis=1)
     keep = cols >= 0
     indices = cols[keep].astype(np.int32)
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
     for a in (keep, indices, indptr):
         a.flags.writeable = False
-    return tuple(recipes), keep, indices, indptr
+    return groups, keep, indices, indptr
+
+
+def _stencil_rows(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray, c0) -> tuple:
+    """The values of sum_ij F^{ij} d_ij + sum_k c1_k d_k + c0 at the offsets
+    of the grid's `_stencil_pattern`, an (offsets, N) block, and the pattern.
+    An offset's value is c0 (at the centre only) plus the sum, in table
+    order, of its terms' weight x coefficient / `stencil_scale`, with the
+    coefficient F^{dd}, 2 F^{de} or c1_d.  Each quotient is computed once
+    per weight magnitude; a negative weight subtracts it, or multiplies it
+    by -1 (not np.negative, which flips a NaN's sign) where it comes first.
+    A sum starts from its first addend, so a lone -0.0 stays -0.0."""
+    h = grid.spacing
+    pattern = _stencil_pattern(grid.interior_shape)
+    quotient = {}
+    for derivative, terms in stencil_table(grid.n):
+        d, e = derivative[0], derivative[-1]
+        coefficient = (c1[:, d] if len(derivative) == 1 else Fij[:, d, d] if d == e
+                       else 2.0 * Fij[:, d, e])
+        for weight in {abs(w) for _, w in terms}:
+            numerator = weight * coefficient if weight > 1 else coefficient
+            quotient[derivative, weight] = numerator / stencil_scale(derivative, h)
+    rows = np.empty((len(pattern[0]), grid.n_interior))
+    for row, (offset, terms) in zip(rows, pattern[0]):
+        (weight, first), *rest = ([(1, c0)] * (not any(offset))
+                                  + [(w, quotient[t, abs(w)]) for t, w in terms])
+        np.multiply(first, 1.0 if weight > 0 else -1.0, out=row)
+        for weight, addend in rest:
+            (np.add if weight > 0 else np.subtract)(row, addend, out=row)
+    return rows, pattern
 
 
 def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
@@ -334,38 +357,14 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
     """Assemble sum_ij F^{ij} d_ij + sum_k c1_k d_k + c0 over interior
     unknowns with centered stencils; Dirichlet neighbors are dropped.
 
-    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.  Each distinct
-    coefficient column, F^{dd} / h_d^2, c1_d / (2 h_d) and F^{de} / (2 h_d
-    h_e), is computed once, and the recipes of the grid's cached
-    `_stencil_pattern` fill one contiguous row per offset from them with one
-    add, subtract, copy or sign change (the centre subtracts 2 F^{dd} / h_d^2
-    from c0 per axis), bit for bit the stencil's value at that offset.  The
-    pattern's mask gathers the rows' values at interior neighbors from the
-    transpose as the CSR data, so every entry of the stencil stays in the
-    pattern, an exact zero too, and the pattern is the same at every call
-    on the grid.
+    Fij: (N, n, n); c1: (N, n); c0: (N,) or scalar.  The pattern's mask
+    gathers the `_stencil_rows` at interior neighbors from the transpose as
+    the CSR data, so every entry of the stencil stays in the pattern, an
+    exact zero too, and the pattern is the same at every call on the grid.
     """
-    h = grid.spacing
-    n, N = grid.n, grid.n_interior
-    recipes, keep, indices, indptr = _stencil_pattern(grid.interior_shape)
-    second = [Fij[:, d, d] / h[d] ** 2 for d in range(n)]
-    first = [c1[:, d] / (2.0 * h[d]) for d in range(n)]
-    mixed = {(d, e): Fij[:, d, e] / (2.0 * h[d] * h[e])
-             for d, e in itertools.combinations(range(n), 2)}
-    vals = np.empty((len(recipes), N))
-    for row, (sign, *axes) in zip(vals, recipes):
-        if not axes:
-            row[...] = c0
-            for d in range(n):
-                row -= 2.0 * Fij[:, d, d] / h[d] ** 2
-        elif len(axes) == 1:
-            (np.add if sign == "+" else np.subtract)(second[axes[0]], first[axes[0]], out=row)
-        elif sign == "+":
-            row[...] = mixed[tuple(axes)]
-        else:
-            # not np.negative: -1 * x keeps the sign bit of a NaN, as the stencil does
-            np.multiply(mixed[tuple(axes)], -1.0, out=row)
-    return sp.csr_matrix((vals.T[keep], indices, indptr), shape=(N, N))
+    N = grid.n_interior
+    rows, (_, keep, indices, indptr) = _stencil_rows(grid, Fij, c1, c0)
+    return sp.csr_matrix((rows.T[keep], indices, indptr), shape=(N, N))
 
 
 def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
