@@ -278,25 +278,24 @@ def residual(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
 # ---------------------------------------------------------------------------
 
 def _first_order(st: StateEval, prob: Problem):
-    """The first-order coefficient s_{p_k} F^{ij} g_{ij} - psi_{p_k} of an
-    admissible state, and F^{ij} g_{ij}."""
+    """The chart first-order coefficient s_{p_k} F^{ij} g_{ij} - psi_{p_k}
+    - F^{ij} Gamma^k_{ij} of an admissible state (the covariant Hessian
+    adds the last term), and F^{ij} g_{ij}."""
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid))
     Fg = np.einsum("...ij,...ij->...", st.Fij, prob.metric.g)
     s_p, psi_p = prob.coeff.at(prob.x_interior, st.z, st.p, wrt="p")
-    return s_p * Fg[:, None] - psi_p, Fg
+    return add_christoffel_term(s_p * Fg[:, None] - psi_p, st.Fij, prob.metric), Fg
 
 
 def linearize(state: StateEval, prob: Problem) -> sp.csr_matrix:
     """Exact Jacobian of the discrete residual over the interior unknowns at
     an evaluated admissible iterate; `state` is the `evaluate_state` result
     of that iterate (its epsilon enters through the penalty derivative it
-    holds).  The covariant Hessian adds -F^{ij} Gamma^k_{ij} to the
-    first-order stencil."""
+    holds)."""
     c1, Fg = _first_order(state, prob)
     s_z, psi_z = prob.coeff.at(prob.x_interior, state.z, state.p, wrt="z")
     zero_order = s_z * Fg - psi_z - state.dbeta
-    c1 = add_christoffel_term(c1, state.Fij, prob.metric)
     return assemble_operator(prob.grid, state.Fij, c1, zero_order)
 
 
@@ -369,17 +368,17 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
 
 def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
     """Apply the first-order linear operator at an evaluated admissible state
-    (the `evaluate_state` result of the iterate) to the field v:
+    (the `evaluate_state` result of the iterate) to the full-grid field v:
 
         L v = F^{ij} (nabla^2 v)_{ij} + (s_{p_k} F^{ij} g_{ij} - psi_{p_k}) d_k v
 
-    (principal and first-order parts only, no zero-order term) at the
-    interior points, shape (N,).
+    at the interior points, (N,): the Jacobian's `_stencil_rows` without
+    its zero-order term, times v at each offset, boundary values included,
+    summed from +0.0 in the pattern's order as the CSR product sums.
     """
     c1, _ = _first_order(state, prob)
-    Hv = covariant_hessian(v, prob.metric, prob.grid)
-    dv = gradient_centered(v, prob.grid)
-    return np.einsum("...ij,...ij->...", state.Fij, Hv) + np.einsum("...k,...k->...", c1, dv)
+    rows, (groups, *_) = _stencil_rows(prob.grid, state.Fij, c1, 0.0)
+    return sum(row * interior_shift(v, offset).ravel() for row, (offset, _) in zip(rows, groups))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import BadEpsilon, NotAdmissible, PsiNotPositive
 from hessobs.geometry import (
     ChartGrid,
+    add_christoffel_term,
     covariant_hessian,
     flat_metric,
     interior_shift,
@@ -29,7 +30,8 @@ from hessobs.operator import (
 )
 from hessobs.problems import bundled_config_text
 from hessobs.symfunc import SymmetricFunctionSpec, sigma_margins
-from oracles import coefficients_from_expressions, metric_from_callable, penalty_reference
+from oracles import (coefficients_from_expressions, first_order_reference, metric_from_callable,
+                     operator_L_reference, penalty_reference)
 
 
 def make_problem(m=17, fspec=None, psi="2", a_mode="zero", a_param=None,
@@ -382,6 +384,46 @@ def test_operator_L_linearity():
     lhs = operator_L(st, prob, 2.0 * v - 0.5 * w)
     rhs = 2.0 * operator_L(st, prob, v) - 0.5 * operator_L(st, prob, w)
     assert np.abs(lhs - rhs).max() < 1e-8
+
+
+def operator_L_state(n, kind):
+    """A sigma_2 state on [-1, 1]^n at m = 9 with F^{de} != 0: on the flat
+    metric, on a curved metric with off-diagonal entries, or with A = kappa
+    z g and a psi that reads p."""
+    grid = ChartGrid.box((-1.0,) * n, (1.0,) * n, 9)
+
+    def g(x):
+        a = (1.0 + 0.3 * x[0] ** 2) * np.eye(n)
+        a[0, 1] = a[1, 0] = 0.2 * np.sin(x[1])
+        return a
+
+    metric = metric_from_callable(grid, g) if kind == "curved" else flat_metric(grid)
+    coeff = coefficients_from_expressions(n, *(("1 + 0.1*p1", "kappa_zg", 0.3) if kind == "A"
+                                               else ("1",)))
+    prob = Problem(grid=grid, metric=metric, fspec=SymmetricFunctionSpec(n, 2), coeff=coeff,
+                   h=np.full(grid.shape, 50.0), phi=np.zeros(grid.shape))
+    u = grid.sample(lambda x: (x ** 2).sum(axis=-1) + 0.3 * x[..., 0] * x[..., 1] + 3.0)
+    st = evaluate_state(u, prob, 1e-2)
+    assert st.admissible and np.abs(st.Fij[:, 0, 1]).max() > 0.0
+    return prob, st
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["flat", "curved", "A"])
+def test_operator_L_is_the_jacobian_without_its_zero_order_term(n, kind):
+    prob, st = operator_L_state(n, kind)
+    grid = prob.grid
+    rng = np.random.default_rng(n)
+    # v zero on the boundary: bit for bit the assembled operator with c0 = 0
+    v = np.zeros(grid.shape)
+    v[grid.interior] = rng.standard_normal(grid.interior_shape)
+    c1 = add_christoffel_term(first_order_reference(st, prob), st.Fij, prob.metric)
+    J0 = assemble_operator(grid, st.Fij, c1, 0.0)
+    assert operator_L(st, prob, v).tobytes() == (J0 @ v[grid.interior].ravel()).tobytes()
+    # v non-zero on the boundary: the covariant Hessian and gradient of v
+    v = rng.standard_normal(grid.shape)
+    Lv, want = operator_L(st, prob, v), operator_L_reference(st, prob, v)
+    assert np.abs(Lv - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -------------------------------------------------- assembly
