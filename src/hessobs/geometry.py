@@ -258,21 +258,17 @@ def gradient_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     """Centered first derivatives at the interior points, (N, n): the
     table's terms summed on shifted slices of u from the first term."""
     h = grid.spacing
-    out = np.empty(grid.interior_shape + (grid.n,))
-    for derivative, terms in stencil_table(grid.n):
-        if len(derivative) == 1:
-            col = functools.reduce(np.add, [w * interior_shift(u, o) for o, w in terms])
-            np.divide(col, stencil_scale(derivative, h), out=out[..., derivative[0]])
-    return out.reshape(-1, grid.n)
+    cols = [functools.reduce(np.add, [w * interior_shift(u, o) for o, w in terms]) / stencil_scale(d, h)
+            for d, terms in stencil_table(grid.n) if len(d) == 1]
+    return np.stack(cols, axis=-1).reshape(-1, grid.n)
 
 
 @functools.lru_cache(maxsize=8)
 def _second_differences(shape: tuple) -> tuple:
-    """The second derivatives (d, e) of the `stencil_table` of a grid of
-    `shape`, in table order, and their terms as one CSR operator of integer
-    weights on the C-ordered `u.ravel()`: row j * N + i holds the terms of
-    derivative j at interior point i, in table order.  It depends only on
-    the shape, so it is cached and read-only."""
+    """The second derivatives (d, e) of the `stencil_table` and their terms
+    as one CSR operator of integer weights on the C-ordered `u.ravel()` of a
+    grid of `shape`: row j * N + i holds the terms of derivative j at
+    interior point i, in table order.  It is cached and read-only."""
     second = [(derivative, terms) for derivative, terms in stencil_table(len(shape))
               if len(derivative) == 2]
     idx = np.arange(math.prod(shape)).reshape(shape)
@@ -294,12 +290,10 @@ def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     Bit for bit the table's terms summed on slices, except that the product
     sums from +0.0: an entry the slice form gives as -0.0 (such as -0.0 at
     both neighbours of a +0.0 centre) reads +0.0, an equal value."""
-    n, N = grid.n, grid.n_interior
-    h = grid.spacing
+    h, N = grid.spacing, grid.n_interior
     pairs, A = _second_differences(grid.shape)
-    cols = (A @ u.ravel()).reshape(len(pairs), N)
-    out = np.empty((N, n, n))
-    for col, (d, e) in zip(cols, pairs):
+    out = np.empty((N, grid.n, grid.n))
+    for col, (d, e) in zip((A @ u.ravel()).reshape(len(pairs), N), pairs):
         np.divide(col, stencil_scale((d, e), h), out=out[:, d, e])
         if d != e:
             out[:, e, d] = out[:, d, e]

@@ -8,15 +8,12 @@ with the cubic penalty beta_eps(z) = z^3/eps for z > 0.  The Newton path
 never forms the eigenvalues lam: the sigma_j margins, f and F^{ij} =
 dF/dU_{ij} come from the Newton-tensor recursion of `f_and_grad_of_matrix`,
 smooth at repeated eigenvalues, on geometry's reduced pencil B = L^{-1} U
-L^{-T}, g = L L^T and U = nabla^2 u + A (`to_metric_frame`).
-Chain-rule contributions of A = s g (s_z and s_p times F^{ij} g_{ij}),
-psi_z, psi_p and beta' complete the stencil, so the assembled sparse matrix
-is the exact Jacobian of the discrete residual.  Its sparsity pattern
-depends only on the interior grid shape: it is built once per shape and
-cached, and each assembly fills in the values.  Only the monitors read lam
-itself, through `spectrum`, from the same B.
-This module builds matrices and solves none: every sparse system, the
-default initializer's harmonic lift included, is solved in `newton`.
+L^{-T}, g = L L^T and U = nabla^2 u + A (`to_metric_frame`); only the
+monitors read lam, through `spectrum`.  With the chain-rule terms of A = s g,
+psi and beta', the exact Jacobian of the discrete residual is assembled, as
+the audit's `operator_L` is applied, one row per offset of geometry's stencil
+table over a CSR pattern cached per interior grid shape.  This module builds
+matrices and solves none: every sparse system is solved in `newton`.
 """
 
 from __future__ import annotations
@@ -307,11 +304,8 @@ def _stencil_pattern(shape: tuple) -> tuple:
     order, which is their columns' order in every row; the (N, offsets) bool
     mask of the neighbors inside the block; and the int32 `indices` and
     `indptr`.  It depends only on the shape, so it is cached and read-only."""
-    groups = {}
-    for derivative, terms in stencil_table(len(shape)):
-        for offset, weight in terms:
-            groups.setdefault(offset, []).append((derivative, weight))
-    groups = tuple((offset, tuple(groups[offset])) for offset in sorted(groups))
+    terms = [(o, (derivative, w)) for derivative, ts in stencil_table(len(shape)) for o, w in ts]
+    groups = tuple((o, tuple(t for p, t in terms if p == o)) for o in sorted({o for o, _ in terms}))
     idx = np.pad(np.arange(int(np.prod(shape))).reshape(shape), 1, constant_values=-1)
     cols = np.stack([interior_shift(idx, offset).ravel() for offset, _ in groups], axis=1)
     keep = cols >= 0
@@ -324,13 +318,12 @@ def _stencil_pattern(shape: tuple) -> tuple:
 
 def _stencil_rows(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray, c0) -> tuple:
     """The values of sum_ij F^{ij} d_ij + sum_k c1_k d_k + c0 at the offsets
-    of the grid's `_stencil_pattern`, an (offsets, N) block, and the pattern.
-    An offset's value is c0 (at the centre only) plus the sum, in table
-    order, of its terms' weight x coefficient / `stencil_scale`, with the
-    coefficient F^{dd}, 2 F^{de} or c1_d.  Each quotient is computed once
-    per weight magnitude; a negative weight subtracts it, or multiplies it
-    by -1 (not np.negative, which flips a NaN's sign) where it comes first.
-    A sum starts from its first addend, so a lone -0.0 stays -0.0."""
+    of the grid's `_stencil_pattern`, (offsets, N), and the pattern: c0 (at
+    the centre) plus, in table order, each term's weight x coefficient
+    (F^{dd}, 2 F^{de} or c1_d) / `stencil_scale`.  A quotient is computed
+    once per weight magnitude and subtracted for a negative weight, or
+    multiplied by -1 where it comes first (np.negative would flip a NaN's
+    sign); a sum starts from its first addend, so a lone -0.0 stays -0.0."""
     h = grid.spacing
     pattern = _stencil_pattern(grid.interior_shape)
     quotient = {}
@@ -367,15 +360,11 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
 
 
 def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
-    """Apply the first-order linear operator at an evaluated admissible state
-    (the `evaluate_state` result of the iterate) to the full-grid field v:
-
-        L v = F^{ij} (nabla^2 v)_{ij} + (s_{p_k} F^{ij} g_{ij} - psi_{p_k}) d_k v
-
-    at the interior points, (N,): the Jacobian's `_stencil_rows` without
-    its zero-order term, times v at each offset, boundary values included,
-    summed from +0.0 in the pattern's order as the CSR product sums.
-    """
+    """L v = F^{ij} (nabla^2 v)_{ij} + (s_{p_k} F^{ij} g_{ij} - psi_{p_k}) d_k v
+    at the interior points, (N,), of an evaluated admissible state and a
+    full-grid field v: the Jacobian's `_stencil_rows` without its zero-order
+    term times v at each offset, boundary values included, summed from +0.0
+    in the pattern's order as the CSR product sums."""
     c1, _ = _first_order(state, prob)
     rows, (groups, *_) = _stencil_rows(prob.grid, state.Fij, c1, 0.0)
     return sum(row * interior_shift(v, offset).ravel() for row, (offset, _) in zip(rows, groups))

@@ -80,7 +80,8 @@ def numerics() -> str:
     from numpy._core._multiarray_umath import __cpu_features__
 
     core = "unknown"
-    for lib in (pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+    libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*"):
         corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         corename.restype = ctypes.c_char_p
         core = corename().decode()

@@ -1,5 +1,8 @@
 """Grid, metric, covariant Hessian and pencil-eigenvalue tests."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +21,8 @@ from hessobs.geometry import (
     hessian_centered,
     metric_from_field,
     pin_boundary,
+    stencil_scale,
+    stencil_table,
     to_metric_frame,
 )
 from oracles import gradient_centered_reference, hessian_centered_reference, metric_from_callable
@@ -367,17 +372,40 @@ def test_hessian_reads_plus_zero_where_the_slice_form_reads_minus_zero():
 
 
 def test_second_differences_are_cached_per_shape_and_read_only():
+    # the operator is built once per shape from the stencil table, built
+    # once per n; the table is tuples all through, so it hashes
     _second_differences.cache_clear()
+    stencil_table.cache_clear()
     a = ChartGrid.box((-1, -1), (1, 1), 9)
     b = ChartGrid.box((0, -3), (2, 5), 9)  # the same shape, another spacing
     for grid in (a, b):
         hessian_centered(np.ones(grid.shape), grid)
     info = _second_differences.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    _, A = _second_differences(a.shape)
+    assert stencil_table.cache_info().misses == 1
+    hash(stencil_table(2))
+    pairs, A = _second_differences(a.shape)
+    assert pairs == ((0, 0), (1, 1), (0, 1))
     for arr in (A.data, A.indices, A.indptr):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stencil_table_is_exact_on_quadratics(n):
+    # at unit spacing, each entry's weighted sum of a monomial of degree
+    # <= 2 over the entry's offsets, divided by its scale, is the
+    # monomial's derivative at 0
+    table = stencil_table(n)
+    assert [d for d, _ in table] == ([(d, d) for d in range(n)]
+                                     + list(itertools.combinations(range(n), 2))
+                                     + [(d,) for d in range(n)])
+    monomials = [(), *((k,) for k in range(n)), *itertools.combinations_with_replacement(range(n), 2)]
+    for derivative, terms in table:
+        for mono in monomials:
+            got = sum(w * math.prod(o[k] for k in mono) for o, w in terms)
+            want = (mono == derivative) * (2 if mono == (derivative[0],) * 2 else 1)
+            assert got / stencil_scale(derivative, np.ones(n)) == want
 
 
 @pytest.mark.parametrize("n", [2, 3])
