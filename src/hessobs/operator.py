@@ -320,7 +320,8 @@ def _stencil_rows(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray, c0) -> tuple
     """The values of sum_ij F^{ij} d_ij + sum_k c1_k d_k + c0 at the offsets
     of the grid's `_stencil_pattern`, (offsets, N), and the pattern: c0 (at
     the centre) plus, in table order, each term's weight x coefficient
-    (F^{dd}, 2 F^{de} or c1_d) / `stencil_scale`.  A quotient is computed
+    (F^{dd}, 2 F^{de} or c1_d) / `stencil_scale`, with 2 F^{de} / s taken as
+    F^{de} / (s / 2), exactly and free of overflow.  A quotient is computed
     once per weight magnitude and subtracted for a negative weight, or
     multiplied by -1 where it comes first (np.negative would flip a NaN's
     sign); a sum starts from its first addend, so a lone -0.0 stays -0.0."""
@@ -329,11 +330,10 @@ def _stencil_rows(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray, c0) -> tuple
     quotient = {}
     for derivative, terms in stencil_table(grid.n):
         d, e = derivative[0], derivative[-1]
-        coefficient = (c1[:, d] if len(derivative) == 1 else Fij[:, d, d] if d == e
-                       else 2.0 * Fij[:, d, e])
+        coefficient = c1[:, d] if len(derivative) == 1 else Fij[:, d, e]
+        scale = stencil_scale(derivative, h) / (2 if d != e else 1)
         for weight in {abs(w) for _, w in terms}:
-            numerator = weight * coefficient if weight > 1 else coefficient
-            quotient[derivative, weight] = numerator / stencil_scale(derivative, h)
+            quotient[derivative, weight] = (weight * coefficient if weight > 1 else coefficient) / scale
     rows = np.empty((len(pattern[0]), grid.n_interior))
     for row, (offset, terms) in zip(rows, pattern[0]):
         (weight, first), *rest = ([(1, c0)] * (not any(offset))

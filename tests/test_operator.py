@@ -536,6 +536,19 @@ def test_assembly_matches_reference_coo_on_special_values(interior_shape):
     assert J.data.tobytes() == reference_assemble(grid, Fij, np.zeros_like(c1), 0.0).data.tobytes()
 
 
+def test_assembly_divides_a_huge_mixed_coefficient_without_overflow():
+    # the coefficient 2 F^{de} overflows at |F^{de}| > 2^1023, but its
+    # quotient by 4 h_d h_e is taken as F^{de} / (2 h_d h_e), finite here
+    grid = ChartGrid.box((-2.0, -2.0), (2.0, 2.0), 4)
+    N = grid.n_interior
+    Fij = np.zeros((N, 2, 2))
+    Fij[:, 0, 0] = Fij[:, 1, 1] = 1.0
+    Fij[:, 0, 1] = Fij[:, 1, 0] = 1.5e308
+    J = assemble_operator(grid, Fij, np.zeros((N, 2)), 0.0)
+    assert np.isfinite(J.data).all()
+    assert J.data.tobytes() == reference_assemble(grid, Fij, np.zeros((N, 2)), 0.0).data.tobytes()
+
+
 def test_stencil_pattern_is_cached_per_interior_shape():
     _stencil_pattern.cache_clear()
     a = ChartGrid.box((-1, -1), (1, 1), 9)
