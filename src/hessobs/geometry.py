@@ -236,9 +236,9 @@ def interior_shift(u: np.ndarray, offset) -> np.ndarray:
 def stencil_table(n: int) -> tuple:
     """The centered stencil on an n-dimensional grid, one (derivative, terms)
     entry per derivative: the diagonal second derivatives (d, d), then the
-    mixed (d, e), d < e, then the first derivatives (d,).  The terms are
-    (offset, integer weight) pairs in the order the stencil adds them; their
-    weighted sum of u(x + offset) over `stencil_scale` is the derivative."""
+    mixed (d, e), d < e, then the first derivatives (d,).  Its terms are
+    (offset in cells, integer weight) pairs in the order the stencil adds
+    them; their weighted sum of u, over `stencil_scale`, is the derivative."""
     E = np.eye(n, dtype=int)
     table = ([((d, d), [(E[d], 1), (0 * E[d], -2), (-E[d], 1)]) for d in range(n)]
              + [((d, e), [(E[d] + E[e], 1), (E[d] - E[e], -1), (E[e] - E[d], -1), (-E[d] - E[e], 1)])

@@ -83,7 +83,7 @@ def numerics() -> str:
     libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
     for lib in libs.glob("libscipy_openblas64_*"):
         corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
     features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
     return f"# numerics  openblas {core}  numpy {features}"
