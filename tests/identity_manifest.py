@@ -12,6 +12,9 @@ in the `src/` next to this directory, with one BLAS thread:
 - the generated 3d config of the `solve_3d` benchmark workload
   (`perfbench/workloads.py`), seed 1;
 - `ma_manufactured` at --grid-m 25 with audits on;
+- `laplacian_obstacle_strong` from the built-in start (`u = builtin`) at
+  --grid-m 25 with audits on, the one run that solves the start's harmonic
+  lift (the builtin pin of `tests/test_cli.py`);
 - `ma_obstacle` on the conformal metric phi = 0.05 x1 at --grid-m 25 with
   audits on (the curved pin of `tests/test_cli.py`);
 - `ma_obstacle` with A = kappa_zg 0.05 at --grid-m 33;
@@ -36,6 +39,7 @@ import hashlib
 import io
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -60,6 +64,10 @@ def runs():
            lambda cfg: ["sweep", cfg, "--grid-m", "97", "--audit", "off"])
     yield "sweep_solve_3d", solve_3d_config(1), lambda cfg: ["sweep", cfg]
     yield ("sweep_ma_manufactured_m25", bundled_config_text("ma_manufactured"),
+           lambda cfg: ["sweep", cfg, "--grid-m", "25", "--audit", "on"])
+    yield ("sweep_laplacian_strong_m25_builtin",
+           re.sub(r'(subsolution \{\n)  u = "[^"]*"', r"\1  u = builtin",
+                  bundled_config_text("laplacian_obstacle_strong")),
            lambda cfg: ["sweep", cfg, "--grid-m", "25", "--audit", "on"])
     ma = bundled_config_text("ma_obstacle")
     yield ("sweep_ma_obstacle_conformal_m25",
