@@ -300,12 +300,13 @@ def hessian_centered(u: np.ndarray, grid: ChartGrid) -> np.ndarray:
     return out
 
 
-def covariant_hessian(u: np.ndarray, geo: MetricField, grid: ChartGrid) -> np.ndarray:
-    """(nabla^2 u)_ij = d_ij u - Gamma^k_ij d_k u at the interior points, (N, n, n)."""
+def covariant_hessian(u: np.ndarray, geo: MetricField, grid: ChartGrid, p: np.ndarray) -> np.ndarray:
+    """(nabla^2 u)_ij = d_ij u - Gamma^k_ij d_k u at the interior points, (N, n, n),
+    with p the `gradient_centered` (u) the caller holds."""
     H = hessian_centered(u, grid)
     if geo.is_flat:
         return H
-    return H - np.einsum("...kij,...k->...ij", geo.christoffel, gradient_centered(u, grid))
+    return H - np.einsum("...kij,...k->...ij", geo.christoffel, p)
 
 
 # ---------------------------------------------------------------------------

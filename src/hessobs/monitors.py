@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import MonitorError, NotAdmissible
 from .geometry import ChartGrid, interior_shift
-from .operator import (PENALTY_ROOT, PROBE_EPSILON, Problem, StateEval, evaluate_state,
-                       operator_L, spectrum, spectrum_gradient)
+from .operator import (PENALTY_ROOT, PROBE_EPSILON, Problem, StateEval, _first_order,
+                       evaluate_state, operator_L, spectrum, spectrum_gradient)
 from .symfunc import SymmetricFunctionSpec, _row_norms, estimate_theta, sample_cone_points
 
 __all__ = [
@@ -203,7 +203,7 @@ def audit_inequalities(s: SolvedState, prob: Problem, certificate: tuple,
     case1 = gap >= zeta0
     case2 = ~case1
 
-    Lv = operator_L(st, prob, u_sub - u)
+    Lv = operator_L(prob.grid, st.Fij, _first_order(st, prob)[0], u_sub - u)
     beta = st.beta
     hess_norm = float(np.abs(lam).max())
     tol = (c_audit or 10.0 * hess_norm) * h2

@@ -50,7 +50,7 @@ from .errors import (
     SingularJacobian,
 )
 from .geometry import (ChartGrid, MetricField, add_christoffel_term, covariant_hessian,
-                       derivative_to_chart, pin_boundary)
+                       derivative_to_chart, gradient_centered, pin_boundary)
 from .operator import (
     PENALTY_ROOT,
     PROBE_EPSILON,
@@ -718,7 +718,8 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
     ginv = derivative_to_chart(np.broadcast_to(np.eye(n), (grid.n_interior, n, n)), metric)
     c1 = add_christoffel_term(np.zeros((grid.n_interior, n)), ginv, metric)
     w = pin_boundary(grid, np.zeros(grid.shape), boundary_values)
-    b = -np.einsum("...ij,...ij->...", ginv, covariant_hessian(w, metric, grid))
+    b = -np.einsum("...ij,...ij->...", ginv,
+                   covariant_hessian(w, metric, grid, gradient_centered(w, grid)))
     A = assemble_operator(grid, ginv, c1, 0.0)
     v, _ = _linear_solve(A, _v_cycle(A, grid.interior_shape), b, LIFT_RTOL)
     return w + _on_grid(grid, v)

@@ -233,7 +233,7 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     grid = prob.grid
     z = u[grid.interior].ravel()
     p = gradient_centered(u, grid)
-    Hc = covariant_hessian(u, prob.metric, grid)
+    Hc = covariant_hessian(u, prob.metric, grid, p)
     s, psi = prob.coeff.at(prob.x_interior, z, p)
     if not psi.min() >= PSI_FLOOR:  # also a NaN psi
         raise PsiNotPositive(
@@ -359,14 +359,14 @@ def assemble_operator(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray,
     return sp.csr_matrix((rows.T[keep], indices, indptr), shape=(N, N))
 
 
-def operator_L(state: StateEval, prob: Problem, v: np.ndarray) -> np.ndarray:
-    """L v = F^{ij} (nabla^2 v)_{ij} + (s_{p_k} F^{ij} g_{ij} - psi_{p_k}) d_k v
-    at the interior points, (N,), of an evaluated admissible state and a
-    full-grid field v: the Jacobian's `_stencil_rows` without its zero-order
-    term times v at each offset, boundary values included, summed from +0.0
-    in the pattern's order as the CSR product sums."""
-    c1, _ = _first_order(state, prob)
-    rows, (groups, *_) = _stencil_rows(prob.grid, state.Fij, c1, 0.0)
+def operator_L(grid: ChartGrid, Fij: np.ndarray, c1: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_ij F^{ij} d_ij v + sum_k c1_k d_k v at the interior points, (N,),
+    of a full-grid field v, boundary values included: the `_stencil_rows` of
+    `assemble_operator` (grid, Fij, c1, 0) times v at each offset, summed
+    from +0.0 in the pattern's order as the CSR product sums.  With a state's
+    F^{ij} and the c1 of `_first_order` it is the audit's L v = F^{ij}
+    (nabla^2 v)_{ij} + (s_{p_k} F^{ij} g_{ij} - psi_{p_k}) d_k v."""
+    rows, (groups, *_) = _stencil_rows(grid, Fij, c1, 0.0)
     return sum(row * interior_shift(v, offset).ravel() for row, (offset, _) in zip(rows, groups))
 
 

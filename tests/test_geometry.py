@@ -109,7 +109,7 @@ def test_flat_quadratic_hessian_exact():
     g = grid2(9)
     geo = flat_metric(g)
     u = g.sample(lambda x: 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2))
-    H = covariant_hessian(u, geo, g)
+    H = covariant_hessian(u, geo, g, gradient_centered(u, g))
     assert np.abs(H - np.eye(2)).max() < 1e-13
 
 
@@ -117,7 +117,7 @@ def test_flat_general_quadratic_exact():
     g = grid2(11)
     geo = flat_metric(g)
     u = g.sample(lambda x: x[..., 0] ** 2 + 3.0 * x[..., 0] * x[..., 1] - 0.5 * x[..., 1] ** 2)
-    H = covariant_hessian(u, geo, g)
+    H = covariant_hessian(u, geo, g, gradient_centered(u, g))
     expect = np.array([[2.0, 3.0], [3.0, -1.0]])
     assert np.abs(H - expect).max() < 1e-12
 
@@ -127,9 +127,8 @@ def test_hessian_linearity():
     geo = metric_from_callable(g, lambda x: np.exp(2.0 * x[0]) * np.eye(2))
     rng = np.random.default_rng(0)
     u, v = rng.normal(size=g.shape), rng.normal(size=g.shape)
-    Hu = covariant_hessian(u, geo, g)
-    Hv = covariant_hessian(v, geo, g)
-    Hcomb = covariant_hessian(2.0 * u - 3.0 * v, geo, g)
+    Hu, Hv, Hcomb = (covariant_hessian(w, geo, g, gradient_centered(w, g))
+                     for w in (u, v, 2.0 * u - 3.0 * v))
     assert np.abs(Hcomb - (2.0 * Hu - 3.0 * Hv)).max() < 1e-10
 
 
@@ -140,7 +139,7 @@ def test_metric_correction_hand_computed():
     g = grid2(33)
     geo = metric_from_callable(g, lambda x: np.diag([np.exp(2.0 * x[0]), 1.0]))
     u = g.sample(lambda x: x[..., 0])
-    H = covariant_hessian(u, geo, g)
+    H = covariant_hessian(u, geo, g, gradient_centered(u, g))
     assert np.abs(H[..., 0, 0] + 1.0).max() < 5e-3
     assert np.abs(H[..., 0, 1]).max() < 5e-3
     assert np.abs(H[..., 1, 1]).max() < 5e-3
@@ -152,7 +151,7 @@ def test_hessian_convergence_order():
         g = grid2(m)
         geo = flat_metric(g)
         u = g.sample(lambda x: np.sin(x[..., 0]) * np.sin(x[..., 1]))
-        H = covariant_hessian(u, geo, g)
+        H = covariant_hessian(u, geo, g, gradient_centered(u, g))
         x = g.interior_points()
         s0, s1 = np.sin(x[..., 0]), np.sin(x[..., 1])
         c0, c1 = np.cos(x[..., 0]), np.cos(x[..., 1])
@@ -316,7 +315,7 @@ def test_per_point_outputs_are_blocks_in_interior_ravel_order(n, m):
             dn[d] -= 1
             assert du[i, d] == (u[tuple(up)] - u[tuple(dn)]) / (2.0 * h[d])
             assert H[i, d, d] == (u[tuple(up)] - 2.0 * u[c] + u[tuple(dn)]) / h[d] ** 2
-    assert covariant_hessian(u, flat_metric(grid), grid).shape == (N, n, n)
+    assert covariant_hessian(u, flat_metric(grid), grid, du).shape == (N, n, n)
     # a transposed view would change the last bit of einsums that read them
     assert du.flags.c_contiguous and H.flags.c_contiguous
 
@@ -438,7 +437,7 @@ def test_curved_metric_products_equal_the_full_grid_reference_bit_for_bit(n, m):
     H = hessian_centered(u, grid).reshape(shape + (n, n))
     du = gradient_centered(u, grid).reshape(shape + (n,))
     cov = (H - np.einsum("...kij,...k->...ij", gamma, du)).reshape(-1, n, n)
-    assert np.array_equal(covariant_hessian(u, geo, grid), cov)
+    assert np.array_equal(covariant_hessian(u, geo, grid, gradient_centered(u, grid)), cov)
     X = rng.normal(size=(grid.n_interior, n, n))
     X = X + np.swapaxes(X, -1, -2)
     LiT = np.swapaxes(Li, -1, -2).copy()

@@ -12,12 +12,14 @@ from hessobs.geometry import (
     add_christoffel_term,
     covariant_hessian,
     flat_metric,
+    gradient_centered,
     interior_shift,
 )
 from hessobs.monitors import solved_state, theta_certificate
 from hessobs.newton import COARSE_N, laplace_beltrami_solve
 from hessobs.operator import (
     Problem,
+    _first_order,
     _stencil_pattern,
     assemble_operator,
     certify_coefficients,
@@ -360,18 +362,24 @@ def test_linearize_sigma1_curved_fij_is_metric_inverse():
 
 # -------------------------------------------------- operator_L
 
+def audit_L(st, prob, v):
+    """The audit's L v: `operator_L` with the state's F and the c1 of
+    `_first_order`."""
+    return operator_L(prob.grid, st.Fij, _first_order(st, prob)[0], v)
+
+
 def test_operator_L_constant_is_zero():
     prob = make_problem(m=11, psi="1")
     st = evaluate_state(prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2), prob, 1e-2)
     v = np.full(prob.grid.shape, 3.7)
-    assert np.abs(operator_L(st, prob, v)).max() < 1e-12
+    assert np.abs(audit_L(st, prob, v)).max() < 1e-12
 
 
 def test_operator_L_sigma1_is_laplacian():
     prob = make_problem(m=11, psi="1")
     st = evaluate_state(prob.grid.sample(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2), prob, 1e-2)
     v = prob.grid.sample(lambda x: x[..., 0] ** 2 - 3.0 * x[..., 1] ** 2 + x[..., 0] * x[..., 1])
-    Lv = operator_L(st, prob, v)
+    Lv = audit_L(st, prob, v)
     assert np.abs(Lv - (2.0 - 6.0)).max() < 1e-10
 
 
@@ -381,8 +389,8 @@ def test_operator_L_linearity():
     st = evaluate_state(u, prob, 1e-2)
     rng = np.random.default_rng(0)
     v, w = rng.normal(size=prob.grid.shape), rng.normal(size=prob.grid.shape)
-    lhs = operator_L(st, prob, 2.0 * v - 0.5 * w)
-    rhs = 2.0 * operator_L(st, prob, v) - 0.5 * operator_L(st, prob, w)
+    lhs = audit_L(st, prob, 2.0 * v - 0.5 * w)
+    rhs = 2.0 * audit_L(st, prob, v) - 0.5 * audit_L(st, prob, w)
     assert np.abs(lhs - rhs).max() < 1e-8
 
 
@@ -419,10 +427,10 @@ def test_operator_L_is_the_jacobian_without_its_zero_order_term(n, kind):
     v[grid.interior] = rng.standard_normal(grid.interior_shape)
     c1 = add_christoffel_term(first_order_reference(st, prob), st.Fij, prob.metric)
     J0 = assemble_operator(grid, st.Fij, c1, 0.0)
-    assert operator_L(st, prob, v).tobytes() == (J0 @ v[grid.interior].ravel()).tobytes()
+    assert audit_L(st, prob, v).tobytes() == (J0 @ v[grid.interior].ravel()).tobytes()
     # v non-zero on the boundary: the covariant Hessian and gradient of v
     v = rng.standard_normal(grid.shape)
-    Lv, want = operator_L(st, prob, v), operator_L_reference(st, prob, v)
+    Lv, want = audit_L(st, prob, v), operator_L_reference(st, prob, v)
     assert np.abs(Lv - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -609,7 +617,8 @@ def test_laplace_solve_is_discrete_harmonic(curved):
     bnd = grid.boundary_mask()
     assert np.array_equal(v[bnd], data[bnd])
     ginv = np.linalg.inv(metric.g)
-    lap = np.einsum("...ij,...ij->...", ginv, covariant_hessian(v, metric, grid))
+    lap = np.einsum("...ij,...ij->...", ginv,
+                    covariant_hessian(v, metric, grid, gradient_centered(v, grid)))
     assert np.abs(lap).max() <= 1e-9 * np.abs(data).max()
 
 
@@ -626,7 +635,8 @@ def test_laplace_solve_matches_a_direct_solve(n, m):
     c1 = -np.einsum("...ij,...kij->...k", ginv, metric.christoffel)
     w = np.array(data)
     w[grid.interior] = 0.0
-    b = -np.einsum("...ij,...ij->...", ginv, covariant_hessian(w, metric, grid))
+    b = -np.einsum("...ij,...ij->...", ginv,
+                   covariant_hessian(w, metric, grid, gradient_centered(w, grid)))
     ref = spla.spsolve(assemble_operator(grid, ginv, c1, 0.0).tocsc(), b)
     err = np.abs(v[grid.interior].ravel() - ref).max()
     assert err <= 1e-10 * np.abs(ref).max()
