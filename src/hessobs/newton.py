@@ -49,8 +49,7 @@ from .errors import (
     NotAdmissible,
     SingularJacobian,
 )
-from .geometry import (ChartGrid, MetricField, add_christoffel_term, covariant_hessian,
-                       derivative_to_chart, gradient_centered, pin_boundary)
+from .geometry import ChartGrid, MetricField, add_christoffel_term, derivative_to_chart, pin_boundary
 from .operator import (
     PENALTY_ROOT,
     PROBE_EPSILON,
@@ -58,6 +57,7 @@ from .operator import (
     StateEval,
     assemble_operator,
     linearize,
+    operator_L,
     penalty,
     residual,
 )
@@ -708,18 +708,17 @@ def laplace_beltrami_solve(grid: ChartGrid, metric: MetricField,
     that holds `boundary_values` exactly on the boundary layer and solves
     g^{ij} (nabla^2 v)_{ij} = 0 at the interior points.
 
-    With w the data on a zero interior, the interior of v - w solves the
-    assembled operator (g^{ij}, -g^{ij} Gamma^k_{ij}, 0) with right side
-    -g^{ij} (nabla^2 w)_{ij}, by `_linear_solve` under that operator's own
-    V-cycle to relative residual LIFT_RTOL.
+    With w the data on a zero interior, the interior of v - w solves
+    A x = -L w, A the assembled operator (g^{ij}, -g^{ij} Gamma^k_{ij}, 0)
+    and L w its rows applied to w by `operator_L`, by `_linear_solve` under
+    A's own V-cycle to relative residual LIFT_RTOL.
     """
     n = grid.n
     # g^{ij} = L^{-T} L^{-1} is the derivative of tr B = tr(L^{-1} X L^{-T}) in X
     ginv = derivative_to_chart(np.broadcast_to(np.eye(n), (grid.n_interior, n, n)), metric)
     c1 = add_christoffel_term(np.zeros((grid.n_interior, n)), ginv, metric)
     w = pin_boundary(grid, np.zeros(grid.shape), boundary_values)
-    b = -np.einsum("...ij,...ij->...", ginv,
-                   covariant_hessian(w, metric, grid, gradient_centered(w, grid)))
+    b = -operator_L(grid, ginv, c1, w)
     A = assemble_operator(grid, ginv, c1, 0.0)
     v, _ = _linear_solve(A, _v_cycle(A, grid.interior_shape), b, LIFT_RTOL)
     return w + _on_grid(grid, v)
