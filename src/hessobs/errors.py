@@ -43,7 +43,7 @@ class BadEpsilon(HessObsError):
 
 
 class PsiNotPositive(HessObsError):
-    """Right-hand side psi fell below the positivity floor."""
+    """Right-hand side psi fell below the positivity floor or is not finite."""
 
 
 class SolverError(HessObsError):

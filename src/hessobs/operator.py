@@ -227,18 +227,17 @@ class StateEval:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     """Evaluate every pointwise ingredient of the residual at iterate u.
-    Overflow and invalid values raise no numpy warning: a non-finite psi
-    fails the psi floor here, and a non-finite U the cone test of `ok`,
-    which the callers read."""
+    Overflow and invalid values raise no numpy warning: a psi that is NaN,
+    +inf or below PSI_FLOOR raises PsiNotPositive here, and a non-finite U
+    fails the cone test of `ok`, which the callers read."""
     grid = prob.grid
     z = u[grid.interior].ravel()
     p = gradient_centered(u, grid)
     Hc = covariant_hessian(u, prob.metric, grid, p)
     s, psi = prob.coeff.at(prob.x_interior, z, p)
-    if not psi.min() >= PSI_FLOOR:  # also a NaN psi
-        raise PsiNotPositive(
-            f"psi minimum {psi.min():.3e} not above floor {PSI_FLOOR}; the method requires psi > 0"
-        )
+    if not PSI_FLOOR <= psi.min() <= psi.max() < np.inf:  # also a NaN psi
+        raise PsiNotPositive(f"psi over [{psi.min():.3e}, {psi.max():.3e}] is not finite or not "
+                             f"above floor {PSI_FLOOR}; the method requires a finite psi > 0")
     U = Hc + s[:, None, None] * prob.metric.g
     sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, to_metric_frame(U, prob.metric))
     Fij = derivative_to_chart(D, prob.metric)

@@ -629,6 +629,18 @@ def test_library_error_in_solve_writes_report_exit2(small_cfg, tmp_path):
         assert "solves" not in report
 
 
+def test_infinite_psi_fails_the_psi_floor(tmp_path):
+    # 1 + 1/x1^2 is +inf on the grid line x1 = 0 and finite elsewhere: it
+    # fails the floor as not finite, rather than reaching the Jacobian
+    cfg = tmp_path / "inf_psi.cfg"
+    cfg.write_text(bundled_config_text("ma_obstacle").replace('psi = "1"', 'psi = "1 + 1/(x1^2)"'))
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--grid-m", "33", "--audit", "off", "--out", str(out),
+                 "--quiet"]) == 2
+    failure = json.loads((out / "report.json").read_text())["solver_failure"]
+    assert failure["error"] == "PsiNotPositive" and "not finite" in failure["message"]
+
+
 # sigma_2 in 3d: a paraboloid subsolution with root ratio 1.25 against psi,
 # pressed against a ceiling only 0.3 above it
 TIGHT_3D = """\
