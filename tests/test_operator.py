@@ -159,6 +159,27 @@ def test_residual_psi_floor():
         residual(u, prob, 1e-2)
 
 
+@pytest.mark.parametrize("curved", [False, True])
+def test_evaluate_state_takes_one_centred_gradient(curved, monkeypatch):
+    # the covariant Hessian's Christoffel term reads the state's p, so a
+    # curved metric takes no second gradient; counted through both modules
+    import hessobs.geometry as geometry
+    import hessobs.operator as operator
+
+    prob = make_problem(m=11)
+    if curved:
+        prob = Problem(grid=prob.grid, metric=conformal_metric(prob.grid), fspec=prob.fspec,
+                       coeff=prob.coeff, h=prob.h, phi=prob.phi)
+    calls = []
+    for mod in (operator, geometry):
+        def counting(u, grid, _fn=mod.gradient_centered):
+            calls.append(u)
+            return _fn(u, grid)
+        monkeypatch.setattr(mod, "gradient_centered", counting)
+    evaluate_state(prob.grid.sample(lambda x: (x ** 2).sum(axis=-1)), prob, 1e-2)
+    assert len(calls) == 1
+
+
 def test_residual_manufactured_order():
     # n=2 Monge-Ampere: u* = exp(r^2/2), psi = sqrt(det D^2 u*)
     errs = []
