@@ -7,8 +7,8 @@ points only, with second-order centered stencils.
 
 The centered stencil is described once, by `stencil_table`, and every
 stencil kernel reads it: the gradient on slices, the second derivatives as
-one product of a cached sparse operator of integer weights with `u.ravel()`,
-and `operator`'s assembly and audit operator as one row per offset.
+one product of a cached sparse operator of integer weights with `u.ravel()`
+(the covariant Hessian takes its caller's gradient), and `operator`'s rows.
 
 Per-point data has one layout: a flat, C-ordered (N, ...) block over the N
 interior points in the C order of `u[grid.interior].ravel()`.  The metric is

@@ -10,10 +10,10 @@ dF/dU_{ij} come from the Newton-tensor recursion of `f_and_grad_of_matrix`,
 smooth at repeated eigenvalues, on geometry's reduced pencil B = L^{-1} U
 L^{-T}, g = L L^T and U = nabla^2 u + A (`to_metric_frame`); only the
 monitors read lam, through `spectrum`.  With the chain-rule terms of A = s g,
-psi and beta', the exact Jacobian of the discrete residual is assembled, as
-the audit's `operator_L` is applied, one row per offset of geometry's stencil
-table over a CSR pattern cached per interior grid shape.  This module builds
-matrices and solves none: every sparse system is solved in `newton`.
+psi and beta', the exact Jacobian is assembled one row per offset of
+geometry's stencil table over a CSR pattern cached per interior grid shape;
+`operator_L` applies those rows to a full-grid field for the audit and the
+harmonic lift.  This module builds matrices and solves none (`newton` does).
 """
 
 from __future__ import annotations
