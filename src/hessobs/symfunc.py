@@ -19,7 +19,8 @@ orders of magnitude.  `f_and_grad_of_matrix` evaluates f and its derivative
 on a batch of matrices through their Newton tensors, without eigenvalues.
 Per-point data is reduced over its n or k columns as contiguous (N,)
 arrays: sigma_j, the cone test, and row norms, sums and minima are column
-expressions, never a numpy pass along a short trailing axis.
+expressions, never a numpy pass along a short trailing axis, and no row
+norm or sum calls BLAS, whose dot products round per CPU core type.
 
 Every cone test, of matrices, eigenvalue fields and samples alike, applies
 one rule to the sigma margins, `_margin_ok`: each positive and finite.  The
@@ -290,16 +291,13 @@ def f_and_grad_masked(spec: SymmetricFunctionSpec, lam: np.ndarray, sig: np.ndar
     given the rows' margins sig = sigma_margins(spec, lam).
 
     The non-raising entry point for eigenvalue fields (`operator.spectrum_gradient`);
-    callers must honor the mask.  When every row is inside, as on every
-    solved state, the batch is evaluated whole, with no gather or scatter.
+    callers must honor the mask.  The batch is evaluated whole, with no
+    gather or scatter, and the rows outside are then set to NaN.
     """
     ok = _all_ok(sig.T)
-    if ok.all():
-        return (*_grad_batch(spec, lam), ok)
-    f = np.full(lam.shape[0], np.nan)
-    grad = np.full(lam.shape, np.nan)
-    if np.any(ok):
-        f[ok], grad[ok] = _grad_batch(spec, lam[ok])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f, grad = _grad_batch(spec, lam)
+    f[~ok] = grad[~ok] = np.nan
     return f, grad, ok
 
 
@@ -341,7 +339,7 @@ def sample_cone_points(spec: SymmetricFunctionSpec, count: int, seed: int) -> np
             orthant.append(uniform() < 0.5)
             radius.append(SAMPLE_RMIN * ratio ** uniform())
         d[orthant] = np.abs(d[orthant]) + 1e-3
-        return np.array(radius)[:, None] * (d / _norms(d)[:, None])
+        return np.array(radius)[:, None] * (d / _row_norms(d)[:, None])
 
     pts = _first_inside(spec, n_bulk, bulk)
 
@@ -352,20 +350,14 @@ def sample_cone_points(spec: SymmetricFunctionSpec, count: int, seed: int) -> np
             picks.append(rng.integers(0, n_bulk))
             normal(out=row)
         base = pts[picks]
-        d /= _norms(d)[:, None]
+        d /= _row_norms(d)[:, None]
         return base + 0.999 * _exit_parameters(spec, base, d)[:, None] * d
 
     return np.concatenate([pts, _first_inside(spec, n_boundary, pushed)])
 
 
-def _norms(x):
-    """np.linalg.norm of each row, bit for bit: vecdot runs the same dot
-    kernel as the norm of one tuple (a row-wise add.reduce does not)."""
-    return np.sqrt(np.vecdot(x, x))
-
-
 def _row_norms(x):
-    """np.linalg.norm(x, axis=1) bit for bit, summed over the (N,) columns."""
+    """np.linalg.norm(x, axis=1) bit for bit, as a sum of (N,) columns: no BLAS."""
     return np.sqrt(sum(c * c for c in x.T))
 
 
@@ -393,7 +385,7 @@ def _exit_parameters(spec, base, d):
     at the fixed point, once a bisection moves no bracket end (a NaN end
     stays NaN), since every later one would repeat it."""
     base = np.broadcast_to(base, d.shape)
-    scale = EXIT_T_CAP * (1.0 + _norms(base))
+    scale = EXIT_T_CAP * (1.0 + _row_norms(base))
     t = 1e-3 * scale / EXIT_T_CAP
     t_hi = np.full(len(d), np.nan)
     searching = t <= scale
@@ -522,7 +514,7 @@ def _boundary_decay(spec, seed):
     target_rate = 4.0 * 2.0 ** (-10.0 / spec.degree)
     while len(rates) < DECAY_RAYS:
         d = rng.standard_normal((2 * (DECAY_RAYS - len(rates)), spec.n))
-        d /= _norms(d)[:, None]
+        d /= _row_norms(d)[:, None]
         t_exit = _exit_parameters(spec, anchor, d)
         lam = anchor + (t_exit[:, None] * shrink)[:, :, None] * d[:, None, :]
         ok = _inside(spec, lam.reshape(-1, spec.n)).reshape(lam.shape[:2])

