@@ -2,6 +2,13 @@
 structure-condition suite, supporting-hyperplane estimates."""
 
 import hashlib
+import json
+import os
+import pathlib
+import platform
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from hessobs.symfunc import (
     sample_cone_points,
     sigma_margins,
 )
+from identity_manifest import numerics
 from oracles import (
     elementary_symmetric_reference,
     estimate_theta_reference,
@@ -298,7 +306,7 @@ def test_structure_ladder_is_homogeneous():
 # sha256 of sample_cone_points(spec, 1000, 42).tobytes() and of the 10k
 # stream of sigma_2 in n = 3 at seed 7: batching the cone tests must not move
 # a bit, and since no row norm calls BLAS, neither may the OpenBLAS core
-# type
+# type (test_pins_hold_on_the_prescott_kernels)
 SAMPLE_DIGESTS = [
     "9f20b10e2211dead797bfef8335b0007406242df21cf7d19dfa0cddece6be858",
     "6b2dc1ccecff0946f2a219dc3e72c574ee8f101969355df5a6c977929827be64",
@@ -400,6 +408,47 @@ def test_exit_parameters_nan_on_rays_that_stay_inside():
 @pytest.mark.parametrize("spec,ratios", zip(SPECS, DECAY_RATIOS), ids=str)
 def test_boundary_decay_ratios_are_pinned(spec, ratios):
     assert check_structure_conditions(spec, 3000, 0).boundary_decay_ratios == ratios
+
+
+# the sampler and decay pins, recomputed in a process of its own; argv[1]
+# holds the specs as [n, k, l] triples
+PIN_SCRIPT = """
+import hashlib, json, re, sys
+from identity_manifest import numerics
+from hessobs.symfunc import SymmetricFunctionSpec, _boundary_decay, sample_cone_points
+
+specs = [SymmetricFunctionSpec(*nkl) for nkl in json.loads(sys.argv[1])]
+digest = lambda pts: hashlib.sha256(pts.tobytes()).hexdigest()
+print(json.dumps({
+    "core": re.search(r"openblas (\\S+)", numerics()).group(1),
+    "digests": [digest(sample_cone_points(spec, 1000, 42)) for spec in specs],
+    "digest_10k": digest(sample_cone_points(SymmetricFunctionSpec(3, 2), 10_000, 7)),
+    "ratios": [_boundary_decay(spec, 1) for spec in specs],
+}))
+"""
+
+
+def test_pins_hold_on_the_prescott_kernels():
+    # OpenBLAS's SSE3 (Prescott) kernels run on any x86-64 CPU and round
+    # their dot products unlike the AVX ones.  The core name the process
+    # reports shows that it ran on them: x86-64 builds alias the older
+    # Katmai table to Prescott's, so the name lookup may find either
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS's Prescott kernels are x86-64 only")
+    if "openblas unknown" in numerics():
+        pytest.skip("numpy has no bundled OpenBLAS")
+    tests = pathlib.Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    specs = json.dumps([[spec.n, spec.k, spec.l] for spec in SPECS])
+    run = subprocess.run([sys.executable, "-c", PIN_SCRIPT, specs], env=env,
+                         capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert got["core"] in ("Prescott", "Katmai")
+    assert got["digests"] == SAMPLE_DIGESTS
+    assert got["digest_10k"] == SAMPLE_DIGEST_10K
+    assert got["ratios"] == DECAY_RATIOS
 
 
 @pytest.mark.parametrize("spec", [*SPECS[:2], SymmetricFunctionSpec(3, 2)], ids=str)
