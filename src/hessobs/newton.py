@@ -502,6 +502,14 @@ def _predict(s_next: float, point: tuple, previous: tuple | None = None) -> np.n
             + h * (t**3 - 2.0 * t**2 + t) * du0 + h * (t**3 - t**2) * du)
 
 
+def _closer_start(u: np.ndarray, prob: Problem, epsilon: float,
+                  fallback: np.ndarray) -> StateEval | None:
+    """The state of the start u at epsilon if u is admissible there with a
+    residual max-norm below that of the fallback's residual values, else None."""
+    res = residual(u, prob, epsilon)
+    return res if res.admissible and np.abs(res.values).max() < np.abs(fallback).max() else None
+
+
 def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: float,
                      point: tuple | None, previous: tuple | None
                      ) -> tuple[np.ndarray, str, StateEval | None]:
@@ -510,10 +518,9 @@ def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: f
     before (each None without a tangent).
 
     The prediction is `_predict` at s_next = eps_next^PENALTY_ROOT, a step in
-    the variable along which the solution is smooth.  It is used only if it
-    is admissible at eps_next and its residual max-norm there is below that
-    of u; otherwise u itself is the (warm) start.  Returns the start, how it
-    was chosen and, for a prediction, its state at eps_next.
+    the variable along which the solution is smooth.  It is used only if
+    `_closer_start` takes it over u; otherwise u itself is the (warm) start.
+    Returns the start, how it was chosen and, for a prediction, its state.
     """
     # no tangent, or the penalty is inactive and the tangent is zero
     if point is None or not state.beta.any():
@@ -521,10 +528,8 @@ def _predicted_start(u: np.ndarray, state: StateEval, prob: Problem, eps_next: f
     pred = _predict(eps_next**PENALTY_ROOT, point, previous)
     # u's residual at eps_next differs from its state's only in the penalty
     warm = state.fval - state.psi - penalty(eps_next, state.z - prob.h_interior)[0]
-    pres = residual(pred, prob, eps_next)
-    if pres.admissible and np.abs(pres.values).max() < np.abs(warm).max():
-        return pred, "predictor", pres
-    return u, "warm_start", None
+    pres = _closer_start(pred, prob, eps_next, warm)
+    return (u, "warm_start", None) if pres is None else (pred, "predictor", pres)
 
 
 def _nested_grid(grid: ChartGrid) -> ChartGrid | None:
@@ -580,12 +585,11 @@ def _nested_start(u0: np.ndarray, prob: Problem, epsilon: float, cfg: NewtonConf
     On a grid with a `_nested_grid`, epsilon is solved on that grid first,
     from the injected u0 and its own nested start, and the solution is
     interpolated back by `_prolong_cubic` with phi pinned.  The interpolant
-    is used only if it is admissible at epsilon and its residual max-norm
-    there is below that of u0; otherwise, or when the coarse solve raises a
-    library error, u0 itself is the start.  Returns the start, "nested" or
-    "initial", its state at epsilon when evaluated here, and the coarse
-    levels a nested start came from, [m, Newton steps, Krylov iterations]
-    each, coarsest first.
+    is used only if `_closer_start` takes it over u0; otherwise, or when the
+    coarse solve raises a library error, u0 itself is the start.  Returns
+    the start, "nested" or "initial", its state at epsilon when evaluated
+    here, and the coarse levels a nested start came from, [m, Newton steps,
+    Krylov iterations] each, coarsest first.
     """
     coarse = _nested_grid(prob.grid)
     if coarse is None:
@@ -598,11 +602,10 @@ def _nested_start(u0: np.ndarray, prob: Problem, epsilon: float, cfg: NewtonConf
         return u0, "initial", None, []
     res0 = residual(u0, prob, epsilon)
     nested = pin_boundary(prob.grid, _prolong_cubic(cu), prob.phi)
-    nres = residual(nested, prob, epsilon)
-    if nres.admissible and np.abs(nres.values).max() < np.abs(res0.values).max():
-        return nested, "nested", nres, levels + [[list(coarse.m), rep.iterations,
-                                                  rep.krylov_iterations]]
-    return u0, "initial", res0, []
+    nres = _closer_start(nested, prob, epsilon, res0.values)
+    if nres is None:
+        return u0, "initial", res0, []
+    return nested, "nested", nres, levels + [[list(coarse.m), rep.iterations, rep.krylov_iterations]]
 
 
 def continuation_solve(prob: Problem, schedule: PenaltySchedule | None = None,
