@@ -460,7 +460,8 @@ def check_structure_conditions(
 
     decay = _boundary_decay(spec, seed + 1)
 
-    euler = np.einsum("ij,ij->i", grad, lam) + K0 * (1.0 + grad.sum(axis=1))
+    with np.errstate(over="ignore"):  # a bound past the float range is +-inf
+        euler = np.einsum("ij,ij->i", grad, lam) + K0 * (1.0 + grad.sum(axis=1))
     min_euler = float(euler.min())
     if not min_euler >= 0.0:
         raise StructureViolation(

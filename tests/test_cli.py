@@ -908,6 +908,21 @@ def test_check_structure_large_subsolution_exit0(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k0,code", [("1e308", 0), ("-1e308", 3)])
+def test_check_structure_extreme_k0_without_warnings(small_cfg, tmp_path, capsys, k0, code):
+    # K0 (1 + sum f_i) overflows to +-inf: an infinite Euler bound passes and
+    # a negative infinite one fails, with no numpy warning
+    out = tmp_path / "out"
+    assert main(["check-structure", str(small_cfg), f"--k0={k0}", "--samples", "200",
+                 "--quiet", "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    structure = json.loads((out / "check_structure.json").read_text())["structure"]
+    assert structure["passed"] is (code == 0)
+    if code:
+        assert structure["condition"].startswith("Euler-type bound")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("old,new,error", [
     ('psi = "1"', 'psi = "1e308"', "SingularJacobian"),
     ('u = "0.625*(x1^2+x2^2)"', 'u = "1e308"', "NotAdmissible"),
