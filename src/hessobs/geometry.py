@@ -14,6 +14,10 @@ Per-point data has one layout: a flat, C-ordered (N, ...) block over the N
 interior points in the C order of `u[grid.interior].ravel()`.  The metric is
 stored so, and every derivative, metric product and coordinate returned here
 is such a block: callers neither slice nor reshape.
+
+The eigenvalues of symmetric 2x2 blocks are LAPACK's own closed form replayed
+on (N,) columns in IEEE arithmetic (`symmetric_eigenvalues`): `eigvalsh`'s
+bits on every block that LAPACK does not rescale, with no LAPACK or BLAS call.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "derivative_to_chart",
     "add_christoffel_term",
     "eigen_wrt_metric_field",
+    "symmetric_eigenvalues",
     "pin_boundary",
 ]
 
@@ -341,4 +346,60 @@ def add_christoffel_term(c1: np.ndarray, F: np.ndarray, geo: MetricField):
 def eigen_wrt_metric_field(X: np.ndarray, geo: MetricField):
     """Pencil eigenvalues (descending, (N, n)) of a field X of symmetric
     (N, n, n) blocks: those of `to_metric_frame` (X)."""
-    return np.linalg.eigvalsh(to_metric_frame(X, geo))[..., ::-1]
+    return symmetric_eigenvalues(to_metric_frame(X, geo))
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues of symmetric blocks
+# ---------------------------------------------------------------------------
+
+# dsterf's relative machine epsilon, and the closed range of the largest
+# |entry| of a 2x2 block in which neither dsyevd nor dsterf rescales it
+_EPS = 2.0**-53
+_UNSCALED_MIN, _UNSCALED_MAX = 2.0**-405, 2.0**485
+
+
+def symmetric_eigenvalues(B: np.ndarray) -> np.ndarray:
+    """Eigenvalues (descending, (N, n)) of a field B of symmetric (N, n, n)
+    blocks, read from the lower triangle: `np.linalg.eigvalsh(B)[..., ::-1]`
+    bit for bit.
+
+    For n = 2 it replays on the (N,) columns a = B_00, b = B_10, c = B_11
+    the closed form that LAPACK's dsyevd runs on a 2x2 block: dsytd2 leaves
+    the block as it is; dsterf splits it into (a, c) if |b| <= sqrt|a|
+    sqrt|c| eps or b^2 <= eps^2 |a c|, and otherwise takes DLAE2's (rt1,
+    rt2) of (a, sqrt(b^2), c); dlasrt sorts the pair ascending, swapping
+    only if d2 < d1.  dsterf passes (c, a) to DLAE2 when |c| < |a| and
+    stores its results swapped, an order the sort erases: DLAE2 is
+    symmetric in a and c, and rt1, the root of larger magnitude, is nonzero
+    on an unsplit block, so the two never tie as zeros of opposite sign.
+    Rows whose largest |entry| is neither 0 nor in [2^-405, 2^485], where
+    dsyevd or dsterf rescales, non-finite rows among them, take eigvalsh.
+    Other n take eigvalsh."""
+    if B.shape[-1] != 2:
+        return np.linalg.eigvalsh(B)[..., ::-1]
+    a, b, c = B[:, 0, 0], B[:, 1, 0], B[:, 1, 1]
+    abs_a, abs_c = np.abs(a), np.abs(c)
+    with np.errstate(all="ignore"):
+        e2 = b * b
+        split = np.abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS
+        split |= e2 <= _EPS**2 * np.abs(a * c)
+        # DLAE2(a, rte, c), rte = sqrt(b^2).  Its three cases for rt are
+        # hi sqrt(1 + (lo/hi)^2) over hi >= lo of |a - c| and |2 rte|, since
+        # hi = lo gives sqrt(2); a row with hi = 0 is split
+        sm, rte = a + c, np.sqrt(e2)
+        hi, lo = np.abs(a - c), np.abs(rte + rte)
+        hi, lo = np.maximum(hi, lo), np.minimum(hi, lo)
+        rt = hi * np.sqrt(1.0 + (lo / hi) ** 2)
+        rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
+        a_max = abs_a > abs_c
+        acmx, acmn = np.where(a_max, a, c), np.where(a_max, c, a)
+        rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (rte / rt1) * rte)
+    d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
+    swap = d2 < d1
+    lam = np.stack([np.where(swap, d1, d2), np.where(swap, d2, d1)], axis=1)
+    anrm = np.maximum(np.maximum(abs_a, np.abs(b)), abs_c)
+    scaled = ~((anrm == 0.0) | ((anrm >= _UNSCALED_MIN) & (anrm <= _UNSCALED_MAX)))
+    if scaled.any():
+        lam[scaled] = np.linalg.eigvalsh(B[scaled])[:, ::-1]
+    return lam

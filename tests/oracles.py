@@ -19,7 +19,10 @@ them, so they live here and not in the package.
   cached sparse product and the penalty ran on the points in contact only;
 - the audit's linear operator as the covariant Hessian and gradient of v
   contracted by two einsums, as it was written before it read the stencil
-  table.
+  table;
+- LAPACK's eigenvalues of a symmetric 2x2 block, dsterf's path and DLAE2
+  statement by statement in Python floats, which `geometry`'s closed form
+  must match bit for bit without depending on the LAPACK build.
 
 The radial construction: inside r <= a the solution coincides with the
 obstacle branch h0 + (psi0 + force)/4 * r^2 (so the trace operator exceeds
@@ -32,6 +35,7 @@ which only steepens the gap without moving the solution.
 from __future__ import annotations
 
 import functools
+import math
 import pathlib
 from dataclasses import dataclass
 
@@ -401,3 +405,62 @@ def penalty_reference(epsilon: float, z):
     z = np.asarray(z, dtype=float)
     zp = np.where(z > 0.0, z, 0.0)
     return zp**PENALTY_POWER / epsilon, PENALTY_POWER * zp**(PENALTY_POWER - 1) / epsilon
+
+
+# ---------------------------------------------------------------------------
+# LAPACK's eigenvalues of a symmetric 2x2 block
+# ---------------------------------------------------------------------------
+# Reference LAPACK's DLAE2 and the 2x2 path of dsyevd -> dsytd2 -> dsterf ->
+# dlasrt, for a block that neither dsyevd nor dsterf rescales: its largest
+# |entry| is 0 or lies in [2^-405, 2^485].  EPS is dsterf's DLAMCH('E').
+
+LAPACK_EPS = 2.0**-53
+
+
+def dlae2_reference(a: float, b: float, c: float) -> tuple[float, float]:
+    """DLAE2: the eigenvalues (rt1, rt2) of [[a, b], [b, c]], rt1 the one of
+    larger magnitude."""
+    sm = a + c
+    adf = abs(a - c)
+    ab = abs(b + b)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf > ab:
+        t = ab / adf
+        rt = adf * math.sqrt(1.0 + t * t)
+    elif adf < ab:
+        t = adf / ab
+        rt = ab * math.sqrt(1.0 + t * t)
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm < 0.0:
+        rt1 = 0.5 * (sm - rt)
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    elif sm > 0.0:
+        rt1 = 0.5 * (sm + rt)
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    else:
+        rt1 = 0.5 * rt
+        rt2 = -(0.5 * rt)
+    return rt1, rt2
+
+
+def eigvalsh2_reference(a: float, b: float, c: float) -> list:
+    """Ascending eigenvalues of the symmetric block with diagonal (a, c) and
+    lower entry b as dsyevd computes them: dsytd2 leaves the block as the
+    tridiagonal d = (a, c), e = b; dsterf splits it where e is negligible
+    against sqrt|a| sqrt|c|, squares e, chooses QL or QR iteration by the
+    larger end of d, splits where e^2 is negligible against |a c| and else
+    hands the block to DLAE2; dlasrt sorts d by insertion."""
+    d = [a, c]
+    if not abs(b) <= (math.sqrt(abs(d[0])) * math.sqrt(abs(d[1]))) * LAPACK_EPS:
+        e = b * b
+        if abs(d[1]) < abs(d[0]):  # QR: DLAE2 from the bottom end
+            if not abs(e) <= LAPACK_EPS**2 * abs(d[1] * d[0]):
+                rt1, rt2 = dlae2_reference(d[1], math.sqrt(e), d[0])
+                d = [rt2, rt1]
+        elif not abs(e) <= LAPACK_EPS**2 * abs(d[0] * d[1]):  # QL
+            rt1, rt2 = dlae2_reference(d[0], math.sqrt(e), d[1])
+            d = [rt1, rt2]
+    if d[1] < d[0]:
+        d = [d[1], d[0]]
+    return d

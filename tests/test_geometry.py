@@ -23,9 +23,21 @@ from hessobs.geometry import (
     pin_boundary,
     stencil_scale,
     stencil_table,
+    symmetric_eigenvalues,
     to_metric_frame,
 )
-from oracles import gradient_centered_reference, hessian_centered_reference, metric_from_callable
+from hessobs.config import build_runsetup, parse_config
+from hessobs.newton import continuation_solve
+from hessobs.operator import evaluate_state, spectrum
+from hessobs.problems import bundled_config_text
+from oracles import (
+    LAPACK_EPS,
+    dlae2_reference,
+    eigvalsh2_reference,
+    gradient_centered_reference,
+    hessian_centered_reference,
+    metric_from_callable,
+)
 
 
 def grid2(m=17, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
@@ -242,6 +254,117 @@ def test_metric_field_with_infinite_christoffel_raises():
     g = grid2(5)
     with pytest.raises(NotSPD, match="Christoffel"):
         metric_from_field(g, constant_field(g, np.diag([1e308, 1e308])))
+
+
+# -------------------------------------------------- eigenvalues of 2x2 blocks
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def assert_eigvalsh_bits(B):
+    # the closed form gives eigvalsh's bits on every row, the sign of zero included
+    assert np.array_equal(bits(symmetric_eigenvalues(B)), bits(np.linalg.eigvalsh(B)[..., ::-1]))
+
+
+def lower_blocks(a, b, c):
+    """(N, 2, 2) blocks with diagonal (a, c), lower entry b and a NaN upper
+    entry, which neither eigvalsh nor the closed form reads."""
+    B = np.empty((len(a), 2, 2))
+    B[:, 0, 0], B[:, 1, 0], B[:, 1, 1], B[:, 0, 1] = a, b, c, np.nan
+    return B
+
+
+@pytest.mark.parametrize("metric", ["kind = flat", 'kind = conformal\n  phi = "0.05*x1"'])
+def test_symmetric_eigenvalues_are_eigvalsh_on_solved_states(metric):
+    text = bundled_config_text("ma_obstacle").replace("kind = flat", metric)
+    rs = build_runsetup(parse_config(text).override(grid_m=25))
+    prob = rs.problem
+    res = continuation_solve(prob, rs.config.schedule, rs.config.newton)
+    for eps, u in zip(res.epsilons, res.solutions):
+        st = evaluate_state(u, prob, eps)
+        B = to_metric_frame(st.U, prob.metric)
+        assert_eigvalsh_bits(B)
+        assert np.array_equal(bits(spectrum(st, prob)), bits(np.linalg.eigvalsh(B)[:, ::-1]))
+
+
+def test_symmetric_eigenvalues_are_eigvalsh_on_random_blocks():
+    rng = np.random.default_rng(0)
+    N = 100_000
+    a, b, c = rng.normal(size=(3, N))
+    assert_eigvalsh_bits(lower_blocks(a, b, c))
+    # scales across the unscaled range, and b at dsterf's split thresholds
+    scale = np.ldexp(1.0, rng.integers(-400, 480, size=N))
+    assert_eigvalsh_bits(lower_blocks(a * scale, b * scale, c * scale))
+    at_split = np.sqrt(np.abs(a * c)) * LAPACK_EPS * rng.uniform(0.5, 2.0, size=N)
+    assert_eigvalsh_bits(lower_blocks(a, at_split, c))
+    # magnitudes e^+-700, most rows outside the unscaled range
+    wide = np.exp(rng.uniform(-700.0, 700.0, size=(3, N)))
+    assert_eigvalsh_bits(lower_blocks(a * wide[0], b * wide[1], c * wide[2]))
+
+
+def test_symmetric_eigenvalues_on_ties_and_signed_zeros():
+    values = [0.0, -0.0, 1.0, -1.0, 2.0, -3.5]
+    a, b, c = np.array(list(itertools.product(values, repeat=3))).T
+    assert_eigvalsh_bits(lower_blocks(a, b, c))
+
+
+def threshold_blocks(anrm):
+    """Random blocks scaled so that their largest |entry| is anrm exactly."""
+    X = np.random.default_rng(3).normal(size=(1000, 3))
+    X = X / np.abs(X).max(axis=1, keepdims=True) * anrm
+    assert np.all(np.abs(X).max(axis=1) == anrm)
+    return lower_blocks(*X.T)
+
+
+def closed_form(B):
+    return np.array([eigvalsh2_reference(*row)[::-1] for row in B[:, [0, 1, 1], [0, 0, 1]]])
+
+
+@pytest.mark.parametrize("anrm", [2.0**-405, 2.0**485])
+def test_symmetric_eigenvalues_at_the_rescaling_thresholds(anrm):
+    # at the ends of the range neither dsyevd nor dsterf rescales, and the
+    # closed form is eigvalsh; one ulp beyond they do, and it is not
+    inside = threshold_blocks(anrm)
+    assert_eigvalsh_bits(inside)
+    assert np.array_equal(bits(closed_form(inside)), bits(np.linalg.eigvalsh(inside)[:, ::-1]))
+    beyond = threshold_blocks(np.nextafter(anrm, 0.0 if anrm < 1.0 else np.inf))
+    assert_eigvalsh_bits(beyond)
+    assert not np.array_equal(bits(closed_form(beyond)), bits(np.linalg.eigvalsh(beyond)[:, ::-1]))
+
+
+def test_symmetric_eigenvalues_of_nonfinite_rows_are_eigvalsh():
+    nan, inf = np.nan, np.inf
+    B = lower_blocks(np.array([nan, 1.0, inf, -inf, 1.0, 1.0, inf]),
+                     np.array([1.0, nan, 1.0, 1.0, inf, -inf, inf]),
+                     np.array([2.0, 2.0, 2.0, 2.0, 2.0, 2.0, -inf]))
+    assert_eigvalsh_bits(np.concatenate([B, lower_blocks(*np.ones((3, 4)))]))
+
+
+def test_symmetric_eigenvalues_match_the_lapack_port():
+    # the port is held to the kernel on rows of the unscaled range, without
+    # calling LAPACK: random, near-split, tie and signed-zero rows
+    rng = np.random.default_rng(1)
+    a, b, c = rng.normal(size=(3, 3000))
+    b[1000:2000] = np.sqrt(np.abs(a * c))[1000:2000] * LAPACK_EPS * rng.uniform(0.5, 2.0, size=1000)
+    b[2000:] = 0.0
+    values = [0.0, -0.0, 1.0, -1.0, 2.0, -3.5]
+    ties = np.array(list(itertools.product(values, repeat=3))).T
+    B = np.concatenate([lower_blocks(a, b, c), lower_blocks(*ties)])
+    assert np.array_equal(bits(symmetric_eigenvalues(B)), bits(closed_form(B)))
+
+
+def test_dlae2_is_symmetric_in_its_diagonal():
+    # why the kernel needs no QR order: dsterf hands DLAE2 (c, a) when
+    # |c| < |a| and stores its roots swapped, and DLAE2's roots do not
+    # depend on the order of a and c, so the sort erases the swap
+    rng = np.random.default_rng(2)
+    rows = rng.normal(size=(5000, 3)) * np.exp(rng.uniform(-300.0, 300.0, size=(5000, 3)))
+    values = [0.0, -0.0, 1.0, -1.0, 2.0, -3.5]
+    rows = np.concatenate([rows, list(itertools.product(values, repeat=3))])
+    for a, b, c in rows:
+        rte = math.sqrt(b * b)
+        assert bits(dlae2_reference(a, rte, c)).tolist() == bits(dlae2_reference(c, rte, a)).tolist()
 
 
 # -------------------------------------------------- the Christoffel term
