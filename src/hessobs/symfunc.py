@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideCone, StructureViolation
+from .geometry import symmetric_eigenvalues
 
 __all__ = [
     "SymmetricFunctionSpec",
@@ -448,7 +449,7 @@ def check_structure_conditions(
         raise StructureViolation("monotonicity f_i > 0", lam[idx], f"min f_i = {min_grad:.3e}")
 
     H = _hess_batch(spec, lam)
-    scaled = np.linalg.eigvalsh(H)[:, -1] / (1.0 + np.abs(H).max(axis=(1, 2)))
+    scaled = symmetric_eigenvalues(H)[:, 0] / (1.0 + np.abs(H).max(axis=(1, 2)))
     worst = int(np.argmax(scaled))
     worst_scaled = float(scaled[worst])
     if not worst_scaled <= 1e-8:
