@@ -353,21 +353,33 @@ def _v_cycle(J, shape: tuple):
 
     levels = list(zip(ops, weights, transfers))
 
+    def residual(A, x, b):
+        # b - A x in the buffer of A x
+        r = A @ x
+        return np.subtract(b, r, out=r)
+
+    def smooth(A, w, x, b):
+        # x += w (b - A x), with no temporary besides A x
+        r = residual(A, x, b)
+        r *= w
+        x += r
+
     def cycle(b):
         # down: pre-smooth from zero and restrict the residual, level by level
         down = []
         for A, w, (_, _, R) in levels:
             x = w * b
             for _ in range(SMOOTHING_SWEEPS - 1):
-                x += w * (b - A @ x)
+                smooth(A, w, x, b)
             down.append((x, b))
-            b = R @ (b - A @ x)
+            b = R @ residual(A, x, b)
         x = coarse.solve(b)
         # up: add the prolonged correction and post-smooth
         for (A, w, (_, P, _)), (x_fine, b) in zip(levels[::-1], down[::-1]):
-            x = x_fine + P @ x
+            x = P @ x
+            x += x_fine
             for _ in range(SMOOTHING_SWEEPS):
-                x += w * (b - A @ x)
+                smooth(A, w, x, b)
         return x
 
     return cycle
