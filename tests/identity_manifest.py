@@ -83,7 +83,9 @@ def runs():
 def numerics() -> str:
     """The numerics fingerprint: OpenBLAS's core type, read through numpy's
     bundled `libscipy_openblas64_` ("unknown" without it), and the CPU
-    features numpy's dispatch finds on."""
+    features numpy's dispatch finds on.  x86-64 builds alias the Katmai,
+    Core2 and Banias tables to Prescott's SSE3 kernels, and the name lookup
+    finds Katmai first; it is printed as Prescott, the kernels that run."""
     import numpy
     from numpy._core._multiarray_umath import __cpu_features__
 
@@ -92,7 +94,7 @@ def numerics() -> str:
     for lib in libs.glob("libscipy_openblas64_*"):
         corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
+        core = corename().decode().replace("Katmai", "Prescott")
     features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
     return f"# numerics  openblas {core}  numpy {features}"
 

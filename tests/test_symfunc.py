@@ -431,8 +431,7 @@ print(json.dumps({
 def test_pins_hold_on_the_prescott_kernels():
     # OpenBLAS's SSE3 (Prescott) kernels run on any x86-64 CPU and round
     # their dot products unlike the AVX ones.  The core name the process
-    # reports shows that it ran on them: x86-64 builds alias the older
-    # Katmai table to Prescott's, so the name lookup may find either
+    # reports shows that it ran on them
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("OpenBLAS's Prescott kernels are x86-64 only")
     if "openblas unknown" in numerics():
@@ -445,7 +444,7 @@ def test_pins_hold_on_the_prescott_kernels():
     run = subprocess.run([sys.executable, "-c", PIN_SCRIPT, specs], env=env,
                          capture_output=True, text=True, check=True)
     got = json.loads(run.stdout)
-    assert got["core"] in ("Prescott", "Katmai")
+    assert got["core"] == "Prescott"
     assert got["digests"] == SAMPLE_DIGESTS
     assert got["digest_10k"] == SAMPLE_DIGEST_10K
     assert got["ratios"] == DECAY_RATIOS
