@@ -267,6 +267,10 @@ def assert_eigvalsh_bits(B):
     assert np.array_equal(bits(symmetric_eigenvalues(B)), bits(np.linalg.eigvalsh(B)[..., ::-1]))
 
 
+# ties and signed zeros
+TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, -3.5]
+
+
 def lower_blocks(a, b, c):
     """(N, 2, 2) blocks with diagonal (a, c), lower entry b and a NaN upper
     entry, which neither eigvalsh nor the closed form reads."""
@@ -304,8 +308,7 @@ def test_symmetric_eigenvalues_are_eigvalsh_on_random_blocks():
 
 
 def test_symmetric_eigenvalues_on_ties_and_signed_zeros():
-    values = [0.0, -0.0, 1.0, -1.0, 2.0, -3.5]
-    a, b, c = np.array(list(itertools.product(values, repeat=3))).T
+    a, b, c = np.array(list(itertools.product(TIE_VALUES, repeat=3))).T
     assert_eigvalsh_bits(lower_blocks(a, b, c))
 
 
@@ -348,8 +351,7 @@ def test_symmetric_eigenvalues_match_the_lapack_port():
     a, b, c = rng.normal(size=(3, 3000))
     b[1000:2000] = np.sqrt(np.abs(a * c))[1000:2000] * LAPACK_EPS * rng.uniform(0.5, 2.0, size=1000)
     b[2000:] = 0.0
-    values = [0.0, -0.0, 1.0, -1.0, 2.0, -3.5]
-    ties = np.array(list(itertools.product(values, repeat=3))).T
+    ties = np.array(list(itertools.product(TIE_VALUES, repeat=3))).T
     B = np.concatenate([lower_blocks(a, b, c), lower_blocks(*ties)])
     assert np.array_equal(bits(symmetric_eigenvalues(B)), bits(closed_form(B)))
 
@@ -360,8 +362,7 @@ def test_dlae2_is_symmetric_in_its_diagonal():
     # depend on the order of a and c, so the sort erases the swap
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(5000, 3)) * np.exp(rng.uniform(-300.0, 300.0, size=(5000, 3)))
-    values = [0.0, -0.0, 1.0, -1.0, 2.0, -3.5]
-    rows = np.concatenate([rows, list(itertools.product(values, repeat=3))])
+    rows = np.concatenate([rows, list(itertools.product(TIE_VALUES, repeat=3))])
     for a, b, c in rows:
         rte = math.sqrt(b * b)
         assert bits(dlae2_reference(a, rte, c)).tolist() == bits(dlae2_reference(c, rte, a)).tolist()
