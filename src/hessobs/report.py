@@ -1,8 +1,9 @@
 """Deterministic report emission: JSON document, CSV tables, grid dumps.
 
 Identical run configuration and seed must produce byte-identical files, so
-everything here avoids timestamps, ids and set iteration; floats are written
-with repr (shortest round-trip decimal).
+everything here avoids timestamps, ids and set iteration.  JSON and CSV
+write floats with repr (shortest round-trip decimal), grid dumps with
+"%.17g" (17 significant digits).
 """
 
 from __future__ import annotations
@@ -114,8 +115,95 @@ def write_grid_dump(path, grid, values: np.ndarray):
         "# lo = " + " ".join(repr(float(v)) for v in grid.lo),
         "# hi = " + " ".join(repr(float(v)) for v in grid.hi),
     ]
-    flat = np.asarray(values, dtype=float).ravel(order="C").tolist()
-    # one %-format of the whole field: the same text as "%.17g" per value
-    path.write_text("\n".join(lines) + "\n" + "%.17g\n" * len(flat) % tuple(flat))
+    flat = np.asarray(values, dtype=float).ravel(order="C")
+    path.write_text("\n".join(lines) + "\n" + _g17_lines(flat).decode("ascii"))
     return path
 
+
+# values per block of _g17_lines, which bounds its transient arrays (about
+# 5.5 MB at a full block)
+_BLOCK = 2**14
+# 10^(16-e) for e in [-4, 15], exact doubles, split into 26-bit halves for
+# Dekker's product (splitter 2^27 + 1)
+_SPLITTER = 2.0**27 + 1.0
+_SCALE = np.array([float(10**(16 - e)) for e in range(-4, 16)])
+_SCALE_HI = _SPLITTER * _SCALE - (_SPLITTER * _SCALE - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+# "0000" to "9999" as uint32 words, and the trailing zeros of each
+_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype=np.uint32)
+_TRAILING4 = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10_000))])
+# row masks: _UPTO[k] keeps columns 0..k, _FROM[k] columns k.. of 21
+_UPTO = np.arange(25) <= np.arange(25)[:, None]
+_FROM = np.arange(21) >= np.arange(17)[:, None]
+
+
+def _g17_lines(values: np.ndarray) -> bytes:
+    """`("%.17g\\n" * N % tuple(values)).encode()` for a flat float64 array,
+    formed blockwise with numpy.
+
+    Finite |x| in [1e-4, 1e16) print in fixed notation.  With e =
+    floor(log10|x|), n = |x| 10^(16-e) rounded half to even from Dekker's
+    exact product holds the 17 digits; log10 may be off by one near a power
+    of ten, which puts n outside [10^16, 10^17) and the row in the fallback,
+    so the text does not depend on log10's last bit.  The fallback, every
+    other row, is `b"%.17g" % x` itself."""
+    return b"".join(_g17_block(values[i:i + _BLOCK]) for i in range(0, len(values), _BLOCK))
+
+
+def _g17_block(x: np.ndarray) -> bytes:
+    rows = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 15)
+    row = e + 4
+    # p + err = a 10^(16-e) exactly (Dekker), then n = round(p + err); p is an
+    # even integer whenever n lands in [10^16, 10^17)
+    s, sh, sl = _SCALE.take(row), _SCALE_HI.take(row), _SCALE_LO.take(row)
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    p = a * s
+    err = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fast &= (n >= 10**16) & (n < 10**17)
+    n[~fast] = 10**16
+    # the 21 digits of M = n 10^j, j = 4 + min(e, 0), as three 8-digit words:
+    # "ddd.ddd" and "0.000ddd" both put the point after ip = max(e, 0) + 1 digits
+    j = 10 ** (4 + np.minimum(e, 0))
+    ip = np.maximum(e, 0) + 1
+    q = n // 10**8
+    t = (n - q * 10**8) * j
+    w1 = q * j + t // 10**8
+    w0 = w1 // 10**8
+    words = np.stack([w0, w1 - w0 * 10**8, t % 10**8])
+    quads = np.empty((6, rows), dtype=np.intp)
+    quads[::2] = words // 10**4
+    quads[1::2] = words - quads[::2] * 10**4
+    digits = _DIGITS4.take(quads.T).view(np.uint8)[:, 3:]
+    # trailing zeros of M, one 4-digit word at a time from the end
+    tz = _TRAILING4.take(quads[5])
+    zero = quads[5] == 0
+    for quad in quads[4:0:-1]:
+        tz += zero * _TRAILING4.take(quad)
+        zero &= quad == 0
+    # one row of text per value: a sign column, the digits with the point
+    # placed by one masked copy, and "\n" at column `end`, which cuts off
+    # the fraction's trailing zeros (and the point when nothing follows it);
+    # a fallback row is its %.17g text, at most 24 characters, from column 0
+    buf = np.empty((rows, 25), dtype=np.uint8)
+    buf[:, 0] = ord("-")
+    buf[:, 1:22] = digits
+    np.copyto(buf[:, 2:23], digits, where=_FROM.take(ip, axis=0))
+    every = np.arange(rows)
+    buf[every, ip + 1] = ord(".")
+    end = np.where(tz < 21 - ip, 23 - tz, ip + 1)
+    slow = np.flatnonzero(~fast)
+    text = b"%-25.17g" * len(slow) % tuple(x[slow].tolist())
+    buf[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 25)
+    end[slow] = (buf[slow] != ord(" ")).sum(axis=1)
+    buf[every, end] = ord("\n")
+    keep = _UPTO.take(end, axis=0)
+    # the sign column of a fast row holds "-", kept for negative x only
+    keep[:, 0] = (x < 0) | ~fast
+    return buf[keep].tobytes()

@@ -7,7 +7,8 @@ them, so they live here and not in the package.
   independent solve of that problem with no penalty, Newton or cone calculus;
 - the area-equivalent radius of a contact set;
 - a coefficient field from the text of psi and an A mode, a metric sampled
-  from a per-point callback, and the reader of a grid dump;
+  from a per-point callback, the reader of a grid dump, and the config text
+  of the `solve_3d` benchmark workload;
 - f, Df and D^2 f at one eigenvalue tuple, over the batched symmetric-function
   code;
 - the per-point cone kernels as they were written before they ran on
@@ -22,7 +23,10 @@ them, so they live here and not in the package.
   table;
 - LAPACK's eigenvalues of a symmetric 2x2 block, dsterf's path and DLAE2
   statement by statement in Python floats, which `geometry`'s closed form
-  must match bit for bit without depending on the LAPACK build.
+  must match bit for bit without depending on the LAPACK build;
+- the body of a grid dump as one %-format of the field, "%.17g" per value,
+  which the report's numpy kernel must match byte for byte, and the value
+  sets on the edges of that kernel's fast path.
 
 The radial construction: inside r <= a the solution coincides with the
 obstacle branch h0 + (psi0 + force)/4 * r^2 (so the trace operator exceeds
@@ -37,7 +41,9 @@ from __future__ import annotations
 import functools
 import math
 import pathlib
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -195,6 +201,17 @@ def metric_from_callable(grid: ChartGrid, gfun) -> MetricField:
     pts = grid.points().reshape(-1, grid.n)
     g = np.array([gfun(x) for x in pts], dtype=float).reshape(grid.shape + (grid.n, grid.n))
     return metric_from_field(grid, g)
+
+
+def solve_3d_config_text() -> str:
+    """The generated 3d config of the `solve_3d` benchmark workload at seed 1
+    (`perfbench/workloads.py`)."""
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import workloads
+
+    return workloads.solve_3d_config(1)
 
 
 def read_grid_dump(path):
@@ -464,3 +481,48 @@ def eigvalsh2_reference(a: float, b: float, c: float) -> list:
     if d[1] < d[0]:
         d = [d[1], d[0]]
     return d
+
+
+# ---------------------------------------------------------------------------
+# the text of a grid dump
+# ---------------------------------------------------------------------------
+
+def g17_reference(values) -> bytes:
+    """A grid dump's body as it was written before the numpy kernel: one
+    %-format of the flat field, "%.17g" and a newline per value."""
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return ("%.17g\n" * len(flat) % tuple(flat)).encode()
+
+
+def g17_cases(seed: int = 0) -> dict:
+    """Value sets, both signs, on the edges of the kernel's fast path (finite
+    |x| in [1e-4, 1e16), printed in fixed notation):
+
+    - ties: x = m / 2^(17-e), m odd, 10^e <= x < 10^(e+1) for e in [-4, 15],
+      whose x 10^(16-e) = m 5^(16-e) / 2 lies halfway between two integers;
+    - edges: 10^k for k in [-5, 17] and its neighbours toward 0 and +inf;
+    - bits: 2^18 random bit patterns;
+    - magnitudes: 10^5 values between 1e-8 and 1e18, log-uniform;
+    - specials: signed zeros, subnormals, the smallest normal, the largest
+      finite value, infinities and NaN with either sign bit."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for e in range(-4, 16):
+        k = 17 - e
+        lo, hi = (math.ceil(Fraction(10)**d * 2**k) for d in (e, e + 1))
+        m = 2 * rng.integers(lo // 2, (min(hi, 2**53) - 1) // 2, 4096) + 1  # odd, in [lo, hi)
+        ties.append(m / 2.0**k)
+    ties = np.concatenate(ties)
+    powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    magnitudes = 10.0 ** rng.uniform(-8.0, 18.0, 100_000)
+    specials = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+                         np.inf, np.nan])
+    signs = lambda v: np.concatenate([v, -v])
+    return {
+        "ties": signs(ties),
+        "edges": signs(edges),
+        "bits": rng.integers(0, 2**64, 2**18, dtype=np.uint64, endpoint=False).view(np.float64),
+        "magnitudes": magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+        "specials": signs(specials),
+    }

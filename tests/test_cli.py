@@ -2,16 +2,23 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import platform
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hessobs.cli import main
+from hessobs.config import build_runsetup, parse_config
+from hessobs.newton import continuation_solve
 from hessobs.problems import bundled_config_path, bundled_config_text
-from hessobs.report import fmt
-from oracles import read_grid_dump
+from hessobs.report import _BLOCK, _g17_lines, fmt, write_grid_dump
+from oracles import g17_cases, g17_reference, read_grid_dump, solve_3d_config_text
 
 SMALL_MA = (
     bundled_config_text("ma_obstacle")
@@ -340,6 +347,100 @@ def test_field_dump_formats_each_value_at_17_digits(tmp_path):
     assert meta["m"] == "3 4" and back.shape == (3, 4)
     assert np.array_equal(back, values, equal_nan=True)
     assert np.array_equal(np.signbit(back), np.signbit(values))
+
+
+# the dump body comes from report._g17_lines, a numpy kernel that must write
+# what the one %-format of the field (oracles.g17_reference) writes, byte for
+# byte
+
+@pytest.fixture(scope="module")
+def g17_sets():
+    return g17_cases()
+
+
+@pytest.mark.parametrize("name", ["ties", "edges", "bits", "magnitudes", "specials"])
+def test_dump_kernel_writes_the_percent_format(g17_sets, name):
+    values = g17_sets[name]
+    assert _g17_lines(values) == g17_reference(values)
+
+
+def test_dump_kernel_leaves_special_values_to_python():
+    # a NaN with its sign bit set prints as nan, like any NaN
+    values = np.array([0.0, -0.0, 5e-324, -1e-310, 1e16, -9.9999999999999e-5,
+                       np.inf, -np.inf, np.nan, -np.nan])
+    assert np.signbit(values[-1])
+    assert _g17_lines(values).split(b"\n") == [
+        b"0", b"-0", b"4.9406564584124654e-324", b"-9.9999999999999694e-311",
+        b"10000000000000000", b"-9.9999999999999002e-05", b"inf", b"-inf", b"nan", b"nan", b""]
+
+
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_dump_kernel_joins_its_blocks(g17_sets, size):
+    values = g17_sets["magnitudes"][:size]
+    assert _g17_lines(values) == g17_reference(values)
+
+
+@pytest.mark.parametrize("text,m", [(lambda: bundled_config_text("ma_obstacle"), 21),
+                                    (solve_3d_config_text, 7)], ids=["ma_obstacle", "solve_3d"])
+def test_dump_kernel_writes_solved_fields(text, m, tmp_path):
+    rs = build_runsetup(parse_config(text()).override(grid_m=m))
+    result = continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+    for u in result.solutions:
+        path = write_grid_dump(tmp_path / "u.txt", rs.problem.grid, u)
+        assert path.read_bytes().split(b"\n", 5)[5] == g17_reference(u)
+
+
+def test_dump_kernel_memory_is_bounded_by_its_block():
+    # formatted in blocks of _BLOCK values, the kernel's transient arrays do
+    # not grow with the field: at 16 blocks its peak stays under that of the
+    # %-format, which holds a field-sized tuple of floats.  In one shot the
+    # kernel's peak is several times the %-format's
+    values = np.random.default_rng(3).standard_normal(16 * _BLOCK)
+    peaks = []
+    for fmt_field in (_g17_lines, g17_reference):
+        tracemalloc.start()
+        fmt_field(values)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < peaks[1]
+
+
+G17_DISPATCH_SCRIPT = """
+import json
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from hessobs.report import _g17_lines
+from oracles import g17_cases, g17_reference
+
+cases = g17_cases()
+print(json.dumps({
+    "dispatch": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
+    "equal": {name: _g17_lines(cases[name]) == g17_reference(cases[name])
+              for name in ("ties", "edges", "bits")},
+}))
+"""
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_dump_text_holds_without_the_avx512_loops():
+    # numpy's log10 runs an AVX-512 loop where the CPU has one, and its last
+    # bit may differ from the baseline loop's.  The kernel only takes a
+    # decimal exponent from it and rejects a wrong one, so its text must not
+    # move when that dispatch is switched off
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("numpy's AVX-512 dispatch targets are x86-64 only")
+    if not set(AVX512_TARGETS) <= set(__cpu_dispatch__):
+        pytest.skip("this numpy build names other dispatch targets")
+    tests = pathlib.Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_TARGETS),
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", G17_DISPATCH_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert not set(AVX512_TARGETS) & set(got["dispatch"])
+    assert got["equal"] == {"ties": True, "edges": True, "bits": True}
 
 
 class _ReprFloat(float):

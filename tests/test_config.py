@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hessobs.config import build_runsetup, parse_config
 from hessobs.errors import ConfigError
 from hessobs.expressions import parse_expression
 from hessobs.problems import BUNDLED, bundled_config_text
-from oracles import metric_from_callable
+from oracles import metric_from_callable, solve_3d_config_text
 
 MINIMAL = """
 function {
@@ -165,9 +164,6 @@ def test_kappa_zg_must_be_finite_number(kappa):
         parse_config(MINIMAL.replace("A = zero", f"A = kappa_zg {kappa}"))
 
 
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-
-
 @pytest.mark.parametrize("name, digest", [
     ("laplacian_obstacle", "03dec7aeba1b0f1ebbd558f01ae32817d529236fa719f4f8d3e3fb7e0a1ce1b9"),
     ("laplacian_obstacle_strong", "1f1be1fcb3aa401bf5852420e783f3a2026796d7ecab3c244dd75afd6e00a690"),
@@ -177,14 +173,7 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 ])
 def test_to_text_bytes_are_pinned(name, digest):
     # report.json echoes to_text(), so its bytes are part of every bundle
-    if name == "solve_3d":
-        if str(BENCH) not in sys.path:
-            sys.path.insert(0, str(BENCH))
-        import workloads
-
-        text = workloads.solve_3d_config(1)
-    else:
-        text = bundled_config_text(name)
+    text = solve_3d_config_text() if name == "solve_3d" else bundled_config_text(name)
     assert hashlib.sha256(parse_config(text).to_text().encode()).hexdigest() == digest
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hessobs.config import build_runsetup, parse_config
-from hessobs.errors import MonitorError
+from hessobs.errors import MonitorError, NotAdmissible
 from hessobs.geometry import ChartGrid, flat_metric
 from hessobs.monitors import (
     NormBundle,
@@ -333,3 +333,24 @@ def test_nonfinite_subsolution_normals_name_the_points(monkeypatch):
         theta_certificate(prob.subsolution, prob, 10, 0)
     assert str(exc.value) == ("subsolution eigenvalues outside the cone, though its Newton "
                               "tensors are inside, at 1 interior points (first: [(2, 4)])")
+
+
+@pytest.fixture(scope="module")
+def solved_ma_obstacle_m17():
+    rs = build_runsetup(parse_config(bundled_config_text("ma_obstacle")).override(grid_m=17))
+    return rs.problem, continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_monitors_refuse_a_field_with_a_non_finite_value(solved_ma_obstacle_m17, bad):
+    # a 2x2 block with NaN on its diagonal has finite eigenvalues, so a NaN
+    # reaching the spectrum could read as a finite hess_norm.  It does not
+    # reach it through the monitors: the Hessian at the bad point has a NaN
+    # or -inf diagonal, its Newton tensor fails evaluate_state's cone test,
+    # and solved_state refuses the field before it takes any spectrum
+    prob, res = solved_ma_obstacle_m17
+    u = res.final.copy()
+    u[8, 8] = bad
+    with pytest.raises(NotAdmissible) as exc:
+        solved_state(u, prob, res.epsilons[-1])
+    assert (8, 8) in exc.value.points

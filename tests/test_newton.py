@@ -2,8 +2,6 @@
 
 import dataclasses
 import json
-import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -44,7 +42,7 @@ from hessobs.operator import (
     residual,
 )
 from hessobs.symfunc import SymmetricFunctionSpec
-from oracles import coefficients_from_expressions, metric_from_callable
+from oracles import coefficients_from_expressions, metric_from_callable, solve_3d_config_text
 
 
 def linear_problem(m=17):
@@ -514,20 +512,11 @@ def test_forcing_term_stays_between_its_safeguard_and_cap():
     assert _forcing(np.inf, np.inf, 9, tol) == FORCING_MAX  # an overflowing residual
 
 
-def _solve_3d_config_text():
-    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    if str(bench) not in sys.path:
-        sys.path.insert(0, str(bench))
-    import workloads
-
-    return workloads.solve_3d_config(1)
-
-
 # Newton steps per epsilon, which the forcing term's safeguard left as they
 # were, and the GMRES iterations of the sweep before the safeguard (90 and 96)
 SAFEGUARD_CASES = {
     "ma_obstacle_m33": (lambda: bundled_config_text("ma_obstacle"), 33, [6, 4, 2, 2, 3], 90),
-    "solve_3d_m15": (_solve_3d_config_text, 15, [6, 4, 3, 2, 2], 96),
+    "solve_3d_m15": (solve_3d_config_text, 15, [6, 4, 3, 2, 2], 96),
 }
 
 
@@ -762,7 +751,7 @@ NESTED_CASES = {
     "ma_obstacle_m65": (lambda: bundled_config_text("ma_obstacle"), 65, [[33, 33]]),
     "conformal_m65": (lambda: bundled_config_text("ma_obstacle").replace(
         "kind = flat", 'kind = conformal\n  phi = "0.05*x1"'), 65, [[33, 33]]),
-    "solve_3d_m33": (_solve_3d_config_text, 33, [[17, 17, 17]]),
+    "solve_3d_m33": (solve_3d_config_text, 33, [[17, 17, 17]]),
 }
 
 

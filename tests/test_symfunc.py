@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hessobs import symfunc
-from hessobs.errors import OutsideCone
+from hessobs.errors import OutsideCone, StructureViolation
 from hessobs.symfunc import (
     EXIT_BISECTIONS,
     EXIT_T_CAP,
@@ -286,6 +286,23 @@ def test_structure_suite_passes(spec):
     assert rep.max_hess_eig_scaled <= 1e-8
     assert rep.min_euler_bound >= 0.0
     assert all(b > a for a, b in zip(rep.ladder_values, rep.ladder_values[1:]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_structure_concavity_fails_on_a_non_finite_hessian(bad, monkeypatch):
+    # symmetric_eigenvalues gives a 2x2 block with NaN on its diagonal finite
+    # eigenvalues; the concavity slack divides them by 1 + max|D^2 f| of the
+    # row, which a NaN or inf makes NaN, so such a sample fails the check
+    hess = symfunc._hess_batch
+
+    def one_bad_row(spec, lam):
+        H = hess(spec, lam).copy()
+        H[5, 0, 0] = bad
+        return H
+
+    monkeypatch.setattr(symfunc, "_hess_batch", one_bad_row)
+    with pytest.raises(StructureViolation, match="concavity of f .* slack nan"):
+        check_structure_conditions(SymmetricFunctionSpec(2, 2), 1000, 0)
 
 
 def test_structure_sigma1_euler_equals_f():
