@@ -155,17 +155,18 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
                                      all_pairs=False) if audit.enabled else None)
     bundles, audits = [], []
     solves = [_solve_row(rep) for rep in result.reports]
-    hist_rows = []
+    history = [[] for _ in range(6)]  # the columns of residual_history.csv
     try:  # a monitor's error names the epsilon it checked, the contact set's the last
         for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
             solved = solved_state(u, rs.problem, eps)
             bundles.append(compute_norm_bundle(solved, rs.problem))
             if audit.enabled:
                 audits.append(audit_inequalities(solved, rs.problem, certificate, audit.c_audit))
-            for it, rmax in enumerate(rep.residual_history):
-                step = rep.step_history[it - 1] if it >= 1 else ""
-                hist_rows.append((eps, it, rmax, rep.residual_l2_history[it], step,
-                                  rep.margin_history[it]))
+            its = len(rep.residual_history)
+            for col, part in zip(history, ([eps] * its, range(its), rep.residual_history,
+                                           rep.residual_l2_history, ["", *rep.step_history],
+                                           rep.margin_history)):
+                col.extend(part)
 
         sweep = sweep_summary(bundles)
         final_eps = result.epsilons[-1]
@@ -193,26 +194,21 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
     out.write_csv(
         "norms_vs_eps.csv",
         list(sweep.rows[0]),
-        [list(r.values()) for r in sweep.rows],
+        [[r[f] for r in sweep.rows] for f in sweep.rows[0]],
         "per-epsilon monitors: c0/grad/hess norms (max over points), penalty sup, max (u-h)_+",
     )
     out.write_csv(
         "residual_history.csv",
         ["epsilon", "iteration", "residual_max", "residual_l2", "step", "margin"],
-        hist_rows,
+        history,
         "damped-Newton history per epsilon: max/l2 residual norms, accepted step, cone margin",
     )
     grid = rs.problem.grid
-    contact_rows = [
-        (*i, *x, flag)
-        for i, x, flag in zip((np.argwhere(contact.mask) + 1).tolist(),
-                              rs.problem.x_interior[contact.mask.ravel()].tolist(),
-                              contact.interface[contact.mask].tolist())
-    ]
     out.write_csv(
         "contact_cells.csv",
         [f"i{d+1}" for d in range(grid.n)] + [f"x{d+1}" for d in range(grid.n)] + ["interface"],
-        contact_rows,
+        [*(np.argwhere(contact.mask) + 1).T, *rs.problem.x_interior[contact.mask.ravel()].T,
+         contact.interface[contact.mask]],
         f"contact cells at the final epsilon (tau = {contact.tau:.6e}); grid indices, coordinates, interface flag",
     )
     _write_fields(out, args, grid, "u_eps_", result.solutions, result.epsilons)

@@ -446,12 +446,13 @@ def _gmres_cycle(J, M, r: np.ndarray, rnorm: float, target: float) -> tuple[np.n
     H = np.zeros((m, m))
     cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
     V[0], g[0] = r / rnorm, rnorm
+    tmp = np.empty(r.size)  # H[i, k] V[i], one work vector for the whole cycle
     for k in range(m):
         Z[k] = M(V[k])
         w = J @ Z[k]
         for i in range(k + 1):
             H[i, k] = V[i] @ w
-            w -= H[i, k] * V[i]
+            w -= np.multiply(V[i], H[i, k], out=tmp)
         h = np.linalg.norm(w)
         for i in range(k):
             H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],

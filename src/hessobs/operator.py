@@ -238,7 +238,12 @@ def evaluate_state(u: np.ndarray, prob: Problem, epsilon: float) -> StateEval:
     if not PSI_FLOOR <= psi.min() <= psi.max() < np.inf:  # also a NaN psi
         raise PsiNotPositive(f"psi over [{psi.min():.3e}, {psi.max():.3e}] is not finite or not "
                              f"above floor {PSI_FLOOR}; the method requires a finite psi > 0")
-    U = Hc + s[:, None, None] * prob.metric.g
+    # U = Hc + s g, with s g formed per component: broadcasting s over the
+    # short axes would run numpy's inner loop n elements at a time
+    U = np.empty(Hc.shape)
+    for i, c in np.ndindex(Hc.shape[1:]):
+        np.multiply(s, prob.metric.g[:, i, c], out=U[:, i, c])
+    np.add(Hc, U, out=U)
     sig, fval, D, ok = f_and_grad_of_matrix(prob.fspec, to_metric_frame(U, prob.metric))
     Fij = derivative_to_chart(D, prob.metric)
     beta, dbeta = penalty(epsilon, z - prob.h_interior)

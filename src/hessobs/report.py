@@ -4,13 +4,21 @@ Identical run configuration and seed must produce byte-identical files, so
 everything here avoids timestamps, ids and set iteration.  JSON and CSV
 write floats with repr (shortest round-trip decimal), grid dumps with
 "%.17g" (17 significant digits).
+
+- `report.json` (and the other JSON documents): one `json.dumps` of the
+  `_jsonable` copy of the document, written at once;
+- the CSV tables (`norms_vs_eps.csv`, `residual_history.csv`,
+  `contact_cells.csv`): `_csv_body`, which formats each distinct bit
+  pattern of a numpy column once and gathers the rows from those texts
+  with numpy;
+- the grid dumps `u_eps_*.txt`: `_g17_lines`, a numpy kernel for the
+  fixed-notation values, written as bytes after the header.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import pathlib
 
@@ -29,15 +37,39 @@ def fmt(v):
     return str(v)  # also a numpy integer, whose str is its int's
 
 
-# the types whose str is their fmt
-_PLAIN = frozenset((int, float))
-
-
 def _csv_text(v) -> str:
     text = fmt(v)
     if any(c in text for c in ',"\r\n'):
         raise ValueError(f"CSV value {text!r} would need quoting")
     return text
+
+
+def _csv_body(columns) -> bytes:
+    """The data rows of a CSV table from one 1-d column per header entry,
+    with no Python per cell of a numpy column.
+
+    A numpy int, float or bool column formats each distinct bit pattern once,
+    so -0.0 keeps its sign and every NaN prints nan.  The tolist() of those
+    patterns holds Python ints, floats and bools, so a bool column prints
+    true/false and the others what fmt prints of their numpy scalars.  Any
+    other column formats each value.  The texts, each followed by its "," or "\n", fill one NUL-padded
+    byte table; each row gathers its cells from it, and one mask cuts off
+    the padding."""
+    texts, index = [], []
+    for j, col in enumerate(columns):
+        sep = "," if j + 1 < len(columns) else "\n"
+        if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
+            bits, inverse = np.unique(col.view(f"u{col.dtype.itemsize}"), return_inverse=True)
+            col = bits.view(col.dtype).tolist()
+        else:
+            inverse = np.arange(len(col))
+        index.append(inverse + len(texts))
+        texts.extend((_csv_text(v) + sep).encode() for v in col)
+    table = np.array(texts, dtype=bytes)
+    keep = np.arange(table.itemsize) < np.strings.str_len(table)[:, None]
+    rows = np.stack(index, axis=1)
+    text = table.view(np.uint8).reshape(-1, table.itemsize).take(rows, axis=0)
+    return text[keep.take(rows, axis=0)].tobytes()
 
 
 def _jsonable(obj):
@@ -68,32 +100,20 @@ class ReportBundleWriter:
 
     def write_json(self, name: str, document: dict):
         path = self.outdir / name
-        with open(path, "w") as f:
-            json.dump(_jsonable(document), f, indent=2, allow_nan=False)
-            f.write("\n")
+        path.write_text(json.dumps(_jsonable(document), indent=2, allow_nan=False) + "\n")
         return path
 
-    def write_csv(self, name: str, columns: list, rows: list, meta: str):
+    def write_csv(self, name: str, header: list, columns: list, meta: str):
         """CSV with a `# meta` comment row, a header row, then data rows,
-        each value as `fmt` writes it.  The data rows are one %-format of
-        the table, column by column: %s of a Python int or float is its
-        fmt, a column of bools maps to true/false, and any other column
-        goes through fmt first.  A data value that CSV would quote raises
+        each value as `fmt` writes it, from one 1-d numpy array or sequence
+        per header entry (a numpy bool column prints true/false); the rows
+        come from `_csv_body`.  A data value that CSV would quote raises
         ValueError."""
         path = self.outdir / name
         buf = io.StringIO()
         buf.write("# " + meta + "\n")
-        csv.writer(buf, lineterminator="\n").writerow(columns)
-        cols = list(zip(*rows))
-        for j, col in enumerate(cols):
-            kinds = set(map(type, col))
-            if kinds == {bool}:
-                cols[j] = map(("false", "true").__getitem__, col)
-            elif not kinds <= _PLAIN:
-                cols[j] = map(_csv_text, col)
-        values = tuple(itertools.chain.from_iterable(zip(*cols)))
-        buf.write(("%s," * (len(columns) - 1) + "%s\n") * len(rows) % values)
-        path.write_text(buf.getvalue())
+        csv.writer(buf, lineterminator="\n").writerow(header)
+        path.write_bytes(buf.getvalue().encode() + _csv_body(columns))
         return path
 
     def write_field(self, name: str, grid, values: np.ndarray, binary: bool = False):
@@ -116,7 +136,7 @@ def write_grid_dump(path, grid, values: np.ndarray):
         "# hi = " + " ".join(repr(float(v)) for v in grid.hi),
     ]
     flat = np.asarray(values, dtype=float).ravel(order="C")
-    path.write_text("\n".join(lines) + "\n" + _g17_lines(flat).decode("ascii"))
+    path.write_bytes(("\n".join(lines) + "\n").encode() + _g17_lines(flat))
     return path
 
 

@@ -26,7 +26,10 @@ them, so they live here and not in the package.
   must match bit for bit without depending on the LAPACK build;
 - the body of a grid dump as one %-format of the field, "%.17g" per value,
   which the report's numpy kernel must match byte for byte, and the value
-  sets on the edges of that kernel's fast path.
+  sets on the edges of that kernel's fast path;
+- a CSV table from its rows and the JSON document, as the report wrote them
+  before its CSV kernel and one-shot JSON text, which the report must match
+  byte for byte.
 
 The radial construction: inside r <= a the solution coincides with the
 obstacle branch h0 + (psi0 + force)/4 * r^2 (so the trace operator exceeds
@@ -38,7 +41,11 @@ which only steepens the gap without moving the solution.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
+import itertools
+import json
 import math
 import pathlib
 import sys
@@ -52,6 +59,7 @@ from hessobs.expressions import parse_expression
 from hessobs.geometry import ChartGrid, MetricField, interior_shift, metric_from_field
 from hessobs.monitors import ContactSet
 from hessobs.operator import PENALTY_POWER, CoefficientField, a_scalar_text
+from hessobs.report import _csv_text, _jsonable
 from hessobs.symfunc import (THETA_ZERO_GUARD, SymmetricFunctionSpec, ThetaCertificate, _f_batch,
                              _grad_batch, _hess_batch, _margin_ok)
 
@@ -526,3 +534,48 @@ def g17_cases(seed: int = 0) -> dict:
         "magnitudes": magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
         "specials": signs(specials),
     }
+
+
+# ---------------------------------------------------------------------------
+# the text of a report's CSV tables and JSON document
+# ---------------------------------------------------------------------------
+
+# the types whose str is their fmt
+_PLAIN = frozenset((int, float))
+
+
+def csv_rows(columns) -> list:
+    """The rows of a table given as columns, as the sweep passed them before
+    the CSV kernel: a numpy column by its tolist(), so its bools are Python
+    bools."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+def csv_reference(header, rows, meta) -> bytes:
+    """A CSV table as `ReportBundleWriter.write_csv` wrote it from its rows
+    before the CSV kernel: one %-format of the table, column by column, %s of
+    a Python int or float, a column of bools as true/false and any other
+    column through fmt first.  A value that CSV would quote raises
+    ValueError."""
+    buf = io.StringIO()
+    buf.write("# " + meta + "\n")
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        kinds = set(map(type, col))
+        if kinds == {bool}:
+            cols[j] = map(("false", "true").__getitem__, col)
+        elif not kinds <= _PLAIN:
+            cols[j] = map(_csv_text, col)
+    values = tuple(itertools.chain.from_iterable(zip(*cols)))
+    buf.write(("%s," * (len(header) - 1) + "%s\n") * len(rows) % values)
+    return buf.getvalue().encode()
+
+
+def json_reference(document) -> bytes:
+    """`report.json` as `ReportBundleWriter.write_json` wrote it before its
+    one-shot text: `json.dump` chunk by chunk, then a newline."""
+    buf = io.StringIO()
+    json.dump(_jsonable(document), buf, indent=2, allow_nan=False)
+    buf.write("\n")
+    return buf.getvalue().encode()

@@ -17,8 +17,9 @@ from hessobs.cli import main
 from hessobs.config import build_runsetup, parse_config
 from hessobs.newton import continuation_solve
 from hessobs.problems import bundled_config_path, bundled_config_text
-from hessobs.report import _BLOCK, _g17_lines, fmt, write_grid_dump
-from oracles import g17_cases, g17_reference, read_grid_dump, solve_3d_config_text
+from hessobs.report import _BLOCK, ReportBundleWriter, _g17_lines, fmt, write_grid_dump
+from oracles import (csv_reference, csv_rows, g17_cases, g17_reference, json_reference,
+                     read_grid_dump, solve_3d_config_text)
 
 SMALL_MA = (
     bundled_config_text("ma_obstacle")
@@ -470,27 +471,106 @@ FMT_CASES = [float("nan"), float("inf"), -0.0, 5e-324, 1e300, 0.1, np.float64(0.
 
 
 def test_csv_rows_are_fmt_of_each_value(tmp_path):
-    # the one %-format of a table writes what csv.writer writes of the
-    # fmt of each value: plain int, float and bool columns, a float column
-    # with an empty first cell, and a column of every type fmt prints
+    # the CSV kernel writes what csv.writer writes of the fmt of each value:
+    # numpy int, float and bool columns, a float column with an empty first
+    # cell, and a column of every type fmt prints
     import csv
     import io
-
-    from hessobs.report import ReportBundleWriter
 
     rows = [(i, 0.1 * i - 1.0, i % 3 == 0, "" if i == 0 else 1.5 ** -i,
              FMT_CASES[i % len(FMT_CASES)]) for i in range(40)]
     columns = ["i", "x", "flag", "step", "any"]
-    path = ReportBundleWriter(tmp_path).write_csv("t.csv", columns, rows, "meta")
+    i, x, flag, step, any_ = zip(*rows)
+    table = [np.array(i), np.array(x), np.array(flag), step, any_]
+    path = ReportBundleWriter(tmp_path).write_csv("t.csv", columns, table, "meta")
     ref = io.StringIO()
     w = csv.writer(ref, lineterminator="\n")
     w.writerow(columns)
     w.writerows([fmt(v) for v in row] for row in rows)
     assert path.read_text() == "# meta\n" + ref.getvalue()
-    assert ReportBundleWriter(tmp_path).write_csv("e.csv", columns, [], "m").read_text() == (
+    assert ReportBundleWriter(tmp_path).write_csv("e.csv", columns, [[]] * 5, "m").read_text() == (
         "# m\ni,x,flag,step,any\n")
     with pytest.raises(ValueError, match="would need quoting"):
-        ReportBundleWriter(tmp_path).write_csv("q.csv", ["a", "b"], [(1, "x,y")], "m")
+        ReportBundleWriter(tmp_path).write_csv("q.csv", ["a", "b"], [[1], ["x,y"]], "m")
+
+
+# the CSV tables come from report._csv_body, a numpy kernel that formats each
+# distinct bit pattern of a numpy column once; it must write what the
+# %-format of the table's rows (oracles.csv_reference) writes, byte for byte
+
+_NAN_BITS = np.array([0x7FF8000000000001, 0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+CSV_FLOATS = np.concatenate([
+    [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+     2.2250738585072014e-308, 1.7976931348623157e308, 1e16, -1e16, 1e-5, -1e-5, 0.1],
+    _NAN_BITS,
+])
+CSV_TABLES = {
+    "specials": [np.random.default_rng(0).permutation(np.tile(CSV_FLOATS, 5)),
+                 np.tile(CSV_FLOATS, 5)],
+    "float32": [np.array([0.1, -0.0, 0.0, np.inf, 1e-45], dtype=np.float32)],
+    "ints": [np.array([2**53 + 1, -2**63, 2**63 - 1, 0, -1, 2**53 + 1]),
+             np.array([2**64 - 1, 2**53 + 1, 0, 0, 1, 2**63], dtype=np.uint64),
+             np.arange(6, dtype=np.int32),
+             [2**53 + 1, 2**64, -2**70, 0, -1, 7]],
+    "scalars": [[np.int64(2**60), np.float64(-0.0), np.float32(0.1), np.bool_(True),
+                 np.bool_(False), np.uint8(3), np.float64("nan")]],
+    "bools": [np.array([True, False, True]), [True, False, False], np.zeros(3, dtype=bool)],
+    "one value": [np.full(10, 0.1), np.zeros(10, dtype=int), np.full(10, -0.0), [7] * 10],
+    "one row": [np.array([1.5]), np.array([3]), ["x"], np.array([True])],
+    "empty": [np.array([]), np.array([], dtype=int), [], np.array([], dtype=bool)],
+}
+
+
+@pytest.mark.parametrize("name", CSV_TABLES)
+def test_csv_kernel_writes_the_rows_reference(name, tmp_path):
+    columns = CSV_TABLES[name]
+    header = [f"c{j}" for j in range(len(columns))]
+    path = ReportBundleWriter(tmp_path).write_csv("t.csv", header, columns, "meta")
+    assert path.read_bytes() == csv_reference(header, csv_rows(columns), "meta")
+
+
+def test_csv_kernel_writes_random_bit_patterns(g17_sets, tmp_path):
+    # NaNs of every payload, subnormals and both zeros among 2^14 patterns
+    bits = g17_sets["bits"][:2**14]
+    columns = [bits, np.abs(bits), bits.view(np.int64)]
+    path = ReportBundleWriter(tmp_path).write_csv("t.csv", ["a", "b", "c"], columns, "m")
+    assert path.read_bytes() == csv_reference(["a", "b", "c"], csv_rows(columns), "m")
+
+
+@pytest.mark.parametrize("text,m", [(lambda: bundled_config_text("ma_obstacle"), 21),
+                                    (solve_3d_config_text, 13)], ids=["ma_obstacle", "solve_3d"])
+def test_csv_kernel_writes_the_sweep_tables(text, m, tmp_path, monkeypatch):
+    # the norms, history and contact tables of a solve, as its columns
+    tables = []
+    write_csv = ReportBundleWriter.write_csv
+
+    def capture(self, name, header, columns, meta):
+        path = write_csv(self, name, header, columns, meta)
+        tables.append((path, header, columns, meta))
+        return path
+
+    monkeypatch.setattr(ReportBundleWriter, "write_csv", capture)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text())
+    assert main(["solve", str(cfg), "--grid-m", str(m), "--audit", "off",
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert [path.name for path, *_ in tables] == ["norms_vs_eps.csv", "residual_history.csv",
+                                                  "contact_cells.csv"]
+    assert len(tables[2][2][0]) > 0  # contact cells
+    for path, header, columns, meta in tables:
+        assert path.read_bytes() == csv_reference(header, csv_rows(columns), meta)
+
+
+def test_report_json_writes_the_dump_reference(tmp_path):
+    doc = {
+        "floats": [np.float64("nan"), float("inf"), -np.inf, np.float32(0.1), -0.0, 5e-324, 1e16],
+        "numpy": {"i": np.int64(2**62), "flag": np.bool_(True), "u": np.uint8(3),
+                  "field": np.array([[1.5, np.nan], [0.0, -0.0]])},
+        "plain": (1, "x \"y\" \u00fc", None, True, 2**64),
+        "empty": [{}, []],
+    }
+    path = ReportBundleWriter(tmp_path).write_json("r.json", doc)
+    assert path.read_bytes() == json_reference(doc)
 
 
 def test_field_dump_binary_variant(small_cfg, tmp_path):

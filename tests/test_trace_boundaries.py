@@ -31,7 +31,8 @@ def test_every_traced_boundary_exists_and_is_restored():
 
 @pytest.fixture(scope="module")
 def traced_sweep(tmp_path_factory):
-    """The tracer of one small audited sweep under the full trace."""
+    """The tracer of one small audited sweep under the full trace, and its
+    bundle directory."""
     import hessobs.cli as cli
     from hessobs.problems import bundled_config_path
 
@@ -40,7 +41,7 @@ def traced_sweep(tmp_path_factory):
     with spans.instrument(tr, full=True):
         assert cli.main(["sweep", str(bundled_config_path("ma_obstacle")), "--grid-m", "21",
                          "--seed", "1", "--out", str(out), "--quiet"]) == 0
-    return tr
+    return tr, out
 
 
 # the package solves through GMRES and the V-cycle; mending the span is a
@@ -54,10 +55,21 @@ _UNCALLED = pytest.mark.xfail(strict=True, reason="spans.py wraps spla.spsolve a
     for name in spans.SELF_METRIC
 ])
 def test_traced_sweep_enters_every_span(traced_sweep, name):
-    assert name in {span[2] for span in traced_sweep.spans}
+    tr, _ = traced_sweep
+    assert name in {span[2] for span in tr.spans}
 
 
 @pytest.mark.parametrize("name", ["operator.state_evals", "geometry.eig_calls",
                                   "symfunc.margin_calls", "expressions.evals"])
 def test_traced_sweep_counts_are_positive(traced_sweep, name):
-    assert traced_sweep.counts[name] > 0
+    tr, _ = traced_sweep
+    assert tr.counts[name] > 0
+
+
+def test_traced_report_counts_are_the_bundle(traced_sweep):
+    # the tracer books report.files and report.bytes from the path each
+    # ReportBundleWriter.write* method returns, once per file
+    tr, out = traced_sweep
+    files = list(out.iterdir())
+    assert tr.counts["report.files"] == len(files)
+    assert tr.counts["report.bytes"] == sum(f.stat().st_size for f in files)
