@@ -10,7 +10,8 @@ in the `src/` next to this directory, with one BLAS thread:
   and the progress text on stdout;
 - `ma_obstacle` at --grid-m 97 with audits off;
 - the generated 3d config of the `solve_3d` benchmark workload
-  (`perfbench/workloads.py`), seed 1;
+  (`perfbench/workloads.py`), seed 1, on its flat metric and on the
+  conformal metric phi = 0.05 x1 (the two 3d pins of `tests/test_cli.py`);
 - `ma_manufactured` at --grid-m 25 with audits on;
 - `laplacian_obstacle_strong` from the built-in start (`u = builtin`) at
   --grid-m 25 with audits on, the one run that solves the start's harmonic
@@ -63,6 +64,9 @@ def runs():
     yield ("sweep_ma_obstacle_m97", bundled_config_text("ma_obstacle"),
            lambda cfg: ["sweep", cfg, "--grid-m", "97", "--audit", "off"])
     yield "sweep_solve_3d", solve_3d_config(1), lambda cfg: ["sweep", cfg]
+    yield ("sweep_solve_3d_conformal",
+           solve_3d_config(1).replace("kind = flat", 'kind = conformal\n  phi = "0.05*x1"'),
+           lambda cfg: ["sweep", cfg])
     yield ("sweep_ma_manufactured_m25", bundled_config_text("ma_manufactured"),
            lambda cfg: ["sweep", cfg, "--grid-m", "25", "--audit", "on"])
     yield ("sweep_laplacian_strong_m25_builtin",

@@ -33,6 +33,8 @@ LAPLACIAN_STRONG_BUILTIN = re.sub(r'(subsolution \{\n)  u = "[^"]*"', r"\1  u = 
                                   bundled_config_text("laplacian_obstacle_strong"))
 CONFORMAL_MA = bundled_config_text("ma_obstacle").replace(
     "kind = flat", 'kind = conformal\n  phi = "0.05*x1"')
+SOLVE_3D = solve_3d_config_text()
+CONFORMAL_3D = SOLVE_3D.replace("kind = flat", 'kind = conformal\n  phi = "0.05*x1"')
 
 
 @pytest.fixture()
@@ -259,6 +261,31 @@ PINNED_BUNDLES = {
         "u_eps_1e-04.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
         "u_eps_1e-05.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
         "u_eps_1e-06.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
+    }),
+    # the two n = 3 pins, audits off: the solve_3d benchmark config (flat,
+    # m = 15) and the same config on the conformal metric phi = 0.05 x1,
+    # which hold the bytes of the 3x3 monitors, hess_norm among them
+    "solve_3d_m15": (SOLVE_3D, ["--audit", "off"], {
+        "contact_cells.csv": "1bf606d74ab49baa0d3f713d0aba21b1619c2f708966d28911c61803ee613d9f",
+        "norms_vs_eps.csv": "d1bdd1b68006a24bb61b4f29820022893610002ec46f030177a3e95a8b441c76",
+        "report.json": "1763b5930e570c8760d0cd32875ff1cb444ef9295037e6f3602c7f14426f57fc",
+        "residual_history.csv": "971c997cdcce92bb2721e4793cf7d38d91b492ed2dc2e2d73ad276222ca86b50",
+        "u_eps_1e-02.txt": "8e3cf9fb7680077aa8b3d00cb878ea3e7bf825d780655e048158411267c55820",
+        "u_eps_1e-03.txt": "6e5fb6ec6413574b286124744d78364f7cd0074444400b9ffba7964b558b7b8c",
+        "u_eps_1e-04.txt": "4757e234ef211e22f34b495af03893b9bac69618975eb2e81c9f63e846ddd9c3",
+        "u_eps_1e-05.txt": "2f8f272fbf31b16a7e0c1e4d306d6a889ae060ef3d5d52d19ac4cc2236527fe5",
+        "u_eps_1e-06.txt": "6265b108dae1207c27370a152d1ee6da6e20bc3715385681a3557364b246bc29",
+    }),
+    "solve_3d_conformal_m15": (CONFORMAL_3D, ["--audit", "off"], {
+        "contact_cells.csv": "a20bb36570da6330fd0b7cee51c8b85e0d3fab1463d4448d64b0734a663a289b",
+        "norms_vs_eps.csv": "38f16a4bc044f7ede47e88a9599e38d785e87dc0b67fc5194d8777c9e1d001a5",
+        "report.json": "9d919a847663ecaf479ef5a35ff9c84c7a7c2ce6d397c411e98e67a03d49565d",
+        "residual_history.csv": "19a13986abd728a936ac6ec0797cd73e14d4592df6059ce3b276b05d238a5112",
+        "u_eps_1e-02.txt": "100147fedda13d9e2fdbaba115ac56883ebaef73a6717abcd3a97636fa38648d",
+        "u_eps_1e-03.txt": "419ae2c794fcfb00cce11c9a9069c81409f777c1a7d72b00efd7d6911333081e",
+        "u_eps_1e-04.txt": "6f291a9108de42c73d35e178f349f8cb343960c1d14024c1a102cd64b7da1e8d",
+        "u_eps_1e-05.txt": "6b90e648e141436431d3617806838ac92179ac3b205070cfb71c32ae59789200",
+        "u_eps_1e-06.txt": "2236d68f51d938e21042ee1bd0884fb8c863beacb266ccacd395ef0a3de73c5d",
     }),
 }
 
