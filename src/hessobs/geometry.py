@@ -18,6 +18,8 @@ is such a block: callers neither slice nor reshape.
 The eigenvalues of symmetric 2x2 blocks are LAPACK's own closed form replayed
 on (N,) columns in IEEE arithmetic (`symmetric_eigenvalues`): `eigvalsh`'s
 bits on every block that LAPACK does not rescale, with no LAPACK or BLAS call.
+The largest |eigenvalue| over a field of blocks (`largest_abs_eigenvalue`)
+runs `eigvalsh` only on the blocks whose Gershgorin bound can reach it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "add_christoffel_term",
     "eigen_wrt_metric_field",
     "symmetric_eigenvalues",
+    "largest_abs_eigenvalue",
     "pin_boundary",
 ]
 
@@ -403,3 +406,41 @@ def symmetric_eigenvalues(B: np.ndarray) -> np.ndarray:
     if scaled.any():
         lam[scaled] = np.linalg.eigvalsh(B[scaled])[:, ::-1]
     return lam
+
+
+# relative slack of the Gershgorin bound: eigvalsh's eigenvalues are exact for
+# B + E, |E|_2 a small multiple of eps |B|_2, and the computed row sums lose
+# at most n ulps; 2^-30 covers both by a wide margin.  It holds among the
+# subnormals too: rounding LAPACK's rescaled result back to the 2^-1074 grid
+# adds at most half a unit, so it passes a row sum only where a few ulps of
+# the sum reach a unit (sums of about 2^46 units and more), and there the
+# slack is 2^16 units or more
+_BOUND_SLACK = 2.0**-30
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def largest_abs_eigenvalue(B: np.ndarray) -> float:
+    """max |lambda| over a field B of symmetric (N, n, n) blocks, read from
+    the lower triangle: `np.abs(np.linalg.eigvalsh(B)).max()` bit for bit.
+
+    A block's |lambda| is at most its largest absolute row sum (Gershgorin),
+    inflated here to cover eigvalsh's rounding, and at least |x^T B x| for
+    the unit vectors x = e_i and (e_i +- e_j) / sqrt 2.  The block with the
+    largest such lower bound gives a threshold t, its own eigvalsh max, and
+    eigvalsh then runs only on the blocks whose upper bound is not below t:
+    LAPACK treats each block on its own, so their max is the max over all
+    blocks.  The lower bound only picks the threshold's block, so its
+    rounding bears on speed alone.  A non-finite block has a NaN or
+    infinite upper bound and is never dropped: NaN and LinAlgError come as
+    from the full call."""
+    n = B.shape[-1]
+    col = {(i, j): np.abs(B[:, i, j]) for i in range(n) for j in range(i + 1)}  # lower triangle
+    # row k's |entries|: B_kj for j <= k, B_jk for j > k
+    row_sums = [functools.reduce(np.add, (col[max(k, j), min(k, j)] for j in range(n)))
+                for k in range(n)]
+    upper = functools.reduce(np.maximum, row_sums) * (1.0 + _BOUND_SLACK)
+    lower = functools.reduce(np.maximum, [col[i, i] for i in range(n)]
+                             + [np.abs(B[:, i, i] * 0.5 + B[:, j, j] * 0.5) + col[j, i]
+                                for i, j in itertools.combinations(range(n), 2)])
+    t = np.abs(np.linalg.eigvalsh(B[lower.argmax()])).max()
+    return float(np.abs(np.linalg.eigvalsh(B[~(upper < t)])).max())

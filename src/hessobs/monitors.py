@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import MonitorError, NotAdmissible
-from .geometry import ChartGrid, interior_shift
+from .geometry import ChartGrid, interior_shift, largest_abs_eigenvalue, to_metric_frame
 from .operator import (PENALTY_ROOT, PROBE_EPSILON, Problem, StateEval, _first_order,
                        evaluate_state, operator_L, spectrum, spectrum_gradient)
-from .symfunc import SymmetricFunctionSpec, _row_norms, estimate_theta, sample_cone_points
+from .symfunc import _row_norms, estimate_theta, sample_cone_points
 
 __all__ = [
     "SolvedState",
@@ -43,19 +43,32 @@ __all__ = [
 
 @dataclass
 class SolvedState:
-    """A solved field u at epsilon with its evaluated state and its pencil
-    eigenvalues lam; the norm bundle and the audit of one epsilon both read
-    it.  Df(lam), which only the audit reads, is computed on first use."""
+    """A solved field u at epsilon with its evaluated state; the norm bundle
+    and the audit of one epsilon both read it.  Each of the rest is computed
+    on first use: the pencil eigenvalues lam, which only the audit and the
+    theta certificate read; Df(lam), which only the audit reads; and
+    hess_norm = max |lam|.  For n = 2 hess_norm is read from lam, which the
+    audit then shares; for n >= 3 it comes from the candidate rows of
+    `largest_abs_eigenvalue`, the same float, without the full spectrum."""
 
     u: np.ndarray
     epsilon: float
     state: StateEval
-    lam: np.ndarray
-    fspec: SymmetricFunctionSpec = field(repr=False)
+    prob: Problem = field(repr=False)
+
+    @functools.cached_property
+    def lam(self) -> np.ndarray:
+        return spectrum(self.state, self.prob)
 
     @functools.cached_property
     def fg(self) -> np.ndarray:
-        return spectrum_gradient(self.fspec, self.lam)
+        return spectrum_gradient(self.prob.fspec, self.lam)
+
+    @functools.cached_property
+    def hess_norm(self) -> float:
+        if self.prob.grid.n == 2:
+            return float(np.abs(self.lam).max())
+        return largest_abs_eigenvalue(to_metric_frame(self.state.U, self.prob.metric))
 
 
 def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
@@ -64,7 +77,7 @@ def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "monitors requested at a non-admissible state")
-    return SolvedState(u, epsilon, st, spectrum(st, prob), prob.fspec)
+    return SolvedState(u, epsilon, st, prob)
 
 
 @dataclass
@@ -83,7 +96,6 @@ def compute_norm_bundle(s: SolvedState, prob: Problem) -> NormBundle:
     """Uniform-estimate monitors of a solved state."""
     u, st, epsilon = s.u, s.state, s.epsilon
     grad_norm = float(_row_norms(st.p).max())
-    hess_norm = float(np.abs(s.lam).max())
     hess_entry = float(np.abs(st.hess_cov).max())
     violation = float(np.maximum(u - prob.h, 0.0).max())
     penalty_sup = float(st.beta.max())
@@ -92,7 +104,7 @@ def compute_norm_bundle(s: SolvedState, prob: Problem) -> NormBundle:
         epsilon=epsilon,
         c0_norm=float(np.abs(u).max()),
         grad_norm=grad_norm,
-        hess_norm=hess_norm,
+        hess_norm=s.hess_norm,
         hess_entry_norm=hess_entry,
         penalty_sup=penalty_sup,
         obstacle_violation=violation,
@@ -205,8 +217,7 @@ def audit_inequalities(s: SolvedState, prob: Problem, certificate: tuple,
 
     Lv = operator_L(prob.grid, st.Fij, _first_order(st, prob)[0], u_sub - u)
     beta = st.beta
-    hess_norm = float(np.abs(lam).max())
-    tol = (c_audit or 10.0 * hess_norm) * h2
+    tol = (c_audit or 10.0 * s.hess_norm) * h2
 
     violations = 0
     if np.any(case1):

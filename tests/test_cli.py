@@ -140,6 +140,71 @@ def test_at_most_two_solved_states_alive_during_audited_sweep(builtin_cfg, tmp_p
     assert all(ref() is None for ref in states)
 
 
+def count_monitor_work(monkeypatch):
+    """Patch the monitors to count their full spectra, their largest-|lambda|
+    kernel calls and the rows each norm bundle passes to eigvalsh."""
+    import hessobs.cli as cli
+    import hessobs.monitors as monitors
+
+    work = {"spectrum": 0, "largest": 0, "bundle_rows": []}
+    spectrum, largest, bundle = (monitors.spectrum, monitors.largest_abs_eigenvalue,
+                                 cli.compute_norm_bundle)
+    eigvalsh, rows = np.linalg.eigvalsh, []
+
+    def counting(key, fn):
+        def wrapped(*args):
+            work[key] += 1
+            return fn(*args)
+        return wrapped
+
+    def counting_eigvalsh(B):
+        rows.append(len(B) if B.ndim == 3 else 1)
+        return eigvalsh(B)
+
+    def counting_bundle(*args):
+        rows.clear()
+        out = bundle(*args)
+        work["bundle_rows"].append(sum(rows))
+        return out
+
+    monkeypatch.setattr(monitors, "spectrum", counting("spectrum", spectrum))
+    monkeypatch.setattr(monitors, "largest_abs_eigenvalue", counting("largest", largest))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(cli, "compute_norm_bundle", counting_bundle)
+    return work
+
+
+def test_3d_norm_bundles_pass_few_rows_to_eigvalsh(tmp_path, monkeypatch):
+    # an audits-off 3d sweep takes hess_norm from candidate rows only: at
+    # most 10 % of the 2,197 interior rows reach eigvalsh per epsilon, and
+    # no full spectrum is computed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SOLVE_3D)
+    work = count_monitor_work(monkeypatch)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                 "--audit", "off"]) == 0
+    assert len(work["bundle_rows"]) == work["largest"] == 5
+    assert 0 < max(work["bundle_rows"]) <= 0.1 * 13**3
+    assert work["spectrum"] == 0
+
+
+@pytest.mark.parametrize("text,epsilons,kernel_calls", [
+    (SMALL_MA, 3, 0),
+    (SOLVE_3D.replace("theta_samples = 10000", "theta_samples = 500"), 5, 5),
+], ids=["2d", "3d"])
+def test_audited_sweep_computes_each_spectrum_once(text, epsilons, kernel_calls, tmp_path,
+                                                   monkeypatch):
+    # the full spectrum once per solved state and once for the subsolution;
+    # in 2d the norm bundle reads the audit's lam, in 3d it takes the
+    # largest-|lambda| kernel once per state
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    work = count_monitor_work(monkeypatch)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                 "--audit", "on"]) == 0
+    assert work["spectrum"] == epsilons + 1 and work["largest"] == kernel_calls
+
+
 def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
     # a roundoff change in tau must not change the csv bytes; report.json
     # keeps the full value

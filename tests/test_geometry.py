@@ -19,6 +19,7 @@ from hessobs.geometry import (
     _second_differences,
     gradient_centered,
     hessian_centered,
+    largest_abs_eigenvalue,
     metric_from_field,
     pin_boundary,
     stencil_scale,
@@ -28,6 +29,7 @@ from hessobs.geometry import (
 )
 from hessobs.config import build_runsetup, parse_config
 from hessobs.newton import continuation_solve
+from hessobs.monitors import solved_state
 from hessobs.operator import evaluate_state, spectrum
 from hessobs.problems import bundled_config_text
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     gradient_centered_reference,
     hessian_centered_reference,
     metric_from_callable,
+    solve_3d_config_text,
 )
 
 
@@ -366,6 +369,164 @@ def test_dlae2_is_symmetric_in_its_diagonal():
     for a, b, c in rows:
         rte = math.sqrt(b * b)
         assert bits(dlae2_reference(a, rte, c)).tolist() == bits(dlae2_reference(c, rte, a)).tolist()
+
+
+# -------------------------------------------------- the largest |eigenvalue|
+
+def assert_largest_abs_is_eigvalsh(B):
+    """largest_abs_eigenvalue(B) is the full call's float bit for bit, its
+    NaN a NaN, and raises the full call's LinAlgError."""
+    try:
+        want = np.abs(np.linalg.eigvalsh(B)).max()
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            largest_abs_eigenvalue(B)
+        return
+    got = largest_abs_eigenvalue(B)
+    assert type(got) is float
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert np.array_equal(bits(got), bits(want)), (got, want)
+
+
+def lower_blocks3(L):
+    """(N, 3, 3) blocks with lower triangle L (N, 6), in the row order of
+    np.tril_indices, and a NaN strict upper triangle, which neither
+    eigvalsh nor the kernel reads."""
+    B = np.full((len(L), 3, 3), np.nan)
+    rows, cols = np.tril_indices(3)
+    B[:, rows, cols] = L
+    return B
+
+
+def tight_blocks(rng, N):
+    """S (a I + b 1 1^T) S for random signs S and a, b in [0, 1): the
+    Gershgorin bound a + 3b is the spectral radius, which eigvalsh can
+    overshoot by a few ulps."""
+    s = rng.choice([-1.0, 1.0], size=(N, 3))
+    a, b = rng.uniform(0.0, 1.0, size=(2, N))
+    M = a[:, None, None] * np.eye(3) + b[:, None, None]
+    return s[:, :, None] * M * s[:, None, :]
+
+
+@pytest.mark.parametrize("metric", ["kind = flat", 'kind = conformal\n  phi = "0.05*x1"'])
+def test_largest_abs_eigenvalue_is_eigvalsh_on_solved_3d_states(metric):
+    rs = build_runsetup(parse_config(solve_3d_config_text().replace("kind = flat", metric)))
+    prob = rs.problem
+    res = continuation_solve(prob, rs.config.schedule, rs.config.newton)
+    for eps, u in zip(res.epsilons, res.solutions):
+        s = solved_state(u, prob, eps)
+        B = to_metric_frame(s.state.U, prob.metric)
+        assert_largest_abs_is_eigvalsh(B)
+        assert np.array_equal(bits(s.hess_norm), bits(np.abs(spectrum(s.state, prob)).max()))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_largest_abs_eigenvalue_is_eigvalsh_on_random_blocks(n):
+    # 10^5 blocks, once as one field and again as 2,000 fields of 50: normal
+    # entries, tight Gershgorin bounds, and scales across 2^+-60 per block
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(100_000, n, n))
+    X = X + np.swapaxes(X, 1, 2)
+    if n == 3:
+        X[::3] = tight_blocks(rng, len(X[::3]))
+    X[1::3] *= np.ldexp(1.0, rng.integers(-60, 61, size=len(X[1::3])))[:, None, None]
+    assert_largest_abs_is_eigvalsh(X)
+    for field in X.reshape(2000, 50, n, n):
+        assert_largest_abs_is_eigvalsh(field)
+
+
+@pytest.mark.parametrize("exponent", [500, -500, -1060])
+def test_largest_abs_eigenvalue_far_from_one(exponent):
+    # at 2^+-500 a squared bound would overflow or underflow; 2^-1060 puts
+    # the entries among the subnormals
+    rng = np.random.default_rng(5)
+    X = lower_blocks3(rng.normal(size=(5000, 6)) * 2.0**exponent)
+    assert_largest_abs_is_eigvalsh(X)
+    for field in X.reshape(100, 50, 3, 3):
+        assert_largest_abs_is_eigvalsh(field)
+    rows = np.ldexp(1.0, rng.integers(exponent - 30, exponent + 31, size=5000))
+    assert_largest_abs_is_eigvalsh(lower_blocks3(rng.normal(size=(5000, 6)) * rows[:, None]))
+
+
+def subnormal_tight_blocks(rng, N):
+    """S (c 1 1^T + a I) S with c and a on the subnormal grid and a + 3c,
+    the Gershgorin bound and spectral radius, below 2^-1022: LAPACK scales
+    such blocks up and their eigenvalues back, and the rounding of the way
+    back can overshoot the bound by units of 2^-1074."""
+    s = rng.choice([-1.0, 1.0], size=(N, 3))
+    c = rng.integers(2**50, 2**50 + 2**48, size=N) * 2.0**-1074
+    a = rng.integers(0, 2**40, size=N) * 2.0**-1074
+    M = c[:, None, None] + a[:, None, None] * np.eye(3)
+    return s[:, :, None] * M * s[:, None, :]
+
+
+@pytest.mark.parametrize("blocks,units", [(tight_blocks, 3), (subnormal_tight_blocks, 2)],
+                         ids=["normal", "subnormal"])
+def test_largest_abs_eigenvalue_covers_eigvalsh_above_the_row_sums(blocks, units):
+    # blocks whose eigvalsh max exceeds their Gershgorin bound by >= 3 ulps
+    # (>= 2 units of 2^-1074 among the subnormals, whose sums are exact),
+    # each after a diagonal block 1 unit below that max, which sets the
+    # threshold: without the bound's slack the block holding the max drops
+    rng = np.random.default_rng(6)
+    T = blocks(rng, 200_000)
+    want = np.abs(np.linalg.eigvalsh(T)).max(axis=1)
+    row_sums = np.abs(T).sum(axis=2).max(axis=1)
+    normal = row_sums >= 2.0**-1022
+    assert normal.all() if units == 3 else not normal.any()
+    over = T[want >= row_sums + units * np.spacing(row_sums)]
+    assert len(over) >= 20
+    for block in over[:500]:
+        top = np.abs(np.linalg.eigvalsh(block)).max()
+        below = np.diag([np.nextafter(top, 0.0), 0.0, 0.0])
+        assert_largest_abs_is_eigvalsh(np.stack([below, block]))
+
+
+def test_largest_abs_eigenvalue_on_ties_and_degenerate_fields():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 3, 3))
+    X = X + np.swapaxes(X, 1, 2)
+    # exact ties across rows: the same block and its permutations repeated
+    P = np.eye(3)[[2, 0, 1]]
+    assert_largest_abs_is_eigvalsh(np.concatenate([X, X, P @ X @ P.T]))
+    # c I rows, every row a candidate, and their negatives
+    c = np.repeat(rng.uniform(1.0, 2.0, size=8).round(1), 4)
+    cI = c[:, None, None] * np.eye(3)
+    assert_largest_abs_is_eigvalsh(cI)
+    assert_largest_abs_is_eigvalsh(np.concatenate([cI, -cI]))
+    # negative definite rows, whose max is |lambda_min|, above positive ones
+    spd = X @ np.swapaxes(X, 1, 2) + np.eye(3)
+    assert_largest_abs_is_eigvalsh(np.concatenate([0.5 * spd, -spd]))
+    assert_largest_abs_is_eigvalsh(-spd)
+    # a single row, and all-zero blocks, signed zeros among them
+    for field in (X[:1], -spd[:1], np.zeros((1, 3, 3)), np.zeros((5, 3, 3)),
+                  np.full((5, 3, 3), -0.0), np.concatenate([np.zeros((3, 3, 3)), -spd[:1]])):
+        assert_largest_abs_is_eigvalsh(field)
+
+
+def test_largest_abs_eigenvalue_keeps_nonfinite_rows():
+    # NaN and infinite entries in every lower-triangle slot, whose fields
+    # give NaN or raise; each field gives the full call's NaN or error
+    rng = np.random.default_rng(8)
+    finite = rng.normal(size=(20, 6))
+    for value in (np.nan, np.inf, -np.inf):
+        for slot in range(6):
+            for where in (0, 7, 19):
+                for n_bad in (1, 6):
+                    L = finite.copy()
+                    L[where, slot:slot + n_bad] = value
+                    assert_largest_abs_is_eigvalsh(lower_blocks3(L))
+    L = finite.copy()
+    L[4] = np.nan
+    L[11, 2] = np.inf
+    assert_largest_abs_is_eigvalsh(lower_blocks3(L))
+    # a NaN on the diagonal of a diagonal block vanishes in dsterf: eigvalsh
+    # of diag(NaN, 1, 50) is (0, -0, 50), and the field's max is finite
+    B = lower_blocks3(finite)
+    B[7] = np.diag([np.nan, 1.0, 50.0])
+    assert np.abs(np.linalg.eigvalsh(B)).max() == 50.0
+    assert_largest_abs_is_eigvalsh(B)
 
 
 # -------------------------------------------------- the Christoffel term

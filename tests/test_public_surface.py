@@ -13,6 +13,7 @@ import pytest
 import hessobs
 from hessobs.cli import main
 from hessobs.problems import BUNDLED, bundled_config_text
+from oracles import solve_3d_config_text
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(hessobs.__path__))
 
@@ -45,7 +46,8 @@ def _small(name, m=21):
 def _command_runs(tmp_path):
     """argv of sweep (audits on), check-structure and verify-lemma on each
     bundled config, and of sweeps on a u = builtin k = 1 config and on a
-    conformal and a tabulated metric, all at m = 21, every one exiting 0."""
+    conformal and a tabulated metric, all at m = 21, and on the 3d config
+    of the solve_3d benchmark (m = 15, audits off), every one exiting 0."""
     (tmp_path / "g.txt").write_text("1 0 1\n" * 21**2)  # the identity, tabulated
     texts = {name: _small(name) for name in BUNDLED}
     texts["builtin"] = re.sub(r'(subsolution \{\n)  u = "[^"]*"', r"\1  u = builtin",
@@ -54,6 +56,7 @@ def _command_runs(tmp_path):
         "kind = flat", 'kind = conformal\n  phi = "0.01*x1"')
     texts["tabulated"] = _small("ma_obstacle").replace(
         "kind = flat", f'kind = tabulated\n  file = "{tmp_path / "g.txt"}"')
+    texts["3d"] = solve_3d_config_text()
     runs = []
     for name, text in texts.items():
         cfg = tmp_path / f"{name}.cfg"
