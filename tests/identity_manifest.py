@@ -23,9 +23,10 @@ in the `src/` next to this directory, with one BLAS thread:
   m = 11, which exits 2 on a contact-band failure after its last epsilon.
 
 The first line is the numerics fingerprint, `# numerics  openblas <core>
-numpy <features>`: the core type OpenBLAS picked its kernels for and the CPU
-features numpy dispatches on, either of which can move the last bits of a
-result.  Then each line is `<sha256>  <run>/<file>`, and each run adds
+scipy-openblas <core>  numpy <features>`: the core types that numpy's and
+scipy's own OpenBLAS builds picked their kernels for (the V-cycle's
+coarsest banded LU runs in scipy's) and the CPU features numpy dispatches
+on, any of which can move the last bits of a result.  Then each line is `<sha256>  <run>/<file>`, and each run adds
 `<exit code>  <run>/rc`.  A change meant to keep every result byte-identical
 is checked by running this script on both checkouts (copy it into the older
 one) and diffing the two outputs, which compare only under equal
@@ -84,23 +85,36 @@ def runs():
     yield "sweep_solve_3d_quotient_m11", quotient, lambda cfg: ["sweep", cfg, "--grid-m", "11"]
 
 
-def numerics() -> str:
-    """The numerics fingerprint: OpenBLAS's core type, read through numpy's
-    bundled `libscipy_openblas64_` ("unknown" without it), and the CPU
-    features numpy's dispatch finds on.  x86-64 builds alias the Katmai,
-    Core2 and Banias tables to Prescott's SSE3 kernels, and the name lookup
-    finds Katmai first; it is printed as Prescott, the kernels that run."""
-    import numpy
-    from numpy._core._multiarray_umath import __cpu_features__
-
+def _openblas_core(libs: pathlib.Path, pattern: str, symbol: str) -> str:
+    """The core type of the OpenBLAS library matching `pattern` in `libs`,
+    read through its `symbol`, or "unknown" without one.  x86-64 builds
+    alias the Katmai, Core2 and Banias tables to Prescott's SSE3 kernels,
+    and the name lookup finds Katmai first; it is printed as Prescott, the
+    kernels that run."""
     core = "unknown"
-    libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
-    for lib in libs.glob("libscipy_openblas64_*"):
-        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    for lib in libs.glob(pattern):
+        corename = getattr(ctypes.CDLL(str(lib)), symbol)
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode().replace("Katmai", "Prescott")
+    return core
+
+
+def numerics() -> str:
+    """The numerics fingerprint: the core types of numpy's bundled
+    `libscipy_openblas64_` and of scipy's own `libscipy_openblas`, which
+    scipy.linalg.lapack calls, and the CPU features numpy's dispatch finds
+    on."""
+    import numpy
+    import scipy
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    site = pathlib.Path(numpy.__file__).parent.parent
+    numpy_core = _openblas_core(site / "numpy.libs", "libscipy_openblas64_*",
+                                "scipy_openblas_get_corename64_")
+    scipy_core = _openblas_core(pathlib.Path(scipy.__file__).parent.parent / "scipy.libs",
+                                "libscipy_openblas-*", "scipy_openblas_get_corename")
     features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
-    return f"# numerics  openblas {core}  numpy {features}"
+    return f"# numerics  openblas {numpy_core}  scipy-openblas {scipy_core}  numpy {features}"
 
 
 def main() -> int:
