@@ -117,13 +117,22 @@ def compute_norm_bundle(s: SolvedState, prob: Problem) -> NormBundle:
 # ---------------------------------------------------------------------------
 
 def compact_set(mu: np.ndarray, grad: np.ndarray):
-    """The compact set K = {mu(x)} (deduplicated) of the subsolution's
-    eigenvalue tuples mu, their unit normals nu_mu (N, n) from grad = Df(mu),
-    and the default normal-gap threshold
-    zeta0 = min(min nu_mu / 2, (1 - 1e-6) / (2 sqrt n))."""
+    """The compact set K = {mu(x)} of the subsolution's eigenvalue tuples
+    mu, their unit normals nu_mu (N, n) from grad = Df(mu), and the default
+    normal-gap threshold zeta0 = min(min nu_mu / 2, (1 - 1e-6) / (2 sqrt n)).
+
+    K holds the distinct rows of mu rounded to 12 decimals, in lexicographic
+    order: `np.unique(..., axis=0)` of the finite rows, with 0.0 added first
+    so that -0.0 and +0.0 are one point of K, stored as +0.0.  The rows are
+    sorted by `np.lexsort` over the columns and a row is kept where it
+    differs from the one before."""
     nu_mu = grad / _row_norms(grad)[:, None]
     zeta0 = float(min(nu_mu.min() / 2.0, (1.0 - 1e-6) / (2.0 * np.sqrt(mu.shape[1]))))
-    return np.unique(np.round(mu, 12), axis=0), nu_mu, zeta0
+    rows = np.round(mu, 12) + 0.0
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep], nu_mu, zeta0
 
 
 def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed: int,

@@ -259,6 +259,45 @@ def test_compact_set_does_not_depend_on_epsilon(name):
         assert np.array_equal(K_e, K) and np.array_equal(nu_e, nu) and zeta0_e == zeta0
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [None, 65], ids=["bundled_m", "m65"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_compact_set_matches_unique_rows_bit_for_bit(name, m):
+    # K is np.unique(np.round(mu, 12), axis=0) bit for bit on the bundled
+    # subsolutions' spectra
+    config = parse_config(bundled_config_text(name))
+    prob = build_runsetup(config if m is None else config.override(grid_m=m)).problem
+    s = solved_state(default_initializer(prob), prob, 1e-2)
+    K, _, _ = compact_set(s.lam, s.fg)
+    ref = np.unique(np.round(s.lam, 12), axis=0)
+    assert K.shape == ref.shape and np.array_equal(_bits(K), _bits(ref))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compact_set_merges_duplicates_and_signed_zeros(n):
+    # rows that round to one point are one point of K, -0.0 and +0.0 too,
+    # which K stores as +0.0; otherwise K is np.unique's rows bit for bit
+    rng = np.random.default_rng(11)
+    base = np.round(rng.standard_normal((40, n)), 2)
+    base[::5, 0] = 0.0
+    base[1::5, -1] = -0.0
+    base[2::7] = -0.0
+    mu = base[rng.integers(0, len(base), 400)]
+    mu[::3] += 1e-14 * rng.standard_normal((len(mu[::3]), n))  # rounds back
+    signs = rng.choice([-1.0, 1.0], size=mu.shape)
+    mu = np.where(mu == 0.0, signs * 0.0, mu)
+    assert np.signbit(mu[mu == 0.0]).any() and not np.signbit(mu[mu == 0.0]).all()
+    K, _, _ = compact_set(mu, np.ones_like(mu))
+    rounded = np.round(mu, 12)
+    assert not np.signbit(K[K == 0.0]).any()
+    assert np.array_equal(_bits(K), _bits(np.unique(rounded + 0.0, axis=0)))
+    assert np.array_equal(K, np.unique(rounded, axis=0))  # equal values, zeros of either sign
+    assert len(K) == len({tuple(r) for r in (rounded + 0.0).tolist()})
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_sweep_certificate_theta_only_scan_matches_all_pairs(name):
     # the sweep's cloud certificate takes the theta-only scan and
