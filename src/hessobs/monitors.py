@@ -47,14 +47,16 @@ class SolvedState:
     and the audit of one epsilon both read it.  Each of the rest is computed
     on first use: the pencil eigenvalues lam, which only the audit and the
     theta certificate read; Df(lam), which only the audit reads; and
-    hess_norm = max |lam|.  For n = 2 hess_norm is read from lam, which the
-    audit then shares; for n >= 3 it comes from the candidate rows of
-    `largest_abs_eigenvalue`, the same float, without the full spectrum."""
+    hess_norm = max |lam|.  hess_norm is read from lam for n = 2, and for
+    n >= 3 when the state is `audited`, since the audit forms lam anyway;
+    otherwise it comes from the candidate rows of `largest_abs_eigenvalue`,
+    the same float, without the full spectrum."""
 
     u: np.ndarray
     epsilon: float
     state: StateEval
     prob: Problem = field(repr=False)
+    audited: bool = False  # the audit will read lam
 
     @functools.cached_property
     def lam(self) -> np.ndarray:
@@ -66,18 +68,20 @@ class SolvedState:
 
     @functools.cached_property
     def hess_norm(self) -> float:
-        if self.prob.grid.n == 2:
+        if self.prob.grid.n == 2 or self.audited:
             return float(np.abs(self.lam).max())
         return largest_abs_eigenvalue(to_metric_frame(self.state.U, self.prob.metric))
 
 
-def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
-    """Evaluate an admissible solved state once for every monitor."""
+def solved_state(u: np.ndarray, prob: Problem, epsilon: float,
+                 audited: bool = False) -> SolvedState:
+    """Evaluate an admissible solved state once for every monitor; `audited`
+    says that `audit_inequalities` will read it."""
     st = evaluate_state(u, prob, epsilon)
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "monitors requested at a non-admissible state")
-    return SolvedState(u, epsilon, st, prob)
+    return SolvedState(u, epsilon, st, prob, audited)
 
 
 @dataclass

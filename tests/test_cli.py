@@ -190,13 +190,13 @@ def test_3d_norm_bundles_pass_few_rows_to_eigvalsh(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("text,epsilons,kernel_calls", [
     (SMALL_MA, 3, 0),
-    (SOLVE_3D.replace("theta_samples = 10000", "theta_samples = 500"), 5, 5),
+    (SOLVE_3D.replace("theta_samples = 10000", "theta_samples = 500"), 5, 0),
 ], ids=["2d", "3d"])
 def test_audited_sweep_computes_each_spectrum_once(text, epsilons, kernel_calls, tmp_path,
                                                    monkeypatch):
     # the full spectrum once per solved state and once for the subsolution;
-    # in 2d the norm bundle reads the audit's lam, in 3d it takes the
-    # largest-|lambda| kernel once per state
+    # the norm bundle reads the audit's lam, in 3d too, so the
+    # largest-|lambda| kernel never runs
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     work = count_monitor_work(monkeypatch)
@@ -1024,10 +1024,10 @@ def test_failure_norms_stop_at_the_first_failing_monitor(small_cfg, tmp_path, mo
         failed.append(None)
         raise MonitorError("contact set")
 
-    def failing_state(u, prob, eps):
+    def failing_state(u, prob, eps, *audited):
         if failed and eps == 1e-3:
             raise NotAdmissible([], "monitors requested at a non-admissible state")
-        return build(u, prob, eps)
+        return build(u, prob, eps, *audited)
 
     monkeypatch.setattr(cli, "extract_contact_set", failing_contact)
     monkeypatch.setattr(cli, "solved_state", failing_state)
