@@ -39,7 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# not called here: the layer tracer of perfbench/spans.py patches newton.spla,
+# and raises AttributeError without it
+import scipy.sparse.linalg as spla  # noqa: F401
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
     HessObsError,
@@ -326,16 +329,40 @@ def _hierarchy(shape: tuple) -> tuple:
     return tuple(levels)
 
 
+def _band_lu(A: sp.csr_matrix):
+    """The solve x = A^{-1} b of a CSR matrix A, as a function of b, from
+    LAPACK's banded LU with partial pivoting (dgbtrf, then dgbtrs per b).
+
+    The band storage is filled from A's CSR pattern, with kl and ku the
+    largest offsets of its columns below and above the diagonal; A's
+    entries are its stored ones, each (row, column) once.  An exactly zero
+    pivot (dgbtrf's info > 0) raises SingularJacobian."""
+    n = A.shape[0]
+    offsets = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    kl, ku = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+    # A[i, j] sits at row kl + ku + i - j of column j; dgbtrf's fill takes the first kl rows
+    band = np.zeros((2 * kl + ku + 1, n))
+    band[kl + ku - offsets, A.indices] = A.data
+    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise SingularJacobian(f"coarsest level exactly singular: zero pivot in column {info}")
+
+    def solve(b):
+        return dgbtrs(lu, kl, ku, b, piv)[0]
+
+    return solve
+
+
 def _v_cycle(J, shape: tuple):
     """One V-cycle for J over the interior unknowns of a grid of `shape`, as
     a function of the right-hand side; `newton_solve` builds one per epsilon
     and preconditions that epsilon's later Jacobians with it.  Coarse
     operators are the Galerkin products R A P.  The coarsest level, J
-    itself on a grid without levels, is factored by sparse LU in natural
-    order: lexicographic order on a small structured grid is already banded,
-    so a fill-reducing ordering costs more than it saves.  A zero or
-    non-finite diagonal on a smoothed level, or a singular coarsest level,
-    raises SingularJacobian."""
+    itself on a grid without levels, is solved directly by `_band_lu`:
+    lexicographic order on a small structured grid is already banded, so
+    the band holds the whole LU with no fill-reducing ordering.  A zero or
+    non-finite diagonal on a smoothed level, or an exactly singular
+    coarsest level, raises SingularJacobian."""
     transfers = _hierarchy(shape)
     ops = [J]
     for _, P, R in transfers:
@@ -346,11 +373,7 @@ def _v_cycle(J, shape: tuple):
         if not np.all(np.isfinite(d) & (d != 0.0)):
             raise SingularJacobian("zero or non-finite Jacobian diagonal")
         weights.append(JACOBI_WEIGHT / d)
-    try:
-        coarse = spla.splu(ops[-1].tocsc(), permc_spec="NATURAL")
-    except RuntimeError as exc:
-        raise SingularJacobian(str(exc)) from exc
-
+    coarse = _band_lu(ops[-1])
     levels = list(zip(ops, weights, transfers))
 
     def residual(A, x, b):
@@ -373,7 +396,7 @@ def _v_cycle(J, shape: tuple):
                 smooth(A, w, x, b)
             down.append((x, b))
             b = R @ residual(A, x, b)
-        x = coarse.solve(b)
+        x = coarse(b)
         # up: add the prolonged correction and post-smooth
         for (A, w, (_, P, _)), (x_fine, b) in zip(levels[::-1], down[::-1]):
             x = P @ x

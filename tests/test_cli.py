@@ -242,27 +242,35 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
 # harmonic lift took its right side from operator_L's stencil rows: every
 # file but contact_cells.csv moved, fields by at most 2.0e-16 relative, with
 # the same Newton and Krylov counts, contact cells and audit case counts.
+# Every pin but ma_manufactured_m25_audited last moved when the V-cycle's
+# coarsest level, and the whole solve on grids without levels, took
+# LAPACK's banded LU in place of SuperLU in natural order: fields moved by
+# at most 2.7e-16 relative to the max norm (ma_obstacle at m = 49; 2.0e-16
+# builtin, 1.8e-16 SMALL_MA and m = 33, 1.2e-16 for both 3d pins, 1.0e-16
+# sigma_1, 8.9e-17 conformal), with the same Newton and Krylov counts,
+# contact cells and audit case counts; each contact_cells.csv held, and the
+# norms table held at m = 33, m = 49 and on the conformal metric.
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
-        "norms_vs_eps.csv": "fac8f213802504065d15c58b938f19f9d70e781b063d2bacdc1ad06028b8370b",
-        "report.json": "1bcdded1a9efc8806a38091c1742eb324dc662ae91c2ed175344ee736aec0967",
-        "residual_history.csv": "d838bc24b08cf19d5823492a804d0b71e822e34891cefe96e79a9288d7a021f3",
-        "u_eps_1e-02.txt": "37710eb4ff25a499496fdc82f010513249a2d06f8a1d5f0bb07f898f86540f87",
-        "u_eps_1e-03.txt": "f5369d2bebf6610f9c83ce015c7646a0b268ba107e7eaac7e49b02beab688bc5",
-        "u_eps_1e-04.txt": "4c9b9fd2c46db4b53bd6f18e252894a41fdc6f6277f7ce92b740a05cd824d174",
+        "norms_vs_eps.csv": "37807c79ff942e54c991d549b652b8351c3c00a5266f77182b5d4e5f14c594a5",
+        "report.json": "8871162d8a6d0b7e55cef87245e7d634b3fa053fc4713ca3506696599e9e1d1f",
+        "residual_history.csv": "ebfc1a45d72ac8850bc297cfb378739fcc4de6d420256dcffd4b509051c4f44b",
+        "u_eps_1e-02.txt": "4566cec198153fd325a45539a282cad183dba93530ca4e7e2f86dc02c4fd7ba0",
+        "u_eps_1e-03.txt": "d3eb88941e45cfb1eea5c14a40fb9bfdbaaa247c642ab46742502d99bb2f7342",
+        "u_eps_1e-04.txt": "883f7fcee50f786d69b442bd7130c7aa0b91d2cc83b1d1e937aa94d2a5e8e38e",
     }),
     "ma_obstacle_m33_vcycle": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "33", "--audit", "off"], {
         "contact_cells.csv": "fe87fea4d85063a446124b4c7594ab5f140eb92c559f04307112931f7861520d",
         "norms_vs_eps.csv": "177a0a1fd574a6fac3a25f244cda2ebf739273fa6e37e65bbb5c6ae0500f970c",
-        "report.json": "62e18d184c8da8d6951945d9be7259d8eaa4735b1c7fb1bd0e79bf688d39f981",
-        "residual_history.csv": "8dda0cd7f47d4472de9ef9a67afe71622fe257c24556c06654b0657b99fc2ce8",
-        "u_eps_1e-02.txt": "befb2a18726bc2e7d6fe5e7bb5d77258a98b8acc34172bc3016ee26295f8aba4",
-        "u_eps_1e-03.txt": "3ac69a5e1c58c1f92acbb856b7dbe5871aa42c4155c876e37ea94152dd311cd8",
-        "u_eps_1e-04.txt": "92852ab421fffcac4a4cb5840c99d194097c563bf0041bbb2f0ea2a7c2aa3f29",
-        "u_eps_1e-05.txt": "1acc7d4df89f2cee44c4f96f4e993674ca0ff0868a99bf6d08448877e51ec664",
-        "u_eps_1e-06.txt": "f1da4e452003f3215cf3f516e2dd6bed9c88db8dd91c6f003ab6c0cab787c77d",
+        "report.json": "7d44bc2ba63def74b3e1462557caaed91188bfea5a1f3aaa269803da9865942c",
+        "residual_history.csv": "7fafda9211b75e41ad958bed4d992c63dcc1c50efe3ee0f473df42ebcdea2621",
+        "u_eps_1e-02.txt": "227219fec4f6dedad95cfb4cdcb940d32219c745550214575ef92daa3f90cf46",
+        "u_eps_1e-03.txt": "25b02046429a7799b51f56d0539be6bce1c6bc1d8b813f60cbf1fa9768ca0b9f",
+        "u_eps_1e-04.txt": "922873c880c9fe3155379044b2ea6432fa7ab4b8e2205af4914751e4d0d12e9c",
+        "u_eps_1e-05.txt": "65b802a3ee1e02f1045743ef5470f175a05db04bd3122a8a5a3ce6ccfa23e84b",
+        "u_eps_1e-06.txt": "7d9f8a1badf897e0ff9c2d34edc0ae5809f05031aef62ed1c4e38ffa0b2bbf85",
     }),
     # the smallest 2d grid that nests: the first epsilon is solved on the
     # 25 x 25 grid first (529 interior unknowns, above COARSE_N)
@@ -270,49 +278,49 @@ PINNED_BUNDLES = {
                                ["--grid-m", "49", "--audit", "off"], {
         "contact_cells.csv": "23421a0fb278d9b8fb3731205e892a948b1ac3327c45faa8ee6ebfceb8a66d77",
         "norms_vs_eps.csv": "473e00a1154e007b4e1c011e99adc4be13b4cb3555b7a437dfa6a9359f8314e1",
-        "report.json": "0d8b893ee1155963bc68163bfaa6248bf30443adf1c777d0c51a881debce5175",
-        "residual_history.csv": "5a784206d9b4d1442628d0d8ccc12941d87157737b50d8111c981ffc130e102e",
-        "u_eps_1e-02.txt": "0d1d54d82e73520552164ca2a137c78b12ff78400216cac043f146fcdee0ea91",
-        "u_eps_1e-03.txt": "48e3dd02a67554d33f74125665da08cf3b6913578a0243c9f10f08293bc47880",
-        "u_eps_1e-04.txt": "317624399724a10b17514b94d81f8e5bb9931605f4299c7777b0a7c611ba64c2",
-        "u_eps_1e-05.txt": "6242276de72e7d8c6c03cf0c271e633e8f1f677dea0f9813e151b33870d647b9",
-        "u_eps_1e-06.txt": "fc1693dde823d61e89b894e66eda2ecb28f8f36188a617dfa190c469eb863066",
+        "report.json": "3bc86db58992b6540c0570f7a54065298771449934392cffe469983185313895",
+        "residual_history.csv": "a0b5bb61e96482f392e44fa84d5c15d58eb5ea943e91d151b94d6ad952773a22",
+        "u_eps_1e-02.txt": "2badad8f67721a7fcc8baa2c5c7842026b6438e5903cffef13fc7f99354e0c1f",
+        "u_eps_1e-03.txt": "fc2ac255d95aae6cd3a5f6beb8c5eb71a6556d17e71dccb9eae6e0150850a38c",
+        "u_eps_1e-04.txt": "f5cd03468209c9bbcaf536a62e3a76f3043472a834a1563403be885c84f83781",
+        "u_eps_1e-05.txt": "95cdfaa6af9ff14216fe54cf8f97e7ffe512d8aaabee28708d252a2a80d5e196",
+        "u_eps_1e-06.txt": "7695b906316c0e5fc37a12f5987bdbccaf1ce4e46f13c4f5846c7f213c74e188",
     }),
     "laplacian_strong_m25_sigma1": (bundled_config_text("laplacian_obstacle_strong"),
                                     ["--grid-m", "25", "--audit", "off"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "551bfac77d08c0e67972f118ff96926457995bf3654fe4558f00feda3a99c051",
-        "report.json": "9f10c9d3c60554cc6c9d6b7e6a3b62425c497fb3412c7c7a55d7542d723413f7",
-        "residual_history.csv": "bd5ad6dd66791c016b8368c15ebc5e5c3e8cad12aa2b5774198ee9d99490080c",
-        "u_eps_1e-02.txt": "24529dab2e0d484066d93e07b6ea17ef8182fe3854edfbd7c27b1a6a23f58286",
-        "u_eps_1e-03.txt": "527bd7bdf4e1c07f735c5026c4e6ff860a998df7f26f44ee99df7012f8fdc1ba",
-        "u_eps_1e-04.txt": "1693463317353ad3c5f0ed53a3fa9184c77cf6a9950991c8e08505bacd117fc2",
-        "u_eps_1e-05.txt": "dca8dda93f66d71ab1684e66261532acb61fb309eb1110f1d3c7f3611cf156c5",
-        "u_eps_1e-06.txt": "efa529366103ab865d11653b9b67106c960568165cec6c1e8fbb429519147de1",
+        "norms_vs_eps.csv": "737bf1dc9c1946a7d94100595154ea000560e32a94458637e41facc711399ec1",
+        "report.json": "a7aed0cbfbdad9df54805e810c3ecba1ebfc93baa001d3b06f7775b0d5cb302a",
+        "residual_history.csv": "9fc2a7296d78ddc24e1ab036cc3510178e93535092536ba914379c844c3e83cd",
+        "u_eps_1e-02.txt": "089b92a1d1330015801d55495b8033f38b472aabcbce9a4f897e4fc30539c93c",
+        "u_eps_1e-03.txt": "c2b5e3bd15e731282ad27ca4af4d92e5f06341e0822c9063f41dcb733e23cbaf",
+        "u_eps_1e-04.txt": "ff634e5668df961d9da93d99bd9a46eb8a22dc2b667d3398efc9d102af13089a",
+        "u_eps_1e-05.txt": "4b7aedf544383514ffa6e8200b2b3a80f6ae7229538e358e1da53be5c64e44f2",
+        "u_eps_1e-06.txt": "1c7a30b9b9df483d1e17186a8655953a80acd95118f89deb9a5685f1fd28e030",
     }),
     "laplacian_strong_m25_builtin_audited": (LAPLACIAN_STRONG_BUILTIN, ["--grid-m", "25"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "9fb915699db7600b97c51937f9d0d8f14184a1d0ac9cc72f9a2078dfa37f146d",
-        "report.json": "669b54b7da9b26522528445b981fd3555d86ed4114b0ec80172ca929260db624",
-        "residual_history.csv": "567d72f35d3fa0c0d7d276353821582c61335433ceaf44a2ba13caeb4232802c",
-        "u_eps_1e-02.txt": "7822dcea5aa031d49d42be830380b9b5cc624ed4b901e0f1cd1faf573c5f5d25",
-        "u_eps_1e-03.txt": "dc4a9dbffd63b1c06537a7b018fdd9f4fb1a241d39f26db3c7aac5f2c4921920",
-        "u_eps_1e-04.txt": "05dfc36736cd19e4c58a578bba130639af40a7e500af757c1430f133c64271ce",
-        "u_eps_1e-05.txt": "094fc47fbedc9af8b9f0692a15ab6b63b7bb2c710912818e62ad89e2c5ce6ce8",
-        "u_eps_1e-06.txt": "7d0776ea69c4f9fa5d90a50c28f42849b4cb299505faa552b30ece47d804e18b",
+        "norms_vs_eps.csv": "bbe35043fcac07bf244769188d1ccbf119d9e99bb11536de92731f0c75825bc9",
+        "report.json": "0498bc6bed7c3c6629830bb80516afb0964e2aba80996697d16c1cfa39b29d28",
+        "residual_history.csv": "58c2d3fe83b0ffaef2e76ee1b020643b7cf5625f1627307830de0b4d352dc105",
+        "u_eps_1e-02.txt": "13cbfa2f0b3712c5c26802a99b61fa1a062d11ec14a7f6ef8916ba2777e43c16",
+        "u_eps_1e-03.txt": "4efc221d366fc703026f6bdbafaf6596b2fea38d1dd88dd469a4aedf85c42ffa",
+        "u_eps_1e-04.txt": "35f95af8e8c284d625cc7b7b170caa048c4de01b11cd081622720479c458d68a",
+        "u_eps_1e-05.txt": "214784adc4d6eaac7bf4a8dd13fc8ba4a888eaa093215135338bf48dcdb5581e",
+        "u_eps_1e-06.txt": "b70286902b0d8a7cefdccc444b80cfcedb05058dd7fc5734acc6142de7ce54d9",
     }),
     # the one curved pin: g = exp(0.1 x1) I through the Cholesky reduction
     # and the Christoffel term, audits on (at m = 21 the contact band exits 2)
     "ma_obstacle_conformal_m25_audited": (CONFORMAL_MA, ["--grid-m", "25"], {
         "contact_cells.csv": "5f10b2938197536be24ac2fa3cc883290765fbf9893e2b9a4d42c00b83d4f623",
         "norms_vs_eps.csv": "d2eac5c05a16f1cc21af4a9a9c729cb2cecca85e13491403f6af66aebf3572d0",
-        "report.json": "3997749aff3404893ea1195b85d594ccb647c6b60023882fc9ee7b5701d9254a",
-        "residual_history.csv": "6d0a35d51da1e0ba86e543aa6d9f991e63395a703657af1b27ab8f66a8911c37",
-        "u_eps_1e-02.txt": "83dfb31a0aacdf10915a95b225ea6afdb217b4f5135dbe99ded11f2d91db44c1",
-        "u_eps_1e-03.txt": "a7805818bb61547acd4e4dde69c2fd97c4e90d6e4c8f819a9988577ba651765e",
-        "u_eps_1e-04.txt": "34ca930d18807b2bfa9808812e0e3fb01c4b6da235017f6609428d6ee7902f88",
-        "u_eps_1e-05.txt": "ffeeaa5ae38457c2400d417058ed5b0b7deb00fc44d4841b72bf731a5cc8493e",
-        "u_eps_1e-06.txt": "d0801299502162f521a7863e902894748ced2f793c648d30bc5f691115ece127",
+        "report.json": "64df079d0325a9bbe1f4467aa1f16f89037cb3d69af09425ab96c3c4ef0f0506",
+        "residual_history.csv": "5062c9e1045dd4e219dfc2a879834cf07be922cf06851a4a5fb63e98b93420b4",
+        "u_eps_1e-02.txt": "5449d10f9eefbfc3728335146b07ecc4025f06a9303f89be027075719a3a58b6",
+        "u_eps_1e-03.txt": "6877e082180e9bb04c6c83c7e8f1dadbbe6be83f1e9d23ddb7563726b067438d",
+        "u_eps_1e-04.txt": "6e37b683ec21753e9480f604577036ae8197e6207f3e3c365886bea420cdcd85",
+        "u_eps_1e-05.txt": "648d378cad35661155e540c87d55d91ddc801fe942bc1901eb2bd766c38f3999",
+        "u_eps_1e-06.txt": "0686eb9d0bb2136a4d3d96e5cfff80608cc0f8c9584d4850ff17ea746070dc1e",
     }),
     # a sigma_2 audit whose subsolution has a non-constant Hessian, so K has
     # many rows and the per-state theta scan forms pairs
@@ -332,25 +340,25 @@ PINNED_BUNDLES = {
     # which hold the bytes of the 3x3 monitors, hess_norm among them
     "solve_3d_m15": (SOLVE_3D, ["--audit", "off"], {
         "contact_cells.csv": "1bf606d74ab49baa0d3f713d0aba21b1619c2f708966d28911c61803ee613d9f",
-        "norms_vs_eps.csv": "d1bdd1b68006a24bb61b4f29820022893610002ec46f030177a3e95a8b441c76",
-        "report.json": "1763b5930e570c8760d0cd32875ff1cb444ef9295037e6f3602c7f14426f57fc",
-        "residual_history.csv": "971c997cdcce92bb2721e4793cf7d38d91b492ed2dc2e2d73ad276222ca86b50",
-        "u_eps_1e-02.txt": "8e3cf9fb7680077aa8b3d00cb878ea3e7bf825d780655e048158411267c55820",
-        "u_eps_1e-03.txt": "6e5fb6ec6413574b286124744d78364f7cd0074444400b9ffba7964b558b7b8c",
-        "u_eps_1e-04.txt": "4757e234ef211e22f34b495af03893b9bac69618975eb2e81c9f63e846ddd9c3",
-        "u_eps_1e-05.txt": "2f8f272fbf31b16a7e0c1e4d306d6a889ae060ef3d5d52d19ac4cc2236527fe5",
-        "u_eps_1e-06.txt": "6265b108dae1207c27370a152d1ee6da6e20bc3715385681a3557364b246bc29",
+        "norms_vs_eps.csv": "ea1d582febefdb6024c9bdddb4bda1fafec01c76bc5d1aef38f24d691bc3dc8e",
+        "report.json": "81af9adf63bf2d34029cba4f39b9477150ab2d7a28e38b73bf53566a5dd66627",
+        "residual_history.csv": "04df83b5051c5fde63a9c92b8d911e41c1561d6a833095b77825266d7d3b1f5e",
+        "u_eps_1e-02.txt": "74383e1fc23a2b477d8f8ed3ec96dcb5ead86962c2f0a686319d0f916c6befdd",
+        "u_eps_1e-03.txt": "3ef1b0c030fe12986b3979a19b6f828b659d8c90f8a84a54acb09f4df3048fb8",
+        "u_eps_1e-04.txt": "6881e05f7b2ae2d7b124094a5facb3e2842d501546c3d3c10c2a7ffa40795185",
+        "u_eps_1e-05.txt": "789b5b56dd5d258003105decca0d4c89f7c6f605c1f16f752af7a4bc705edb64",
+        "u_eps_1e-06.txt": "9f65434762aabe6a89eff812d6f1b9d01b76f169d17e472e8b7f8a25ed6bca64",
     }),
     "solve_3d_conformal_m15": (CONFORMAL_3D, ["--audit", "off"], {
         "contact_cells.csv": "a20bb36570da6330fd0b7cee51c8b85e0d3fab1463d4448d64b0734a663a289b",
-        "norms_vs_eps.csv": "38f16a4bc044f7ede47e88a9599e38d785e87dc0b67fc5194d8777c9e1d001a5",
-        "report.json": "9d919a847663ecaf479ef5a35ff9c84c7a7c2ce6d397c411e98e67a03d49565d",
-        "residual_history.csv": "19a13986abd728a936ac6ec0797cd73e14d4592df6059ce3b276b05d238a5112",
-        "u_eps_1e-02.txt": "100147fedda13d9e2fdbaba115ac56883ebaef73a6717abcd3a97636fa38648d",
-        "u_eps_1e-03.txt": "419ae2c794fcfb00cce11c9a9069c81409f777c1a7d72b00efd7d6911333081e",
-        "u_eps_1e-04.txt": "6f291a9108de42c73d35e178f349f8cb343960c1d14024c1a102cd64b7da1e8d",
-        "u_eps_1e-05.txt": "6b90e648e141436431d3617806838ac92179ac3b205070cfb71c32ae59789200",
-        "u_eps_1e-06.txt": "2236d68f51d938e21042ee1bd0884fb8c863beacb266ccacd395ef0a3de73c5d",
+        "norms_vs_eps.csv": "17a80e62eb21bfd0faa367244a2936b06a919e672369bc1ea23cff74b315259e",
+        "report.json": "04d5fcd6270000bcf4b303b9c1a1a5ed64c5ca685738b7acb4608cbf062323e4",
+        "residual_history.csv": "363e81c24ab70a155790980cde335d04123298af85b64f870b37f13d32b683e3",
+        "u_eps_1e-02.txt": "1315d843979f4b747bb1b1bb4959abc80c4cdf88c67c88ae116d261fe88b8dcb",
+        "u_eps_1e-03.txt": "e8d9c2765cc7cd9d9e344e147b05eb15c5db1c4ab32f1a428766c4e7101aca99",
+        "u_eps_1e-04.txt": "56600687d819efe5a08eeb0271b51a1641251903d2406266f07f2fafc085a749",
+        "u_eps_1e-05.txt": "0d7d941b6d939f6821a7147c33dd59ee0f47c52801ed27e11719103e214f1ef4",
+        "u_eps_1e-06.txt": "c9afa0e367b76f9ef7c6d7d2001ea911aa6b8c7a69fb9d1e1e77522264ef3ed0",
     }),
 }
 

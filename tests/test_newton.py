@@ -20,6 +20,7 @@ from hessobs.newton import (
     TANGENT_RTOL,
     NewtonConfig,
     PenaltySchedule,
+    _band_lu,
     _forcing,
     _gmres_cycle,
     _hierarchy,
@@ -405,6 +406,41 @@ def test_gmres_without_levels_solves_in_one_iteration():
     assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def _coarsest_level(J, shape):
+    for _, P, R in _hierarchy(shape):
+        J = R @ J @ P
+    return J
+
+
+@pytest.mark.parametrize("make,levels", [
+    (lambda: _conformal_kappa_2d(97), 3),
+    (lambda: _flat_3d(15), 1),
+    (_conformal_kappa_2d, 0),
+], ids=["2d-95x95", "3d-13^3", "2d-without-levels"])
+def test_band_lu_matches_dense_solve(make, levels):
+    # the banded LU of the V-cycle's coarsest Galerkin level, J itself on a
+    # grid without levels, solves it to roundoff like the dense LU; the
+    # column order within a CSR row does not change a bit of it
+    prob, u = make()
+    shape = prob.grid.interior_shape
+    J = _first_jacobian(prob, u)
+    assert len(_hierarchy(shape)) == levels
+    A = _coarsest_level(J, shape)
+    solve = _band_lu(A)
+    b = np.random.default_rng(12).standard_normal((3, A.shape[0]))
+    ref = np.linalg.solve(A.toarray(), b.T).T
+    x = np.array([solve(bk) for bk in b])
+    assert np.linalg.norm(x - ref, axis=1).max() <= 1e-13 * np.linalg.norm(ref, axis=1).min()
+    assert np.linalg.norm(A @ x.T - b.T, axis=0).max() <= 1e-13 * np.linalg.norm(b, axis=1).min()
+    reversed_rows = [np.arange(a, e)[::-1] for a, e in zip(A.indptr, A.indptr[1:])]
+    order = np.concatenate(reversed_rows)
+    R = sp.csr_matrix((A.data[order], A.indices[order], A.indptr), shape=A.shape)
+    assert not R.has_sorted_indices
+    assert all(np.array_equal(_band_lu(R)(bk), xk) for bk, xk in zip(b, x))
+    if not levels:  # the V-cycle is the band solve
+        assert all(np.array_equal(_v_cycle(J, shape)(bk), xk) for bk, xk in zip(b, x))
+
+
 def test_zero_right_hand_side_applies_no_v_cycle():
     def refuse(b):
         raise AssertionError("V-cycle applied for a zero right-hand side")
@@ -599,6 +635,18 @@ def test_singular_jacobian_raises(monkeypatch):
         )
         with pytest.raises(SingularJacobian):
             newton_solve(u0, prob, 1e-2, NewtonConfig(tol_residual=1e-10))
+
+
+def test_exactly_singular_coarsest_level_raises():
+    # on the m = 9 grid of SINGULAR_GRIDS J is the one level, and its empty
+    # first row leaves an exactly zero pivot in the banded LU
+    prob, _ = ma_manufactured(m=9)
+    J = linearize(evaluate_state(prob.subsolution, prob, 1e-2), prob)
+    J = (sp.diags(np.r_[0.0, np.ones(J.shape[0] - 1)]) @ J).tocsr()
+    J.eliminate_zeros()
+    assert not _hierarchy(prob.grid.interior_shape) and J.indptr[1] == 0
+    with pytest.raises(SingularJacobian, match="exactly singular"):
+        _v_cycle(J, prob.grid.interior_shape)
 
 
 def test_singular_jacobian_cli_exit2(monkeypatch, tmp_path):
