@@ -248,16 +248,20 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 
 
 # linear solve: flexible GMRES preconditioned by one multigrid V-cycle, one
-# V-cycle application per iteration.  A level with more than COARSE_N
-# unknowns is coarsened, and the coarsest is solved directly, so on a grid
-# of at most COARSE_N unknowns the V-cycle is the LU factor of the
-# epsilon's first Jacobian: the exact solve of its first step and a
-# preconditioner of its later ones.  Over the 2 to 6 Newton steps of
-# one epsilon (one set-up, GMRES on each step's Jacobian; the first epsilon
-# of ma_obstacle and of its 3d lift, 2-core box), the natural-order LU and a
-# V-cycle with one coarsening break even at about 360 to 730 unknowns in 2d
-# and 220 to 340 in 3d.  Natural order loses to COLAMD above about 1,000
-# unknowns, so it suits a coarsest level of this size only.  Each level is
+# V-cycle application per iteration.  A level of an n-dimensional grid with
+# more than COARSE_N[n] unknowns is coarsened, and the coarsest is solved
+# directly by LAPACK's banded LU, so on a grid of at most COARSE_N[n]
+# unknowns the V-cycle is the LU factor of the epsilon's first Jacobian:
+# the exact solve of its first step and a preconditioner of its later ones.
+# Against one coarsening more, over whole solves of ma_obstacle and of its
+# 3d lift (alternating in one process, 2-core AVX-512 box), the band LU of
+# a whole 2d grid was faster at 625 and 729 unknowns (by 8 and 6 %) and
+# slower at 841 and 961 (by 3 and 6 %); as the coarsest level it was faster
+# at 529 unknowns (m = 97: 8 %) and level with it at 961 (m = 65).  In 3d
+# it was faster at 343 unknowns (4 %) and slower at 729 (by 30 % as the
+# whole grid, 4 % as the coarsest level).  The first epsilon nests on coarse grids of
+# more than NESTED_N interior unknowns (`_nested_grid`); nesting only above
+# 750 in 2d was no faster at m = 97 and 3 % slower at m = 49.  Each level is
 # smoothed by SMOOTHING_SWEEPS damped Jacobi sweeps (weight JACOBI_WEIGHT)
 # before and after its coarse correction.  A Newton step with residual
 # max-norm r and 2-norm r2 over N unknowns solves to relative residual
@@ -278,7 +282,8 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 # changed the Newton steps per epsilon, while 1e-3 changed none and cut a
 # sweep's GMRES iterations by about a fifth against the last Newton step's
 # tolerance before the safeguard (about 1e-8).
-COARSE_N = 500
+COARSE_N = {2: 750, 3: 500}  # per chart dimension n
+NESTED_N = 500
 SMOOTHING_SWEEPS = 2
 JACOBI_WEIGHT = 0.7
 FORCING_MAX = 0.1
@@ -313,11 +318,11 @@ def _hierarchy(shape: tuple) -> tuple:
     """The multigrid levels below a grid block of C-ordered unknowns: one
     (coarse shape, P, R) per coarsening, with P the tensor product of the
     axes' linear interpolation and R = P^T / 2^n.  A level is coarsened
-    while it has more than COARSE_N unknowns and every axis at least 3
+    while it has more than COARSE_N[n] unknowns and every axis at least 3
     points.  It depends only on the shape (one per sweep), so it is cached
     and read-only."""
     levels = []
-    while int(np.prod(shape)) > COARSE_N and min(shape) >= 3:
+    while int(np.prod(shape)) > COARSE_N[len(shape)] and min(shape) >= 3:
         P = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
                              [_interpolation(k) for k in shape])
         R = (P.T / 2 ** len(shape)).tocsr()
@@ -572,13 +577,14 @@ def _nested_grid(grid: ChartGrid) -> ChartGrid | None:
     """The grid of every other point of `grid` when the first epsilon is
     solved there first, or None.  That is when every axis has an odd m of
     at least 7, so that the coarse grid keeps at least 4 points per axis,
-    and the coarse interior holds more than COARSE_N unknowns: the interior
-    of each such grid is a level of `_hierarchy` that the V-cycle smooths,
-    and the V-cycle's coarsest level solves directly whatever lies below."""
+    and the coarse interior holds more than NESTED_N unknowns.  The interior
+    of each such grid is a level of `_hierarchy`: one the V-cycle smooths,
+    or in 2d, up to COARSE_N[2] unknowns, its coarsest level, which it
+    solves directly.  Smaller grids are left to that direct solve."""
     if any(mi % 2 == 0 or mi < 7 for mi in grid.m):
         return None
     coarse = grid.every_other()
-    return coarse if coarse.n_interior > COARSE_N else None
+    return coarse if coarse.n_interior > NESTED_N else None
 
 
 def _inject(u: np.ndarray) -> np.ndarray:

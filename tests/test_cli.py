@@ -218,10 +218,10 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
 
 # sha256 of every bundle file of four sweeps: SMALL_MA with audits on (no
 # multigrid level: each epsilon's first Jacobian is factored and its LU
-# preconditions the later steps, 26/8/5 Krylov iterations), ma_obstacle
-# at m = 33 with audits off (V-cycle GMRES, 29/12/9/9/10 Krylov
+# preconditions the later steps, 26/8/3 Krylov iterations), ma_obstacle
+# at m = 33 with audits off (V-cycle GMRES, 29/12/9/9/8 Krylov
 # iterations), the sigma_1 laplacian_obstacle_strong at m = 25 with
-# audits off (23^2 unknowns, one multigrid level, 21/11/10/10/10 Krylov
+# audits off (23^2 unknowns, no multigrid level, 20/10/7/6/4 Krylov
 # iterations) and the same at m = 25 from the built-in start with audits
 # on, whose audit subsolution is that start.  A change that moves roundoff
 # updates these pins and says so.  These four and the conformal pin last
@@ -249,7 +249,15 @@ def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
 # builtin, 1.8e-16 SMALL_MA and m = 33, 1.2e-16 for both 3d pins, 1.0e-16
 # sigma_1, 8.9e-17 conformal), with the same Newton and Krylov counts,
 # contact cells and audit case counts; each contact_cells.csv held, and the
-# norms table held at m = 33, m = 49 and on the conformal metric.
+# norms table held at m = 33, m = 49 and on the conformal metric.  The
+# m = 49 pin and the four at m = 25 last moved when 2d grids and levels of
+# up to 750 unknowns, 529 at m = 25 and at the bottom of m = 49, became one
+# direct solve (COARSE_N[2]): fields moved by at most 7.3e-12 relative
+# (conformal; 9.3e-13 at m = 49, 1.8e-13 builtin, 1.2e-13 sigma_1, 3.2e-14
+# manufactured), with the same Newton counts, contact cells and audit case
+# counts and fewer Krylov iterations (conformal 69 -> 53, sigma_1 60 -> 47,
+# builtin 55 -> 41, manufactured 10 -> 3, m = 49 48 -> 47 and its nested
+# 25 x 25 solve 24 -> 23); each contact_cells.csv held.
 PINNED_BUNDLES = {
     "small_ma_audited": (SMALL_MA, [], {
         "contact_cells.csv": "797240f1dc39d6f5b6e5293041d423e30d475af23c7d014a28021812e936d478",
@@ -273,67 +281,67 @@ PINNED_BUNDLES = {
         "u_eps_1e-06.txt": "7d9f8a1badf897e0ff9c2d34edc0ae5809f05031aef62ed1c4e38ffa0b2bbf85",
     }),
     # the smallest 2d grid that nests: the first epsilon is solved on the
-    # 25 x 25 grid first (529 interior unknowns, above COARSE_N)
+    # 25 x 25 grid first (529 interior unknowns, above NESTED_N)
     "ma_obstacle_m49_nested": (bundled_config_text("ma_obstacle"),
                                ["--grid-m", "49", "--audit", "off"], {
         "contact_cells.csv": "23421a0fb278d9b8fb3731205e892a948b1ac3327c45faa8ee6ebfceb8a66d77",
-        "norms_vs_eps.csv": "473e00a1154e007b4e1c011e99adc4be13b4cb3555b7a437dfa6a9359f8314e1",
-        "report.json": "3bc86db58992b6540c0570f7a54065298771449934392cffe469983185313895",
-        "residual_history.csv": "a0b5bb61e96482f392e44fa84d5c15d58eb5ea943e91d151b94d6ad952773a22",
-        "u_eps_1e-02.txt": "2badad8f67721a7fcc8baa2c5c7842026b6438e5903cffef13fc7f99354e0c1f",
-        "u_eps_1e-03.txt": "fc2ac255d95aae6cd3a5f6beb8c5eb71a6556d17e71dccb9eae6e0150850a38c",
-        "u_eps_1e-04.txt": "f5cd03468209c9bbcaf536a62e3a76f3043472a834a1563403be885c84f83781",
-        "u_eps_1e-05.txt": "95cdfaa6af9ff14216fe54cf8f97e7ffe512d8aaabee28708d252a2a80d5e196",
-        "u_eps_1e-06.txt": "7695b906316c0e5fc37a12f5987bdbccaf1ce4e46f13c4f5846c7f213c74e188",
+        "norms_vs_eps.csv": "6fb9ec4136de242914a51c0017157895c30f0f5e222d9873331fcb5a48be3469",
+        "report.json": "ee059d2cc59d3f38e7a51e9fcca1dc32aedf91644e5816e139727c24b972b833",
+        "residual_history.csv": "6723245b95dbf860109fc67284241b4fdc395e6d768ce34e7abfc9878a011836",
+        "u_eps_1e-02.txt": "dabf229514c59ed9b16693c086cf32fe1fd414bff6304315472e81539aa8dd3e",
+        "u_eps_1e-03.txt": "6b8224182abfff32aba3557429e066ad61a7070b06affb800ee25b1fb0a347cd",
+        "u_eps_1e-04.txt": "f875d06fc87f399f4ebd301cb3158b29e25ee2e151c02f5a212ddd8577873185",
+        "u_eps_1e-05.txt": "799584e68fd3039d24b53c266664eb7cdcb0325f67def952b6872c75a285a345",
+        "u_eps_1e-06.txt": "089b5fc61dbcb446c9a724158198d74e4811fd086461c9f383bed0d904e57f06",
     }),
     "laplacian_strong_m25_sigma1": (bundled_config_text("laplacian_obstacle_strong"),
                                     ["--grid-m", "25", "--audit", "off"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "737bf1dc9c1946a7d94100595154ea000560e32a94458637e41facc711399ec1",
-        "report.json": "a7aed0cbfbdad9df54805e810c3ecba1ebfc93baa001d3b06f7775b0d5cb302a",
-        "residual_history.csv": "9fc2a7296d78ddc24e1ab036cc3510178e93535092536ba914379c844c3e83cd",
-        "u_eps_1e-02.txt": "089b92a1d1330015801d55495b8033f38b472aabcbce9a4f897e4fc30539c93c",
-        "u_eps_1e-03.txt": "c2b5e3bd15e731282ad27ca4af4d92e5f06341e0822c9063f41dcb733e23cbaf",
-        "u_eps_1e-04.txt": "ff634e5668df961d9da93d99bd9a46eb8a22dc2b667d3398efc9d102af13089a",
-        "u_eps_1e-05.txt": "4b7aedf544383514ffa6e8200b2b3a80f6ae7229538e358e1da53be5c64e44f2",
-        "u_eps_1e-06.txt": "1c7a30b9b9df483d1e17186a8655953a80acd95118f89deb9a5685f1fd28e030",
+        "norms_vs_eps.csv": "a4b640474a9d04e6c7dc845fbe65ef027276634a3aa7b10e6c1b5a75bc943bfc",
+        "report.json": "ae1d07ce35c90feaed631bff79ed3bc7adca682a87fde3afcf4a6610c94ce681",
+        "residual_history.csv": "1a212ce9231d11310397dd11de917ebdc24035a5c4124bf07b8b00b994279998",
+        "u_eps_1e-02.txt": "b2a27dc8274d7f3864b6bdea73251e9c07cc08e4ec4cda8d9d1e6564f03feee2",
+        "u_eps_1e-03.txt": "9b612ded91a3eee96bea9a2308158f4daf71efaf540de5eaf5bf8e9232d0df2b",
+        "u_eps_1e-04.txt": "3e24eb1efd1ce8c73008c919df56dc8787c7cb7ab68747bddc2279c783cd7878",
+        "u_eps_1e-05.txt": "bf6bda19e86e8a1432cea915d8a18879ae5f1ef0cdbe76a1c128d546f3d6f024",
+        "u_eps_1e-06.txt": "9288d243c92a111ce827c654390b4111ca8dab29f5a72ca29784d0987469a3ec",
     }),
     "laplacian_strong_m25_builtin_audited": (LAPLACIAN_STRONG_BUILTIN, ["--grid-m", "25"], {
         "contact_cells.csv": "9cf24642f5f3199b51054a909d07c53ad94317023a7231cf6c2fe9a76545d7f2",
-        "norms_vs_eps.csv": "bbe35043fcac07bf244769188d1ccbf119d9e99bb11536de92731f0c75825bc9",
-        "report.json": "0498bc6bed7c3c6629830bb80516afb0964e2aba80996697d16c1cfa39b29d28",
-        "residual_history.csv": "58c2d3fe83b0ffaef2e76ee1b020643b7cf5625f1627307830de0b4d352dc105",
-        "u_eps_1e-02.txt": "13cbfa2f0b3712c5c26802a99b61fa1a062d11ec14a7f6ef8916ba2777e43c16",
-        "u_eps_1e-03.txt": "4efc221d366fc703026f6bdbafaf6596b2fea38d1dd88dd469a4aedf85c42ffa",
-        "u_eps_1e-04.txt": "35f95af8e8c284d625cc7b7b170caa048c4de01b11cd081622720479c458d68a",
-        "u_eps_1e-05.txt": "214784adc4d6eaac7bf4a8dd13fc8ba4a888eaa093215135338bf48dcdb5581e",
-        "u_eps_1e-06.txt": "b70286902b0d8a7cefdccc444b80cfcedb05058dd7fc5734acc6142de7ce54d9",
+        "norms_vs_eps.csv": "6114bd3bbee7050404ad3d5006c932ee7fc896f7303cbcc803a03475c985af9d",
+        "report.json": "352cd10756f27d4d01d93a0d596c58ee0ce71b0e2a9c9515ddfd87645eff6f34",
+        "residual_history.csv": "47d11ee6d1f3bb3599afade07603acd54140e07cb021dfc476d814e99189f441",
+        "u_eps_1e-02.txt": "3e085ad229fdfe5a58835ce61c894b1bfa4b7ea6eaf11bebcf028542c37cd2e3",
+        "u_eps_1e-03.txt": "e4afb180b9aba4df660a5635e95f94e88ae5ff00b4bc506e613f4c23d934a345",
+        "u_eps_1e-04.txt": "c26262ad4be34558a47a36f9029e4eeac6f990682e1d7d80c218e82b710a561d",
+        "u_eps_1e-05.txt": "8b15b05dabf9c7e2a9eb5149a5ccd9cb7b4e6522fd758cd1581fce449259fc30",
+        "u_eps_1e-06.txt": "c72801c75832dc401299546864bbcfaad56eace4232f81fc58072531f9fda285",
     }),
     # the one curved pin: g = exp(0.1 x1) I through the Cholesky reduction
     # and the Christoffel term, audits on (at m = 21 the contact band exits 2)
     "ma_obstacle_conformal_m25_audited": (CONFORMAL_MA, ["--grid-m", "25"], {
         "contact_cells.csv": "5f10b2938197536be24ac2fa3cc883290765fbf9893e2b9a4d42c00b83d4f623",
-        "norms_vs_eps.csv": "d2eac5c05a16f1cc21af4a9a9c729cb2cecca85e13491403f6af66aebf3572d0",
-        "report.json": "64df079d0325a9bbe1f4467aa1f16f89037cb3d69af09425ab96c3c4ef0f0506",
-        "residual_history.csv": "5062c9e1045dd4e219dfc2a879834cf07be922cf06851a4a5fb63e98b93420b4",
-        "u_eps_1e-02.txt": "5449d10f9eefbfc3728335146b07ecc4025f06a9303f89be027075719a3a58b6",
-        "u_eps_1e-03.txt": "6877e082180e9bb04c6c83c7e8f1dadbbe6be83f1e9d23ddb7563726b067438d",
-        "u_eps_1e-04.txt": "6e37b683ec21753e9480f604577036ae8197e6207f3e3c365886bea420cdcd85",
-        "u_eps_1e-05.txt": "648d378cad35661155e540c87d55d91ddc801fe942bc1901eb2bd766c38f3999",
-        "u_eps_1e-06.txt": "0686eb9d0bb2136a4d3d96e5cfff80608cc0f8c9584d4850ff17ea746070dc1e",
+        "norms_vs_eps.csv": "ead26c3d7aff59f381434a8988be2107fb0d92a324dd856e1945ab59b8892809",
+        "report.json": "82eb47133fa1d81fba7f96cfdef65fc34fe3b5e151cbb778fd13970a8b8e4aab",
+        "residual_history.csv": "6af3061f38bd61f5f2036ba194c67f1ca6de31c9c7df886280c5e0ee6147e79a",
+        "u_eps_1e-02.txt": "704da97dff673a4d92890c81cdc4a60460cc923a6c5628027aa2a522d7cdba58",
+        "u_eps_1e-03.txt": "0cf2bfcdc47beb765cc2d2df6f5ceb1c2f5f33fa9d271e8d3a928ff9fd9b331e",
+        "u_eps_1e-04.txt": "d2ab16dadd891ba7081e71a08b5b041c60f4f9a329fdffcbceb12e2b745296bf",
+        "u_eps_1e-05.txt": "51a2f760facddfd8f5b8a8e0b3e83bf8f23c0c7231bfe99b728775025b6361ed",
+        "u_eps_1e-06.txt": "73a71094eb09ab201cd4ae6e7d2e82d433ede1f9fce15fd28041a3545d0ae4f2",
     }),
     # a sigma_2 audit whose subsolution has a non-constant Hessian, so K has
     # many rows and the per-state theta scan forms pairs
     "ma_manufactured_m25_audited": (bundled_config_text("ma_manufactured"), ["--grid-m", "25"], {
         "contact_cells.csv": "3a79fb6ab7326ef47b64f57ba085b68269ed31addfff6c24f50d04c739e8c78c",
-        "norms_vs_eps.csv": "d064a59548f332f0fa1c7d781b944556d9746b614225bcf8ef6972907490a176",
-        "report.json": "0a9ef559cbe7cb9044aef2aab06cfa3e87d73eb704d57943f2e336720ff5217c",
-        "residual_history.csv": "1cf99acf2f56ed4c17915458127227d14e18575dca866e857ffef5d34ebc2f99",
-        "u_eps_1e-02.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
-        "u_eps_1e-03.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
-        "u_eps_1e-04.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
-        "u_eps_1e-05.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
-        "u_eps_1e-06.txt": "8cc57ee2fc1e35b60e7ab5272150c56ef63c88d9ecb169e8058bfd06c796cf20",
+        "norms_vs_eps.csv": "1bb1e965f0311f1d746549ac9fb3fcf9727fa67b3a44b6ad09318527f9789aca",
+        "report.json": "85bc42e3c12e2b04e40c9b2e2ceff361ecc1c8368f72bb5be5ccbd5a5b2b8747",
+        "residual_history.csv": "1b9ad7acd5e8e802c6556a4853562cafe33319c7499c3bf0e9c452bf7de18289",
+        "u_eps_1e-02.txt": "b98b40d4f26cbb3dd82ff10e766025740ec13702a70f645fd4080ba45ad74c60",
+        "u_eps_1e-03.txt": "b98b40d4f26cbb3dd82ff10e766025740ec13702a70f645fd4080ba45ad74c60",
+        "u_eps_1e-04.txt": "b98b40d4f26cbb3dd82ff10e766025740ec13702a70f645fd4080ba45ad74c60",
+        "u_eps_1e-05.txt": "b98b40d4f26cbb3dd82ff10e766025740ec13702a70f645fd4080ba45ad74c60",
+        "u_eps_1e-06.txt": "b98b40d4f26cbb3dd82ff10e766025740ec13702a70f645fd4080ba45ad74c60",
     }),
     # the two n = 3 pins, audits off: the solve_3d benchmark config (flat,
     # m = 15) and the same config on the conformal metric phi = 0.05 x1,
