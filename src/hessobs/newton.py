@@ -259,9 +259,10 @@ def newton_solve(u0: np.ndarray, prob: Problem, epsilon: float,
 # slower at 841 and 961 (by 3 and 6 %); as the coarsest level it was faster
 # at 529 unknowns (m = 97: 8 %) and level with it at 961 (m = 65).  In 3d
 # it was faster at 343 unknowns (4 %) and slower at 729 (by 30 % as the
-# whole grid, 4 % as the coarsest level).  The first epsilon nests on coarse grids of
-# more than NESTED_N interior unknowns (`_nested_grid`); nesting only above
-# 750 in 2d was no faster at m = 97 and 3 % slower at m = 49.  Each level is
+# whole grid, 4 % as the coarsest level).  The first epsilon nests on
+# coarse grids of more than NESTED_N interior unknowns (`_nested_grid`);
+# nesting only above 750 in 2d was no faster at m = 97 and 3 % slower at
+# m = 49.  Each level is
 # smoothed by SMOOTHING_SWEEPS damped Jacobi sweeps (weight JACOBI_WEIGHT)
 # before and after its coarse correction.  A Newton step with residual
 # max-norm r and 2-norm r2 over N unknowns solves to relative residual

@@ -26,11 +26,12 @@ The first line is the numerics fingerprint, `# numerics  openblas <core>
 scipy-openblas <core>  numpy <features>`: the core types that numpy's and
 scipy's own OpenBLAS builds picked their kernels for (the V-cycle's
 coarsest banded LU runs in scipy's) and the CPU features numpy dispatches
-on, any of which can move the last bits of a result.  Then each line is `<sha256>  <run>/<file>`, and each run adds
-`<exit code>  <run>/rc`.  A change meant to keep every result byte-identical
-is checked by running this script on both checkouts (copy it into the older
-one) and diffing the two outputs, which compare only under equal
-fingerprints; pytest does not collect it.
+on, any of which can move the last bits of a result.  Then each line is
+`<sha256>  <run>/<file>`, and each run adds `<exit code>  <run>/rc`.  A
+change meant to keep every result byte-identical is checked by running
+this script on both checkouts (copy it into the older one) and diffing the
+two outputs, which compare only under equal fingerprints; pytest does not
+collect it.
 """
 
 from __future__ import annotations
