@@ -158,7 +158,7 @@ def _report_sweep(rs: RunSetup, args, out: ReportBundleWriter, doc: dict, result
     history = [[] for _ in range(6)]  # the columns of residual_history.csv
     try:  # a monitor's error names the epsilon it checked, the contact set's the last
         for u, eps, rep in zip(result.solutions, result.epsilons, result.reports):
-            solved = solved_state(u, rs.problem, eps, audit.enabled)
+            solved = solved_state(u, rs.problem, eps)
             bundles.append(compute_norm_bundle(solved, rs.problem))
             if audit.enabled:
                 audits.append(audit_inequalities(solved, rs.problem, certificate, audit.c_audit))

@@ -45,18 +45,17 @@ __all__ = [
 class SolvedState:
     """A solved field u at epsilon with its evaluated state; the norm bundle
     and the audit of one epsilon both read it.  Each of the rest is computed
-    on first use: the pencil eigenvalues lam, which only the audit and the
-    theta certificate read; Df(lam), which only the audit reads; and
-    hess_norm = max |lam|.  hess_norm is read from lam for n = 2, and for
-    n >= 3 when the state is `audited`, since the audit forms lam anyway;
-    otherwise it comes from the candidate rows of `largest_abs_eigenvalue`,
-    the same float, without the full spectrum."""
+    on first use: the pencil eigenvalues lam and Df(lam), which only the
+    audit and the theta certificate read, where Df(lam) raises MonitorError
+    naming the interior points at which it is not finite (rows the cone rule
+    on lam rejects though the Newton tensors passed them); and hess_norm =
+    max |lam| from `largest_abs_eigenvalue` in every dimension, the same
+    float without the full spectrum."""
 
     u: np.ndarray
     epsilon: float
     state: StateEval
     prob: Problem = field(repr=False)
-    audited: bool = False  # the audit will read lam
 
     @functools.cached_property
     def lam(self) -> np.ndarray:
@@ -64,24 +63,25 @@ class SolvedState:
 
     @functools.cached_property
     def fg(self) -> np.ndarray:
-        return spectrum_gradient(self.prob.fspec, self.lam)
+        fg = spectrum_gradient(self.prob.fspec, self.lam)
+        if not np.isfinite(fg).all():
+            points = self.prob.grid.interior_indices(~np.isfinite(fg).all(axis=1))
+            raise MonitorError("eigenvalues outside the cone, though its Newton tensors are "
+                               f"inside, at {len(points)} interior points (first: {points[:3]})")
+        return fg
 
     @functools.cached_property
     def hess_norm(self) -> float:
-        if self.prob.grid.n == 2 or self.audited:
-            return float(np.abs(self.lam).max())
         return largest_abs_eigenvalue(to_metric_frame(self.state.U, self.prob.metric))
 
 
-def solved_state(u: np.ndarray, prob: Problem, epsilon: float,
-                 audited: bool = False) -> SolvedState:
-    """Evaluate an admissible solved state once for every monitor; `audited`
-    says that `audit_inequalities` will read it."""
+def solved_state(u: np.ndarray, prob: Problem, epsilon: float) -> SolvedState:
+    """Evaluate an admissible solved state once for every monitor."""
     st = evaluate_state(u, prob, epsilon)
     if not st.admissible:
         raise NotAdmissible(st.flagged_points(prob.grid),
                             "monitors requested at a non-admissible state")
-    return SolvedState(u, epsilon, st, prob, audited)
+    return SolvedState(u, epsilon, st, prob)
 
 
 @dataclass
@@ -152,20 +152,18 @@ def theta_certificate(u_sub: np.ndarray, prob: Problem, theta_samples: int, seed
     the audit reads.
 
     An inadmissible subsolution raises NotAdmissible naming its points.
-    Its spectrum is tested once more, by the cone rule on the pencil
-    eigenvalues, and rows outside by that rule alone have no normal: they
-    raise MonitorError naming their points, as does a zeta not above 0."""
+    Rows of its spectrum outside the cone by the rule on the pencil
+    eigenvalues alone have no normal: `SolvedState.fg` raises MonitorError
+    naming their points, re-raised here as the subsolution's, and a zeta
+    not above 0 raises MonitorError too."""
     try:
         sub = solved_state(u_sub, prob, PROBE_EPSILON)
+        K, nu_mu, zeta0 = compact_set(sub.lam, sub.fg)
     except NotAdmissible as exc:
         raise NotAdmissible(exc.points, "subsolution not admissible, cannot form the compact set"
                             ) from None
-    K, nu_mu, zeta0 = compact_set(sub.lam, sub.fg)
-    if not np.isfinite(nu_mu).all():
-        points = prob.grid.interior_indices(~np.isfinite(nu_mu).all(axis=1))
-        raise MonitorError(
-            "subsolution eigenvalues outside the cone, though its Newton tensors are inside, "
-            f"at {len(points)} interior points (first: {points[:3]})")
+    except MonitorError as exc:
+        raise MonitorError(f"subsolution {exc}") from None
     zeta = zeta0 if zeta is None else zeta
     if not zeta > 0.0:
         raise MonitorError("zeta0 not positive: subsolution normals degenerate")
@@ -202,10 +200,11 @@ def audit_inequalities(s: SolvedState, prob: Problem, certificate: tuple,
     `certificate` is the (K, nu_mu, cloud certificate, usub) that
     `theta_certificate` builds once per sweep; none of it depends on
     epsilon.  theta_hat is the minimum over the cloud together with the
-    audited state's own eigenvalue field, which keeps the
-    certificate coherent with the per-point audit; it is halved to keep
-    sampling optimism out of the pass/fail line.  The state's rows are
-    scanned for theta_hat alone, with the Df(lam) the SolvedState holds.
+    state's own eigenvalue field, which keeps the certificate coherent
+    with the per-point audit; it is halved to keep sampling optimism out
+    of the pass/fail line.  The state's rows are scanned for theta_hat
+    alone, with the Df(lam) the SolvedState holds, which names the points
+    where it is not finite (MonitorError).
     fprime_worst records the diagonal bound with its sharp per-point
     constant min_i nu_i(lam)/sqrt(n) instead of zeta0/sqrt(n); for linear f
     this slack is identically zero.

@@ -188,21 +188,34 @@ def test_3d_norm_bundles_pass_few_rows_to_eigvalsh(tmp_path, monkeypatch):
     assert work["spectrum"] == 0
 
 
-@pytest.mark.parametrize("text,epsilons,kernel_calls", [
-    (SMALL_MA, 3, 0),
-    (SOLVE_3D.replace("theta_samples = 10000", "theta_samples = 500"), 5, 0),
+def test_2d_norm_bundles_form_no_spectrum(tmp_path, monkeypatch):
+    # an audits-off 2d sweep takes hess_norm from the largest-|lambda|
+    # kernel too, once per epsilon: at most 10 % of the 961 interior rows
+    # reach eigvalsh, and no full spectrum is computed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(bundled_config_text("ma_obstacle"))
+    work = count_monitor_work(monkeypatch)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                 "--grid-m", "33", "--audit", "off"]) == 0
+    assert len(work["bundle_rows"]) == work["largest"] == 5
+    assert 0 < max(work["bundle_rows"]) <= 0.1 * 31**2
+    assert work["spectrum"] == 0
+
+
+@pytest.mark.parametrize("text,epsilons", [
+    (SMALL_MA, 3),
+    (SOLVE_3D.replace("theta_samples = 10000", "theta_samples = 500"), 5),
 ], ids=["2d", "3d"])
-def test_audited_sweep_computes_each_spectrum_once(text, epsilons, kernel_calls, tmp_path,
-                                                   monkeypatch):
-    # the full spectrum once per solved state and once for the subsolution;
-    # the norm bundle reads the audit's lam, in 3d too, so the
-    # largest-|lambda| kernel never runs
+def test_audited_sweep_computes_each_spectrum_once(text, epsilons, tmp_path, monkeypatch):
+    # the full spectrum once per solved state, for the audit, and once for
+    # the subsolution; the norm bundle's hess_norm comes from the
+    # largest-|lambda| kernel, once per solved state, in every dimension
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     work = count_monitor_work(monkeypatch)
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
                  "--audit", "on"]) == 0
-    assert work["spectrum"] == epsilons + 1 and work["largest"] == kernel_calls
+    assert work["spectrum"] == epsilons + 1 and work["largest"] == epsilons
 
 
 def test_contact_header_prints_tau_at_fixed_precision(small_cfg, tmp_path):
@@ -1040,10 +1053,10 @@ def test_failure_norms_stop_at_the_first_failing_monitor(small_cfg, tmp_path, mo
         failed.append(None)
         raise MonitorError("contact set")
 
-    def failing_state(u, prob, eps, *audited):
+    def failing_state(u, prob, eps):
         if failed and eps == 1e-3:
             raise NotAdmissible([], "monitors requested at a non-admissible state")
-        return build(u, prob, eps, *audited)
+        return build(u, prob, eps)
 
     monkeypatch.setattr(cli, "extract_contact_set", failing_contact)
     monkeypatch.setattr(cli, "solved_state", failing_state)

@@ -410,9 +410,16 @@ def tight_blocks(rng, N):
     return s[:, :, None] * M * s[:, None, :]
 
 
-@pytest.mark.parametrize("metric", ["kind = flat", 'kind = conformal\n  phi = "0.05*x1"'])
-def test_largest_abs_eigenvalue_is_eigvalsh_on_solved_3d_states(metric):
-    rs = build_runsetup(parse_config(solve_3d_config_text().replace("kind = flat", metric)))
+@pytest.mark.parametrize("metric", ["kind = flat", 'kind = conformal\n  phi = "0.05*x1"'],
+                         ids=["flat", "conformal"])
+@pytest.mark.parametrize("problem,grid_m", [("solve_3d", None), ("ma_obstacle", 33),
+                                            ("laplacian_obstacle_strong", 33)],
+                         ids=["solve_3d", "ma_obstacle_m33", "laplacian_obstacle_strong_m33"])
+def test_largest_abs_eigenvalue_is_eigvalsh_on_solved_states(problem, grid_m, metric):
+    # the monitors' hess_norm in every dimension: the full spectrum's max
+    # |lam|, bit for bit, on each epsilon of a 3d and two bundled 2d sweeps
+    text = solve_3d_config_text() if problem == "solve_3d" else bundled_config_text(problem)
+    rs = build_runsetup(parse_config(text.replace("kind = flat", metric)).override(grid_m=grid_m))
     prob = rs.problem
     res = continuation_solve(prob, rs.config.schedule, rs.config.newton)
     for eps, u in zip(res.epsilons, res.solutions):

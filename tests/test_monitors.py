@@ -380,6 +380,29 @@ def solved_ma_obstacle_m17():
     return rs.problem, continuation_solve(rs.problem, rs.config.schedule, rs.config.newton)
 
 
+def test_audit_names_the_points_outside_the_cone(solved_ma_obstacle_m17, monkeypatch):
+    # a row of a solved state's spectrum outside Gamma_2 although its Newton
+    # tensor passed: Df(lam) is NaN there, and the audit names the row's
+    # interior point rather than failing on a bare lambda tuple
+    import hessobs.monitors as monitors
+
+    prob, res = solved_ma_obstacle_m17
+    certificate = theta_certificate(res.start, prob, 100, 42, all_pairs=False)
+    real = monitors.spectrum
+
+    def one_row_out(st, prob):
+        lam = real(st, prob).copy()
+        lam[10] = (1.0, -1.5)  # interior point (1, 11) of the 15 x 15 block
+        return lam
+
+    monkeypatch.setattr(monitors, "spectrum", one_row_out)
+    s = solved_state(res.final, prob, res.epsilons[-1])
+    with pytest.raises(MonitorError) as exc:
+        audit_inequalities(s, prob, certificate, 0.0)
+    assert str(exc.value) == ("eigenvalues outside the cone, though its Newton tensors are "
+                              "inside, at 1 interior points (first: [(1, 11)])")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_monitors_refuse_a_field_with_a_non_finite_value(solved_ma_obstacle_m17, bad):
     # a 2x2 block with NaN on its diagonal has finite eigenvalues, so a NaN
